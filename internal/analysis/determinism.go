@@ -18,6 +18,7 @@ var DefaultDeterminismScope = []string{
 	"repro/internal/collective",
 	"repro/internal/faults",
 	"repro/internal/search",
+	"repro/internal/sched",
 }
 
 // allowedRandConstructors are the math/rand package-level functions that

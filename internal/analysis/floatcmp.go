@@ -15,6 +15,7 @@ var DefaultFloatCmpScope = []string{
 	"repro/internal/core",
 	"repro/internal/sim",
 	"repro/internal/cluster",
+	"repro/internal/sched",
 }
 
 // DefaultApprovedComparators are the helper functions inside which exact

@@ -34,6 +34,7 @@ var DefaultGlobalMutConfig = GlobalMutConfig{
 		"repro/internal/costmodel",
 		"repro/internal/sim",
 		"repro/internal/sweep",
+		"repro/internal/sched",
 	},
 	Toggles: []string{
 		"repro/internal/cluster.SetReferenceMode",

@@ -55,6 +55,10 @@ var DefaultNoAllocConfig = NoAllocConfig{
 			"latRing.recordAck",
 			"latRing.recordWait",
 		},
+		"repro/internal/sched": {
+			"Running.Reservation",
+			"Core.Pass",
+		},
 	},
 }
 
@@ -122,6 +126,9 @@ func funcDisplayName(fd *ast.FuncDecl) string {
 	t := fd.Recv.List[0].Type
 	if se, ok := t.(*ast.StarExpr); ok {
 		t = se.X
+	}
+	if ix, ok := t.(*ast.IndexExpr); ok {
+		t = ix.X // generic receiver Core[J]
 	}
 	if id, ok := t.(*ast.Ident); ok {
 		return id.Name + "." + fd.Name.Name

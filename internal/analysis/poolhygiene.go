@@ -16,6 +16,7 @@ var DefaultPoolHygieneScope = []string{
 	"repro/internal/daemon",
 	"repro/internal/sim",
 	"repro/internal/sweep",
+	"repro/internal/sched",
 }
 
 // PoolHygiene enforces the pooled-arena contract the zero-alloc kernels

@@ -14,6 +14,7 @@ var DefaultSharedWriteScope = []string{
 	"repro/internal/sim",
 	"repro/internal/sweep",
 	"repro/internal/verify",
+	"repro/internal/sched",
 }
 
 // SharedWrite polices writes inside goroutine bodies. The worker pools'

@@ -11,8 +11,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/hostlist"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -106,10 +106,12 @@ type Daemon struct {
 	wallBase time.Time
 	timer    *time.Timer
 
-	nextID    int64
-	jobs      map[int64]*jobRecord
-	queue     []*jobRecord
-	running   map[int64]*jobRecord
+	nextID int64
+	jobs   map[int64]*jobRecord
+	queue  []*jobRecord
+	// core is the shared FIFO + EASY pass and the running set, keyed by
+	// job ID.
+	core      sched.Core[*jobRecord]
 	completed []metrics.JobResult
 	lat       latRing
 }
@@ -165,7 +167,10 @@ func New(cfg Config) (*Daemon, error) {
 		timer:    time.NewTimer(time.Hour),
 		nextID:   1,
 		jobs:     make(map[int64]*jobRecord),
-		running:  make(map[int64]*jobRecord),
+	}
+	d.core = sched.Core[*jobRecord]{
+		Free: d.st.FreeTotal, Job: d.job, Start: d.startJob,
+		Backfill: !cfg.DisableBackfill,
 	}
 	if !d.timer.Stop() {
 		<-d.timer.C
@@ -193,9 +198,7 @@ func (d *Daemon) engine() {
 		case f := <-d.cmds:
 			f()
 		case <-d.timer.C:
-			d.advance()
-			d.schedule()
-			d.rearm()
+			d.tick(d.now())
 		}
 	}
 }
@@ -216,31 +219,30 @@ func (d *Daemon) call(f func() Response) Response {
 	}
 }
 
-// now returns the current virtual time.
+// now reads the clock as virtual time. An engine wakeup reads it once and
+// threads that v through everything it does, so one pass sees one "now".
 func (d *Daemon) now() float64 {
 	return d.clock().Sub(d.wallBase).Seconds() * d.cfg.TimeScale
 }
 
-// advance completes every running job whose virtual end time has passed.
-func (d *Daemon) advance() {
-	v := d.now()
-	for {
-		var next *jobRecord
-		for _, r := range d.running {
-			if r.end <= v && (next == nil || r.end < next.end ||
-				(r.end == next.end && r.job.ID < next.job.ID)) {
-				next = r
-			}
-		}
-		if next == nil {
-			return
-		}
-		d.complete(next)
+// tick brings the daemon to virtual time v: due jobs complete, then one
+// scheduling pass runs and the wake-up timer is re-armed.
+func (d *Daemon) tick(v float64) {
+	d.advance(v)
+	d.schedule(v)
+}
+
+// advance completes every running job whose virtual end time has passed,
+// in (end, job ID) order.
+func (d *Daemon) advance(v float64) {
+	for len(d.core.Running) > 0 && d.core.Running[0].End <= v {
+		next := d.core.Running[0]
+		d.core.Running.Remove(next.Key)
+		d.complete(d.jobs[next.Key])
 	}
 }
 
 func (d *Daemon) complete(r *jobRecord) {
-	delete(d.running, int64(r.job.ID))
 	_ = d.st.Release(r.job.ID)
 	r.state = stateCompleted
 	d.completed = append(d.completed, metrics.JobResult{
@@ -261,153 +263,68 @@ func (d *Daemon) complete(r *jobRecord) {
 	})
 }
 
-// rearm sets the wake-up timer to the earliest running-job completion.
-func (d *Daemon) rearm() {
+// schedule runs one scheduling pass at virtual time v, then sets the
+// wake-up timer to the earliest running-job completion.
+func (d *Daemon) schedule(v float64) {
+	// startJob reports every failure as an outcome, so the pass cannot fail;
+	// a head that no completion can satisfy (e.g. a drained leaf) is already
+	// indefinitely delayed, and the pass lets everything that fits through.
+	d.queue, _, _ = d.core.Pass(d.queue, v)
 	d.timer.Stop()
 	select {
 	case <-d.timer.C:
 	default:
 	}
-	var earliest float64 = -1
-	for _, r := range d.running {
-		if earliest < 0 || r.end < earliest {
-			earliest = r.end
-		}
-	}
-	if earliest < 0 {
+	if len(d.core.Running) == 0 {
 		return
 	}
-	wall := time.Duration((earliest - d.now()) / d.cfg.TimeScale * float64(time.Second))
+	wall := time.Duration((d.core.Running[0].End - v) / d.cfg.TimeScale * float64(time.Second))
 	if wall < 0 {
 		wall = 0
 	}
 	d.timer.Reset(wall)
 }
 
-// eligible reports whether the job's dependency (if any) has finished.
-// Dependants of cancelled jobs become eligible, as with SLURM's afterany.
-func (d *Daemon) eligible(r *jobRecord) bool {
-	if r.after == 0 {
-		return true
+// job describes a queued job to the pass. A job is ineligible while its
+// dependency (if any) is unfinished: it stays pending while others pass
+// (SLURM's reason Dependency). Dependants of cancelled jobs become
+// eligible, as with SLURM's afterany.
+func (d *Daemon) job(r *jobRecord) (nodes int, estimate float64, eligible bool) {
+	eligible = true
+	if r.after != 0 {
+		if dep, ok := d.jobs[r.after]; ok {
+			eligible = dep.state == stateCompleted || dep.state == stateCancelled
+		}
 	}
-	dep, ok := d.jobs[r.after]
-	if !ok {
-		return true
-	}
-	return dep.state == stateCompleted || dep.state == stateCancelled
+	return r.job.Nodes, r.job.Runtime, eligible
 }
 
-// schedule mirrors the simulator's FIFO + EASY policy over the live queue.
-// Jobs held on a dependency are invisible to the FIFO order (SLURM keeps
-// them pending with reason Dependency while others pass).
-func (d *Daemon) schedule() {
-	v := d.now()
-	// Start eligible jobs from the front; the first eligible job that does
-	// not fit becomes the EASY head.
-	headIdx := -1
-	for i := 0; i < len(d.queue); {
-		r := d.queue[i]
-		if !d.eligible(r) {
-			i++
-			continue
-		}
-		if r.job.Nodes > d.st.FreeTotal() {
-			headIdx = i
-			break
-		}
-		if err := d.startJob(r, v); err != nil {
-			if errors.Is(err, cluster.ErrNodeUnavailable) {
-				// A node went down between the capacity check and the
-				// allocation (fail/drain serviced in the same pass). The job
-				// is still valid: it becomes the EASY head and retries once
-				// capacity returns instead of being cancelled.
-				headIdx = i
-				break
-			}
-			// Deterministic selectors only fail on capacity, which we just
-			// checked; treat anything else as a cancellation with a reason.
-			r.state = stateCancelled
-			r.name = r.name + " (failed: " + err.Error() + ")"
-		}
-		d.queue = append(d.queue[:i], d.queue[i+1:]...)
-	}
-	if headIdx < 0 || d.cfg.DisableBackfill {
-		return
-	}
-	head := d.queue[headIdx]
-	shadow, extra, ok := d.reservation(v, head.job.Nodes)
-	if !ok {
-		// The head cannot run with the currently serviceable nodes (e.g. a
-		// leaf is drained). It is already indefinitely delayed, so
-		// backfilling cannot hurt it: let everything that fits through.
-		shadow, extra = math.Inf(1), d.st.FreeTotal()
-	}
-	for i := headIdx + 1; i < len(d.queue); {
-		r := d.queue[i]
-		if !d.eligible(r) || r.job.Nodes > d.st.FreeTotal() {
-			i++
-			continue
-		}
-		finishesBeforeShadow := v+r.job.Runtime <= shadow
-		fitsExtra := r.job.Nodes <= extra
-		if !finishesBeforeShadow && !fitsExtra {
-			i++
-			continue
-		}
-		if err := d.startJob(r, v); err != nil {
-			if errors.Is(err, cluster.ErrNodeUnavailable) {
-				i++ // retryable: stay queued, retry next pass
-				continue
-			}
-			r.state = stateCancelled
-		}
-		if !finishesBeforeShadow {
-			extra -= r.job.Nodes
-		}
-		d.queue = append(d.queue[:i], d.queue[i+1:]...)
-	}
-}
-
-func (d *Daemon) reservation(v float64, need int) (shadow float64, extra int, ok bool) {
-	free := d.st.FreeTotal()
-	if need <= free {
-		return v, free - need, true
-	}
-	ends := make([]*jobRecord, 0, len(d.running))
-	for _, r := range d.running {
-		ends = append(ends, r)
-	}
-	sort.Slice(ends, func(a, b int) bool {
-		if ends[a].end != ends[b].end {
-			return ends[a].end < ends[b].end
-		}
-		return ends[a].job.ID < ends[b].job.ID
-	})
-	for _, r := range ends {
-		free += r.job.Nodes
-		if free >= need {
-			return r.end, free - need, true
-		}
-	}
-	return 0, 0, false
-}
-
-func (d *Daemon) startJob(r *jobRecord, v float64) error {
+// startJob places and starts a job at virtual time v. A node going down
+// between the pass's capacity check and the allocation (fail/drain serviced
+// in the same pass) leaves the job valid: it retries once capacity returns.
+// Deterministic selectors otherwise only fail on capacity, which the pass
+// just checked; anything else cancels the job with the reason recorded.
+func (d *Daemon) startJob(r *jobRecord, v float64) (sched.Outcome, error) {
 	pl, err := sim.PlaceJob(d.st, d.selector, d.defSel, r.job, d.cfg.CostMode)
-	if err != nil {
-		return err
+	if err == nil {
+		err = d.st.Allocate(r.job.ID, r.job.Class, pl.Nodes)
 	}
-	if err := d.st.Allocate(r.job.ID, r.job.Class, pl.Nodes); err != nil {
-		return err
+	if errors.Is(err, cluster.ErrNodeUnavailable) {
+		return sched.Retry, nil
+	}
+	if err != nil {
+		r.state = stateCancelled
+		r.name = r.name + " (failed: " + err.Error() + ")"
+		return sched.Dropped, nil
 	}
 	r.place = pl
 	r.state = stateRunning
 	r.start = v
 	r.end = v + pl.Exec
-	d.running[int64(r.job.ID)] = r
+	d.core.Running.Add(sched.Entry{End: r.end, Key: int64(r.job.ID), Nodes: r.job.Nodes})
 	// Queue-wait sample: virtual seconds from (first) submission to start.
 	d.lat.recordWait(v - r.submit)
-	return nil
+	return sched.Started, nil
 }
 
 // info converts a record to its wire form.
@@ -455,13 +372,14 @@ func (d *Daemon) execBatch(ops []*pendingOp) {
 		return
 	}
 	resp := d.call(func() Response {
+		v := d.now()
 		for i := 0; i < len(ops); {
 			if ops[i].pass {
 				i++
 				continue
 			}
 			if !isSubmitOp(ops[i].req.Op) {
-				ops[i].resp = d.dispatchLocked(&ops[i].req)
+				ops[i].resp = d.dispatchLocked(&ops[i].req, v)
 				i++
 				continue
 			}
@@ -469,12 +387,11 @@ func (d *Daemon) execBatch(ops []*pendingOp) {
 			for j < len(ops) && !ops[j].pass && isSubmitOp(ops[j].req.Op) {
 				j++
 			}
-			d.advance()
+			d.advance(v)
 			for k := i; k < j; k++ {
-				d.admitLocked(ops[k])
+				d.admitLocked(ops[k], v)
 			}
-			d.schedule()
-			d.rearm()
+			d.schedule(v)
 			for k := i; k < j; k++ {
 				d.ackLocked(ops[k])
 			}
@@ -502,13 +419,14 @@ func (d *Daemon) exec1(req Request) Response {
 	return op.resp
 }
 
-// admitLocked validates and enqueues a submit or submit_batch op (engine
-// goroutine, advance already done; the caller runs the scheduling pass).
-func (d *Daemon) admitLocked(op *pendingOp) {
+// admitLocked validates and enqueues a submit or submit_batch op at
+// virtual time v (engine goroutine, advance already done; the caller runs
+// the scheduling pass).
+func (d *Daemon) admitLocked(op *pendingOp, v float64) {
 	switch op.req.Op {
 	case "submit":
 		spec := op.req.Spec()
-		op.resp = d.submitLocked(&spec)
+		op.resp = d.submitLocked(&spec, v)
 	case "submit_batch":
 		if len(op.req.Batch) == 0 {
 			op.resp = Response{Error: "submit_batch: empty batch"}
@@ -516,7 +434,7 @@ func (d *Daemon) admitLocked(op *pendingOp) {
 		}
 		results := make([]BatchResult, len(op.req.Batch))
 		for i := range op.req.Batch {
-			r := d.submitLocked(&op.req.Batch[i])
+			r := d.submitLocked(&op.req.Batch[i], v)
 			if r.Ok {
 				results[i] = BatchResult{ID: r.ID}
 			} else {
@@ -544,9 +462,10 @@ func (d *Daemon) ackLocked(op *pendingOp) {
 	}
 }
 
-// submitLocked validates one submission and enqueues it (engine
-// goroutine; no advance, no scheduling pass — the batch owner does both).
-func (d *Daemon) submitLocked(spec *SubmitSpec) Response {
+// submitLocked validates one submission and enqueues it as submitted at
+// virtual time v (engine goroutine; no advance, no scheduling pass — the
+// batch owner does both).
+func (d *Daemon) submitLocked(spec *SubmitSpec, v float64) Response {
 	if spec.Nodes < 1 || spec.Nodes > d.cfg.Topology.NumNodes() {
 		return Response{Error: fmt.Sprintf("nodes %d out of range 1..%d",
 			spec.Nodes, d.cfg.Topology.NumNodes())}
@@ -594,7 +513,7 @@ func (d *Daemon) submitLocked(spec *SubmitSpec) Response {
 	r := &jobRecord{
 		job: workload.Job{
 			ID:      cluster.JobID(id),
-			Submit:  d.now(),
+			Submit:  v,
 			Runtime: spec.Runtime,
 			Nodes:   spec.Nodes,
 			Class:   class,
@@ -604,29 +523,21 @@ func (d *Daemon) submitLocked(spec *SubmitSpec) Response {
 		pattern: pattern,
 		after:   spec.After,
 		state:   stateQueued,
-		submit:  d.now(),
+		submit:  v,
 	}
 	d.jobs[id] = r
 	d.queue = append(d.queue, r)
 	return Response{Ok: true, ID: id}
 }
 
-// dispatchLocked executes one non-batched op with its classic semantics
-// (engine goroutine). Submit ops route through the batch machinery so
-// the one-pass-per-batch invariant cannot be bypassed.
-func (d *Daemon) dispatchLocked(req *Request) Response {
+// dispatchLocked executes one non-submit op at virtual time v with its
+// classic semantics (engine goroutine). Submit ops never reach it: execBatch
+// routes them through the batch machinery so the one-pass-per-batch
+// invariant cannot be bypassed.
+func (d *Daemon) dispatchLocked(req *Request, v float64) Response {
 	switch req.Op {
-	case "submit", "submit_batch":
-		op := pendingOp{req: *req}
-		d.advance()
-		d.admitLocked(&op)
-		d.schedule()
-		d.rearm()
-		return op.resp
 	case "status":
-		d.advance()
-		d.schedule()
-		d.rearm()
+		d.tick(v)
 		r, ok := d.jobs[req.ID]
 		if !ok {
 			return Response{Error: fmt.Sprintf("unknown job %d", req.ID)}
@@ -634,31 +545,25 @@ func (d *Daemon) dispatchLocked(req *Request) Response {
 		ji := d.info(r)
 		return Response{Ok: true, Job: &ji}
 	case "cancel":
-		return d.cancelLocked(req.ID)
+		return d.cancelLocked(req.ID, v)
 	case "queue":
-		d.advance()
-		d.schedule()
-		d.rearm()
+		d.tick(v)
 		resp := Response{Ok: true}
 		for _, r := range d.queue {
 			resp.Jobs = append(resp.Jobs, d.info(r))
 		}
 		return resp
 	case "running":
-		d.advance()
-		d.schedule()
-		d.rearm()
+		d.tick(v)
 		resp := Response{Ok: true}
 		for _, r := range d.runningOrdered() {
 			resp.Jobs = append(resp.Jobs, d.info(r))
 		}
 		return resp
 	case "info":
-		return d.infoLocked()
+		return d.infoLocked(v)
 	case "stats":
-		d.advance()
-		d.schedule()
-		d.rearm()
+		d.tick(v)
 		s := metrics.Summarize(d.completed)
 		return Response{
 			Ok:             true,
@@ -671,11 +576,11 @@ func (d *Daemon) dispatchLocked(req *Request) Response {
 			Latency:        d.lat.summary(),
 		}
 	case "drain":
-		return d.nodeOpLocked(req.Node, (*cluster.State).Drain)
+		return d.nodeOpLocked(req.Node, (*cluster.State).Drain, v)
 	case "resume":
-		return d.nodeOpLocked(req.Node, (*cluster.State).Resume)
+		return d.nodeOpLocked(req.Node, (*cluster.State).Resume, v)
 	case "fail":
-		return d.failLocked(req.Node)
+		return d.failLocked(req.Node, v)
 	case "shutdown":
 		return Response{Ok: true}
 	default:
@@ -705,31 +610,27 @@ func (d *Daemon) Cancel(id int64) Response {
 	return d.exec1(Request{Op: "cancel", ID: id})
 }
 
-func (d *Daemon) cancelLocked(id int64) Response {
-	d.advance()
+func (d *Daemon) cancelLocked(id int64, v float64) Response {
+	d.advance(v)
 	r, ok := d.jobs[id]
 	if !ok {
 		return Response{Error: fmt.Sprintf("unknown job %d", id)}
 	}
 	switch r.state {
 	case stateQueued:
-		for i, q := range d.queue {
-			if q == r {
-				d.queue = append(d.queue[:i], d.queue[i+1:]...)
-				break
-			}
+		if i := slices.Index(d.queue, r); i >= 0 {
+			d.queue = slices.Delete(d.queue, i, i+1)
 		}
 		r.state = stateCancelled
 	case stateRunning:
-		delete(d.running, id)
+		d.core.Running.Remove(id)
 		_ = d.st.Release(r.job.ID)
 		r.state = stateCancelled
-		r.end = d.now()
+		r.end = v
 	case stateCompleted, stateCancelled:
 		return Response{Error: fmt.Sprintf("job %d already %s", id, r.state)}
 	}
-	d.schedule()
-	d.rearm()
+	d.schedule(v)
 	return Response{Ok: true, ID: id}
 }
 
@@ -742,54 +643,46 @@ func (d *Daemon) Fail(node string) Response {
 	return d.exec1(Request{Op: "fail", Node: node})
 }
 
-func (d *Daemon) failLocked(node string) Response {
+func (d *Daemon) failLocked(node string, v float64) Response {
 	id := d.cfg.Topology.NodeID(node)
 	if id < 0 {
 		return Response{Error: fmt.Sprintf("unknown node %q", node)}
 	}
-	d.advance()
+	d.advance(v)
 	victim, err := d.st.Fail(id)
 	if err != nil {
 		return Response{Error: err.Error()}
 	}
 	resp := Response{Ok: true}
 	if victim >= 0 {
-		d.requeueJob(int64(victim))
+		d.requeueJob(int64(victim), v)
 		resp.ID = int64(victim)
 	}
-	d.schedule()
-	d.rearm()
+	d.schedule(v)
 	return resp
 }
 
-// requeueJob kills a running job (its failed node is already marked down
-// by the caller) and returns it to the pending queue, inserted in job-ID
-// order among the queued jobs so the requeued job re-runs ahead of later
-// submissions. Engine goroutine only.
-func (d *Daemon) requeueJob(id int64) {
-	r, ok := d.running[id]
-	if !ok {
+// requeueJob kills a running job at virtual time v (its failed node is
+// already marked down by the caller) and returns it to the pending queue,
+// inserted in job-ID order among the queued jobs so the requeued job re-runs
+// ahead of later submissions. Engine goroutine only.
+func (d *Daemon) requeueJob(id int64, v float64) {
+	if _, ok := d.core.Running.Remove(id); !ok {
 		return
 	}
-	delete(d.running, id)
+	r := d.jobs[id]
 	_ = d.st.Release(r.job.ID)
-	now := d.now()
 	r.state = stateQueued
 	r.requeues++
-	r.requeuedAt = now
-	r.lostSec += now - r.start
+	r.requeuedAt = v
+	r.lostSec += v - r.start
 	r.start, r.end = 0, 0
 	r.place = sim.Placement{}
-	pos := len(d.queue)
-	for i, q := range d.queue {
-		if int64(q.job.ID) > id {
-			pos = i
-			break
-		}
+	pos := slices.IndexFunc(d.queue, func(q *jobRecord) bool { return int64(q.job.ID) > id })
+	if pos < 0 {
+		pos = len(d.queue)
 	}
-	d.queue = append(d.queue, nil)
-	copy(d.queue[pos+1:], d.queue[pos:])
-	d.queue[pos] = r
+	d.queue = slices.Insert(d.queue, pos, r)
 }
 
 // Drain marks a node (by name) ineligible for new allocations; a running
@@ -803,17 +696,16 @@ func (d *Daemon) Resume(node string) Response {
 	return d.exec1(Request{Op: "resume", Node: node})
 }
 
-func (d *Daemon) nodeOpLocked(node string, op func(*cluster.State, int) error) Response {
+func (d *Daemon) nodeOpLocked(node string, op func(*cluster.State, int) error, v float64) Response {
 	id := d.cfg.Topology.NodeID(node)
 	if id < 0 {
 		return Response{Error: fmt.Sprintf("unknown node %q", node)}
 	}
-	d.advance()
+	d.advance(v)
 	if err := op(d.st, id); err != nil {
 		return Response{Error: err.Error()}
 	}
-	d.schedule()
-	d.rearm()
+	d.schedule(v)
 	return Response{Ok: true}
 }
 
@@ -832,10 +724,8 @@ func (d *Daemon) Info() Response {
 	return d.exec1(Request{Op: "info"})
 }
 
-func (d *Daemon) infoLocked() Response {
-	d.advance()
-	d.schedule()
-	d.rearm()
+func (d *Daemon) infoLocked(v float64) Response {
+	d.tick(v)
 	resp := Response{
 		Ok:           true,
 		MachineNodes: d.cfg.Topology.NumNodes(),
@@ -843,7 +733,7 @@ func (d *Daemon) infoLocked() Response {
 		DownNodes:    d.st.DownTotal(),
 		FailedNodes:  d.st.FailedTotal(),
 		Algorithm:    d.cfg.Algorithm.String(),
-		VirtualNow:   d.now(),
+		VirtualNow:   v,
 	}
 	for l := 0; l < d.cfg.Topology.NumLeaves(); l++ {
 		resp.Leafs = append(resp.Leafs, LeafInfo{

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -88,10 +90,11 @@ func (d *Daemon) persistJob(r *jobRecord) persistedJob {
 func (d *Daemon) SaveState(w io.Writer) error {
 	var ps persistedState
 	resp := d.call(func() Response {
-		d.advance()
+		v := d.now()
+		d.advance(v)
 		ps = persistedState{
 			Version:    stateVersion,
-			VirtualNow: d.now(),
+			VirtualNow: v,
 			NextID:     d.nextID,
 			Completed:  append([]metrics.JobResult(nil), d.completed...),
 		}
@@ -123,15 +126,11 @@ func (d *Daemon) SaveState(w io.Writer) error {
 // runningOrdered returns running records sorted by job ID (engine
 // goroutine only).
 func (d *Daemon) runningOrdered() []*jobRecord {
-	out := make([]*jobRecord, 0, len(d.running))
-	for _, r := range d.running {
-		out = append(out, r)
+	out := make([]*jobRecord, 0, len(d.core.Running))
+	for _, e := range d.core.Running {
+		out = append(out, d.jobs[e.Key])
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].job.ID < out[j-1].job.ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].job.ID < out[j].job.ID })
 	return out
 }
 
@@ -213,7 +212,7 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 	}
 	resp := d.call(func() Response {
 		// Resume the virtual clock where the snapshot stopped.
-		d.wallBase = time.Now().Add(-time.Duration(ps.VirtualNow / d.cfg.TimeScale * float64(time.Second)))
+		d.wallBase = d.clock().Add(-time.Duration(ps.VirtualNow / d.cfg.TimeScale * float64(time.Second)))
 		d.nextID = ps.NextID
 		d.completed = append([]metrics.JobResult(nil), ps.Completed...)
 		// Running allocations go first: a node drained while busy is down in
@@ -235,7 +234,7 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 				return Response{Error: fmt.Sprintf("restoring job %d: %v", pj.ID, err)}
 			}
 			d.jobs[pj.ID] = rec
-			d.running[pj.ID] = rec
+			d.core.Running.Add(sched.Entry{End: rec.end, Key: pj.ID, Nodes: rec.job.Nodes})
 		}
 		for _, name := range ps.DownNodes {
 			id := d.cfg.Topology.NodeID(name)
@@ -270,9 +269,7 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 			d.jobs[pj.ID] = rec
 			d.queue = append(d.queue, rec)
 		}
-		d.advance()
-		d.schedule()
-		d.rearm()
+		d.tick(ps.VirtualNow)
 		return Response{Ok: true}
 	})
 	if !resp.Ok {

@@ -166,3 +166,44 @@ func waitState(t *testing.T, d *Daemon, id int64, want string) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// A daemon restored under an injected clock resumes at the snapshot's
+// virtual time on THAT clock (not the wall clock), and a job due after the
+// snapshot completes at its recorded end.
+func TestRestoreResumesOnInjectedClock(t *testing.T) {
+	clk := newFakeClock()
+	cfg := Config{Topology: topology.PaperExample(), Algorithm: core.Adaptive, TimeScale: 1, Clock: clk.Now}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := d.Submit(Request{Nodes: 4, Runtime: 120, Class: "compute"})
+	if !job.Ok {
+		t.Fatal(job.Error)
+	}
+	clk.Advance(100 * time.Second)
+	var buf bytes.Buffer
+	if err := d.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	d2, err := Restore(cfg, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d2.Close)
+	if info := d2.Info(); info.VirtualNow != 100 {
+		t.Fatalf("restored virtual now = %v, want 100", info.VirtualNow)
+	}
+	clk.Advance(19 * time.Second)
+	if st := d2.Status(job.ID); st.Job.State != "running" || st.Job.End != 120 {
+		t.Fatalf("at 119: state %s end %v, want running until 120", st.Job.State, st.Job.End)
+	}
+	clk.Advance(time.Second)
+	if st := d2.Status(job.ID); st.Job.State != "completed" || st.Job.End != 120 {
+		t.Fatalf("at 120: state %s end %v, want completed at 120", st.Job.State, st.Job.End)
+	}
+	if info := d2.Info(); info.VirtualNow != 120 || info.FreeNodes != 8 {
+		t.Fatalf("after completion: now %v free %d, want 120 and 8", info.VirtualNow, info.FreeNodes)
+	}
+}

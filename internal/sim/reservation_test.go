@@ -3,93 +3,10 @@ package sim
 import (
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
-
-// reservationEngine builds a bare engine over the 8-node PaperExample
-// machine with the given jobs allocated (nodes chosen by the default
-// selector) and their planned ends set explicitly.
-func reservationEngine(t *testing.T, alloc []runningJob) *engine {
-	t.Helper()
-	topo := topology.PaperExample()
-	st := cluster.New(topo)
-	sel := core.MustNew(core.Default)
-	e := &engine{st: st, running: make(map[int]runningJob)}
-	for _, r := range alloc {
-		nodes, err := sel.Select(st, core.Request{Job: cluster.JobID(r.job + 1), Nodes: r.nodes})
-		if err != nil {
-			t.Fatalf("setup select: %v", err)
-		}
-		if err := st.Allocate(cluster.JobID(r.job+1), cluster.ComputeIntensive, nodes); err != nil {
-			t.Fatalf("setup allocate: %v", err)
-		}
-		e.running[r.job] = r
-	}
-	return e
-}
-
-func TestReservationImmediateFit(t *testing.T) {
-	e := reservationEngine(t, []runningJob{{job: 0, nodes: 3, estEnd: 50}})
-	shadow, extra, ok := e.reservation(10, 4)
-	if !ok || shadow != 10 || extra != 1 {
-		t.Fatalf("got shadow=%v extra=%d ok=%v, want 10, 1, true", shadow, extra, ok)
-	}
-}
-
-func TestReservationWaitsForReleases(t *testing.T) {
-	// 8 nodes: 3 running (ends 100), 2 running (ends 50), 3 free. A 6-node
-	// head fits once the 2-node job releases: shadow 50, extra (3+2)-6 < 0?
-	// No: free 3 + 2 released = 5 < 6, so it must also wait for the 3-node
-	// job: shadow 100, extra 8-6 = 2.
-	e := reservationEngine(t, []runningJob{
-		{job: 0, nodes: 3, estEnd: 100},
-		{job: 1, nodes: 2, estEnd: 50},
-	})
-	shadow, extra, ok := e.reservation(10, 6)
-	if !ok || shadow != 100 || extra != 2 {
-		t.Fatalf("got shadow=%v extra=%d ok=%v, want 100, 2, true", shadow, extra, ok)
-	}
-	// A 5-node head only needs the first release.
-	shadow, extra, ok = e.reservation(10, 5)
-	if !ok || shadow != 50 || extra != 0 {
-		t.Fatalf("got shadow=%v extra=%d ok=%v, want 50, 0, true", shadow, extra, ok)
-	}
-}
-
-// Equal planned ends tie-break by job index, and the accumulation stops at
-// the first job whose release satisfies the head.
-func TestReservationTiedEnds(t *testing.T) {
-	e := reservationEngine(t, []runningJob{
-		{job: 0, nodes: 2, estEnd: 70},
-		{job: 1, nodes: 4, estEnd: 70},
-	})
-	// Free = 2. Need 4: job 0 releases 2 (total 4) at 70 → shadow 70,
-	// extra 0 — job 1's simultaneous release must NOT inflate extra.
-	shadow, extra, ok := e.reservation(10, 4)
-	if !ok || shadow != 70 || extra != 0 {
-		t.Fatalf("got shadow=%v extra=%d ok=%v, want 70, 0, true", shadow, extra, ok)
-	}
-	// Need 6: both tied releases are required → extra 8-6 = 2.
-	shadow, extra, ok = e.reservation(10, 6)
-	if !ok || shadow != 70 || extra != 2 {
-		t.Fatalf("got shadow=%v extra=%d ok=%v, want 70, 2, true", shadow, extra, ok)
-	}
-}
-
-// A request larger than free + all planned releases can never be satisfied.
-// (Unreachable from RunContinuous, which rejects oversized trace jobs; the
-// engine still reports it rather than looping.)
-func TestReservationCanNeverRun(t *testing.T) {
-	e := reservationEngine(t, []runningJob{{job: 0, nodes: 2, estEnd: 50}})
-	// Only job 0's 2 nodes are tracked as releasable; free = 6. Asking for
-	// 9 (> machine) exceeds free + releases.
-	if _, _, ok := e.reservation(10, 9); ok {
-		t.Fatal("impossible reservation reported satisfiable")
-	}
-}
 
 // End-to-end EASY accounting within a single schedule pass: the extra node
 // pool is computed once per pass, so only same-pass backfills can observe

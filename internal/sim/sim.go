@@ -12,14 +12,13 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -113,17 +112,6 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
-// runningJob tracks a started job for backfill reservations. estEnd is the
-// completion time the scheduler plans with (start + walltime estimate); the
-// actual completion event may come earlier.
-type runningJob struct {
-	job    int
-	nodes  int
-	start  float64
-	end    float64
-	estEnd float64
-}
-
 type engine struct {
 	cfg      Config
 	trace    workload.Trace
@@ -131,10 +119,12 @@ type engine struct {
 	selector core.Selector
 	defSel   core.Selector
 
-	events  eventQueue
-	seq     int64
-	queue   []int // waiting job indexes, FIFO
-	running map[int]runningJob
+	events eventQueue
+	seq    int64
+	queue  []int // waiting job indexes, FIFO
+	// core is the shared FIFO + EASY pass and the running set, keyed by
+	// trace index.
+	core sched.Core[int]
 
 	results []metrics.JobResult
 	started []bool
@@ -147,10 +137,6 @@ type engine struct {
 	requeues   []int
 	requeuedAt []float64
 	lostSec    []float64
-
-	// resScratch is reused across reservation() calls so the EASY shadow
-	// computation allocates nothing per scheduling pass.
-	resScratch []runningJob
 
 	// Dependency support (SWF "preceding job"): idToIdx resolves job IDs,
 	// held parks arrived jobs whose dependency has not completed, and
@@ -192,7 +178,6 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 		st:          cluster.New(cfg.Topology),
 		selector:    sel,
 		defSel:      defSel,
-		running:     make(map[int]runningJob),
 		results:     make([]metrics.JobResult, len(trace.Jobs)),
 		started:     make([]bool, len(trace.Jobs)),
 		idToIdx:     make(map[cluster.JobID]int, len(trace.Jobs)),
@@ -202,6 +187,10 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 		requeues:    make([]int, len(trace.Jobs)),
 		requeuedAt:  make([]float64, len(trace.Jobs)),
 		lostSec:     make([]float64, len(trace.Jobs)),
+	}
+	e.core = sched.Core[int]{
+		Free: e.st.FreeTotal, Job: e.job, Start: e.start,
+		Backfill: !cfg.DisableBackfill,
 	}
 	for i, j := range trace.Jobs {
 		e.idToIdx[j.ID] = i
@@ -284,10 +273,9 @@ func (e *engine) loop() error {
 				// possibly restarted) after this event was scheduled.
 				continue
 			}
-			if _, ok := e.running[ev.job]; !ok {
+			if _, ok := e.core.Running.Remove(int64(ev.job)); !ok {
 				return fmt.Errorf("sim: completion for job index %d not running", ev.job)
 			}
-			delete(e.running, ev.job)
 			if err := e.st.Release(e.trace.Jobs[ev.job].ID); err != nil {
 				return err
 			}
@@ -321,9 +309,9 @@ func (e *engine) loop() error {
 			return err
 		}
 	}
-	if len(e.queue) > 0 || len(e.running) > 0 || len(e.held) > 0 {
+	if len(e.queue) > 0 || len(e.core.Running) > 0 || len(e.held) > 0 {
 		return fmt.Errorf("sim: %d queued, %d running and %d held jobs at end of events",
-			len(e.queue), len(e.running), len(e.held))
+			len(e.queue), len(e.core.Running), len(e.held))
 	}
 	return nil
 }
@@ -333,11 +321,9 @@ func (e *engine) loop() error {
 // out of service), partial work is discarded, and a fresh arrival event at
 // now puts the job back in the queue under the run's policy.
 func (e *engine) requeue(idx int, now float64) error {
-	r, ok := e.running[idx]
-	if !ok {
+	if _, ok := e.core.Running.Remove(int64(idx)); !ok {
 		return fmt.Errorf("sim: requeue for job index %d not running", idx)
 	}
-	delete(e.running, idx)
 	if err := e.st.Release(e.trace.Jobs[idx].ID); err != nil {
 		return err
 	}
@@ -347,115 +333,47 @@ func (e *engine) requeue(idx int, now float64) error {
 	e.started[idx] = false
 	e.requeues[idx]++
 	e.requeuedAt[idx] = now
-	e.lostSec[idx] += now - r.start
+	e.lostSec[idx] += now - e.results[idx].Start
 	e.push(event{time: now, kind: evArrive, job: idx})
 	return nil
 }
 
-// schedule starts queued jobs: the policy-ordered head first, then EASY
-// backfilling behind the head's reservation.
+// schedule orders the queue by the run's policy and hands it to the shared
+// pass: the head first, then EASY backfilling behind its reservation.
 func (e *engine) schedule(now float64) error {
 	e.cfg.Policy.order(e.trace.Jobs, e.queue)
-	// Start jobs from the head while they fit.
-	for len(e.queue) > 0 {
-		head := e.queue[0]
-		if e.trace.Jobs[head].Nodes > e.st.FreeTotal() {
-			break
-		}
-		if err := e.start(head, now); err != nil {
-			return err
-		}
-		e.queue = e.queue[1:]
+	rest, starved, err := e.core.Pass(e.queue, now)
+	e.queue = rest
+	if err == nil && starved && len(e.cfg.Faults) == 0 {
+		// Only under faults can the head be transiently unsatisfiable (enough
+		// nodes down that draining every running job would not free its
+		// request; a repair restores capacity). Without them it never runs.
+		head := e.trace.Jobs[rest[0]]
+		err = fmt.Errorf("sim: job %d (%d nodes) can never run", head.ID, head.Nodes)
 	}
-	if len(e.queue) == 0 || e.cfg.DisableBackfill {
-		return nil
-	}
-	// EASY backfilling: compute the head's reservation, then start later
-	// jobs that do not delay it.
-	head := e.trace.Jobs[e.queue[0]]
-	shadow, extra, ok := e.reservation(now, head.Nodes)
-	if !ok {
-		if len(e.cfg.Faults) == 0 {
-			return fmt.Errorf("sim: job %d (%d nodes) can never run", head.ID, head.Nodes)
-		}
-		// Under faults the head can be transiently unsatisfiable: enough
-		// nodes are down that even draining every running job would not
-		// free head.Nodes. A future repair restores capacity, so instead of
-		// failing the run the head holds an unreachable reservation and
-		// backfill may only use jobs that fit the current free set.
-		shadow, extra = math.Inf(1), e.st.FreeTotal()
-	}
-	// Jobs that stay queued are compacted in place with a write index
-	// instead of splicing each started job out, turning the pass from
-	// O(n²) copies into a single O(n) sweep.
-	w := 1
-	for i := 1; i < len(e.queue); i++ {
-		idx := e.queue[i]
-		j := e.trace.Jobs[idx]
-		if j.Nodes > e.st.FreeTotal() {
-			e.queue[w] = idx
-			w++
-			continue
-		}
-		finishesBeforeShadow := now+j.EstimatedRuntime() <= shadow
-		fitsExtra := j.Nodes <= extra
-		if !finishesBeforeShadow && !fitsExtra {
-			e.queue[w] = idx
-			w++
-			continue
-		}
-		if err := e.start(idx, now); err != nil {
-			return err
-		}
-		if !finishesBeforeShadow {
-			extra -= j.Nodes
-		}
-	}
-	e.queue = e.queue[:w]
-	return nil
+	return err
 }
 
-// reservation returns the earliest time the head job's node count becomes
-// available if nothing else starts (the EASY shadow time) and the number of
-// extra free nodes at that time beyond the head's need.
-func (e *engine) reservation(now float64, need int) (shadow float64, extra int, ok bool) {
-	free := e.st.FreeTotal()
-	if need <= free {
-		return now, free - need, true
-	}
-	ends := e.resScratch[:0]
-	for _, r := range e.running {
-		ends = append(ends, r)
-	}
-	e.resScratch = ends[:0]
-	sort.Slice(ends, func(a, b int) bool {
-		if ends[a].estEnd != ends[b].estEnd {
-			return ends[a].estEnd < ends[b].estEnd
-		}
-		return ends[a].job < ends[b].job
-	})
-	for _, r := range ends {
-		free += r.nodes
-		if free >= need {
-			return r.estEnd, free - need, true
-		}
-	}
-	return 0, 0, false
+// job describes a queued job to the pass. Every queued job is eligible:
+// jobs held on a dependency are parked outside the queue.
+func (e *engine) job(idx int) (nodes int, estimate float64, eligible bool) {
+	j := &e.trace.Jobs[idx]
+	return j.Nodes, j.EstimatedRuntime(), true
 }
 
 // start selects nodes for the job, applies the Eq. 7 runtime model, commits
-// the allocation and schedules completion.
-func (e *engine) start(idx int, now float64) error {
+// the allocation and schedules completion. Any failure aborts the run.
+func (e *engine) start(idx int, now float64) (sched.Outcome, error) {
 	j := e.trace.Jobs[idx]
 	if e.started[idx] {
-		return fmt.Errorf("sim: job %d started twice", j.ID)
+		return 0, fmt.Errorf("sim: job %d started twice", j.ID)
 	}
 	pl, err := PlaceJobMapped(e.st, e.selector, e.defSel, j, e.cfg.CostMode, e.cfg.RankRemap)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := e.st.Allocate(j.ID, j.Class, pl.Nodes); err != nil {
-		return err
+		return 0, err
 	}
 	e.results[idx] = metrics.JobResult{
 		ID:          int64(j.ID),
@@ -473,14 +391,14 @@ func (e *engine) start(idx int, now float64) error {
 		RequeuedAt:  e.requeuedAt[idx],
 		LostSeconds: e.lostSec[idx],
 	}
+	// The scheduler plans with the walltime estimate; the completion event
+	// may come earlier.
 	estEnd := now + pl.Exec
 	if est := j.EstimatedRuntime(); now+est > estEnd {
 		estEnd = now + est
 	}
 	e.started[idx] = true
-	e.running[idx] = runningJob{
-		job: idx, nodes: j.Nodes, start: now, end: now + pl.Exec, estEnd: estEnd,
-	}
+	e.core.Running.Add(sched.Entry{End: estEnd, Key: int64(idx), Nodes: j.Nodes})
 	e.push(event{time: now + pl.Exec, kind: evComplete, job: idx, inc: e.inc[idx]})
-	return nil
+	return sched.Started, nil
 }
