@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: check build vet lint lint-allow test race fuzz-smoke verify bench bench-smoke bench-compare coverage soak soak-smoke quality-compare
+.PHONY: check build vet lint lint-allow test race fuzz-smoke verify bench bench-smoke bench-compare bench-selftest bench-e2e coverage soak soak-smoke quality-compare
 
 check: vet lint build race fuzz-smoke
 
@@ -59,7 +59,7 @@ BENCH_PKGS = ./internal/core ./internal/costmodel ./internal/sim ./internal/clus
 # -p 1 keeps package test binaries sequential: concurrently running
 # packages contaminate each other's timings.
 bench:
-	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkJobCost$$|BenchmarkJobCost512Leaves|BenchmarkJobCost4096LeavesWide|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput' \
+	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkJobCost$$|BenchmarkJobCost512Leaves|BenchmarkJobCost4096LeavesWide|BenchmarkCompile|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput' \
 		-benchtime $(BENCHTIME) -benchmem -json $(BENCH_PKGS) > BENCH_$$(date +%F).json
 	@echo "wrote BENCH_$$(date +%F).json"
 
@@ -68,11 +68,21 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 # Record a fresh dated artifact and diff it against the latest committed
-# BENCH_*.json via cmd/benchcmp; >20% ns/op regression on an /opt path
-# fails. Override the output name with BENCH_OUT=..., duration with
-# BENCHTIME=....
+# BENCH_*.json via cmd/benchcmp; >20% ns/op regression on an /opt path or
+# on a cold BenchmarkCompile case fails. Override the output name with
+# BENCH_OUT=..., duration with BENCHTIME=....
 bench-compare:
 	BENCHTIME=$(BENCHTIME) sh scripts/bench-compare.sh $(BENCH_OUT)
+
+# The end-to-end benchmark (bench/, its own module; BENCHMARK.json is its
+# contract): its own vet + tests, and one full run of all six workloads,
+# untraced then traced (~6 min; see bench/README.md for -workload, -out
+# and -compare).
+bench-selftest:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+bench-e2e:
+	bash bench/run.sh
 
 # Placement-quality gate: run the deterministic anneal quality-vs-budget
 # sweep and fail if the budget-256 median Eq. 6 cost regresses >2% against

@@ -4,11 +4,12 @@
 //
 // Usage:
 //
-//	benchcmp [-threshold 0.20] [-gate /opt] old.json new.json
+//	benchcmp [-threshold 0.20] [-gate /opt,BenchmarkCompile/] old.json new.json
 //
 // Every benchmark present in both files is printed with its ns/op delta;
-// benchmarks whose name matches the gate substring (default "/opt", the
-// fast-path halves of the opt/ref speedup pairs) exit non-zero when they
+// benchmarks whose name contains one of the comma-separated gate substrings
+// (default "/opt", the fast-path halves of the opt/ref speedup pairs;
+// bench-compare adds the twinless cold compile) exit non-zero when they
 // regress by more than the threshold. Reference halves and allocation
 // counts are reported but never gate: the ref paths exist for equivalence
 // proofs, not speed.
@@ -30,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,7 +61,7 @@ type testEvent struct {
 func main() {
 	var (
 		threshold = flag.Float64("threshold", 0.20, "max allowed ns/op regression on gated benchmarks (0.20 = +20%)")
-		gate      = flag.String("gate", "/opt", "substring naming the benchmarks that gate (empty gates all)")
+		gate      = flag.String("gate", "/opt", "comma-separated substrings naming the benchmarks that gate (empty gates all)")
 	)
 	flag.Parse()
 	if flag.NArg() != 2 {
@@ -195,7 +197,7 @@ func report(w io.Writer, oldRes, newRes map[string]*benchResult, threshold float
 		}
 		delta := (n.NsPerOp - o.NsPerOp) / o.NsPerOp
 		mark := ""
-		gated := gate == "" || strings.Contains(name, gate)
+		gated := gate == "" || slices.ContainsFunc(strings.Split(gate, ","), func(g string) bool { return strings.Contains(name, g) })
 		if gated && delta > threshold {
 			if speedupHeld(name, oldRes, newRes, threshold) {
 				mark = "  drift (opt/ref speedup held)"

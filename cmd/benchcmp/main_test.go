@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -91,6 +92,7 @@ func TestReportGatesOptRegressions(t *testing.T) {
 		"BenchmarkDrift/opt-8 \t 1000 \t 2000 ns/op \t 0 B/op \t 0 allocs/op",
 		"BenchmarkDrift/ref-8 \t 1000 \t 8000 ns/op \t 0 B/op \t 0 allocs/op",
 		"BenchmarkTwinless/opt-8 \t 1000 \t 1000 ns/op \t 0 B/op \t 0 allocs/op",
+		"BenchmarkCompile/permuted/512-8 \t 1000 \t 1000 ns/op \t 0 B/op \t 9 allocs/op",
 	)
 	newPath := writeArtifact(t, dir, "new.json",
 		// Real regression: opt +50% while ref is flat, so the speedup
@@ -104,6 +106,8 @@ func TestReportGatesOptRegressions(t *testing.T) {
 		"BenchmarkDrift/ref-8 \t 1000 \t 12000 ns/op \t 0 B/op \t 0 allocs/op",
 		// +50% with no /ref twin: gates on the absolute delta.
 		"BenchmarkTwinless/opt-8 \t 1000 \t 1500 ns/op \t 0 B/op \t 0 allocs/op",
+		// +50%, named by a second gate substring only.
+		"BenchmarkCompile/permuted/512-8 \t 1000 \t 1500 ns/op \t 0 B/op \t 9 allocs/op",
 		// No baseline: informational only.
 		"BenchmarkNew/opt-8 \t 1000 \t 100 ns/op \t 0 B/op \t 0 allocs/op",
 	)
@@ -118,6 +122,9 @@ func TestReportGatesOptRegressions(t *testing.T) {
 	var out strings.Builder
 	if got := report(&out, oldRes, newRes, 0.20, "/opt"); got != 2 {
 		t.Errorf("regressions = %d, want 2 (JobCost/opt + Twinless/opt)\n%s", got, out.String())
+	}
+	if got := report(io.Discard, oldRes, newRes, 0.20, "/opt,BenchmarkCompile/"); got != 3 {
+		t.Errorf("regressions with the gate list = %d, want 3 (the two above + Compile/permuted/512)", got)
 	}
 	if !strings.Contains(out.String(), "REGRESSION") {
 		t.Errorf("report lacks REGRESSION marker:\n%s", out.String())

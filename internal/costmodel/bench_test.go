@@ -1,6 +1,9 @@
 package costmodel
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -149,5 +152,63 @@ func BenchmarkJobCost(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// compileLists are the node-list shapes BenchmarkCompile and
+// TestCompileMatchesPerPairReference compile against, n ranks each on
+// topo: "contiguous" fills leaves in order (what the selectors mostly
+// emit), "fragmented" deals chunk-node pieces round-robin over the leaves
+// (a busy machine's leftovers), "permuted" shuffles the fragmented list
+// (only rank remapping produces that: every leaf run has length ~1).
+func compileLists(topo *topology.Topology, n, chunk int) map[string][]int {
+	contiguous := make([]int, n)
+	for i := range contiguous {
+		contiguous[i] = i
+	}
+	fragmented := make([]int, 0, n)
+	for round := 0; len(fragmented) < n; round++ {
+		for l := 0; l < topo.NumLeaves() && len(fragmented) < n; l++ {
+			ln := topo.LeafNodes(l)
+			for i := round * chunk; i < (round+1)*chunk && i < len(ln) && len(fragmented) < n; i++ {
+				fragmented = append(fragmented, ln[i])
+			}
+		}
+	}
+	permuted := slices.Clone(fragmented)
+	rand.New(rand.NewSource(int64(n))).Shuffle(n, func(i, j int) {
+		permuted[i], permuted[j] = permuted[j], permuted[i]
+	})
+	return map[string][]int{"contiguous": contiguous, "fragmented": fragmented, "permuted": permuted}
+}
+
+// BenchmarkCompile measures the cold compile — buildLeafSchedule with the
+// schedule's stored segments, as a memoised schedule's first pricing on a
+// new node list runs it — of recursive doubling on Intrepid, and reports
+// it per schedule pair (the unit the pre-run compiler's cost was linear
+// in, ≈ 10 ns). Every other costmodel benchmark prices through a warm
+// leafSchedCache and never sees this layer.
+func BenchmarkCompile(b *testing.B) {
+	topo := topology.Intrepid()
+	lay := cluster.LayoutOf(topo)
+	for _, shape := range []string{"contiguous", "fragmented", "permuted"} {
+		for _, n := range []int{512, 4096, 32768} {
+			nodes := compileLists(topo, n, 24)[shape]
+			steps := collective.RD.MustSchedule(n)
+			memo := segmentsOf(steps)
+			b.Run(fmt.Sprintf("%s/%d", shape, n), func(b *testing.B) {
+				sc := new(buildScratch)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if !sc.scanRuns(lay, nodes) {
+						b.Fatal("fixture list does not compile")
+					}
+					if _, err := buildLeafSchedule(lay, sc, n, steps, memo); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(collective.TotalMessages(steps)), "ns/pair")
+			})
+		}
 	}
 }

@@ -54,7 +54,7 @@ func Hops(st *cluster.State, i, j int) float64 {
 //
 // The schedule's pair ranks must all be in [0, len(nodes)). The fast path
 // compiles the schedule's node pairs down to distinct leaf-switch pairs
-// (leafSchedule, cached per (schedule, node list)) and evaluates Hops once
+// (leafSchedule, cached per (schedule, rank→leaf runs)) and evaluates Hops once
 // per pair through the gen-keyed pairCache; SetReferenceMode forces the
 // uncached node-pair loop. Steps slices must not be mutated after being
 // costed (ScheduleFor's memoized schedules satisfy this by contract).
@@ -65,10 +65,12 @@ func JobCost(st *cluster.State, nodes []int, steps []collective.Step) (float64, 
 	if len(steps) == 0 {
 		return 0, nil
 	}
-	lay := cluster.LayoutOf(st.Topology())
-	ls, err := leafSchedFor(lay, nodes, steps)
+	ls, err := leafSchedFor(cluster.LayoutOf(st.Topology()), nodes, steps, nil)
 	if err != nil {
 		return 0, err
+	}
+	if ls == nil { // repeated or foreign node id: only the reference loops price it
+		return jobCostRef(st, nodes, steps)
 	}
 	return ls.eval(st, false, false, 0), nil
 }
@@ -116,10 +118,12 @@ func JobCostHopBytes(st *cluster.State, nodes []int, steps []collective.Step, ba
 	if len(steps) == 0 {
 		return 0, nil
 	}
-	lay := cluster.LayoutOf(st.Topology())
-	ls, err := leafSchedFor(lay, nodes, steps)
+	ls, err := leafSchedFor(cluster.LayoutOf(st.Topology()), nodes, steps, nil)
 	if err != nil {
 		return 0, err
+	}
+	if ls == nil {
+		return jobCostHopBytesRef(st, nodes, steps, baseMsgSize)
 	}
 	return ls.eval(st, false, true, baseMsgSize), nil
 }
@@ -183,14 +187,15 @@ func CandidateCost(st *cluster.State, job cluster.JobID, class cluster.Class,
 	if err := validateCandidate(st, job, nodes); err != nil {
 		return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
 	}
-	steps, err := ScheduleFor(p, len(nodes))
+	steps, memo, err := scheduleFor(p, len(nodes))
 	if err != nil {
 		return 0, err
 	}
 	if len(steps) == 0 {
 		return 0, nil
 	}
-	ls, err := leafSchedFor(lay, nodes, steps)
+	// A validated candidate lists distinct in-range nodes, so it compiles.
+	ls, err := leafSchedFor(lay, nodes, steps, memo)
 	if err != nil {
 		return 0, err
 	}

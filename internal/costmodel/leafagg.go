@@ -48,8 +48,7 @@ type leafSchedule struct {
 	lay    *cluster.Layout
 	sid    *collective.Step // identity of the steps slice (&steps[0])
 	nSteps int
-	hash   uint64
-	nodes  []int // defensive copy of the node list (cache key)
+	runs   []uint64 // the node list's run sequence (buildScratch.runs), the cache key's third part
 
 	// leaves/counts are the distinct leaf indices hosting the job's nodes
 	// and the node count c_i on each — the histogram the candidate overlay
@@ -78,17 +77,6 @@ type leafSchedule struct {
 	agg *subtreeSchedule
 }
 
-// hashNodes fingerprints a node list (FNV-1a) for the schedule cache's
-// cheap pre-comparison; full equality is always verified on a hash match.
-func hashNodes(nodes []int) uint64 {
-	h := uint64(1469598103934665603)
-	for _, id := range nodes {
-		h ^= uint64(id)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // leafSchedSlots bounds the compiled-schedule cache. The steady-state
 // working set is small — the adaptive selector prices two candidates per
 // request and the simulator re-costs the chosen one — while unbounded
@@ -96,7 +84,8 @@ func hashNodes(nodes []int) uint64 {
 const leafSchedSlots = 64
 
 // leafSchedCache is the shared compiled-schedule cache: a mutex-guarded
-// ring of immutable entries, keyed on (layout, steps identity, node list).
+// ring of immutable entries, keyed on all a compiled schedule depends on:
+// (layout, steps identity, the node list's rank→leaf run sequence).
 // Entries hold strong references to their steps slices, so a cached sid
 // pointer can never be recycled for a different schedule. Like the
 // schedule memo this assumes steps are never mutated after being costed;
@@ -108,42 +97,54 @@ var leafSchedCache struct {
 }
 
 // leafSchedFor returns the compiled schedule for (steps, nodes), building
-// and caching it on first use. steps must be non-empty; the returned entry
-// is shared and read-only.
-func leafSchedFor(lay *cluster.Layout, nodes []int, steps []collective.Step) (*leafSchedule, error) {
-	sid := &steps[0]
-	h := hashNodes(nodes)
+// and caching it on first use. steps must be non-empty; memo is their
+// ScheduleFor entry, if any. The returned entry is shared and read-only.
+// A nil entry with a nil error means the list repeats a node id or names
+// one outside the topology: the run view cannot express what the reference
+// loops do with such pairs, so the caller prices the list through them.
+func leafSchedFor(lay *cluster.Layout, nodes []int, steps []collective.Step, memo *memoSchedule) (*leafSchedule, error) {
+	sc := buildScratchPool.Get().(*buildScratch)
+	defer buildScratchPool.Put(sc)
+	if !sc.scanRuns(lay, nodes) {
+		return nil, nil
+	}
 	leafSchedCache.mu.Lock()
 	for _, ls := range leafSchedCache.ents {
-		if ls != nil && ls.sid == sid && ls.nSteps == len(steps) && ls.lay == lay &&
-			ls.hash == h && slices.Equal(ls.nodes, nodes) {
+		if ls != nil && ls.sid == &steps[0] && ls.nSteps == len(steps) && ls.lay == lay && slices.Equal(ls.runs, sc.runs) {
 			leafSchedCache.mu.Unlock()
 			return ls, nil
 		}
 	}
 	leafSchedCache.mu.Unlock()
-	ls, err := buildLeafSchedule(lay, nodes, steps)
+	ls, err := buildLeafSchedule(lay, sc, len(nodes), steps, memo)
 	if err != nil {
 		return nil, err
 	}
-	ls.hash = h
 	leafSchedCache.mu.Lock()
-	leafSchedCache.ents[leafSchedCache.next] = ls //lint:allow globalmut ring-buffer memo insert under leafSchedCache.mu; entries are immutable once built
+	leafSchedCache.ents[leafSchedCache.next] = ls                    //lint:allow globalmut ring-buffer memo insert under leafSchedCache.mu; entries are immutable once built
 	leafSchedCache.next = (leafSchedCache.next + 1) % leafSchedSlots //lint:allow globalmut ring cursor advance under leafSchedCache.mu
 	leafSchedCache.mu.Unlock()
 	return ls, nil
 }
 
-// buildScratch is the pooled working set of buildLeafSchedule: epoch- and
-// tag-stamped leaf and leaf-pair arrays that replace per-build maps. The
-// leaf arrays are sized off the layout (O(L)); the pair arrays are indexed
-// by *compact* touched-leaf positions, so they are O(touched²) — the
-// sparse index that lets compilation scale past the old 128-leaf dense
-// matrices (a job touching k leaves needs k² slots however large L is).
-// Arrays grow on demand and persist in the pool; freshly grown arrays are
-// zeroed, which the monotone epoch/tag counters read as stale.
+// rankRun is one rank's view of the node list's leaf runs: its leaf's index
+// in ls.leaves, and the rank ending its maximal run of ranks on that leaf.
+type rankRun struct{ pos, end int32 }
+
+// buildScratch is the pooled working set of leafSchedFor: the node list's
+// runs, and epoch- and tag-stamped node, leaf and leaf-pair arrays that
+// replace per-build maps. The node and leaf arrays are sized off the
+// layout; the pair arrays are indexed by *compact* touched-leaf positions,
+// so they are O(touched²) — the sparse index that lets compilation scale
+// past the old 128-leaf dense matrices (a job touching k leaves needs k²
+// slots however large L is). Arrays grow on demand and persist in the
+// pool; freshly grown arrays are zeroed, which the monotone epoch/tag
+// counters read as stale.
 type buildScratch struct {
-	leafPos   []int32 // real leaf -> index into ls.leaves, valid per epoch
+	runs      []uint64  // leaf<<32|first rank per run, in rank order, then the rank count
+	ranks     []rankRun // rank -> run view, filled by buildLeafSchedule
+	nodeEpoch []uint32  // node id -> epoch that last listed it
+	leafPos   []int32   // real leaf -> index into ls.leaves, valid per epoch
 	leafEpoch []uint32
 	pairID    []int32 // compact pair -> index into ls.pairLi, valid per epoch
 	pairEpoch []uint32
@@ -155,14 +156,6 @@ type buildScratch struct {
 
 var buildScratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
-// ensureLeaves sizes the per-leaf arrays for a layout with l leaves.
-func (sc *buildScratch) ensureLeaves(l int) {
-	if len(sc.leafPos) < l {
-		sc.leafPos = make([]int32, l)
-		sc.leafEpoch = make([]uint32, l)
-	}
-}
-
 // ensurePairs sizes the compact pair arrays for n touched leaves.
 func (sc *buildScratch) ensurePairs(n int) {
 	if len(sc.pairID) < n*n {
@@ -173,40 +166,88 @@ func (sc *buildScratch) ensurePairs(n int) {
 	}
 }
 
-// buildLeafSchedule compiles steps against the node list. It validates
-// pair ranks in exactly the reference loops' order (steps in order, pairs
-// in order, repeat steps skipped), so a build failure reproduces the
-// reference error.
-func buildLeafSchedule(lay *cluster.Layout, nodes []int, steps []collective.Step) (*leafSchedule, error) {
-	sc := buildScratchPool.Get().(*buildScratch)
-	defer buildScratchPool.Put(sc)
-	sc.ensureLeaves(lay.L)
+// scanRuns opens a new epoch and reduces the node list to sc.runs, its
+// maximal runs of consecutive ranks on one leaf. It reports false for a
+// list that repeats a node id or names one outside the layout.
+func (sc *buildScratch) scanRuns(lay *cluster.Layout, nodes []int) bool {
+	if len(sc.nodeEpoch) < len(lay.NodeLeaf) || len(sc.leafPos) < lay.L {
+		sc.nodeEpoch = make([]uint32, len(lay.NodeLeaf))
+		sc.leafPos = make([]int32, lay.L)
+		sc.leafEpoch = make([]uint32, lay.L)
+	}
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stale stamps could collide
+		clear(sc.nodeEpoch)
 		clear(sc.leafEpoch)
 		clear(sc.pairEpoch)
 		sc.epoch = 1
 	}
+	nodeLeaf, seen, epoch, runs := lay.NodeLeaf, sc.nodeEpoch, sc.epoch, sc.runs[:0] // locals: no reloads after each store
+	cur := int32(-1)
+	for r, id := range nodes {
+		if uint(id) >= uint(len(nodeLeaf)) || seen[id] == epoch {
+			return false
+		}
+		seen[id] = epoch
+		if l := nodeLeaf[id]; l != cur {
+			cur = l
+			runs = append(runs, uint64(l)<<32|uint64(r))
+		}
+	}
+	sc.runs = append(runs, uint64(len(nodes))) // closes the last run
+	return true
+}
 
+// segAt returns the stride and length of the maximal affine segment that
+// starts at pairs[i]: the longest stretch pairs[i+t] = (A+s·t, B+s·t) with
+// one stride s > 0 (moot at length 1). Every collective.Pattern emits these:
+// butterfly blocks at stride 1, folds and matchings at stride 2.
+func segAt(pairs []collective.Pair, i int) (stride, n int) {
+	rest := pairs[i:]
+	if len(rest) < 2 || rest[1].A <= rest[0].A {
+		return 1, 1
+	}
+	stride, n = rest[1].A-rest[0].A, 1
+	for n < len(rest) && rest[n].A-rest[n-1].A == stride && rest[n].B-rest[n-1].B == stride {
+		n++
+	}
+	return stride, n
+}
+
+// buildLeafSchedule compiles steps against the n-rank node list sc.scanRuns
+// just reduced to runs. Each step's pairs are consumed as affine segments
+// (the memo's stored ones, else detected on the fly) and each segment is
+// walked in pieces that stay inside one leaf run on both sides, so one
+// pair-table update with multiplicity k stands for k node pairs (DESIGN.md
+// §7). Pair ranks are validated in exactly the reference loops' order
+// (steps in order, pairs in order, repeat steps skipped), so a build
+// failure reproduces the reference error.
+func buildLeafSchedule(lay *cluster.Layout, sc *buildScratch, n int, steps []collective.Step, memo *memoSchedule) (*leafSchedule, error) {
 	ls := &leafSchedule{
 		lay:    lay,
 		sid:    &steps[0],
 		nSteps: len(steps),
-		nodes:  append([]int(nil), nodes...),
+		runs:   slices.Clone(sc.runs),
 		off:    make([]int32, len(steps)+1),
 		kind:   make([]uint8, len(steps)),
 		msg:    make([]float64, len(steps)),
 	}
-	for _, id := range nodes {
-		if id >= 0 && id < len(lay.NodeLeaf) {
-			l := lay.NodeLeaf[id]
-			if sc.leafEpoch[l] != sc.epoch {
-				sc.leafEpoch[l] = sc.epoch
-				sc.leafPos[l] = int32(len(ls.leaves))
-				ls.leaves = append(ls.leaves, l)
-				ls.counts = append(ls.counts, 0)
-			}
-			ls.counts[sc.leafPos[l]]++
+	if cap(sc.ranks) < n {
+		sc.ranks = make([]rankRun, n)
+	}
+	ranks := sc.ranks[:n]
+	for i, run := range sc.runs[:len(sc.runs)-1] {
+		l, r, end := int32(run>>32), int(uint32(run)), int(uint32(sc.runs[i+1]))
+		if sc.leafEpoch[l] != sc.epoch {
+			sc.leafEpoch[l] = sc.epoch
+			sc.leafPos[l] = int32(len(ls.leaves))
+			ls.leaves = append(ls.leaves, l)
+			ls.counts = append(ls.counts, 0)
+		}
+		pos := sc.leafPos[l]
+		ls.counts[pos] += int32(end - r)
+		for ; r < end; r++ {
+			ranks[r] = rankRun{pos, int32(end)}
 		}
 	}
 	// The pair index is compact: pairs are keyed by the touched-leaf
@@ -215,6 +256,7 @@ func buildLeafSchedule(lay *cluster.Layout, nodes []int, steps []collective.Step
 	nTouched := len(ls.leaves)
 	sc.ensurePairs(nTouched)
 
+	seg := 0 // cursor into memo.seg, which lists segments in this walk's order
 	var prevPairs *collective.Pair
 	for sIdx := range steps {
 		step := &steps[sIdx]
@@ -234,33 +276,54 @@ func buildLeafSchedule(lay *cluster.Layout, nodes []int, steps []collective.Step
 			clear(sc.stepTag)
 			sc.tag = 1
 		}
-		for _, p := range step.Pairs {
-			if p.A < 0 || p.A >= len(nodes) || p.B < 0 || p.B >= len(nodes) {
-				return nil, fmt.Errorf("costmodel: step %d pair (%d,%d) out of range for %d nodes",
-					sIdx, p.A, p.B, len(nodes))
-			}
-			na, nb := nodes[p.A], nodes[p.B]
-			if na == nb {
-				continue // Hops(i,i) = 0, never the max
-			}
-			lo, hi := lay.NodeLeaf[na], lay.NodeLeaf[nb]
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			pidx := int(sc.leafPos[lo])*nTouched + int(sc.leafPos[hi])
-			if sc.pairEpoch[pidx] != sc.epoch {
-				sc.pairEpoch[pidx] = sc.epoch
-				sc.pairID[pidx] = int32(len(ls.pairLi))
-				ls.pairLi = append(ls.pairLi, lo)
-				ls.pairLj = append(ls.pairLj, hi)
-			}
-			if sc.stepTag[pidx] != sc.tag {
-				sc.stepTag[pidx] = sc.tag
-				sc.stepPos[pidx] = int32(len(ls.ids))
-				ls.ids = append(ls.ids, sc.pairID[pidx])
-				ls.w = append(ls.w, 1)
+		for i := 0; i < len(step.Pairs); {
+			var a, b, s, left int
+			if memo != nil {
+				sg := memo.seg[seg]
+				seg++
+				a, b, s, left = int(sg.a), int(sg.b), int(sg.stride), int(sg.n)
 			} else {
-				ls.w[sc.stepPos[pidx]]++
+				a, b = step.Pairs[i].A, step.Pairs[i].B
+				s, left = segAt(step.Pairs, i)
+			}
+			i += left
+			if a < 0 || b < 0 || a+s*(left-1) >= n || b+s*(left-1) >= n {
+				for a >= 0 && a < n && b >= 0 && b < n { // the first pair out of range, as the reference finds it
+					a, b = a+s, b+s
+				}
+				return nil, fmt.Errorf("costmodel: step %d pair (%d,%d) out of range for %d nodes", sIdx, a, b, n)
+			}
+			if a == b {
+				continue // self pairs: Hops(i,i) = 0, never the max
+			}
+			for left > 0 {
+				ra, rb := ranks[a], ranks[b]
+				k := min(int(ra.end)-a, int(rb.end)-b) // ranks left in the shorter run
+				if s > 1 {
+					k = (k + s - 1) / s // in strides
+				}
+				k = min(k, left)
+				lo, hi := ra.pos, rb.pos // any canonical slot serves the scratch; the table orders by leaf
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				pidx := int(lo)*nTouched + int(hi)
+				if sc.pairEpoch[pidx] != sc.epoch {
+					sc.pairEpoch[pidx] = sc.epoch
+					sc.pairID[pidx] = int32(len(ls.pairLi))
+					li, lj := ls.leaves[lo], ls.leaves[hi]
+					ls.pairLi = append(ls.pairLi, min(li, lj))
+					ls.pairLj = append(ls.pairLj, max(li, lj))
+				}
+				if sc.stepTag[pidx] != sc.tag {
+					sc.stepTag[pidx] = sc.tag
+					sc.stepPos[pidx] = int32(len(ls.ids))
+					ls.ids = append(ls.ids, sc.pairID[pidx])
+					ls.w = append(ls.w, int32(k))
+				} else {
+					ls.w[sc.stepPos[pidx]] += int32(k)
+				}
+				a, b, left = a+k*s, b+k*s, left-k
 			}
 		}
 	}

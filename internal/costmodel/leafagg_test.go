@@ -91,9 +91,11 @@ func TestLeafScheduleRegrouping(t *testing.T) {
 	}
 }
 
-// TestLeafScheduleCacheIdentity pins the compiled-schedule memo: the same
-// (steps, nodes) pair must hit the same compiled leafSchedule, and
-// different node lists over the same steps must compile separately.
+// TestLeafScheduleCacheIdentity pins the compiled-schedule memo's key —
+// (layout, steps identity, rank→leaf run signature): node lists with the
+// same signature must hit the same compiled leafSchedule whatever their
+// node ids, and a different signature over the same steps must compile
+// separately.
 func TestLeafScheduleCacheIdentity(t *testing.T) {
 	st := leafAggState(t)
 	lay := cluster.LayoutOf(st.Topology())
@@ -101,25 +103,29 @@ func TestLeafScheduleCacheIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodesA := []int{2, 3, 6, 10}
-	nodesB := []int{2, 3, 6, 11}
-	lsA1, err := leafSchedFor(lay, nodesA, steps)
-	if err != nil {
-		t.Fatal(err)
+	get := func(nodes ...int) *leafSchedule {
+		t.Helper()
+		ls, err := leafSchedFor(lay, nodes, steps, nil)
+		if err != nil || ls == nil {
+			t.Fatalf("leafSchedFor(%v) = %v, %v", nodes, ls, err)
+		}
+		return ls
 	}
-	lsA2, err := leafSchedFor(lay, nodesA, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsA1 != lsA2 {
+	lsA := get(2, 3, 6, 10) // leaves 0,0,1,2
+	if get(2, 3, 6, 10) != lsA {
 		t.Error("same (steps, nodes) compiled twice")
 	}
-	lsB, err := leafSchedFor(lay, nodesB, steps)
-	if err != nil {
-		t.Fatal(err)
+	if get(3, 2, 7, 11) != lsA {
+		t.Error("same run signature over different node ids compiled twice")
 	}
-	if lsB == lsA1 {
-		t.Error("different node lists share a compiled schedule")
+	for _, other := range [][]int{
+		{2, 3, 6, 14}, // last run on another leaf
+		{2, 6, 3, 10}, // same leaves, different run lengths
+		{6, 2, 3, 10}, // same runs, different order
+	} {
+		if get(other...) == lsA {
+			t.Errorf("node list %v has another run signature but shares the compiled schedule", other)
+		}
 	}
 }
 

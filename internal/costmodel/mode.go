@@ -66,10 +66,12 @@ func JobCostMode(st *cluster.State, nodes []int, steps []collective.Step, mode M
 		if len(steps) == 0 {
 			return 0, nil
 		}
-		lay := cluster.LayoutOf(st.Topology())
-		ls, err := leafSchedFor(lay, nodes, steps)
+		ls, err := leafSchedFor(cluster.LayoutOf(st.Topology()), nodes, steps, nil)
 		if err != nil {
 			return 0, err
+		}
+		if ls == nil {
+			return jobCostDistanceRef(st, nodes, steps)
 		}
 		return ls.evalDistance(), nil
 	default:
@@ -125,14 +127,14 @@ func CandidateCostMode(st *cluster.State, job cluster.JobID, class cluster.Class
 	if err := validateCandidate(st, job, nodes); err != nil {
 		return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
 	}
-	steps, err := ScheduleFor(p, len(nodes))
+	steps, memo, err := scheduleFor(p, len(nodes))
 	if err != nil {
 		return 0, err
 	}
 	if len(steps) == 0 {
 		return 0, nil
 	}
-	ls, err := leafSchedFor(lay, nodes, steps)
+	ls, err := leafSchedFor(lay, nodes, steps, memo)
 	if err != nil {
 		return 0, err
 	}

@@ -47,6 +47,8 @@ func FuzzLayoutScale(f *testing.F) {
 	f.Add(uint16(129), uint8(1), uint8(2), int64(2))
 	f.Add(uint16(64), uint8(3), uint8(1), int64(3)) // 192 leaves, three-level
 	f.Add(uint16(500), uint8(1), uint8(2), int64(4))
+	f.Add(uint16(129), uint8(3), uint8(2), int64(-1)) // permuted ranks
+	f.Add(uint16(64), uint8(1), uint8(3), int64(-2))  // permuted, one node id repeated
 	f.Fuzz(func(t *testing.T, leavesRaw uint16, podsRaw, nplRaw uint8, seed int64) {
 		leaves := 2 + int(leavesRaw)%600
 		pods := 1 + int(podsRaw)%3
@@ -82,8 +84,26 @@ func FuzzLayoutScale(f *testing.F) {
 			}
 			live = append(live, activeJob{id, nodes, patterns[j%len(patterns)]})
 		}
+		if seed < 0 && len(live) > 0 {
+			live = append(live, activeJob{200, scrambled(live[0].nodes, rng, seed%2 == 0), live[0].pattern})
+		}
 		checkFastRefBitIdentical(t, st, live, fmt.Sprintf("npl=%d fanouts=%v", npl, fanouts), 0)
 	})
+}
+
+// scrambled returns the node list in a random rank order — every leaf run
+// about one rank long, the shape only rank remapping produces and the one
+// the run-aware schedule compile gains nothing on — and, with repeat, one
+// node id listed twice, which the kernels must hand to the reference
+// loops. Negative fuzz seeds select it (even ones with the repeat); such
+// lists are only costed, never allocated.
+func scrambled(nodes []int, rng *rand.Rand, repeat bool) []int {
+	out := slices.Clone(nodes)
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	if repeat {
+		out[len(out)-1] = out[0]
+	}
+	return out
 }
 
 // FuzzSubtreeAggregation hands fuzzer-chosen tree shapes and job widths
@@ -102,6 +122,8 @@ func FuzzSubtreeAggregation(f *testing.F) {
 	f.Add(uint8(40), uint8(4), uint8(1), int8(8), int64(3))
 	f.Add(uint8(60), uint8(1), uint8(2), int8(16), int64(4)) // two-level: no agg level
 	f.Add(uint8(33), uint8(5), uint8(2), int8(40), int64(5))
+	f.Add(uint8(40), uint8(4), uint8(1), int8(8), int64(-1)) // permuted ranks
+	f.Add(uint8(40), uint8(4), uint8(2), int8(8), int64(-2)) // permuted, one node id repeated
 	f.Fuzz(func(t *testing.T, leavesRaw, podsRaw, nplRaw uint8, widthDelta int8, seed int64) {
 		leavesPerPod := 8 + int(leavesRaw)%96
 		pods := 1 + int(podsRaw)%5
@@ -152,6 +174,9 @@ func FuzzSubtreeAggregation(f *testing.F) {
 		}
 		if len(wide) < 2 {
 			t.Skip() // machine too small/loaded for any job
+		}
+		if seed < 0 {
+			wide = scrambled(wide, rng, seed%2 == 0)
 		}
 		pat := patterns[uint64(seed)%uint64(len(patterns))]
 		steps, err := costmodel.ScheduleFor(pat, len(wide))
