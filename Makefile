@@ -33,9 +33,10 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz runs of the native fuzz targets; CI smoke, not a soak. The
-# scheduled CI fuzz job runs the same six targets at FUZZTIME=5m.
+# scheduled CI fuzz job runs the same seven targets at FUZZTIME=5m.
 fuzz-smoke:
 	$(GO) test ./internal/core -run FuzzAllocate -fuzz FuzzAllocate -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run FuzzPlacementAllocate -fuzz FuzzPlacementAllocate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify -run FuzzRunContinuous -fuzz FuzzRunContinuous -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify -run FuzzFaultTrace -fuzz FuzzFaultTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify -run FuzzLayoutScale -fuzz FuzzLayoutScale -fuzztime $(FUZZTIME)

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -107,11 +108,11 @@ type State struct {
 	// and drop them when either changes; see costmodel's leaf-pair cache.
 	gen uint64
 
-	// allocMark/allocMarkGen detect duplicate node IDs in Allocate without
-	// a per-call map: allocMark[id] == allocMarkGen means "seen in the
-	// current call".
-	allocMark    []uint64
-	allocMarkGen uint64
+	// scratch serves the validations Allocate itself runs, and runOrder its
+	// ordering of a placement's runs by first node ID. Both are working
+	// memory of a mutator, never read by the pure-read paths.
+	scratch  Scratch
+	runOrder []uint64
 
 	allocs map[JobID]*Allocation
 }
@@ -129,7 +130,6 @@ func New(topo *topology.Topology) *State {
 		leafUnavail: make([]int, topo.NumLeaves()),
 		free:        topo.NumNodes(),
 		switchFree:  make([]int, len(topo.Switches)),
-		allocMark:   make([]uint64, topo.NumNodes()),
 		allocs:      make(map[JobID]*Allocation),
 	}
 	for i := range s.nodeJob {
@@ -278,44 +278,47 @@ func (s *State) RunningAllocations() []*Allocation {
 // Allocate assigns the listed nodes to the job. All nodes must be free and
 // the job must not already hold an allocation.
 func (s *State) Allocate(job JobID, class Class, nodes []int) error {
-	if job < 0 {
-		return fmt.Errorf("cluster: job IDs must be non-negative, got %d", job)
+	p := NewPlacement(nodes)
+	return s.AllocatePlacement(job, class, &p)
+}
+
+// AllocatePlacement is Allocate for a placement a selector built or an
+// earlier layer already validated: p.Validate decides whether the node scan
+// has to run again, and the counters move by one delta per leaf run. The
+// ascending Allocation.Nodes is the runs concatenated in order of their
+// first node ID; only a list that is not ascending within or across its
+// runs (rank-remapped or caller-supplied) is sorted.
+func (s *State) AllocatePlacement(job JobID, class Class, p *Placement) error {
+	if err := p.Validate(s, job, &s.scratch); err != nil {
+		return err
 	}
-	if len(nodes) == 0 {
-		return fmt.Errorf("cluster: job %d: empty allocation", job)
+	nodes, runs := p.nodes, p.runs
+	order := s.runOrder[:0]
+	for i, run := range runs[:len(runs)-1] {
+		order = append(order, uint64(nodes[uint32(run)])<<32|uint64(i))
 	}
-	if _, dup := s.allocs[job]; dup {
-		return fmt.Errorf("cluster: job %d already allocated", job)
-	}
-	s.allocMarkGen++
-	for _, id := range nodes {
-		if id < 0 || id >= len(s.nodeJob) {
-			return fmt.Errorf("cluster: job %d: node %d out of range", job, id)
+	slices.Sort(order)
+	s.runOrder = order
+	sorted := make([]int, 0, len(nodes))
+	ascending, prev := true, -1
+	for _, o := range order {
+		i := uint32(o)
+		l, ids := int(runs[i]>>32), nodes[uint32(runs[i]):uint32(runs[i+1])]
+		for _, id := range ids {
+			s.nodeJob[id] = job
+			ascending = ascending && id > prev
+			prev = id
 		}
-		if s.allocMark[id] == s.allocMarkGen {
-			return fmt.Errorf("cluster: job %d: node %d listed twice", job, id)
-		}
-		s.allocMark[id] = s.allocMarkGen
-		if s.nodeJob[id] >= 0 {
-			return fmt.Errorf("cluster: job %d: node %d busy (held by job %d)",
-				job, id, s.nodeJob[id])
-		}
-		if s.nodeDown[id] {
-			return fmt.Errorf("cluster: job %d: node %d is %s: %w",
-				job, id, s.downWord(id), ErrNodeUnavailable)
-		}
-	}
-	sorted := append([]int(nil), nodes...)
-	sort.Ints(sorted)
-	for _, id := range sorted {
-		s.nodeJob[id] = job
-		l := s.topo.LeafOf(id)
-		s.leafBusy[l]++
-		s.adjustFree(l, -1)
+		sorted = append(sorted, ids...)
+		s.leafBusy[l] += len(ids)
+		s.adjustFree(l, -len(ids))
 		if class == CommIntensive {
-			s.leafComm[l]++
+			s.leafComm[l] += len(ids)
 			s.updateShare(l)
 		}
+	}
+	if !ascending {
+		sort.Ints(sorted)
 	}
 	s.free -= len(sorted)
 	s.gen++
@@ -323,30 +326,36 @@ func (s *State) Allocate(job JobID, class Class, nodes []int) error {
 	return nil
 }
 
-// Release frees all nodes held by the job.
+// Release frees all nodes held by the job, one counter delta per group of
+// the allocation's ascending nodes that share a leaf.
 func (s *State) Release(job JobID) error {
 	a, ok := s.allocs[job]
 	if !ok {
 		return fmt.Errorf("cluster: job %d not allocated", job)
 	}
 	returned := 0
-	for _, id := range a.Nodes {
-		s.nodeJob[id] = -1
-		l := s.topo.LeafOf(id)
-		s.leafBusy[l]--
+	for i := 0; i < len(a.Nodes); {
+		l := s.topo.LeafOf(a.Nodes[i])
+		held, down := 0, 0
+		for ; i < len(a.Nodes) && s.topo.LeafOf(a.Nodes[i]) == l; i++ {
+			id := a.Nodes[i]
+			s.nodeJob[id] = -1
+			held++
+			if s.nodeDown[id] {
+				down++
+			}
+		}
+		s.leafBusy[l] -= held
 		if a.Class == CommIntensive {
-			s.leafComm[l]--
+			s.leafComm[l] -= held
 			s.updateShare(l)
 		}
-		if s.nodeDown[id] {
-			// Drained while running: the node leaves service instead of
-			// returning to the allocatable pool, so the subtree free
-			// counts are unchanged (leafBusy-- cancels leafUnavail++).
-			s.leafUnavail[l]++
-		} else {
-			s.adjustFree(l, 1)
-			returned++
-		}
+		// Drained while running: those nodes leave service instead of
+		// returning to the allocatable pool, so the subtree free counts do
+		// not move for them (leafBusy-- cancels leafUnavail++).
+		s.leafUnavail[l] += down
+		s.adjustFree(l, held-down)
+		returned += held - down
 	}
 	s.free += returned
 	s.gen++
@@ -369,7 +378,6 @@ func (s *State) Clone() *State {
 		leafUnavail: append([]int(nil), s.leafUnavail...),
 		free:        s.free,
 		switchFree:  append([]int(nil), s.switchFree...),
-		allocMark:   make([]uint64, len(s.allocMark)),
 		allocs:      make(map[JobID]*Allocation, len(s.allocs)),
 	}
 	//lint:allow determinism map-to-map copy; result is order-insensitive

@@ -1,0 +1,493 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/topology"
+)
+
+// allocateRef is the node-by-node Allocate that AllocatePlacement replaced,
+// kept as the reference the per-run path is checked against: every check in
+// the same order with the same messages, then one counter update, one
+// ancestor-chain walk and one share division per node over a sorted copy.
+func (s *State) allocateRef(job JobID, class Class, nodes []int) error {
+	if job < 0 {
+		return fmt.Errorf("cluster: job IDs must be non-negative, got %d", job)
+	}
+	if len(nodes) == 0 {
+		return fmt.Errorf("cluster: job %d: empty allocation", job)
+	}
+	if _, dup := s.allocs[job]; dup {
+		return fmt.Errorf("cluster: job %d already allocated", job)
+	}
+	seen := make(map[int]bool, len(nodes))
+	for _, id := range nodes {
+		if id < 0 || id >= len(s.nodeJob) {
+			return fmt.Errorf("cluster: job %d: node %d out of range", job, id)
+		}
+		if seen[id] {
+			return fmt.Errorf("cluster: job %d: node %d listed twice", job, id)
+		}
+		seen[id] = true
+		if s.nodeJob[id] >= 0 {
+			return fmt.Errorf("cluster: job %d: node %d busy (held by job %d)",
+				job, id, s.nodeJob[id])
+		}
+		if s.nodeDown[id] {
+			return fmt.Errorf("cluster: job %d: node %d is %s: %w",
+				job, id, s.downWord(id), ErrNodeUnavailable)
+		}
+	}
+	sorted := append([]int(nil), nodes...)
+	sort.Ints(sorted)
+	for _, id := range sorted {
+		s.nodeJob[id] = job
+		l := s.topo.LeafOf(id)
+		s.leafBusy[l]++
+		s.adjustFree(l, -1)
+		if class == CommIntensive {
+			s.leafComm[l]++
+			s.updateShare(l)
+		}
+	}
+	s.free -= len(sorted)
+	s.gen++
+	s.allocs[job] = &Allocation{Job: job, Class: class, Nodes: sorted}
+	return nil
+}
+
+// releaseRef is the node-by-node Release that the per-leaf-group walk
+// replaced.
+func (s *State) releaseRef(job JobID) error {
+	a, ok := s.allocs[job]
+	if !ok {
+		return fmt.Errorf("cluster: job %d not allocated", job)
+	}
+	returned := 0
+	for _, id := range a.Nodes {
+		s.nodeJob[id] = -1
+		l := s.topo.LeafOf(id)
+		s.leafBusy[l]--
+		if a.Class == CommIntensive {
+			s.leafComm[l]--
+			s.updateShare(l)
+		}
+		if s.nodeDown[id] {
+			s.leafUnavail[l]++
+		} else {
+			s.adjustFree(l, 1)
+			returned++
+		}
+	}
+	s.free += returned
+	s.gen++
+	delete(s.allocs, job)
+	return nil
+}
+
+// sameState reports the first difference between two states' observable and
+// internal bookkeeping: every counter, leafShare bit for bit, switchFree,
+// free, the generation, node ownership and marks, and every allocation.
+func sameState(a, b *State) error {
+	if a.free != b.free || a.gen != b.gen {
+		return fmt.Errorf("free/gen %d/%d vs %d/%d", a.free, a.gen, b.free, b.gen)
+	}
+	for _, c := range []struct {
+		name string
+		same bool
+	}{
+		{"nodeJob", slices.Equal(a.nodeJob, b.nodeJob)},
+		{"nodeDown", slices.Equal(a.nodeDown, b.nodeDown)},
+		{"nodeFailed", slices.Equal(a.nodeFailed, b.nodeFailed)},
+		{"leafBusy", slices.Equal(a.leafBusy, b.leafBusy)},
+		{"leafComm", slices.Equal(a.leafComm, b.leafComm)},
+		{"leafUnavail", slices.Equal(a.leafUnavail, b.leafUnavail)},
+		{"switchFree", slices.Equal(a.switchFree, b.switchFree)},
+	} {
+		if !c.same {
+			return fmt.Errorf("%s differs", c.name)
+		}
+	}
+	for l := range a.leafShare {
+		if math.Float64bits(a.leafShare[l]) != math.Float64bits(b.leafShare[l]) {
+			return fmt.Errorf("leaf %d share %v vs %v", l, a.leafShare[l], b.leafShare[l])
+		}
+	}
+	if len(a.allocs) != len(b.allocs) {
+		return fmt.Errorf("%d vs %d allocations", len(a.allocs), len(b.allocs))
+	}
+	for _, x := range a.RunningAllocations() {
+		y := b.allocs[x.Job]
+		if y == nil || x.Class != y.Class || !slices.Equal(x.Nodes, y.Nodes) {
+			return fmt.Errorf("job %d: %+v vs %+v", x.Job, x, y)
+		}
+		if !sort.IntsAreSorted(x.Nodes) {
+			return fmt.Errorf("job %d: Allocation.Nodes not ascending: %v", x.Job, x.Nodes)
+		}
+	}
+	return nil
+}
+
+// pair is one state mutated through the production path and a clone of it
+// mutated through the references; check compares them after every step.
+type pair struct {
+	t        testing.TB
+	opt, ref *State
+}
+
+func newPair(t testing.TB, topo *topology.Topology) *pair {
+	s := New(topo)
+	return &pair{t, s, s.Clone()}
+}
+
+func (p *pair) check(what string, errOpt, errRef error) {
+	p.t.Helper()
+	if fmt.Sprint(errOpt) != fmt.Sprint(errRef) {
+		p.t.Fatalf("%s: error %q, reference %q", what, fmt.Sprint(errOpt), fmt.Sprint(errRef))
+	}
+	if err := sameState(p.opt, p.ref); err != nil {
+		p.t.Fatalf("%s: %v", what, err)
+	}
+	if err := p.opt.CheckInvariants(); err != nil {
+		p.t.Fatalf("%s: %v", what, err)
+	}
+}
+
+// allocate commits pl on the production state and its node list on the
+// reference, and requires a failed Allocate to leave the state untouched.
+func (p *pair) allocate(what string, job JobID, class Class, pl Placement) error {
+	p.t.Helper()
+	gen := p.opt.gen
+	errOpt := p.opt.AllocatePlacement(job, class, &pl)
+	if errOpt != nil && p.opt.gen != gen {
+		p.t.Fatalf("%s: failed Allocate moved the generation", what)
+	}
+	p.check(what, errOpt, p.ref.allocateRef(job, class, pl.Nodes()))
+	return errOpt
+}
+
+func (p *pair) release(what string, job JobID) {
+	p.t.Helper()
+	p.check(what, p.opt.Release(job), p.ref.releaseRef(job))
+}
+
+// both applies a node-state change (Drain, Repair, …) to the two states.
+func (p *pair) both(what string, f func(*State) error) {
+	p.t.Helper()
+	p.check(what, f(p.opt), f(p.ref))
+}
+
+// fail takes the nodes down hard and then, as Fail's contract asks of its
+// caller, releases the jobs that were running on them; it returns those.
+func (p *pair) fail(what string, ids ...int) (victims []JobID) {
+	p.t.Helper()
+	for _, id := range ids {
+		v, err := p.opt.Fail(id)
+		vRef, errRef := p.ref.Fail(id)
+		if v != vRef || err != nil || errRef != nil {
+			p.t.Fatalf("%s: Fail(%d) = %d, %v; reference %d, %v", what, id, v, err, vRef, errRef)
+		}
+		if v >= 0 && !slices.Contains(victims, v) {
+			victims = append(victims, v)
+		}
+	}
+	for _, v := range victims {
+		p.check(what, p.opt.Release(v), p.ref.releaseRef(v))
+	}
+	if len(victims) == 0 {
+		p.check(what, nil, nil)
+	}
+	return victims
+}
+
+// leafByLeaf builds a placement the way the selectors do: up to take free
+// nodes from each listed leaf in turn, one run per visit, skipping nodes
+// already chosen (a leaf may be listed twice, as balanced's second pass
+// revisits leaves).
+func leafByLeaf(s *State, leaves []int, take int) Placement {
+	var nodes []int
+	var runs []uint64
+	chosen := map[int]bool{}
+	for _, l := range leaves {
+		first := len(nodes)
+		for _, id := range s.topo.LeafNodes(l) {
+			if len(nodes)-first < take && s.NodeFree(id) && !chosen[id] {
+				chosen[id] = true
+				nodes = append(nodes, id)
+			}
+		}
+		if n := len(runs); len(nodes) > first && (n == 0 || int(runs[n-1]>>32) != l) {
+			runs = append(runs, uint64(l)<<32|uint64(first))
+		}
+	}
+	return WithRuns(nodes, append(runs, uint64(len(nodes))))
+}
+
+// TestAllocatePlacementMatchesReference walks one state pair through the
+// shapes a placement can take — selector-built over non-ascending and
+// revisited leaves, wrapped ascending, wrapped permuted — and through every
+// way a list can be invalid, on a machine with drained, failed and busy
+// nodes.
+func TestAllocatePlacementMatchesReference(t *testing.T) {
+	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 4, Fanouts: []int{3, 2}}) // 6 leaves, 24 nodes
+	p := newPair(t, topo)
+	p.both("drain free node 5", func(s *State) error { return s.Drain(5) })
+	p.fail("fail free node 9", 9)
+
+	if err := p.allocate("selector-built, leaves 4,1,2,4", 1, CommIntensive, leafByLeaf(p.opt, []int{4, 1, 2, 4}, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.opt.Allocation(1).Nodes; !slices.Equal(got, []int{4, 6, 8, 10, 16, 17, 18, 19}) {
+		t.Fatalf("Allocation.Nodes = %v", got)
+	}
+	if err := p.allocate("wrapped ascending", 2, ComputeIntensive, NewPlacement([]int{0, 1, 12, 13})); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.allocate("wrapped permuted", 3, CommIntensive, NewPlacement([]int{22, 2, 20, 14, 3, 21})); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name  string
+		job   JobID
+		nodes []int
+		want  string
+	}{
+		{"negative job", -1, []int{7}, "job IDs must be non-negative"},
+		{"empty", 9, nil, "empty allocation"},
+		{"job already allocated", 2, []int{7}, "already allocated"},
+		{"out of range", 9, []int{7, 24}, "node 24 out of range"},
+		{"negative node", 9, []int{-1}, "node -1 out of range"},
+		{"listed twice", 9, []int{7, 11, 7}, "node 7 listed twice"},
+		{"busy", 9, []int{7, 16}, "node 16 busy (held by job 1)"},
+		{"drained", 9, []int{7, 5}, "node 5 is drained"},
+		{"failed", 9, []int{7, 9}, "node 9 is down (failed)"},
+		{"busy before twice", 9, []int{0, 7, 7}, "node 0 busy (held by job 2)"},
+		{"twice before down", 9, []int{7, 7, 5}, "node 7 listed twice"},
+	} {
+		err := p.allocate(c.name, c.job, CommIntensive, NewPlacement(c.nodes))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want it to mention %q", c.name, err, c.want)
+		}
+	}
+
+	// A selector-built placement goes through the same checks: here its
+	// second run names a node that job 1 holds.
+	bad := WithRuns([]int{7, 16}, []uint64{1 << 32, 4<<32 | 1, 2})
+	if err := p.allocate("selector-built naming a busy node", 9, CommIntensive, bad); err == nil {
+		t.Error("selector-built placement over a busy node was accepted")
+	}
+	for _, job := range []JobID{3, 1, 2} {
+		p.release(fmt.Sprintf("release %d", job), job)
+	}
+}
+
+// TestStalePlacementStampIsRevalidated pins the stamp's meaning: a
+// placement validated at one generation is scanned again once the state has
+// moved, and fails with Allocate's message for what changed underneath it.
+func TestStalePlacementStampIsRevalidated(t *testing.T) {
+	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 4, Fanouts: []int{3}})
+	for _, c := range []struct {
+		name   string
+		mutate func(*State) error
+		want   string
+	}{
+		{"drain", func(s *State) error { return s.Drain(5) }, "cluster: job 7: node 5 is drained: node unavailable"},
+		{"fail", func(s *State) error { _, err := s.Fail(5); return err }, "cluster: job 7: node 5 is down (failed): node unavailable"},
+		{"allocate", func(s *State) error { return s.Allocate(3, ComputeIntensive, []int{5}) }, "cluster: job 7: node 5 busy (held by job 3)"},
+	} {
+		s := New(topo)
+		pl := leafByLeaf(s, []int{1, 0}, 3)
+		var sc Scratch
+		if err := pl.Validate(s, 7, &sc); err != nil {
+			t.Fatal(err)
+		}
+		if pl.st != s || pl.gen != s.gen {
+			t.Fatalf("%s: a valid selector-built placement was not stamped", c.name)
+		}
+		if err := c.mutate(s); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Clone()
+		err := s.AllocatePlacement(7, CommIntensive, &pl)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Allocate of the stale placement: %v, want %q", c.name, err, c.want)
+		}
+		before.gen = s.gen
+		if err := sameState(s, before); err != nil {
+			t.Errorf("%s: failed Allocate changed the state: %v", c.name, err)
+		}
+		// The same placement is valid again on a state where nothing moved.
+		fresh := New(topo)
+		if err := fresh.AllocatePlacement(7, CommIntensive, &pl); err != nil {
+			t.Errorf("%s: on a fresh state: %v", c.name, err)
+		}
+	}
+
+	// A stamp never exempts the job checks, and a wrapped list never keeps one.
+	s := New(topo)
+	pl := leafByLeaf(s, []int{2}, 2)
+	var sc Scratch
+	if err := pl.Validate(s, 1, &sc); err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Validate(s, -1, &sc); err == nil {
+		t.Error("stamped placement accepted a negative job ID")
+	}
+	bare := NewPlacement([]int{0, 1})
+	if err := bare.Validate(s, 1, &sc); err != nil || bare.st != nil {
+		t.Errorf("wrapped list: err %v, stamped %v", err, bare.st != nil)
+	}
+}
+
+// TestReleaseAfterMidRunDrainsAndFailures releases a job whose nodes were
+// drained and failed while it ran, several per leaf on several leaves: the
+// per-group walk must park exactly those nodes out of service.
+func TestReleaseAfterMidRunDrainsAndFailures(t *testing.T) {
+	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 4, Fanouts: []int{2, 2}})
+	p := newPair(t, topo)
+	if err := p.allocate("job 1", 1, CommIntensive, NewPlacement([]int{0, 1, 2, 3, 5, 6, 9, 12, 13, 14, 15})); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.allocate("job 2", 2, ComputeIntensive, leafByLeaf(p.opt, []int{2, 1}, 2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{1, 2, 6, 13, 15, 10} {
+		p.both(fmt.Sprintf("drain busy node %d", id), func(s *State) error { return s.Drain(id) })
+	}
+	if v := p.fail("fail busy nodes 3 and 12, releasing their job", 3, 12); !slices.Equal(v, []JobID{1}) {
+		t.Fatalf("victims %v, want job 1", v)
+	}
+	if got, want := p.opt.FreeTotal(), 16-4-7; got != want {
+		t.Errorf("FreeTotal = %d, want %d", got, want)
+	}
+	for l, want := range []int{3, 1, 0, 3} {
+		if got := p.opt.LeafUnavail(l); got != want {
+			t.Errorf("LeafUnavail(%d) = %d, want %d", l, got, want)
+		}
+	}
+	p.release("release the other job", 2)
+}
+
+// FuzzPlacementAllocate drives random allocate, release and node-state
+// operations through AllocatePlacement/Release and through the node-by-node
+// references on a cloned state, comparing everything after every step. The
+// lists are selector-shaped (leaf by leaf with runs), permuted, or made
+// invalid: a repeated ID, an out-of-range ID, a busy node, a down node.
+func FuzzPlacementAllocate(f *testing.F) {
+	f.Add(uint8(3), uint8(4), int64(1), []byte{0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x06, 0x77})
+	f.Add(uint8(0x85), uint8(7), int64(2), []byte{0xf0, 0x11, 0xa2, 0x13, 0x94, 0x25, 0x36, 0xe7, 0x18, 0x06})
+	f.Add(uint8(1), uint8(1), int64(3), []byte{0x00, 0x07})
+	f.Fuzz(func(t *testing.T, leaves, npl uint8, seed int64, ops []byte) {
+		spec := topology.Spec{NodesPerLeaf: 1 + int(npl%8), Fanouts: []int{1 + int(leaves&0x7f)%6}}
+		if leaves&0x80 != 0 {
+			spec.Fanouts = append(spec.Fanouts, 2+int(npl%3))
+		}
+		topo, err := topology.Generate(spec)
+		if err != nil {
+			t.Fatalf("generate %+v: %v", spec, err)
+		}
+		p := newPair(t, topo)
+		rng := rand.New(rand.NewSource(seed))
+		n, nl := topo.NumNodes(), topo.NumLeaves()
+		next := JobID(1)
+		var live []JobID
+		for i, b := range ops {
+			what := fmt.Sprintf("op %d (%#02x)", i, b)
+			id := rng.Intn(n)
+			switch b & 7 {
+			case 0:
+				if len(live) > 0 {
+					k := int(b>>3) % len(live)
+					p.release(what, live[k])
+					live = append(live[:k], live[k+1:]...)
+				}
+				continue
+			case 1:
+				p.both(what, func(s *State) error { return s.Drain(id) })
+				continue
+			case 2:
+				for _, victim := range p.fail(what, id) {
+					live = slices.DeleteFunc(live, func(j JobID) bool { return j == victim })
+				}
+				continue
+			case 3:
+				p.both(what, func(s *State) error { return s.Repair(id) })
+				continue
+			}
+			order := rng.Perm(nl)[:1+rng.Intn(nl)]
+			if b&8 != 0 {
+				order = append(order, order[0]) // revisit a leaf
+			}
+			pl := leafByLeaf(p.opt, order, 1+int(b>>4))
+			if pl.Len() == 0 {
+				continue
+			}
+			nodes := slices.Clone(pl.Nodes())
+			switch b & 7 {
+			case 5:
+				rng.Shuffle(len(nodes), func(x, y int) { nodes[x], nodes[y] = nodes[y], nodes[x] })
+				pl = NewPlacement(nodes)
+			case 6:
+				nodes[rng.Intn(len(nodes))] = nodes[0] // repeats an ID unless it hit index 0
+				pl = NewPlacement(nodes)
+			case 7:
+				nodes[rng.Intn(len(nodes))] = []int{id, n + id, -1 - id}[rng.Intn(3)] // any node, or out of range
+				pl = NewPlacement(nodes)
+			}
+			if p.allocate(what, next, Class(b>>3&1), pl) == nil {
+				live = append(live, next)
+				next++
+			}
+		}
+		for _, job := range live {
+			p.release("final release", job)
+		}
+	})
+}
+
+// BenchmarkAllocateReleaseIntrepid is the wide-job case the per-run path
+// exists for: 4,096 nodes of Intrepid in 20 leaf runs visited in a
+// non-ascending leaf order, as a selector emits them. /opt commits the
+// placement (validation included), /ref is the node-by-node reference.
+func BenchmarkAllocateReleaseIntrepid(b *testing.B) {
+	topo := topology.Intrepid()
+	s := New(topo)
+	per := 4096 / 20
+	var order []int
+	for i := 0; i < 20; i++ {
+		order = append(order, (i*37+11)%topo.NumLeaves())
+	}
+	pl := leafByLeaf(s, order, per+1)
+	pl = WithRuns(pl.nodes[:4096:4096], append(slices.Clone(pl.runs[:len(pl.runs)-1]), 4096))
+	if err := pl.Validate(s, 0, new(Scratch)); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("opt", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fresh := WithRuns(pl.nodes, pl.runs) // unstamped: the commit pays for its scan
+			if err := s.AllocatePlacement(JobID(i), CommIntensive, &fresh); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Release(JobID(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ref", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := s.allocateRef(JobID(i), CommIntensive, pl.nodes); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.releaseRef(JobID(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

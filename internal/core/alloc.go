@@ -50,6 +50,26 @@ type Selector interface {
 	Select(st *cluster.State, req Request) ([]int, error)
 }
 
+// placer is what the built-in selectors implement besides Selector: the
+// same selection as a cluster.Placement carrying the leaf runs it was
+// built from, one per leaf visit.
+type placer interface {
+	Place(st *cluster.State, req Request) (cluster.Placement, error)
+}
+
+// Place runs the selector and returns its selection as a placement: the
+// built-in selectors' own, any other Selector's node list wrapped.
+func Place(sel Selector, st *cluster.State, req Request) (cluster.Placement, error) {
+	if p, ok := sel.(placer); ok {
+		return p.Place(st, req)
+	}
+	nodes, err := sel.Select(st, req)
+	return cluster.NewPlacement(nodes), err
+}
+
+// nodesOf adapts a Place result to Select's.
+func nodesOf(pl cluster.Placement, err error) ([]int, error) { return pl.Nodes(), err }
+
 // Algorithm enumerates the available selectors.
 type Algorithm uint8
 
@@ -183,23 +203,23 @@ func findLowestSwitch(st *cluster.State, n int) (*topology.Switch, error) {
 }
 
 // takeFromLeaf appends up to max free nodes of leaf l (ascending node ID)
-// to dst.
+// to dst and records the leaf visit in the scratch.
 //
 //caws:noalloc
-func takeFromLeaf(st *cluster.State, l, max int, dst []int) []int {
+func takeFromLeaf(st *cluster.State, l, max int, dst []int, sc *selScratch) []int {
 	if max <= 0 {
 		return dst
 	}
-	taken := 0
+	first := len(dst)
 	for _, id := range st.Topology().LeafNodes(l) {
-		if taken == max {
+		if len(dst)-first == max {
 			break
 		}
 		if st.NodeFree(id) {
 			dst = append(dst, id)
-			taken++
 		}
 	}
+	sc.visit(l, first, len(dst))
 	return dst
 }
 
@@ -212,14 +232,15 @@ type leafOrder struct {
 	ratio float64
 }
 
-// selScratch holds the per-Select working set — the leaf snapshot, the
-// balanced algorithm's pass-one take counts, and the mark-on-slice node
-// filter — so a Select call allocates nothing beyond its returned node
-// list. Scratches are pooled; Select implementations acquire one, use it,
-// and release it before returning.
+// selScratch holds the per-selection working set — the leaf snapshot, the
+// balanced algorithm's pass-one take counts, the mark-on-slice node filter
+// and the leaf runs visited so far — so a selection allocates nothing
+// beyond the node list and run sequence it returns. Scratches are pooled;
+// selectors acquire one, use it, and release it before returning.
 type selScratch struct {
 	order []leafOrder
 	taken []int
+	runs  []uint64 // leaf<<32|first rank per leaf visit, in rank order
 	// mark/markGen is the reusable replacement for appendAvoiding's old
 	// per-call map[int]bool: mark[id] == markGen means node id is already
 	// chosen in the current pass.
@@ -229,8 +250,28 @@ type selScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(selScratch) }}
 
-func getScratch() *selScratch   { return scratchPool.Get().(*selScratch) }
+func getScratch() *selScratch {
+	sc := scratchPool.Get().(*selScratch)
+	sc.runs = sc.runs[:0]
+	return sc
+}
 func (sc *selScratch) release() { scratchPool.Put(sc) }
+
+// visit records that ranks [first, end) were just placed on leaf l. A visit
+// to the leaf of the previous run extends that run, keeping runs maximal.
+func (sc *selScratch) visit(l, first, end int) {
+	if n := len(sc.runs); end > first && (n == 0 || int(sc.runs[n-1]>>32) != l) {
+		sc.runs = append(sc.runs, uint64(l)<<32|uint64(first))
+	}
+}
+
+// placement closes the visited runs over the finished node list.
+func (sc *selScratch) placement(nodes []int) cluster.Placement {
+	runs := make([]uint64, len(sc.runs)+1)
+	copy(runs, sc.runs)
+	runs[len(sc.runs)] = uint64(len(nodes))
+	return cluster.WithRuns(nodes, runs)
+}
 func (sc *selScratch) beginMark(n int) {
 	if cap(sc.mark) < n {
 		sc.mark = make([]uint64, n)
@@ -306,45 +347,44 @@ func cmpGreedyCompute(a, b leafOrder) int {
 	return a.leaf - b.leaf
 }
 
+// placeInOrder is the selection default, greedy and (for compute-intensive
+// jobs) balanced share: find the lowest-level switch with enough free nodes,
+// then fill its leaves in cmp's order.
+func placeInOrder(st *cluster.State, req Request, name string, cmp func(a, b leafOrder) int) (cluster.Placement, error) {
+	p, err := findLowestSwitch(st, req.Nodes)
+	if err != nil {
+		return cluster.Placement{}, err
+	}
+	sc := getScratch()
+	defer sc.release()
+	out := make([]int, 0, req.Nodes)
+	order := snapshotLeaves(st, p.DescLeaves, sc) // a leaf switch lists itself
+	slices.SortFunc(order, cmp)
+	for _, lo := range order {
+		out = takeFromLeaf(st, lo.leaf, min(lo.free, req.Nodes-len(out)), out, sc)
+		if len(out) == req.Nodes {
+			return sc.placement(out), nil
+		}
+	}
+	return cluster.Placement{}, fmt.Errorf("core: %s: switch %s promised %d nodes, found %d",
+		name, p.Name, req.Nodes, len(out))
+}
+
 // ---------------------------------------------------------------- default
 
 type defaultSelector struct{}
 
 func (defaultSelector) Name() string { return "default" }
 
-// Select implements SLURM's best-fit topology allocation (§3.1): find the
+func (s defaultSelector) Select(st *cluster.State, req Request) ([]int, error) {
+	return nodesOf(s.Place(st, req))
+}
+
+// Place implements SLURM's best-fit topology allocation (§3.1): find the
 // lowest-level switch with enough free nodes, then fill leaves in
 // increasing order of free node count to reduce fragmentation.
-func (defaultSelector) Select(st *cluster.State, req Request) ([]int, error) {
-	p, err := findLowestSwitch(st, req.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	if p.IsLeaf() {
-		return takeFromLeaf(st, p.LeafIndex, req.Nodes, make([]int, 0, req.Nodes)), nil
-	}
-	sc := getScratch()
-	defer sc.release()
-	order := snapshotLeaves(st, p.DescLeaves, sc)
-	slices.SortFunc(order, cmpFreeAsc)
-	out := make([]int, 0, req.Nodes)
-	remaining := req.Nodes
-	for _, lo := range order {
-		if lo.free == 0 {
-			continue
-		}
-		take := lo.free
-		if take > remaining {
-			take = remaining
-		}
-		out = takeFromLeaf(st, lo.leaf, take, out)
-		remaining -= take
-		if remaining == 0 {
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("core: default: switch %s promised %d nodes, found %d",
-		p.Name, req.Nodes, len(out))
+func (defaultSelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
+	return placeInOrder(st, req, "default", cmpFreeAsc)
 }
 
 // ----------------------------------------------------------------- greedy
@@ -353,44 +393,19 @@ type greedySelector struct{}
 
 func (greedySelector) Name() string { return "greedy" }
 
-// Select implements Algorithm 1. Communication-intensive jobs fill leaves
+func (s greedySelector) Select(st *cluster.State, req Request) ([]int, error) {
+	return nodesOf(s.Place(st, req))
+}
+
+// Place implements Algorithm 1. Communication-intensive jobs fill leaves
 // in increasing order of communication ratio (least contended, most free
 // first); compute-intensive jobs fill in decreasing order, preserving the
 // good leaves for future communication-intensive jobs.
-func (greedySelector) Select(st *cluster.State, req Request) ([]int, error) {
-	p, err := findLowestSwitch(st, req.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	if p.IsLeaf() {
-		return takeFromLeaf(st, p.LeafIndex, req.Nodes, make([]int, 0, req.Nodes)), nil
-	}
-	sc := getScratch()
-	defer sc.release()
-	order := snapshotLeaves(st, p.DescLeaves, sc)
+func (greedySelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
 	if req.Class == cluster.CommIntensive {
-		slices.SortFunc(order, cmpGreedyComm)
-	} else {
-		slices.SortFunc(order, cmpGreedyCompute)
+		return placeInOrder(st, req, "greedy", cmpGreedyComm)
 	}
-	out := make([]int, 0, req.Nodes)
-	remaining := req.Nodes
-	for _, lo := range order {
-		if lo.free == 0 {
-			continue
-		}
-		take := lo.free
-		if take > remaining {
-			take = remaining
-		}
-		out = takeFromLeaf(st, lo.leaf, take, out)
-		remaining -= take
-		if remaining == 0 {
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("core: greedy: switch %s promised %d nodes, found %d",
-		p.Name, req.Nodes, len(out))
+	return placeInOrder(st, req, "greedy", cmpGreedyCompute)
 }
 
 // --------------------------------------------------------------- balanced
@@ -408,47 +423,30 @@ func (s balancedSelector) Name() string {
 	return "balanced-nopow2"
 }
 
-// Select implements Algorithm 2. For communication-intensive jobs, leaves
+func (s balancedSelector) Select(st *cluster.State, req Request) ([]int, error) {
+	return nodesOf(s.Place(st, req))
+}
+
+// Place implements Algorithm 2. For communication-intensive jobs, leaves
 // are visited in decreasing order of free nodes and each receives the
 // largest power of two ≤ its free count (alloc_size S carries across
 // leaves, only ever shrinking); leftover demand is satisfied in a second,
 // reverse-order pass without the power-of-two constraint. For
 // compute-intensive jobs, leaves are filled in increasing order of free
 // nodes, preserving large free blocks.
-func (s balancedSelector) Select(st *cluster.State, req Request) ([]int, error) {
+func (s balancedSelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
+	if req.Class != cluster.CommIntensive {
+		return placeInOrder(st, req, "balanced", cmpFreeAsc)
+	}
 	p, err := findLowestSwitch(st, req.Nodes)
 	if err != nil {
-		return nil, err
-	}
-	if p.IsLeaf() {
-		return takeFromLeaf(st, p.LeafIndex, req.Nodes, make([]int, 0, req.Nodes)), nil
+		return cluster.Placement{}, err
 	}
 	sc := getScratch()
 	defer sc.release()
-	order := snapshotLeaves(st, p.DescLeaves, sc)
 	out := make([]int, 0, req.Nodes)
+	order := snapshotLeaves(st, p.DescLeaves, sc)
 	remaining := req.Nodes
-
-	if req.Class != cluster.CommIntensive {
-		slices.SortFunc(order, cmpFreeAsc)
-		for _, lo := range order {
-			if lo.free == 0 {
-				continue
-			}
-			take := lo.free
-			if take > remaining {
-				take = remaining
-			}
-			out = takeFromLeaf(st, lo.leaf, take, out)
-			remaining -= take
-			if remaining == 0 {
-				return out, nil
-			}
-		}
-		return nil, fmt.Errorf("core: balanced: switch %s promised %d nodes, found %d",
-			p.Name, req.Nodes, len(out))
-	}
-
 	slices.SortFunc(order, cmpFreeDesc)
 	// First pass: powers of two only (lines 12-21 of Algorithm 2).
 	if cap(sc.taken) < len(order) {
@@ -475,11 +473,11 @@ func (s balancedSelector) Select(st *cluster.State, req Request) ([]int, error) 
 		if take == 0 {
 			continue
 		}
-		out = takeFromLeaf(st, lo.leaf, take, out)
+		out = takeFromLeaf(st, lo.leaf, take, out, sc)
 		taken[i] = take
 		remaining -= take
 		if remaining == 0 {
-			return out, nil
+			return sc.placement(out), nil
 		}
 	}
 	// Second pass, reverse sorted order: fill with whatever is left
@@ -504,34 +502,35 @@ func (s balancedSelector) Select(st *cluster.State, req Request) ([]int, error) 
 		remaining -= take
 	}
 	if remaining != 0 {
-		return nil, fmt.Errorf("core: balanced: switch %s promised %d nodes, short by %d",
+		return cluster.Placement{}, fmt.Errorf("core: balanced: switch %s promised %d nodes, short by %d",
 			p.Name, req.Nodes, remaining)
 	}
-	return out, nil
+	return sc.placement(out), nil
 }
 
 // appendAvoiding appends up to max free nodes of leaf l that are not
-// already chosen. The caller marks dst's nodes in the scratch before the
-// first call (sc.beginMark + mark); appendAvoiding marks what it appends,
-// so successive calls keep avoiding each other without rescanning dst —
-// the zero-allocation replacement for the old per-call map[int]bool.
+// already chosen, and records the leaf visit. The caller marks dst's nodes
+// in the scratch before the first call (sc.beginMark + mark);
+// appendAvoiding marks what it appends, so successive calls keep avoiding
+// each other without rescanning dst — the zero-allocation replacement for
+// the old per-call map[int]bool.
 //
 //caws:noalloc
 func appendAvoiding(st *cluster.State, l, max int, dst []int, sc *selScratch) []int {
 	if max <= 0 {
 		return dst
 	}
-	taken := 0
+	first := len(dst)
 	for _, id := range st.Topology().LeafNodes(l) {
-		if taken == max {
+		if len(dst)-first == max {
 			break
 		}
 		if st.NodeFree(id) && sc.mark[id] != sc.markGen {
 			sc.mark[id] = sc.markGen
 			dst = append(dst, id)
-			taken++
 		}
 	}
+	sc.visit(l, first, len(dst))
 	return dst
 }
 
@@ -548,7 +547,7 @@ type adaptiveJoin struct {
 	st      *cluster.State
 	job     cluster.JobID
 	class   cluster.Class
-	nodes   []int
+	pl      cluster.Placement
 	pattern collective.Pattern
 	cost    float64
 	err     error
@@ -560,54 +559,61 @@ var joinPool = sync.Pool{New: func() any {
 }}
 
 func (j *adaptiveJoin) run() {
-	j.cost, j.err = costmodel.CandidateCost(j.st, j.job, j.class, j.nodes, j.pattern)
+	j.cost, j.err = costmodel.PlacementCostMode(j.st, j.job, j.class, &j.pl, j.pattern, costmodel.ModeEffectiveHops)
 	j.done <- struct{}{}
 }
 
-// Select implements §4.3: build both the greedy and the balanced
+func (s adaptiveSelector) Select(st *cluster.State, req Request) ([]int, error) {
+	return nodesOf(s.Place(st, req))
+}
+
+// Place implements §4.3: build both the greedy and the balanced
 // candidates, estimate each one's communication cost (Eq. 6, with the
 // candidate counted towards contention), and keep the cheaper candidate
 // for communication-intensive jobs or the more expensive one for
 // compute-intensive jobs (preserving low-cost placements for comm jobs).
 // Ties go to the balanced candidate.
 //
-// When candidate costing is read-only (the overlay fast path), the two
-// candidates are priced concurrently: the balanced candidate on a spawned
-// goroutine, the greedy one inline, joined by candidate identity — a
-// bounded, deterministic two-way join whose result never depends on
-// completion order. When costing mutates the state (reference mode),
-// pricing stays sequential.
-func (adaptiveSelector) Select(st *cluster.State, req Request) ([]int, error) {
-	g, err := greedySelector{}.Select(st, req)
+// When candidate costing is read-only (the overlay fast path), both
+// candidates are validated here and then priced concurrently: the balanced
+// candidate on a spawned goroutine, the greedy one inline, joined by
+// candidate identity — a bounded, deterministic two-way join whose result
+// never depends on completion order, and whose goroutine only reads a
+// placement already stamped valid. When costing mutates the state
+// (reference mode), pricing stays sequential.
+func (adaptiveSelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
+	g, err := greedySelector{}.Place(st, req)
 	if err != nil {
-		return nil, err
+		return g, err
 	}
-	b, err := balancedSelector{pow2: true}.Select(st, req)
+	b, err := balancedSelector{pow2: true}.Place(st, req)
 	if err != nil {
-		return nil, err
+		return b, err
 	}
 	var costG, costB float64
 	var errG, errB error
-	if costmodel.CandidateCostReadOnly(st) {
-		j := joinPool.Get().(*adaptiveJoin)
-		j.st, j.job, j.class, j.nodes, j.pattern = st, req.Job, req.Class, b, req.Pattern
-		go j.run() //lint:allow poolhygiene the <-j.done join below strictly orders the goroutine's last touch before Put
-		costG, errG = costmodel.CandidateCost(st, req.Job, req.Class, g, req.Pattern)
-		<-j.done
-		costB, errB = j.cost, j.err
-		j.st, j.nodes, j.err = nil, nil, nil
-		joinPool.Put(j)
-	} else {
-		costG, errG = costmodel.CandidateCost(st, req.Job, req.Class, g, req.Pattern)
+	if !costmodel.CandidateCostReadOnly(st) {
+		costG, errG = costmodel.PlacementCostMode(st, req.Job, req.Class, &g, req.Pattern, costmodel.ModeEffectiveHops)
 		if errG == nil {
-			costB, errB = costmodel.CandidateCost(st, req.Job, req.Class, b, req.Pattern)
+			costB, errB = costmodel.PlacementCostMode(st, req.Job, req.Class, &b, req.Pattern, costmodel.ModeEffectiveHops)
+		}
+	} else if errG = costmodel.ValidateCandidate(st, req.Job, &g); errG == nil {
+		if errB = costmodel.ValidateCandidate(st, req.Job, &b); errB == nil {
+			j := joinPool.Get().(*adaptiveJoin)
+			j.st, j.job, j.class, j.pl, j.pattern = st, req.Job, req.Class, b, req.Pattern
+			go j.run() //lint:allow poolhygiene the <-j.done join below strictly orders the goroutine's last touch before Put
+			costG, errG = costmodel.PlacementCostMode(st, req.Job, req.Class, &g, req.Pattern, costmodel.ModeEffectiveHops)
+			<-j.done
+			costB, errB = j.cost, j.err
+			j.st, j.pl, j.err = nil, cluster.Placement{}, nil
+			joinPool.Put(j)
 		}
 	}
 	if errG != nil {
-		return nil, fmt.Errorf("core: adaptive: costing greedy candidate: %w", errG)
+		return cluster.Placement{}, fmt.Errorf("core: adaptive: costing greedy candidate: %w", errG)
 	}
 	if errB != nil {
-		return nil, fmt.Errorf("core: adaptive: costing balanced candidate: %w", errB)
+		return cluster.Placement{}, fmt.Errorf("core: adaptive: costing balanced candidate: %w", errB)
 	}
 	if req.Class == cluster.CommIntensive {
 		if costG < costB {
@@ -623,16 +629,16 @@ func (adaptiveSelector) Select(st *cluster.State, req Request) ([]int, error) {
 
 // SelectAndAllocate runs the selector and commits the result on success.
 func SelectAndAllocate(sel Selector, st *cluster.State, req Request) ([]int, error) {
-	nodes, err := sel.Select(st, req)
+	pl, err := Place(sel, st, req)
 	if err != nil {
 		return nil, err
 	}
-	if len(nodes) != req.Nodes {
+	if pl.Len() != req.Nodes {
 		return nil, fmt.Errorf("core: %s returned %d nodes for a %d-node request",
-			sel.Name(), len(nodes), req.Nodes)
+			sel.Name(), pl.Len(), req.Nodes)
 	}
-	if err := st.Allocate(req.Job, req.Class, nodes); err != nil {
+	if err := st.AllocatePlacement(req.Job, req.Class, &pl); err != nil {
 		return nil, err
 	}
-	return nodes, nil
+	return pl.Nodes(), nil
 }

@@ -35,16 +35,17 @@ type annealSelector struct {
 func (s annealSelector) Name() string { return "anneal" }
 
 func (s annealSelector) Select(st *cluster.State, req Request) ([]int, error) {
-	seed, err := adaptiveSelector{}.Select(st, req)
+	return nodesOf(s.Place(st, req))
+}
+
+func (s annealSelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
+	seed, err := adaptiveSelector{}.Place(st, req)
+	if err != nil || req.Class != cluster.CommIntensive || seed.Len() < 2 {
+		return seed, err
+	}
+	nodes, _, err := search.Improve(st, req.Job, req.Class, seed.Nodes(), req.Pattern, s.cfg)
 	if err != nil {
-		return nil, err
+		return cluster.Placement{}, fmt.Errorf("core: anneal: %w", err)
 	}
-	if req.Class != cluster.CommIntensive || len(seed) < 2 {
-		return seed, nil
-	}
-	nodes, _, err := search.Improve(st, req.Job, req.Class, seed, req.Pattern, s.cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: anneal: %w", err)
-	}
-	return nodes, nil
+	return cluster.NewPlacement(nodes), nil
 }

@@ -84,11 +84,15 @@ func benchSelectAnneal(b *testing.B, budget int) {
 func BenchmarkSelectAnneal64(b *testing.B)  { benchSelectAnneal(b, 64) }
 func BenchmarkSelectAnneal256(b *testing.B) { benchSelectAnneal(b, 256) }
 
-// TestSelectAllocations pins the selector fast paths to a single heap
-// allocation per call — the returned node list. The leaf snapshot, sort,
-// take counters and the appendAvoiding node filter all live in the pooled
-// scratch.
+// TestSelectAllocations pins the selector fast paths to two heap
+// allocations per call — the returned node list and the placement's run
+// sequence, sized from the leaves visited. The leaf snapshot, sort, take
+// counters, the appendAvoiding node filter and the run buffer all live in
+// the pooled scratch.
 func TestSelectAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratches at random; pin measured without -race")
+	}
 	st := benchState(t)
 	for _, a := range []Algorithm{Default, Greedy, Balanced, BalancedNoPow2} {
 		sel := MustNew(a)
@@ -103,19 +107,19 @@ func TestSelectAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if allocs > 1 {
-				t.Errorf("%v/%v: %.1f allocs per Select, want <= 1 (the result slice)", a, class, allocs)
+			if allocs > 2 {
+				t.Errorf("%v/%v: %.1f allocs per Select, want <= 2 (the node list and its runs)", a, class, allocs)
 			}
 		}
 	}
 }
 
 // TestAdaptiveSelectAllocations pins the adaptive selector's parallel
-// costing path to three heap allocations per call: the greedy and
-// balanced candidate node slices plus the costing goroutine's spawn.
-// Everything else — candidate validation, the overlay comm counters, the
-// leaf-pair hops values — lives in pooled scratch, so a regression here
-// means CandidateCost started allocating again.
+// costing path to five heap allocations per call: the greedy and balanced
+// candidates' node lists and run sequences plus the costing goroutine's
+// spawn. Everything else — candidate validation, the overlay comm
+// counters, the leaf-pair hops values — lives in pooled scratch, so a
+// regression here means PlacementCostMode started allocating again.
 func TestAdaptiveSelectAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector goroutine instrumentation allocates; pin measured without -race")
@@ -136,8 +140,8 @@ func TestAdaptiveSelectAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 3 {
-			t.Errorf("%v: %.1f allocs per adaptive Select, want <= 3 (two candidate slices + the costing goroutine)", class, allocs)
+		if allocs > 5 {
+			t.Errorf("%v: %.1f allocs per adaptive Select, want <= 5 (two candidates of two slices + the costing goroutine)", class, allocs)
 		}
 	}
 }

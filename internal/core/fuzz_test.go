@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -8,12 +12,44 @@ import (
 	"repro/internal/topology"
 )
 
+// sameCounters compares everything two states expose about their
+// bookkeeping: per-leaf counters, shares bit for bit, subtree free counts,
+// the free total, the generation and every allocation's node list.
+func sameCounters(a, b *cluster.State) error {
+	topo := a.Topology()
+	if a.FreeTotal() != b.FreeTotal() || a.Generation() != b.Generation() {
+		return fmt.Errorf("free/generation %d/%d vs %d/%d", a.FreeTotal(), a.Generation(), b.FreeTotal(), b.Generation())
+	}
+	for l := 0; l < topo.NumLeaves(); l++ {
+		if a.LeafBusy(l) != b.LeafBusy(l) || a.LeafComm(l) != b.LeafComm(l) ||
+			math.Float64bits(a.CommShare(l)) != math.Float64bits(b.CommShare(l)) {
+			return fmt.Errorf("leaf %d: busy %d comm %d share %v vs busy %d comm %d share %v", l,
+				a.LeafBusy(l), a.LeafComm(l), a.CommShare(l), b.LeafBusy(l), b.LeafComm(l), b.CommShare(l))
+		}
+	}
+	for _, sw := range topo.Switches {
+		if a.SwitchFree(sw) != b.SwitchFree(sw) {
+			return fmt.Errorf("switch %s free %d vs %d", sw.Name, a.SwitchFree(sw), b.SwitchFree(sw))
+		}
+	}
+	for _, x := range a.RunningAllocations() {
+		if y := b.Allocation(x.Job); y == nil || !slices.Equal(x.Nodes, y.Nodes) || !sort.IntsAreSorted(x.Nodes) {
+			return fmt.Errorf("job %d: nodes %v vs %+v", x.Job, x.Nodes, y)
+		}
+	}
+	return nil
+}
+
 // FuzzAllocate drives random allocate/release sequences through every
 // selector over fuzzer-shaped machines and checks the contract the
 // simulator depends on: Select succeeds exactly when the request fits the
 // free node count, returns exactly the requested number of distinct free
 // nodes, and the cluster state stays internally consistent after every
-// commit and release.
+// commit and release. The selection is committed as the selector's own
+// placement (its leaf runs, per-run deltas, no sort) while a mirror state
+// commits the same nodes as a reversed bare list (derived runs, sorted):
+// the two must agree on every counter after every step, which a run the
+// selector recorded wrongly would break.
 func FuzzAllocate(f *testing.F) {
 	f.Add(uint8(2), uint8(4), []byte{0x13, 0x85, 0x04, 0x00, 0xff, 0x21})
 	f.Add(uint8(5), uint8(7), []byte{0xfe, 0x01, 0x3c, 0x3c, 0x3c, 0x00, 0x00})
@@ -28,7 +64,7 @@ func FuzzAllocate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generate %+v: %v", spec, err)
 		}
-		st := cluster.New(topo)
+		st, mirror := cluster.New(topo), cluster.New(topo)
 		machine := topo.NumNodes()
 		sels := []Selector{MustNew(Default), MustNew(Greedy), MustNew(Balanced),
 			MustNew(Adaptive), MustNew(BalancedNoPow2)}
@@ -43,8 +79,14 @@ func FuzzAllocate(f *testing.F) {
 				if err := st.Release(live[k]); err != nil {
 					t.Fatalf("op %d: release job %d: %v", i, live[k], err)
 				}
+				if err := mirror.Release(live[k]); err != nil {
+					t.Fatalf("op %d: mirror release job %d: %v", i, live[k], err)
+				}
 				live = append(live[:k], live[k+1:]...)
 				if err := st.CheckInvariants(); err != nil {
+					t.Fatalf("op %d: after release: %v", i, err)
+				}
+				if err := sameCounters(st, mirror); err != nil {
 					t.Fatalf("op %d: after release: %v", i, err)
 				}
 				continue
@@ -57,7 +99,8 @@ func FuzzAllocate(f *testing.F) {
 			}
 			sel := sels[i%len(sels)]
 			free := st.FreeTotal()
-			nodes, err := sel.Select(st, req)
+			pl, err := Place(sel, st, req)
+			nodes := pl.Nodes()
 			if req.Nodes > free {
 				if err == nil {
 					t.Fatalf("op %d: %s satisfied %d nodes with only %d free", i, sel.Name(), req.Nodes, free)
@@ -83,11 +126,26 @@ func FuzzAllocate(f *testing.F) {
 					t.Fatalf("op %d: %s returned busy node %d", i, sel.Name(), n)
 				}
 			}
-			if err := st.Allocate(req.Job, req.Class, nodes); err != nil {
+			if again, err := sel.Select(st, req); err != nil || !slices.Equal(again, nodes) {
+				t.Fatalf("op %d: %s: Select %v, %v; Place %v", i, sel.Name(), again, err, nodes)
+			}
+			bare := cluster.NewPlacement(nodes)
+			if !bare.Reduce(cluster.LayoutOf(topo), new(cluster.Scratch)) || !slices.Equal(bare.Runs(), pl.Runs()) {
+				t.Fatalf("op %d: %s recorded runs %x for %v, whose maximal leaf runs are %x", i, sel.Name(), pl.Runs(), nodes, bare.Runs())
+			}
+			if err := st.AllocatePlacement(req.Job, req.Class, &pl); err != nil {
 				t.Fatalf("op %d: committing %s's selection: %v", i, sel.Name(), err)
 			}
 			if err := st.CheckInvariants(); err != nil {
 				t.Fatalf("op %d: after allocate: %v", i, err)
+			}
+			reversed := slices.Clone(nodes)
+			slices.Reverse(reversed)
+			if err := mirror.Allocate(req.Job, req.Class, reversed); err != nil {
+				t.Fatalf("op %d: committing the reversed list: %v", i, err)
+			}
+			if err := sameCounters(st, mirror); err != nil {
+				t.Fatalf("op %d: %s's placement vs its bare node list: %v", i, sel.Name(), err)
 			}
 			live = append(live, next)
 			next++

@@ -200,10 +200,11 @@ func BenchmarkCompile(b *testing.B) {
 				sc := new(buildScratch)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if !sc.scanRuns(lay, nodes) {
+					pl := cluster.NewPlacement(nodes)
+					if !pl.Reduce(lay, &sc.scan) {
 						b.Fatal("fixture list does not compile")
 					}
-					if _, err := buildLeafSchedule(lay, sc, n, steps, memo); err != nil {
+					if _, err := buildLeafSchedule(lay, sc, pl.Runs(), steps, memo); err != nil {
 						b.Fatal(err)
 					}
 				}

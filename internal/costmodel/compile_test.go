@@ -89,10 +89,11 @@ func perPairCompile(lay *cluster.Layout, nodes []int, steps []collective.Step) (
 // leafSchedCache; ok is false for a list the run view rejects.
 func compileCold(lay *cluster.Layout, nodes []int, steps []collective.Step, memo *memoSchedule) (ls *leafSchedule, ok bool, err error) {
 	sc := new(buildScratch)
-	if !sc.scanRuns(lay, nodes) {
+	pl := cluster.NewPlacement(nodes)
+	if !pl.Reduce(lay, &sc.scan) {
 		return nil, false, nil
 	}
-	ls, err = buildLeafSchedule(lay, sc, len(nodes), steps, memo)
+	ls, err = buildLeafSchedule(lay, sc, pl.Runs(), steps, memo)
 	return ls, true, err
 }
 

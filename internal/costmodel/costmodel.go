@@ -65,7 +65,8 @@ func JobCost(st *cluster.State, nodes []int, steps []collective.Step) (float64, 
 	if len(steps) == 0 {
 		return 0, nil
 	}
-	ls, err := leafSchedFor(cluster.LayoutOf(st.Topology()), nodes, steps, nil)
+	pl := cluster.NewPlacement(nodes)
+	ls, err := leafSchedFor(cluster.LayoutOf(st.Topology()), &pl, steps, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -118,7 +119,8 @@ func JobCostHopBytes(st *cluster.State, nodes []int, steps []collective.Step, ba
 	if len(steps) == 0 {
 		return 0, nil
 	}
-	ls, err := leafSchedFor(cluster.LayoutOf(st.Topology()), nodes, steps, nil)
+	pl := cluster.NewPlacement(nodes)
+	ls, err := leafSchedFor(cluster.LayoutOf(st.Topology()), &pl, steps, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -170,55 +172,24 @@ func PatternCost(st *cluster.State, nodes []int, p collective.Pattern) (float64,
 
 // CandidateCost evaluates what Eq. 6 would be if the job were placed on the
 // candidate nodes, with the job's own nodes counting towards contention as
-// in Figure 5. The state is left unchanged: the fast path validates the
-// candidate exactly as Allocate would and then overlays the candidate's
-// per-leaf node counts onto the live comm counters during evaluation, so
-// it never mutates the state (see CandidateCostReadOnly). The reference
-// path tentatively allocates, costs, and rolls back.
+// in Figure 5: CandidateCostMode under the paper's effective-hops mode.
 func CandidateCost(st *cluster.State, job cluster.JobID, class cluster.Class,
 	nodes []int, p collective.Pattern) (float64, error) {
-	if len(nodes) == 0 {
-		return 0, fmt.Errorf("costmodel: empty candidate allocation")
-	}
-	if referenceMode.Load() {
-		return candidateCostRef(st, job, class, nodes, p)
-	}
-	lay := cluster.LayoutOf(st.Topology())
-	if err := validateCandidate(st, job, nodes); err != nil {
-		return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
-	}
-	steps, memo, err := scheduleFor(p, len(nodes))
-	if err != nil {
-		return 0, err
-	}
-	if len(steps) == 0 {
-		return 0, nil
-	}
-	// A validated candidate lists distinct in-range nodes, so it compiles.
-	ls, err := leafSchedFor(lay, nodes, steps, memo)
-	if err != nil {
-		return 0, err
-	}
-	// Only a communication-intensive candidate changes the comm counters;
-	// a compute-intensive one costs against the state as-is.
-	return ls.eval(st, class == cluster.CommIntensive, false, 0), nil
+	return CandidateCostMode(st, job, class, nodes, p, ModeEffectiveHops)
 }
 
-// candidateCostRef is the reference implementation of CandidateCost —
-// tentatively allocate, cost, roll back — kept for differential
-// equivalence checks (SetReferenceMode routes candidate costing through
-// it). It mutates the state (two generation bumps) and must not run
-// concurrently with other evaluations of the same state.
-func candidateCostRef(st *cluster.State, job cluster.JobID, class cluster.Class,
-	nodes []int, p collective.Pattern) (float64, error) {
-	if err := st.Allocate(job, class, nodes); err != nil {
-		return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
+// ValidateCandidate runs cluster's validator over a candidate placement
+// with a pooled scratch, so it stays a pure read of the state. A
+// selector-built placement that passes is stamped: pricing and committing
+// it against the unchanged state skip the node scan.
+func ValidateCandidate(st *cluster.State, job cluster.JobID, pl *cluster.Placement) error {
+	sc := buildScratchPool.Get().(*buildScratch)
+	err := pl.Validate(st, job, &sc.scan)
+	buildScratchPool.Put(sc)
+	if err != nil {
+		return fmt.Errorf("costmodel: candidate allocate: %w", err)
 	}
-	cost, err := PatternCost(st, nodes, p)
-	if rerr := st.Release(job); rerr != nil && err == nil {
-		err = rerr
-	}
-	return cost, err
+	return nil
 }
 
 // CandidateCostReadOnly reports whether CandidateCost and

@@ -48,7 +48,7 @@ type leafSchedule struct {
 	lay    *cluster.Layout
 	sid    *collective.Step // identity of the steps slice (&steps[0])
 	nSteps int
-	runs   []uint64 // the node list's run sequence (buildScratch.runs), the cache key's third part
+	runs   []uint64 // the placement's run sequence (cluster.Placement.Runs), the cache key's third part
 
 	// leaves/counts are the distinct leaf indices hosting the job's nodes
 	// and the node count c_i on each — the histogram the candidate overlay
@@ -96,30 +96,40 @@ var leafSchedCache struct {
 	next int
 }
 
-// leafSchedFor returns the compiled schedule for (steps, nodes), building
-// and caching it on first use. steps must be non-empty; memo is their
-// ScheduleFor entry, if any. The returned entry is shared and read-only.
-// A nil entry with a nil error means the list repeats a node id or names
-// one outside the topology: the run view cannot express what the reference
-// loops do with such pairs, so the caller prices the list through them.
-func leafSchedFor(lay *cluster.Layout, nodes []int, steps []collective.Step, memo *memoSchedule) (*leafSchedule, error) {
+// leafSchedFor returns the compiled schedule for (steps, placement),
+// building and caching it on first use. steps must be non-empty; memo is
+// their ScheduleFor entry, if any. The returned entry is shared and
+// read-only. A selector-built placement brings its run sequence, which is
+// the cache key as it stands; a wrapped list is reduced here. A nil entry
+// with a nil error means such a list repeats a node id or names one outside
+// the topology: the run view cannot express what the reference loops do
+// with such pairs, so the caller prices the list through them.
+func leafSchedFor(lay *cluster.Layout, pl *cluster.Placement, steps []collective.Step, memo *memoSchedule) (*leafSchedule, error) {
 	sc := buildScratchPool.Get().(*buildScratch)
 	defer buildScratchPool.Put(sc)
-	if !sc.scanRuns(lay, nodes) {
+	if !pl.Reduce(lay, &sc.scan) {
 		return nil, nil
 	}
+	return sc.leafSched(lay, pl, steps, memo)
+}
+
+// leafSched is leafSchedFor for a placement whose runs are at hand: its
+// own, or those a Reduce or Validate just left in sc.scan.
+func (sc *buildScratch) leafSched(lay *cluster.Layout, pl *cluster.Placement, steps []collective.Step, memo *memoSchedule) (*leafSchedule, error) {
+	runs := pl.Runs()
 	leafSchedCache.mu.Lock()
 	for _, ls := range leafSchedCache.ents {
-		if ls != nil && ls.sid == &steps[0] && ls.nSteps == len(steps) && ls.lay == lay && slices.Equal(ls.runs, sc.runs) {
+		if ls != nil && ls.sid == &steps[0] && ls.nSteps == len(steps) && ls.lay == lay && slices.Equal(ls.runs, runs) {
 			leafSchedCache.mu.Unlock()
 			return ls, nil
 		}
 	}
 	leafSchedCache.mu.Unlock()
-	ls, err := buildLeafSchedule(lay, sc, len(nodes), steps, memo)
+	ls, err := buildLeafSchedule(lay, sc, runs, steps, memo)
 	if err != nil {
 		return nil, err
 	}
+	ls.runs = pl.RunsKey()
 	leafSchedCache.mu.Lock()
 	leafSchedCache.ents[leafSchedCache.next] = ls                    //lint:allow globalmut ring-buffer memo insert under leafSchedCache.mu; entries are immutable once built
 	leafSchedCache.next = (leafSchedCache.next + 1) % leafSchedSlots //lint:allow globalmut ring cursor advance under leafSchedCache.mu
@@ -131,19 +141,18 @@ func leafSchedFor(lay *cluster.Layout, nodes []int, steps []collective.Step, mem
 // in ls.leaves, and the rank ending its maximal run of ranks on that leaf.
 type rankRun struct{ pos, end int32 }
 
-// buildScratch is the pooled working set of leafSchedFor: the node list's
-// runs, and epoch- and tag-stamped node, leaf and leaf-pair arrays that
-// replace per-build maps. The node and leaf arrays are sized off the
-// layout; the pair arrays are indexed by *compact* touched-leaf positions,
-// so they are O(touched²) — the sparse index that lets compilation scale
-// past the old 128-leaf dense matrices (a job touching k leaves needs k²
-// slots however large L is). Arrays grow on demand and persist in the
-// pool; freshly grown arrays are zeroed, which the monotone epoch/tag
-// counters read as stale.
+// buildScratch is the pooled working set of leafSchedFor and of candidate
+// validation: the cluster.Scratch a wrapped list is scanned with, and the
+// epoch- and tag-stamped leaf and leaf-pair arrays that replace per-build
+// maps. The leaf arrays are sized off the layout; the pair arrays are
+// indexed by *compact* touched-leaf positions, so they are O(touched²) —
+// the sparse index that lets compilation scale past the old 128-leaf dense
+// matrices (a job touching k leaves needs k² slots however large L is).
+// Arrays grow on demand and persist in the pool; freshly grown arrays are
+// zeroed, which the monotone epoch/tag counters read as stale.
 type buildScratch struct {
-	runs      []uint64  // leaf<<32|first rank per run, in rank order, then the rank count
+	scan      cluster.Scratch
 	ranks     []rankRun // rank -> run view, filled by buildLeafSchedule
-	nodeEpoch []uint32  // node id -> epoch that last listed it
 	leafPos   []int32   // real leaf -> index into ls.leaves, valid per epoch
 	leafEpoch []uint32
 	pairID    []int32 // compact pair -> index into ls.pairLi, valid per epoch
@@ -166,36 +175,18 @@ func (sc *buildScratch) ensurePairs(n int) {
 	}
 }
 
-// scanRuns opens a new epoch and reduces the node list to sc.runs, its
-// maximal runs of consecutive ranks on one leaf. It reports false for a
-// list that repeats a node id or names one outside the layout.
-func (sc *buildScratch) scanRuns(lay *cluster.Layout, nodes []int) bool {
-	if len(sc.nodeEpoch) < len(lay.NodeLeaf) || len(sc.leafPos) < lay.L {
-		sc.nodeEpoch = make([]uint32, len(lay.NodeLeaf))
+// begin opens a new epoch for a compile against lay.
+func (sc *buildScratch) begin(lay *cluster.Layout) {
+	if len(sc.leafPos) < lay.L {
 		sc.leafPos = make([]int32, lay.L)
 		sc.leafEpoch = make([]uint32, lay.L)
 	}
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stale stamps could collide
-		clear(sc.nodeEpoch)
 		clear(sc.leafEpoch)
 		clear(sc.pairEpoch)
 		sc.epoch = 1
 	}
-	nodeLeaf, seen, epoch, runs := lay.NodeLeaf, sc.nodeEpoch, sc.epoch, sc.runs[:0] // locals: no reloads after each store
-	cur := int32(-1)
-	for r, id := range nodes {
-		if uint(id) >= uint(len(nodeLeaf)) || seen[id] == epoch {
-			return false
-		}
-		seen[id] = epoch
-		if l := nodeLeaf[id]; l != cur {
-			cur = l
-			runs = append(runs, uint64(l)<<32|uint64(r))
-		}
-	}
-	sc.runs = append(runs, uint64(len(nodes))) // closes the last run
-	return true
 }
 
 // segAt returns the stride and length of the maximal affine segment that
@@ -214,20 +205,21 @@ func segAt(pairs []collective.Pair, i int) (stride, n int) {
 	return stride, n
 }
 
-// buildLeafSchedule compiles steps against the n-rank node list sc.scanRuns
-// just reduced to runs. Each step's pairs are consumed as affine segments
-// (the memo's stored ones, else detected on the fly) and each segment is
-// walked in pieces that stay inside one leaf run on both sides, so one
-// pair-table update with multiplicity k stands for k node pairs (DESIGN.md
-// §7). Pair ranks are validated in exactly the reference loops' order
+// buildLeafSchedule compiles steps against a placement's run sequence
+// (cluster.Placement.Runs). Each step's pairs are consumed as affine
+// segments (the memo's stored ones, else detected on the fly) and each
+// segment is walked in pieces that stay inside one leaf run on both sides,
+// so one pair-table update with multiplicity k stands for k node pairs
+// (DESIGN.md §7). Pair ranks are validated in exactly the reference loops' order
 // (steps in order, pairs in order, repeat steps skipped), so a build
 // failure reproduces the reference error.
-func buildLeafSchedule(lay *cluster.Layout, sc *buildScratch, n int, steps []collective.Step, memo *memoSchedule) (*leafSchedule, error) {
+func buildLeafSchedule(lay *cluster.Layout, sc *buildScratch, runs []uint64, steps []collective.Step, memo *memoSchedule) (*leafSchedule, error) {
+	n := int(runs[len(runs)-1])
+	sc.begin(lay)
 	ls := &leafSchedule{
 		lay:    lay,
 		sid:    &steps[0],
 		nSteps: len(steps),
-		runs:   slices.Clone(sc.runs),
 		off:    make([]int32, len(steps)+1),
 		kind:   make([]uint8, len(steps)),
 		msg:    make([]float64, len(steps)),
@@ -236,8 +228,8 @@ func buildLeafSchedule(lay *cluster.Layout, sc *buildScratch, n int, steps []col
 		sc.ranks = make([]rankRun, n)
 	}
 	ranks := sc.ranks[:n]
-	for i, run := range sc.runs[:len(sc.runs)-1] {
-		l, r, end := int32(run>>32), int(uint32(run)), int(uint32(sc.runs[i+1]))
+	for i, run := range runs[:len(runs)-1] {
+		l, r, end := int32(run>>32), int(uint32(run)), int(uint32(runs[i+1]))
 		if sc.leafEpoch[l] != sc.epoch {
 			sc.leafEpoch[l] = sc.epoch
 			sc.leafPos[l] = int32(len(ls.leaves))
@@ -348,20 +340,17 @@ func leafHops(st *cluster.State, lay *cluster.Layout, li, lj int32) float64 {
 }
 
 // evalScratch holds one evaluation's mutable state: the prefilled per-pair
-// Hops values, the candidate overlay (leaf-indexed comm counts and shares,
-// epoch-stamped so they reset in O(touched leaves)), and the duplicate-node
-// mark used by candidate validation. The overlay arrays are arenas sized
-// off the layout (grown on demand, then pooled), so large-L costing stays
-// zero-alloc in the steady state; distinct concurrent evaluations draw
-// distinct instances.
+// Hops values and the candidate overlay (leaf-indexed comm counts and
+// shares, epoch-stamped so they reset in O(touched leaves)). The overlay
+// arrays are arenas sized off the layout (grown on demand, then pooled), so
+// large-L costing stays zero-alloc in the steady state; distinct concurrent
+// evaluations draw distinct instances.
 type evalScratch struct {
 	pairVal []float64
 	ovComm  []int
 	ovShare []float64
 	ovSet   []uint32
 	ovEpoch uint32
-	mark    []uint64
-	markGen uint64
 
 	// Aggregated-kernel arenas (subtreeagg.go): per touched subtree the
 	// uniformity pass's shared (comm, size) state and verdict, per
@@ -522,47 +511,4 @@ func (ls *leafSchedule) evalDistance() float64 {
 	}
 	evalScratchPool.Put(sc)
 	return total
-}
-
-// validateCandidate rejects a candidate node list exactly as
-// cluster.Allocate would — same checks, same order, same messages — but
-// without touching the state, so candidate costing stays read-only (and
-// therefore safe to run concurrently). The duplicate check uses the
-// costmodel scratch's own mark, never State.allocMark.
-func validateCandidate(st *cluster.State, job cluster.JobID, nodes []int) error {
-	if job < 0 {
-		return fmt.Errorf("cluster: job IDs must be non-negative, got %d", job)
-	}
-	if st.Allocation(job) != nil {
-		return fmt.Errorf("cluster: job %d already allocated", job)
-	}
-	n := st.Topology().NumNodes()
-	sc := evalScratchPool.Get().(*evalScratch)
-	defer evalScratchPool.Put(sc)
-	if cap(sc.mark) < n {
-		sc.mark = make([]uint64, n)
-	}
-	sc.mark = sc.mark[:n]
-	sc.markGen++
-	for _, id := range nodes {
-		if id < 0 || id >= n {
-			return fmt.Errorf("cluster: job %d: node %d out of range", job, id)
-		}
-		if sc.mark[id] == sc.markGen {
-			return fmt.Errorf("cluster: job %d: node %d listed twice", job, id)
-		}
-		sc.mark[id] = sc.markGen
-		if owner := st.NodeJob(id); owner >= 0 {
-			return fmt.Errorf("cluster: job %d: node %d busy (held by job %d)", job, id, owner)
-		}
-		if !st.NodeFree(id) {
-			word := "drained"
-			if st.NodeFailed(id) {
-				word = "down (failed)"
-			}
-			return fmt.Errorf("cluster: job %d: node %d is %s: %w",
-				job, id, word, cluster.ErrNodeUnavailable)
-		}
-	}
-	return nil
 }

@@ -105,7 +105,8 @@ func TestLeafScheduleCacheIdentity(t *testing.T) {
 	}
 	get := func(nodes ...int) *leafSchedule {
 		t.Helper()
-		ls, err := leafSchedFor(lay, nodes, steps, nil)
+		pl := cluster.NewPlacement(nodes)
+		ls, err := leafSchedFor(lay, &pl, steps, nil)
 		if err != nil || ls == nil {
 			t.Fatalf("leafSchedFor(%v) = %v, %v", nodes, ls, err)
 		}

@@ -66,7 +66,8 @@ func JobCostMode(st *cluster.State, nodes []int, steps []collective.Step, mode M
 		if len(steps) == 0 {
 			return 0, nil
 		}
-		ls, err := leafSchedFor(cluster.LayoutOf(st.Topology()), nodes, steps, nil)
+		pl := cluster.NewPlacement(nodes)
+		ls, err := leafSchedFor(cluster.LayoutOf(st.Topology()), &pl, steps, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -111,33 +112,47 @@ func jobCostDistanceRef(st *cluster.State, nodes []int, steps []collective.Step)
 	return total, nil
 }
 
-// CandidateCostMode is CandidateCost under the chosen mode. Like
-// CandidateCost, the fast path validates and then costs through the
-// read-only candidate overlay; the reference path tentatively allocates,
-// costs, and rolls back.
+// CandidateCostMode is PlacementCostMode for a bare rank-ordered node list.
 func CandidateCostMode(st *cluster.State, job cluster.JobID, class cluster.Class,
 	nodes []int, p collective.Pattern, mode Mode) (float64, error) {
-	if len(nodes) == 0 {
+	pl := cluster.NewPlacement(nodes)
+	return PlacementCostMode(st, job, class, &pl, p, mode)
+}
+
+// PlacementCostMode evaluates what the job's cost under the chosen mode
+// would be on the placement, the job's own nodes counting towards
+// contention. The state is left unchanged: the fast path validates the
+// placement exactly as Allocate would (cluster.Placement.Validate) and then overlays
+// its per-leaf node counts onto the live comm counters during evaluation,
+// so it never mutates the state (see CandidateCostReadOnly). The reference
+// path tentatively allocates, costs, and rolls back; it mutates the state
+// (two generation bumps, so every call scans the nodes again) and must not
+// run concurrently with other evaluations of the same state.
+func PlacementCostMode(st *cluster.State, job cluster.JobID, class cluster.Class,
+	pl *cluster.Placement, p collective.Pattern, mode Mode) (float64, error) {
+	if pl.Len() == 0 {
 		return 0, fmt.Errorf("costmodel: empty candidate allocation")
 	}
 	if referenceMode.Load() {
-		return candidateCostModeRef(st, job, class, nodes, p, mode)
+		if err := st.AllocatePlacement(job, class, pl); err != nil {
+			return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
+		}
+		steps, err := ScheduleFor(p, pl.Len())
+		var cost float64
+		if err == nil {
+			cost, err = JobCostMode(st, pl.Nodes(), steps, mode)
+		}
+		if rerr := st.Release(job); rerr != nil && err == nil {
+			err = rerr
+		}
+		return cost, err
 	}
-	lay := cluster.LayoutOf(st.Topology())
-	if err := validateCandidate(st, job, nodes); err != nil {
-		return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
-	}
-	steps, memo, err := scheduleFor(p, len(nodes))
-	if err != nil {
+	ls, err := candidateSched(st, job, pl, p)
+	if err != nil || ls == nil {
 		return 0, err
 	}
-	if len(steps) == 0 {
-		return 0, nil
-	}
-	ls, err := leafSchedFor(lay, nodes, steps, memo)
-	if err != nil {
-		return 0, err
-	}
+	// Only a communication-intensive candidate changes the comm counters;
+	// a compute-intensive one costs against the state as-is.
 	overlay := class == cluster.CommIntensive
 	switch mode {
 	case ModeEffectiveHops:
@@ -152,20 +167,19 @@ func CandidateCostMode(st *cluster.State, job cluster.JobID, class cluster.Class
 	}
 }
 
-// candidateCostModeRef is the reference implementation of
-// CandidateCostMode: tentatively allocate, cost under the mode, roll back.
-func candidateCostModeRef(st *cluster.State, job cluster.JobID, class cluster.Class,
-	nodes []int, p collective.Pattern, mode Mode) (float64, error) {
-	if err := st.Allocate(job, class, nodes); err != nil {
-		return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
+// candidateSched validates the placement and returns its compiled schedule
+// for p, nil if that schedule has no steps. One pooled scratch serves both:
+// a wrapped list's runs stay in it from the validation to the compile.
+func candidateSched(st *cluster.State, job cluster.JobID, pl *cluster.Placement, p collective.Pattern) (*leafSchedule, error) {
+	sc := buildScratchPool.Get().(*buildScratch)
+	defer buildScratchPool.Put(sc)
+	if err := pl.Validate(st, job, &sc.scan); err != nil {
+		return nil, fmt.Errorf("costmodel: candidate allocate: %w", err)
 	}
-	steps, err := ScheduleFor(p, len(nodes))
-	var cost float64
-	if err == nil {
-		cost, err = JobCostMode(st, nodes, steps, mode)
+	steps, memo, err := scheduleFor(p, pl.Len())
+	if err != nil || len(steps) == 0 {
+		return nil, err
 	}
-	if rerr := st.Release(job); rerr != nil && err == nil {
-		err = rerr
-	}
-	return cost, err
+	// A validated placement lists distinct in-range nodes, so it compiles.
+	return sc.leafSched(cluster.LayoutOf(st.Topology()), pl, steps, memo)
 }

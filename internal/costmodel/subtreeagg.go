@@ -80,7 +80,8 @@ func ScheduleAggregated(st *cluster.State, nodes []int, steps []collective.Step)
 		return false, nil
 	}
 	lay := cluster.LayoutOf(st.Topology())
-	ls, err := leafSchedFor(lay, nodes, steps, nil)
+	pl := cluster.NewPlacement(nodes)
+	ls, err := leafSchedFor(lay, &pl, steps, nil)
 	if err != nil || ls == nil { // nil: priced by the reference loops
 		return false, err
 	}

@@ -82,7 +82,7 @@ type jobRecord struct {
 	submit     float64 // virtual time
 	start      float64
 	end        float64
-	place      sim.Placement
+	place      placed
 	requeues   int     // times a node failure killed and requeued this job
 	requeuedAt float64 // virtual time of the last kill
 	lostSec    float64 // node-seconds-per-node of discarded partial work
@@ -299,6 +299,13 @@ func (d *Daemon) job(r *jobRecord) (nodes int, estimate float64, eligible bool) 
 	return r.job.Nodes, r.job.Runtime, eligible
 }
 
+// placed is what a record keeps of a committed sim.Placement: a record
+// per job ever submitted is too many to carry the runs and stamp along.
+type placed struct {
+	Nodes                      []int
+	Exec, Cost, RefCost, Ratio float64
+}
+
 // startJob places and starts a job at virtual time v. A node going down
 // between the pass's capacity check and the allocation (fail/drain serviced
 // in the same pass) leaves the job valid: it retries once capacity returns.
@@ -307,7 +314,7 @@ func (d *Daemon) job(r *jobRecord) (nodes int, estimate float64, eligible bool) 
 func (d *Daemon) startJob(r *jobRecord, v float64) (sched.Outcome, error) {
 	pl, err := sim.PlaceJob(d.st, d.selector, d.defSel, r.job, d.cfg.CostMode)
 	if err == nil {
-		err = d.st.Allocate(r.job.ID, r.job.Class, pl.Nodes)
+		err = d.st.AllocatePlacement(r.job.ID, r.job.Class, &pl.Placed)
 	}
 	if errors.Is(err, cluster.ErrNodeUnavailable) {
 		return sched.Retry, nil
@@ -317,7 +324,7 @@ func (d *Daemon) startJob(r *jobRecord, v float64) (sched.Outcome, error) {
 		r.name = r.name + " (failed: " + err.Error() + ")"
 		return sched.Dropped, nil
 	}
-	r.place = pl
+	r.place = placed{pl.Nodes, pl.Exec, pl.Cost, pl.RefCost, pl.Ratio}
 	r.state = stateRunning
 	r.start = v
 	r.end = v + pl.Exec
@@ -677,7 +684,7 @@ func (d *Daemon) requeueJob(id int64, v float64) {
 	r.requeuedAt = v
 	r.lostSec += v - r.start
 	r.start, r.end = 0, 0
-	r.place = sim.Placement{}
+	r.place = placed{}
 	pos := slices.IndexFunc(d.queue, func(q *jobRecord) bool { return int64(q.job.ID) > id })
 	if pos < 0 {
 		pos = len(d.queue)

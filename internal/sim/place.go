@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
@@ -16,6 +17,10 @@ import (
 // bookkeeping for the dominant pattern.
 type Placement struct {
 	Nodes []int
+	// Placed is Nodes as the selector built and PlaceJob validated them;
+	// committing it (State.AllocatePlacement) on the unchanged state skips
+	// the node scan.
+	Placed cluster.Placement
 	// Exec is the modified runtime (Eq. 7); equals the job's base runtime
 	// for compute-intensive jobs and under the default algorithm.
 	Exec float64
@@ -48,37 +53,44 @@ func PlaceJobMapped(st *cluster.State, selector, defSel core.Selector, j workloa
 		pattern = p
 	}
 	req := core.Request{Job: j.ID, Nodes: j.Nodes, Class: j.Class, Pattern: pattern}
-	nodes, err := selector.Select(st, req)
+	placed, err := core.Place(selector, st, req)
 	if err != nil {
 		return Placement{}, fmt.Errorf("sim: job %d: %w", j.ID, err)
 	}
-	pl := Placement{Nodes: nodes, Exec: j.Runtime, Ratio: 1}
+	pl := Placement{Nodes: placed.Nodes(), Placed: placed, Exec: j.Runtime, Ratio: 1}
 	if j.Class != cluster.CommIntensive || len(j.Mix.Comms) == 0 || j.Nodes <= 1 {
 		return pl, nil
 	}
 	if remap {
-		mapped, _, err := mapping.Remap(st, j.ID, j.Class, nodes, pattern, mapping.Options{})
+		mapped, _, err := mapping.Remap(st, j.ID, j.Class, pl.Nodes, pattern, mapping.Options{})
 		if err != nil {
 			return Placement{}, fmt.Errorf("sim: job %d remap: %w", j.ID, err)
 		}
-		nodes = mapped
-		pl.Nodes = mapped
+		pl.Nodes, pl.Placed = mapped, cluster.NewPlacement(mapped)
 	}
-	defNodes, err := defSel.Select(st, req)
+	def, err := core.Place(defSel, st, req)
 	if err != nil {
 		return Placement{}, fmt.Errorf("sim: job %d (default reference): %w", j.ID, err)
 	}
-	ratios := make([]float64, len(j.Mix.Comms))
-	for k, c := range j.Mix.Comms {
-		costX, err := costmodel.CandidateCostMode(st, j.ID, j.Class, nodes, c.Pattern, mode)
+	// The default selector's own jobs, and most jobs of any selector on an
+	// empty enough machine, are placed where the reference is: pricing is
+	// a deterministic function of its arguments, so one evaluation serves
+	// as both costs.
+	same := slices.Equal(pl.Nodes, def.Nodes())
+	var buf [4]float64
+	ratios := buf[:0]
+	for _, c := range j.Mix.Comms {
+		costX, err := costmodel.PlacementCostMode(st, j.ID, j.Class, &pl.Placed, c.Pattern, mode)
 		if err != nil {
 			return Placement{}, fmt.Errorf("sim: job %d cost: %w", j.ID, err)
 		}
-		costD, err := costmodel.CandidateCostMode(st, j.ID, j.Class, defNodes, c.Pattern, mode)
-		if err != nil {
-			return Placement{}, fmt.Errorf("sim: job %d reference cost: %w", j.ID, err)
+		costD := costX
+		if !same {
+			if costD, err = costmodel.PlacementCostMode(st, j.ID, j.Class, &def, c.Pattern, mode); err != nil {
+				return Placement{}, fmt.Errorf("sim: job %d reference cost: %w", j.ID, err)
+			}
 		}
-		ratios[k] = costmodel.RuntimeRatio(costX, costD)
+		ratios = append(ratios, costmodel.RuntimeRatio(costX, costD))
 		if c.Pattern == pattern {
 			pl.Cost = costX
 			pl.RefCost = costD

@@ -372,7 +372,7 @@ func (e *engine) start(idx int, now float64) (sched.Outcome, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := e.st.Allocate(j.ID, j.Class, pl.Nodes); err != nil {
+	if err := e.st.AllocatePlacement(j.ID, j.Class, &pl.Placed); err != nil {
 		return 0, err
 	}
 	e.results[idx] = metrics.JobResult{
