@@ -12,12 +12,13 @@ vet:
 	$(GO) vet ./...
 
 # Static invariants (DESIGN.md §8): the cawslint suite over the whole
-# tree, the //caws:noalloc escape gate, then the pinned external linters
-# (skipped gracefully offline). Any diagnostic fails the build; suppress
-# false positives in place with an explained
+# tree, the //caws:noalloc escape gate, gofmt, then the pinned external
+# linters (skipped gracefully offline). Any diagnostic fails the build;
+# suppress false positives in place with an explained
 # `//lint:allow <analyzer> <reason>`.
 lint:
 	$(GO) run ./cmd/cawslint ./...
+	sh scripts/gofmt-check.sh
 	sh scripts/noalloc-check.sh
 	sh scripts/lint-extra.sh
 
@@ -33,8 +34,9 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz runs of the native fuzz targets; CI smoke, not a soak. The
-# scheduled CI fuzz job runs the same seven targets at FUZZTIME=5m.
+# scheduled CI fuzz job runs the same eight targets at FUZZTIME=5m.
 fuzz-smoke:
+	$(GO) test ./internal/collective -run FuzzCompactExpand -fuzz FuzzCompactExpand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run FuzzAllocate -fuzz FuzzAllocate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run FuzzPlacementAllocate -fuzz FuzzPlacementAllocate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify -run FuzzRunContinuous -fuzz FuzzRunContinuous -fuzztime $(FUZZTIME)
@@ -56,11 +58,11 @@ verify:
 # Fast-path micro-benchmarks with their opt/ref speedup pairs, recorded as
 # a dated JSON artifact (BENCH_<date>.json, committed for the perf PRs).
 BENCHTIME ?= 1s
-BENCH_PKGS = ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon
+BENCH_PKGS = ./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon
 # -p 1 keeps package test binaries sequential: concurrently running
 # packages contaminate each other's timings.
 bench:
-	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkJobCost$$|BenchmarkJobCost512Leaves|BenchmarkJobCost4096LeavesWide|BenchmarkCompile|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput' \
+	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkJobCost$$|BenchmarkJobCost512Leaves|BenchmarkJobCost4096LeavesWide|BenchmarkCompile|BenchmarkScheduleBlocks|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput' \
 		-benchtime $(BENCHTIME) -benchmem -json $(BENCH_PKGS) > BENCH_$$(date +%F).json
 	@echo "wrote BENCH_$$(date +%F).json"
 

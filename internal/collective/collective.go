@@ -12,7 +12,6 @@ package collective
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 )
 
@@ -103,27 +102,36 @@ type Step struct {
 // algorithm runs over the 2^⌊log2 ranks⌋ surviving ranks, and a final step
 // unfolds the result.
 func (p Pattern) Schedule(ranks int) ([]Step, error) {
+	blocks, steps, err := p.generate(ranks)
+	if blocks != nil {
+		steps = Expand(blocks)
+	}
+	return steps, err
+}
+
+// generate builds the schedule in the form the pattern's generator has:
+// closed-form blocks for RD, RHVD, Binomial and Ring, pair lists for the
+// patterns with no such regularity.
+func (p Pattern) generate(ranks int) ([]BlockStep, []Step, error) {
 	if ranks < 1 {
-		return nil, fmt.Errorf("collective: %v: ranks must be >= 1, got %d", p, ranks)
+		return nil, nil, fmt.Errorf("collective: %v: ranks must be >= 1, got %d", p, ranks)
 	}
 	if ranks == 1 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	switch p {
-	case RD:
-		return recursiveSchedule(ranks, false), nil
-	case RHVD:
-		return recursiveSchedule(ranks, true), nil
+	case RD, RHVD:
+		return recursiveBlocks(ranks, p == RHVD), nil, nil
 	case Binomial:
-		return binomialSchedule(ranks), nil
+		return binomialBlocks(ranks), nil, nil
 	case Ring:
-		return ringSchedule(ranks), nil
+		return ringBlocks(ranks), nil, nil
 	case Stencil:
-		return stencilSchedule(ranks), nil
+		return nil, stencilSchedule(ranks), nil
 	case Alltoall:
-		return alltoallSchedule(ranks), nil
+		return nil, alltoallSchedule(ranks), nil
 	default:
-		return nil, fmt.Errorf("collective: unknown pattern %d", uint8(p))
+		return nil, nil, fmt.Errorf("collective: unknown pattern %d", uint8(p))
 	}
 }
 
@@ -136,133 +144,11 @@ func (p Pattern) MustSchedule(ranks int) []Step {
 	return s
 }
 
-// NumSteps returns the number of steps Schedule produces without building
-// the pair lists.
+// NumSteps returns the number of steps Schedule produces, without building
+// pair lists for the patterns with closed-form Blocks.
 func (p Pattern) NumSteps(ranks int) int {
-	if ranks <= 1 {
-		return 0
-	}
-	q := bits.Len(uint(ranks)) - 1 // floor(log2 ranks)
-	pow2 := ranks == 1<<q
-	switch p {
-	case RD, RHVD:
-		if pow2 {
-			return q
-		}
-		return q + 2
-	case Binomial:
-		if pow2 {
-			return q
-		}
-		return q + 1 // ceil(log2 ranks)
-	case Ring:
-		return ranks - 1
-	case Stencil:
-		return len(stencilSchedule(ranks))
-	case Alltoall:
-		return ranks - 1
-	default:
-		return 0
-	}
-}
-
-// recursiveSchedule builds RD (vectorDoubling=false) or RHVD
-// (vectorDoubling=true) schedules.
-func recursiveSchedule(ranks int, vectorDoubling bool) []Step {
-	q := bits.Len(uint(ranks)) - 1
-	pow2 := 1 << q
-	r := ranks - pow2
-
-	// survivors maps the 2^q algorithm ranks to real ranks.
-	survivors := make([]int, 0, pow2)
-	if r == 0 {
-		for i := 0; i < ranks; i++ {
-			survivors = append(survivors, i)
-		}
-	} else {
-		for i := 0; i < 2*r; i += 2 {
-			survivors = append(survivors, i+1) // odd ranks of the folded prefix
-		}
-		for i := 2 * r; i < ranks; i++ {
-			survivors = append(survivors, i)
-		}
-	}
-
-	var steps []Step
-	if r > 0 {
-		pre := Step{MsgSize: 1}
-		for m := 0; m < r; m++ {
-			pre.Pairs = append(pre.Pairs, Pair{2 * m, 2*m + 1})
-		}
-		steps = append(steps, pre)
-	}
-	for k := 0; k < q; k++ {
-		var dist int
-		msize := 1.0
-		if vectorDoubling {
-			// Distance halves (2^(q-1-k)) while the vector doubles (2^k).
-			dist = 1 << (q - 1 - k)
-			msize = float64(int64(1) << k)
-		} else {
-			dist = 1 << k
-		}
-		st := Step{MsgSize: msize}
-		for i := 0; i < pow2; i++ {
-			j := i ^ dist
-			if i < j {
-				st.Pairs = append(st.Pairs, Pair{survivors[i], survivors[j]})
-			}
-		}
-		steps = append(steps, st)
-	}
-	if r > 0 {
-		post := Step{MsgSize: 1}
-		if vectorDoubling {
-			// The folded ranks receive the fully gathered vector.
-			post.MsgSize = float64(pow2)
-		}
-		for m := 0; m < r; m++ {
-			post.Pairs = append(post.Pairs, Pair{2 * m, 2*m + 1})
-		}
-		steps = append(steps, post)
-	}
-	return steps
-}
-
-// binomialSchedule builds the binomial-tree broadcast schedule: at step k,
-// every rank i < 2^k with a partner i + 2^k < ranks sends to it.
-func binomialSchedule(ranks int) []Step {
-	var steps []Step
-	for offset := 1; offset < ranks; offset <<= 1 {
-		st := Step{MsgSize: 1}
-		for i := 0; i < offset && i+offset < ranks; i++ {
-			st.Pairs = append(st.Pairs, Pair{i, i + offset})
-		}
-		steps = append(steps, st)
-	}
-	return steps
-}
-
-// ringSchedule builds the ring allgather schedule: ranks-1 steps, each a
-// full neighbour exchange around the ring.
-func ringSchedule(ranks int) []Step {
-	pairs := make([]Pair, 0, ranks)
-	for i := 0; i < ranks; i++ {
-		j := (i + 1) % ranks
-		a, b := i, j
-		if b < a {
-			a, b = b, a
-		}
-		pairs = append(pairs, Pair{a, b})
-	}
-	if ranks == 2 {
-		pairs = pairs[:1]
-	}
-	steps := make([]Step, ranks-1)
-	for k := range steps {
-		steps[k] = Step{Pairs: pairs, MsgSize: 1}
-	}
-	return steps
+	blocks, _ := p.Blocks(ranks) // no blocks for no ranks or an unknown pattern
+	return len(blocks)
 }
 
 // TotalMessages returns the total number of point-to-point messages in the

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -160,7 +161,9 @@ func BenchmarkJobCost(b *testing.B) {
 // topo: "contiguous" fills leaves in order (what the selectors mostly
 // emit), "fragmented" deals chunk-node pieces round-robin over the leaves
 // (a busy machine's leftovers), "permuted" shuffles the fragmented list
-// (only rank remapping produces that: every leaf run has length ~1).
+// (only rank remapping produces that: every leaf run has length ~1),
+// "selector" is one run per leaf in most-free-first order (what greedy
+// Place returns on a loaded machine).
 func compileLists(topo *topology.Topology, n, chunk int) map[string][]int {
 	contiguous := make([]int, n)
 	for i := range contiguous {
@@ -179,23 +182,49 @@ func compileLists(topo *topology.Topology, n, chunk int) map[string][]int {
 	rand.New(rand.NewSource(int64(n))).Shuffle(n, func(i, j int) {
 		permuted[i], permuted[j] = permuted[j], permuted[i]
 	})
-	return map[string][]int{"contiguous": contiguous, "fragmented": fragmented, "permuted": permuted}
+	// Free counts as a machine loaded to half leaves them, or as loaded as
+	// a job of n ranks lets it be; most free first, so leaf indices jump.
+	rng := rand.New(rand.NewSource(int64(n) + 1))
+	load := min(0.5, 0.8*(1-float64(n)/float64(topo.NumNodes())))
+	order := make([][2]int, topo.NumLeaves()) // (free nodes, leaf)
+	for l := range order {
+		size := len(topo.LeafNodes(l))
+		order[l] = [2]int{size - rng.Intn(int(2*load*float64(size))+1), l}
+	}
+	slices.SortFunc(order, func(a, b [2]int) int { return cmp.Or(b[0]-a[0], a[1]-b[1]) })
+	selector := make([]int, 0, n)
+	for _, fl := range order {
+		selector = append(selector, topo.LeafNodes(fl[1])[:min(fl[0], n-len(selector))]...)
+	}
+	if len(selector) < n {
+		panic("compileLists: the selector-shaped list ran out of free nodes")
+	}
+	return map[string][]int{"contiguous": contiguous, "fragmented": fragmented, "permuted": permuted, "selector": selector}
 }
 
-// BenchmarkCompile measures the cold compile — buildLeafSchedule with the
-// schedule's stored segments, as a memoised schedule's first pricing on a
-// new node list runs it — of recursive doubling on Intrepid, and reports
-// it per schedule pair (the unit the pre-run compiler's cost was linear
-// in, ≈ 10 ns). Every other costmodel benchmark prices through a warm
-// leafSchedCache and never sees this layer.
+// BenchmarkCompile measures the cold compile — buildLeafSchedule from the
+// memo's blocks, as a schedule's first pricing on a new node list runs it —
+// of recursive doubling on Intrepid. Its cost is linear in blocks × runs
+// crossed, not in pairs; ns/pair is reported to show how far below one
+// visit per pair (≈ 10 ns each before the run compile) that lands.
+// "selector" is the shape the replays compile: what greedy Place returns on
+// a half-loaded machine. Every other costmodel benchmark prices through a
+// warm leafSchedCache and never sees this layer.
 func BenchmarkCompile(b *testing.B) {
 	topo := topology.Intrepid()
 	lay := cluster.LayoutOf(topo)
-	for _, shape := range []string{"contiguous", "fragmented", "permuted"} {
-		for _, n := range []int{512, 4096, 32768} {
+	for _, shape := range []string{"contiguous", "fragmented", "permuted", "selector"} {
+		sizes := []int{512, 4096, 32768}
+		if shape == "selector" {
+			sizes = []int{4096, 5263, 32768}
+		}
+		for _, n := range sizes {
 			nodes := compileLists(topo, n, 24)[shape]
-			steps := collective.RD.MustSchedule(n)
-			memo := segmentsOf(steps)
+			blocks, err := collective.RD.Blocks(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pairs := collective.TotalMessages(collective.Expand(blocks))
 			b.Run(fmt.Sprintf("%s/%d", shape, n), func(b *testing.B) {
 				sc := new(buildScratch)
 				b.ReportAllocs()
@@ -204,11 +233,11 @@ func BenchmarkCompile(b *testing.B) {
 					if !pl.Reduce(lay, &sc.scan) {
 						b.Fatal("fixture list does not compile")
 					}
-					if _, err := buildLeafSchedule(lay, sc, pl.Runs(), steps, memo); err != nil {
+					if _, err := buildLeafSchedule(lay, sc, pl.Runs(), nil, blocks); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(collective.TotalMessages(steps)), "ns/pair")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 			})
 		}
 	}

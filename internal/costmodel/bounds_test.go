@@ -1,9 +1,13 @@
 package costmodel
 
 import (
+	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/collective"
 )
 
@@ -78,5 +82,81 @@ func TestScheduleForMemoized(t *testing.T) {
 	}
 	if &c[0].Pairs[0] == &a[0].Pairs[0] {
 		t.Error("reference mode returned the memoized schedule")
+	}
+}
+
+// TestFastPathNeverMaterialisesPairs pins the memo's laziness: pricing a
+// fresh (pattern, size) leaves its entry with blocks only; the first
+// ScheduleFor call lists the pairs, once, for every later caller; and the
+// price is the same bit for bit before, during and after. Run it under
+// -race: the ScheduleFor and pricing callers are concurrent.
+func TestFastPathNeverMaterialisesPairs(t *testing.T) {
+	st := leafAggState(t)
+	const p = collective.RHVD
+	free := []int{2, 3, 5, 6, 7, 8, 9, 10, 12, 13, 16, 17, 21, 22, 24, 25, 26, 28, 29}
+	n := 13 // the first size from here that nothing has priced yet (-count reruns this test)
+	entry := func() *memoSchedule {
+		v, _ := scheduleCache.Load(scheduleKey{p, n})
+		m, _ := v.(*memoSchedule)
+		return m
+	}
+	for entry() != nil {
+		if n++; n > len(free) {
+			t.Skipf("%v is memoised at every size this test can price", p)
+		}
+	}
+	nodes := free[:n]
+	price := func() uint64 {
+		c, err := CandidateCostMode(st, 7, cluster.CommIntensive, nodes, p, ModeEffectiveHops)
+		if err != nil {
+			t.Error(err)
+		}
+		return math.Float64bits(c)
+	}
+	before := price()
+	m := entry()
+	if m == nil {
+		t.Fatal("pricing left no memo entry (is the memo full?)")
+	}
+	if len(m.blocks) == 0 || m.steps != nil {
+		t.Fatalf("after pricing the entry has %d block steps and %d pair-list steps, want blocks only", len(m.blocks), len(m.steps))
+	}
+
+	const callers = 8
+	first := make([]*collective.Pair, callers)
+	prices := make([]uint64, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			steps, err := ScheduleFor(p, n)
+			if err != nil || len(steps) == 0 {
+				t.Errorf("ScheduleFor: %d steps, %v", len(steps), err)
+				return
+			}
+			first[g], prices[g] = &steps[0].Pairs[0], price()
+		}()
+	}
+	wg.Wait()
+	if entry() != m || m.steps == nil {
+		t.Fatal("ScheduleFor did not list the pairs on the memo entry pricing made")
+	}
+	for g := range first {
+		if first[g] != &m.steps[0].Pairs[0] {
+			t.Errorf("caller %d got a pair list of its own", g)
+		}
+		if prices[g] != before {
+			t.Errorf("caller %d priced %x, want %x as before the pairs were listed", g, prices[g], before)
+		}
+	}
+	if after := price(); after != before {
+		t.Errorf("price %x after listing the pairs, %x before", after, before)
+	}
+	want := p.MustSchedule(n)
+	for k := range want {
+		if !slices.Equal(m.steps[k].Pairs, want[k].Pairs) || m.steps[k].MsgSize != want[k].MsgSize {
+			t.Fatalf("step %d of the listed pairs differs from a fresh build", k)
+		}
 	}
 }

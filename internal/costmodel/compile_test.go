@@ -86,128 +86,165 @@ func perPairCompile(lay *cluster.Layout, nodes []int, steps []collective.Step) (
 }
 
 // compileCold runs the production compile on a fresh scratch, bypassing
-// leafSchedCache; ok is false for a list the run view rejects.
-func compileCold(lay *cluster.Layout, nodes []int, steps []collective.Step, memo *memoSchedule) (ls *leafSchedule, ok bool, err error) {
+// leafSchedCache, from blocks or, blocks nil, from steps with on-the-fly
+// detection; ok is false for a list the run view rejects.
+func compileCold(lay *cluster.Layout, nodes []int, steps []collective.Step, blocks []collective.BlockStep) (ls *leafSchedule, ok bool, err error) {
 	sc := new(buildScratch)
 	pl := cluster.NewPlacement(nodes)
 	if !pl.Reduce(lay, &sc.scan) {
 		return nil, false, nil
 	}
-	ls, err = buildLeafSchedule(lay, sc, pl.Runs(), steps, memo)
+	if blocks != nil {
+		steps = nil
+	}
+	ls, err = buildLeafSchedule(lay, sc, pl.Runs(), steps, blocks)
 	return ls, true, err
 }
 
-// stepSegments splits a memo entry's flat segment list by step: the
-// segments of a non-repeat step are the next ones whose lengths add up to
-// its pair count; empty and repeat steps have none.
-func stepSegments(t testing.TB, steps []collective.Step, memo *memoSchedule) [][]pairSeg {
+// blockSources are the three forms the compile reads one schedule in: the
+// pattern's own Blocks (closed form where there is one; nil for steps no
+// pattern made), the detector's blocks, and nil — the steps themselves,
+// cut into single-repetition blocks on the fly.
+func blockSources(t *testing.T, label string, own []collective.BlockStep, steps []collective.Step) map[string][]collective.BlockStep {
 	t.Helper()
-	out := make([][]pairSeg, len(steps))
-	next := 0
-	var prevPairs *collective.Pair
-	for sIdx, step := range steps {
-		if len(step.Pairs) == 0 || prevPairs == &step.Pairs[0] {
-			continue
-		}
-		prevPairs = &step.Pairs[0]
-		start := next
-		for covered := 0; covered < len(step.Pairs); next++ {
-			if next == len(memo.seg) {
-				t.Fatalf("step %d: stored segments end %d pairs short", sIdx, len(step.Pairs)-covered)
-			}
-			covered += int(memo.seg[next].n)
-		}
-		out[sIdx] = memo.seg[start:next]
+	srcs := map[string][]collective.BlockStep{"compacted": collective.Compact(steps), "on the fly": nil}
+	if own != nil {
+		srcs["own"] = own
 	}
-	if next != len(memo.seg) {
-		t.Fatalf("%d stored segments belong to no step", len(memo.seg)-next)
+	for name, blocks := range srcs {
+		if blocks != nil {
+			checkExpands(t, label+" ("+name+")", blocks, steps)
+		}
 	}
-	return out
+	return srcs
 }
 
-// compileReach counts which shapes of the run × segment walk a test's
-// inputs exercised, so "it passed" cannot mean "it never got there".
+// checkExpands requires blocks to list exactly steps' pairs, in order, with
+// the same repeat steps.
+func checkExpands(t *testing.T, label string, blocks []collective.BlockStep, steps []collective.Step) {
+	t.Helper()
+	got := collective.Expand(blocks)
+	if len(got) != len(steps) {
+		t.Fatalf("%s: blocks list %d steps, want %d", label, len(got), len(steps))
+	}
+	var prevGot, prevWant *collective.Pair
+	for s, want := range steps {
+		if !slices.Equal(got[s].Pairs, want.Pairs) || got[s].MsgSize != want.MsgSize {
+			t.Fatalf("%s step %d: blocks expand to %+v, want %+v", label, s, got[s], want)
+		}
+		if len(want.Pairs) == 0 {
+			continue
+		}
+		if (prevGot == &got[s].Pairs[0]) != (prevWant == &want.Pairs[0]) {
+			t.Fatalf("%s step %d: repeat marker differs", label, s)
+		}
+		prevGot, prevWant = &got[s].Pairs[0], &want.Pairs[0]
+	}
+}
+
+// compileReach counts which shapes of the breakpoint walk a test's inputs
+// exercised, so "it passed" cannot mean "it never got there". Everything is
+// derived from the blocks and the node list, not from the compiler.
 type compileReach struct {
-	stride1, stride2, single, repeat int // segments by shape (length > 1, length 1), repeat steps
+	stride1, stride2, single, repeat int // equal-stride blocks by shape (N > 1, N = 1), repeat steps
+	multiRep, unequal                int // blocks with Reps > 1, blocks with SA ≠ SB and N > 1
+	wholeSkips                       int // repetitions taken together with the one before: a k > 1 update
+	unequalPieces                    int // unequal-stride repetitions cut by a run boundary
+	backwards                        int // blocks starting in a run behind the one the last block ended in
 	splitA, splitB                   int // pieces ended by the A side's run alone / the B side's alone
-	stored, onTheFly                 int // compiles per segment source
+	own, compacted, onTheFly         int // compiles per block source
 }
 
-// observe classifies one (schedule, node list) input: segment shapes from
-// the production segmentsOf, run-boundary splits from the node list's
-// leaves directly.
-func (r *compileReach) observe(lay *cluster.Layout, nodes []int, steps []collective.Step, segs [][]pairSeg) {
-	sameRun := func(x, y int32) bool { // ranks x..y all on one leaf
-		for r := x; r < y; r++ {
-			if lay.NodeLeaf[nodes[r]] != lay.NodeLeaf[nodes[r+1]] {
-				return false
-			}
+// observe classifies one (blocks, node list) input.
+func (r *compileReach) observe(lay *cluster.Layout, nodes []int, blocks []collective.BlockStep) {
+	runOf := make([]int, len(nodes)) // rank -> index of its leaf run
+	for i := 1; i < len(nodes); i++ {
+		runOf[i] = runOf[i-1]
+		if lay.NodeLeaf[nodes[i]] != lay.NodeLeaf[nodes[i-1]] {
+			runOf[i]++
 		}
-		return true
 	}
-	var prevPairs *collective.Pair
-	for sIdx, step := range steps {
-		if len(step.Pairs) > 0 && prevPairs == &step.Pairs[0] {
+	lastA, lastB := 0, 0 // where the previous block left the cursors
+	for _, bs := range blocks {
+		if bs.Repeat {
 			r.repeat++
-			continue
 		}
-		if len(step.Pairs) > 0 {
-			prevPairs = &step.Pairs[0]
-		}
-		for _, sg := range segs[sIdx] {
+		for _, k := range bs.Blocks {
+			if k.A == k.B && k.SA == k.SB {
+				continue // skipped whole
+			}
 			switch {
-			case sg.n == 1:
+			case k.N == 1:
 				r.single++
-			case sg.stride == 1:
+			case k.SA != k.SB:
+				r.unequal++
+			case k.SA == 1:
 				r.stride1++
-			case sg.stride == 2:
+			case k.SA == 2:
 				r.stride2++
 			}
-			for t := int32(1); t < sg.n; t++ {
-				cutA := !sameRun(sg.a+sg.stride*(t-1), sg.a+sg.stride*t)
-				cutB := !sameRun(sg.b+sg.stride*(t-1), sg.b+sg.stride*t)
-				if cutA && !cutB {
-					r.splitA++
+			if k.Reps > 1 {
+				r.multiRep++
+			}
+			if runOf[k.A] < runOf[lastA] || runOf[k.B] < runOf[lastB] {
+				r.backwards++
+			}
+			spanA, spanB := k.SA*(k.N-1), k.SB*(k.N-1)
+			for u := 0; u < k.Reps; u++ {
+				a, b := k.A+k.Outer*u, k.B+k.Outer*u
+				whole := runOf[a] == runOf[a+spanA] && runOf[b] == runOf[b+spanB]
+				if u > 0 && runOf[a-k.Outer] == runOf[a+spanA] && runOf[b-k.Outer] == runOf[b+spanB] {
+					r.wholeSkips++ // this repetition and the one before lie in one run on both sides
 				}
-				if cutB && !cutA {
-					r.splitB++
+				if !whole && k.SA != k.SB {
+					r.unequalPieces++
 				}
+				for t := 1; t < k.N; t++ {
+					cutA := runOf[a+k.SA*(t-1)] != runOf[a+k.SA*t]
+					cutB := runOf[b+k.SB*(t-1)] != runOf[b+k.SB*t]
+					if cutA && !cutB {
+						r.splitA++
+					}
+					if cutB && !cutA {
+						r.splitB++
+					}
+				}
+				lastA, lastB = a+spanA, b+spanB
 			}
 		}
 	}
 }
 
-// checkSegments requires segs to be steps cut into maximal affine
-// segments: expanding them reproduces every non-repeat step's pairs in
-// order, and no segment could have absorbed the pair after it.
-func checkSegments(t *testing.T, label string, steps []collective.Step, memo *memoSchedule) [][]pairSeg {
-	t.Helper()
-	segs := stepSegments(t, steps, memo)
-	for sIdx, step := range steps {
-		stored := segs[sIdx]
-		i := 0
-		for _, sg := range stored {
-			if sg.n < 1 || sg.stride < 1 {
-				t.Fatalf("%s step %d: degenerate segment %+v", label, sIdx, sg)
-			}
-			for k := int32(0); k < sg.n; k, i = k+1, i+1 {
-				want := collective.Pair{A: int(sg.a + sg.stride*k), B: int(sg.b + sg.stride*k)}
-				if i >= len(step.Pairs) || step.Pairs[i] != want {
-					t.Fatalf("%s step %d: segment %+v expands to %+v at pair %d", label, sIdx, sg, want, i)
-				}
-			}
-			if next := i; sg.n > 1 && next < len(step.Pairs) {
-				last := step.Pairs[next-1]
-				if step.Pairs[next] == (collective.Pair{A: last.A + int(sg.stride), B: last.B + int(sg.stride)}) {
-					t.Fatalf("%s step %d: segment %+v is not maximal", label, sIdx, sg)
-				}
-			}
-		}
-		if len(stored) > 0 && i != len(step.Pairs) {
-			t.Fatalf("%s step %d: segments cover %d of %d pairs", label, sIdx, i, len(step.Pairs))
+// unreached lists the shapes the inputs never produced.
+func (r *compileReach) unreached() []string {
+	var missing []string
+	for name, n := range map[string]int{
+		"stride-1 blocks": r.stride1, "stride-2 blocks": r.stride2, "single-pair blocks": r.single,
+		"repeat steps": r.repeat, "multi-repetition blocks": r.multiRep, "unequal-stride blocks": r.unequal,
+		"whole-repetition skips (k > 1)": r.wholeSkips, "cut unequal-stride repetitions": r.unequalPieces,
+		"backward cursor moves at a block start": r.backwards,
+		"A-side run splits":                      r.splitA, "B-side run splits": r.splitB,
+		"compiles from a pattern's own blocks": r.own, "compiles from compacted blocks": r.compacted,
+		"on-the-fly compiles": r.onTheFly,
+	} {
+		if n == 0 {
+			missing = append(missing, name)
 		}
 	}
-	return segs
+	slices.Sort(missing)
+	return missing
+}
+
+// count records one compile from the named block source.
+func (r *compileReach) count(src string) {
+	switch src {
+	case "own":
+		r.own++
+	case "compacted":
+		r.compacted++
+	default:
+		r.onTheFly++
+	}
 }
 
 // diffLeafSchedules compares two compiled schedules term for term.
@@ -235,22 +272,31 @@ func diffLeafSchedules(got, want *leafSchedule) string {
 	return ""
 }
 
-// TestCompileMatchesPerPairReference compares the run × segment compile
+// TestCompileMatchesPerPairReference compares the breakpoint-walk compile
 // with the per-pair compiler it replaced, term for term, over every
-// pattern, power-of-two and other sizes, and node lists from one run per
-// leaf down to one rank per run — each through both segment sources.
+// pattern, power-of-two and folded sizes, and node lists from one run per
+// leaf down to one rank per run — each through all three block sources.
 func TestCompileMatchesPerPairReference(t *testing.T) {
-	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 16, Fanouts: []int{16, 16}})
-	lay := cluster.LayoutOf(topo)
+	small := topology.MustGenerate(topology.Spec{NodesPerLeaf: 16, Fanouts: []int{16, 16}})
 	patterns := []collective.Pattern{collective.RD, collective.RHVD, collective.Binomial,
 		collective.Ring, collective.Stencil, collective.Alltoall}
-	sizes := []int{2, 3, 8, 24, 100, 128, 1000, 4096}
-	if testing.Short() {
-		sizes = []int{2, 3, 8, 24, 100, 128}
+	cases := []struct {
+		topo *topology.Topology
+		n    int
+	}{{small, 2}, {small, 3}, {small, 8}, {small, 24}, {small, 100}, {small, 128}}
+	if !testing.Short() {
+		// The folded sizes are Intrepid job widths (r = 1167 and 3808).
+		intrepid := topology.Intrepid()
+		cases = append(cases, []struct {
+			topo *topology.Topology
+			n    int
+		}{{small, 1000}, {small, 4096}, {intrepid, 5263}, {intrepid, 12000}}...)
 	}
 	var reach compileReach
 	aggCompiled := 0
-	for _, n := range sizes {
+	for _, tc := range cases {
+		topo, n := tc.topo, tc.n
+		lay := cluster.LayoutOf(topo)
 		lists := compileLists(topo, n, 5)
 		// One rank per run: deal the ranks round-robin over the leaves.
 		perRun := make([]int, n)
@@ -259,32 +305,33 @@ func TestCompileMatchesPerPairReference(t *testing.T) {
 		}
 		lists["one-rank-per-run"] = perRun
 		for _, p := range patterns {
-			if p == collective.Alltoall && n > 1000 {
-				continue // n−1 steps of n/2 pairs: 8M pairs add time, not shapes
+			if n > 1000 && (p == collective.Alltoall || p == collective.Ring && n > 4096) {
+				continue // n−1 steps: millions of pairs (or of per-pair map updates) add time, not shapes
 			}
 			steps := p.MustSchedule(n)
-			memo := segmentsOf(steps)
-			segs := checkSegments(t, fmt.Sprintf("%v/%d", p, n), steps, memo)
+			own, err := p.Blocks(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs := blockSources(t, fmt.Sprintf("%v/%d", p, n), own, steps)
 			for shape, nodes := range lists {
 				label := fmt.Sprintf("%v/%d/%s", p, n, shape)
 				want, err := perPairCompile(lay, nodes, steps)
 				if err != nil {
 					t.Fatalf("%s: reference compile: %v", label, err)
 				}
-				reach.observe(lay, nodes, steps, segs)
-				for _, src := range []*memoSchedule{memo, nil} {
-					got, ok, err := compileCold(lay, nodes, steps, src)
+				for name, blocks := range srcs {
+					if blocks != nil {
+						reach.observe(lay, nodes, blocks)
+					}
+					got, ok, err := compileCold(lay, nodes, steps, blocks)
 					if err != nil || !ok {
-						t.Fatalf("%s (stored=%v): compile: ok=%v err=%v", label, src != nil, ok, err)
+						t.Fatalf("%s (%s): compile: ok=%v err=%v", label, name, ok, err)
 					}
 					if d := diffLeafSchedules(got, want); d != "" {
-						t.Fatalf("%s (stored=%v): %s", label, src != nil, d)
+						t.Fatalf("%s (%s): %s", label, name, d)
 					}
-					if src != nil {
-						reach.stored++
-					} else {
-						reach.onTheFly++
-					}
+					reach.count(name)
 				}
 				if want.agg != nil {
 					aggCompiled++
@@ -293,16 +340,11 @@ func TestCompileMatchesPerPairReference(t *testing.T) {
 		}
 	}
 	t.Logf("reach: %+v, agg compiled in %d cases", reach, aggCompiled)
-	for name, n := range map[string]int{
-		"stride-1 segments": reach.stride1, "stride-2 segments": reach.stride2,
-		"length-1 segments": reach.single, "repeat steps": reach.repeat,
-		"A-side run splits": reach.splitA, "B-side run splits": reach.splitB,
-		"stored-segment compiles": reach.stored, "on-the-fly compiles": reach.onTheFly,
-		"aggregated schedules": aggCompiled,
-	} {
-		if n == 0 {
-			t.Errorf("the inputs never produced %s", name)
-		}
+	for _, name := range reach.unreached() {
+		t.Errorf("the inputs never produced %s", name)
+	}
+	if aggCompiled == 0 {
+		t.Error("the inputs never produced aggregated schedules")
 	}
 }
 
@@ -369,32 +411,72 @@ func TestCompileFallsBackOnRepeatedNodes(t *testing.T) {
 
 // TestSegmentRangeErrorParity checks that a rank past the node list is
 // reported exactly as the reference loop reports it — same step, same
-// (A,B) — when it sits inside a segment rather than at its start: in the
+// (A,B) — when it sits inside a block rather than at its start: in the
 // stride-2 fold prefix of a non-power-of-two schedule, mid-way through a
-// stride-1 block, and on the A side as well as the B side.
+// stride-1 block, in a later repetition of a multi-repetition block, in an
+// unequal-stride block, and on the A side as well as the B side.
 func TestSegmentRangeErrorParity(t *testing.T) {
 	st := leafAggState(t)
 	lay := cluster.LayoutOf(st.Topology())
 	free := []int{2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 18, 19, 20}
-	cases := []struct {
-		name  string
+	pattern := func(p collective.Pattern, ranks int) ([]collective.Step, []collective.BlockStep) {
+		own, err := p.Blocks(ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.MustSchedule(ranks), own
+	}
+	custom := func(steps ...[]collective.Pair) ([]collective.Step, []collective.BlockStep) {
+		out := make([]collective.Step, len(steps))
+		for i, pairs := range steps {
+			out[i] = collective.Step{Pairs: pairs, MsgSize: 1}
+		}
+		return out, nil
+	}
+	type schedule struct {
 		steps []collective.Step
+		own   []collective.BlockStep
+	}
+	sched := func(steps []collective.Step, own []collective.BlockStep) schedule { return schedule{steps, own} }
+	cases := []struct {
+		name string
+		schedule
 		nodes int // list length: ranks ≥ nodes are out of range
 		want  string
 	}{
 		// RD over 12 ranks folds (0,1) (2,3) (4,5) (6,7) first.
-		{"fold segment, B side", collective.RD.MustSchedule(12), 7, "step 0 pair (6,7)"},
-		{"fold segment, A side", collective.RD.MustSchedule(12), 6, "step 0 pair (6,7)"},
-		{"fold segment, first pair", collective.RD.MustSchedule(12), 1, "step 0 pair (0,1)"},
+		{"fold segment, B side", sched(pattern(collective.RD, 12)), 7, "step 0 pair (6,7)"},
+		{"fold segment, A side", sched(pattern(collective.RD, 12)), 6, "step 0 pair (6,7)"},
+		{"fold segment, first pair", sched(pattern(collective.RD, 12)), 1, "step 0 pair (0,1)"},
+		// Its next step pairs the survivors (1,3) (5,7) and (8,9) (10,11):
+		// two blocks of two single-pair repetitions.
+		{"multi-repetition block, last repetition", sched(pattern(collective.RD, 12)), 10, "step 1 pair (10,11)"},
 		// Binomial over 16 ranks: step 3 is the block (0,8) (1,9) ... (7,15).
-		{"stride-1 block, middle", collective.Binomial.MustSchedule(16), 11, "step 3 pair (3,11)"},
-		{"later step, B side only", []collective.Step{
-			{Pairs: []collective.Pair{{A: 0, B: 1}, {A: 2, B: 3}}, MsgSize: 1},
-			{Pairs: []collective.Pair{{A: 0, B: 2}, {A: 1, B: 3}, {A: 2, B: 4}, {A: 3, B: 5}}, MsgSize: 1},
-		}, 5, "step 1 pair (3,5)"},
-		{"negative rank", []collective.Step{
-			{Pairs: []collective.Pair{{A: -2, B: 0}, {A: -1, B: 1}, {A: 0, B: 2}}, MsgSize: 1},
-		}, 4, "step 0 pair (-2,0)"},
+		{"stride-1 block, middle", sched(pattern(collective.Binomial, 16)), 11, "step 3 pair (3,11)"},
+		{"later step, B side only", sched(custom(
+			[]collective.Pair{{A: 0, B: 1}, {A: 2, B: 3}},
+			[]collective.Pair{{A: 0, B: 2}, {A: 1, B: 3}, {A: 2, B: 4}, {A: 3, B: 5}},
+		)), 5, "step 1 pair (3,5)"},
+		{"negative rank", sched(custom(
+			[]collective.Pair{{A: -2, B: 0}, {A: -1, B: 1}, {A: 0, B: 2}},
+		)), 4, "step 0 pair (-2,0)"},
+		// A distance-2 butterfly over 16 ranks: four repetitions of two pairs.
+		{"multi-repetition block, middle of a repetition", sched(custom(
+			[]collective.Pair{{A: 0, B: 1}},
+			[]collective.Pair{{A: 0, B: 2}, {A: 1, B: 3}, {A: 4, B: 6}, {A: 5, B: 7}, {A: 8, B: 10}, {A: 9, B: 11}, {A: 12, B: 14}, {A: 13, B: 15}},
+		)), 11, "step 1 pair (9,11)"},
+		{"multi-repetition block, start of a repetition", sched(custom(
+			[]collective.Pair{{A: 0, B: 2}, {A: 1, B: 3}, {A: 4, B: 6}, {A: 5, B: 7}, {A: 8, B: 10}, {A: 9, B: 11}, {A: 12, B: 14}, {A: 13, B: 15}},
+		)), 10, "step 0 pair (8,10)"},
+		// RD over 12 ranks' distance-4 pairs, strides (2,1), and a (3,1) list
+		// whose A side leaves first.
+		{"unequal-stride block, B side", sched(custom(
+			[]collective.Pair{{A: 0, B: 1}},
+			[]collective.Pair{{A: 1, B: 8}, {A: 3, B: 9}, {A: 5, B: 10}, {A: 7, B: 11}},
+		)), 10, "step 1 pair (5,10)"},
+		{"unequal-stride block, A side", sched(custom(
+			[]collective.Pair{{A: 0, B: 1}, {A: 3, B: 2}, {A: 6, B: 3}, {A: 9, B: 4}},
+		)), 8, "step 0 pair (9,4)"},
 	}
 	for _, tc := range cases {
 		nodes := free[:tc.nodes]
@@ -402,10 +484,10 @@ func TestSegmentRangeErrorParity(t *testing.T) {
 		if refErr == nil || !strings.Contains(refErr.Error(), tc.want) {
 			t.Fatalf("%s: reference error %v does not name %s", tc.name, refErr, tc.want)
 		}
-		for _, src := range []*memoSchedule{segmentsOf(tc.steps), nil} {
-			_, _, err := compileCold(lay, nodes, tc.steps, src)
+		for name, blocks := range blockSources(t, tc.name, tc.own, tc.steps) {
+			_, _, err := compileCold(lay, nodes, tc.steps, blocks)
 			if err == nil || err.Error() != refErr.Error() {
-				t.Errorf("%s (stored=%v): compile error %v, reference %v", tc.name, src != nil, err, refErr)
+				t.Errorf("%s (%s): compile error %v, reference %v", tc.name, name, err, refErr)
 			}
 		}
 		if _, err := JobCost(st, nodes, tc.steps); err == nil || err.Error() != refErr.Error() {
@@ -416,7 +498,7 @@ func TestSegmentRangeErrorParity(t *testing.T) {
 
 // TestCompileRandomSchedules drives the compile with schedules no pattern
 // emits — random pairs, descending and mixed strides, self pairs, ranks
-// in either order — against random node lists, both segment sources.
+// in either order — against random node lists, through both block sources.
 func TestCompileRandomSchedules(t *testing.T) {
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 4, Fanouts: []int{4, 2}})
 	lay := cluster.LayoutOf(topo)
@@ -442,15 +524,13 @@ func TestCompileRandomSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		memo := segmentsOf(steps)
-		checkSegments(t, fmt.Sprintf("iter %d", iter), steps, memo)
-		for _, src := range []*memoSchedule{memo, nil} {
-			got, ok, err := compileCold(lay, nodes, steps, src)
+		for name, blocks := range blockSources(t, fmt.Sprintf("iter %d", iter), nil, steps) {
+			got, ok, err := compileCold(lay, nodes, steps, blocks)
 			if err != nil || !ok {
-				t.Fatalf("iter %d (stored=%v): ok=%v err=%v", iter, src != nil, ok, err)
+				t.Fatalf("iter %d (%s): ok=%v err=%v", iter, name, ok, err)
 			}
 			if d := diffLeafSchedules(got, want); d != "" {
-				t.Fatalf("iter %d (stored=%v): %s\nnodes %v\nsteps %+v", iter, src != nil, d, nodes, steps)
+				t.Fatalf("iter %d (%s): %s\nnodes %v\nsteps %+v", iter, name, d, nodes, steps)
 			}
 		}
 	}

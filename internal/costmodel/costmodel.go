@@ -65,8 +65,7 @@ func JobCost(st *cluster.State, nodes []int, steps []collective.Step) (float64, 
 	if len(steps) == 0 {
 		return 0, nil
 	}
-	pl := cluster.NewPlacement(nodes)
-	ls, err := leafSchedFor(cluster.LayoutOf(st.Topology()), &pl, steps, nil)
+	ls, err := leafSchedFor(st, nodes, steps)
 	if err != nil {
 		return 0, err
 	}
@@ -119,8 +118,7 @@ func JobCostHopBytes(st *cluster.State, nodes []int, steps []collective.Step, ba
 	if len(steps) == 0 {
 		return 0, nil
 	}
-	pl := cluster.NewPlacement(nodes)
-	ls, err := leafSchedFor(cluster.LayoutOf(st.Topology()), &pl, steps, nil)
+	ls, err := leafSchedFor(st, nodes, steps)
 	if err != nil {
 		return 0, err
 	}

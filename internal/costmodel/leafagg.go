@@ -45,8 +45,11 @@ const (
 // immutable after construction and safe for concurrent evaluation; all
 // mutable evaluation state lives in pooled scratches.
 type leafSchedule struct {
-	lay    *cluster.Layout
-	sid    *collective.Step // identity of the steps slice (&steps[0])
+	lay *cluster.Layout
+	// The cache key's second part: pat's own schedule over the ranks runs
+	// ends with (sid nil), or caller-supplied steps, known by &steps[0].
+	pat    collective.Pattern
+	sid    *collective.Step
 	nSteps int
 	runs   []uint64 // the placement's run sequence (cluster.Placement.Runs), the cache key's third part
 
@@ -85,61 +88,72 @@ const leafSchedSlots = 64
 
 // leafSchedCache is the shared compiled-schedule cache: a mutex-guarded
 // ring of immutable entries, keyed on all a compiled schedule depends on:
-// (layout, steps identity, the node list's rank→leaf run sequence).
-// Entries hold strong references to their steps slices, so a cached sid
-// pointer can never be recycled for a different schedule. Like the
-// schedule memo this assumes steps are never mutated after being costed;
-// ScheduleFor's memoized schedules satisfy that by contract.
+// (layout, schedule, the node list's rank→leaf run sequence). A pattern's
+// own schedule is named by the pattern, so pricing finds its entry without
+// the schedule in hand; caller-supplied steps by slice identity, and the
+// entry's sid keeps that slice alive, so the address cannot be recycled for
+// another schedule while the entry is cached. Like the schedule memo this
+// assumes steps are never mutated after being costed; ScheduleFor's
+// memoized schedules satisfy that by contract.
 var leafSchedCache struct {
 	mu   sync.Mutex
 	ents [leafSchedSlots]*leafSchedule
 	next int
 }
 
-// leafSchedFor returns the compiled schedule for (steps, placement),
-// building and caching it on first use. steps must be non-empty; memo is
-// their ScheduleFor entry, if any. The returned entry is shared and
-// read-only. A selector-built placement brings its run sequence, which is
-// the cache key as it stands; a wrapped list is reduced here. A nil entry
-// with a nil error means such a list repeats a node id or names one outside
-// the topology: the run view cannot express what the reference loops do
-// with such pairs, so the caller prices the list through them.
-func leafSchedFor(lay *cluster.Layout, pl *cluster.Placement, steps []collective.Step, memo *memoSchedule) (*leafSchedule, error) {
+// leafSchedFor returns the compiled schedule for (steps, nodes), building
+// and caching it on first use. steps must be non-empty. The returned entry
+// is shared and read-only. A nil entry with a nil error means the list
+// repeats a node id or names one outside the topology: the run view cannot
+// express what the reference loops do with such pairs, so the caller prices
+// the list through them.
+func leafSchedFor(st *cluster.State, nodes []int, steps []collective.Step) (*leafSchedule, error) {
+	lay, pl := cluster.LayoutOf(st.Topology()), cluster.NewPlacement(nodes)
 	sc := buildScratchPool.Get().(*buildScratch)
 	defer buildScratchPool.Put(sc)
 	if !pl.Reduce(lay, &sc.scan) {
 		return nil, nil
 	}
-	return sc.leafSched(lay, pl, steps, memo)
+	return sc.leafSched(lay, &pl, 0, steps)
 }
 
 // leafSched is leafSchedFor for a placement whose runs are at hand: its
-// own, or those a Reduce or Validate just left in sc.scan.
-func (sc *buildScratch) leafSched(lay *cluster.Layout, pl *cluster.Placement, steps []collective.Step, memo *memoSchedule) (*leafSchedule, error) {
+// own (a selector-built placement's run sequence is the cache key as it
+// stands), or those a Reduce or Validate just left in sc.scan. With steps
+// nil it compiles pat's own schedule, fetching its blocks only on a cache
+// miss; the entry is nil if that schedule has no steps.
+func (sc *buildScratch) leafSched(lay *cluster.Layout, pl *cluster.Placement, pat collective.Pattern, steps []collective.Step) (*leafSchedule, error) {
 	runs := pl.Runs()
+	var sid *collective.Step
+	if steps != nil {
+		sid = &steps[0]
+	}
 	leafSchedCache.mu.Lock()
 	for _, ls := range leafSchedCache.ents {
-		if ls != nil && ls.sid == &steps[0] && ls.nSteps == len(steps) && ls.lay == lay && slices.Equal(ls.runs, runs) {
+		if ls != nil && ls.sid == sid && ls.pat == pat && (sid == nil || ls.nSteps == len(steps)) && ls.lay == lay && slices.Equal(ls.runs, runs) {
 			leafSchedCache.mu.Unlock()
 			return ls, nil
 		}
 	}
 	leafSchedCache.mu.Unlock()
-	ls, err := buildLeafSchedule(lay, sc, runs, steps, memo)
+	var blocks []collective.BlockStep
+	if sid == nil {
+		var err error
+		if blocks, err = blocksFor(pat, pl.Len()); err != nil || len(blocks) == 0 {
+			return nil, err
+		}
+	}
+	ls, err := buildLeafSchedule(lay, sc, runs, steps, blocks)
 	if err != nil {
 		return nil, err
 	}
-	ls.runs = pl.RunsKey()
+	ls.pat, ls.sid, ls.runs = pat, sid, pl.RunsKey()
 	leafSchedCache.mu.Lock()
 	leafSchedCache.ents[leafSchedCache.next] = ls                    //lint:allow globalmut ring-buffer memo insert under leafSchedCache.mu; entries are immutable once built
 	leafSchedCache.next = (leafSchedCache.next + 1) % leafSchedSlots //lint:allow globalmut ring cursor advance under leafSchedCache.mu
 	leafSchedCache.mu.Unlock()
 	return ls, nil
 }
-
-// rankRun is one rank's view of the node list's leaf runs: its leaf's index
-// in ls.leaves, and the rank ending its maximal run of ranks on that leaf.
-type rankRun struct{ pos, end int32 }
 
 // buildScratch is the pooled working set of leafSchedFor and of candidate
 // validation: the cluster.Scratch a wrapped list is scanned with, and the
@@ -151,16 +165,17 @@ type rankRun struct{ pos, end int32 }
 // Arrays grow on demand and persist in the pool; freshly grown arrays are
 // zeroed, which the monotone epoch/tag counters read as stale.
 type buildScratch struct {
-	scan      cluster.Scratch
-	ranks     []rankRun // rank -> run view, filled by buildLeafSchedule
-	leafPos   []int32   // real leaf -> index into ls.leaves, valid per epoch
-	leafEpoch []uint32
-	pairID    []int32 // compact pair -> index into ls.pairLi, valid per epoch
-	pairEpoch []uint32
-	stepTag   []uint32 // compact pair -> tag of the step that last saw it
-	stepPos   []int32  // compact pair -> position in ls.ids for that step
-	epoch     uint32
-	tag       uint32
+	scan                   cluster.Scratch
+	leafPos                []int32 // real leaf -> index into ls.leaves, valid per epoch
+	runPos                 []int32 // run -> index of its leaf in ls.leaves
+	leafEpoch              []uint32
+	pairID                 []int32 // compact pair -> index into ls.pairLi, valid per epoch
+	pairEpoch              []uint32
+	stepTag                []uint32 // compact pair -> tag of the step that last saw it
+	stepPos                []int32  // compact pair -> position in ls.ids for that step
+	pairLi, pairLj, ids, w []int32  // what a schedule's tables grow in; it keeps exact copies
+	epoch                  uint32
+	tag                    uint32
 }
 
 var buildScratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
@@ -189,139 +204,264 @@ func (sc *buildScratch) begin(lay *cluster.Layout) {
 	}
 }
 
-// segAt returns the stride and length of the maximal affine segment that
-// starts at pairs[i]: the longest stretch pairs[i+t] = (A+s·t, B+s·t) with
-// one stride s > 0 (moot at length 1). Every collective.Pattern emits these:
-// butterfly blocks at stride 1, folds and matchings at stride 2.
-func segAt(pairs []collective.Pair, i int) (stride, n int) {
-	rest := pairs[i:]
-	if len(rest) < 2 || rest[1].A <= rest[0].A {
-		return 1, 1
-	}
-	stride, n = rest[1].A-rest[0].A, 1
-	for n < len(rest) && rest[n].A-rest[n-1].A == stride && rest[n].B-rest[n-1].B == stride {
-		n++
-	}
-	return stride, n
+// runCursor is one side's place in the run sequence: run i holds the ranks
+// [lo, end) on the leaf at position pos of ls.leaves.
+type runCursor struct {
+	i, lo, end int
+	pos        int32
 }
 
-// buildLeafSchedule compiles steps against a placement's run sequence
-// (cluster.Placement.Runs). Each step's pairs are consumed as affine
-// segments (the memo's stored ones, else detected on the fly) and each
-// segment is walked in pieces that stay inside one leaf run on both sides,
-// so one pair-table update with multiplicity k stands for k node pairs
-// (DESIGN.md §7). Pair ranks are validated in exactly the reference loops' order
-// (steps in order, pairs in order, repeat steps skipped), so a build
-// failure reproduces the reference error.
-func buildLeafSchedule(lay *cluster.Layout, sc *buildScratch, runs []uint64, steps []collective.Step, memo *memoSchedule) (*leafSchedule, error) {
-	n := int(runs[len(runs)-1])
+// next moves the cursor to the following run.
+func (c *runCursor) next(runs []uint64, runPos []int32) {
+	i := c.i + 1
+	*c = runCursor{i, c.end, int(uint32(runs[i+1])), runPos[i]}
+}
+
+// seek moves the cursor to the run holding rank x, which lies outside its
+// current one. Ahead, the search gallops (the next run, then twice as far
+// each time) before it bisects, so a hop costs at most 2·log₂ of its
+// length; behind, it bisects.
+func (c *runCursor) seek(runs []uint64, runPos []int32, x int) {
+	lo, hi := 0, c.i // the run is in [lo, hi): first rank of lo ≤ x < first rank of hi
+	if x >= c.end {
+		lo, hi = c.i+1, len(runs)-1
+		for step := 1; lo+step < hi; step *= 2 {
+			if int(uint32(runs[lo+step])) > x {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+	}
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if int(uint32(runs[mid])) <= x {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	*c = runCursor{lo, int(uint32(runs[lo])), int(uint32(runs[lo+1])), runPos[lo]}
+}
+
+// compiler is the state of one buildLeafSchedule: the schedule being built,
+// the runs it is compiled against, and a run cursor per side of the pairs.
+type compiler struct {
+	ls     *leafSchedule
+	sc     *buildScratch
+	runs   []uint64
+	n      int // ranks
+	ca, cb runCursor
+}
+
+// buildLeafSchedule compiles a schedule against a placement's run sequence
+// (cluster.Placement.Runs) without visiting pairs or ranks. The schedule
+// comes as a pattern's blocks or, blocks nil, as caller-supplied steps cut
+// into single-repetition blocks on the fly (collective.SegmentAt: no
+// allocation); compiler.block walks either. Pair ranks are validated in
+// exactly the reference loops' order (steps in order, pairs in order,
+// repeat steps skipped), so a build failure reproduces the reference error.
+func buildLeafSchedule(lay *cluster.Layout, sc *buildScratch, runs []uint64, steps []collective.Step, blocks []collective.BlockStep) (*leafSchedule, error) {
+	nSteps := max(len(steps), len(blocks))
 	sc.begin(lay)
 	ls := &leafSchedule{
 		lay:    lay,
-		sid:    &steps[0],
-		nSteps: len(steps),
-		off:    make([]int32, len(steps)+1),
-		kind:   make([]uint8, len(steps)),
-		msg:    make([]float64, len(steps)),
+		nSteps: nSteps,
+		off:    make([]int32, nSteps+1),
+		kind:   make([]uint8, nSteps),
+		msg:    make([]float64, nSteps),
+		pairLi: sc.pairLi[:0], pairLj: sc.pairLj[:0], ids: sc.ids[:0], w: sc.w[:0],
 	}
-	if cap(sc.ranks) < n {
-		sc.ranks = make([]rankRun, n)
+	if cap(sc.runPos) < len(runs) {
+		sc.runPos = make([]int32, len(runs))
 	}
-	ranks := sc.ranks[:n]
+	sc.runPos = sc.runPos[:len(runs)]
 	for i, run := range runs[:len(runs)-1] {
-		l, r, end := int32(run>>32), int(uint32(run)), int(uint32(runs[i+1]))
+		l := int32(run >> 32)
 		if sc.leafEpoch[l] != sc.epoch {
 			sc.leafEpoch[l] = sc.epoch
 			sc.leafPos[l] = int32(len(ls.leaves))
 			ls.leaves = append(ls.leaves, l)
 			ls.counts = append(ls.counts, 0)
 		}
-		pos := sc.leafPos[l]
-		ls.counts[pos] += int32(end - r)
-		for ; r < end; r++ {
-			ranks[r] = rankRun{pos, int32(end)}
-		}
+		sc.runPos[i] = sc.leafPos[l]
+		ls.counts[sc.leafPos[l]] += int32(uint32(runs[i+1]) - uint32(run))
 	}
 	// The pair index is compact: pairs are keyed by the touched-leaf
 	// positions just assigned, never by real leaf indices, so the scratch
 	// is O(touched²) whatever the machine size.
-	nTouched := len(ls.leaves)
-	sc.ensurePairs(nTouched)
+	sc.ensurePairs(len(ls.leaves))
 
-	seg := 0 // cursor into memo.seg, which lists segments in this walk's order
+	first := runCursor{0, 0, int(uint32(runs[1])), sc.runPos[0]}
+	c := compiler{ls: ls, sc: sc, runs: runs, n: int(runs[len(runs)-1]), ca: first, cb: first}
 	var prevPairs *collective.Pair
-	for sIdx := range steps {
-		step := &steps[sIdx]
+	for sIdx := 0; sIdx < nSteps; sIdx++ {
 		ls.off[sIdx] = int32(len(ls.ids))
-		ls.msg[sIdx] = step.MsgSize
-		if len(step.Pairs) == 0 {
-			ls.kind[sIdx] = stepEmpty
-			continue
+		var pairs []collective.Pair
+		var stepBlocks []collective.Block
+		var repeat bool
+		if blocks != nil {
+			bs := &blocks[sIdx]
+			ls.msg[sIdx], stepBlocks, repeat = bs.MsgSize, bs.Blocks, bs.Repeat
+		} else {
+			ls.msg[sIdx], pairs = steps[sIdx].MsgSize, steps[sIdx].Pairs
+			repeat = len(pairs) > 0 && prevPairs == &pairs[0]
 		}
-		if prevPairs == &step.Pairs[0] {
+		if repeat {
 			ls.kind[sIdx] = stepRepeat
 			continue
 		}
-		prevPairs = &step.Pairs[0]
+		if len(pairs) == 0 && len(stepBlocks) == 0 {
+			ls.kind[sIdx] = stepEmpty
+			continue
+		}
 		sc.tag++
 		if sc.tag == 0 {
 			clear(sc.stepTag)
 			sc.tag = 1
 		}
-		for i := 0; i < len(step.Pairs); {
-			var a, b, s, left int
-			if memo != nil {
-				sg := memo.seg[seg]
-				seg++
-				a, b, s, left = int(sg.a), int(sg.b), int(sg.stride), int(sg.n)
-			} else {
-				a, b = step.Pairs[i].A, step.Pairs[i].B
-				s, left = segAt(step.Pairs, i)
+		for i := range stepBlocks {
+			if err := c.block(sIdx, &stepBlocks[i]); err != nil {
+				return nil, err
 			}
-			i += left
-			if a < 0 || b < 0 || a+s*(left-1) >= n || b+s*(left-1) >= n {
-				for a >= 0 && a < n && b >= 0 && b < n { // the first pair out of range, as the reference finds it
-					a, b = a+s, b+s
-				}
-				return nil, fmt.Errorf("costmodel: step %d pair (%d,%d) out of range for %d nodes", sIdx, a, b, n)
-			}
-			if a == b {
-				continue // self pairs: Hops(i,i) = 0, never the max
-			}
-			for left > 0 {
-				ra, rb := ranks[a], ranks[b]
-				k := min(int(ra.end)-a, int(rb.end)-b) // ranks left in the shorter run
-				if s > 1 {
-					k = (k + s - 1) / s // in strides
-				}
-				k = min(k, left)
-				lo, hi := ra.pos, rb.pos // any canonical slot serves the scratch; the table orders by leaf
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				pidx := int(lo)*nTouched + int(hi)
-				if sc.pairEpoch[pidx] != sc.epoch {
-					sc.pairEpoch[pidx] = sc.epoch
-					sc.pairID[pidx] = int32(len(ls.pairLi))
-					li, lj := ls.leaves[lo], ls.leaves[hi]
-					ls.pairLi = append(ls.pairLi, min(li, lj))
-					ls.pairLj = append(ls.pairLj, max(li, lj))
-				}
-				if sc.stepTag[pidx] != sc.tag {
-					sc.stepTag[pidx] = sc.tag
-					sc.stepPos[pidx] = int32(len(ls.ids))
-					ls.ids = append(ls.ids, sc.pairID[pidx])
-					ls.w = append(ls.w, int32(k))
-				} else {
-					ls.w[sc.stepPos[pidx]] += int32(k)
-				}
-				a, b, left = a+k*s, b+k*s, left-k
+		}
+		if len(pairs) > 0 {
+			prevPairs = &pairs[0]
+		}
+		for i := 0; i < len(pairs); {
+			k := collective.SegmentAt(pairs, i)
+			i += k.N
+			if err := c.block(sIdx, &k); err != nil {
+				return nil, err
 			}
 		}
 	}
-	ls.off[len(steps)] = int32(len(ls.ids))
+	ls.off[nSteps] = int32(len(ls.ids))
+	// The tables grew in the scratch's buffers, which stay with it.
+	sc.pairLi, sc.pairLj, sc.ids, sc.w = ls.pairLi, ls.pairLj, ls.ids, ls.w
+	ls.pairLi, ls.pairLj, ls.ids, ls.w = slices.Clone(ls.pairLi), slices.Clone(ls.pairLj), slices.Clone(ls.ids), slices.Clone(ls.w)
 	ls.agg = buildSubtreeSchedule(lay, ls)
 	return ls, nil
+}
+
+// ceilDiv is ⌈x/y⌉ for y ≥ 1 (at most 0 for x ≤ 0): the number of ranks
+// x₀, x₀+y, x₀+2y, … among the next x.
+func ceilDiv(x, y int) int {
+	if y == 1 {
+		return x
+	}
+	return (x + y - 1) / y
+}
+
+// firstOutOfRange returns the first pair, in listing order, of a block
+// that has one with a rank outside [0, n): the pair the reference loops
+// would stop at.
+func firstOutOfRange(k *collective.Block, n int) (a, b int) {
+	a, b = k.A, k.B
+	if a < 0 || b < 0 { // sides only grow: the first pair already is
+		return a, b
+	}
+	if k.Reps > 1 {
+		// The first repetition whose last pair leaves the range on a side.
+		u := max(0, min(ceilDiv(n-a-k.SA*(k.N-1), k.Outer), ceilDiv(n-b-k.SB*(k.N-1), k.Outer)))
+		a, b = a+k.Outer*u, b+k.Outer*u
+	}
+	t := max(0, min(ceilDiv(n-a, k.SA), ceilDiv(n-b, k.SB)))
+	return a + k.SA*t, b + k.SB*t
+}
+
+// block adds one block's pairs to step sIdx by walking run breakpoints.
+// Where a repetition's whole span lies inside one run on both sides, so do
+// the next ones until either run ends, and all of them are one pair-table
+// update; otherwise the repetition is cut into pieces that stay inside one
+// run on both sides. Pieces follow the pairs' listing order and every pair
+// of a piece joins the same two leaves, so discovery order and
+// multiplicities are those of a pair-by-pair walk (DESIGN.md §7).
+func (c *compiler) block(sIdx int, k *collective.Block) error {
+	n := c.n
+	spanA, spanB := k.SA*(k.N-1), k.SB*(k.N-1)
+	if last := k.Outer * (k.Reps - 1); k.A < 0 || k.B < 0 || k.A+spanA+last >= n || k.B+spanB+last >= n {
+		a, b := firstOutOfRange(k, n)
+		return fmt.Errorf("costmodel: step %d pair (%d,%d) out of range for %d nodes", sIdx, a, b, n)
+	}
+	if k.A == k.B && k.SA == k.SB {
+		return nil // self pairs: Hops(i,i) = 0, never the max
+	}
+	ls, sc, runs := c.ls, c.sc, c.runs
+	nTouched := len(ls.leaves)
+	ca, cb := c.ca, c.cb
+	for u := 0; u < k.Reps; {
+		a, b := k.A+k.Outer*u, k.B+k.Outer*u
+		if a < ca.lo || a >= ca.end {
+			// Start from the B cursor if it is the nearer one behind a: in
+			// a butterfly this side resumes where the other one stopped.
+			if cb.lo <= a && cb.lo > ca.lo {
+				ca = cb
+			}
+			if a >= ca.end {
+				ca.next(runs, sc.runPos)
+			}
+			if a < ca.lo || a >= ca.end {
+				ca.seek(runs, sc.runPos, a)
+			}
+		}
+		if b < cb.lo || b >= cb.end {
+			cb.seek(runs, sc.runPos, b)
+		}
+		// m is the number of node pairs the next piece stands for: all of
+		// the repetitions that fit, or as much of this one as stays inside
+		// both runs.
+		var m int
+		if roomA, roomB := ca.end-1-a-spanA, cb.end-1-b-spanB; roomA >= 0 && roomB >= 0 {
+			reps := 1
+			if k.Reps-u > 1 && roomA >= k.Outer && roomB >= k.Outer {
+				reps = min(k.Reps-u, roomA/k.Outer+1, roomB/k.Outer+1)
+			}
+			m, u = reps*k.N, u+reps
+		} else {
+			m, u = min(ceilDiv(ca.end-a, k.SA), ceilDiv(cb.end-b, k.SB)), u+1
+		}
+		for left := k.N; ; {
+			lo, hi := ca.pos, cb.pos // any canonical slot serves the scratch; the table orders by leaf
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			pidx := int(lo)*nTouched + int(hi)
+			if sc.pairEpoch[pidx] != sc.epoch {
+				sc.pairEpoch[pidx] = sc.epoch
+				sc.pairID[pidx] = int32(len(ls.pairLi))
+				li, lj := ls.leaves[lo], ls.leaves[hi]
+				ls.pairLi = append(ls.pairLi, min(li, lj))
+				ls.pairLj = append(ls.pairLj, max(li, lj))
+			}
+			if sc.stepTag[pidx] != sc.tag {
+				sc.stepTag[pidx] = sc.tag
+				sc.stepPos[pidx] = int32(len(ls.ids))
+				ls.ids = append(ls.ids, sc.pairID[pidx])
+				ls.w = append(ls.w, int32(m))
+			} else {
+				ls.w[sc.stepPos[pidx]] += int32(m)
+			}
+			if left -= m; left <= 0 {
+				break
+			}
+			// The piece ended with a run, on one side at least.
+			a, b = a+m*k.SA, b+m*k.SB
+			if a >= ca.end {
+				if ca.next(runs, sc.runPos); a >= ca.end {
+					ca.seek(runs, sc.runPos, a)
+				}
+			}
+			if b >= cb.end {
+				if cb.next(runs, sc.runPos); b >= cb.end {
+					cb.seek(runs, sc.runPos, b)
+				}
+			}
+			m = min(ceilDiv(ca.end-a, k.SA), ceilDiv(cb.end-b, k.SB), left)
+		}
+	}
+	c.ca, c.cb = ca, cb
+	return nil
 }
 
 // leafHops computes Eq. 5 between two leaves from the live counters,

@@ -98,15 +98,13 @@ func TestLeafScheduleRegrouping(t *testing.T) {
 // separately.
 func TestLeafScheduleCacheIdentity(t *testing.T) {
 	st := leafAggState(t)
-	lay := cluster.LayoutOf(st.Topology())
 	steps, err := ScheduleFor(collective.RD, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	get := func(nodes ...int) *leafSchedule {
 		t.Helper()
-		pl := cluster.NewPlacement(nodes)
-		ls, err := leafSchedFor(lay, &pl, steps, nil)
+		ls, err := leafSchedFor(st, nodes, steps)
 		if err != nil || ls == nil {
 			t.Fatalf("leafSchedFor(%v) = %v, %v", nodes, ls, err)
 		}

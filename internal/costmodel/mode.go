@@ -66,8 +66,7 @@ func JobCostMode(st *cluster.State, nodes []int, steps []collective.Step, mode M
 		if len(steps) == 0 {
 			return 0, nil
 		}
-		pl := cluster.NewPlacement(nodes)
-		ls, err := leafSchedFor(cluster.LayoutOf(st.Topology()), &pl, steps, nil)
+		ls, err := leafSchedFor(st, nodes, steps)
 		if err != nil {
 			return 0, err
 		}
@@ -176,10 +175,6 @@ func candidateSched(st *cluster.State, job cluster.JobID, pl *cluster.Placement,
 	if err := pl.Validate(st, job, &sc.scan); err != nil {
 		return nil, fmt.Errorf("costmodel: candidate allocate: %w", err)
 	}
-	steps, memo, err := scheduleFor(p, pl.Len())
-	if err != nil || len(steps) == 0 {
-		return nil, err
-	}
 	// A validated placement lists distinct in-range nodes, so it compiles.
-	return sc.leafSched(cluster.LayoutOf(st.Topology()), pl, steps, memo)
+	return sc.leafSched(cluster.LayoutOf(st.Topology()), pl, p, nil)
 }

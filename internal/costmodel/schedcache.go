@@ -1,7 +1,6 @@
 package costmodel
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -9,18 +8,21 @@ import (
 )
 
 // Schedule memoization: a collective schedule is a pure function of
-// (pattern, rank count), and the scheduler's hot paths rebuild the same
-// one repeatedly — the adaptive selector costs two candidates per request,
+// (pattern, rank count), and the scheduler's hot paths need the same one
+// repeatedly — the adaptive selector costs two candidates per request,
 // the simulator costs the chosen and the reference allocation per job
 // start, and rank remapping's hill climb re-reads it for every swap.
 // Entries are immutable; callers of ScheduleFor must never mutate the
 // returned steps.
 
 // maxScheduleEntries bounds the memo so pathological traces (thousands of
-// distinct job sizes) cannot pin unbounded memory; once full, new sizes
-// are built fresh on every call — at a price: the paper's full 48-cell
-// grid overflows the memo, and its Mira cells then run 2.4–2.9× slower
-// and allocate 11 GB instead of 0.8 (bench/README.md, finding 1).
+// distinct job sizes) cannot pin unbounded memory. What it bounds is the
+// materialised pair lists: an entry that only pricing has touched holds
+// its blocks — 56 B each, fifteen for 32,768-rank RD against 245,760
+// pairs — plus 40 B per step, and grows a pair list only when ScheduleFor
+// is asked for one (3.9 MB for that schedule). Once the memo is full a new
+// size costs pricing one block generation per cold compile (O(steps) for
+// the closed forms) and costs ScheduleFor a fresh pair list per call.
 const maxScheduleEntries = 256
 
 type scheduleKey struct {
@@ -28,16 +30,18 @@ type scheduleKey struct {
 	n int
 }
 
-// pairSeg is a maximal affine stretch of one step's pairs:
-// (a+stride·t, b+stride·t) for t in [0, n).
-type pairSeg struct{ a, b, stride, n int32 }
-
-// memoSchedule is one memo entry: the steps, and the pairs of every
-// non-repeat step, in order, as the segments segAt finds — computed once,
-// so a compile reads a few segments instead of every pair.
+// memoSchedule is one memo entry: the schedule in block form, which is all
+// the compile reads, and its pair lists once some caller has asked for them.
 type memoSchedule struct {
-	steps []collective.Step
-	seg   []pairSeg
+	blocks []collective.BlockStep
+	once   sync.Once
+	steps  []collective.Step // collective.Expand(blocks), built by pairs
+}
+
+// pairs lists the entry's pairs, on the first call.
+func (m *memoSchedule) pairs() []collective.Step {
+	m.once.Do(func() { m.steps = collective.Expand(m.blocks) })
+	return m.steps
 }
 
 var (
@@ -53,48 +57,48 @@ func ScheduleFor(p collective.Pattern, n int) ([]collective.Step, error) {
 	if referenceMode.Load() {
 		return p.Schedule(n)
 	}
-	steps, _, err := scheduleFor(p, n)
-	return steps, err
+	m, err := memoFor(p, n)
+	if err != nil {
+		return nil, err
+	}
+	if m == nil {
+		return p.Schedule(n)
+	}
+	return m.pairs(), nil
 }
 
-// scheduleFor is ScheduleFor's memo lookup; the entry is nil for a
-// schedule the full memo could not keep.
-func scheduleFor(p collective.Pattern, n int) ([]collective.Step, *memoSchedule, error) {
+// blocksFor returns pattern's schedule at n ranks in block form: the
+// memo's, else generated afresh.
+func blocksFor(p collective.Pattern, n int) ([]collective.BlockStep, error) {
+	m, err := memoFor(p, n)
+	if err != nil {
+		return nil, err
+	}
+	if m == nil {
+		return p.Blocks(n)
+	}
+	return m.blocks, nil
+}
+
+// memoFor returns the memo entry of pattern's schedule at n ranks, made on
+// first use; nil for a schedule the full memo cannot keep.
+func memoFor(p collective.Pattern, n int) (*memoSchedule, error) {
 	k := scheduleKey{p, n}
 	if v, ok := scheduleCache.Load(k); ok {
-		m := v.(*memoSchedule)
-		return m.steps, m, nil
+		return v.(*memoSchedule), nil
 	}
-	s, err := p.Schedule(n)
+	if scheduleEntries.Load() >= maxScheduleEntries {
+		return nil, nil
+	}
+	blocks, err := p.Blocks(n)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if scheduleEntries.Load() >= maxScheduleEntries || n > math.MaxInt32 {
-		return s, nil, nil
-	}
-	m := segmentsOf(s)
+	m := &memoSchedule{blocks: blocks}
 	if v, loaded := scheduleCache.LoadOrStore(k, m); loaded { //lint:allow globalmut bounded sync.Map memo insert; schedules are immutable once built
 		m = v.(*memoSchedule)
 	} else {
 		scheduleEntries.Add(1) //lint:allow globalmut entry counter paired with the LoadOrStore above
 	}
-	return m.steps, m, nil
-}
-
-// segmentsOf builds a schedule's memo entry.
-func segmentsOf(steps []collective.Step) *memoSchedule {
-	m := &memoSchedule{steps: steps}
-	var prevPairs *collective.Pair
-	for _, step := range steps {
-		if len(step.Pairs) == 0 || prevPairs == &step.Pairs[0] {
-			continue
-		}
-		prevPairs = &step.Pairs[0]
-		for i := 0; i < len(step.Pairs); {
-			s, n := segAt(step.Pairs, i)
-			m.seg = append(m.seg, pairSeg{int32(step.Pairs[i].A), int32(step.Pairs[i].B), int32(s), int32(n)})
-			i += n
-		}
-	}
-	return m
+	return m, nil
 }

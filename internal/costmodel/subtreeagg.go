@@ -79,9 +79,7 @@ func ScheduleAggregated(st *cluster.State, nodes []int, steps []collective.Step)
 	if len(steps) == 0 {
 		return false, nil
 	}
-	lay := cluster.LayoutOf(st.Topology())
-	pl := cluster.NewPlacement(nodes)
-	ls, err := leafSchedFor(lay, &pl, steps, nil)
+	ls, err := leafSchedFor(st, nodes, steps)
 	if err != nil || ls == nil { // nil: priced by the reference loops
 		return false, err
 	}

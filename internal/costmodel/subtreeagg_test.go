@@ -89,9 +89,9 @@ func TestSubtreeScheduleParity(t *testing.T) {
 	shared := []collective.Pair{{A: 0, B: 99}, {A: 17, B: 81}, {A: 3, B: 5}}
 	steps := []collective.Step{
 		{Pairs: []collective.Pair{{A: 0, B: 1}, {A: 2, B: 18}}, MsgSize: 1}, // intra-pod + cross-pod
-		{Pairs: nil, MsgSize: 4},    // empty
-		{Pairs: shared, MsgSize: 2}, // compute
-		{Pairs: shared, MsgSize: 8}, // repeat: same backing array
+		{Pairs: nil, MsgSize: 4},                             // empty
+		{Pairs: shared, MsgSize: 2},                          // compute
+		{Pairs: shared, MsgSize: 8},                          // repeat: same backing array
 		{Pairs: []collective.Pair{{A: 7, B: 7}}, MsgSize: 1}, // self pair only
 		{Pairs: []collective.Pair{{A: 96, B: 32}, {A: 64, B: 48}, {A: 1, B: 1}}, MsgSize: 0.5},
 	}

@@ -24,9 +24,10 @@ func newTestDaemon(t *testing.T, alg core.Algorithm, scale float64) *Daemon {
 }
 
 func TestSubmitRunsAndCompletes(t *testing.T) {
-	// 1000x time compression: a 2-second job completes in ~2ms wall.
+	// 1000x time compression: a 100-second job completes in ~100ms wall,
+	// long enough that the Status call below still sees it running.
 	d := newTestDaemon(t, core.Adaptive, 1000)
-	resp := d.Submit(Request{Nodes: 4, Runtime: 2, Class: "comm", Pattern: "RD"})
+	resp := d.Submit(Request{Nodes: 4, Runtime: 100, Class: "comm", Pattern: "RD"})
 	if !resp.Ok {
 		t.Fatalf("submit failed: %s", resp.Error)
 	}

@@ -95,27 +95,39 @@ func TestFailFreeNodeNoVictim(t *testing.T) {
 
 // TestRequeuedJobStatsReachSummary drives a job through a kill and full
 // re-run and checks the requeue/lost-node-hour aggregates surface in
-// Stats, wired through metrics.Summarize.
+// Stats, wired through metrics.Summarize. It runs on a fake clock: on the
+// wall clock the job could finish between being seen running and the kill.
 func TestRequeuedJobStatsReachSummary(t *testing.T) {
-	d := newTestDaemon(t, core.Default, 1000)
+	clk := newFakeClock()
+	d := newClockedDaemon(t, clk)
 	job := d.Submit(Request{Nodes: 8, Runtime: 2, Class: "compute"})
 	if !job.Ok {
 		t.Fatal(job.Error)
 	}
-	waitState(t, d, job.ID, "running")
+	clk.Advance(time.Second) // half-way through the run
+	if st := d.Status(job.ID); st.Job == nil || st.Job.State != "running" {
+		t.Fatalf("before the kill: %+v", st.Job)
+	}
 	if resp := d.Fail("n0"); !resp.Ok || resp.ID != job.ID {
 		t.Fatalf("fail: %+v", resp)
 	}
 	if resp := d.Resume("n0"); !resp.Ok {
 		t.Fatal(resp.Error)
 	}
-	waitState(t, d, job.ID, "completed")
+	clk.Advance(time.Second)
+	if st := d.Status(job.ID); st.Job.State != "running" || st.Job.Requeues != 1 {
+		t.Fatalf("half-way through the re-run: %+v", st.Job)
+	}
+	clk.Advance(time.Second)
+	if st := d.Status(job.ID); st.Job.State != "completed" {
+		t.Fatalf("after the full re-run: %+v", st.Job)
+	}
 	stats := d.Stats()
 	if stats.Requeues != 1 {
 		t.Fatalf("stats requeues = %d, want 1", stats.Requeues)
 	}
-	if stats.LostNodeHours < 0 {
-		t.Fatalf("negative lost node-hours %v", stats.LostNodeHours)
+	if stats.LostNodeHours <= 0 {
+		t.Fatalf("lost node-hours %v, want the killed first second of 8 nodes", stats.LostNodeHours)
 	}
 	if st := d.Status(job.ID); st.Job.Requeues != 1 {
 		t.Fatalf("completed job requeues = %d, want 1", st.Job.Requeues)

@@ -67,9 +67,9 @@ type Engine struct {
 	// occA/occB the flattened rank pairs of the unique steps
 	// (uoff[u]:uoff[u+1] is unique step u's occurrence range), and a CSR
 	// rank -> occurrence index so moves can find the values they dirty.
-	nSteps int
-	kind   []uint8
-	uniq   []int32
+	nSteps  int
+	kind    []uint8
+	uniq    []int32
 	occA    []int32
 	occB    []int32
 	occStep []int32
