@@ -46,8 +46,7 @@ var DefaultNoAllocConfig = NoAllocConfig{
 			"leafHops",
 		},
 		"repro/internal/core": {
-			"takeFromLeaf",
-			"appendAvoiding",
+			"selScratch.take",
 			"snapshotLeaves",
 		},
 		"repro/internal/daemon": {

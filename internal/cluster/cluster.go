@@ -95,6 +95,8 @@ type State struct {
 	// from LeafFree and FreeTotal.
 	leafUnavail []int
 	free        int
+	// down and failed count the nodes marked nodeDown and nodeFailed.
+	down, failed int
 
 	// switchFree[sw.Index] is the number of allocatable nodes in the
 	// subtree of sw — kept equal to the sum of LeafFree over sw's
@@ -283,11 +285,13 @@ func (s *State) Allocate(job JobID, class Class, nodes []int) error {
 }
 
 // AllocatePlacement is Allocate for a placement a selector built or an
-// earlier layer already validated: p.Validate decides whether the node scan
-// has to run again, and the counters move by one delta per leaf run. The
-// ascending Allocation.Nodes is the runs concatenated in order of their
-// first node ID; only a list that is not ascending within or across its
-// runs (rank-remapped or caller-supplied) is sorted.
+// earlier layer already validated: p.Validate decides what has to be checked
+// again, and the counters move by one delta per leaf run. The ascending
+// Allocation.Nodes is the runs concatenated in order of their first node
+// ID, copied out of the list if the placement has one, else read off the
+// leaves here: the one time an unlisted placement's nodes are named. Only
+// nodes not ascending within or across runs (rank-remapped, caller-supplied,
+// leaves whose ID ranges interleave) are sorted.
 func (s *State) AllocatePlacement(job JobID, class Class, p *Placement) error {
 	if err := p.Validate(s, job, &s.scratch); err != nil {
 		return err
@@ -295,25 +299,34 @@ func (s *State) AllocatePlacement(job JobID, class Class, p *Placement) error {
 	nodes, runs := p.nodes, p.runs
 	order := s.runOrder[:0]
 	for i, run := range runs[:len(runs)-1] {
-		order = append(order, uint64(nodes[uint32(run)])<<32|uint64(i))
+		first := s.topo.LeafNodes(int(run >> 32))[0] // validated free-rank runs revisit a leaf in free-rank order
+		if nodes != nil {
+			first = nodes[uint32(run)]
+		}
+		order = append(order, uint64(first)<<32|uint64(i))
 	}
 	slices.Sort(order)
 	s.runOrder = order
-	sorted := make([]int, 0, len(nodes))
+	sorted := make([]int, 0, p.Len())
 	ascending, prev := true, -1
+	leaf, taken, rest := -1, 0, []int(nil) // free ranks of leaf below taken lie before rest
 	for _, o := range order {
 		i := uint32(o)
-		l, ids := int(runs[i]>>32), nodes[uint32(runs[i]):uint32(runs[i+1])]
-		for _, id := range ids {
-			s.nodeJob[id] = job
-			ascending = ascending && id > prev
-			prev = id
+		l, from, k := int(runs[i]>>32), len(sorted), int(uint32(runs[i+1])-uint32(runs[i]))
+		if nodes != nil {
+			sorted = append(sorted, nodes[uint32(runs[i]):uint32(runs[i+1])]...)
+		} else {
+			if l != leaf {
+				leaf, taken, rest = l, 0, s.topo.LeafNodes(l)
+			}
+			sorted, rest = s.takeFree(rest, int(p.skip[i])-taken, k, sorted)
+			taken = int(p.skip[i]) + k
 		}
-		sorted = append(sorted, ids...)
-		s.leafBusy[l] += len(ids)
-		s.adjustFree(l, -len(ids))
+		ascending, prev = s.hold(sorted[from:], job, ascending, prev)
+		s.leafBusy[l] += k
+		s.adjustFree(l, -k)
 		if class == CommIntensive {
-			s.leafComm[l] += len(ids)
+			s.leafComm[l] += k
 			s.updateShare(l)
 		}
 	}
@@ -324,6 +337,20 @@ func (s *State) AllocatePlacement(job JobID, class Class, p *Placement) error {
 	s.gen++
 	s.allocs[job] = &Allocation{Job: job, Class: class, Nodes: sorted}
 	return nil
+}
+
+// hold gives ids to job and carries the ascent check over them: whether all
+// nodes so far ascend, and the last one. Inlined, its loop spills every variable.
+//
+//go:noinline
+func (s *State) hold(ids []int, job JobID, ascending bool, prev int) (bool, int) {
+	nodeJob := s.nodeJob
+	for _, id := range ids {
+		nodeJob[id] = job
+		ascending = ascending && id > prev
+		prev = id
+	}
+	return ascending, prev
 }
 
 // Release frees all nodes held by the job, one counter delta per group of
@@ -377,6 +404,8 @@ func (s *State) Clone() *State {
 		leafShare:   append([]float64(nil), s.leafShare...),
 		leafUnavail: append([]int(nil), s.leafUnavail...),
 		free:        s.free,
+		down:        s.down,
+		failed:      s.failed,
 		switchFree:  append([]int(nil), s.switchFree...),
 		allocs:      make(map[JobID]*Allocation, len(s.allocs)),
 	}
@@ -397,10 +426,14 @@ func (s *State) CheckInvariants() error {
 	busy := make([]int, s.topo.NumLeaves())
 	comm := make([]int, s.topo.NumLeaves())
 	unavail := make([]int, s.topo.NumLeaves())
-	freeCount := 0
+	freeCount, down, failed := 0, 0, 0
 	owned := make(map[JobID]int)
 	for id, job := range s.nodeJob {
+		if s.nodeDown[id] {
+			down++
+		}
 		if s.nodeFailed[id] {
+			failed++
 			// Hard failures imply the node is down and its job was killed:
 			// a failed node must never carry a live allocation.
 			if !s.nodeDown[id] {
@@ -431,6 +464,9 @@ func (s *State) CheckInvariants() error {
 	}
 	if freeCount != s.free {
 		return fmt.Errorf("free count %d, recomputed %d", s.free, freeCount)
+	}
+	if down != s.down || failed != s.failed {
+		return fmt.Errorf("down/failed counts %d/%d, recomputed %d/%d", s.down, s.failed, down, failed)
 	}
 	for l := range busy {
 		if busy[l] != s.leafBusy[l] {

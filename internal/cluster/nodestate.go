@@ -26,6 +26,7 @@ func (s *State) Drain(id int) error {
 		return nil
 	}
 	s.nodeDown[id] = true
+	s.down++
 	if s.nodeJob[id] < 0 {
 		// Free node leaves the allocatable pool now.
 		l := s.topo.LeafOf(id)
@@ -47,9 +48,13 @@ func (s *State) Resume(id int) error {
 		return nil
 	}
 	s.nodeDown[id] = false
+	s.down--
 	// Returning to service always clears a failure mark, so a resumed node
 	// never stays flagged failed (failed ⇒ down is an invariant).
-	s.nodeFailed[id] = false
+	if s.nodeFailed[id] {
+		s.nodeFailed[id] = false
+		s.failed--
+	}
 	if s.nodeJob[id] < 0 {
 		l := s.topo.LeafOf(id)
 		s.leafUnavail[l]--
@@ -77,6 +82,7 @@ func (s *State) Fail(id int) (victim JobID, err error) {
 		return -1, err
 	}
 	s.nodeFailed[id] = true
+	s.failed++
 	s.gen++
 	if job := s.nodeJob[id]; job >= 0 {
 		return job, nil
@@ -99,6 +105,7 @@ func (s *State) Repair(id int) error {
 				id, s.nodeJob[id])
 		}
 		s.nodeFailed[id] = false
+		s.failed--
 		s.gen++
 	}
 	return s.Resume(id)
@@ -111,26 +118,10 @@ func (s *State) NodeDown(id int) bool { return s.nodeDown[id] }
 func (s *State) NodeFailed(id int) bool { return s.nodeFailed[id] }
 
 // FailedTotal returns the number of hard-failed nodes.
-func (s *State) FailedTotal() int {
-	n := 0
-	for _, f := range s.nodeFailed {
-		if f {
-			n++
-		}
-	}
-	return n
-}
+func (s *State) FailedTotal() int { return s.failed }
 
 // DownTotal returns the number of drained nodes (busy or free).
-func (s *State) DownTotal() int {
-	n := 0
-	for _, d := range s.nodeDown {
-		if d {
-			n++
-		}
-	}
-	return n
-}
+func (s *State) DownTotal() int { return s.down }
 
 // LeafUnavail returns the number of drained free nodes on leaf l (nodes
 // that are neither allocatable nor busy).

@@ -5,25 +5,37 @@ import (
 	"slices"
 )
 
-// Placement is a job's prospective node list as every layer consumes it:
-// the nodes in rank order (rank r runs on Nodes()[r]) and their rank→leaf
-// run sequence — leaf<<32 | first rank for each maximal run of consecutive
-// ranks on one leaf, in rank order, closed by the rank count. The paper's
-// selectors fill leaf after leaf, so a placement of thousands of ranks is a
-// few dozen runs, and State.AllocatePlacement, Release and costmodel's
-// compile work per run where the bare list forced them to work per node.
+// ErrStalePlacement rejects an unlisted free-rank placement once the state it
+// was selected on has moved: its runs are never read against another
+// generation. It wraps ErrNodeUnavailable, the "select again" condition.
+var ErrStalePlacement = fmt.Errorf("placement selected at another generation: %w", ErrNodeUnavailable)
+
+// Placement is a job's prospective nodes as every layer consumes them: a
+// rank→leaf run sequence — leaf<<32 | first rank for each maximal run of
+// consecutive ranks on one leaf, in rank order, closed by the rank count —
+// and, once somebody needs node IDs, the nodes in rank order (rank r runs
+// on Nodes()[r]). The paper's selectors choose how many nodes to take from
+// which leaf, never which ones, so a placement of thousands of ranks is a
+// few dozen runs, and validation, costmodel's compile and the counters'
+// deltas work per run.
 //
-// The nodes and runs never change. A selector-built placement (WithRuns)
-// owns its runs and remembers the (state, generation) at which Validate
-// last passed, so the layers that price and then commit it against an
-// unchanged state scan it once between them. A placement wrapped around a
-// caller's list (NewPlacement) has no runs of its own: each Reduce or
+// A selector-built placement (FreeRankRuns) is its runs and nothing else:
+// run i is "the allocatable nodes of its leaf, in ascending ID, after the
+// first skip[i]", which means something only at the (state, generation) it
+// was selected on. There it is validated in O(runs), remembers that it
+// passed (pricing and then committing it check it once), is listed lazily
+// by Nodes and committed straight off the leaves. Once listed it is also an
+// owned list: at a later generation it gets the per-node scan and a stamp
+// of its own; unlisted, it is stale there (ErrStalePlacement). A placement
+// wrapped around a caller's list (NewPlacement) owns no runs: each Reduce or
 // Validate reduces it into the Scratch it is handed, where the runs stay
 // readable until that Scratch's next use, and it never keeps a stamp.
 type Placement struct {
 	nodes []int
 	runs  []uint64
-	owned bool // runs belong to the placement, not to a Scratch
+	skip  []uint64 // free-rank form: allocatable nodes of run i's leaf that precede it, as of (st, gen)
+	owned bool     // runs belong to the placement, not to a Scratch
+	valid bool     // Validate passed at (st, gen)
 	st    *State
 	gen   uint64
 }
@@ -31,17 +43,36 @@ type Placement struct {
 // NewPlacement wraps a rank-ordered node list.
 func NewPlacement(nodes []int) Placement { return Placement{nodes: nodes} }
 
-// WithRuns is NewPlacement for a caller that built the list leaf by leaf
-// and recorded its runs on the way. Neither slice may change afterwards.
-func WithRuns(nodes []int, runs []uint64) Placement {
-	return Placement{nodes: nodes, runs: runs, owned: true}
+// FreeRankRuns is the placement a selector builds on st leaf by leaf: run i
+// takes its ranks' worth of its leaf's allocatable nodes after the first
+// skip[i], runs on one leaf in increasing free-rank order. Neither slice
+// may change afterwards.
+func FreeRankRuns(st *State, runs, skip []uint64) Placement {
+	return Placement{runs: runs, skip: skip, owned: true, st: st, gen: st.gen}
 }
 
-// Nodes returns the rank-ordered node list, which must not be modified.
-func (p *Placement) Nodes() []int { return p.nodes }
+// Nodes returns the rank-ordered node list, which must not be modified. A
+// free-rank placement lists itself on the first call (a read of the state,
+// a write of p), which only the generation it was selected on can answer:
+// afterwards the result is nil.
+func (p *Placement) Nodes() []int {
+	if p.owned && p.nodes == nil && p.Len() > 0 && p.st != nil && p.gen == p.st.gen && p.fit(p.st, 0) == nil {
+		p.nodes = make([]int, 0, p.Len())
+		for i, run := range p.runs[:len(p.skip)] {
+			k := int(uint32(p.runs[i+1]) - uint32(run))
+			p.nodes, _ = p.st.takeFree(p.st.topo.LeafNodes(int(run>>32)), int(p.skip[i]), k, p.nodes)
+		}
+	}
+	return p.nodes
+}
 
 // Len returns the number of ranks.
-func (p *Placement) Len() int { return len(p.nodes) }
+func (p *Placement) Len() int {
+	if p.owned && p.nodes == nil && len(p.runs) > 0 {
+		return int(uint32(p.runs[len(p.runs)-1]))
+	}
+	return len(p.nodes)
+}
 
 // Runs returns the run sequence: a selector-built placement's own, else
 // the one its latest Reduce or Validate left in that call's Scratch.
@@ -56,13 +87,42 @@ func (p *Placement) RunsKey() []uint64 {
 	return slices.Clone(p.runs)
 }
 
-// Scratch is the working set one scan of a placement borrows: the
-// duplicate-node mark and the buffer a wrapped list's runs are reduced
-// into. The zero value is ready; a Scratch serves one goroutine at a time.
+// SameNodes reports whether p and q put the same node at every rank. Unlisted
+// free-rank placements of one (state, generation) are compared by their
+// runs, which are maximal and so determined by the nodes; others by list.
+func (p *Placement) SameNodes(q *Placement) bool {
+	if p.owned && q.owned && p.nodes == nil && q.nodes == nil && p.st == q.st && p.gen == q.gen {
+		return slices.Equal(p.runs, q.runs) && slices.Equal(p.skip, q.skip)
+	}
+	pn := p.Nodes()
+	return len(pn) == p.Len() && slices.Equal(pn, q.Nodes())
+}
+
+// Scratch is the working set one check of a placement borrows: the
+// duplicate-node mark, the per-leaf free-rank high-water mark and the
+// buffer a wrapped list's runs are reduced into. The zero value is ready; a
+// Scratch serves one goroutine at a time.
 type Scratch struct {
 	seen  []uint32 // node id -> epoch that last listed it
+	high  []uint64 // leaf -> epoch<<32 | free ranks the runs checked so far take up to
 	epoch uint32
 	runs  []uint64
+}
+
+// begin opens a new epoch over n nodes and l leaves (either may be 0).
+func (sc *Scratch) begin(n, l int) {
+	if len(sc.seen) < n {
+		sc.seen = make([]uint32, n)
+	}
+	if len(sc.high) < l {
+		sc.high = make([]uint64, l)
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale stamps could collide
+		clear(sc.seen)
+		clear(sc.high)
+		sc.epoch = 1
+	}
 }
 
 // scan is the pass over a placement's nodes that needs no state. It returns
@@ -70,14 +130,7 @@ type Scratch struct {
 // count. A wrapped list is reduced to its runs on the way; nodeLeaf is only
 // read for that.
 func (p *Placement) scan(nodeLeaf []int32, n int, sc *Scratch) int {
-	if len(sc.seen) < n {
-		sc.seen = make([]uint32, n)
-	}
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: stale stamps could collide
-		clear(sc.seen)
-		sc.epoch = 1
-	}
+	sc.begin(n, 0)
 	seen, epoch, runs := sc.seen, sc.epoch, sc.runs[:0] // locals: no reloads after each store
 	cur := int32(-1)
 	for r, id := range p.nodes {
@@ -111,6 +164,26 @@ func (s *State) firstUnfree(nodes []int) int {
 	return len(nodes)
 }
 
+// takeFree appends to dst the first k allocatable nodes of ids after
+// skipping skip of them (fewer if ids runs out) and returns the ids beyond
+// the last one it looked at.
+func (s *State) takeFree(ids []int, skip, k int, dst []int) ([]int, []int) {
+	nodeJob, nodeDown := s.nodeJob, s.nodeDown
+	i := 0
+	for ; i < len(ids) && skip > 0; i++ {
+		if id := ids[i]; nodeJob[id] < 0 && !nodeDown[id] {
+			skip--
+		}
+	}
+	for ; i < len(ids) && k > 0; i++ {
+		if id := ids[i]; nodeJob[id] < 0 && !nodeDown[id] {
+			dst = append(dst, id)
+			k--
+		}
+	}
+	return dst, ids[i:]
+}
+
 // Reduce makes Runs available without consulting any state. It reports
 // false for a wrapped list that repeats a node id or names one outside the
 // layout, which has no run sequence.
@@ -118,25 +191,75 @@ func (p *Placement) Reduce(lay *Layout, sc *Scratch) bool {
 	return p.owned || p.scan(lay.NodeLeaf, len(lay.NodeLeaf), sc) == len(p.nodes)
 }
 
+// fit checks of a free-rank placement what needs no memory of earlier runs:
+// ranks start at 0 and strictly increase up to a bare closing count, every
+// leaf is in range, every run lies within its leaf's allocatable nodes.
+func (p *Placement) fit(st *State, job JobID) error {
+	runs, skip := p.runs, p.skip
+	if len(skip) != len(runs)-1 || uint32(runs[0]) != 0 || runs[len(skip)]>>32 != 0 {
+		return fmt.Errorf("cluster: job %d: malformed run sequence %x with %d free ranks", job, runs, len(skip))
+	}
+	for i, from := range skip {
+		l, first, end := int(runs[i]>>32), uint32(runs[i]), uint32(runs[i+1])
+		if end <= first || l >= st.topo.NumLeaves() {
+			return fmt.Errorf("cluster: job %d: run %d (ranks %d to %d on leaf %d) is empty, out of order or on no leaf", job, i, first, end, l)
+		}
+		if free := uint64(st.LeafFree(l)); from > free || uint64(end-first) > free-from {
+			return fmt.Errorf("cluster: job %d: run %d takes %d allocatable nodes of leaf %d after its first %d, of %d", job, i, end-first, l, from, free)
+		}
+	}
+	return nil
+}
+
+// checkRuns is Validate's O(runs) form for a free-rank placement at the
+// generation it is bound to: the runs fit, and those on one leaf come in
+// increasing, disjoint free-rank intervals. LeafFree(l) is the number of
+// nodes of l that are free and in service (CheckInvariants), and distinct
+// free ranks of a leaf are distinct nodes of it, so this implies what the
+// node scan establishes of the listed nodes: in range, listed once, free,
+// in service.
+func (p *Placement) checkRuns(st *State, job JobID, sc *Scratch) error {
+	if err := p.fit(st, job); err != nil {
+		return err
+	}
+	sc.begin(0, st.topo.NumLeaves())
+	high, epoch := sc.high, uint64(sc.epoch)
+	for i, from := range p.skip {
+		l, k := int(p.runs[i]>>32), uint32(p.runs[i+1])-uint32(p.runs[i])
+		if h := high[l]; h>>32 == epoch && from < uint64(uint32(h)) {
+			return fmt.Errorf("cluster: job %d: run %d revisits leaf %d at free rank %d, below the %d already taken", job, i, l, from, uint32(h))
+		}
+		high[l] = epoch<<32 | (from + uint64(k))
+	}
+	p.valid = true
+	return nil
+}
+
 // Validate is the one check that job may be allocated on the placement's
 // nodes in st: the job ID is usable and every node is in range, listed
-// once, free and in service — reported in that order, node by node. It only
-// reads st (the duplicate mark is sc's), so concurrent validations over one
-// state are safe with a Scratch each. The job checks run on every call; the
-// scan is skipped when the placement last passed it at st's current
-// generation.
+// once, free and in service. It only reads st (the marks are sc's), so
+// concurrent validations over one state are safe with a Scratch each. The
+// job checks run on every call; nothing more for a placement that last
+// passed at st's current generation. Free-rank runs still at their own
+// generation are checked as runs, a list node by node (faults in per-node
+// order), and unlisted runs of another generation are stale.
 func (p *Placement) Validate(st *State, job JobID, sc *Scratch) error {
 	if job < 0 {
 		return fmt.Errorf("cluster: job IDs must be non-negative, got %d", job)
 	}
-	if len(p.nodes) == 0 {
+	if p.Len() == 0 {
 		return fmt.Errorf("cluster: job %d: empty allocation", job)
 	}
 	if _, dup := st.allocs[job]; dup {
 		return fmt.Errorf("cluster: job %d already allocated", job)
 	}
-	if p.owned && p.st == st && p.gen == st.gen {
+	switch current := p.owned && p.st == st && p.gen == st.gen; {
+	case current && p.valid:
 		return nil
+	case current && p.skip != nil:
+		return p.checkRuns(st, job, sc)
+	case p.owned && p.nodes == nil:
+		return fmt.Errorf("cluster: job %d: %w", job, ErrStalePlacement)
 	}
 	var nodeLeaf []int32
 	if !p.owned {
@@ -147,8 +270,8 @@ func (p *Placement) Validate(st *State, job JobID, sc *Scratch) error {
 	at := p.scan(nodeLeaf, len(st.nodeJob), sc)
 	r := st.firstUnfree(p.nodes[:at])
 	if r == len(p.nodes) {
-		if p.owned {
-			p.st, p.gen = st, st.gen
+		if p.owned { // the free ranks, if any, were another generation's
+			p.st, p.gen, p.valid, p.skip = st, st.gen, true, nil
 		}
 		return nil
 	}

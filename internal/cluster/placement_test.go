@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -161,14 +162,15 @@ func (p *pair) check(what string, errOpt, errRef error) {
 
 // allocate commits pl on the production state and its node list on the
 // reference, and requires a failed Allocate to leave the state untouched.
+// The list is taken from a copy, so a free-rank pl is committed unlisted.
 func (p *pair) allocate(what string, job JobID, class Class, pl Placement) error {
 	p.t.Helper()
-	gen := p.opt.gen
+	gen, nodes := p.opt.gen, listed(pl)
 	errOpt := p.opt.AllocatePlacement(job, class, &pl)
 	if errOpt != nil && p.opt.gen != gen {
 		p.t.Fatalf("%s: failed Allocate moved the generation", what)
 	}
-	p.check(what, errOpt, p.ref.allocateRef(job, class, pl.Nodes()))
+	p.check(what, errOpt, p.ref.allocateRef(job, class, nodes))
 	return errOpt
 }
 
@@ -206,6 +208,13 @@ func (p *pair) fail(what string, ids ...int) (victims []JobID) {
 	return victims
 }
 
+// withRuns is the owned list a free-rank placement becomes once listed,
+// built directly: nodes in rank order with their run sequence, bound to no
+// state.
+func withRuns(nodes []int, runs []uint64) Placement {
+	return Placement{nodes: nodes, runs: runs, owned: true}
+}
+
 // leafByLeaf builds a placement the way the selectors do: up to take free
 // nodes from each listed leaf in turn, one run per visit, skipping nodes
 // already chosen (a leaf may be listed twice, as balanced's second pass
@@ -226,7 +235,7 @@ func leafByLeaf(s *State, leaves []int, take int) Placement {
 			runs = append(runs, uint64(l)<<32|uint64(first))
 		}
 	}
-	return WithRuns(nodes, append(runs, uint64(len(nodes))))
+	return withRuns(nodes, append(runs, uint64(len(nodes))))
 }
 
 // TestAllocatePlacementMatchesReference walks one state pair through the
@@ -279,7 +288,7 @@ func TestAllocatePlacementMatchesReference(t *testing.T) {
 
 	// A selector-built placement goes through the same checks: here its
 	// second run names a node that job 1 holds.
-	bad := WithRuns([]int{7, 16}, []uint64{1 << 32, 4<<32 | 1, 2})
+	bad := withRuns([]int{7, 16}, []uint64{1 << 32, 4<<32 | 1, 2})
 	if err := p.allocate("selector-built naming a busy node", 9, CommIntensive, bad); err == nil {
 		t.Error("selector-built placement over a busy node was accepted")
 	}
@@ -289,44 +298,84 @@ func TestAllocatePlacementMatchesReference(t *testing.T) {
 }
 
 // TestStalePlacementStampIsRevalidated pins the stamp's meaning: a
-// placement validated at one generation is scanned again once the state has
-// moved, and fails with Allocate's message for what changed underneath it.
+// placement validated at one generation is checked again once the state has
+// moved. A list (built as one, or a free-rank placement listed before the
+// state moved) is scanned and fails with Allocate's message for what
+// changed underneath it; an unlisted free-rank placement is stale, whatever
+// moved, and is never read against the new generation.
 func TestStalePlacementStampIsRevalidated(t *testing.T) {
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 4, Fanouts: []int{3}})
+	held := func(s *State) error { return s.Allocate(4, ComputeIntensive, []int{11}) }
 	for _, c := range []struct {
 		name   string
+		setup  func(*State) error
 		mutate func(*State) error
-		want   string
+		want   string // a list's error; "" if the list is still good
 	}{
-		{"drain", func(s *State) error { return s.Drain(5) }, "cluster: job 7: node 5 is drained: node unavailable"},
-		{"fail", func(s *State) error { _, err := s.Fail(5); return err }, "cluster: job 7: node 5 is down (failed): node unavailable"},
-		{"allocate", func(s *State) error { return s.Allocate(3, ComputeIntensive, []int{5}) }, "cluster: job 7: node 5 busy (held by job 3)"},
+		{"drain", nil, func(s *State) error { return s.Drain(5) }, "cluster: job 7: node 5 is drained: node unavailable"},
+		{"fail", nil, func(s *State) error { _, err := s.Fail(5); return err }, "cluster: job 7: node 5 is down (failed): node unavailable"},
+		{"allocate", nil, func(s *State) error { return s.Allocate(3, ComputeIntensive, []int{5}) }, "cluster: job 7: node 5 busy (held by job 3)"},
+		{"release", held, func(s *State) error { return s.Release(4) }, ""},
+		{"drain elsewhere", nil, func(s *State) error { return s.Drain(10) }, ""},
 	} {
-		s := New(topo)
-		pl := leafByLeaf(s, []int{1, 0}, 3)
-		var sc Scratch
-		if err := pl.Validate(s, 7, &sc); err != nil {
-			t.Fatal(err)
-		}
-		if pl.st != s || pl.gen != s.gen {
-			t.Fatalf("%s: a valid selector-built placement was not stamped", c.name)
-		}
-		if err := c.mutate(s); err != nil {
-			t.Fatal(err)
-		}
-		before := s.Clone()
-		err := s.AllocatePlacement(7, CommIntensive, &pl)
-		if err == nil || err.Error() != c.want {
-			t.Errorf("%s: Allocate of the stale placement: %v, want %q", c.name, err, c.want)
-		}
-		before.gen = s.gen
-		if err := sameState(s, before); err != nil {
-			t.Errorf("%s: failed Allocate changed the state: %v", c.name, err)
-		}
-		// The same placement is valid again on a state where nothing moved.
-		fresh := New(topo)
-		if err := fresh.AllocatePlacement(7, CommIntensive, &pl); err != nil {
-			t.Errorf("%s: on a fresh state: %v", c.name, err)
+		for _, form := range []string{"built as a list", "listed before the mutation", "unlisted"} {
+			name := c.name + ", " + form
+			s := New(topo)
+			if c.setup != nil {
+				if err := c.setup(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pl := leafByLeaf(s, []int{1, 0}, 3)
+			want := slices.Clone(pl.nodes)
+			if form != "built as a list" {
+				pl = freeRankByLeaf(s, []int{1, 0}, 3)
+			}
+			var sc Scratch
+			if err := pl.Validate(s, 7, &sc); err != nil {
+				t.Fatal(err)
+			}
+			if pl.st != s || pl.gen != s.gen || !pl.valid {
+				t.Fatalf("%s: a valid selector-built placement was not stamped", name)
+			}
+			if form == "listed before the mutation" && !slices.Equal(pl.Nodes(), want) {
+				t.Fatalf("%s: listed %v, want %v", name, pl.nodes, want)
+			}
+			if err := c.mutate(s); err != nil {
+				t.Fatal(err)
+			}
+			before := s.Clone()
+			err := s.AllocatePlacement(7, CommIntensive, &pl)
+			switch {
+			case form == "unlisted":
+				if !errors.Is(err, ErrStalePlacement) || !errors.Is(err, ErrNodeUnavailable) {
+					t.Errorf("%s: Allocate of the stale runs: %v, want ErrStalePlacement wrapping ErrNodeUnavailable", name, err)
+				}
+				if got := pl.Nodes(); got != nil {
+					t.Errorf("%s: stale runs listed %v against a generation they were not selected on", name, got)
+				}
+			case c.want == "":
+				sort.Ints(want)
+				if err != nil || !slices.Equal(s.Allocation(7).Nodes, want) {
+					t.Errorf("%s: the list is still free: %v, allocation %+v", name, err, s.Allocation(7))
+				}
+				if pl.skip != nil {
+					t.Errorf("%s: a list stamped at a new generation kept the old one's free ranks", name)
+				}
+				continue
+			case err == nil || err.Error() != c.want:
+				t.Errorf("%s: Allocate of the stale placement: %v, want %q", name, err, c.want)
+			}
+			before.gen = s.gen
+			if err := sameState(s, before); err != nil {
+				t.Errorf("%s: failed Allocate changed the state: %v", name, err)
+			}
+			// A list is valid again on a state where nothing moved; stale
+			// runs stay stale on any state but their own.
+			fresh := New(topo)
+			if err := fresh.AllocatePlacement(7, CommIntensive, &pl); (err == nil) != (form != "unlisted") {
+				t.Errorf("%s: on a fresh state: %v", name, err)
+			}
 		}
 	}
 
@@ -379,7 +428,10 @@ func TestReleaseAfterMidRunDrainsAndFailures(t *testing.T) {
 // operations through AllocatePlacement/Release and through the node-by-node
 // references on a cloned state, comparing everything after every step. The
 // lists are selector-shaped (leaf by leaf with runs), permuted, or made
-// invalid: a repeated ID, an out-of-range ID, a busy node, a down node.
+// invalid: a repeated ID, an out-of-range ID, a busy node, a down node. A
+// selector-shaped placement also comes as unlisted free-rank runs, intact
+// or corrupted: corrupted runs are committed only if the node scan accepts
+// the nodes they list, and then exactly those nodes.
 func FuzzPlacementAllocate(f *testing.F) {
 	f.Add(uint8(3), uint8(4), int64(1), []byte{0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x06, 0x77})
 	f.Add(uint8(0x85), uint8(7), int64(2), []byte{0xf0, 0x11, 0xa2, 0x13, 0x94, 0x25, 0x36, 0xe7, 0x18, 0x06})
@@ -431,6 +483,27 @@ func FuzzPlacementAllocate(f *testing.F) {
 			}
 			nodes := slices.Clone(pl.Nodes())
 			switch b & 7 {
+			case 4: // selector-shaped: as the list, as free-rank runs, or as runs gone wrong
+				switch rng.Intn(3) {
+				case 1:
+					pl = freeRankByLeaf(p.opt, order, 1+int(b>>4))
+				case 2:
+					bad := corruptRuns(rng, freeRankByLeaf(p.opt, order, 1+int(b>>4)), nl)
+					list := listed(bad)
+					bare := NewPlacement(list)
+					scan := list != nil && bare.Validate(p.opt, next, new(Scratch)) == nil
+					if err := p.opt.AllocatePlacement(next, Class(b>>3&1), &bad); err != nil {
+						p.check(what+": refused runs", nil, nil)
+						continue
+					}
+					if !scan {
+						t.Fatalf("%s: runs %x after free ranks %v were committed, but the node scan rejects their list %v", what, bad.runs, bad.skip, list)
+					}
+					p.check(what+": runs that stayed valid", nil, p.ref.allocateRef(next, Class(b>>3&1), list))
+					live = append(live, next)
+					next++
+					continue
+				}
 			case 5:
 				rng.Shuffle(len(nodes), func(x, y int) { nodes[x], nodes[y] = nodes[y], nodes[x] })
 				pl = NewPlacement(nodes)
@@ -452,10 +525,38 @@ func FuzzPlacementAllocate(f *testing.F) {
 	})
 }
 
+// corruptRuns damages a copy of a free-rank placement's runs or free ranks
+// in one of the ways TestRunValidatorAgreesWithNodeScan names.
+func corruptRuns(rng *rand.Rand, pl Placement, leaves int) Placement {
+	runs, skip := slices.Clone(pl.runs), slices.Clone(pl.skip)
+	i, j := rng.Intn(len(skip)), rng.Intn(len(skip))
+	switch rng.Intn(8) {
+	case 0:
+		skip[i] += uint64(1 + rng.Intn(3))
+	case 1:
+		skip[i] = 0
+	case 2:
+		runs[len(runs)-1] += uint64(1 + rng.Intn(2))
+	case 3:
+		runs[len(runs)-1]--
+	case 4:
+		runs[i] = uint64(leaves+rng.Intn(2))<<32 | runs[i]&(1<<32-1)
+	case 5:
+		runs[i] = runs[j]&^(1<<32-1) | runs[i]&(1<<32-1) // run i moves to run j's leaf
+	case 6:
+		runs[0]++
+	case 7:
+		skip = skip[:len(skip)-1]
+	}
+	return FreeRankRuns(pl.st, runs, skip)
+}
+
 // BenchmarkAllocateReleaseIntrepid is the wide-job case the per-run path
 // exists for: 4,096 nodes of Intrepid in 20 leaf runs visited in a
 // non-ascending leaf order, as a selector emits them. /opt commits the
-// placement (validation included), /ref is the node-by-node reference.
+// listed placement (node scan included), /runs the same selection as
+// unlisted free-rank runs (validated by its runs, listed once into the
+// allocation), /ref is the node-by-node reference.
 func BenchmarkAllocateReleaseIntrepid(b *testing.B) {
 	topo := topology.Intrepid()
 	s := New(topo)
@@ -465,13 +566,28 @@ func BenchmarkAllocateReleaseIntrepid(b *testing.B) {
 		order = append(order, (i*37+11)%topo.NumLeaves())
 	}
 	pl := leafByLeaf(s, order, per+1)
-	pl = WithRuns(pl.nodes[:4096:4096], append(slices.Clone(pl.runs[:len(pl.runs)-1]), 4096))
+	pl = withRuns(pl.nodes[:4096:4096], append(slices.Clone(pl.runs[:len(pl.runs)-1]), 4096))
 	if err := pl.Validate(s, 0, new(Scratch)); err != nil {
 		b.Fatal(err)
 	}
+	skip := make([]uint64, len(pl.runs)-1) // every leaf is idle and visited once
+	if free := FreeRankRuns(s, pl.runs, skip); !slices.Equal(free.Nodes(), pl.nodes) {
+		b.Fatal("the free-rank fixture lists other nodes")
+	}
 	b.Run("opt", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fresh := WithRuns(pl.nodes, pl.runs) // unstamped: the commit pays for its scan
+			fresh := withRuns(pl.nodes, pl.runs) // unstamped: the commit pays for its scan
+			if err := s.AllocatePlacement(JobID(i), CommIntensive, &fresh); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Release(JobID(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("runs", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fresh := FreeRankRuns(s, pl.runs, skip)
 			if err := s.AllocatePlacement(JobID(i), CommIntensive, &fresh); err != nil {
 				b.Fatal(err)
 			}

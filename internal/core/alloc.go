@@ -51,8 +51,8 @@ type Selector interface {
 }
 
 // placer is what the built-in selectors implement besides Selector: the
-// same selection as a cluster.Placement carrying the leaf runs it was
-// built from, one per leaf visit.
+// same selection as the free-rank runs it is made of (cluster.FreeRankRuns),
+// one per leaf visit, with no node named yet. Select is Place listed.
 type placer interface {
 	Place(st *cluster.State, req Request) (cluster.Placement, error)
 }
@@ -202,27 +202,6 @@ func findLowestSwitch(st *cluster.State, n int) (*topology.Switch, error) {
 	return best, nil
 }
 
-// takeFromLeaf appends up to max free nodes of leaf l (ascending node ID)
-// to dst and records the leaf visit in the scratch.
-//
-//caws:noalloc
-func takeFromLeaf(st *cluster.State, l, max int, dst []int, sc *selScratch) []int {
-	if max <= 0 {
-		return dst
-	}
-	first := len(dst)
-	for _, id := range st.Topology().LeafNodes(l) {
-		if len(dst)-first == max {
-			break
-		}
-		if st.NodeFree(id) {
-			dst = append(dst, id)
-		}
-	}
-	sc.visit(l, first, len(dst))
-	return dst
-}
-
 // leafOrder pairs a leaf index with the sort keys current when the
 // selector ran; sorting a snapshot keeps selectors deterministic even
 // though allocation mutates free counts as it walks the order.
@@ -233,51 +212,59 @@ type leafOrder struct {
 }
 
 // selScratch holds the per-selection working set — the leaf snapshot, the
-// balanced algorithm's pass-one take counts, the mark-on-slice node filter
-// and the leaf runs visited so far — so a selection allocates nothing
-// beyond the node list and run sequence it returns. Scratches are pooled;
-// selectors acquire one, use it, and release it before returning.
+// balanced algorithm's pass-one take counts and the free-rank runs chosen so
+// far — so a selection allocates only the one slice its placement keeps, and
+// reads no node: it splits the snapshot's free counts into runs. Scratches
+// are pooled; selectors acquire one, use it, and release it before returning.
 type selScratch struct {
 	order []leafOrder
 	taken []int
 	runs  []uint64 // leaf<<32|first rank per leaf visit, in rank order
-	// mark/markGen is the reusable replacement for appendAvoiding's old
-	// per-call map[int]bool: mark[id] == markGen means node id is already
-	// chosen in the current pass.
-	mark    []uint64
-	markGen uint64
+	skip  []uint64 // per run: how many allocatable nodes of its leaf precede it
+	n     int      // ranks placed so far
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(selScratch) }}
 
 func getScratch() *selScratch {
 	sc := scratchPool.Get().(*selScratch)
-	sc.runs = sc.runs[:0]
+	sc.runs, sc.skip, sc.n = sc.runs[:0], sc.skip[:0], 0
 	return sc
 }
 func (sc *selScratch) release() { scratchPool.Put(sc) }
 
-// visit records that ranks [first, end) were just placed on leaf l. A visit
-// to the leaf of the previous run extends that run, keeping runs maximal.
-func (sc *selScratch) visit(l, first, end int) {
-	if n := len(sc.runs); end > first && (n == 0 || int(sc.runs[n-1]>>32) != l) {
-		sc.runs = append(sc.runs, uint64(l)<<32|uint64(first))
+// take places the next k ranks on leaf l's allocatable nodes after its first
+// skip. Carrying on where the previous run stopped extends it: runs stay maximal.
+//
+//caws:noalloc
+func (sc *selScratch) take(l, skip, k int) {
+	if k <= 0 {
+		return
 	}
+	n := len(sc.runs)
+	extends := n > 0 && int(sc.runs[n-1]>>32) == l && int(sc.skip[n-1])+sc.n-int(uint32(sc.runs[n-1])) == skip
+	if !extends {
+		sc.runs = append(sc.runs, uint64(l)<<32|uint64(sc.n))
+		sc.skip = append(sc.skip, uint64(skip))
+	}
+	sc.n += k
 }
 
-// placement closes the visited runs over the finished node list.
-func (sc *selScratch) placement(nodes []int) cluster.Placement {
-	runs := make([]uint64, len(sc.runs)+1)
-	copy(runs, sc.runs)
-	runs[len(sc.runs)] = uint64(len(nodes))
-	return cluster.WithRuns(nodes, runs)
-}
-func (sc *selScratch) beginMark(n int) {
-	if cap(sc.mark) < n {
-		sc.mark = make([]uint64, n)
+// placement closes the chosen runs into a free-rank placement bound to st;
+// runs and free ranks share the one slice a selection allocates. When
+// pricing mutates the state (reference mode allocates and releases around
+// every price) the nodes are listed now, while the runs can still be read.
+func (sc *selScratch) placement(st *cluster.State) cluster.Placement {
+	r := len(sc.runs)
+	words := make([]uint64, 2*r+1)
+	copy(words, sc.runs)
+	words[r] = uint64(sc.n)
+	copy(words[r+1:], sc.skip)
+	pl := cluster.FreeRankRuns(st, words[:r+1:r+1], words[r+1:])
+	if !costmodel.CandidateCostReadOnly(st) {
+		pl.Nodes()
 	}
-	sc.mark = sc.mark[:n]
-	sc.markGen++
+	return pl
 }
 
 // snapshotLeaves fills the scratch's leaf-order buffer; the returned slice
@@ -357,17 +344,16 @@ func placeInOrder(st *cluster.State, req Request, name string, cmp func(a, b lea
 	}
 	sc := getScratch()
 	defer sc.release()
-	out := make([]int, 0, req.Nodes)
 	order := snapshotLeaves(st, p.DescLeaves, sc) // a leaf switch lists itself
 	slices.SortFunc(order, cmp)
 	for _, lo := range order {
-		out = takeFromLeaf(st, lo.leaf, min(lo.free, req.Nodes-len(out)), out, sc)
-		if len(out) == req.Nodes {
-			return sc.placement(out), nil
+		sc.take(lo.leaf, 0, min(lo.free, req.Nodes-sc.n))
+		if sc.n == req.Nodes {
+			return sc.placement(st), nil
 		}
 	}
 	return cluster.Placement{}, fmt.Errorf("core: %s: switch %s promised %d nodes, found %d",
-		name, p.Name, req.Nodes, len(out))
+		name, p.Name, req.Nodes, sc.n)
 }
 
 // ---------------------------------------------------------------- default
@@ -444,7 +430,6 @@ func (s balancedSelector) Place(st *cluster.State, req Request) (cluster.Placeme
 	}
 	sc := getScratch()
 	defer sc.release()
-	out := make([]int, 0, req.Nodes)
 	order := snapshotLeaves(st, p.DescLeaves, sc)
 	remaining := req.Nodes
 	slices.SortFunc(order, cmpFreeDesc)
@@ -473,19 +458,15 @@ func (s balancedSelector) Place(st *cluster.State, req Request) (cluster.Placeme
 		if take == 0 {
 			continue
 		}
-		out = takeFromLeaf(st, lo.leaf, take, out, sc)
+		sc.take(lo.leaf, 0, take)
 		taken[i] = take
 		remaining -= take
 		if remaining == 0 {
-			return sc.placement(out), nil
+			return sc.placement(st), nil
 		}
 	}
 	// Second pass, reverse sorted order: fill with whatever is left
 	// (lines 22-28).
-	sc.beginMark(st.Topology().NumNodes())
-	for _, id := range out {
-		sc.mark[id] = sc.markGen
-	}
 	for i := len(order) - 1; i >= 0 && remaining > 0; i-- {
 		free := order[i].free - taken[i]
 		if free <= 0 {
@@ -495,43 +476,15 @@ func (s balancedSelector) Place(st *cluster.State, req Request) (cluster.Placeme
 		if take > remaining {
 			take = remaining
 		}
-		// Skip the nodes already taken in pass one: takeFromLeaf only
-		// returns free nodes, and pass-one nodes are not yet committed, so
-		// exclude them explicitly.
-		out = appendAvoiding(st, order[i].leaf, take, out, sc)
+		// Pass one took the leaf's first taken[i] allocatable nodes.
+		sc.take(order[i].leaf, taken[i], take)
 		remaining -= take
 	}
 	if remaining != 0 {
 		return cluster.Placement{}, fmt.Errorf("core: balanced: switch %s promised %d nodes, short by %d",
 			p.Name, req.Nodes, remaining)
 	}
-	return sc.placement(out), nil
-}
-
-// appendAvoiding appends up to max free nodes of leaf l that are not
-// already chosen, and records the leaf visit. The caller marks dst's nodes
-// in the scratch before the first call (sc.beginMark + mark);
-// appendAvoiding marks what it appends, so successive calls keep avoiding
-// each other without rescanning dst — the zero-allocation replacement for
-// the old per-call map[int]bool.
-//
-//caws:noalloc
-func appendAvoiding(st *cluster.State, l, max int, dst []int, sc *selScratch) []int {
-	if max <= 0 {
-		return dst
-	}
-	first := len(dst)
-	for _, id := range st.Topology().LeafNodes(l) {
-		if len(dst)-first == max {
-			break
-		}
-		if st.NodeFree(id) && sc.mark[id] != sc.markGen {
-			sc.mark[id] = sc.markGen
-			dst = append(dst, id)
-		}
-	}
-	sc.visit(l, first, len(dst))
-	return dst
+	return sc.placement(st), nil
 }
 
 // --------------------------------------------------------------- adaptive
@@ -637,8 +590,9 @@ func SelectAndAllocate(sel Selector, st *cluster.State, req Request) ([]int, err
 		return nil, fmt.Errorf("core: %s returned %d nodes for a %d-node request",
 			sel.Name(), pl.Len(), req.Nodes)
 	}
+	nodes := pl.Nodes() // the commit moves the generation the runs are bound to
 	if err := st.AllocatePlacement(req.Job, req.Class, &pl); err != nil {
 		return nil, err
 	}
-	return pl.Nodes(), nil
+	return nodes, nil
 }

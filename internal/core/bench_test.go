@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -84,11 +85,50 @@ func benchSelectAnneal(b *testing.B, budget int) {
 func BenchmarkSelectAnneal64(b *testing.B)  { benchSelectAnneal(b, 64) }
 func BenchmarkSelectAnneal256(b *testing.B) { benchSelectAnneal(b, 256) }
 
-// TestSelectAllocations pins the selector fast paths to two heap
-// allocations per call — the returned node list and the placement's run
-// sequence, sized from the leaves visited. The leaf snapshot, sort, take
-// counters, the appendAvoiding node filter and the run buffer all live in
-// the pooled scratch.
+// intrepidState is Intrepid loaded the way costmodel's
+// BenchmarkCompile/selector fixture loads it for a job of n ranks: every
+// leaf busy on a random prefix, to half on average or as far as leaves room
+// for the job.
+func intrepidState(tb testing.TB, n int) *cluster.State {
+	topo := topology.Intrepid()
+	st := cluster.New(topo)
+	rng := randNew(int64(n) + 1)
+	load := min(0.5, 0.8*(1-float64(n)/float64(topo.NumNodes())))
+	busy := make([]int, topo.NumLeaves())
+	for l := range busy {
+		busy[l] = rng.Intn(int(2*load*float64(topo.LeafSize(l))) + 1)
+	}
+	occupy(tb, st, busy)
+	return st
+}
+
+// BenchmarkPlaceIntrepid is the selection of a wide communication-intensive
+// job as the replays run it: Place, which splits leaf free counts into
+// free-rank runs and, for adaptive, validates and prices two candidates by
+// their runs. Nothing in it is proportional to the job's nodes: B/op is the
+// run slice (plus the cached compile's share on a cold iteration).
+func BenchmarkPlaceIntrepid(b *testing.B) {
+	for _, a := range Algorithms {
+		for _, n := range []int{4096, 32768} {
+			b.Run(fmt.Sprintf("%v/%d", a, n), func(b *testing.B) {
+				st, sel := intrepidState(b, n), MustNew(a)
+				req := Request{Job: 1, Nodes: n, Class: cluster.CommIntensive, Pattern: collective.RD}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if pl, err := Place(sel, st, req); err != nil || pl.Len() != n {
+						b.Fatal(pl.Len(), err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSelectAllocations pins the selector fast paths: Place allocates one
+// slice, the placement's runs and free ranks together, and Select one more,
+// the node list it lists them into. The leaf snapshot, sort, take counters
+// and run buffers all live in the pooled scratch.
 func TestSelectAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratches at random; pin measured without -race")
@@ -103,20 +143,28 @@ func TestSelectAllocations(t *testing.T) {
 				t.Fatalf("%v/%v: %v", a, class, err)
 			}
 			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := Place(sel, st, req); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 1 {
+				t.Errorf("%v/%v: %.1f allocs per Place, want <= 1 (the runs)", a, class, allocs)
+			}
+			allocs = testing.AllocsPerRun(50, func() {
 				if _, err := sel.Select(st, req); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs > 2 {
-				t.Errorf("%v/%v: %.1f allocs per Select, want <= 2 (the node list and its runs)", a, class, allocs)
+				t.Errorf("%v/%v: %.1f allocs per Select, want <= 2 (the runs and the node list)", a, class, allocs)
 			}
 		}
 	}
 }
 
 // TestAdaptiveSelectAllocations pins the adaptive selector's parallel
-// costing path to five heap allocations per call: the greedy and balanced
-// candidates' node lists and run sequences plus the costing goroutine's
+// costing path to four heap allocations per call: the greedy and balanced
+// candidates' runs, the winner's node list and the costing goroutine's
 // spawn. Everything else — candidate validation, the overlay comm
 // counters, the leaf-pair hops values — lives in pooled scratch, so a
 // regression here means PlacementCostMode started allocating again.
@@ -140,16 +188,15 @@ func TestAdaptiveSelectAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 5 {
-			t.Errorf("%v: %.1f allocs per adaptive Select, want <= 5 (two candidates of two slices + the costing goroutine)", class, allocs)
+		if allocs > 4 {
+			t.Errorf("%v: %.1f allocs per adaptive Select, want <= 4 (two candidates' runs, the winner's list, the costing goroutine)", class, allocs)
 		}
 	}
 }
 
-// TestBalancedSecondPassAvoidsFirstPassNodes pins the mark-on-slice
-// rewrite of appendAvoiding: the second pass must never duplicate a node
-// taken in the power-of-two pass, across repeated reuses of the pooled
-// scratch.
+// TestBalancedSecondPassAvoidsFirstPassNodes pins the second pass's free
+// ranks: it carries on after what the power-of-two pass took on a leaf and
+// never duplicates a node, across repeated reuses of the pooled scratch.
 func TestBalancedSecondPassAvoidsFirstPassNodes(t *testing.T) {
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 7, Fanouts: []int{3}})
 	st := cluster.New(topo)

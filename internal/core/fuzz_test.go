@@ -46,10 +46,12 @@ func sameCounters(a, b *cluster.State) error {
 // free node count, returns exactly the requested number of distinct free
 // nodes, and the cluster state stays internally consistent after every
 // commit and release. The selection is committed as the selector's own
-// placement (its leaf runs, per-run deltas, no sort) while a mirror state
-// commits the same nodes as a reversed bare list (derived runs, sorted):
+// placement (unlisted free-rank runs: validated by run, nodes read off the
+// leaves into the allocation) while a mirror state commits the nodes a copy
+// of it lists as a reversed bare list (derived runs, node scan, sorted):
 // the two must agree on every counter after every step, which a run the
-// selector recorded wrongly would break.
+// selector recorded wrongly would break. The listed nodes must also be
+// exactly what the list-building selectors (listref_test.go) choose.
 func FuzzAllocate(f *testing.F) {
 	f.Add(uint8(2), uint8(4), []byte{0x13, 0x85, 0x04, 0x00, 0xff, 0x21})
 	f.Add(uint8(5), uint8(7), []byte{0xfe, 0x01, 0x3c, 0x3c, 0x3c, 0x00, 0x00})
@@ -66,8 +68,11 @@ func FuzzAllocate(f *testing.F) {
 		}
 		st, mirror := cluster.New(topo), cluster.New(topo)
 		machine := topo.NumNodes()
-		sels := []Selector{MustNew(Default), MustNew(Greedy), MustNew(Balanced),
-			MustNew(Adaptive), MustNew(BalancedNoPow2)}
+		algs := []Algorithm{Default, Greedy, Balanced, Adaptive, BalancedNoPow2}
+		sels := make([]Selector, len(algs))
+		for k, a := range algs {
+			sels[k] = MustNew(a)
+		}
 		patterns := []collective.Pattern{collective.RD, collective.RHVD,
 			collective.Binomial, collective.Ring}
 
@@ -100,7 +105,8 @@ func FuzzAllocate(f *testing.F) {
 			sel := sels[i%len(sels)]
 			free := st.FreeTotal()
 			pl, err := Place(sel, st, req)
-			nodes := pl.Nodes()
+			listed := pl // a copy: pl itself is committed as unlisted free-rank runs
+			nodes := listed.Nodes()
 			if req.Nodes > free {
 				if err == nil {
 					t.Fatalf("op %d: %s satisfied %d nodes with only %d free", i, sel.Name(), req.Nodes, free)
@@ -128,6 +134,9 @@ func FuzzAllocate(f *testing.F) {
 			}
 			if again, err := sel.Select(st, req); err != nil || !slices.Equal(again, nodes) {
 				t.Fatalf("op %d: %s: Select %v, %v; Place %v", i, sel.Name(), again, err, nodes)
+			}
+			if ref, err := selectRef(algs[i%len(sels)], st, req); err != nil || !slices.Equal(ref, nodes) {
+				t.Fatalf("op %d: %s: the list-building selector chose %v, %v; the free-rank runs list %v", i, sel.Name(), ref, err, nodes)
 			}
 			bare := cluster.NewPlacement(nodes)
 			if !bare.Reduce(cluster.LayoutOf(topo), new(cluster.Scratch)) || !slices.Equal(bare.Runs(), pl.Runs()) {

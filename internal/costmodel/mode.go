@@ -125,21 +125,23 @@ func CandidateCostMode(st *cluster.State, job cluster.JobID, class cluster.Class
 // its per-leaf node counts onto the live comm counters during evaluation,
 // so it never mutates the state (see CandidateCostReadOnly). The reference
 // path tentatively allocates, costs, and rolls back; it mutates the state
-// (two generation bumps, so every call scans the nodes again) and must not
-// run concurrently with other evaluations of the same state.
+// (two generation bumps, so the placement goes on as a list, scanned on every
+// call) and must not run concurrently with other evaluations of the same
+// state. The fast path never lists a placement.
 func PlacementCostMode(st *cluster.State, job cluster.JobID, class cluster.Class,
 	pl *cluster.Placement, p collective.Pattern, mode Mode) (float64, error) {
 	if pl.Len() == 0 {
 		return 0, fmt.Errorf("costmodel: empty candidate allocation")
 	}
 	if referenceMode.Load() {
+		nodes := pl.Nodes() // listed before the tentative allocation moves the generation
 		if err := st.AllocatePlacement(job, class, pl); err != nil {
 			return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
 		}
 		steps, err := ScheduleFor(p, pl.Len())
 		var cost float64
 		if err == nil {
-			cost, err = JobCostMode(st, pl.Nodes(), steps, mode)
+			cost, err = JobCostMode(st, nodes, steps, mode)
 		}
 		if rerr := st.Release(job); rerr != nil && err == nil {
 			err = rerr

@@ -299,8 +299,10 @@ func (d *Daemon) job(r *jobRecord) (nodes int, estimate float64, eligible bool) 
 	return r.job.Nodes, r.job.Runtime, eligible
 }
 
-// placed is what a record keeps of a committed sim.Placement: a record
-// per job ever submitted is too many to carry the runs and stamp along.
+// placed is what a record keeps of a committed sim.Placement: the
+// rank-ordered list sim.PlaceJob listed before the commit, which status
+// hostlists and snapshots read, and the Eq. 7 results. Its free-rank runs
+// meant something only at the generation the commit has just ended.
 type placed struct {
 	Nodes                      []int
 	Exec, Cost, RefCost, Ratio float64
@@ -308,7 +310,8 @@ type placed struct {
 
 // startJob places and starts a job at virtual time v. A node going down
 // between the pass's capacity check and the allocation (fail/drain serviced
-// in the same pass) leaves the job valid: it retries once capacity returns.
+// in the same pass) leaves the job valid: a listed node now down, or runs
+// gone stale unlisted, is an ErrNodeUnavailable, and the job retries.
 // Deterministic selectors otherwise only fail on capacity, which the pass
 // just checked; anything else cancels the job with the reason recorded.
 func (d *Daemon) startJob(r *jobRecord, v float64) (sched.Outcome, error) {

@@ -1,0 +1,175 @@
+package daemon
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/topology"
+)
+
+// drainingPlacer is the built-in selector with a node state change
+// serviced right after one job's selection: the free-rank placement it
+// returns is bound to a generation that is gone by the time it is priced
+// or committed.
+type drainingPlacer struct {
+	core.Selector
+	job   cluster.JobID
+	node  int
+	fail  bool
+	fired bool
+}
+
+func (s *drainingPlacer) Place(st *cluster.State, req core.Request) (cluster.Placement, error) {
+	pl, err := core.Place(s.Selector, st, req)
+	if err == nil && req.Job == s.job && !s.fired {
+		s.fired = true
+		if s.fail {
+			_, err = st.Fail(s.node)
+		} else {
+			err = st.Drain(s.node)
+		}
+	}
+	return pl, err
+}
+
+// TestNodeDownBetweenSelectionAndCommitRetries: a Fail or Drain that lands
+// between a job's selection and its commit makes the unlisted placement
+// stale (cluster.ErrStalePlacement, which is an ErrNodeUnavailable), so the
+// pass keeps the job queued (sched.Retry) and the next pass selects again
+// on the new state; the job is never dropped. Both classes: a
+// communication-intensive job meets the stale placement at pricing, a
+// compute-intensive one at the commit.
+func TestNodeDownBetweenSelectionAndCommitRetries(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		class string
+		fail  bool
+	}{{"drain, comm", "comm", false}, {"fail, comm", "comm", true}, {"drain, compute", "compute", false}, {"fail, compute", "compute", true}} {
+		d := newClockedDaemon(t, newFakeClock())
+		placer := &drainingPlacer{job: 1, node: 7, fail: c.fail}
+		d.call(func() Response {
+			placer.Selector = d.selector
+			d.selector = placer
+			return Response{Ok: true}
+		})
+		resp := d.Submit(Request{Nodes: 4, Runtime: 100, Class: c.class, Pattern: "RD", CommShare: 0.5})
+		if !resp.Ok {
+			t.Fatalf("%s: %s", c.name, resp.Error)
+		}
+		if !placer.fired {
+			t.Fatalf("%s: the placer never ran", c.name)
+		}
+		// Read the record as the submit's pass left it: any request, Status
+		// included, runs a pass of its own first.
+		d.call(func() Response {
+			if r := d.jobs[resp.ID]; r.state != stateQueued || strings.Contains(r.name, "failed") || d.st.FreeTotal() != 7 {
+				t.Errorf("%s: job is %v (%q) with %d nodes free after its placement went stale, want queued for a retry",
+					c.name, r.state, r.name, d.st.FreeTotal())
+			}
+			return Response{Ok: true}
+		})
+		// Any later pass selects again, on the state as it now is.
+		if job := d.Status(resp.ID).Job; job.State != "running" || job.NodeList == "" || strings.Contains(job.NodeList, "n7") {
+			t.Fatalf("%s: job is %s on %q after the retry, want running clear of n7", c.name, job.State, job.NodeList)
+		}
+		checkInvariants(t, d)
+	}
+}
+
+// parentObservables is the SHA-256 of everything TestObservablesMatchParent
+// collects, computed by running this very test on the commit before
+// placements became free-rank runs (PR 17, 830e840).
+const parentObservables = "2eea3525ae59d0b6ec16c9d0a59f51d82991b3b4fa5eab3a23ed8440bebdf6e4"
+
+// TestObservablesMatchParent replays a fixed trace on a machine with
+// drained and failed nodes and hashes what an operator sees of placements:
+// every job's status (rank-ordered NodeList hostlists included), the queue
+// and running listings, and the snapshot, which must also survive a
+// restore → save round trip byte for byte. The digest is the parent
+// commit's: listing a placement lazily changed none of it.
+func TestObservablesMatchParent(t *testing.T) {
+	clk := newFakeClock()
+	cfg := Config{
+		Topology:  topology.MustGenerate(topology.Spec{NodesPerLeaf: 6, Fanouts: []int{4, 2}}),
+		Algorithm: core.Adaptive,
+		TimeScale: 1,
+		Clock:     clk.Now,
+	}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	for _, n := range []string{"n3", "n20", "n21"} {
+		if resp := d.Drain(n); !resp.Ok {
+			t.Fatal(resp.Error)
+		}
+	}
+	if resp := d.Fail("n40"); !resp.Ok {
+		t.Fatal(resp.Error)
+	}
+	rng := rand.New(rand.NewSource(7))
+	patterns := []string{"RD", "RHVD", "Binomial", "Ring"}
+	h := sha256.New()
+	for i := 0; i < 60; i++ {
+		s := SubmitSpec{Nodes: 1 + rng.Intn(14), Runtime: 5 + 60*rng.Float64(), Name: fmt.Sprintf("job-%d", i)}
+		if rng.Intn(3) > 0 {
+			s.Class, s.Pattern, s.CommShare = "comm", patterns[rng.Intn(len(patterns))], 0.3+0.5*rng.Float64()
+		}
+		if resp := d.SubmitBatch([]SubmitSpec{s}); !resp.Ok {
+			t.Fatal(resp.Error)
+		}
+		if i%10 == 9 {
+			clk.Advance(15 * time.Second)
+		}
+		if i == 30 {
+			if resp := d.Fail("n9"); !resp.Ok { // kills and requeues whoever runs there
+				t.Fatal(resp.Error)
+			}
+		}
+	}
+	for _, resp := range []Response{d.Queue(), d.Running()} {
+		resp.Latency = nil
+		fmt.Fprintln(h, marshal(t, resp))
+	}
+	running := 0
+	for id := int64(1); id <= 60; id++ {
+		resp := d.Status(id)
+		resp.Latency = nil
+		if resp.Job.State == "running" {
+			running++
+		}
+		fmt.Fprintln(h, marshal(t, resp))
+	}
+	if running < 3 {
+		t.Fatalf("only %d jobs running: the trace does not exercise placements", running)
+	}
+	var snap bytes.Buffer
+	if err := d.SaveState(&snap); err != nil {
+		t.Fatal(err)
+	}
+	h.Write(snap.Bytes())
+
+	d2, err := Restore(cfg, bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d2.Close)
+	var again bytes.Buffer
+	if err := d2.SaveState(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap.Bytes(), again.Bytes()) {
+		t.Errorf("snapshot changed across restore → save:\n%s\n%s", snap.Bytes(), again.Bytes())
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != parentObservables {
+		t.Errorf("status, listings and snapshot hash to %s, the parent commit's to %s", got, parentObservables)
+	}
+}

@@ -120,7 +120,7 @@ func RunIndividual(cfg IndividualConfig, trace workload.Trace, jobIdx []int,
 			if err != nil {
 				return nil, err
 			}
-			pl, err := PlaceJob(st, sel, defSel, j, cfg.CostMode)
+			pl, err := placeJob(st, sel, defSel, j, cfg.CostMode, false)
 			if err != nil {
 				return nil, err
 			}

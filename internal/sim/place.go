@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
@@ -13,13 +12,16 @@ import (
 )
 
 // Placement is the outcome of placing one job on the cluster: the chosen
-// nodes (in rank order), the Eq. 7 modified execution time, and the cost
-// bookkeeping for the dominant pattern.
+// nodes, the Eq. 7 modified execution time, and the cost bookkeeping for
+// the dominant pattern.
 type Placement struct {
+	// Nodes is Placed listed in rank order. PlaceJob and PlaceJobMapped
+	// fill it; the engine, which never reads an ID, places without listing.
 	Nodes []int
-	// Placed is Nodes as the selector built and PlaceJob validated them;
-	// committing it (State.AllocatePlacement) on the unchanged state skips
-	// the node scan.
+	// Placed is the selection as the selector built and pricing validated
+	// it: free-rank runs bound to the state's generation, or the remapped
+	// list. Committed (State.AllocatePlacement) on the unchanged state it
+	// is not checked again; once the state moved, unlisted runs are stale.
 	Placed cluster.Placement
 	// Exec is the modified runtime (Eq. 7); equals the job's base runtime
 	// for compute-intensive jobs and under the default algorithm.
@@ -48,6 +50,14 @@ func PlaceJob(st *cluster.State, selector, defSel core.Selector, j workload.Job,
 // of the dominant pattern before the runtime model is applied.
 func PlaceJobMapped(st *cluster.State, selector, defSel core.Selector, j workload.Job,
 	mode costmodel.Mode, remap bool) (Placement, error) {
+	pl, err := placeJob(st, selector, defSel, j, mode, remap)
+	pl.Nodes = pl.Placed.Nodes()
+	return pl, err
+}
+
+// placeJob is PlaceJobMapped with Nodes left unlisted.
+func placeJob(st *cluster.State, selector, defSel core.Selector, j workload.Job,
+	mode costmodel.Mode, remap bool) (Placement, error) {
 	pattern := collective.RD
 	if p, ok := j.Mix.PrimaryPattern(); ok {
 		pattern = p
@@ -57,16 +67,16 @@ func PlaceJobMapped(st *cluster.State, selector, defSel core.Selector, j workloa
 	if err != nil {
 		return Placement{}, fmt.Errorf("sim: job %d: %w", j.ID, err)
 	}
-	pl := Placement{Nodes: placed.Nodes(), Placed: placed, Exec: j.Runtime, Ratio: 1}
+	pl := Placement{Placed: placed, Exec: j.Runtime, Ratio: 1}
 	if j.Class != cluster.CommIntensive || len(j.Mix.Comms) == 0 || j.Nodes <= 1 {
 		return pl, nil
 	}
 	if remap {
-		mapped, _, err := mapping.Remap(st, j.ID, j.Class, pl.Nodes, pattern, mapping.Options{})
+		mapped, _, err := mapping.Remap(st, j.ID, j.Class, pl.Placed.Nodes(), pattern, mapping.Options{})
 		if err != nil {
 			return Placement{}, fmt.Errorf("sim: job %d remap: %w", j.ID, err)
 		}
-		pl.Nodes, pl.Placed = mapped, cluster.NewPlacement(mapped)
+		pl.Placed = cluster.NewPlacement(mapped)
 	}
 	def, err := core.Place(defSel, st, req)
 	if err != nil {
@@ -75,8 +85,8 @@ func PlaceJobMapped(st *cluster.State, selector, defSel core.Selector, j workloa
 	// The default selector's own jobs, and most jobs of any selector on an
 	// empty enough machine, are placed where the reference is: pricing is
 	// a deterministic function of its arguments, so one evaluation serves
-	// as both costs.
-	same := slices.Equal(pl.Nodes, def.Nodes())
+	// as both costs. Selections made on one state compare by their runs.
+	same := pl.Placed.SameNodes(&def)
 	var buf [4]float64
 	ratios := buf[:0]
 	for _, c := range j.Mix.Comms {
