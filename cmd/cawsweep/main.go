@@ -101,16 +101,14 @@ func run(machines, patterns, comm, commShare, algs string, jobs int, seed int64,
 		return err
 	}
 
-	// Name the cost-evaluation path up front — "aggregated" (the default
-	// subtree-aggregated heuristic), "fast" (flat leaf-pair kernel only),
-	// or "reference": a sweep silently running the reference loops instead
-	// of the kernel it claims to benchmark (or vice versa) would be
-	// invisible in the numbers alone.
-	fmt.Fprintf(os.Stderr, "cawsweep: %d runs, cost kernel: %s\n", g.Size(), costmodel.KernelPath())
 	points, err := sweep.Run(g)
 	if err != nil {
 		return err
 	}
+	// Name the cost-evaluation path the cells report having run: a sweep
+	// on the reference loops instead of the kernel it claims to benchmark
+	// would be invisible in the numbers alone.
+	fmt.Fprintf(os.Stderr, "cawsweep: %d runs, cost kernel: %s\n", len(points), points[0].Kernel)
 	w := os.Stdout
 	if out != "" {
 		f, err := os.Create(out)

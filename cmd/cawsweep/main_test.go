@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"repro/internal/costmodel"
 )
 
 func TestRunSweep(t *testing.T) {
@@ -40,11 +38,10 @@ func TestRunSweep(t *testing.T) {
 
 // TestRunSweepKernelColumnExact pins the cost_kernel column cell by cell
 // at parallelism 1, 4, and NumCPU: every data row's column must equal
-// costmodel.KernelPath() exactly (not merely contain it), whatever the
-// worker-pool size — the column is recorded per cell by concurrent
-// workers, so a torn or stale read would surface here. It also covers the
-// toggled-off spelling: with aggregation disabled the same sweep must
-// report "fast" in every row.
+// "aggregated" exactly (not merely contain it), whatever the worker-pool
+// size — the column is recorded per cell by concurrent workers, so a torn
+// or stale read would surface here. The "reference" spelling of a
+// Grid.Reference sweep is pinned by sweep.TestKernelColumnFollowsGridMode.
 func TestRunSweepKernelColumnExact(t *testing.T) {
 	kernelColumn := func(t *testing.T, parallel int, want string) {
 		t.Helper()
@@ -80,15 +77,8 @@ func TestRunSweepKernelColumnExact(t *testing.T) {
 			}
 		}
 	}
-	t.Cleanup(func() { costmodel.SetAggregationMode(true) })
 	for _, parallel := range []int{1, 4, runtime.NumCPU()} {
-		if got := costmodel.KernelPath(); got != "aggregated" {
-			t.Fatalf("KernelPath = %q before sweep, want \"aggregated\"", got)
-		}
 		kernelColumn(t, parallel, "aggregated")
-		costmodel.SetAggregationMode(false)
-		kernelColumn(t, parallel, "fast")
-		costmodel.SetAggregationMode(true)
 	}
 }
 

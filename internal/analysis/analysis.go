@@ -41,8 +41,8 @@ type Pass struct {
 	// Files are the package's non-test source files.
 	Files []*ast.File
 	// TestFiles are the package's in-package _test.go files, sharing Info
-	// with Files. Analyzers that police test discipline (globalmut's
-	// toggle-restore rule) walk these; the rest ignore them.
+	// with Files. An analyzer that polices test discipline walks these; none
+	// of the suite's does at present.
 	TestFiles []*ast.File
 	// Path is the package import path (fixtures may declare a synthetic
 	// one to exercise path-scoped analyzers).

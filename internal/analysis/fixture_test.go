@@ -17,17 +17,16 @@ import (
 //	// want+N `regexp`   (expectation for the line N below the comment)
 //
 // Every fixture pair has a bad package (each finding annotated) and a
-// clean package (zero findings). Fixtures may pose as scoped packages
+// clean package (zero findings); refparity has a second bad one, for the
+// finding that pre-empts the others. Fixtures may pose as scoped packages
 // like repro/internal/sim: the loader assigns the import path, and the
 // analyzers match scope, structs and enums nominally.
 func TestFixtures(t *testing.T) {
 	refCfg := RefParityConfig{
-		FastPath: map[string][]string{"repro/fixture/refparity": {"cache"}},
+		FastPath:  map[string][]string{"repro/fixture/refparity": {"cache"}},
+		OwnerType: map[string]string{"repro/fixture/refparity": "State"},
 	}
-	gmCfg := GlobalMutConfig{
-		Scope:   []string{"repro/fixture/globalmut"},
-		Toggles: []string{"repro/fixture/globalmut.SetMode"},
-	}
+	gmScope := []string{"repro/fixture/globalmut"}
 	// The bad noalloc fixture additionally requires a kernel that does not
 	// exist ("missing") and one that exists unannotated ("unmarked").
 	naBadCfg := NoAllocConfig{Require: map[string][]string{
@@ -51,10 +50,11 @@ func TestFixtures(t *testing.T) {
 		{"floatcmp/clean", "repro/internal/costmodel", FloatCmp(DefaultFloatCmpScope, DefaultApprovedComparators)},
 		{"refparity/bad", "repro/fixture/refparity", RefParity(refCfg)},
 		{"refparity/clean", "repro/fixture/refparity", RefParity(refCfg)},
+		{"refparity/unswitched", "repro/fixture/refparity", RefParity(refCfg)},
 		{"poolhygiene/bad", "repro/internal/core", PoolHygiene(DefaultPoolHygieneScope)},
 		{"poolhygiene/clean", "repro/internal/core", PoolHygiene(DefaultPoolHygieneScope)},
-		{"globalmut/bad", "repro/fixture/globalmut", GlobalMut(gmCfg)},
-		{"globalmut/clean", "repro/fixture/globalmut", GlobalMut(gmCfg)},
+		{"globalmut/bad", "repro/fixture/globalmut", GlobalMut(gmScope)},
+		{"globalmut/clean", "repro/fixture/globalmut", GlobalMut(gmScope)},
 		{"sharedwrite/bad", "repro/internal/sweep", SharedWrite(DefaultSharedWriteScope)},
 		{"sharedwrite/clean", "repro/internal/sweep", SharedWrite(DefaultSharedWriteScope)},
 		{"noalloc/bad", "repro/fixture/noalloc", NoAlloc(naBadCfg)},

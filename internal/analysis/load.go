@@ -25,8 +25,8 @@ type Package struct {
 	Files []*ast.File
 	// TestFiles are the package's in-package _test.go files, type-checked
 	// together with Files under the same Info (external package foo_test
-	// files are not loaded). Most analyzers cover production code only;
-	// globalmut reads these to enforce toggle-restore discipline in tests.
+	// files are not loaded). The analyzers cover production code only; the
+	// suppression audit reads the directives in these too.
 	TestFiles []*ast.File
 	Types     *types.Package
 	Info      *types.Info
@@ -155,9 +155,9 @@ func typeCheck(fset *token.FileSet, path, dir string, goFiles, testGoFiles []str
 // Load type-checks the packages matched by the patterns (relative to dir,
 // or the current directory when dir is empty) and returns them ready for
 // analysis. Production files land in Package.Files; in-package _test.go
-// files land in Package.TestFiles (most analyzers cover production code
+// files land in Package.TestFiles (the analyzers cover production code
 // only — test files may deliberately exercise forbidden constructs — but
-// globalmut's toggle-restore rule reads them).
+// the suppression audit reads their directives too).
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -215,8 +215,8 @@ func moduleRoot(dir string) (string, error) {
 // LoadDir parses and type-checks the .go files of one directory as a
 // package with the given import path, resolving imports against the
 // enclosing module. Files named *_test.go load as the package's
-// TestFiles, mirroring Load (fixtures use them to exercise the
-// test-file-aware rules). Fixture tests use LoadDir to analyze testdata
+// TestFiles, mirroring Load (a fixture uses them to exercise directives
+// in test files). Fixture tests use LoadDir to analyze testdata
 // packages — including ones that pose as scoped packages like
 // repro/internal/sim — with full type information.
 func LoadDir(dir, importPath string) (*Package, error) {

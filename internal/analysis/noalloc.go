@@ -31,17 +31,17 @@ type NoAllocConfig struct {
 }
 
 // DefaultNoAllocConfig pins the kernels the BENCH_*.json zero-alloc
-// results depend on: leaf-schedule and subtree-aggregated evaluation,
-// pair-cache lookups, and the selector inner helpers.
+// results depend on: leaf-schedule and subtree-aggregated evaluation and
+// the selector inner helpers.
 var DefaultNoAllocConfig = NoAllocConfig{
 	Require: map[string][]string{
 		"repro/internal/costmodel": {
 			"leafSchedule.eval",
+			"leafSchedule.evalFlat",
 			"leafSchedule.evalDistance",
+			"leafSchedule.evalDistanceFlat",
 			"leafSchedule.evalAgg",
 			"leafSchedule.evalDistanceAgg",
-			"pairCache.at",
-			"pairCache.atSparse",
 			"evalScratch.overlayHops",
 			"leafHops",
 		},

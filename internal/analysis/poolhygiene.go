@@ -81,8 +81,8 @@ func poolCall(pass *Pass, call *ast.CallExpr, method string) ast.Expr {
 // Get from a pool and return the asserted arena type) and release
 // wrappers (functions or methods that Put their receiver or a parameter
 // back). Wrappers are how the tree spells the idiom — getScratch /
-// (*selScratch).release, acquirePairCache / (*pairCache).release — so
-// callers are checked against wrapper calls exactly like raw Get/Put.
+// (*selScratch).release — so callers are checked against wrapper calls
+// exactly like raw Get/Put.
 func poolWrappers(pass *Pass) (acquires, releases map[*types.Func]bool) {
 	acquires = make(map[*types.Func]bool)
 	releases = make(map[*types.Func]bool)

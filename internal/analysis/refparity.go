@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -22,45 +23,63 @@ type RefParityConfig struct {
 
 // DefaultRefParityConfig covers the two packages with fast paths:
 // cluster's per-switch free counters and incrementally maintained comm
-// shares, and costmodel's leaf-pair hops cache, schedule memo and compiled
-// leaf-aggregated schedules.
+// shares, and costmodel's schedule memo and compiled leaf-aggregated
+// schedules.
 var DefaultRefParityConfig = RefParityConfig{
 	FastPath: map[string][]string{
 		"repro/internal/cluster":   {"switchFree", "leafShare"},
-		"repro/internal/costmodel": {"pairCachePool", "scheduleCache", "leafSchedCache"},
+		"repro/internal/costmodel": {"scheduleCache", "leafSchedCache"},
 	},
 	OwnerType: map[string]string{
 		"repro/internal/cluster": "State",
 	},
 }
 
-// RefParity keeps the PR-2 equivalence proof total in every package that
-// exposes SetReferenceMode:
+// RefParity keeps the PR-2 equivalence proof total in every package with
+// configured fast-path state. The reference/optimized mode is a property of
+// the cluster.State being priced — its reference field, read through
+// Reference() outside the package — so the flag is recognised where it is
+// read:
 //
-//  1. the package must actually declare the referenceMode flag the switch
-//     is supposed to toggle;
+//  1. the package must branch on the flag somewhere: fast-path state that
+//     no mode ever bypasses has no reference run to diff against;
 //  2. every exported function that consumes fast-path state (directly or
-//     via an unexported helper) must either branch on the flag or call a
+//     via an unexported helper) must either read the flag or call a
 //     reference counterpart (a function named *Slow or *Ref), so no fast
 //     path exists without a reference implementation to diff against;
-//  3. every reference counterpart must be reachable from a
-//     reference-mode-guarded branch — an orphaned *Slow/*Ref function
-//     means the equivalence harness is no longer exercising it.
+//  3. every reference counterpart must be reachable from a flag-guarded
+//     branch — an orphaned *Slow/*Ref function means the equivalence
+//     harness is no longer exercising it.
 func RefParity(cfg RefParityConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "refparity",
-		Doc: "exported fast-path functions in SetReferenceMode packages " +
-			"must have a registered, reachable reference counterpart",
+		Doc: "exported fast-path functions must have a registered reference " +
+			"counterpart, reachable from a branch on the state's reference flag",
 	}
 	a.Run = func(pass *Pass) { runRefParity(pass, cfg) }
 	return a
 }
 
 const (
-	switchFuncName = "SetReferenceMode"
-	flagVarName    = "referenceMode"
-	flagReadName   = "ReferenceMode"
+	flagFieldName = "reference" // the state's mode field
+	flagReadName  = "Reference" // its accessor
 )
+
+// readsFlag reports whether n reads the reference flag: a selection of a
+// struct field named reference, or a call of a method named Reference.
+func readsFlag(pass *Pass, n ast.Node) bool {
+	sel, _ := n.(*ast.SelectorExpr)
+	want, kind := flagFieldName, types.FieldVal
+	if call, ok := n.(*ast.CallExpr); ok {
+		sel, _ = ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		want, kind = flagReadName, types.MethodVal
+	}
+	if sel == nil || sel.Sel.Name != want {
+		return false
+	}
+	s := pass.Info.Selections[sel]
+	return s != nil && s.Kind() == kind
+}
 
 func isCounterpartName(name string) bool {
 	return strings.HasSuffix(name, "Slow") || strings.HasSuffix(name, "Ref")
@@ -70,7 +89,7 @@ type funcFacts struct {
 	decl         *ast.FuncDecl
 	exported     bool
 	usesFastPath bool
-	hasGuard     bool            // reads referenceMode / ReferenceMode()
+	hasGuard     bool            // reads the reference flag
 	callsRefImpl bool            // calls a *Slow/*Ref function
 	callees      map[string]bool // same-package unexported callees by name
 }
@@ -80,32 +99,13 @@ func runRefParity(pass *Pass, cfg RefParityConfig) {
 	for _, id := range cfg.FastPath[pass.Path] {
 		fastIdents[id] = true
 	}
-	declaresSwitch := false
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok &&
-				fd.Recv == nil && fd.Name.Name == switchFuncName {
-				declaresSwitch = true
-			}
-		}
-	}
-	if !declaresSwitch {
-		if len(fastIdents) > 0 {
-			pass.Reportf(pass.Files[0].Pos(),
-				"package has configured fast-path state but does not declare %s: the reference/optimized switch is gone",
-				switchFuncName)
-		}
+	if len(fastIdents) == 0 {
 		return
 	}
-	if pass.Pkg.Scope().Lookup(flagVarName) == nil {
-		pass.Reportf(pass.Files[0].Pos(),
-			"%s is declared but there is no %s flag for it to toggle",
-			switchFuncName, flagVarName)
-		return
-	}
+	anyGuard := false
 
 	// Gather per-function facts and the set of calls made inside
-	// reference-mode-guarded branches anywhere in the package.
+	// flag-guarded branches anywhere in the package.
 	facts := make(map[string]*funcFacts)
 	guardedCalls := make(map[string]bool)
 	for _, f := range pass.Files {
@@ -137,20 +137,16 @@ func runRefParity(pass *Pass, cfg RefParityConfig) {
 				return true
 			})
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if readsFlag(pass, n) {
+					ff.hasGuard = true
+				}
 				switch n := n.(type) {
 				case *ast.Ident:
 					if fastIdents[n.Name] && samePackageObj(pass, n) && !writePos[n.Pos()] {
 						ff.usesFastPath = true
 					}
-					if n.Name == flagVarName {
-						ff.hasGuard = true
-					}
 				case *ast.CallExpr:
-					name := calleeName(n)
-					if name == flagReadName {
-						ff.hasGuard = true
-					}
-					if isCounterpartName(name) {
+					if isCounterpartName(calleeName(n)) {
 						ff.callsRefImpl = true
 					}
 					if fn := calleeFunc(pass.Info, n); fn != nil &&
@@ -158,7 +154,8 @@ func runRefParity(pass *Pass, cfg RefParityConfig) {
 						ff.callees[fn.Name()] = true
 					}
 				case *ast.IfStmt:
-					if mentionsFlag(n.Cond) {
+					if mentionsFlag(pass, n.Cond) {
+						anyGuard = true
 						collectCallNames(n.Body, guardedCalls)
 						if n.Else != nil {
 							collectCallNames(n.Else, guardedCalls)
@@ -171,11 +168,17 @@ func runRefParity(pass *Pass, cfg RefParityConfig) {
 		}
 	}
 
+	if !anyGuard {
+		pass.Reportf(pass.Files[0].Pos(),
+			"package has configured fast-path state but never branches on the state's %s flag: the reference/optimized switch is gone",
+			flagFieldName)
+		return
+	}
+
 	ownerType := cfg.OwnerType[pass.Path]
 	for _, ff := range facts {
 		name := ff.decl.Name.Name
-		if !ff.exported || isCounterpartName(name) ||
-			name == switchFuncName || name == flagReadName {
+		if !ff.exported || isCounterpartName(name) || name == flagReadName {
 			continue
 		}
 		if ownerType != "" && returnsOwner(pass, ff.decl, ownerType) {
@@ -189,8 +192,8 @@ func runRefParity(pass *Pass, cfg RefParityConfig) {
 		}
 		if uses && !ff.hasGuard && !ff.callsRefImpl {
 			pass.Reportf(ff.decl.Name.Pos(),
-				"%s consumes fast-path state but neither branches on %s nor calls a *Slow/*Ref counterpart: the opt/ref equivalence proof no longer covers it",
-				name, flagVarName)
+				"%s consumes fast-path state but neither reads the %s flag nor calls a *Slow/*Ref counterpart: the opt/ref equivalence proof no longer covers it",
+				name, flagFieldName)
 		}
 	}
 
@@ -201,8 +204,8 @@ func runRefParity(pass *Pass, cfg RefParityConfig) {
 		}
 		if !guardedCalls[name] {
 			pass.Reportf(ff.decl.Name.Pos(),
-				"reference counterpart %s is never called from a %s-guarded branch: reference mode no longer exercises it",
-				name, flagVarName)
+				"reference counterpart %s is never called from a %s-guarded branch: no reference state exercises it",
+				name, flagFieldName)
 		}
 	}
 }
@@ -229,15 +232,12 @@ func samePackageObj(pass *Pass, id *ast.Ident) bool {
 	return obj != nil && obj.Pkg() == pass.Pkg
 }
 
-// mentionsFlag reports whether the condition reads the reference-mode
-// flag (referenceMode.Load(), !referenceMode.Load(), ReferenceMode()).
-func mentionsFlag(cond ast.Expr) bool {
+// mentionsFlag reports whether the condition reads the reference flag
+// (s.reference, !st.Reference(), ...).
+func mentionsFlag(pass *Pass, cond ast.Expr) bool {
 	found := false
 	ast.Inspect(cond, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok &&
-			(id.Name == flagVarName || id.Name == flagReadName) {
-			found = true
-		}
+		found = found || readsFlag(pass, n)
 		return !found
 	})
 	return found

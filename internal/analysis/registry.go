@@ -12,7 +12,7 @@ func Suite() []*Analyzer {
 		FloatCmp(DefaultFloatCmpScope, DefaultApprovedComparators),
 		RefParity(DefaultRefParityConfig),
 		PoolHygiene(DefaultPoolHygieneScope),
-		GlobalMut(DefaultGlobalMutConfig),
+		GlobalMut(DefaultGlobalMutScope),
 		SharedWrite(DefaultSharedWriteScope),
 		NoAlloc(DefaultNoAllocConfig),
 	}

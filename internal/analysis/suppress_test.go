@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/ast"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -44,20 +45,30 @@ func TestSuppressMultiAnalyzerLine(t *testing.T) {
 }
 
 // TestSuppressDirectivesInTestFiles covers directives living in _test.go
-// files: one silences a real test-file finding (a toggle flip with no
-// restore), and one is stale because its test restores properly via
-// t.Cleanup. The only surviving diagnostic must be the stale-directive
-// report, positioned inside the test file.
+// files: one silences a real test-file finding, and one is stale because
+// its line has none. The only surviving diagnostic must be the
+// stale-directive report, positioned inside the test file. No analyzer of
+// the suite reads test files at present, so a probe that reports every
+// SetMode(true) call in one stands in.
 func TestSuppressDirectivesInTestFiles(t *testing.T) {
-	cfg := GlobalMutConfig{
-		Scope:   []string{"repro/fixture/supptest"},
-		Toggles: []string{"repro/fixture/supptest.SetMode"},
+	probe := &Analyzer{Name: "probe", Doc: "reports SetMode(true) calls in test files"}
+	probe.Run = func(pass *Pass) {
+		for _, f := range pass.TestFiles {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && calleeName(call) == "SetMode" {
+					if arg, ok := call.Args[0].(*ast.Ident); ok && arg.Name == "true" {
+						pass.Reportf(call.Pos(), "test sets the mode")
+					}
+				}
+				return true
+			})
+		}
 	}
 	pkg, err := LoadDir(filepath.Join("testdata", "suppress", "testfile"), "repro/fixture/supptest")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{GlobalMut(cfg)})
+	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{probe})
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want exactly the stale test-file directive: %v", len(diags), diags)
 	}

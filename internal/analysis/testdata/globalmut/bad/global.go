@@ -1,5 +1,4 @@
-// Bad global-state discipline: unannotated writes to package-level state
-// and a production caller flipping the process-global toggle.
+// Bad global-state discipline: unannotated writes to package-level state.
 package globalmut
 
 import "sync/atomic"
@@ -10,13 +9,8 @@ var registry = map[string]int{}
 
 var counter int
 
-// SetMode flips the package's process-global mode but is not annotated as
-// the sanctioned setter.
+// SetMode flips the package's process-global mode with no explanation.
 func SetMode(on bool) { mode.Store(on) } // want `Store on package-level mode outside main or a test`
-
-func engage() {
-	SetMode(true) // want `engage flips process-global repro/fixture/globalmut.SetMode from production code`
-}
 
 func bump() {
 	counter++ // want `write to package-level counter outside main or a test`

@@ -1,32 +1,51 @@
 // Package refparity models a healthy opt/ref package: the fast-path
-// consumer branches on the flag, the counterpart is reachable from the
-// guarded branch, and cache maintenance writes are not consumption.
+// consumers branch on the state's reference flag, the counterparts are
+// reachable from the guarded branches, and cache maintenance writes are
+// not consumption.
 package refparity
 
-import "sync/atomic"
-
-// referenceMode mirrors the real packages' opt/ref switch flag.
-var referenceMode atomic.Bool
-
+// State mirrors cluster.State: its mode is fixed when it is built, and
 // cache is the configured fast-path state for this fixture.
-var cache = map[int]int{}
+type State struct {
+	reference bool
+	cache     map[int]int
+}
 
-// SetReferenceMode toggles the reference implementations.
-func SetReferenceMode(on bool) { referenceMode.Store(on) }
+// New builds a state of the given mode. Naming the field in a literal is
+// not a read of the flag, and a function handing back the whole state is
+// not answering a query from cached state.
+func New(reference bool) *State {
+	return &State{reference: reference, cache: map[int]int{}}
+}
+
+// Reference reports the mode.
+func (s *State) Reference() bool { return s.reference }
 
 // Lookup branches on the flag and falls back to the counterpart, keeping
 // the opt/ref diff total.
-func Lookup(k int) int {
-	if referenceMode.Load() {
+func (s *State) Lookup(k int) int {
+	if s.reference {
 		return lookupSlow(k)
 	}
-	return cache[k]
+	return s.cache[k]
+}
+
+// Peek reads the flag through the accessor, as a package pricing another
+// package's state does.
+func Peek(s *State, k int) int {
+	if !s.Reference() {
+		return s.cache[k]
+	} else {
+		return peekRef(k)
+	}
 }
 
 // Store maintains the cache: writes are the shared bookkeeping both
 // modes perform, not fast-path consumption.
-func Store(k, v int) {
-	cache[k] = v
+func (s *State) Store(k, v int) {
+	s.cache[k] = v
 }
 
 func lookupSlow(k int) int { return k }
+
+func peekRef(k int) int { return k }

@@ -1,5 +1,5 @@
-// Package supptest poses as repro/fixture/supptest, with
-// repro/fixture/supptest.SetMode configured as a policed toggle. The
+// Package supptest poses as repro/fixture/supptest; its test is run under a
+// probe analyzer that reports SetMode(true) calls in test files. The
 // interesting directives live in mode_test.go: suppressions in _test.go
 // files must both act (silencing a test-file finding) and be audited (a
 // stale test-file directive is flagged like a production one).
@@ -9,8 +9,8 @@ import "sync/atomic"
 
 var mode atomic.Bool
 
-// SetMode is the annotated setter for the fixture's toggle.
-func SetMode(on bool) { mode.Store(on) } //lint:allow globalmut fixture: the annotated setter; callers are policed instead
+// SetMode sets the fixture's mode.
+func SetMode(on bool) { mode.Store(on) }
 
-// Mode reads the toggle.
+// Mode reads it.
 func Mode() bool { return mode.Load() }

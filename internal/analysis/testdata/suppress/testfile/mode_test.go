@@ -2,23 +2,22 @@ package supptest
 
 import "testing"
 
-// TestFlipSuppressed flips the toggle with no restore in sight; the
-// same-line directive in this _test.go file must silence the finding.
+// TestFlipSuppressed sets the mode; the same-line directive in this
+// _test.go file must silence the probe's finding.
 func TestFlipSuppressed(t *testing.T) {
-	SetMode(true) //lint:allow globalmut fixture: the restore is deliberately omitted to exercise test-file directives
+	SetMode(true) //lint:allow probe fixture: exercises test-file directives
 	if !Mode() {
 		t.Fatal("mode not set")
 	}
 	SetMode(false)
 }
 
-// TestStaleDirective restores properly via Cleanup, so its directive
-// matches no finding: stale directives in test files must be flagged
-// exactly like production ones.
+// TestStaleDirective clears the mode, which the probe does not report, so
+// its directive matches no finding: stale directives in test files must be
+// flagged exactly like production ones.
 func TestStaleDirective(t *testing.T) {
-	t.Cleanup(func() { SetMode(false) })
-	SetMode(true) //lint:allow globalmut fixture: stale, the Cleanup above already restores
-	if !Mode() {
-		t.Fatal("mode not set")
+	SetMode(false) //lint:allow probe fixture: stale, nothing is reported here
+	if Mode() {
+		t.Fatal("mode set")
 	}
 }

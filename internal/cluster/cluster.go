@@ -12,7 +12,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/topology"
 )
@@ -22,21 +21,6 @@ import (
 // node-state changes (the daemon) match it with errors.Is and retry the
 // selection instead of treating the condition as fatal.
 var ErrNodeUnavailable = errors.New("node unavailable")
-
-// referenceMode, when set, makes SwitchFree recompute subtree free counts
-// by scanning descendant leaves (the pre-optimization behaviour) instead of
-// reading the incrementally maintained counters. The differential harness
-// flips it to prove the fast path observationally equivalent. Toggle only
-// between runs, never while simulations are in flight with mixed
-// expectations; the atomic makes concurrent *reads* race-free.
-var referenceMode atomic.Bool
-
-// SetReferenceMode switches every State between the O(1) counter read and
-// the O(leaves) reference scan in SwitchFree. It is process-global.
-func SetReferenceMode(on bool) { referenceMode.Store(on) } //lint:allow globalmut the annotated setter for the switch-free reference toggle; callers are policed instead
-
-// ReferenceMode reports whether the reference (slow-scan) path is active.
-func ReferenceMode() bool { return referenceMode.Load() }
 
 // JobID identifies a job within a simulation run.
 type JobID int64
@@ -76,6 +60,11 @@ type Allocation struct {
 // harnesses run independent States in parallel).
 type State struct {
 	topo *topology.Topology
+	// reference, fixed at construction, routes SwitchFree and CommShare
+	// through their *Slow recomputations, and costmodel and the selectors
+	// through their reference loops, for every evaluation over this state.
+	// The differential harness runs the same trace on a state of each kind.
+	reference bool
 
 	nodeJob  []JobID // per node: owning job, or -1 when free
 	nodeDown []bool  // per node: out of service (ineligible for new allocations)
@@ -105,9 +94,9 @@ type State struct {
 	// it in O(1) instead of rescanning the tree.
 	switchFree []int
 
-	// gen counts state mutations (allocate/release/drain/resume).
-	// Evaluation-scoped caches key their contents on (state, generation)
-	// and drop them when either changes; see costmodel's leaf-pair cache.
+	// gen counts state mutations (allocate/release/drain/resume). A
+	// placement's validation stamp and its free-rank runs are bound to
+	// (state, generation) and go stale when either changes.
 	gen uint64
 
 	// scratch serves the validations Allocate itself runs, and runOrder its
@@ -119,10 +108,17 @@ type State struct {
 	allocs map[JobID]*Allocation
 }
 
-// New returns an empty State over the topology.
-func New(topo *topology.Topology) *State {
+// New returns an empty State over the topology, on the optimized paths.
+func New(topo *topology.Topology) *State { return newState(topo, false) }
+
+// NewReference is New for a state priced and searched by the reference
+// implementations only (see Reference).
+func NewReference(topo *topology.Topology) *State { return newState(topo, true) }
+
+func newState(topo *topology.Topology, reference bool) *State {
 	s := &State{
 		topo:        topo,
+		reference:   reference,
 		nodeJob:     make([]JobID, topo.NumNodes()),
 		nodeDown:    make([]bool, topo.NumNodes()),
 		nodeFailed:  make([]bool, topo.NumNodes()),
@@ -154,9 +150,15 @@ func (s *State) adjustFree(l, delta int) {
 	}
 }
 
+// Reference reports whether the state was built to take the reference
+// implementations: the O(leaves) SwitchFreeSlow and per-call CommShareSlow
+// here, the uncached node-pair loops and tentative allocation in costmodel.
+// It never changes over a state's life, so readers need no synchronisation.
+func (s *State) Reference() bool { return s.reference }
+
 // Generation returns the mutation counter: it changes whenever an
-// allocate, release, drain or resume alters the state, and is the cache
-// invalidation key for evaluation-scoped caches over this state.
+// allocate, release, drain or resume alters the state, and is what a
+// placement selected or validated on this state is bound to.
 func (s *State) Generation() uint64 { return s.gen }
 
 // Topology returns the underlying topology.
@@ -188,11 +190,11 @@ func (s *State) LeafFree(l int) int {
 }
 
 // SwitchFree returns the number of free nodes in the subtree of sw. It is
-// an O(1) counter read (see adjustFree); under SetReferenceMode it falls
-// back to SwitchFreeSlow, the original O(leaves) scan, for differential
-// equivalence checks.
+// an O(1) counter read (see adjustFree); a reference state falls back to
+// SwitchFreeSlow, the original O(leaves) scan, for differential equivalence
+// checks.
 func (s *State) SwitchFree(sw *topology.Switch) int {
-	if referenceMode.Load() {
+	if s.reference {
 		return s.SwitchFreeSlow(sw)
 	}
 	return s.switchFree[sw.Index]
@@ -226,11 +228,11 @@ func (s *State) CommRatio(l int) float64 {
 
 // CommShare returns L_comm/L_nodes for leaf l, the per-switch contention
 // term of the cost model (Eq. 2 and Eq. 3). It is an O(1) read of the
-// incrementally maintained per-leaf share; under SetReferenceMode it falls
-// back to CommShareSlow, the original per-call division, for differential
+// incrementally maintained per-leaf share; a reference state falls back to
+// CommShareSlow, the original per-call division, for differential
 // equivalence checks.
 func (s *State) CommShare(l int) float64 {
-	if referenceMode.Load() {
+	if s.reference {
 		return s.CommShareSlow(l)
 	}
 	return s.leafShare[l]
@@ -391,11 +393,17 @@ func (s *State) Release(job JobID) error {
 }
 
 // Clone returns an independent deep copy of the state, sharing only the
-// immutable topology. The adaptive algorithm and the hypothetical-default
-// cost reference both evaluate candidate allocations on clones.
-func (s *State) Clone() *State {
+// immutable topology and keeping its mode: a reference state's clone is a
+// reference state.
+func (s *State) Clone() *State { return s.CloneAs(s.reference) }
+
+// CloneAs is Clone with the copy's mode chosen: the same situation as an
+// optimized or as a reference state, so a parity check can price it both
+// ways.
+func (s *State) CloneAs(reference bool) *State {
 	c := &State{
 		topo:        s.topo,
+		reference:   reference,
 		nodeJob:     append([]JobID(nil), s.nodeJob...),
 		nodeDown:    append([]bool(nil), s.nodeDown...),
 		nodeFailed:  append([]bool(nil), s.nodeFailed...),

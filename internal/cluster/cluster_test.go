@@ -148,6 +148,15 @@ func TestCloneIndependence(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	// The mode is part of what a clone copies: a reference state's clone on
+	// the fast paths would make every reference-equivalence run vacuous.
+	ref := c.CloneAs(true)
+	if c.Reference() || c.Clone().Reference() || !ref.Reference() || !ref.Clone().Reference() || ref.CloneAs(false).Reference() {
+		t.Fatal("Clone does not keep the state's mode, or CloneAs does not set it")
+	}
+	if err := sameState(ref, c.Clone()); err != nil {
+		t.Fatalf("CloneAs(true) differs from its original beyond the mode: %v", err)
+	}
 }
 
 // Property test: a random sequence of allocations and releases always

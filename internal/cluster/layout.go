@@ -7,13 +7,6 @@ import (
 	"repro/internal/topology"
 )
 
-// DensePairLeaves is the leaf count up to which the costmodel's leaf-pair
-// caches use flat L×L matrices (the largest machine the paper evaluates,
-// Mira, has 128 leaf switches). Larger topologies are served by sparse,
-// touched-pair-only structures instead of falling back to the reference
-// node-pair loops: every topology gets a Layout and the fast kernel.
-const DensePairLeaves = 128
-
 // Layout is the flat structure-of-arrays view of a topology that the
 // leaf-aggregated cost kernel (costmodel) consumes. Per-leaf quantities —
 // leaf sizes (as both the exact integers and their float64 conversions)
@@ -23,7 +16,7 @@ const DensePairLeaves = 128
 // PairSize, so a Layout is O(nodes + leaves) however many leaves the
 // topology has. A Layout is built once per topology and shared (the
 // topology is immutable); the generation-keyed state on top of it
-// (per-leaf contention, cached hops) lives in State and costmodel.
+// (per-leaf contention) lives in State.
 //
 // All float64 values are conversions of the exact integers the reference
 // expressions convert (float64(2*level), float64(size_i + size_j)), so

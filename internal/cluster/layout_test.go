@@ -104,12 +104,12 @@ func TestLayoutShared(t *testing.T) {
 }
 
 // TestLayoutBeyondDenseThreshold is the regression test for the old
-// 128-leaf ceiling: topologies past DensePairLeaves used to get no layout
+// 128-leaf ceiling: topologies past it used to get no layout
 // at all, silently dropping the largest machines onto the O(P log P)
 // reference loops. Now every leaf count gets a full layout — the fast
 // kernel path — and its derived pair quantities stay exact.
 func TestLayoutBeyondDenseThreshold(t *testing.T) {
-	for _, leaves := range []int{DensePairLeaves, DensePairLeaves + 1, 300, 1024} {
+	for _, leaves := range []int{128, 129, 300, 1024} {
 		topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 2, Fanouts: []int{leaves}})
 		lay := LayoutOf(topo)
 		if lay == nil {

@@ -372,11 +372,25 @@ func TestStalePlacementStampIsRevalidated(t *testing.T) {
 			}
 			// A list is valid again on a state where nothing moved; stale
 			// runs stay stale on any state but their own.
-			fresh := New(topo)
-			if err := fresh.AllocatePlacement(7, CommIntensive, &pl); (err == nil) != (form != "unlisted") {
-				t.Errorf("%s: on a fresh state: %v", name, err)
+			for _, fresh := range []*State{New(topo), NewReference(topo)} {
+				if err := fresh.AllocatePlacement(7, CommIntensive, &pl); (err == nil) != (form != "unlisted") {
+					t.Errorf("%s: on a fresh state (reference=%v): %v", name, fresh.reference, err)
+				}
 			}
 		}
+	}
+
+	// Runs are bound to the state, not to a generation number: on its clone in
+	// the other mode, where nothing moved, they are stale all the same.
+	own := New(topo)
+	runs := freeRankByLeaf(own, []int{1, 0}, 3)
+	if ref := own.CloneAs(true); ref.gen != own.gen {
+		t.Fatalf("clone at generation %d, original at %d", ref.gen, own.gen)
+	} else if err := ref.AllocatePlacement(7, CommIntensive, &runs); !errors.Is(err, ErrStalePlacement) {
+		t.Errorf("runs selected on a state, allocated on its reference clone: %v, want ErrStalePlacement", err)
+	}
+	if err := own.AllocatePlacement(7, CommIntensive, &runs); err != nil {
+		t.Errorf("the same runs on their own state: %v", err)
 	}
 
 	// A stamp never exempts the job checks, and a wrapped list never keeps one.

@@ -86,25 +86,34 @@ func TestSwitchFreeMatchesSlowUnderChurn(t *testing.T) {
 	}
 }
 
-// TestSwitchFreeReferenceMode pins the toggle: both paths must agree on a
-// state with allocations in flight.
+// TestSwitchFreeReferenceMode pins the mode a state is built with: an
+// optimized state and its reference clone agree on a state with allocations
+// in flight, and only the reference one recounts: a counter or share
+// knocked out of step shows through the optimized read alone.
 func TestSwitchFreeReferenceMode(t *testing.T) {
 	topo := topology.PaperExample()
 	st := New(topo)
 	if err := st.Allocate(1, CommIntensive, []int{0, 1, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if ReferenceMode() {
-		t.Fatal("reference mode unexpectedly on")
+	ref := st.CloneAs(true)
+	if st.Reference() || !ref.Reference() || !NewReference(topo).Reference() {
+		t.Fatal("Reference() does not report the mode the state was built with")
 	}
-	t.Cleanup(func() { SetReferenceMode(false) })
 	for _, sw := range topo.Switches {
-		fast := st.SwitchFree(sw)
-		SetReferenceMode(true)
-		slow := st.SwitchFree(sw)
-		SetReferenceMode(false)
-		if fast != slow {
+		if fast, slow := st.SwitchFree(sw), ref.SwitchFree(sw); fast != slow {
 			t.Errorf("switch %s: fast %d, reference %d", sw.Name, fast, slow)
+		}
+	}
+	root := topo.Switches[len(topo.Switches)-1]
+	for _, s := range []*State{st, ref} {
+		s.switchFree[root.Index]++
+		s.leafShare[0]++
+		if got, want := s.SwitchFree(root) != s.SwitchFreeSlow(root), !s.reference; got != want {
+			t.Errorf("reference=%v: SwitchFree reads the maintained counter = %v", s.reference, got)
+		}
+		if got, want := s.CommShare(0) != s.CommShareSlow(0), !s.reference; got != want {
+			t.Errorf("reference=%v: CommShare reads the maintained share = %v", s.reference, got)
 		}
 	}
 }

@@ -252,8 +252,9 @@ func (sc *selScratch) take(l, skip, k int) {
 
 // placement closes the chosen runs into a free-rank placement bound to st;
 // runs and free ranks share the one slice a selection allocates. When
-// pricing mutates the state (reference mode allocates and releases around
-// every price) the nodes are listed now, while the runs can still be read.
+// pricing mutates the state (a reference state is allocated on and released
+// around every price) the nodes are listed now, while the runs can still be
+// read.
 func (sc *selScratch) placement(st *cluster.State) cluster.Placement {
 	r := len(sc.runs)
 	words := make([]uint64, 2*r+1)
@@ -493,29 +494,6 @@ type adaptiveSelector struct{}
 
 func (adaptiveSelector) Name() string { return "adaptive" }
 
-// adaptiveJoin carries one candidate-costing task to its goroutine and the
-// result back. Joins are pooled with their (buffered) done channel so the
-// concurrent pricing path allocates only the goroutine's closure.
-type adaptiveJoin struct {
-	st      *cluster.State
-	job     cluster.JobID
-	class   cluster.Class
-	pl      cluster.Placement
-	pattern collective.Pattern
-	cost    float64
-	err     error
-	done    chan struct{}
-}
-
-var joinPool = sync.Pool{New: func() any {
-	return &adaptiveJoin{done: make(chan struct{}, 1)}
-}}
-
-func (j *adaptiveJoin) run() {
-	j.cost, j.err = costmodel.PlacementCostMode(j.st, j.job, j.class, &j.pl, j.pattern, costmodel.ModeEffectiveHops)
-	j.done <- struct{}{}
-}
-
 func (s adaptiveSelector) Select(st *cluster.State, req Request) ([]int, error) {
 	return nodesOf(s.Place(st, req))
 }
@@ -527,13 +505,9 @@ func (s adaptiveSelector) Select(st *cluster.State, req Request) ([]int, error) 
 // compute-intensive jobs (preserving low-cost placements for comm jobs).
 // Ties go to the balanced candidate.
 //
-// When candidate costing is read-only (the overlay fast path), both
-// candidates are validated here and then priced concurrently: the balanced
-// candidate on a spawned goroutine, the greedy one inline, joined by
-// candidate identity — a bounded, deterministic two-way join whose result
-// never depends on completion order, and whose goroutine only reads a
-// placement already stamped valid. When costing mutates the state
-// (reference mode), pricing stays sequential.
+// Both candidates are validated while the state is still at the generation
+// they were selected on (pricing a reference state moves it), then priced one
+// after the other on the caller's goroutine.
 func (adaptiveSelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
 	g, err := greedySelector{}.Place(st, req)
 	if err != nil {
@@ -543,24 +517,12 @@ func (adaptiveSelector) Place(st *cluster.State, req Request) (cluster.Placement
 	if err != nil {
 		return b, err
 	}
+	errG := costmodel.ValidateCandidate(st, req.Job, &g)
+	errB := costmodel.ValidateCandidate(st, req.Job, &b)
 	var costG, costB float64
-	var errG, errB error
-	if !costmodel.CandidateCostReadOnly(st) {
+	if errG == nil && errB == nil {
 		costG, errG = costmodel.PlacementCostMode(st, req.Job, req.Class, &g, req.Pattern, costmodel.ModeEffectiveHops)
-		if errG == nil {
-			costB, errB = costmodel.PlacementCostMode(st, req.Job, req.Class, &b, req.Pattern, costmodel.ModeEffectiveHops)
-		}
-	} else if errG = costmodel.ValidateCandidate(st, req.Job, &g); errG == nil {
-		if errB = costmodel.ValidateCandidate(st, req.Job, &b); errB == nil {
-			j := joinPool.Get().(*adaptiveJoin)
-			j.st, j.job, j.class, j.pl, j.pattern = st, req.Job, req.Class, b, req.Pattern
-			go j.run() //lint:allow poolhygiene the <-j.done join below strictly orders the goroutine's last touch before Put
-			costG, errG = costmodel.PlacementCostMode(st, req.Job, req.Class, &g, req.Pattern, costmodel.ModeEffectiveHops)
-			<-j.done
-			costB, errB = j.cost, j.err
-			j.st, j.pl, j.err = nil, cluster.Placement{}, nil
-			joinPool.Put(j)
-		}
+		costB, errB = costmodel.PlacementCostMode(st, req.Job, req.Class, &b, req.Pattern, costmodel.ModeEffectiveHops)
 	}
 	if errG != nil {
 		return cluster.Placement{}, fmt.Errorf("core: adaptive: costing greedy candidate: %w", errG)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
-	"repro/internal/costmodel"
 	"repro/internal/topology"
 )
 
@@ -110,10 +109,6 @@ func TestSelectorsSkipUnavailableNodes(t *testing.T) {
 // paths pick bit-identical nodes on states full of failed and drained
 // capacity — the selector-level slice of the fault acceptance bar.
 func TestSelectorsRefParityUnderFaults(t *testing.T) {
-	t.Cleanup(func() {
-		cluster.SetReferenceMode(false)
-		costmodel.SetReferenceMode(false)
-	})
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 4, Fanouts: []int{4, 2}})
 	for _, alg := range Algorithms {
 		sel := MustNew(alg)
@@ -122,12 +117,7 @@ func TestSelectorsRefParityUnderFaults(t *testing.T) {
 			for _, class := range []cluster.Class{cluster.ComputeIntensive, cluster.CommIntensive} {
 				req := Request{Job: 999999, Nodes: 3, Class: class, Pattern: collective.RHVD}
 				fast, fastErr := sel.Select(st, req)
-
-				cluster.SetReferenceMode(true)
-				costmodel.SetReferenceMode(true)
-				ref, refErr := sel.Select(st, req)
-				cluster.SetReferenceMode(false)
-				costmodel.SetReferenceMode(false)
+				ref, refErr := sel.Select(st.CloneAs(true), req)
 
 				if (fastErr == nil) != (refErr == nil) {
 					t.Fatalf("%v seed %d %v: fast err %v, ref err %v", alg, seed, class, fastErr, refErr)

@@ -206,8 +206,8 @@ func TestPlaceListsWhatTheListSelectorsBuilt(t *testing.T) {
 
 // TestAdaptivePricesRunsWithoutListing runs adaptive selections of a wide
 // job from several goroutines over one shared state (run it under -race:
-// validation, the compile and both concurrent pricings must only read the
-// state and their own candidates) and checks that nothing on the way
+// validation, the compile and both pricings must only read the state and
+// their own candidates) and checks that nothing on the way
 // listed a candidate: the whole selection allocates far less than one node
 // list.
 func TestAdaptivePricesRunsWithoutListing(t *testing.T) {

@@ -3,5 +3,5 @@
 package core
 
 // raceEnabled lets allocation-pinning tests skip under the race detector,
-// whose goroutine instrumentation adds heap allocations of its own.
+// under which sync.Pool drops pooled scratches at random.
 const raceEnabled = false

@@ -13,12 +13,12 @@ import (
 )
 
 // BenchmarkJobCost512Leaves measures Eq. 6 on a machine four times past
-// the dense-block threshold (512 leaves, three-level tree): a 256-node
+// the paper's largest (512 leaves, three-level tree): a 256-node
 // recursive-doubling job striped across every other leaf, evaluated by
-// the sparse leaf-pair kernel ("opt") and the uncached reference loop
-// ("ref"). Before the sparse kernel this shape silently ran the reference
-// path, so this pair is the ceiling-breaking evidence the committed
-// BENCH_*.json tracks.
+// the leaf-pair kernel ("opt") and the uncached reference loop ("ref").
+// Machines past 128 leaves once ran the reference path silently; this pair
+// records that they no longer do. It times one unchanged state re-priced in
+// a loop, a shape no caller has, so it runs under bench-smoke only.
 func BenchmarkJobCost512Leaves(b *testing.B) {
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 2, Fanouts: []int{128, 4}})
 	st := cluster.New(topo)
@@ -30,28 +30,13 @@ func BenchmarkJobCost512Leaves(b *testing.B) {
 		b.Fatal(err)
 	}
 	steps := collective.RD.MustSchedule(256)
-	for _, mode := range []struct {
-		name string
-		ref  bool
-	}{{"opt", false}, {"ref", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			SetReferenceMode(mode.ref)
-			defer SetReferenceMode(false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := JobCost(st, nodes, steps); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchOptRef(b, st, nodes, steps)
 
 	// The wide variant: a 512-rank alltoall with one rank on every leaf
 	// (quadratic distinct leaf pairs — the shape where flat costing is
 	// O(touched²)), on its own uniformly loaded state so cross-pod blocks
 	// collapse. "wide/opt" is the subtree-aggregated kernel, "wide/flat"
-	// the previous sparse leaf-pair kernel, "wide/ref" the uncached loops.
+	// the flat leaf-pair kernel, "wide/ref" the uncached loops.
 	b.Run("wide", func(b *testing.B) {
 		wst := cluster.New(topo)
 		wnodes := make([]int, 512)
@@ -65,14 +50,14 @@ func BenchmarkJobCost512Leaves(b *testing.B) {
 	})
 }
 
-// BenchmarkJobCost4096LeavesWide is the dragonfly-scale headline pair the
-// benchcmp gate pins: 4096 leaves in 64 pods of 64, a 1024-rank alltoall
-// striped across every fourth leaf (16 touched leaves in every pod, so
-// every cross-pod block is live), costed by the subtree-aggregated kernel
-// ("opt"), the flat sparse kernel ("flat" — the previous opt path), and
-// the reference loops ("ref"). The alltoall's XOR step structure puts
-// ~32 cross-pod blocks per step where the flat kernel scans 512 pairs,
-// which is where the ≥5× collapse comes from.
+// BenchmarkJobCost4096LeavesWide is the dragonfly-scale pair (bench-smoke
+// only, like the 512-leaf one): 4096 leaves in 64 pods of 64, a 1024-rank
+// alltoall striped across every fourth leaf (16 touched leaves in every
+// pod, so every cross-pod block is live), costed by the subtree-aggregated
+// kernel ("opt"), the flat kernel ("flat"), and the reference loops
+// ("ref"). The alltoall's XOR step structure puts ~32 cross-pod blocks per
+// step where the flat kernel scans 512 pairs, which is where the ≥5×
+// collapse comes from.
 func BenchmarkJobCost4096LeavesWide(b *testing.B) {
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 2, Fanouts: []int{64, 64}})
 	st := cluster.New(topo)
@@ -87,32 +72,17 @@ func BenchmarkJobCost4096LeavesWide(b *testing.B) {
 	benchKernelPaths(b, st, nodes, steps)
 }
 
-// benchKernelPaths runs one JobCost fixture through the three evaluation
-// paths: the default aggregated kernel, the flat kernel (aggregation
-// off), and the reference loops. The fixture must be wide enough to
-// engage the aggregated stage — measuring the toggle without the stage
-// would silently benchmark the same code twice.
-func benchKernelPaths(b *testing.B, st *cluster.State, nodes []int, steps []collective.Step) {
-	b.Helper()
-	if agg, err := ScheduleAggregated(st, nodes, steps); err != nil || !agg {
-		b.Fatalf("fixture not on the aggregated path (agg=%v, err=%v)", agg, err)
-	}
+// benchOptRef runs one JobCost fixture on st ("opt") and on its reference
+// clone ("ref"), the speedup pair the committed BENCH_*.json tracks.
+func benchOptRef(b *testing.B, st *cluster.State, nodes []int, steps []collective.Step) {
 	for _, mode := range []struct {
 		name string
-		ref  bool
-		agg  bool
-	}{{"opt", false, true}, {"flat", false, false}, {"ref", true, true}} {
+		st   *cluster.State
+	}{{"opt", st}, {"ref", st.CloneAs(true)}} {
 		b.Run(mode.name, func(b *testing.B) {
-			SetReferenceMode(mode.ref)
-			SetAggregationMode(mode.agg)
-			defer func() {
-				SetReferenceMode(false)
-				SetAggregationMode(true)
-			}()
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := JobCost(st, nodes, steps); err != nil {
+				if _, err := JobCost(mode.st, nodes, steps); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -120,8 +90,31 @@ func benchKernelPaths(b *testing.B, st *cluster.State, nodes []int, steps []coll
 	}
 }
 
+// benchKernelPaths runs one JobCost fixture through the three evaluation
+// paths: the aggregated kernel its schedule compiles to, the flat
+// evaluator called on that same schedule, and the reference loops. The
+// fixture must be wide enough to compile the aggregated stage — otherwise
+// "opt" and "flat" would silently time the same code.
+func benchKernelPaths(b *testing.B, st *cluster.State, nodes []int, steps []collective.Step) {
+	b.Helper()
+	ls, err := leafSchedFor(st, nodes, steps)
+	if err != nil || ls == nil || ls.agg == nil {
+		b.Fatalf("fixture not on the aggregated path (schedule %v, err %v)", ls, err)
+	}
+	benchOptRef(b, st, nodes, steps)
+	b.Run("flat", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkCost = ls.evalFlat(st, false, false, 0)
+		}
+	})
+}
+
+// sinkCost keeps a benchmarked evaluation's result alive.
+var sinkCost float64
+
 // BenchmarkJobCost measures Eq. 6 over a 512-node recursive-doubling job
-// spread across every Theta leaf, with the leaf-pair cache ("opt") and the
+// spread across every Theta leaf, through the leaf-pair kernel ("opt") and the
 // uncached reference loop ("ref"). The committed BENCH_*.json tracks the
 // opt/ref pair.
 func BenchmarkJobCost(b *testing.B) {
@@ -138,22 +131,7 @@ func BenchmarkJobCost(b *testing.B) {
 		b.Fatal(err)
 	}
 	steps := collective.RD.MustSchedule(512)
-	for _, mode := range []struct {
-		name string
-		ref  bool
-	}{{"opt", false}, {"ref", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			SetReferenceMode(mode.ref)
-			defer SetReferenceMode(false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := JobCost(st, nodes, steps); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchOptRef(b, st, nodes, steps)
 }
 
 // compileLists are the node-list shapes BenchmarkCompile and

@@ -24,9 +24,8 @@ func TestPairRangeValidationQuadrants(t *testing.T) {
 		{A: 2, B: 0},  // missed by the old check
 		{A: 0, B: 2},
 	}
-	for _, ref := range []bool{false, true} {
-		SetReferenceMode(ref)
-		defer SetReferenceMode(false)
+	for _, st := range []*cluster.State{st, st.CloneAs(true)} {
+		ref := st.Reference()
 		for _, p := range bad {
 			steps := []collective.Step{{Pairs: []collective.Pair{p}, MsgSize: 1}}
 			if _, err := JobCost(st, nodes, steps); err == nil ||
@@ -47,7 +46,7 @@ func TestPairRangeValidationQuadrants(t *testing.T) {
 
 // TestScheduleForMemoized pins the schedule memo: repeated calls return the
 // identical backing array (so the per-step ring memoization in JobCost
-// keeps working), and reference mode builds fresh.
+// keeps working), and the reference counterpart builds fresh.
 func TestScheduleForMemoized(t *testing.T) {
 	a, err := ScheduleFor(collective.RD, 16)
 	if err != nil {
@@ -74,14 +73,12 @@ func TestScheduleForMemoized(t *testing.T) {
 			}
 		}
 	}
-	SetReferenceMode(true)
-	defer SetReferenceMode(false)
-	c, err := ScheduleFor(collective.RD, 16)
+	c, err := scheduleRef(collective.RD, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &c[0].Pairs[0] == &a[0].Pairs[0] {
-		t.Error("reference mode returned the memoized schedule")
+		t.Error("scheduleRef returned the memoized schedule")
 	}
 }
 

@@ -55,11 +55,11 @@ func Hops(st *cluster.State, i, j int) float64 {
 // The schedule's pair ranks must all be in [0, len(nodes)). The fast path
 // compiles the schedule's node pairs down to distinct leaf-switch pairs
 // (leafSchedule, cached per (schedule, rank→leaf runs)) and evaluates Hops once
-// per pair through the gen-keyed pairCache; SetReferenceMode forces the
-// uncached node-pair loop. Steps slices must not be mutated after being
-// costed (ScheduleFor's memoized schedules satisfy this by contract).
+// per pair; a reference state (cluster.NewReference) takes the uncached
+// node-pair loop. Steps slices must not be mutated after being costed
+// (ScheduleFor's memoized schedules satisfy this by contract).
 func JobCost(st *cluster.State, nodes []int, steps []collective.Step) (float64, error) {
-	if referenceMode.Load() {
+	if st.Reference() {
 		return jobCostRef(st, nodes, steps)
 	}
 	if len(steps) == 0 {
@@ -76,7 +76,7 @@ func JobCost(st *cluster.State, nodes []int, steps []collective.Step) (float64, 
 }
 
 // jobCostRef is the uncached reference implementation of JobCost, kept for
-// differential equivalence checks (SetReferenceMode routes all costing
+// differential equivalence checks (a reference state routes all costing
 // through it). It is no longer a size fallback: every topology gets a
 // layout, so the fast kernel handles any leaf count.
 func jobCostRef(st *cluster.State, nodes []int, steps []collective.Step) (float64, error) {
@@ -112,7 +112,7 @@ func jobCostRef(st *cluster.State, nodes []int, steps []collective.Step) (float6
 // contribute proportionally more. baseMsgSize scales all steps (use 1 for a
 // relative comparison).
 func JobCostHopBytes(st *cluster.State, nodes []int, steps []collective.Step, baseMsgSize float64) (float64, error) {
-	if referenceMode.Load() {
+	if st.Reference() {
 		return jobCostHopBytesRef(st, nodes, steps, baseMsgSize)
 	}
 	if len(steps) == 0 {
@@ -191,32 +191,27 @@ func ValidateCandidate(st *cluster.State, job cluster.JobID, pl *cluster.Placeme
 }
 
 // CandidateCostReadOnly reports whether CandidateCost and
-// CandidateCostMode are currently pure reads of the state (the overlay
-// fast path) — and therefore safe to call from concurrent goroutines over
-// one state. False means candidate costing tentatively mutates the state
-// (reference mode) and callers must serialize. Topology size no longer
-// matters: every topology gets a layout and the read-only overlay path.
+// CandidateCostMode are pure reads of st (the overlay fast path) and
+// therefore safe to call from concurrent goroutines over it. False means
+// candidate costing tentatively mutates the state (a reference state) and
+// callers must serialize, and list a free-rank placement before pricing
+// moves the generation its runs are bound to.
 func CandidateCostReadOnly(st *cluster.State) bool {
-	return !referenceMode.Load()
+	return !st.Reference()
 }
 
-// KernelPath names the cost-evaluation policy currently in effect:
-// "aggregated" for the default — the subtree-aggregated kernel armed, so
-// schedules touching at least AggTouchedLeaves leaves on layouts with a
-// usable aggregation level collapse cross-subtree blocks while narrower
-// ones take the flat leaf-pair scans; "fast" when SetAggregationMode has
-// disabled the aggregation stage and every schedule runs the flat kernel;
-// "reference" when SetReferenceMode has routed evaluation through the
-// uncached node-pair loops. The path is process-global — there is no
-// per-topology size fallback — and surfacing it, rather than silently
-// falling back, is what lets sweeps and operators verify large machines
-// really run the kernel they are benchmarking.
-func KernelPath() string {
-	if referenceMode.Load() {
+// KernelPath names the cost-evaluation policy pricing over st takes:
+// "aggregated" for the compiled kernels, where schedules touching at least
+// AggTouchedLeaves leaves on layouts with a usable aggregation level
+// collapse cross-subtree blocks while narrower ones take the flat leaf-pair
+// scans; "reference" for a reference state, priced by the uncached
+// node-pair loops. There is no per-topology size fallback, and surfacing
+// the path, rather than silently falling back, is what lets sweeps and
+// operators verify large machines really run the kernel they are
+// benchmarking.
+func KernelPath(st *cluster.State) string {
+	if st.Reference() {
 		return "reference"
-	}
-	if aggregationOff.Load() {
-		return "fast"
 	}
 	return "aggregated"
 }

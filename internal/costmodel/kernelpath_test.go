@@ -9,16 +9,15 @@ import (
 )
 
 // TestKernelPathLargeTopology is the regression test for the silent
-// fallback: topologies past the dense-block threshold used to get no
-// layout and dropped invisibly onto the reference loops. The path
-// indicator must report the default armed policy — the aggregated kernel
-// heuristic — at every scale, and costing a cross-machine job at that
-// scale must actually succeed through it.
+// fallback: topologies past 128 leaves used to get no layout and dropped
+// invisibly onto the reference loops. The path indicator must report the
+// compiled kernels at every scale, and costing a cross-machine job at that
+// scale must actually succeed through them.
 func TestKernelPathLargeTopology(t *testing.T) {
-	for _, leaves := range []int{8, cluster.DensePairLeaves, cluster.DensePairLeaves + 1, 512} {
+	for _, leaves := range []int{8, 128, 129, 512} {
 		topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 2, Fanouts: []int{leaves}})
 		st := cluster.New(topo)
-		if got := KernelPath(); got != "aggregated" {
+		if got := KernelPath(st); got != "aggregated" {
 			t.Fatalf("%d leaves: KernelPath = %q, want \"aggregated\"", leaves, got)
 		}
 		nodes := []int{0, topo.NumNodes() - 1}
@@ -36,33 +35,31 @@ func TestKernelPathLargeTopology(t *testing.T) {
 	}
 }
 
-// TestKernelPathReferenceMode pins the other half of the indicator: with
-// reference mode on, every state — whatever its size — reports the
-// reference path.
+// TestKernelPathReferenceMode pins the other half of the indicator: a
+// reference state — whatever its size — reports the reference path.
 func TestKernelPathReferenceMode(t *testing.T) {
-	SetReferenceMode(true)
-	defer SetReferenceMode(false)
-	if got := KernelPath(); got != "reference" {
-		t.Fatalf("KernelPath under reference mode = %q, want \"reference\"", got)
+	for _, leaves := range []int{8, 512} {
+		topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 2, Fanouts: []int{leaves}})
+		if got := KernelPath(cluster.NewReference(topo)); got != "reference" {
+			t.Fatalf("%d leaves: KernelPath of a reference state = %q, want \"reference\"", leaves, got)
+		}
 	}
 }
 
-// TestKernelPathAggregationToggle pins the third indicator value: with
-// the aggregation stage toggled off the policy degrades to the flat
-// leaf-pair kernel and reports "fast"; reference mode outranks the
-// toggle either way.
-func TestKernelPathAggregationToggle(t *testing.T) {
-	SetAggregationMode(false)
-	defer SetAggregationMode(true)
-	if got := KernelPath(); got != "fast" {
-		t.Fatalf("KernelPath with aggregation off = %q, want \"fast\"", got)
+// TestReferenceModeAccessors pins what the harness and the path indicator
+// read off a state: the mode it was built with, and with it whether
+// candidate costing is a pure read.
+func TestReferenceModeAccessors(t *testing.T) {
+	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 2, Fanouts: []int{4}})
+	st := cluster.New(topo)
+	if st.Reference() || !CandidateCostReadOnly(st) {
+		t.Fatal("candidate costing not read-only on an optimized state")
 	}
-	if AggregationMode() {
-		t.Fatal("AggregationMode() = true after SetAggregationMode(false)")
+	ref := st.CloneAs(true)
+	if !ref.Reference() || CandidateCostReadOnly(ref) || KernelPath(ref) != "reference" {
+		t.Fatal("a reference clone is not reflected by the accessors")
 	}
-	SetReferenceMode(true)
-	defer SetReferenceMode(false)
-	if got := KernelPath(); got != "reference" {
-		t.Fatalf("KernelPath with aggregation off + reference mode = %q, want \"reference\"", got)
+	if st.Reference() || KernelPath(st) != "aggregated" {
+		t.Fatal("cloning as a reference state changed the original's mode")
 	}
 }

@@ -74,9 +74,8 @@ type leafSchedule struct {
 	// agg is the subtree-aggregated evaluation stage (subtreeagg.go),
 	// compiled when the schedule is wide enough for the kernel heuristic
 	// and the layout has a usable aggregation level; nil keeps evaluation
-	// on the flat per-pair scans. Always compiled when applicable — the
-	// run-time toggle gates evaluation, not compilation, so flipping it
-	// never invalidates cached schedules.
+	// on the flat per-pair scans. Which kernel evaluates a schedule is
+	// decided here, at compile time, from the schedule's width alone.
 	agg *subtreeSchedule
 }
 
@@ -564,9 +563,18 @@ func (sc *evalScratch) overlayHops(st *cluster.State, lay *cluster.Layout, li, l
 //
 //caws:noalloc
 func (ls *leafSchedule) eval(st *cluster.State, overlay, hopBytes bool, baseMsgSize float64) float64 {
-	if ls.aggEngaged() {
+	if ls.agg != nil {
 		return ls.evalAgg(st, overlay, hopBytes, baseMsgSize)
 	}
+	return ls.evalFlat(st, overlay, hopBytes, baseMsgSize)
+}
+
+// evalFlat is eval as the flat scan over every distinct leaf pair: the
+// kernel of a schedule without an aggregation stage, and the one evalAgg is
+// tested against on a schedule with one.
+//
+//caws:noalloc
+func (ls *leafSchedule) evalFlat(st *cluster.State, overlay, hopBytes bool, baseMsgSize float64) float64 {
 	sc := evalScratchPool.Get().(*evalScratch)
 	if cap(sc.pairVal) < len(ls.pairLi) {
 		sc.pairVal = make([]float64, len(ls.pairLi))
@@ -578,11 +586,9 @@ func (ls *leafSchedule) eval(st *cluster.State, overlay, hopBytes bool, baseMsgS
 			pv[p] = sc.overlayHops(st, ls.lay, ls.pairLi[p], ls.pairLj[p])
 		}
 	} else {
-		c := acquirePairCache(st, ls.lay)
 		for p := range pv {
-			pv[p] = c.at(ls.pairLi[p], ls.pairLj[p])
+			pv[p] = leafHops(st, ls.lay, ls.pairLi[p], ls.pairLj[p])
 		}
-		c.release()
 	}
 	total, prevMax := 0.0, 0.0
 	for s := 0; s < ls.nSteps; s++ {
@@ -619,9 +625,16 @@ func (ls *leafSchedule) eval(st *cluster.State, overlay, hopBytes bool, baseMsgS
 //
 //caws:noalloc
 func (ls *leafSchedule) evalDistance() float64 {
-	if ls.aggEngaged() {
+	if ls.agg != nil {
 		return ls.evalDistanceAgg()
 	}
+	return ls.evalDistanceFlat()
+}
+
+// evalDistanceFlat is evalDistance as the flat scan (see evalFlat).
+//
+//caws:noalloc
+func (ls *leafSchedule) evalDistanceFlat() float64 {
 	lay := ls.lay
 	sc := evalScratchPool.Get().(*evalScratch)
 	if cap(sc.pairVal) < len(ls.pairLi) {

@@ -25,16 +25,9 @@ func leafAggState(t *testing.T) *cluster.State {
 	return st
 }
 
-// refJobCost evaluates JobCost with both packages in reference mode.
-func refJobCost(t *testing.T, st *cluster.State, nodes []int, steps []collective.Step) (float64, error) {
-	t.Helper()
-	cluster.SetReferenceMode(true)
-	SetReferenceMode(true)
-	defer func() {
-		cluster.SetReferenceMode(false)
-		SetReferenceMode(false)
-	}()
-	return JobCost(st, nodes, steps)
+// refJobCost evaluates JobCost on st's reference clone.
+func refJobCost(st *cluster.State, nodes []int, steps []collective.Step) (float64, error) {
+	return JobCost(st.CloneAs(true), nodes, steps)
 }
 
 // TestLeafScheduleRegrouping drives the kernel through every step shape
@@ -44,10 +37,6 @@ func refJobCost(t *testing.T, st *cluster.State, nodes []int, steps []collective
 // node-pair loops. This is the executable form of the DESIGN §7
 // regrouping argument: max over node pairs = max over distinct leaf pairs.
 func TestLeafScheduleRegrouping(t *testing.T) {
-	t.Cleanup(func() {
-		cluster.SetReferenceMode(false)
-		SetReferenceMode(false)
-	})
 	st := leafAggState(t)
 	nodes := []int{2, 3, 6, 10, 14, 5}
 	shared := []collective.Pair{{A: 0, B: 3}, {A: 1, B: 2}, {A: 4, B: 5}}
@@ -63,7 +52,7 @@ func TestLeafScheduleRegrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := refJobCost(t, st, nodes, steps)
+	ref, err := refJobCost(st, nodes, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +67,7 @@ func TestLeafScheduleRegrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.SetReferenceMode(true)
-	SetReferenceMode(true)
-	refHB, err := JobCostHopBytes(st, nodes, steps, 3)
-	cluster.SetReferenceMode(false)
-	SetReferenceMode(false)
+	refHB, err := JobCostHopBytes(st.CloneAs(true), nodes, steps, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +124,7 @@ func TestPairRangeErrorParity(t *testing.T) {
 		{Pairs: []collective.Pair{{A: 1, B: 2}}, MsgSize: 1}, // B out of range
 	}
 	_, fastErr := JobCost(st, nodes, steps)
-	_, refErr := refJobCost(t, st, nodes, steps)
+	_, refErr := refJobCost(st, nodes, steps)
 	if fastErr == nil || refErr == nil {
 		t.Fatalf("expected range errors, got fast=%v ref=%v", fastErr, refErr)
 	}
@@ -154,10 +139,6 @@ func TestPairRangeErrorParity(t *testing.T) {
 // same error string whether it validates read-only (fast) or actually
 // attempts the allocation (reference).
 func TestCandidateValidationErrorParity(t *testing.T) {
-	t.Cleanup(func() {
-		cluster.SetReferenceMode(false)
-		SetReferenceMode(false)
-	})
 	st := leafAggState(t)
 	if err := st.Drain(15); err != nil {
 		t.Fatal(err)
@@ -180,12 +161,9 @@ func TestCandidateValidationErrorParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			ref := st.CloneAs(true)
 			_, fastErr := CandidateCost(st, tc.job, cluster.CommIntensive, tc.nodes, collective.RD)
-			cluster.SetReferenceMode(true)
-			SetReferenceMode(true)
-			_, refErr := CandidateCost(st, tc.job, cluster.CommIntensive, tc.nodes, collective.RD)
-			cluster.SetReferenceMode(false)
-			SetReferenceMode(false)
+			_, refErr := CandidateCost(ref, tc.job, cluster.CommIntensive, tc.nodes, collective.RD)
 			if fastErr == nil || refErr == nil {
 				t.Fatalf("expected errors, got fast=%v ref=%v", fastErr, refErr)
 			}
@@ -193,7 +171,7 @@ func TestCandidateValidationErrorParity(t *testing.T) {
 				t.Errorf("validation error diverges:\n fast: %s\n  ref: %s", fastErr, refErr)
 			}
 			// Neither path may leave the candidate allocated.
-			if tc.job >= 0 && st.Allocation(tc.job) != nil && tc.job != 900 {
+			if tc.job != 900 && (st.Allocation(tc.job) != nil || ref.Allocation(tc.job) != nil) {
 				t.Errorf("candidate job %d left allocated", tc.job)
 			}
 		})

@@ -60,7 +60,7 @@ func JobCostMode(st *cluster.State, nodes []int, steps []collective.Step, mode M
 	case ModeHopBytes:
 		return JobCostHopBytes(st, nodes, steps, 1)
 	case ModeDistanceOnly:
-		if referenceMode.Load() {
+		if st.Reference() {
 			return jobCostDistanceRef(st, nodes, steps)
 		}
 		if len(steps) == 0 {
@@ -123,22 +123,23 @@ func CandidateCostMode(st *cluster.State, job cluster.JobID, class cluster.Class
 // contention. The state is left unchanged: the fast path validates the
 // placement exactly as Allocate would (cluster.Placement.Validate) and then overlays
 // its per-leaf node counts onto the live comm counters during evaluation,
-// so it never mutates the state (see CandidateCostReadOnly). The reference
-// path tentatively allocates, costs, and rolls back; it mutates the state
-// (two generation bumps, so the placement goes on as a list, scanned on every
-// call) and must not run concurrently with other evaluations of the same
-// state. The fast path never lists a placement.
+// so it never mutates the state (see CandidateCostReadOnly). On a reference
+// state it tentatively allocates, costs against a freshly built schedule,
+// and rolls back; that mutates the state (two generation bumps, so the
+// placement goes on as a list, scanned on every call) and must not run
+// concurrently with other evaluations of the same state. The fast path
+// never lists a placement.
 func PlacementCostMode(st *cluster.State, job cluster.JobID, class cluster.Class,
 	pl *cluster.Placement, p collective.Pattern, mode Mode) (float64, error) {
 	if pl.Len() == 0 {
 		return 0, fmt.Errorf("costmodel: empty candidate allocation")
 	}
-	if referenceMode.Load() {
+	if st.Reference() {
 		nodes := pl.Nodes() // listed before the tentative allocation moves the generation
 		if err := st.AllocatePlacement(job, class, pl); err != nil {
 			return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
 		}
-		steps, err := ScheduleFor(p, pl.Len())
+		steps, err := scheduleRef(p, pl.Len())
 		var cost float64
 		if err == nil {
 			cost, err = JobCostMode(st, nodes, steps, mode)

@@ -20,8 +20,6 @@ func TestNoAllocKernels(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the zero-alloc pin is measured without -race")
 	}
-	t.Cleanup(func() { SetAggregationMode(true) })
-
 	// One resident node on each of the first 128 leaves of a 256-leaf
 	// two-tier machine: wide enough to engage the subtree-aggregated
 	// stage (AggTouchedLeaves = 96); the second node of each leaf forms
@@ -50,31 +48,40 @@ func TestNoAllocKernels(t *testing.T) {
 			t.Errorf("%s: %.1f allocs per run, want 0 (//caws:noalloc contract)", name, allocs)
 		}
 	}
-	for _, agg := range []bool{true, false} {
-		SetAggregationMode(agg)
-		label := "flat"
-		if agg {
-			label = "aggregated"
+	check("aggregated/JobCost", func() {
+		if _, err := JobCost(st, nodes, steps); err != nil {
+			t.Fatal(err)
 		}
-		check(label+"/JobCost", func() {
-			if _, err := JobCost(st, nodes, steps); err != nil {
-				t.Fatal(err)
-			}
-		})
-		check(label+"/JobCostHopBytes", func() {
-			if _, err := JobCostHopBytes(st, nodes, steps, 3); err != nil {
-				t.Fatal(err)
-			}
-		})
-		check(label+"/JobCostMode(distance)", func() {
-			if _, err := JobCostMode(st, nodes, steps, ModeDistanceOnly); err != nil {
-				t.Fatal(err)
-			}
-		})
-		check(label+"/CandidateCost", func() {
-			if _, err := CandidateCost(st, cluster.JobID(99), cluster.CommIntensive, cand, collective.Alltoall); err != nil {
-				t.Fatal(err)
-			}
-		})
+	})
+	check("aggregated/JobCostHopBytes", func() {
+		if _, err := JobCostHopBytes(st, nodes, steps, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check("aggregated/JobCostMode(distance)", func() {
+		if _, err := JobCostMode(st, nodes, steps, ModeDistanceOnly); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check("aggregated/CandidateCost", func() {
+		if _, err := CandidateCost(st, cluster.JobID(99), cluster.CommIntensive, cand, collective.Alltoall); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// The flat evaluators, called on the same compiled schedules: what a
+	// schedule narrower than this fixture's runs.
+	ls, err := leafSchedFor(st, nodes, steps)
+	if err != nil || ls == nil {
+		t.Fatalf("leafSchedFor = %v, %v", ls, err)
 	}
+	pl := cluster.NewPlacement(cand)
+	cls, err := candidateSched(st, 99, &pl, collective.Alltoall)
+	if err != nil || cls == nil {
+		t.Fatalf("candidateSched = %v, %v", cls, err)
+	}
+	check("flat/eval", func() { ls.evalFlat(st, false, false, 0) })
+	check("flat/eval(hop-bytes)", func() { ls.evalFlat(st, false, true, 3) })
+	check("flat/evalDistance", func() { ls.evalDistanceFlat() })
+	check("flat/eval(overlay)", func() { cls.evalFlat(st, true, false, 0) })
 }

@@ -50,21 +50,24 @@ var (
 )
 
 // ScheduleFor returns pattern's schedule at n ranks, memoized. The result
-// is shared and must be treated as read-only. Reference mode bypasses the
-// memo and builds fresh, preserving the seed behaviour for differential
-// runs.
+// is shared and must be treated as read-only.
 func ScheduleFor(p collective.Pattern, n int) ([]collective.Step, error) {
-	if referenceMode.Load() {
-		return p.Schedule(n)
-	}
 	m, err := memoFor(p, n)
 	if err != nil {
 		return nil, err
 	}
 	if m == nil {
-		return p.Schedule(n)
+		return scheduleRef(p, n)
 	}
 	return m.pairs(), nil
+}
+
+// scheduleRef is the memo's reference counterpart: the schedule built
+// afresh. Candidate pricing on a reference state costs against it, so the
+// differential runs never read the memo; ScheduleFor falls back to it for a
+// schedule the full memo cannot keep.
+func scheduleRef(p collective.Pattern, n int) ([]collective.Step, error) {
+	return p.Schedule(n)
 }
 
 // blocksFor returns pattern's schedule at n ranks in block form: the

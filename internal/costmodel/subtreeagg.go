@@ -1,8 +1,6 @@
 package costmodel
 
 import (
-	"sync/atomic"
-
 	"repro/internal/cluster"
 	"repro/internal/collective"
 )
@@ -43,38 +41,15 @@ import (
 // the parity fuzzers can straddle it deliberately.
 const AggTouchedLeaves = 96
 
-// aggregationOff disables the subtree-aggregated stage at evaluation time
-// when set (the stage is still compiled, so flipping the toggle never
-// invalidates cached schedules). The zero value — aggregation on — is the
-// default; the parity suites flip it to compare aggregated, flat, and
-// reference evaluations of identical states bit for bit.
-var aggregationOff atomic.Bool
-
-// SetAggregationMode enables (the default) or disables the
-// subtree-aggregated evaluation stage. Like SetReferenceMode it is
-// process-global and meant for tests, verification harnesses, and
-// benchmarks; disabling it forces every schedule onto the flat leaf-pair
-// kernel regardless of width.
-func SetAggregationMode(on bool) { aggregationOff.Store(!on) } //lint:allow globalmut the annotated setter for the aggregation toggle; callers are policed instead
-
-// AggregationMode reports whether the subtree-aggregated stage is enabled.
-func AggregationMode() bool { return !aggregationOff.Load() }
-
-// aggEngaged reports whether this schedule evaluates through the
-// subtree-aggregated stage right now (compiled and not toggled off).
-func (ls *leafSchedule) aggEngaged() bool {
-	return ls.agg != nil && !aggregationOff.Load()
-}
-
 // ScheduleAggregated reports whether costing (nodes, steps) against st's
 // topology takes the subtree-aggregated stage: the layout has a usable
-// aggregation level, the schedule touches at least AggTouchedLeaves
-// leaves spanning a non-trivial subtree partition, and the stage is not
-// toggled off. Verification suites use it to assert their wide-job cases
-// really exercise the aggregated path (and their narrow ones don't).
+// aggregation level and the schedule touches at least AggTouchedLeaves
+// leaves spanning a non-trivial subtree partition. Verification suites use
+// it to assert their wide-job cases really exercise the aggregated path
+// (and their narrow ones don't).
 func ScheduleAggregated(st *cluster.State, nodes []int, steps []collective.Step) (bool, error) {
-	if referenceMode.Load() {
-		return false, nil // reference mode bypasses the compiled kernels entirely
+	if st.Reference() {
+		return false, nil // a reference state bypasses the compiled kernels entirely
 	}
 	if len(steps) == 0 {
 		return false, nil
@@ -83,7 +58,7 @@ func ScheduleAggregated(st *cluster.State, nodes []int, steps []collective.Step)
 	if err != nil || ls == nil { // nil: priced by the reference loops
 		return false, err
 	}
-	return ls.aggEngaged(), nil
+	return ls.agg != nil, nil
 }
 
 // subtreeSchedule is the aggregation stage compiled on top of a
@@ -341,10 +316,6 @@ func (ls *leafSchedule) evalAgg(st *cluster.State, overlay, hopBytes bool, baseM
 	// Prefill: every intra pair exactly; per block either the one
 	// representative value (both subtrees uniform — every pair in the
 	// block is bit-identical to it) or the block's exact pair list.
-	var c *pairCache
-	if !overlay {
-		c = acquirePairCache(st, lay)
-	}
 	blockVal := sc.blockVal[:nBlocks]
 	blockNU := sc.blockNU[:nBlocks]
 	for b := 0; b < nBlocks; b++ {
@@ -354,7 +325,7 @@ func (ls *leafSchedule) evalAgg(st *cluster.State, overlay, hopBytes bool, baseM
 			if overlay {
 				blockVal[b] = sc.overlayHops(st, lay, ls.pairLi[rep], ls.pairLj[rep])
 			} else {
-				blockVal[b] = c.at(ls.pairLi[rep], ls.pairLj[rep])
+				blockVal[b] = leafHops(st, lay, ls.pairLi[rep], ls.pairLj[rep])
 			}
 			continue
 		}
@@ -363,7 +334,7 @@ func (ls *leafSchedule) evalAgg(st *cluster.State, overlay, hopBytes bool, baseM
 			if overlay {
 				pv[p] = sc.overlayHops(st, lay, ls.pairLi[p], ls.pairLj[p])
 			} else {
-				pv[p] = c.at(ls.pairLi[p], ls.pairLj[p])
+				pv[p] = leafHops(st, lay, ls.pairLi[p], ls.pairLj[p])
 			}
 		}
 	}
@@ -371,11 +342,8 @@ func (ls *leafSchedule) evalAgg(st *cluster.State, overlay, hopBytes bool, baseM
 		if overlay {
 			pv[p] = sc.overlayHops(st, lay, ls.pairLi[p], ls.pairLj[p])
 		} else {
-			pv[p] = c.at(ls.pairLi[p], ls.pairLj[p])
+			pv[p] = leafHops(st, lay, ls.pairLi[p], ls.pairLj[p])
 		}
-	}
-	if c != nil {
-		c.release()
 	}
 
 	total, prevMax := 0.0, 0.0

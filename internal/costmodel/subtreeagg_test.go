@@ -1,7 +1,6 @@
 package costmodel
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -38,43 +37,16 @@ func subtreeAggState(t *testing.T, width int) (*cluster.State, []int) {
 	return st, nodes
 }
 
-// checkThreeWayParity evaluates the given costing function through the
-// aggregated, flat (aggregation off), and reference paths and requires
-// the three results bit-identical and non-zero.
-func checkThreeWayParity(t *testing.T, label string, cost func() (float64, error)) {
+// checkNonZero requires a three-way parity that is not vacuous.
+func checkNonZero(t *testing.T, label string, w threeWay) {
 	t.Helper()
-	defer func() {
-		SetAggregationMode(true)
-		cluster.SetReferenceMode(false)
-		SetReferenceMode(false)
-	}()
-	agg, err := cost()
-	if err != nil {
-		t.Fatalf("%s (aggregated): %v", label, err)
+	if !w.staged {
+		t.Errorf("%s compiled no aggregation stage; the parity is vacuous", label)
 	}
-	SetAggregationMode(false)
-	flat, err := cost()
-	SetAggregationMode(true)
-	if err != nil {
-		t.Fatalf("%s (flat): %v", label, err)
-	}
-	cluster.SetReferenceMode(true)
-	SetReferenceMode(true)
-	ref, err := cost()
-	cluster.SetReferenceMode(false)
-	SetReferenceMode(false)
-	if err != nil {
-		t.Fatalf("%s (reference): %v", label, err)
-	}
-	if math.Float64bits(agg) != math.Float64bits(flat) {
-		t.Errorf("%s: aggregated %v != flat %v", label, agg, flat)
-	}
-	if math.Float64bits(agg) != math.Float64bits(ref) {
-		t.Errorf("%s: aggregated %v != reference %v", label, agg, ref)
-	}
-	if agg == 0 {
+	if w.agg == 0 {
 		t.Errorf("%s evaluated to zero; the parity is vacuous", label)
 	}
+	w.check(t, label)
 }
 
 // TestSubtreeScheduleParity drives the aggregation stage through every
@@ -98,15 +70,9 @@ func TestSubtreeScheduleParity(t *testing.T) {
 	if agg, err := ScheduleAggregated(st, nodes, steps); err != nil || !agg {
 		t.Fatalf("fixture not on the aggregated path (agg=%v, err=%v)", agg, err)
 	}
-	checkThreeWayParity(t, "JobCost", func() (float64, error) {
-		return JobCost(st, nodes, steps)
-	})
-	checkThreeWayParity(t, "JobCostHopBytes", func() (float64, error) {
-		return JobCostHopBytes(st, nodes, steps, 3)
-	})
-	checkThreeWayParity(t, "JobCostMode(DistanceOnly)", func() (float64, error) {
-		return JobCostMode(st, nodes, steps, ModeDistanceOnly)
-	})
+	checkNonZero(t, "JobCost", priceJob(t, st, nodes, steps, ModeEffectiveHops, 1))
+	checkNonZero(t, "JobCostHopBytes", priceJob(t, st, nodes, steps, ModeHopBytes, 3))
+	checkNonZero(t, "JobCostMode(DistanceOnly)", priceJob(t, st, nodes, steps, ModeDistanceOnly, 1))
 
 	// A full collective over the same nodes exercises the dense per-step
 	// entry lists (every XOR step has many live blocks).
@@ -114,9 +80,7 @@ func TestSubtreeScheduleParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkThreeWayParity(t, "JobCost(RD)", func() (float64, error) {
-		return JobCost(st, nodes, rd)
-	})
+	checkNonZero(t, "JobCost(RD)", priceJob(t, st, nodes, rd, ModeEffectiveHops, 1))
 }
 
 // TestSubtreeCandidateOverlayParity prices a wide candidate — the
@@ -126,7 +90,7 @@ func TestSubtreeScheduleParity(t *testing.T) {
 func TestSubtreeCandidateOverlayParity(t *testing.T) {
 	st, nodes := subtreeAggState(t, 100)
 	// The aggregated overlay path must be read-only (the reference leg
-	// below allocates and releases, bumping the generation by design).
+	// below allocates and releases on a clone of its own).
 	gen := st.Generation()
 	if _, err := CandidateCostMode(st, 7, cluster.CommIntensive, nodes, collective.Alltoall, ModeEffectiveHops); err != nil {
 		t.Fatal(err)
@@ -134,10 +98,12 @@ func TestSubtreeCandidateOverlayParity(t *testing.T) {
 	if st.Generation() != gen {
 		t.Errorf("aggregated candidate costing mutated the state (gen %d -> %d)", gen, st.Generation())
 	}
-	for _, mode := range []Mode{ModeEffectiveHops, ModeHopBytes, ModeDistanceOnly} {
-		checkThreeWayParity(t, "CandidateCostMode "+mode.String(), func() (float64, error) {
-			return CandidateCostMode(st, 7, cluster.CommIntensive, nodes, collective.Alltoall, mode)
-		})
+	for _, mode := range allModes {
+		checkNonZero(t, "CandidateCostMode "+mode.String(),
+			priceCandidate(t, st, 7, cluster.CommIntensive, nodes, collective.Alltoall, mode))
+	}
+	if st.Generation() != gen {
+		t.Errorf("the evaluators or the reference clone's rollback moved the optimized state (gen %d -> %d)", gen, st.Generation())
 	}
 	if st.Allocation(7) != nil {
 		t.Error("candidate job left allocated")
@@ -146,14 +112,10 @@ func TestSubtreeCandidateOverlayParity(t *testing.T) {
 
 // TestScheduleAggregatedGate pins every branch of the engagement
 // heuristic: wide jobs on a multi-tier tree aggregate; narrow jobs, empty
-// schedules, reference mode, the process-global toggle, two-level trees
-// (no aggregation level), single-subtree jobs, and one-leaf-per-subtree
-// jobs all stay flat; compile errors propagate.
+// schedules, reference states, two-level trees (no aggregation level),
+// single-subtree jobs, and one-leaf-per-subtree jobs all stay flat; compile
+// errors propagate.
 func TestScheduleAggregatedGate(t *testing.T) {
-	t.Cleanup(func() {
-		SetReferenceMode(false)
-		SetAggregationMode(true)
-	})
 	st, nodes := subtreeAggState(t, AggTouchedLeaves)
 	steps, err := ScheduleFor(collective.Ring, len(nodes))
 	if err != nil {
@@ -178,16 +140,7 @@ func TestScheduleAggregatedGate(t *testing.T) {
 	mustAgg(false, "one under threshold", st, nodes[:AggTouchedLeaves-1], narrow)
 	mustAgg(false, "empty schedule", st, nodes, nil)
 
-	SetReferenceMode(true)
-	mustAgg(false, "reference mode", st, nodes, steps)
-	SetReferenceMode(false)
-
-	SetAggregationMode(false)
-	mustAgg(false, "aggregation toggled off", st, nodes, steps)
-	if KernelPath() != "fast" {
-		t.Errorf("KernelPath = %q with aggregation off, want \"fast\"", KernelPath())
-	}
-	SetAggregationMode(true)
+	mustAgg(false, "reference state", st.CloneAs(true), nodes, steps)
 
 	if _, err := ScheduleAggregated(st, nodes[:2], steps); err == nil {
 		t.Error("out-of-range schedule pairs: expected a compile error")

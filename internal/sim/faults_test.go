@@ -215,10 +215,10 @@ func TestRepeatedFailuresRequeueRepeatedly(t *testing.T) {
 var errWorkersDiverged = errors.New("concurrent identical runs diverged")
 
 // TestFaultChurnConcurrentAdaptiveRuns exercises the adaptive selector's
-// concurrent candidate pricing (core.adaptiveJoin goroutines over a shared
-// state) while fault events kill, requeue and repair around it, across
-// several simulations running in parallel — the shape the CI race job
-// checks with -race.
+// candidate pricing (pooled scratches and the compiled-schedule cache,
+// shared by every run in the process) while fault events kill, requeue and
+// repair around it, across several simulations running in parallel — the
+// shape the CI race job checks with -race.
 func TestFaultChurnConcurrentAdaptiveRuns(t *testing.T) {
 	topo := topology.IITK(4) // 64 nodes
 	preset := workload.Preset{

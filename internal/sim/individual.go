@@ -29,6 +29,8 @@ type IndividualConfig struct {
 	Seed int64
 	// CostMode selects the cost function (zero = paper's Eq. 6).
 	CostMode costmodel.Mode
+	// Reference evaluates on a reference state, as Config.Reference does.
+	Reference bool
 }
 
 // IndividualResult is the outcome of placing one job from the common
@@ -59,7 +61,7 @@ func PrepareOccupiedState(cfg IndividualConfig) (*cluster.State, error) {
 	if commFrac == 0 {
 		commFrac = 0.5
 	}
-	st := cluster.New(cfg.Topology)
+	st := newState(cfg.Topology, cfg.Reference)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	defSel := core.MustNew(core.Default)
 	target := int(occ * float64(cfg.Topology.NumNodes()))

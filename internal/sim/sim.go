@@ -57,6 +57,20 @@ type Config struct {
 	// work finish. A nil trace reproduces the fault-free simulator
 	// bit-identically.
 	Faults faults.Trace
+	// Reference runs the whole simulation on a reference state
+	// (cluster.NewReference): subtree recounts, uncached Eq. 5/6 loops,
+	// tentative allocation for candidate pricing. Results are bit-identical
+	// to the optimized run's; the differential harness proves it by running
+	// both, concurrently.
+	Reference bool
+}
+
+// newState returns the empty cluster state a run of the given mode starts on.
+func newState(topo *topology.Topology, reference bool) *cluster.State {
+	if reference {
+		return cluster.NewReference(topo)
+	}
+	return cluster.New(topo)
 }
 
 // Result is the outcome of a continuous run.
@@ -69,6 +83,10 @@ type Result struct {
 	// Utilization is delivered node-seconds over machine capacity across
 	// the makespan.
 	Utilization float64
+	// Kernel names the cost-evaluation path the run's state took
+	// (costmodel.KernelPath): "aggregated", or "reference" under
+	// Config.Reference.
+	Kernel string
 }
 
 type eventKind uint8
@@ -175,7 +193,7 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 	e := &engine{
 		cfg:         cfg,
 		trace:       trace,
-		st:          cluster.New(cfg.Topology),
+		st:          newState(cfg.Topology, cfg.Reference),
 		selector:    sel,
 		defSel:      defSel,
 		results:     make([]metrics.JobResult, len(trace.Jobs)),
@@ -222,6 +240,7 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 		Algorithm:    cfg.Algorithm,
 		MachineNodes: cfg.Topology.NumNodes(),
 		Jobs:         e.results,
+		Kernel:       costmodel.KernelPath(e.st),
 	}
 	res.Summary = metrics.Summarize(res.Jobs)
 	if res.Summary.MakespanHours > 0 {

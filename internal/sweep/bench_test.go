@@ -3,20 +3,16 @@ package sweep
 import (
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/collective"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/workload"
 )
 
 // BenchmarkSweepGrid runs a small but complete sweep — trace synthesis,
 // tagging, full continuous simulations, validation — under the
-// leaf-aggregated kernel ("opt") and with both packages forced into
-// reference mode ("ref"). The pair is the end-to-end form of the kernel
-// speedup: reference mode also serializes adaptive candidate pricing
-// (CandidateCostReadOnly is false), so the ratio is what a sweep user
-// actually gains. Wall-clock scaling across -parallel settings is a
+// leaf-aggregated kernel ("opt") and as a Grid.Reference sweep ("ref").
+// The pair is the end-to-end form of the kernel speedup: the ratio is what
+// a sweep user actually gains. Wall-clock scaling across -parallel settings is a
 // separate, machine-dependent axis (see DESIGN.md §7); output equality
 // across it is pinned by TestRunGridParallelismByteIdentical.
 func BenchmarkSweepGrid(b *testing.B) {
@@ -34,14 +30,9 @@ func BenchmarkSweepGrid(b *testing.B) {
 		ref  bool
 	}{{"opt", false}, {"ref", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cluster.SetReferenceMode(mode.ref)
-			costmodel.SetReferenceMode(mode.ref)
-			defer func() {
-				cluster.SetReferenceMode(false)
-				costmodel.SetReferenceMode(false)
-			}()
+			g := g
+			g.Reference = mode.ref
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := Run(g); err != nil {
 					b.Fatal(err)

@@ -41,6 +41,8 @@ type Grid struct {
 	// conventions as sim.Config); ignored by the other algorithms.
 	AnnealBudget int
 	AnnealSeed   uint64
+	// Reference runs every cell on a reference state (sim.Config.Reference).
+	Reference bool
 }
 
 func (g Grid) withDefaults() Grid {
@@ -85,14 +87,12 @@ type Point struct {
 	CommFraction float64
 	CommShare    float64
 	Algorithm    core.Algorithm
-	// Kernel records the cost-evaluation path (costmodel.KernelPath) the
-	// cell ran under — "aggregated" for the default subtree-aggregated
-	// heuristic (wide schedules collapse cross-subtree blocks, narrow
-	// ones take the flat scans), "fast" for the flat leaf-pair kernel
-	// with aggregation toggled off, "reference" for the uncached loops —
-	// so sweep output is auditable: a sweep that silently ran the
-	// O(P log P) reference path is distinguishable from one that ran the
-	// kernel it is benchmarking.
+	// Kernel records the cost-evaluation path the cell ran under —
+	// "aggregated" for the compiled kernels (wide schedules collapse
+	// cross-subtree blocks, narrow ones take the flat scans), "reference"
+	// for the uncached loops of a Grid.Reference sweep — so sweep output
+	// is auditable: a sweep that ran the O(P log P) reference path is
+	// distinguishable from one that ran the kernel it is benchmarking.
 	Kernel  string
 	Summary metrics.Summary
 }
@@ -156,6 +156,7 @@ func Run(g Grid) ([]Point, error) {
 				Topology: c.topo, Algorithm: c.alg,
 				CostMode: g.CostMode, Policy: g.Policy,
 				AnnealBudget: g.AnnealBudget, AnnealSeed: g.AnnealSeed,
+				Reference: g.Reference,
 			}, tagged)
 		}
 		if err != nil {
@@ -166,7 +167,7 @@ func Run(g Grid) ([]Point, error) {
 		points[i] = Point{
 			Machine: c.preset.Name, Pattern: c.pat,
 			CommFraction: c.frac, CommShare: c.share,
-			Algorithm: c.alg, Kernel: costmodel.KernelPath(),
+			Algorithm: c.alg, Kernel: res.Kernel,
 			Summary: res.Summary,
 		}
 	}

@@ -220,3 +220,48 @@ func TestRunGridDeterministicFirstFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelColumnFollowsGridMode pins the cost_kernel column to the mode
+// the grid asked for, cell by cell, at parallelism 1, 4 and NumCPU: every
+// cell of a Grid{Reference: true} CSV reads "reference", every cell of a
+// default grid "aggregated" (the column is recorded per cell by concurrent
+// workers off the state each run built). The two sweeps are the same
+// simulations priced two ways, so apart from that column the CSVs must be
+// byte-identical.
+func TestKernelColumnFollowsGridMode(t *testing.T) {
+	render := func(reference bool, parallel int) string {
+		t.Helper()
+		g := smallGrid()
+		g.Jobs, g.Reference, g.Parallelism = 40, reference, parallel
+		points, err := Run(g)
+		if err != nil {
+			t.Fatalf("reference=%v parallelism %d: %v", reference, parallel, err)
+		}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, points); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, parallel := range []int{1, 4, runtime.NumCPU()} {
+		csvs := map[string]string{"aggregated": render(false, parallel), "reference": render(true, parallel)}
+		for want, out := range csvs {
+			records, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if records[0][5] != "cost_kernel" || len(records) != 9 {
+				t.Fatalf("parallelism %d: %d records, header %v", parallel, len(records), records[0])
+			}
+			for _, rec := range records[1:] {
+				if rec[5] != want {
+					t.Fatalf("parallelism %d: cost_kernel = %q, want %q (row %v)", parallel, rec[5], want, rec)
+				}
+			}
+		}
+		if got := strings.ReplaceAll(csvs["reference"], ",reference,", ",aggregated,"); got != csvs["aggregated"] {
+			t.Fatalf("parallelism %d: reference and default sweeps differ beyond the kernel column:\n%s\nvs\n%s",
+				parallel, csvs["reference"], csvs["aggregated"])
+		}
+	}
+}

@@ -485,7 +485,7 @@ func checkDeterminism(spec TraceSpec, topo *topology.Topology, trace workload.Tr
 // per-cell summaries — the data the cawsverify CLI reports — or the first
 // Failure.
 func RunMatrix(spec TraceSpec) ([]metrics.Summary, error) {
-	results, err := runMatrixResults(spec, ConfigsFor(spec), 0)
+	results, err := runMatrixResults(spec, ConfigsFor(spec), 0, false)
 	if err != nil {
 		return nil, err
 	}
@@ -497,20 +497,28 @@ func RunMatrix(spec TraceSpec) ([]metrics.Summary, error) {
 }
 
 // runMatrixResults simulates every cell on a bounded worker pool and
-// returns the full per-cell results in cell order.
-func runMatrixResults(spec TraceSpec, configs []RunConfig, parallelism int) ([]*sim.Result, error) {
+// returns the full per-cell results in cell order. withReference runs each
+// cell a second time on a reference state, from the same pool: cell i's
+// results are then entries 2i (optimized) and 2i+1 (reference).
+func runMatrixResults(spec TraceSpec, configs []RunConfig, parallelism int, withReference bool) ([]*sim.Result, error) {
 	topo, trace, err := spec.Build()
 	if err != nil {
 		return nil, &Failure{Spec: spec, Err: err}
 	}
 	ftrace := spec.BuildFaults(topo, trace)
-	results := make([]*sim.Result, len(configs))
-	err = runCells(len(configs), parallelism, func(i int) error {
-		res, err := sim.RunContinuous(configs[i].simConfigFaults(topo, ftrace), trace)
+	per := 1
+	if withReference {
+		per = 2
+	}
+	results := make([]*sim.Result, per*len(configs))
+	err = runCells(len(results), parallelism, func(k int) error {
+		cfg := configs[k/per].simConfigFaults(topo, ftrace)
+		cfg.Reference = k%per == 1
+		res, err := sim.RunContinuous(cfg, trace)
 		if err != nil {
-			return &Failure{Spec: spec, Config: &configs[i], Err: err}
+			return &Failure{Spec: spec, Config: &configs[k/per], Err: err}
 		}
-		results[i] = res
+		results[k] = res
 		return nil
 	})
 	if err != nil {

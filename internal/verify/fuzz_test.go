@@ -36,7 +36,7 @@ func FuzzRunContinuous(f *testing.F) {
 }
 
 // FuzzLayoutScale hands fuzzer-chosen machine shapes — leaf counts on
-// both sides of the 128-leaf dense-block threshold, two- and three-level
+// both sides of 128 leaves, two- and three-level
 // trees, varying leaf widths — to the fast/reference parity check: random
 // resident load, then bit-identical JobCost/CandidateCost (all modes) on
 // cross-machine jobs. This is the cross-scale parity property with the
@@ -108,15 +108,15 @@ func scrambled(nodes []int, rng *rand.Rand, repeat bool) []int {
 
 // FuzzSubtreeAggregation hands fuzzer-chosen tree shapes and job widths
 // straddling the flat/aggregated threshold (AggTouchedLeaves touched
-// leaves) to a three-way parity check: the subtree-aggregated kernel, the
-// flat leaf-pair kernel (aggregation toggled off), and the node-pair
-// reference loops must produce bit-identical job and candidate costs on
-// the same randomly loaded state. The random residents perturb per-leaf
+// leaves) to the parity check through the entry points: whichever kernel
+// the schedule compiles to and the node-pair reference loops must produce
+// bit-identical job and candidate costs on the same randomly loaded state
+// (costmodel.FuzzSubtreeAggregation draws the same inputs and also runs the
+// flat evaluator on every aggregated schedule). The random residents perturb per-leaf
 // comm counters, so uniform subtrees (collapsed blocks) and non-uniform
 // ones (exact per-block fallback) both occur; the corpus seeds pin widths
 // just under, at, and past the threshold on two- and three-level trees.
 func FuzzSubtreeAggregation(f *testing.F) {
-	f.Cleanup(func() { costmodel.SetAggregationMode(true) })
 	f.Add(uint8(40), uint8(4), uint8(1), int8(-4), int64(1))
 	f.Add(uint8(40), uint8(4), uint8(1), int8(0), int64(2))
 	f.Add(uint8(40), uint8(4), uint8(1), int8(8), int64(3))
@@ -187,11 +187,7 @@ func FuzzSubtreeAggregation(f *testing.F) {
 			t.Fatal(err)
 		}
 		live := []activeJob{{id: 300, nodes: wide, pattern: pat}}
-		label := fmt.Sprintf("agg npl=%d fanouts=%v width=%d", npl, fanouts, len(wide))
-		checkFastRefBitIdentical(t, st, live, label+" (aggregated)", 0)
-		costmodel.SetAggregationMode(false)
-		checkFastRefBitIdentical(t, st, live, label+" (flat)", 1)
-		costmodel.SetAggregationMode(true)
+		checkFastRefBitIdentical(t, st, live, fmt.Sprintf("agg npl=%d fanouts=%v width=%d", npl, fanouts, len(wide)), 0)
 	})
 }
 

@@ -12,14 +12,15 @@ import (
 	"repro/internal/workload"
 )
 
-// TestCacheInvalidationUnderChurn is the invalidation property for the
-// generation-keyed caches behind the leaf-aggregated cost kernel: across
-// interleaved Allocate/Release/Drain/Resume sequences (every kind of
-// generation bump), the fast paths — pair-cache-backed JobCost, the
-// overlay CandidateCost, and their mode variants — must stay bit-identical
-// to the reference loops evaluated on the very same state. A single stale
-// cache entry, missed generation bump, or desynchronised SoA layout shows
-// up as a float64 bit mismatch.
+// TestCacheInvalidationUnderChurn is the invalidation property for what
+// the leaf-aggregated cost kernel keeps across mutations (compiled
+// schedules, maintained comm shares, pooled overlays): across interleaved
+// Allocate/Release/Drain/Resume sequences (every kind of generation bump),
+// the fast paths — JobCost, the overlay CandidateCost, and their mode
+// variants — must stay bit-identical to the reference loops evaluated on a
+// reference clone of the very same state. A single stale value, missed
+// share update, or desynchronised SoA layout shows up as a float64 bit
+// mismatch.
 func TestCacheInvalidationUnderChurn(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		runChurnSpec(t, DefaultSpec(seed))
@@ -27,10 +28,10 @@ func TestCacheInvalidationUnderChurn(t *testing.T) {
 }
 
 // TestCacheInvalidationUnderChurnLargeTopology runs the same churn
-// property on machines past the 128-leaf dense-block threshold, where the
-// kernel's sparse pair cache and on-demand layout distances serve the fast
-// path. Before the sparse kernel these topologies silently fell back to
-// the reference loops, so churn never exercised the caches at this scale.
+// property on machines past 128 leaves, where on-demand layout distances
+// and the compact pair index serve the fast path. These topologies once
+// fell back silently to the reference loops, so churn never exercised the
+// kernel at this scale.
 func TestCacheInvalidationUnderChurnLargeTopology(t *testing.T) {
 	specs := []TraceSpec{
 		// Two-level tree, 150 leaves.
@@ -41,9 +42,8 @@ func TestCacheInvalidationUnderChurnLargeTopology(t *testing.T) {
 			CommFraction: 0.7, Load: 0.9},
 	}
 	for _, spec := range specs {
-		if lv := spec.Leaves * spec.Pods; lv <= cluster.DensePairLeaves {
-			t.Fatalf("spec %v has %d leaves, not beyond the dense threshold %d",
-				spec, lv, cluster.DensePairLeaves)
+		if lv := spec.Leaves * spec.Pods; lv <= 128 {
+			t.Fatalf("spec %v has %d leaves, not beyond 128", spec, lv)
 		}
 		runChurnSpec(t, spec)
 	}
@@ -92,8 +92,7 @@ func runChurnSpec(t *testing.T, spec TraceSpec) {
 			continue
 		}
 		// Drain/Resume bump the generation without touching comm
-		// counters — the cache must not serve entries across them
-		// either.
+		// counters; parity must hold across them too.
 		if rng.Float64() < 0.25 {
 			for id := 0; id < topo.NumNodes(); id++ {
 				if st.NodeFree(id) {
@@ -108,10 +107,7 @@ func runChurnSpec(t *testing.T, spec TraceSpec) {
 			}
 		}
 		checkFastRefBitIdentical(t, st, live, spec.String(), op)
-		// Clones get their own cache key (the cache is keyed on the
-		// state pointer as well as the generation): a fresh clone must
-		// cost identically to its own reference, not inherit entries
-		// from the original.
+		// A fresh clone must cost identically to its own reference.
 		if rng.Float64() < 0.2 {
 			checkFastRefBitIdentical(t, st.Clone(), live, spec.String()+" (clone)", op)
 		}
@@ -167,16 +163,11 @@ func checkFastRefBitIdentical(t *testing.T, st *cluster.State, live []activeJob,
 	checkCandidateParity(t, st, spec, op)
 }
 
-// referenceCosts evaluates the three job-cost variants with both packages
-// forced into reference mode.
+// referenceCosts evaluates the three job-cost variants on st's reference
+// clone.
 func referenceCosts(t *testing.T, st *cluster.State, nodes []int, steps []collective.Step, spec string, op int) (cost, hb, dist float64) {
 	t.Helper()
-	cluster.SetReferenceMode(true)
-	costmodel.SetReferenceMode(true)
-	defer func() {
-		cluster.SetReferenceMode(false)
-		costmodel.SetReferenceMode(false)
-	}()
+	st = st.CloneAs(true)
 	cost, err := costmodel.JobCost(st, nodes, steps)
 	if err != nil {
 		t.Fatalf("%s op %d: reference JobCost: %v", spec, op, err)
@@ -193,14 +184,10 @@ func referenceCosts(t *testing.T, st *cluster.State, nodes []int, steps []collec
 }
 
 // checkCandidateParity prices a synthetic candidate over the currently
-// free nodes through the read-only overlay and through the reference
-// allocate/cost/rollback path, for both job classes (only comm-intensive
-// candidates overlay the comm counters).
+// free nodes through the read-only overlay and, on a reference clone,
+// through the allocate/cost/rollback path, for both job classes (only
+// comm-intensive candidates overlay the comm counters).
 func checkCandidateParity(t *testing.T, st *cluster.State, spec string, op int) {
-	defer func() {
-		cluster.SetReferenceMode(false)
-		costmodel.SetReferenceMode(false)
-	}()
 	t.Helper()
 	var cand []int
 	for id := 0; id < st.Topology().NumNodes() && len(cand) < 8; id++ {
@@ -217,12 +204,9 @@ func checkCandidateParity(t *testing.T, st *cluster.State, spec string, op int) 
 		if err != nil {
 			t.Fatalf("%s op %d: fast CandidateCost: %v", spec, op, err)
 		}
-		gen := st.Generation()
-		cluster.SetReferenceMode(true)
-		costmodel.SetReferenceMode(true)
-		ref, err := costmodel.CandidateCost(st, candJob, class, cand, collective.RD)
-		cluster.SetReferenceMode(false)
-		costmodel.SetReferenceMode(false)
+		refSt := st.CloneAs(true)
+		gen, refGen := st.Generation(), refSt.Generation()
+		ref, err := costmodel.CandidateCost(refSt, candJob, class, cand, collective.RD)
 		if err != nil {
 			t.Fatalf("%s op %d: reference CandidateCost: %v", spec, op, err)
 		}
@@ -230,16 +214,17 @@ func checkCandidateParity(t *testing.T, st *cluster.State, spec string, op int) 
 			t.Fatalf("%s op %d class %v: fast CandidateCost %v != reference %v", spec, op, class, fast, ref)
 		}
 		// The reference path allocates and rolls back (two generation
-		// bumps); the cache must treat the rolled-back state as new.
-		if st.Generation() == gen {
-			t.Fatalf("%s op %d: reference CandidateCost did not bump generation", spec, op)
+		// bumps) on its own state; the overlay reads and moves nothing.
+		if refSt.Generation() == refGen || st.Generation() != gen {
+			t.Fatalf("%s op %d: generations after pricing: reference %d -> %d, optimized %d -> %d",
+				spec, op, refGen, refSt.Generation(), gen, st.Generation())
 		}
 		again, err := costmodel.CandidateCost(st, candJob, class, cand, collective.RD)
 		if err != nil {
 			t.Fatalf("%s op %d: re-priced CandidateCost: %v", spec, op, err)
 		}
 		if math.Float64bits(again) != math.Float64bits(fast) {
-			t.Fatalf("%s op %d class %v: CandidateCost unstable across rollback: %v then %v", spec, op, class, fast, again)
+			t.Fatalf("%s op %d class %v: CandidateCost unstable across calls: %v then %v", spec, op, class, fast, again)
 		}
 	}
 }

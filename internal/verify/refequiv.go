@@ -1,43 +1,29 @@
 package verify
 
-import (
-	"fmt"
-
-	"repro/internal/cluster"
-	"repro/internal/costmodel"
-)
+import "fmt"
 
 // ReferenceEquivalence proves the scheduler's fast paths observationally
 // equivalent to their reference implementations: it runs spec's trace over
-// the full matrix twice — once on the optimized paths (per-switch free
-// counters, leaf-pair hops cache) and once with cluster and costmodel
-// forced into reference mode (full-subtree recounts, uncached Eq. 5/6
-// loops) — and requires every per-job result to be bit-identical.
+// the full matrix twice — once on optimized states (per-switch free
+// counters, maintained comm shares, compiled leaf-pair kernels) and once on
+// reference states (full-subtree recounts, uncached Eq. 5/6 loops, tentative
+// allocation) — and requires every per-job result to be bit-identical.
 //
-// Reference mode is process-global, so this must not run concurrently with
-// other simulations; parallelism only bounds the worker pool within each
-// of the two matrix sweeps.
+// The mode belongs to each run's own cluster.State, so both halves share one
+// worker pool of the given size and run concurrently, with each other and
+// with anything else in the process.
 func ReferenceEquivalence(spec TraceSpec, parallelism int) error {
 	configs := ConfigsFor(spec)
-	//lint:allow globalmut verification harness by design: flips both reference modes to diff fast vs reference sweeps, restored by the defer below
-	cluster.SetReferenceMode(false)
-	costmodel.SetReferenceMode(false)
-	fast, err := runMatrixResults(spec, configs, parallelism)
-	if err != nil {
-		return err
-	}
-	cluster.SetReferenceMode(true)
-	costmodel.SetReferenceMode(true)
-	defer func() {
-		cluster.SetReferenceMode(false)
-		costmodel.SetReferenceMode(false)
-	}()
-	ref, err := runMatrixResults(spec, configs, parallelism)
+	results, err := runMatrixResults(spec, configs, parallelism, true)
 	if err != nil {
 		return err
 	}
 	for i := range configs {
-		a, b := fast[i], ref[i]
+		a, b := results[2*i], results[2*i+1]
+		if a.Kernel == b.Kernel {
+			return &Failure{Spec: spec, Config: &configs[i], Err: fmt.Errorf(
+				"both runs report the %q kernel path: the comparison is vacuous", a.Kernel)}
+		}
 		if len(a.Jobs) != len(b.Jobs) {
 			return &Failure{Spec: spec, Config: &configs[i], Err: fmt.Errorf(
 				"reference run scheduled %d jobs, optimized %d", len(b.Jobs), len(a.Jobs))}

@@ -14,10 +14,10 @@ import (
 )
 
 // scaleShapes are the leaf counts the cross-scale parity property runs at:
-// both sides of the dense-block threshold (127/129 straddle
-// cluster.DensePairLeaves = 128), the paper's largest machine class (64),
-// and machines far past the old ceiling (512, 4096) that previously fell
-// back to the reference loops. Shapes mix two- and three-level trees so
+// both sides of 128 leaves (the paper's largest machine, and once the
+// ceiling of the fast kernel), the paper's largest machine class (64), and
+// machines far past the old ceiling (512, 4096) that previously fell back
+// to the reference loops. Shapes mix two- and three-level trees so
 // the ancestor-chain distance walk is exercised at both heights.
 var scaleShapes = []struct {
 	leaves int
@@ -84,17 +84,17 @@ func scaleJobNodes(t *testing.T, st *cluster.State, n int) []int {
 }
 
 // TestCrossScaleParity is the tentpole property: at every scale — below,
-// at, and far beyond the 128-leaf dense-block threshold — JobCost, its
-// hop-bytes and distance-only variants, and CandidateCost evaluated
-// through the sparse leaf-pair kernel are bit-identical to the reference
-// node-pair loops on the same state. The >128-leaf shapes run the sparse
-// pair cache and on-demand layout distances; any divergence is a float64
-// bit mismatch with the shape in the failure message.
+// at, and far beyond 128 leaves — JobCost, its hop-bytes and distance-only
+// variants, and CandidateCost evaluated through the leaf-pair kernel are
+// bit-identical to the reference node-pair loops on a reference clone of
+// the same state. The >128-leaf shapes run on-demand layout distances; any
+// divergence is a float64 bit mismatch with the shape in the failure
+// message.
 func TestCrossScaleParity(t *testing.T) {
 	for _, shape := range scaleShapes {
 		t.Run(fmt.Sprintf("L=%d", shape.leaves), func(t *testing.T) {
 			st := scaleState(t, shape.spec, shape.leaves)
-			if got := costmodel.KernelPath(); got != "aggregated" {
+			if got := costmodel.KernelPath(st); got != "aggregated" {
 				t.Fatalf("%d leaves: KernelPath = %q, want \"aggregated\"", shape.leaves, got)
 			}
 			if lay := cluster.LayoutOf(st.Topology()); lay == nil || lay.L != shape.leaves {
@@ -129,20 +129,15 @@ func TestCrossScaleParity(t *testing.T) {
 
 // TestCrossScaleWideJobParity extends the cross-scale property to jobs
 // wide enough to engage the subtree-aggregated kernel (≥ AggTouchedLeaves
-// touched leaves) at 512 and 4096 leaves. Three evaluations of the same
-// states must agree bit for bit: the aggregated kernel (the default), the
-// flat leaf-pair kernel (aggregation toggled off), and the node-pair
-// reference loops. The resident jobs make several subtrees non-uniform
-// (extra comm on the first/middle/last leaves), so both the collapsed
-// uniform-block path and the exact per-block fallback are exercised, and
-// the alltoall pattern supplies the quadratic pair structure the
-// aggregation exists for.
+// touched leaves) at 512 and 4096 leaves: the aggregated kernel must agree
+// bit for bit with the node-pair reference loops. (That it also agrees with
+// the flat leaf-pair kernel is costmodel.TestCrossScaleWideJobKernels,
+// which can call both evaluators on one compiled schedule.) The resident
+// jobs make several subtrees non-uniform (extra comm on the
+// first/middle/last leaves), so both the collapsed uniform-block path and
+// the exact per-block fallback are exercised, and the alltoall pattern
+// supplies the quadratic pair structure the aggregation exists for.
 func TestCrossScaleWideJobParity(t *testing.T) {
-	t.Cleanup(func() {
-		costmodel.SetAggregationMode(true)
-		cluster.SetReferenceMode(false)
-		costmodel.SetReferenceMode(false)
-	})
 	for _, shape := range scaleShapes {
 		if shape.leaves < 512 {
 			continue
@@ -177,18 +172,15 @@ func TestCrossScaleWideJobParity(t *testing.T) {
 				t.Fatalf("%d leaves: narrow RD aggregated = %v, %v; heuristic gate broken", shape.leaves, agg, err)
 			}
 
-			// Aggregated vs reference, then flat vs reference — together
-			// they prove all three evaluations bit-identical (JobCost,
-			// hop-bytes, distance-only, and candidate pricing each run).
+			// JobCost, hop-bytes, distance-only, and candidate pricing
+			// each run.
 			checkFastRefBitIdentical(t, st, live, fmt.Sprintf("wide L=%d (aggregated)", shape.leaves), 0)
-			costmodel.SetAggregationMode(false)
-			checkFastRefBitIdentical(t, st, live, fmt.Sprintf("wide L=%d (flat)", shape.leaves), 1)
-			costmodel.SetAggregationMode(true)
 
-			// Direct aggregated-vs-flat comparison on the wide candidate
-			// overlay: checkCandidateParity prices an 8-node candidate,
-			// which stays under the threshold, so price the wide node set
-			// itself through both kernels and the reference rollback path.
+			// checkCandidateParity prices an 8-node candidate, which stays
+			// under the threshold, so price the wide node set itself
+			// through the aggregated overlay and the reference rollback
+			// path.
+			ref := st.CloneAs(true)
 			for _, class := range []cluster.Class{cluster.CommIntensive, cluster.ComputeIntensive} {
 				for _, mode := range []costmodel.Mode{costmodel.ModeEffectiveHops, costmodel.ModeHopBytes, costmodel.ModeDistanceOnly} {
 					const candJob = cluster.JobID(1 << 29)
@@ -196,23 +188,13 @@ func TestCrossScaleWideJobParity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%d leaves %v %v: aggregated CandidateCostMode: %v", shape.leaves, class, mode, err)
 					}
-					costmodel.SetAggregationMode(false)
-					flat, err := costmodel.CandidateCostMode(st, candJob, class, wide, collective.Alltoall, mode)
-					costmodel.SetAggregationMode(true)
-					if err != nil {
-						t.Fatalf("%d leaves %v %v: flat CandidateCostMode: %v", shape.leaves, class, mode, err)
-					}
-					cluster.SetReferenceMode(true)
-					costmodel.SetReferenceMode(true)
-					ref, err := costmodel.CandidateCostMode(st, candJob, class, wide, collective.Alltoall, mode)
-					cluster.SetReferenceMode(false)
-					costmodel.SetReferenceMode(false)
+					want, err := costmodel.CandidateCostMode(ref, candJob, class, wide, collective.Alltoall, mode)
 					if err != nil {
 						t.Fatalf("%d leaves %v %v: reference CandidateCostMode: %v", shape.leaves, class, mode, err)
 					}
-					if math.Float64bits(agg) != math.Float64bits(flat) || math.Float64bits(agg) != math.Float64bits(ref) {
-						t.Fatalf("%d leaves %v %v: candidate cost aggregated %v, flat %v, reference %v",
-							shape.leaves, class, mode, agg, flat, ref)
+					if math.Float64bits(agg) != math.Float64bits(want) {
+						t.Fatalf("%d leaves %v %v: candidate cost aggregated %v, reference %v",
+							shape.leaves, class, mode, agg, want)
 					}
 				}
 			}
@@ -222,15 +204,10 @@ func TestCrossScaleWideJobParity(t *testing.T) {
 
 // TestCrossScaleAdaptiveSelect pins the adaptive selector (§4.3) across
 // the threshold: the nodes it picks with the fast kernel must equal the
-// nodes it picks with both packages forced into reference mode, on clones
-// of the same loaded state. This is the end-to-end form of the parity
+// nodes it picks on a reference state, on clones of the same loaded state. This is the end-to-end form of the parity
 // property — selection compares candidate costs, so a single diverging
 // bit can flip the allocation.
 func TestCrossScaleAdaptiveSelect(t *testing.T) {
-	t.Cleanup(func() {
-		cluster.SetReferenceMode(false)
-		costmodel.SetReferenceMode(false)
-	})
 	sel := core.MustNew(core.Adaptive)
 	for _, shape := range scaleShapes {
 		t.Run(fmt.Sprintf("L=%d", shape.leaves), func(t *testing.T) {
@@ -241,11 +218,7 @@ func TestCrossScaleAdaptiveSelect(t *testing.T) {
 				{Job: 202, Nodes: 4, Class: cluster.ComputeIntensive, Pattern: collective.RD},
 			} {
 				fast, errFast := sel.Select(st.Clone(), req)
-				cluster.SetReferenceMode(true)
-				costmodel.SetReferenceMode(true)
-				ref, errRef := sel.Select(st.Clone(), req)
-				cluster.SetReferenceMode(false)
-				costmodel.SetReferenceMode(false)
+				ref, errRef := sel.Select(st.CloneAs(true), req)
 				if (errFast == nil) != (errRef == nil) {
 					t.Fatalf("%d leaves job %d: fast err %v, reference err %v",
 						shape.leaves, req.Job, errFast, errRef)

@@ -14,7 +14,7 @@ GO=${GO:-go}
 BENCHTIME=${BENCHTIME:-1s}
 BENCHCOUNT=${BENCHCOUNT:-3}
 BENCH_PKGS="./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon"
-BENCH_RE='BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkJobCost$|BenchmarkJobCost512Leaves|BenchmarkJobCost4096LeavesWide|BenchmarkCompile|BenchmarkScheduleBlocks|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput'
+BENCH_RE='BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkJobCost$|BenchmarkCompile|BenchmarkScheduleBlocks|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput'
 
 # Baseline: the newest committed artifact (dated names sort chronologically).
 base=$(git ls-files 'BENCH_*.json' | sort | tail -1)
