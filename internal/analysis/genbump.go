@@ -27,7 +27,7 @@ var DefaultGenBumpConfig = GenBumpConfig{
 	PkgPath:  "repro/internal/cluster",
 	TypeName: "State",
 	Guarded: []string{
-		"nodeJob", "nodeDown", "nodeFailed", "leafBusy", "leafComm",
+		"busyBits", "downBits", "failedBits", "leafBusy", "leafComm",
 		"leafShare", "leafUnavail", "free", "switchFree", "allocs",
 	},
 	Counter: "gen",

@@ -35,6 +35,7 @@ type NoAllocConfig struct {
 // the selector inner helpers.
 var DefaultNoAllocConfig = NoAllocConfig{
 	Require: map[string][]string{
+		"repro/internal/cluster": {"State.Release"},
 		"repro/internal/costmodel": {
 			"leafSchedule.eval",
 			"leafSchedule.evalFlat",

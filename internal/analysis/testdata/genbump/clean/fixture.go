@@ -5,6 +5,7 @@ package cluster
 // State mirrors the guarded fields of the real cluster.State.
 type State struct {
 	free     int
+	busyBits []uint64
 	leafBusy []int
 	allocs   map[int64]bool
 	gen      uint64
@@ -22,6 +23,7 @@ func New(leaves int) *State {
 // Release mutates guarded state and bumps the counter on the same State.
 func (s *State) Release(id int64) {
 	delete(s.allocs, id)
+	s.busyBits[id>>6] &^= 1 << (id & 63)
 	s.free++
 	s.gen++
 }

@@ -7,11 +7,12 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/topology"
 )
@@ -48,32 +49,99 @@ func (c Class) String() string {
 	}
 }
 
-// Allocation records the nodes held by a running job.
+// Allocation records the nodes held by a running job as leaf masks: for
+// every leaf the job touches, in order of the leaves' first node ID, one
+// header word leaf<<32 | node count and then that leaf's words of the
+// layout's bitmap with the job's nodes set. Nobody else records who holds a
+// node.
 type Allocation struct {
 	Job   JobID
 	Class Class
-	Nodes []int // node IDs, ascending
+	lay   *Layout
+	size  int
+	masks []uint64
 }
 
-// State is the mutable allocation state of a cluster. It is not safe for
-// concurrent use; the simulator is single-threaded per run (experiment
+// Nodes lists the held node IDs, ascending, rendered from the masks on every
+// call.
+func (a *Allocation) Nodes() []int {
+	nodes := make([]int, 0, a.size)
+	for m := a.masks; len(m) > 0; {
+		l, _, mask, rest := a.lay.leafMask(m)
+		ids := a.lay.Topo.LeafNodes(l)
+		for w, word := range mask {
+			nodes = appendBits(nodes, ids[w<<6:], word)
+		}
+		m = rest
+	}
+	if !slices.IsSorted(nodes) { // leaves whose ID ranges interleave
+		slices.Sort(nodes)
+	}
+	return nodes
+}
+
+// leafMask splits the first leaf off an allocation's masks: the leaf, the
+// node count in its header, its mask words, and the leaves after it.
+func (lay *Layout) leafMask(m []uint64) (l, held int, mask, rest []uint64) {
+	l = int(m[0] >> 32)
+	end := 1 + int(lay.LeafWordOff[l+1]-lay.LeafWordOff[l])
+	return l, int(uint32(m[0])), m[1:end], m[end:]
+}
+
+// appendBits appends ids[i] for every set bit i of word, lowest first.
+func appendBits(dst, ids []int, word uint64) []int {
+	for ; word != 0; word &= word - 1 {
+		dst = append(dst, ids[bits.TrailingZeros64(word)])
+	}
+	return dst
+}
+
+// pickRanks returns the set bits of free whose ranks among them lie in
+// [skip, skip+k), with skip and k reduced by the bits passed over and picked:
+// a popcount when the word lies wholly outside or inside the interval, at
+// most 63 bit-clears at either edge of it.
+func pickRanks(free uint64, skip, k int) (uint64, int, int) {
+	c := bits.OnesCount64(free)
+	if skip >= c {
+		return 0, skip - c, k
+	}
+	for c -= skip; skip > 0; skip-- {
+		free &= free - 1
+	}
+	if c > k {
+		beyond := free
+		for i := 0; i < k; i++ {
+			beyond &= beyond - 1
+		}
+		free, c = free&^beyond, k
+	}
+	return free, 0, k - c
+}
+
+// State is the mutable allocation state of a cluster: three bitmaps over the
+// nodes, the per-leaf and per-switch counters every decision reads, and the
+// running allocations, which alone say whose a busy node is. It is not safe
+// for concurrent use; the simulator is single-threaded per run (experiment
 // harnesses run independent States in parallel).
 type State struct {
 	topo *topology.Topology
+	lay  *Layout
 	// reference, fixed at construction, routes SwitchFree and CommShare
 	// through their *Slow recomputations, and costmodel and the selectors
 	// through their reference loops, for every evaluation over this state.
 	// The differential harness runs the same trace on a state of each kind.
 	reference bool
 
-	nodeJob  []JobID // per node: owning job, or -1 when free
-	nodeDown []bool  // per node: out of service (ineligible for new allocations)
-	// nodeFailed distinguishes hard failures from graceful drains among the
-	// down nodes: a failed node's job was killed and requeued, a drained
-	// node's job ran to completion. failed ⇒ down always holds.
-	nodeFailed []bool
-	leafBusy   []int // per leaf: allocated node count (L_busy)
-	leafComm   []int // per leaf: nodes running comm-intensive jobs (L_comm)
+	// One bit per node at lay.NodeBit: busyBits held by a running job (the
+	// pad bits of every leaf's last word are set too, so ^(busy|down) is
+	// exactly the allocatable nodes), downBits out of service (ineligible for
+	// new allocations), failedBits the hard failures among those: a failed
+	// node's job was killed and requeued, a drained node's job ran to
+	// completion. failed ⇒ down always holds.
+	busyBits, downBits, failedBits []uint64
+
+	leafBusy []int // per leaf: allocated node count (L_busy)
+	leafComm []int // per leaf: nodes running comm-intensive jobs (L_comm)
 	// leafShare[l] is L_comm/L_nodes for leaf l — the per-switch contention
 	// term of Eq. 2/3 — maintained incrementally whenever leafComm changes,
 	// so cost evaluation reads a float instead of dividing per pair. Each
@@ -84,7 +152,7 @@ type State struct {
 	// from LeafFree and FreeTotal.
 	leafUnavail []int
 	free        int
-	// down and failed count the nodes marked nodeDown and nodeFailed.
+	// down and failed count the nodes marked in downBits and failedBits.
 	down, failed int
 
 	// switchFree[sw.Index] is the number of allocatable nodes in the
@@ -99,11 +167,12 @@ type State struct {
 	// (state, generation) and go stale when either changes.
 	gen uint64
 
-	// scratch serves the validations Allocate itself runs, and runOrder its
-	// ordering of a placement's runs by first node ID. Both are working
-	// memory of a mutator, never read by the pure-read paths.
-	scratch  Scratch
-	runOrder []uint64
+	// scratch serves the validations Allocate itself runs, runOrder its
+	// ordering of a placement's runs by leaf and maskBuf the masks it builds
+	// before it knows their length. All are working memory of a mutator,
+	// never read by the pure-read paths.
+	scratch           Scratch
+	runOrder, maskBuf []uint64
 
 	allocs map[JobID]*Allocation
 }
@@ -116,12 +185,15 @@ func New(topo *topology.Topology) *State { return newState(topo, false) }
 func NewReference(topo *topology.Topology) *State { return newState(topo, true) }
 
 func newState(topo *topology.Topology, reference bool) *State {
+	lay := LayoutOf(topo)
+	words := lay.LeafWordOff[lay.L]
 	s := &State{
 		topo:        topo,
+		lay:         lay,
 		reference:   reference,
-		nodeJob:     make([]JobID, topo.NumNodes()),
-		nodeDown:    make([]bool, topo.NumNodes()),
-		nodeFailed:  make([]bool, topo.NumNodes()),
+		busyBits:    make([]uint64, words),
+		downBits:    make([]uint64, words),
+		failedBits:  make([]uint64, words),
 		leafBusy:    make([]int, topo.NumLeaves()),
 		leafComm:    make([]int, topo.NumLeaves()),
 		leafShare:   make([]float64, topo.NumLeaves()),
@@ -130,8 +202,10 @@ func newState(topo *topology.Topology, reference bool) *State {
 		switchFree:  make([]int, len(topo.Switches)),
 		allocs:      make(map[JobID]*Allocation),
 	}
-	for i := range s.nodeJob {
-		s.nodeJob[i] = -1
+	for l := 0; l < lay.L; l++ {
+		if pad := topo.LeafSize(l) & 63; pad != 0 {
+			s.busyBits[lay.LeafWordOff[l+1]-1] = ^uint64(0) << pad
+		}
 	}
 	for _, sw := range topo.Switches {
 		for _, l := range sw.DescLeaves {
@@ -172,10 +246,37 @@ func (s *State) NumRunning() int { return len(s.allocs) }
 
 // NodeFree reports whether node id is allocatable: unallocated and not
 // drained.
-func (s *State) NodeFree(id int) bool { return s.nodeJob[id] < 0 && !s.nodeDown[id] }
+func (s *State) NodeFree(id int) bool {
+	b := s.lay.NodeBit[id]
+	return (s.busyBits[b>>6]|s.downBits[b>>6])>>(b&63)&1 == 0
+}
 
-// NodeJob returns the job holding node id, or -1.
-func (s *State) NodeJob(id int) JobID { return s.nodeJob[id] }
+// isSet reads node id's bit of one of the state's bitmaps.
+func (s *State) isSet(bitmap []uint64, id int) bool {
+	b := s.lay.NodeBit[id]
+	return bitmap[b>>6]>>(b&63)&1 != 0
+}
+
+// NodeJob returns the job holding node id, or -1. A busy node's holder is
+// looked up in the running allocations' masks: no decision asks, only Fail,
+// Repair, error messages and tests.
+func (s *State) NodeJob(id int) JobID {
+	if !s.isSet(s.busyBits, id) {
+		return -1
+	}
+	leaf := s.topo.LeafOf(id)
+	b := s.lay.NodeBit[id] - s.lay.LeafWordOff[leaf]<<6
+	for _, a := range s.RunningAllocations() {
+		for m := a.masks; len(m) > 0; {
+			l, _, mask, rest := s.lay.leafMask(m)
+			if l == leaf && mask[b>>6]>>(b&63)&1 != 0 {
+				return a.Job
+			}
+			m = rest
+		}
+	}
+	return -1
+}
 
 // LeafBusy returns L_busy for leaf l.
 func (s *State) LeafBusy(l int) int { return s.leafBusy[l] }
@@ -254,12 +355,20 @@ func (s *State) updateShare(l int) {
 }
 
 // FreeOnLeaf appends the IDs of the allocatable nodes on leaf l to dst and
-// returns the extended slice, in ascending node-ID order.
+// returns the extended slice, in ascending node-ID order: the clear bits of
+// busy|down, word by word.
 func (s *State) FreeOnLeaf(l int, dst []int) []int {
-	for _, id := range s.topo.LeafNodes(l) {
-		if s.NodeFree(id) {
-			dst = append(dst, id)
-		}
+	return s.appendRanks(dst, l, 0, s.topo.LeafSize(l))
+}
+
+// appendRanks appends to dst the allocatable nodes of leaf l at free ranks
+// [skip, skip+k), fewer if the leaf runs out.
+func (s *State) appendRanks(dst []int, l, skip, k int) []int {
+	ids, off := s.topo.LeafNodes(l), int(s.lay.LeafWordOff[l])
+	for w := off; k > 0 && w < int(s.lay.LeafWordOff[l+1]); w++ {
+		var picked uint64
+		picked, skip, k = pickRanks(^(s.busyBits[w] | s.downBits[w]), skip, k)
+		dst = appendBits(dst, ids[(w-off)<<6:], picked)
 	}
 	return dst
 }
@@ -275,7 +384,7 @@ func (s *State) RunningAllocations() []*Allocation {
 	for _, a := range s.allocs {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Job < out[j].Job })
+	slices.SortFunc(out, func(a, b *Allocation) int { return cmp.Compare(a.Job, b.Job) })
 	return out
 }
 
@@ -288,91 +397,82 @@ func (s *State) Allocate(job JobID, class Class, nodes []int) error {
 
 // AllocatePlacement is Allocate for a placement a selector built or an
 // earlier layer already validated: p.Validate decides what has to be checked
-// again, and the counters move by one delta per leaf run. The ascending
-// Allocation.Nodes is the runs concatenated in order of their first node
-// ID, copied out of the list if the placement has one, else read off the
-// leaves here: the one time an unlisted placement's nodes are named. Only
-// nodes not ascending within or across runs (rank-remapped, caller-supplied,
-// leaves whose ID ranges interleave) are sorted.
+// again. The runs are grouped by leaf, leaves in order of their first node
+// ID, and each leaf gets one mask: a free-rank run picks its ranks out of
+// ^(busy|down) by word, all runs of the leaf against the words as selected
+// on, a listed run sets its nodes' bits. The mask goes into busyBits and the
+// allocation, the counters move by one delta per leaf, and no node is named.
 func (s *State) AllocatePlacement(job JobID, class Class, p *Placement) error {
 	if err := p.Validate(s, job, &s.scratch); err != nil {
 		return err
 	}
-	nodes, runs := p.nodes, p.runs
+	lay, runs := s.lay, p.runs
 	order := s.runOrder[:0]
 	for i, run := range runs[:len(runs)-1] {
-		first := s.topo.LeafNodes(int(run >> 32))[0] // validated free-rank runs revisit a leaf in free-rank order
-		if nodes != nil {
-			first = nodes[uint32(run)]
-		}
-		order = append(order, uint64(first)<<32|uint64(i))
+		order = append(order, uint64(s.topo.LeafNodes(int(run >> 32))[0])<<32|uint64(i))
 	}
-	slices.Sort(order)
+	slices.Sort(order) // a leaf's runs stay in run order: increasing free ranks
 	s.runOrder = order
-	sorted := make([]int, 0, p.Len())
-	ascending, prev := true, -1
-	leaf, taken, rest := -1, 0, []int(nil) // free ranks of leaf below taken lie before rest
-	for _, o := range order {
-		i := uint32(o)
-		l, from, k := int(runs[i]>>32), len(sorted), int(uint32(runs[i+1])-uint32(runs[i]))
-		if nodes != nil {
-			sorted = append(sorted, nodes[uint32(runs[i]):uint32(runs[i+1])]...)
-		} else {
-			if l != leaf {
-				leaf, taken, rest = l, 0, s.topo.LeafNodes(l)
+	masks := s.maskBuf[:0]
+	for i := 0; i < len(order); {
+		l, held := int(runs[uint32(order[i])]>>32), 0
+		off, end := int(lay.LeafWordOff[l]), int(lay.LeafWordOff[l+1])
+		head := len(masks)
+		masks = slices.Grow(masks, 1+end-off)[:head+1+end-off]
+		mask := masks[head+1:]
+		clear(mask)
+		for ; i < len(order) && int(runs[uint32(order[i])]>>32) == l; i++ {
+			r := uint32(order[i])
+			from, k := uint32(runs[r]), int(uint32(runs[r+1])-uint32(runs[r]))
+			held += k
+			if p.skip == nil {
+				for _, id := range p.nodes[from : int(from)+k] {
+					b := int(lay.NodeBit[id]) - off<<6
+					mask[b>>6] |= 1 << (b & 63)
+				}
+				continue
 			}
-			sorted, rest = s.takeFree(rest, int(p.skip[i])-taken, k, sorted)
-			taken = int(p.skip[i]) + k
+			skip := int(p.skip[r])
+			for w := off; k > 0 && w < end; w++ {
+				var picked uint64
+				picked, skip, k = pickRanks(^(s.busyBits[w] | s.downBits[w]), skip, k)
+				mask[w-off] |= picked
+			}
 		}
-		ascending, prev = s.hold(sorted[from:], job, ascending, prev)
-		s.leafBusy[l] += k
-		s.adjustFree(l, -k)
+		masks[head] = uint64(l)<<32 | uint64(held)
+		for w, m := range mask {
+			s.busyBits[off+w] |= m
+		}
+		s.leafBusy[l] += held
+		s.adjustFree(l, -held)
 		if class == CommIntensive {
-			s.leafComm[l] += k
+			s.leafComm[l] += held
 			s.updateShare(l)
 		}
 	}
-	if !ascending {
-		sort.Ints(sorted)
-	}
-	s.free -= len(sorted)
+	s.maskBuf = masks
+	s.free -= p.Len()
 	s.gen++
-	s.allocs[job] = &Allocation{Job: job, Class: class, Nodes: sorted}
+	s.allocs[job] = &Allocation{Job: job, Class: class, lay: lay, size: p.Len(), masks: slices.Clone(masks)}
 	return nil
 }
 
-// hold gives ids to job and carries the ascent check over them: whether all
-// nodes so far ascend, and the last one. Inlined, its loop spills every variable.
+// Release frees all nodes held by the job: per leaf of its allocation the
+// mask leaves busyBits and the counters move by one delta.
 //
-//go:noinline
-func (s *State) hold(ids []int, job JobID, ascending bool, prev int) (bool, int) {
-	nodeJob := s.nodeJob
-	for _, id := range ids {
-		nodeJob[id] = job
-		ascending = ascending && id > prev
-		prev = id
-	}
-	return ascending, prev
-}
-
-// Release frees all nodes held by the job, one counter delta per group of
-// the allocation's ascending nodes that share a leaf.
+//caws:noalloc
 func (s *State) Release(job JobID) error {
 	a, ok := s.allocs[job]
 	if !ok {
 		return fmt.Errorf("cluster: job %d not allocated", job)
 	}
 	returned := 0
-	for i := 0; i < len(a.Nodes); {
-		l := s.topo.LeafOf(a.Nodes[i])
-		held, down := 0, 0
-		for ; i < len(a.Nodes) && s.topo.LeafOf(a.Nodes[i]) == l; i++ {
-			id := a.Nodes[i]
-			s.nodeJob[id] = -1
-			held++
-			if s.nodeDown[id] {
-				down++
-			}
+	for m := a.masks; len(m) > 0; {
+		l, held, mask, rest := s.lay.leafMask(m)
+		off, down := int(s.lay.LeafWordOff[l]), 0
+		for w, word := range mask {
+			s.busyBits[off+w] &^= word
+			down += bits.OnesCount64(word & s.downBits[off+w])
 		}
 		s.leafBusy[l] -= held
 		if a.Class == CommIntensive {
@@ -385,6 +485,7 @@ func (s *State) Release(job JobID) error {
 		s.leafUnavail[l] += down
 		s.adjustFree(l, held-down)
 		returned += held - down
+		m = rest
 	}
 	s.free += returned
 	s.gen++
@@ -404,9 +505,10 @@ func (s *State) CloneAs(reference bool) *State {
 	c := &State{
 		topo:        s.topo,
 		reference:   reference,
-		nodeJob:     append([]JobID(nil), s.nodeJob...),
-		nodeDown:    append([]bool(nil), s.nodeDown...),
-		nodeFailed:  append([]bool(nil), s.nodeFailed...),
+		lay:         s.lay,
+		busyBits:    slices.Clone(s.busyBits),
+		downBits:    slices.Clone(s.downBits),
+		failedBits:  slices.Clone(s.failedBits),
 		leafBusy:    append([]int(nil), s.leafBusy...),
 		leafComm:    append([]int(nil), s.leafComm...),
 		leafShare:   append([]float64(nil), s.leafShare...),
@@ -419,56 +521,90 @@ func (s *State) CloneAs(reference bool) *State {
 	}
 	//lint:allow determinism map-to-map copy; result is order-insensitive
 	for id, a := range s.allocs {
-		c.allocs[id] = &Allocation{
-			Job:   a.Job,
-			Class: a.Class,
-			Nodes: append([]int(nil), a.Nodes...),
-		}
+		clone := *a
+		clone.masks = slices.Clone(a.masks)
+		c.allocs[id] = &clone
 	}
 	return c
 }
 
-// CheckInvariants verifies internal consistency (counter sums, ownership).
-// It is O(nodes) and intended for tests and failure injection.
+// CheckInvariants verifies internal consistency: the allocations' masks
+// (headers, sizes, no node held twice, no pad bit) against the busy bitmap,
+// the node marks, every counter recounted. It is O(nodes) and intended for
+// tests and failure injection.
 func (s *State) CheckInvariants() error {
+	owner := make([]JobID, s.topo.NumNodes())
+	for id := range owner {
+		owner[id] = -1
+	}
+	for _, a := range s.RunningAllocations() { // by job ID: the first violation is the same on every call
+		total := 0
+		for m := a.masks; len(m) > 0; {
+			l, held, mask, rest := s.lay.leafMask(m)
+			ids, set := s.topo.LeafNodes(l), 0
+			for w, word := range mask {
+				for set += bits.OnesCount64(word); word != 0; word &= word - 1 {
+					i := w<<6 + bits.TrailingZeros64(word)
+					if i >= len(ids) {
+						return fmt.Errorf("job %d holds pad bit %d of leaf %d", a.Job, i, l)
+					}
+					if owner[ids[i]] >= 0 {
+						return fmt.Errorf("node %d held by jobs %d and %d", ids[i], owner[ids[i]], a.Job)
+					}
+					owner[ids[i]] = a.Job
+				}
+			}
+			if set != held {
+				return fmt.Errorf("job %d: leaf %d mask has %d nodes, its header says %d", a.Job, l, set, held)
+			}
+			total, m = total+held, rest
+		}
+		if total != a.size {
+			return fmt.Errorf("job %d holds %d nodes, allocation lists %d", a.Job, total, a.size)
+		}
+	}
+	for l := 0; l < s.lay.L; l++ {
+		if pad := s.topo.LeafSize(l) & 63; pad != 0 {
+			w, padBits := s.lay.LeafWordOff[l+1]-1, ^uint64(0)<<pad
+			if s.busyBits[w]&padBits != padBits || (s.downBits[w]|s.failedBits[w])&padBits != 0 {
+				return fmt.Errorf("leaf %d: pad bits disturbed", l)
+			}
+		}
+	}
 	busy := make([]int, s.topo.NumLeaves())
 	comm := make([]int, s.topo.NumLeaves())
 	unavail := make([]int, s.topo.NumLeaves())
 	freeCount, down, failed := 0, 0, 0
-	owned := make(map[JobID]int)
-	for id, job := range s.nodeJob {
-		if s.nodeDown[id] {
+	for id, job := range owner {
+		if bit := s.isSet(s.busyBits, id); bit != (job >= 0) {
+			return fmt.Errorf("node %d busy bit %v, held by job %d", id, bit, job)
+		}
+		if s.NodeDown(id) {
 			down++
 		}
-		if s.nodeFailed[id] {
+		if s.NodeFailed(id) {
 			failed++
 			// Hard failures imply the node is down and its job was killed:
 			// a failed node must never carry a live allocation.
-			if !s.nodeDown[id] {
+			if !s.NodeDown(id) {
 				return fmt.Errorf("node %d failed but not down", id)
 			}
 			if job >= 0 {
 				return fmt.Errorf("failed node %d still allocated to job %d", id, job)
 			}
 		}
-		if job < 0 {
-			if s.nodeDown[id] {
-				unavail[s.topo.LeafOf(id)]++
-			} else {
-				freeCount++
-			}
-			continue
-		}
-		a, ok := s.allocs[job]
-		if !ok {
-			return fmt.Errorf("node %d owned by unknown job %d", id, job)
-		}
 		l := s.topo.LeafOf(id)
-		busy[l]++
-		if a.Class == CommIntensive {
-			comm[l]++
+		switch {
+		case job >= 0:
+			busy[l]++
+			if s.allocs[job].Class == CommIntensive {
+				comm[l]++
+			}
+		case s.NodeDown(id):
+			unavail[l]++
+		default:
+			freeCount++
 		}
-		owned[job]++
 	}
 	if freeCount != s.free {
 		return fmt.Errorf("free count %d, recomputed %d", s.free, freeCount)
@@ -490,17 +626,6 @@ func (s *State) CheckInvariants() error {
 		// division, not merely close: cost evaluation mixes the two paths.
 		if math.Float64bits(s.leafShare[l]) != math.Float64bits(s.CommShareSlow(l)) {
 			return fmt.Errorf("leaf %d comm share %v, recomputed %v", l, s.leafShare[l], s.CommShareSlow(l))
-		}
-	}
-	ids := make([]JobID, 0, len(s.allocs))
-	for id := range s.allocs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if a := s.allocs[id]; owned[id] != len(a.Nodes) {
-			return fmt.Errorf("job %d holds %d nodes, allocation lists %d",
-				id, owned[id], len(a.Nodes))
 		}
 	}
 	for _, sw := range s.topo.Switches {

@@ -26,7 +26,7 @@ func TestCheckInvariantsDeterministicError(t *testing.T) {
 	// Each allocation now lies about holding an extra node, so every job
 	// violates the ownership invariant simultaneously.
 	for _, id := range []JobID{1, 2, 3} {
-		s.allocs[id].Nodes = append(s.allocs[id].Nodes, 99)
+		s.allocs[id].size++
 	}
 	first := s.CheckInvariants()
 	if first == nil {

@@ -41,6 +41,14 @@ type Layout struct {
 	// LeafNodeID[LeafNodeOff[l]:LeafNodeOff[l+1]], ascending.
 	LeafNodeOff []int32
 	LeafNodeID  []int32
+	// LeafWordOff/NodeBit place every node in the per-leaf bitmaps a State
+	// and an Allocation keep: leaf l owns words
+	// [LeafWordOff[l], LeafWordOff[l+1]), 64 nodes to a word in LeafNodes(l)
+	// order, and NodeBit[id] is node id's bit index over all words (word
+	// NodeBit[id]>>6, bit NodeBit[id]&63). The bits of a leaf's last word
+	// past its size are pad: no node answers to them.
+	LeafWordOff []int32
+	NodeBit     []int32
 
 	// AggLevel is the switch level the subtree-aggregated cost kernel
 	// groups leaves at, chosen once per layout: the level k in
@@ -132,6 +140,8 @@ func buildLayout(topo *topology.Topology) *Layout {
 		LeafSize:    make([]float64, l),
 		LeafSizeInt: make([]int32, l),
 		LeafNodeOff: make([]int32, l+1),
+		LeafWordOff: make([]int32, l+1),
+		NodeBit:     make([]int32, topo.NumNodes()),
 	}
 	for id := 0; id < topo.NumNodes(); id++ {
 		lay.NodeLeaf[id] = int32(topo.LeafOf(id))
@@ -142,9 +152,11 @@ func buildLayout(topo *topology.Topology) *Layout {
 	}
 	for i := 0; i < l; i++ {
 		lay.LeafNodeOff[i] = int32(len(lay.LeafNodeID))
-		for _, id := range topo.LeafNodes(i) {
+		for at, id := range topo.LeafNodes(i) {
 			lay.LeafNodeID = append(lay.LeafNodeID, int32(id))
+			lay.NodeBit[id] = lay.LeafWordOff[i]<<6 + int32(at)
 		}
+		lay.LeafWordOff[i+1] = lay.LeafWordOff[i] + int32(topo.LeafSize(i)+63)>>6
 	}
 	lay.LeafNodeOff[l] = int32(len(lay.LeafNodeID))
 	chooseAggLevel(lay, topo)

@@ -10,7 +10,7 @@ import "fmt"
 
 // downWord names why a node is out of service, for error messages.
 func (s *State) downWord(id int) string {
-	if s.nodeFailed[id] {
+	if s.NodeFailed(id) {
 		return "down (failed)"
 	}
 	return "drained"
@@ -19,15 +19,16 @@ func (s *State) downWord(id int) string {
 // Drain marks a node ineligible for new allocations. Draining an already
 // drained node is a no-op.
 func (s *State) Drain(id int) error {
-	if id < 0 || id >= len(s.nodeJob) {
+	if id < 0 || id >= s.topo.NumNodes() {
 		return fmt.Errorf("cluster: drain: node %d out of range", id)
 	}
-	if s.nodeDown[id] {
+	if s.NodeDown(id) {
 		return nil
 	}
-	s.nodeDown[id] = true
+	b := s.lay.NodeBit[id]
+	s.downBits[b>>6] |= 1 << (b & 63)
 	s.down++
-	if s.nodeJob[id] < 0 {
+	if !s.isSet(s.busyBits, id) {
 		// Free node leaves the allocatable pool now.
 		l := s.topo.LeafOf(id)
 		s.leafUnavail[l]++
@@ -41,21 +42,22 @@ func (s *State) Drain(id int) error {
 // Resume returns a drained node to service. Resuming a healthy node is a
 // no-op.
 func (s *State) Resume(id int) error {
-	if id < 0 || id >= len(s.nodeJob) {
+	if id < 0 || id >= s.topo.NumNodes() {
 		return fmt.Errorf("cluster: resume: node %d out of range", id)
 	}
-	if !s.nodeDown[id] {
+	if !s.NodeDown(id) {
 		return nil
 	}
-	s.nodeDown[id] = false
+	b := s.lay.NodeBit[id]
+	s.downBits[b>>6] &^= 1 << (b & 63)
 	s.down--
 	// Returning to service always clears a failure mark, so a resumed node
 	// never stays flagged failed (failed ⇒ down is an invariant).
-	if s.nodeFailed[id] {
-		s.nodeFailed[id] = false
+	if s.NodeFailed(id) {
+		s.failedBits[b>>6] &^= 1 << (b & 63)
 		s.failed--
 	}
-	if s.nodeJob[id] < 0 {
+	if !s.isSet(s.busyBits, id) {
 		l := s.topo.LeafOf(id)
 		s.leafUnavail[l]--
 		s.adjustFree(l, 1)
@@ -72,22 +74,20 @@ func (s *State) Resume(id int) error {
 // Release moves the node out of service instead of back to the free pool.
 // Failing an already failed node is a no-op.
 func (s *State) Fail(id int) (victim JobID, err error) {
-	if id < 0 || id >= len(s.nodeJob) {
+	if id < 0 || id >= s.topo.NumNodes() {
 		return -1, fmt.Errorf("cluster: fail: node %d out of range", id)
 	}
-	if s.nodeFailed[id] {
+	if s.NodeFailed(id) {
 		return -1, nil
 	}
 	if err := s.Drain(id); err != nil {
 		return -1, err
 	}
-	s.nodeFailed[id] = true
+	b := s.lay.NodeBit[id]
+	s.failedBits[b>>6] |= 1 << (b & 63)
 	s.failed++
 	s.gen++
-	if job := s.nodeJob[id]; job >= 0 {
-		return job, nil
-	}
-	return -1, nil
+	return s.NodeJob(id), nil
 }
 
 // Repair returns a failed or drained node to service: the failure mark is
@@ -96,15 +96,15 @@ func (s *State) Fail(id int) (victim JobID, err error) {
 // (the caller kills the job first); that state is rejected so the free
 // counters cannot be corrupted.
 func (s *State) Repair(id int) error {
-	if id < 0 || id >= len(s.nodeJob) {
+	if id < 0 || id >= s.topo.NumNodes() {
 		return fmt.Errorf("cluster: repair: node %d out of range", id)
 	}
-	if s.nodeFailed[id] {
-		if s.nodeJob[id] >= 0 {
-			return fmt.Errorf("cluster: repair: failed node %d still allocated to job %d",
-				id, s.nodeJob[id])
+	if s.NodeFailed(id) {
+		if job := s.NodeJob(id); job >= 0 {
+			return fmt.Errorf("cluster: repair: failed node %d still allocated to job %d", id, job)
 		}
-		s.nodeFailed[id] = false
+		b := s.lay.NodeBit[id]
+		s.failedBits[b>>6] &^= 1 << (b & 63)
 		s.failed--
 		s.gen++
 	}
@@ -112,10 +112,10 @@ func (s *State) Repair(id int) error {
 }
 
 // NodeDown reports whether the node is out of service (drained or failed).
-func (s *State) NodeDown(id int) bool { return s.nodeDown[id] }
+func (s *State) NodeDown(id int) bool { return s.isSet(s.downBits, id) }
 
 // NodeFailed reports whether the node is down due to a hard failure.
-func (s *State) NodeFailed(id int) bool { return s.nodeFailed[id] }
+func (s *State) NodeFailed(id int) bool { return s.isSet(s.failedBits, id) }
 
 // FailedTotal returns the number of hard-failed nodes.
 func (s *State) FailedTotal() int { return s.failed }

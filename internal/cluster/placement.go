@@ -24,12 +24,13 @@ var ErrStalePlacement = fmt.Errorf("placement selected at another generation: %w
 // first skip[i]", which means something only at the (state, generation) it
 // was selected on. There it is validated in O(runs), remembers that it
 // passed (pricing and then committing it check it once), is listed lazily
-// by Nodes and committed straight off the leaves. Once listed it is also an
-// owned list: at a later generation it gets the per-node scan and a stamp
-// of its own; unlisted, it is stale there (ErrStalePlacement). A placement
-// wrapped around a caller's list (NewPlacement) owns no runs: each Reduce or
-// Validate reduces it into the Scratch it is handed, where the runs stay
-// readable until that Scratch's next use, and it never keeps a stamp.
+// by Nodes and committed as masks picked out of the leaves' free bits. Once
+// listed it is also an owned list: at a later generation it gets the
+// per-node scan and a stamp of its own; unlisted, it is stale there
+// (ErrStalePlacement). A placement wrapped around a caller's list
+// (NewPlacement) owns no runs: each Reduce or Validate reduces it into the
+// Scratch it is handed, where the runs stay readable until that Scratch's
+// next use, and it never keeps a stamp.
 type Placement struct {
 	nodes []int
 	runs  []uint64
@@ -59,8 +60,7 @@ func (p *Placement) Nodes() []int {
 	if p.owned && p.nodes == nil && p.Len() > 0 && p.st != nil && p.gen == p.st.gen && p.fit(p.st, 0) == nil {
 		p.nodes = make([]int, 0, p.Len())
 		for i, run := range p.runs[:len(p.skip)] {
-			k := int(uint32(p.runs[i+1]) - uint32(run))
-			p.nodes, _ = p.st.takeFree(p.st.topo.LeafNodes(int(run>>32)), int(p.skip[i]), k, p.nodes)
+			p.nodes = p.st.appendRanks(p.nodes, int(run>>32), int(p.skip[i]), int(uint32(p.runs[i+1])-uint32(run)))
 		}
 	}
 	return p.nodes
@@ -155,33 +155,13 @@ func (p *Placement) scan(nodeLeaf []int32, n int, sc *Scratch) int {
 // firstUnfree returns the first rank of nodes (all in range) whose node is
 // busy or out of service, or len(nodes).
 func (s *State) firstUnfree(nodes []int) int {
-	nodeJob, nodeDown := s.nodeJob, s.nodeDown
+	bit, busy, down := s.lay.NodeBit, s.busyBits, s.downBits
 	for r, id := range nodes {
-		if nodeJob[id] >= 0 || nodeDown[id] {
+		if b := bit[id]; (busy[b>>6]|down[b>>6])>>(b&63)&1 != 0 {
 			return r
 		}
 	}
 	return len(nodes)
-}
-
-// takeFree appends to dst the first k allocatable nodes of ids after
-// skipping skip of them (fewer if ids runs out) and returns the ids beyond
-// the last one it looked at.
-func (s *State) takeFree(ids []int, skip, k int, dst []int) ([]int, []int) {
-	nodeJob, nodeDown := s.nodeJob, s.nodeDown
-	i := 0
-	for ; i < len(ids) && skip > 0; i++ {
-		if id := ids[i]; nodeJob[id] < 0 && !nodeDown[id] {
-			skip--
-		}
-	}
-	for ; i < len(ids) && k > 0; i++ {
-		if id := ids[i]; nodeJob[id] < 0 && !nodeDown[id] {
-			dst = append(dst, id)
-			k--
-		}
-	}
-	return dst, ids[i:]
 }
 
 // Reduce makes Runs available without consulting any state. It reports
@@ -261,13 +241,9 @@ func (p *Placement) Validate(st *State, job JobID, sc *Scratch) error {
 	case p.owned && p.nodes == nil:
 		return fmt.Errorf("cluster: job %d: %w", job, ErrStalePlacement)
 	}
-	var nodeLeaf []int32
-	if !p.owned {
-		nodeLeaf = LayoutOf(st.topo).NodeLeaf
-	}
 	// Per node the order is range, duplicate, busy, down, so a busy or down
 	// node only counts ahead of the rank the stateless scan stopped at.
-	at := p.scan(nodeLeaf, len(st.nodeJob), sc)
+	at := p.scan(st.lay.NodeLeaf, st.topo.NumNodes(), sc)
 	r := st.firstUnfree(p.nodes[:at])
 	if r == len(p.nodes) {
 		if p.owned { // the free ranks, if any, were another generation's
@@ -277,12 +253,12 @@ func (p *Placement) Validate(st *State, job JobID, sc *Scratch) error {
 	}
 	id := p.nodes[r]
 	switch {
-	case r == at && (id < 0 || id >= len(st.nodeJob)):
+	case r == at && (id < 0 || id >= st.topo.NumNodes()):
 		return fmt.Errorf("cluster: job %d: node %d out of range", job, id)
 	case r == at:
 		return fmt.Errorf("cluster: job %d: node %d listed twice", job, id)
-	case st.nodeJob[id] >= 0:
-		return fmt.Errorf("cluster: job %d: node %d busy (held by job %d)", job, id, st.nodeJob[id])
+	case st.isSet(st.busyBits, id):
+		return fmt.Errorf("cluster: job %d: node %d busy (held by job %d)", job, id, st.NodeJob(id))
 	default:
 		return fmt.Errorf("cluster: job %d: node %d is %s: %w", job, id, st.downWord(id), ErrNodeUnavailable)
 	}

@@ -13,11 +13,38 @@ import (
 	"repro/internal/topology"
 )
 
+// refState is the node-by-node oracle the mask paths are checked against: a
+// State of its own that only allocateRef and releaseRef commit on, and the
+// per-node owner array the production State no longer has.
+type refState struct {
+	*State
+	owner []JobID
+}
+
+func newRefState(s *State) *refState {
+	r := &refState{s, make([]JobID, s.topo.NumNodes())}
+	for id := range r.owner {
+		r.owner[id] = s.NodeJob(id)
+	}
+	return r
+}
+
+// setBit moves node id's bit of a bitmap or a leaf mask whose first word is
+// word base, finding the bit by the node's place in its leaf's node list.
+func (s *refState) setBit(words []uint64, base, id int, on bool) {
+	l := s.topo.LeafOf(id)
+	at, _ := slices.BinarySearch(s.topo.LeafNodes(l), id) // a leaf lists its nodes in ascending ID
+	w := int(s.lay.LeafWordOff[l]) - base + at/64
+	if words[w] &^= 1 << (at % 64); on {
+		words[w] |= 1 << (at % 64)
+	}
+}
+
 // allocateRef is the node-by-node Allocate that AllocatePlacement replaced,
-// kept as the reference the per-run path is checked against: every check in
-// the same order with the same messages, then one counter update, one
-// ancestor-chain walk and one share division per node over a sorted copy.
-func (s *State) allocateRef(job JobID, class Class, nodes []int) error {
+// kept as the reference the per-leaf path is checked against: every check in
+// the same order with the same messages, then one bit, one counter update,
+// one ancestor-chain walk and one share division per node over a sorted copy.
+func (s *refState) allocateRef(job JobID, class Class, nodes []int) error {
 	if job < 0 {
 		return fmt.Errorf("cluster: job IDs must be non-negative, got %d", job)
 	}
@@ -29,27 +56,37 @@ func (s *State) allocateRef(job JobID, class Class, nodes []int) error {
 	}
 	seen := make(map[int]bool, len(nodes))
 	for _, id := range nodes {
-		if id < 0 || id >= len(s.nodeJob) {
+		if id < 0 || id >= len(s.owner) {
 			return fmt.Errorf("cluster: job %d: node %d out of range", job, id)
 		}
 		if seen[id] {
 			return fmt.Errorf("cluster: job %d: node %d listed twice", job, id)
 		}
 		seen[id] = true
-		if s.nodeJob[id] >= 0 {
+		if s.owner[id] >= 0 {
 			return fmt.Errorf("cluster: job %d: node %d busy (held by job %d)",
-				job, id, s.nodeJob[id])
+				job, id, s.owner[id])
 		}
-		if s.nodeDown[id] {
+		if s.NodeDown(id) {
 			return fmt.Errorf("cluster: job %d: node %d is %s: %w",
 				job, id, s.downWord(id), ErrNodeUnavailable)
 		}
 	}
 	sorted := append([]int(nil), nodes...)
 	sort.Ints(sorted)
+	a := &Allocation{Job: job, Class: class, lay: s.lay, size: len(sorted)}
+	leaf, header := -1, 0
 	for _, id := range sorted {
-		s.nodeJob[id] = job
+		s.owner[id] = job
+		s.setBit(s.busyBits, 0, id, true)
 		l := s.topo.LeafOf(id)
+		if l != leaf { // ascending IDs visit each leaf once, in order of first node
+			leaf, header = l, len(a.masks)
+			a.masks = append(a.masks, make([]uint64, 1+s.lay.LeafWordOff[l+1]-s.lay.LeafWordOff[l])...)
+			a.masks[header] = uint64(l) << 32
+		}
+		a.masks[header]++
+		s.setBit(a.masks[header+1:], int(s.lay.LeafWordOff[l]), id, true)
 		s.leafBusy[l]++
 		s.adjustFree(l, -1)
 		if class == CommIntensive {
@@ -59,27 +96,31 @@ func (s *State) allocateRef(job JobID, class Class, nodes []int) error {
 	}
 	s.free -= len(sorted)
 	s.gen++
-	s.allocs[job] = &Allocation{Job: job, Class: class, Nodes: sorted}
+	s.allocs[job] = a
 	return nil
 }
 
-// releaseRef is the node-by-node Release that the per-leaf-group walk
+// releaseRef is the node-by-node Release that the per-leaf mask walk
 // replaced.
-func (s *State) releaseRef(job JobID) error {
+func (s *refState) releaseRef(job JobID) error {
 	a, ok := s.allocs[job]
 	if !ok {
 		return fmt.Errorf("cluster: job %d not allocated", job)
 	}
 	returned := 0
-	for _, id := range a.Nodes {
-		s.nodeJob[id] = -1
+	for _, id := range a.Nodes() { // rendered from the masks allocateRef set bit by bit
+		if s.owner[id] != job {
+			return fmt.Errorf("cluster: job %d lists node %d, held by %d", job, id, s.owner[id])
+		}
+		s.owner[id] = -1
+		s.setBit(s.busyBits, 0, id, false)
 		l := s.topo.LeafOf(id)
 		s.leafBusy[l]--
 		if a.Class == CommIntensive {
 			s.leafComm[l]--
 			s.updateShare(l)
 		}
-		if s.nodeDown[id] {
+		if s.NodeDown(id) {
 			s.leafUnavail[l]++
 		} else {
 			s.adjustFree(l, 1)
@@ -94,18 +135,19 @@ func (s *State) releaseRef(job JobID) error {
 
 // sameState reports the first difference between two states' observable and
 // internal bookkeeping: every counter, leafShare bit for bit, switchFree,
-// free, the generation, node ownership and marks, and every allocation.
+// free, the generation, the bitmaps (pad bits included), what every node
+// query answers for every node, and every allocation's node list.
 func sameState(a, b *State) error {
-	if a.free != b.free || a.gen != b.gen {
-		return fmt.Errorf("free/gen %d/%d vs %d/%d", a.free, a.gen, b.free, b.gen)
+	if a.free != b.free || a.gen != b.gen || a.down != b.down || a.failed != b.failed {
+		return fmt.Errorf("free/gen/down/failed %d/%d/%d/%d vs %d/%d/%d/%d", a.free, a.gen, a.down, a.failed, b.free, b.gen, b.down, b.failed)
 	}
 	for _, c := range []struct {
 		name string
 		same bool
 	}{
-		{"nodeJob", slices.Equal(a.nodeJob, b.nodeJob)},
-		{"nodeDown", slices.Equal(a.nodeDown, b.nodeDown)},
-		{"nodeFailed", slices.Equal(a.nodeFailed, b.nodeFailed)},
+		{"busyBits", slices.Equal(a.busyBits, b.busyBits)},
+		{"downBits", slices.Equal(a.downBits, b.downBits)},
+		{"failedBits", slices.Equal(a.failedBits, b.failedBits)},
 		{"leafBusy", slices.Equal(a.leafBusy, b.leafBusy)},
 		{"leafComm", slices.Equal(a.leafComm, b.leafComm)},
 		{"leafUnavail", slices.Equal(a.leafUnavail, b.leafUnavail)},
@@ -120,16 +162,22 @@ func sameState(a, b *State) error {
 			return fmt.Errorf("leaf %d share %v vs %v", l, a.leafShare[l], b.leafShare[l])
 		}
 	}
+	for id := 0; id < a.topo.NumNodes(); id++ {
+		if a.NodeJob(id) != b.NodeJob(id) || a.NodeFree(id) != b.NodeFree(id) || a.NodeDown(id) != b.NodeDown(id) || a.NodeFailed(id) != b.NodeFailed(id) {
+			return fmt.Errorf("node %d: job/free/down/failed %d/%v/%v/%v vs %d/%v/%v/%v", id,
+				a.NodeJob(id), a.NodeFree(id), a.NodeDown(id), a.NodeFailed(id), b.NodeJob(id), b.NodeFree(id), b.NodeDown(id), b.NodeFailed(id))
+		}
+	}
 	if len(a.allocs) != len(b.allocs) {
 		return fmt.Errorf("%d vs %d allocations", len(a.allocs), len(b.allocs))
 	}
 	for _, x := range a.RunningAllocations() {
 		y := b.allocs[x.Job]
-		if y == nil || x.Class != y.Class || !slices.Equal(x.Nodes, y.Nodes) {
+		if y == nil || x.Class != y.Class || !slices.Equal(x.Nodes(), y.Nodes()) || !slices.Equal(x.masks, y.masks) {
 			return fmt.Errorf("job %d: %+v vs %+v", x.Job, x, y)
 		}
-		if !sort.IntsAreSorted(x.Nodes) {
-			return fmt.Errorf("job %d: Allocation.Nodes not ascending: %v", x.Job, x.Nodes)
+		if !sort.IntsAreSorted(x.Nodes()) || len(x.Nodes()) != x.size {
+			return fmt.Errorf("job %d: Allocation.Nodes not %d ascending nodes: %v", x.Job, x.size, x.Nodes())
 		}
 	}
 	return nil
@@ -138,13 +186,14 @@ func sameState(a, b *State) error {
 // pair is one state mutated through the production path and a clone of it
 // mutated through the references; check compares them after every step.
 type pair struct {
-	t        testing.TB
-	opt, ref *State
+	t   testing.TB
+	opt *State
+	ref *refState
 }
 
 func newPair(t testing.TB, topo *topology.Topology) *pair {
 	s := New(topo)
-	return &pair{t, s, s.Clone()}
+	return &pair{t, s, newRefState(s.Clone())}
 }
 
 func (p *pair) check(what string, errOpt, errRef error) {
@@ -152,8 +201,13 @@ func (p *pair) check(what string, errOpt, errRef error) {
 	if fmt.Sprint(errOpt) != fmt.Sprint(errRef) {
 		p.t.Fatalf("%s: error %q, reference %q", what, fmt.Sprint(errOpt), fmt.Sprint(errRef))
 	}
-	if err := sameState(p.opt, p.ref); err != nil {
+	if err := sameState(p.opt, p.ref.State); err != nil {
 		p.t.Fatalf("%s: %v", what, err)
+	}
+	for id, job := range p.ref.owner {
+		if got := p.opt.NodeJob(id); got != job {
+			p.t.Fatalf("%s: NodeJob(%d) = %d, the oracle's owner array says %d", what, id, got, job)
+		}
 	}
 	if err := p.opt.CheckInvariants(); err != nil {
 		p.t.Fatalf("%s: %v", what, err)
@@ -182,7 +236,7 @@ func (p *pair) release(what string, job JobID) {
 // both applies a node-state change (Drain, Repair, …) to the two states.
 func (p *pair) both(what string, f func(*State) error) {
 	p.t.Helper()
-	p.check(what, f(p.opt), f(p.ref))
+	p.check(what, f(p.opt), f(p.ref.State))
 }
 
 // fail takes the nodes down hard and then, as Fail's contract asks of its
@@ -252,7 +306,7 @@ func TestAllocatePlacementMatchesReference(t *testing.T) {
 	if err := p.allocate("selector-built, leaves 4,1,2,4", 1, CommIntensive, leafByLeaf(p.opt, []int{4, 1, 2, 4}, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.opt.Allocation(1).Nodes; !slices.Equal(got, []int{4, 6, 8, 10, 16, 17, 18, 19}) {
+	if got := p.opt.Allocation(1).Nodes(); !slices.Equal(got, []int{4, 6, 8, 10, 16, 17, 18, 19}) {
 		t.Fatalf("Allocation.Nodes = %v", got)
 	}
 	if err := p.allocate("wrapped ascending", 2, ComputeIntensive, NewPlacement([]int{0, 1, 12, 13})); err != nil {
@@ -356,7 +410,7 @@ func TestStalePlacementStampIsRevalidated(t *testing.T) {
 				}
 			case c.want == "":
 				sort.Ints(want)
-				if err != nil || !slices.Equal(s.Allocation(7).Nodes, want) {
+				if err != nil || !slices.Equal(s.Allocation(7).Nodes(), want) {
 					t.Errorf("%s: the list is still free: %v, allocation %+v", name, err, s.Allocation(7))
 				}
 				if pl.skip != nil {
@@ -450,8 +504,14 @@ func FuzzPlacementAllocate(f *testing.F) {
 	f.Add(uint8(3), uint8(4), int64(1), []byte{0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x06, 0x77})
 	f.Add(uint8(0x85), uint8(7), int64(2), []byte{0xf0, 0x11, 0xa2, 0x13, 0x94, 0x25, 0x36, 0xe7, 0x18, 0x06})
 	f.Add(uint8(1), uint8(1), int64(3), []byte{0x00, 0x07})
+	f.Add(uint8(2), uint8(0x42), int64(4), []byte{0xc4, 0xf4, 0x01, 0x94, 0x02, 0xe5, 0x0b, 0xd4, 0x00, 0x03, 0xfc, 0x01, 0x74, 0x08, 0xa4})    // 3 leaves of 65
+	f.Add(uint8(0x83), uint8(0x42), int64(5), []byte{0xf4, 0xfc, 0x02, 0x02, 0xf4, 0x00, 0x0b, 0x01, 0xb5, 0x03, 0xec, 0xf4, 0x10, 0x97, 0xd6}) // 4 x 4 leaves of 65
 	f.Fuzz(func(t *testing.T, leaves, npl uint8, seed int64, ops []byte) {
 		spec := topology.Spec{NodesPerLeaf: 1 + int(npl%8), Fanouts: []int{1 + int(leaves&0x7f)%6}}
+		scale := 1
+		if npl&0x40 != 0 { // leaves of 63 to 70 nodes, filled across the word boundary in a few takes
+			spec.NodesPerLeaf, scale = spec.NodesPerLeaf+62, 5
+		}
 		if leaves&0x80 != 0 {
 			spec.Fanouts = append(spec.Fanouts, 2+int(npl%3))
 		}
@@ -484,14 +544,18 @@ func FuzzPlacementAllocate(f *testing.F) {
 				}
 				continue
 			case 3:
-				p.both(what, func(s *State) error { return s.Repair(id) })
+				if b&8 != 0 {
+					p.both(what, func(s *State) error { return s.Resume(id) })
+				} else {
+					p.both(what, func(s *State) error { return s.Repair(id) })
+				}
 				continue
 			}
 			order := rng.Perm(nl)[:1+rng.Intn(nl)]
 			if b&8 != 0 {
 				order = append(order, order[0]) // revisit a leaf
 			}
-			pl := leafByLeaf(p.opt, order, 1+int(b>>4))
+			pl := leafByLeaf(p.opt, order, scale*(1+int(b>>4)))
 			if pl.Len() == 0 {
 				continue
 			}
@@ -500,9 +564,9 @@ func FuzzPlacementAllocate(f *testing.F) {
 			case 4: // selector-shaped: as the list, as free-rank runs, or as runs gone wrong
 				switch rng.Intn(3) {
 				case 1:
-					pl = freeRankByLeaf(p.opt, order, 1+int(b>>4))
+					pl = freeRankByLeaf(p.opt, order, scale*(1+int(b>>4)))
 				case 2:
-					bad := corruptRuns(rng, freeRankByLeaf(p.opt, order, 1+int(b>>4)), nl)
+					bad := corruptRuns(rng, freeRankByLeaf(p.opt, order, scale*(1+int(b>>4))), nl)
 					list := listed(bad)
 					bare := NewPlacement(list)
 					scan := list != nil && bare.Validate(p.opt, next, new(Scratch)) == nil
@@ -568,9 +632,9 @@ func corruptRuns(rng *rand.Rand, pl Placement, leaves int) Placement {
 // BenchmarkAllocateReleaseIntrepid is the wide-job case the per-run path
 // exists for: 4,096 nodes of Intrepid in 20 leaf runs visited in a
 // non-ascending leaf order, as a selector emits them. /opt commits the
-// listed placement (node scan included), /runs the same selection as
-// unlisted free-rank runs (validated by its runs, listed once into the
-// allocation), /ref is the node-by-node reference.
+// listed placement (node scan included, one bit set per node), /runs the same
+// selection as unlisted free-rank runs (validated by its runs, picked by
+// word, no node named), /ref is the node-by-node reference.
 func BenchmarkAllocateReleaseIntrepid(b *testing.B) {
 	topo := topology.Intrepid()
 	s := New(topo)
@@ -611,6 +675,7 @@ func BenchmarkAllocateReleaseIntrepid(b *testing.B) {
 		}
 	})
 	b.Run("ref", func(b *testing.B) {
+		s := newRefState(s)
 		for i := 0; i < b.N; i++ {
 			if err := s.allocateRef(JobID(i), CommIntensive, pl.nodes); err != nil {
 				b.Fatal(err)

@@ -33,8 +33,8 @@ func sameCounters(a, b *cluster.State) error {
 		}
 	}
 	for _, x := range a.RunningAllocations() {
-		if y := b.Allocation(x.Job); y == nil || !slices.Equal(x.Nodes, y.Nodes) || !sort.IntsAreSorted(x.Nodes) {
-			return fmt.Errorf("job %d: nodes %v vs %+v", x.Job, x.Nodes, y)
+		if y := b.Allocation(x.Job); y == nil || !slices.Equal(x.Nodes(), y.Nodes()) || !sort.IntsAreSorted(x.Nodes()) {
+			return fmt.Errorf("job %d: nodes %v vs %+v", x.Job, x.Nodes(), y)
 		}
 	}
 	return nil

@@ -301,8 +301,9 @@ func (d *Daemon) job(r *jobRecord) (nodes int, estimate float64, eligible bool) 
 
 // placed is what a record keeps of a committed sim.Placement: the
 // rank-ordered list sim.PlaceJob listed before the commit, which status
-// hostlists and snapshots read, and the Eq. 7 results. Its free-rank runs
-// meant something only at the generation the commit has just ended.
+// hostlists and snapshots read (the cluster's allocation holds leaf masks
+// and has no rank order), and the Eq. 7 results. Its free-rank runs meant
+// something only at the generation the commit has just ended.
 type placed struct {
 	Nodes                      []int
 	Exec, Cost, RefCost, Ratio float64

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -92,8 +93,9 @@ const parentObservables = "2eea3525ae59d0b6ec16c9d0a59f51d82991b3b4fa5eab3a23ed8
 // drained and failed nodes and hashes what an operator sees of placements:
 // every job's status (rank-ordered NodeList hostlists included), the queue
 // and running listings, and the snapshot, which must also survive a
-// restore → save round trip byte for byte. The digest is the parent
-// commit's: listing a placement lazily changed none of it.
+// restore → save round trip byte for byte. The digest is that of the commit
+// before placements became free-rank runs: neither listing a placement lazily
+// nor holding allocations as leaf masks changed any of it.
 func TestObservablesMatchParent(t *testing.T) {
 	clk := newFakeClock()
 	cfg := Config{
@@ -169,6 +171,36 @@ func TestObservablesMatchParent(t *testing.T) {
 	if !bytes.Equal(snap.Bytes(), again.Bytes()) {
 		t.Errorf("snapshot changed across restore → save:\n%s\n%s", snap.Bytes(), again.Bytes())
 	}
+	// Restore commits every running job through list-form Allocate: the masks
+	// it builds hold the nodes the run-form commits took, and an operator is
+	// shown the same hostlists.
+	for id := int64(1); id <= 60; id++ {
+		a, b := d.Status(id), d2.Status(id)
+		a.Latency, b.Latency = nil, nil
+		if a.Job.State == "completed" { // history is not part of a snapshot
+			continue
+		}
+		if marshal(t, a) != marshal(t, b) {
+			t.Errorf("job %d after restore: %s, before %s", id, marshal(t, b), marshal(t, a))
+		}
+		var held, restored []int
+		d.call(func() Response {
+			if al := d.st.Allocation(cluster.JobID(id)); al != nil {
+				held = al.Nodes()
+			}
+			return Response{Ok: true}
+		})
+		d2.call(func() Response {
+			if al := d2.st.Allocation(cluster.JobID(id)); al != nil {
+				restored = al.Nodes()
+			}
+			return Response{Ok: true}
+		})
+		if (a.Job.State == "running") != (held != nil) || !slices.Equal(held, restored) {
+			t.Errorf("job %d (%s) holds %v, after restore %v", id, a.Job.State, held, restored)
+		}
+	}
+	checkInvariants(t, d2)
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != parentObservables {
 		t.Errorf("status, listings and snapshot hash to %s, the parent commit's to %s", got, parentObservables)
 	}

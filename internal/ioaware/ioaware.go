@@ -58,8 +58,8 @@ func (t *Tracker) Allocate(job cluster.JobID, class cluster.Class, ioIntensive b
 // Release frees a job and clears its I/O accounting.
 func (t *Tracker) Release(job cluster.JobID) error {
 	var nodes []int
-	if a := t.st.Allocation(job); a != nil {
-		nodes = a.Nodes
+	if a := t.st.Allocation(job); a != nil && t.jobIO[job] {
+		nodes = a.Nodes() // rendered from the masks: only for the jobs whose nodes are counted
 	}
 	if err := t.st.Release(job); err != nil {
 		return err
@@ -101,7 +101,7 @@ func (t *Tracker) CheckInvariants() error {
 		if !t.jobIO[a.Job] {
 			continue
 		}
-		for _, id := range a.Nodes {
+		for _, id := range a.Nodes() {
 			want[t.st.Topology().LeafOf(id)]++
 		}
 	}

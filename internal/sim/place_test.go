@@ -85,7 +85,7 @@ func TestPlaceJobListsAndTheEngineDoesNot(t *testing.T) {
 			}
 			sorted := slices.Clone(want)
 			slices.Sort(sorted)
-			if got := st.Allocation(j.ID).Nodes; !slices.Equal(got, sorted) {
+			if got := st.Allocation(j.ID).Nodes(); !slices.Equal(got, sorted) {
 				t.Errorf("%v job %d: the unlisted placement committed %v, want %v", alg, j.ID, got, sorted)
 			}
 			if err := st.Release(j.ID); err != nil {
@@ -137,11 +137,13 @@ func TestPlaceJobListsAndTheEngineDoesNot(t *testing.T) {
 	}
 }
 
-// TestWideJobAllocatesOneList is the end-to-end pin of the free-rank form:
-// one adaptive 32,768-node communication-intensive job on Intrepid, placed
-// (two candidates and the default reference selected, validated and priced)
-// and committed the way the engine does it, allocates less than 1.25 node
-// lists — the one list is Allocation.Nodes.
+// TestWideJobAllocatesOneList is the end-to-end pin of the free-rank form
+// and the leaf masks: one adaptive 32,768-node communication-intensive job on
+// Intrepid, placed (two candidates and the default reference selected,
+// validated and priced) and committed the way the engine does it, allocates
+// less than an eighth of ONE node list — nobody lists the nodes any more,
+// the allocation holds them as masks — and Allocation.Nodes() still names
+// them all.
 func TestWideJobAllocatesOneList(t *testing.T) {
 	const nodes = 32768
 	st := loadedState(t, topology.Intrepid()) // 128 leaves of 320, up to 60 busy on each
@@ -157,20 +159,28 @@ func TestWideJobAllocatesOneList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	start() // compiles the schedules and fills the pools
-	if err := st.Release(j.ID); err != nil {
-		t.Fatal(err)
+	// The first round compiles the schedules and fills the pools; a collection
+	// between rounds may empty a pool again, so the least of a few rounds is
+	// what one start costs.
+	got, limit := uint64(math.MaxUint64), uint64(8*nodes/8)
+	for round := 0; round < 5; round++ {
+		if round > 0 {
+			if err := st.Release(j.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start()
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start()
-	runtime.ReadMemStats(&after)
-	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1.25*8*nodes)
 	t.Logf("%d bytes for one %d-node job (one list is %d)", got, nodes, 8*nodes)
-	if got >= limit {
-		t.Errorf("placing and committing a %d-node job allocated %d bytes, want < %d (one node list and change)", nodes, got, limit)
+	if got >= limit && !raceEnabled { // the race detector makes sync.Pool drop scratches at random
+		t.Errorf("placing and committing a %d-node job allocated %d bytes, want < %d (an eighth of a node list)", nodes, got, limit)
 	}
-	if got := len(st.Allocation(j.ID).Nodes); got != nodes {
-		t.Errorf("allocation holds %d nodes", got)
+	held := st.Allocation(j.ID).Nodes()
+	if len(held) != nodes || !slices.IsSorted(held) || slices.ContainsFunc(held, st.NodeFree) {
+		t.Errorf("allocation lists %d nodes (ascending %v), want %d busy ones", len(held), slices.IsSorted(held), nodes)
 	}
 }

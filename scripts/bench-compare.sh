@@ -1,8 +1,10 @@
 #!/bin/sh
 # bench-compare: run the benchmark suite into a dated BENCH_<date>.json and
 # diff it against the latest *committed* BENCH_*.json with cmd/benchcmp,
-# failing on >20% ns/op regressions in the /opt fast paths and in the cold
-# schedule compile (BenchmarkCompile, which has no reference twin).
+# failing on >20% ns/op regressions in the /opt fast paths, in the cold
+# schedule compile (BenchmarkCompile, which has no reference twin), and in the
+# run-form commit and the state clone, which must stay O(words) (/runs and
+# BenchmarkCloneIntrepid).
 #
 # Usage: sh scripts/bench-compare.sh [output.json]
 # Env:   BENCHTIME (default 1s) — forwarded to `go test -benchtime`.
@@ -14,7 +16,7 @@ GO=${GO:-go}
 BENCHTIME=${BENCHTIME:-1s}
 BENCHCOUNT=${BENCHCOUNT:-3}
 BENCH_PKGS="./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon"
-BENCH_RE='BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkJobCost$|BenchmarkCompile|BenchmarkScheduleBlocks|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput'
+BENCH_RE='BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkJobCost$|BenchmarkCompile|BenchmarkScheduleBlocks|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput'
 
 # Baseline: the newest committed artifact (dated names sort chronologically).
 base=$(git ls-files 'BENCH_*.json' | sort | tail -1)
@@ -47,4 +49,4 @@ if [ "$base" = "$out" ]; then
 fi
 
 echo "bench-compare: comparing against committed baseline $base"
-$GO run ./cmd/benchcmp -gate /opt,BenchmarkCompile/ "$base" "$out"
+$GO run ./cmd/benchcmp -gate /opt,BenchmarkCompile/,BenchmarkAllocateReleaseIntrepid/runs,BenchmarkCloneIntrepid "$base" "$out"

@@ -17,7 +17,7 @@
 # the sanctioned cold branches really are cold in steady state.
 set -u
 
-PKGS="./internal/costmodel ./internal/core ./internal/daemon ./internal/sched"
+PKGS="./internal/cluster ./internal/costmodel ./internal/core ./internal/daemon ./internal/sched"
 
 ranges=$(go run ./cmd/cawslint -noalloc-ranges $PKGS) || {
 	echo "noalloc-check: cawslint -noalloc-ranges failed" >&2
