@@ -35,7 +35,7 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz runs of the native fuzz targets; CI smoke, not a soak. The
-# scheduled CI fuzz job runs the same eight targets at FUZZTIME=5m.
+# scheduled CI fuzz job runs the same eleven targets at FUZZTIME=5m.
 # (internal/verify keeps a FuzzSubtreeAggregation of the same inputs that
 # checks the entry points against the reference alone; costmodel's also runs
 # both evaluators, so it is the one fuzzed.)
@@ -48,6 +48,9 @@ fuzz-smoke:
 	$(GO) test ./internal/verify -run FuzzLayoutScale -fuzz FuzzLayoutScale -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/costmodel -run FuzzSubtreeAggregation -fuzz FuzzSubtreeAggregation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search -run FuzzAnnealMoves -fuzz FuzzAnnealMoves -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sched -run FuzzQueueOps -fuzz FuzzQueueOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/daemon -run FuzzDispatch -fuzz FuzzDispatch -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/daemon -run FuzzReadFrame -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 
 # Statement-coverage gate: fails when total coverage over ./internal/...
 # drops below the floor in scripts/coverage-floor.txt.
@@ -62,11 +65,11 @@ verify:
 # Fast-path micro-benchmarks with their opt/ref speedup pairs, recorded as
 # a dated JSON artifact (BENCH_<date>.json, committed for the perf PRs).
 BENCHTIME ?= 1s
-BENCH_PKGS = ./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon
+BENCH_PKGS = ./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon ./internal/sched
 # -p 1 keeps package test binaries sequential: concurrently running
 # packages contaminate each other's timings.
 bench:
-	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkJobCost$$|BenchmarkCompile|BenchmarkScheduleBlocks|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput' \
+	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkJobCost$$|BenchmarkCompile|BenchmarkScheduleBlocks|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog' \
 		-benchtime $(BENCHTIME) -benchmem -json $(BENCH_PKGS) > BENCH_$$(date +%F).json
 	@echo "wrote BENCH_$$(date +%F).json"
 
@@ -79,18 +82,22 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 # Record a fresh dated artifact and diff it against the latest committed
-# BENCH_*.json via cmd/benchcmp; >20% ns/op regression on an /opt path or
-# on a cold BenchmarkCompile case fails. Override the output name with
-# BENCH_OUT=..., duration with BENCHTIME=....
+# BENCH_*.json (latest by the time its first record carries, not by name)
+# via cmd/benchcmp; >20% ns/op regression on an /opt path, a cold
+# BenchmarkCompile case or another gated name fails. Override the output
+# name with BENCH_OUT=..., duration with BENCHTIME=....
 bench-compare:
 	BENCHTIME=$(BENCHTIME) sh scripts/bench-compare.sh $(BENCH_OUT)
 
 # The end-to-end benchmark (bench/, its own module; BENCHMARK.json is its
 # contract): its own vet + tests, and one full run of all six workloads,
 # untraced then traced (~6 min; see bench/README.md for -workload, -out
-# and -compare).
+# and -compare). The self-test also holds bench-compare to its baseline
+# pick: three artifacts of one day, where the name order is not the time
+# order.
 bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+	sh scripts/bench-compare.sh -selftest
 
 bench-e2e:
 	bash bench/run.sh

@@ -11,7 +11,6 @@ package daemon
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -108,7 +107,7 @@ type Daemon struct {
 
 	nextID int64
 	jobs   map[int64]*jobRecord
-	queue  []*jobRecord
+	queue  sched.Queue[*jobRecord]
 	// core is the shared FIFO + EASY pass and the running set, keyed by
 	// job ID.
 	core      sched.Core[*jobRecord]
@@ -269,7 +268,7 @@ func (d *Daemon) schedule(v float64) {
 	// startJob reports every failure as an outcome, so the pass cannot fail;
 	// a head that no completion can satisfy (e.g. a drained leaf) is already
 	// indefinitely delayed, and the pass lets everything that fits through.
-	d.queue, _, _ = d.core.Pass(d.queue, v)
+	_, _ = d.core.Pass(&d.queue, v)
 	d.timer.Stop()
 	select {
 	case <-d.timer.C:
@@ -278,25 +277,25 @@ func (d *Daemon) schedule(v float64) {
 	if len(d.core.Running) == 0 {
 		return
 	}
-	wall := time.Duration((d.core.Running[0].End - v) / d.cfg.TimeScale * float64(time.Second))
-	if wall < 0 {
-		wall = 0
-	}
-	d.timer.Reset(wall)
+	// Clamped before the conversion: a wait past what a Duration holds (a job
+	// submitted with a runtime of centuries) would come out negative and fire
+	// at once, every time. An early wakeup finds nothing due and re-arms.
+	wall := min(max((d.core.Running[0].End-v)/d.cfg.TimeScale, 0), 1e9)
+	d.timer.Reset(time.Duration(wall * float64(time.Second)))
 }
 
 // job describes a queued job to the pass. A job is ineligible while its
 // dependency (if any) is unfinished: it stays pending while others pass
 // (SLURM's reason Dependency). Dependants of cancelled jobs become
 // eligible, as with SLURM's afterany.
-func (d *Daemon) job(r *jobRecord) (nodes int, estimate float64, eligible bool) {
+func (d *Daemon) job(r *jobRecord) (estimate float64, eligible bool) {
 	eligible = true
 	if r.after != 0 {
 		if dep, ok := d.jobs[r.after]; ok {
 			eligible = dep.state == stateCompleted || dep.state == stateCancelled
 		}
 	}
-	return r.job.Nodes, r.job.Runtime, eligible
+	return r.job.Runtime, eligible
 }
 
 // placed is what a record keeps of a committed sim.Placement: the
@@ -367,6 +366,16 @@ func (d *Daemon) info(r *jobRecord) JobInfo {
 		ji.NodeList = hostlist.Compress(names)
 	}
 	return ji
+}
+
+// listLocked is a queue or running listing of recs, sized once: at 14k
+// queued a listing grown by doubling copies it twice over.
+func (d *Daemon) listLocked(recs []*jobRecord) Response {
+	resp := Response{Ok: true, Jobs: make([]JobInfo, 0, len(recs))}
+	for _, r := range recs {
+		resp.Jobs = append(resp.Jobs, d.info(r))
+	}
+	return resp
 }
 
 // execBatch runs a drained batch of protocol ops in a single engine
@@ -537,7 +546,7 @@ func (d *Daemon) submitLocked(spec *SubmitSpec, v float64) Response {
 		submit:  v,
 	}
 	d.jobs[id] = r
-	d.queue = append(d.queue, r)
+	d.queue.Push(r, r.job.Nodes)
 	return Response{Ok: true, ID: id}
 }
 
@@ -559,18 +568,10 @@ func (d *Daemon) dispatchLocked(req *Request, v float64) Response {
 		return d.cancelLocked(req.ID, v)
 	case "queue":
 		d.tick(v)
-		resp := Response{Ok: true}
-		for _, r := range d.queue {
-			resp.Jobs = append(resp.Jobs, d.info(r))
-		}
-		return resp
+		return d.listLocked(d.queue.Jobs())
 	case "running":
 		d.tick(v)
-		resp := Response{Ok: true}
-		for _, r := range d.runningOrdered() {
-			resp.Jobs = append(resp.Jobs, d.info(r))
-		}
-		return resp
+		return d.listLocked(d.runningOrdered())
 	case "info":
 		return d.infoLocked(v)
 	case "stats":
@@ -629,9 +630,7 @@ func (d *Daemon) cancelLocked(id int64, v float64) Response {
 	}
 	switch r.state {
 	case stateQueued:
-		if i := slices.Index(d.queue, r); i >= 0 {
-			d.queue = slices.Delete(d.queue, i, i+1)
-		}
+		d.queue.Remove(r)
 		r.state = stateCancelled
 	case stateRunning:
 		d.core.Running.Remove(id)
@@ -689,11 +688,7 @@ func (d *Daemon) requeueJob(id int64, v float64) {
 	r.lostSec += v - r.start
 	r.start, r.end = 0, 0
 	r.place = placed{}
-	pos := slices.IndexFunc(d.queue, func(q *jobRecord) bool { return int64(q.job.ID) > id })
-	if pos < 0 {
-		pos = len(d.queue)
-	}
-	d.queue = slices.Insert(d.queue, pos, r)
+	d.queue.Insert(r, r.job.Nodes, func(q *jobRecord) bool { return q.job.ID > r.job.ID })
 }
 
 // Drain marks a node (by name) ineligible for new allocations; a running

@@ -106,7 +106,7 @@ func (d *Daemon) SaveState(w io.Writer) error {
 				ps.FailedNodes = append(ps.FailedNodes, d.cfg.Topology.NodeName(id))
 			}
 		}
-		for _, r := range d.queue {
+		for _, r := range d.queue.Jobs() {
 			ps.Queued = append(ps.Queued, d.persistJob(r))
 		}
 		// Persist running jobs in a deterministic order.
@@ -267,7 +267,7 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 			}
 			rec.state = stateQueued
 			d.jobs[pj.ID] = rec
-			d.queue = append(d.queue, rec)
+			d.queue.Push(rec, rec.job.Nodes)
 		}
 		d.tick(ps.VirtualNow)
 		return Response{Ok: true}

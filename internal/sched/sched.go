@@ -2,10 +2,11 @@
 // the offline simulator (internal/sim) and the online daemon
 // (internal/daemon): the set of running jobs ordered by planned end, and the
 // scheduling pass that starts queue heads while they fit and then backfills
-// behind the blocked head's reservation. Clocks and events, queue order and
-// insertion, and placement stay with the front ends; they describe their
-// jobs to the core through the callbacks of a Core and tell it the planned
-// end and tiebreak key of every job they start.
+// behind the blocked head's reservation. The pending queue (Queue) is held
+// here too, with each job's node count beside it. Clocks and events, the
+// order jobs are queued in, and placement stay with the front ends; they
+// describe their jobs to the core through the callbacks of a Core and tell
+// it the planned end and tiebreak key of every job they start.
 package sched
 
 import (
@@ -76,6 +77,66 @@ func (r Running) Reservation(now float64, free, need int) (shadow float64, extra
 	return 0, 0, false
 }
 
+// Queue is the pending queue: the front end's handles in queue order and,
+// beside them in a dense array, the node count each was queued with, so a
+// pass decides "cannot fit" for a job from four bytes without asking the
+// front end about it. A job's node count is stated once, when it enters, and
+// does not change while it is queued. The front end decides the order (Push
+// at the tail, Insert ahead of a job it names); the pass only removes. The
+// zero value is an empty queue.
+type Queue[J comparable] struct {
+	jobs []J
+	need []int32
+}
+
+// Len returns the number of queued jobs.
+func (q *Queue[J]) Len() int { return len(q.jobs) }
+
+// Jobs returns the queued handles in queue order. The slice is the queue's
+// own storage: read it, and not across a Push, Insert, Remove or Pass.
+func (q *Queue[J]) Jobs() []J { return q.jobs }
+
+// Push queues j, which needs nodes nodes, behind every queued job.
+func (q *Queue[J]) Push(j J, nodes int) {
+	q.jobs = append(q.jobs, j)
+	q.need = append(q.need, int32(nodes))
+}
+
+// Insert queues j ahead of the first queued job before reports true for,
+// or at the tail when there is none.
+func (q *Queue[J]) Insert(j J, nodes int, before func(J) bool) {
+	i := slices.IndexFunc(q.jobs, before)
+	if i < 0 {
+		i = len(q.jobs)
+	}
+	q.jobs = slices.Insert(q.jobs, i, j)
+	q.need = slices.Insert(q.need, i, int32(nodes))
+}
+
+// Remove takes j out of the queue, reporting whether it was queued.
+func (q *Queue[J]) Remove(j J) bool {
+	i := slices.Index(q.jobs, j)
+	if i < 0 {
+		return false
+	}
+	q.jobs = slices.Delete(q.jobs, i, i+1)
+	q.need = slices.Delete(q.need, i, i+1)
+	return true
+}
+
+// cut closes the gap a pass left between its write index w and its read
+// index i: the unvisited jobs move down, and the handles past the new end
+// are zeroed so the queue keeps no job that has left it alive.
+func (q *Queue[J]) cut(w, i int) {
+	if w == i {
+		return
+	}
+	n := w + copy(q.jobs[w:], q.jobs[i:])
+	copy(q.need[w:], q.need[i:])
+	clear(q.jobs[n:])
+	q.jobs, q.need = q.jobs[:n], q.need[:n]
+}
+
 // Outcome is what a Core's Start did with the job it was offered.
 type Outcome uint8
 
@@ -88,15 +149,16 @@ const (
 // Core is one scheduler: its running set plus the front end's view of the
 // machine and of its jobs, bound once at construction. J is the front end's
 // handle for a queued job.
-type Core[J any] struct {
+type Core[J comparable] struct {
 	Running Running
 	// Free returns the number of nodes a job could be given right now.
 	Free func() int
-	// Job describes a queued job: the nodes it needs, the runtime the
-	// scheduler plans with, and whether it may start or hold the
-	// reservation now. An ineligible job keeps its queue position while
-	// later jobs pass it.
-	Job func(j J) (nodes int, estimate float64, eligible bool)
+	// Job describes a queued job: the runtime the scheduler plans with, and
+	// whether it may start or hold the reservation now. An ineligible job
+	// keeps its queue position while later jobs pass it. The nodes it needs
+	// are the queue's to know (Queue.Push), which is what lets a pass skip
+	// this call for every job that does not fit.
+	Job func(j J) (estimate float64, eligible bool)
 	// Start places and starts a job that fits Free at time now, calling
 	// Running.Add with its planned end when it reports Started. An error
 	// aborts the pass.
@@ -106,65 +168,75 @@ type Core[J any] struct {
 	Backfill bool
 }
 
-// Pass runs one scheduling pass over queue at time now and returns the jobs
-// still queued, in order, compacted in place into queue's storage — one O(n)
-// sweep however many jobs start. Eligible jobs start from the front while
-// they fit; the first that does not fit, or that Start asks to retry, is the
-// head, and holds a reservation at the earliest time the running set frees
-// its nodes. Jobs behind the head then start if they fit the free nodes and
-// either end by that time or fit the nodes the head will leave over.
-// starved reports a head that even the end of every running job would not
-// satisfy: it holds an unreachable reservation and backfill may use
-// whatever is free. On an error from Start the unvisited jobs stay queued.
+// Pass runs one scheduling pass over q at time now and leaves in it the jobs
+// still queued, in order, compacted in place — one O(n) sweep however many
+// jobs start, and no write at all until the first one does. Eligible jobs
+// start from the front while they fit; the first that does not fit, or that
+// Start asks to retry, is the head, and holds a reservation at the earliest
+// time the running set frees its nodes. Jobs behind the head then start if
+// they fit the free nodes and either end by that time or fit the nodes the
+// head will leave over; a job that does not fit the free nodes is decided
+// from the queue's node counts alone. starved reports a head that even the
+// end of every running job would not satisfy: it holds an unreachable
+// reservation and backfill may use whatever is free. On an error from Start
+// the unvisited jobs stay queued.
 //
 //caws:noalloc
-func (c *Core[J]) Pass(queue []J, now float64) (rest []J, starved bool, err error) {
+func (c *Core[J]) Pass(q *Queue[J], now float64) (starved bool, err error) {
+	jobs, need := q.jobs, q.need[:len(q.jobs)]
 	free := c.Free()
-	w, i, need := 0, 0, 0
+	w, i := 0, 0
 	var out Outcome
-	for ; i < len(queue); i++ {
-		nodes, _, eligible := c.Job(queue[i])
-		if !eligible {
-			queue[w] = queue[i]
+	for ; i < len(jobs); i++ {
+		if _, eligible := c.Job(jobs[i]); !eligible {
+			if w != i {
+				jobs[w], need[w] = jobs[i], need[i]
+			}
 			w++
 			continue
 		}
-		need = nodes
-		if nodes > free {
+		if int(need[i]) > free {
 			break
 		}
-		out, err = c.Start(queue[i], now)
+		out, err = c.Start(jobs[i], now)
 		free = c.Free()
 		if err != nil || out == Retry {
 			break
 		}
 	}
-	if err != nil || i == len(queue) || !c.Backfill {
-		return queue[:w+copy(queue[w:], queue[i:])], false, err
+	if err != nil || i == len(jobs) || !c.Backfill {
+		q.cut(w, i)
+		return false, err
 	}
-	queue[w] = queue[i]
+	head := int(need[i])
+	jobs[w], need[w] = jobs[i], need[i]
 	w, i = w+1, i+1
-	shadow, extra, ok := c.Running.Reservation(now, free, need)
+	shadow, extra, ok := c.Running.Reservation(now, free, head)
 	if !ok {
 		starved, shadow, extra = true, math.Inf(1), free
 	}
-	for ; i < len(queue); i++ {
-		nodes, estimate, eligible := c.Job(queue[i])
-		outlives := now+estimate > shadow
-		if eligible && nodes <= free && (!outlives || nodes <= extra) {
-			if out, err = c.Start(queue[i], now); err != nil {
-				break
-			}
-			free = c.Free()
-			if out == Started && outlives {
-				extra -= nodes
-			}
-			if out != Retry {
-				continue
+	for ; i < len(jobs); i++ {
+		if nodes := int(need[i]); nodes <= free {
+			estimate, eligible := c.Job(jobs[i])
+			outlives := now+estimate > shadow
+			if eligible && (!outlives || nodes <= extra) {
+				if out, err = c.Start(jobs[i], now); err != nil {
+					break
+				}
+				free = c.Free()
+				if out == Started && outlives {
+					extra -= nodes
+				}
+				if out != Retry {
+					continue
+				}
 			}
 		}
-		queue[w] = queue[i]
+		if w != i {
+			jobs[w], need[w] = jobs[i], need[i]
+		}
 		w++
 	}
-	return queue[:w+copy(queue[w:], queue[i:])], starved, err
+	q.cut(w, i)
+	return starved, err
 }

@@ -135,7 +135,7 @@ func (m *machine) start(j *tjob, now float64, add func(Entry)) (Outcome, error) 
 func (m *machine) core(backfill bool) *Core[*tjob] {
 	c := &Core[*tjob]{
 		Free:     func() int { return m.free },
-		Job:      func(j *tjob) (int, float64, bool) { return j.nodes, j.estimate, j.eligible },
+		Job:      func(j *tjob) (float64, bool) { return j.estimate, j.eligible },
 		Backfill: backfill,
 	}
 	c.Start = func(j *tjob, now float64) (Outcome, error) { return m.start(j, now, c.Running.Add) }
@@ -143,6 +143,15 @@ func (m *machine) core(backfill bool) *Core[*tjob] {
 		c.Running.Add(e)
 	}
 	return c
+}
+
+// queueOf pushes jobs onto a fresh queue.
+func queueOf(jobs ...*tjob) *Queue[*tjob] {
+	q := new(Queue[*tjob])
+	for _, j := range jobs {
+		q.Push(j, j.nodes)
+	}
+	return q
 }
 
 // refReservation is the reservation both front ends used to carry: collect
@@ -231,48 +240,227 @@ func (m *machine) refPass(queue []*tjob, now float64, backfill bool) (rest []*tj
 	return queue, starved, nil
 }
 
-// randomCase draws a machine with a running set (tied ends included), down
-// nodes (so a head can be unsatisfiable) and a queue mixing ineligible
-// jobs, every outcome and the occasional failing start.
-func randomCase(rng *rand.Rand) (*machine, []*tjob) {
-	total := 8 + rng.Intn(57)
-	m := &machine{free: total - rng.Intn(total/4+1), running: map[int64]Entry{}}
-	for id := int64(1000); m.free > 0 && rng.Intn(8) > 0; id++ {
-		e := Entry{End: float64(10 * (1 + rng.Intn(6))), Key: id, Nodes: 1 + rng.Intn(m.free)}
-		m.running[id] = e
-		m.free -= e.Nodes
+// source draws the choices of a case: a seeded rng in the property test,
+// the fuzzer's bytes in FuzzQueueOps.
+type source interface{ Intn(n int) int }
+
+// byteSource reads one choice per byte and answers 0 once they run out.
+type byteSource []byte
+
+func (s *byteSource) Intn(n int) int {
+	if len(*s) == 0 {
+		return 0
 	}
-	queue := make([]*tjob, rng.Intn(30))
-	for i := range queue {
-		j := &tjob{
-			id:       int64(i + 1),
-			nodes:    1 + rng.Intn(total),
-			estimate: float64(5 * (1 + rng.Intn(14))),
-			eligible: rng.Intn(5) > 0,
-		}
-		if rng.Intn(2) == 0 {
-			j.nodes = 1 + rng.Intn(4) // enough small jobs for backfill to happen
-		}
-		j.runtime = j.estimate * (0.5 + rng.Float64())
-		switch draw := rng.Intn(100); {
-		case draw < 7:
-			j.outcome = Retry
-		case draw < 13:
-			j.outcome = Dropped
-		case draw < 15:
-			j.fail = true
-		}
-		queue[i] = j
-	}
-	return m, queue
+	v := int((*s)[0])
+	*s = (*s)[1:]
+	return v % n
 }
 
-func (m *machine) clone() *machine {
-	c := &machine{free: m.free, running: make(map[int64]Entry, len(m.running))}
-	for k, e := range m.running {
-		c.running[k] = e
+// randomJob draws a queued job for a machine of total nodes: half of them
+// small enough for backfill to happen, some ineligible, every outcome and
+// the occasional failing start.
+func randomJob(src source, id int64, total int) *tjob {
+	j := &tjob{
+		id:       id,
+		nodes:    1 + src.Intn(total),
+		estimate: float64(5 * (1 + src.Intn(14))),
 	}
-	return c
+	if src.Intn(2) == 0 {
+		j.nodes = 1 + src.Intn(4)
+	}
+	j.runtime = j.estimate * (0.5 + float64(src.Intn(100))/100)
+	j.redraw(src)
+	return j
+}
+
+// redraw decides again whether the job is eligible and what its next start
+// reports, as a dependency finishing or a node coming back would.
+func (j *tjob) redraw(src source) {
+	j.eligible = src.Intn(5) > 0
+	j.outcome, j.fail = Started, false
+	switch draw := src.Intn(100); {
+	case draw < 7:
+		j.outcome = Retry
+	case draw < 13:
+		j.outcome = Dropped
+	case draw < 15:
+		j.fail = true
+	}
+}
+
+// world is one long-lived queue on the core under test beside the naive
+// model of it: a plain slice that refPass splices, on a machine of its own.
+type world struct {
+	src      source
+	total    int
+	ref, opt *machine
+	c        *Core[*tjob]
+	q        Queue[*tjob]
+	model    []*tjob
+	nextID   int64
+	now      float64
+}
+
+// newWorld draws a machine with a running set (tied ends included), down
+// nodes (so a head can be unsatisfiable) and an initial queue.
+func newWorld(src source) *world {
+	total := 8 + src.Intn(57)
+	w := &world{src: src, total: total, nextID: 1}
+	w.ref = &machine{free: total - src.Intn(total/4+1), running: map[int64]Entry{}}
+	for key := int64(-1); w.ref.free > 0 && src.Intn(8) > 0; key-- {
+		e := Entry{End: float64(10 * (1 + src.Intn(6))), Key: key, Nodes: 1 + src.Intn(w.ref.free)}
+		w.ref.running[key] = e
+		w.ref.free -= e.Nodes
+	}
+	w.opt = &machine{free: w.ref.free} // its running set is the core's
+	w.c = w.opt.core(src.Intn(8) > 0)
+	for _, e := range w.ref.running {
+		w.c.Running.Add(e)
+	}
+	for n := src.Intn(30); n > 0; n-- {
+		w.push()
+	}
+	return w
+}
+
+func (w *world) newJob() *tjob {
+	w.nextID++
+	return randomJob(w.src, w.nextID-1, w.total)
+}
+
+func (w *world) push() {
+	j := w.newJob()
+	w.q.Push(j, j.nodes)
+	w.model = append(w.model, j)
+}
+
+// insert queues a new job ahead of the first queued job with a larger ID
+// than a pivot, the daemon's requeue; the queue is not sorted by ID once
+// this has happened twice, so "the first" matters.
+func (w *world) insert() {
+	j, pivot := w.newJob(), int64(w.src.Intn(int(w.nextID)))
+	w.q.Insert(j, j.nodes, func(q *tjob) bool { return q.id > pivot })
+	pos := len(w.model)
+	for i, q := range w.model {
+		if q.id > pivot {
+			pos = i
+			break
+		}
+	}
+	w.model = append(w.model[:pos], append([]*tjob{j}, w.model[pos:]...)...)
+}
+
+// remove cancels a queued job, or tries to cancel one that is not queued.
+func (w *world) remove(t testing.TB) {
+	if len(w.model) == 0 || w.src.Intn(8) == 0 {
+		if w.q.Remove(&tjob{}) {
+			t.Fatal("Remove of a job that was never queued reported true")
+		}
+		return
+	}
+	pos := w.src.Intn(len(w.model))
+	if !w.q.Remove(w.model[pos]) {
+		t.Fatalf("Remove of queued job %d reported false", w.model[pos].id)
+	}
+	w.model = append(w.model[:pos], w.model[pos+1:]...)
+}
+
+// mutate applies one queue operation to both sides.
+func (w *world) mutate(t testing.TB) {
+	switch w.src.Intn(4) {
+	case 0:
+		w.push()
+	case 1:
+		w.insert()
+	case 2:
+		w.remove(t)
+	case 3:
+		if len(w.model) > 0 {
+			w.model[w.src.Intn(len(w.model))].redraw(w.src)
+		}
+	}
+	w.check(t, "after a queue op")
+}
+
+// check holds the queue to its model: the same jobs in the same order, each
+// with the node count it was queued with beside it, and no handle left in
+// the storage past the end.
+func (w *world) check(t testing.TB, when string) {
+	t.Helper()
+	if !slices.Equal(ids(w.q.Jobs()), ids(w.model)) || w.q.Len() != len(w.model) {
+		t.Fatalf("%s: queue %v, model %v", when, ids(w.q.Jobs()), ids(w.model))
+	}
+	if len(w.q.need) != len(w.q.jobs) {
+		t.Fatalf("%s: %d node counts beside %d jobs", when, len(w.q.need), len(w.q.jobs))
+	}
+	for i, j := range w.q.jobs {
+		if int(w.q.need[i]) != j.nodes {
+			t.Fatalf("%s: job %d (%d nodes) at %d has node count %d beside it",
+				when, j.id, j.nodes, i, w.q.need[i])
+		}
+	}
+	for i, j := range w.q.jobs[len(w.q.jobs):cap(w.q.jobs)] {
+		if j != nil {
+			t.Fatalf("%s: stale handle of job %d at %d past the end", when, j.id, len(w.q.jobs)+i)
+		}
+	}
+}
+
+// pass moves time on, completes what has ended on both machines, runs the
+// pass under test and the naive one, and compares everything they did. seen
+// counts the branches reached.
+func (w *world) pass(t testing.TB, seen map[string]int) {
+	w.now += float64(w.src.Intn(12))
+	for key, e := range w.ref.running {
+		if e.End <= w.now {
+			delete(w.ref.running, key)
+			w.ref.free += e.Nodes
+			w.c.Running.Remove(key)
+			w.opt.free += e.Nodes
+		}
+	}
+	before := slices.Clone(w.model)
+	w.ref.log, w.opt.log = w.ref.log[:0], w.opt.log[:0]
+
+	rest, wantStarved, wantErr := w.ref.refPass(w.model, w.now, w.c.Backfill)
+	w.model = rest
+	starved, err := w.c.Pass(&w.q, w.now)
+
+	if !slices.Equal(w.opt.log, w.ref.log) {
+		t.Fatalf("start calls %v, reference %v", w.opt.log, w.ref.log)
+	}
+	w.check(t, "after a pass")
+	if starved != wantStarved || err != wantErr || w.opt.free != w.ref.free {
+		t.Fatalf("starved=%v err=%v free=%d, reference %v, %v, %d",
+			starved, err, w.opt.free, wantStarved, wantErr, w.ref.free)
+	}
+	want := make([]Entry, 0, len(w.ref.running))
+	for _, e := range w.ref.running {
+		want = append(want, e)
+	}
+	sort.Slice(want, func(a, b int) bool { return less(want[a], want[b]) })
+	if !slices.Equal(w.c.Running, want) {
+		t.Fatalf("running set %v, reference %v", w.c.Running, want)
+	}
+
+	for _, l := range w.ref.log {
+		seen[l[len(l)-1:]]++
+	}
+	if starved {
+		seen["starved"]++
+	}
+	for i, j := range rest {
+		if !j.eligible && before[i] != j {
+			seen["moved-ineligible"]++
+			break
+		}
+	}
+	// What could not start now may be able to next time.
+	for _, j := range rest {
+		if (j.fail || j.outcome == Retry) && w.src.Intn(2) == 0 {
+			j.redraw(w.src)
+		}
+	}
 }
 
 func ids(queue []*tjob) []int64 {
@@ -284,56 +472,60 @@ func ids(queue []*tjob) []int64 {
 }
 
 // TestPassMatchesSplicePerStartReference is the property the extraction
-// rests on: over random queues and running sets the single-sweep compaction
-// pass makes the same start calls in the same order and leaves the same
-// queue, running set, free count and starved verdict as the naive pass.
+// rests on: the single-sweep compaction pass makes the same start calls in
+// the same order and leaves the same queue, running set, free count and
+// starved verdict as the naive pass. The queue is the long-lived object the
+// front ends hold, not a fresh slice per case: each of 600 random machines
+// keeps one Queue through 60 passes, with jobs pushed, inserted, removed and
+// changing eligibility between them and running jobs ending as time moves.
 func TestPassMatchesSplicePerStartReference(t *testing.T) {
 	seen := map[string]int{}
-	for seed := int64(1); seed <= 4000; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ref, queue := randomCase(rng)
-		opt := ref.clone()
-		backfill := rng.Intn(8) > 0
-		now := float64(rng.Intn(20))
-
-		wantRest, wantStarved, wantErr := ref.refPass(slices.Clone(queue), now, backfill)
-		c := opt.core(backfill)
-		rest, starved, err := c.Pass(slices.Clone(queue), now)
-
-		if !slices.Equal(opt.log, ref.log) {
-			t.Fatalf("seed %d: start calls %v, reference %v", seed, opt.log, ref.log)
+	for seed := int64(1); seed <= 600; seed++ {
+		w := newWorld(rand.New(rand.NewSource(seed)))
+		w.check(t, "at the start")
+		for round := 0; round < 60 && !t.Failed(); round++ {
+			for n := w.src.Intn(4); n > 0; n-- {
+				w.mutate(t)
+			}
+			w.pass(t, seen)
 		}
-		if !slices.Equal(ids(rest), ids(wantRest)) {
-			t.Fatalf("seed %d: queue %v, reference %v", seed, ids(rest), ids(wantRest))
-		}
-		if starved != wantStarved || err != wantErr || opt.free != ref.free {
-			t.Fatalf("seed %d: starved=%v err=%v free=%d, reference %v, %v, %d",
-				seed, starved, err, opt.free, wantStarved, wantErr, ref.free)
-		}
-		want := make([]Entry, 0, len(ref.running))
-		for _, e := range ref.running {
-			want = append(want, e)
-		}
-		sort.Slice(want, func(a, b int) bool { return less(want[a], want[b]) })
-		if !slices.Equal(c.Running, want) {
-			t.Fatalf("seed %d: running set %v, reference %v", seed, c.Running, want)
-		}
-		for _, l := range ref.log {
-			seen[l[len(l)-1:]]++
-		}
-		if starved {
-			seen["starved"]++
-		}
-		if len(rest) < len(queue) && len(rest) > 0 && !rest[0].eligible {
-			seen["passed-ineligible"]++
+		if t.Failed() {
+			t.Fatalf("seed %d failed", seed)
 		}
 	}
 	// The generator must actually reach every branch it claims to cover.
-	for _, k := range []string{"0", "1", "2", "r", "starved", "passed-ineligible"} {
-		if seen[k] < 20 {
-			t.Errorf("only %d cases exercised %q", seen[k], k)
+	for _, k := range []string{"0", "1", "2", "r", "starved", "moved-ineligible"} {
+		if seen[k] < 200 {
+			t.Errorf("only %d passes exercised %q", seen[k], k)
 		}
 	}
+}
+
+// FuzzQueueOps lets the fuzzer choose the machine, the jobs and the order of
+// Push, Insert, Remove and Pass on one Queue, held to the same model and
+// checks as the property test.
+func FuzzQueueOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x20\x03\x07\x01\x02\x05\x09\x11\x04\x00\x01\x02\x03\x04\x05\x06\x07"))
+	seed := make([]byte, 400)
+	rand.New(rand.NewSource(1)).Read(seed)
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			t.Skip()
+		}
+		src := byteSource(data)
+		w := newWorld(&src)
+		seen := map[string]int{}
+		for len(src) > 0 {
+			if src.Intn(3) == 0 {
+				w.pass(t, seen)
+			} else {
+				w.mutate(t)
+			}
+		}
+		w.pass(t, seen)
+	})
 }
 
 // One pass computes the extra pool once and backfills drain it: the sim's
@@ -347,12 +539,12 @@ func TestPassDrainsExtraPool(t *testing.T) {
 	job := func(id int64, nodes int, runtime float64) *tjob {
 		return &tjob{id: id, nodes: nodes, estimate: runtime, runtime: runtime, eligible: true}
 	}
-	queue := []*tjob{job(2, 4, 100), job(3, 5, 50), job(4, 2, 300), job(5, 2, 300), job(6, 1, 300)}
-	rest, starved, err := m.core(true).Pass(queue, 10)
+	q := queueOf(job(2, 4, 100), job(3, 5, 50), job(4, 2, 300), job(5, 2, 300), job(6, 1, 300))
+	starved, err := m.core(true).Pass(q, 10)
 	if err != nil || starved {
 		t.Fatalf("starved=%v err=%v", starved, err)
 	}
-	if got := ids(rest); !slices.Equal(got, []int64{3, 5}) {
+	if got := ids(q.Jobs()); !slices.Equal(got, []int64{3, 5}) {
 		t.Fatalf("left queued %v, want [3 5]", got)
 	}
 	if want := []string{"2:0", "4:0", "6:0"}; !slices.Equal(m.log, want) {
@@ -368,12 +560,12 @@ func TestNoAllocBlockedPass(t *testing.T) {
 		1: {End: 50, Key: 1, Nodes: 3}, 2: {End: 90, Key: 2, Nodes: 3},
 	}}
 	c := m.core(true)
-	queue := []*tjob{
-		{id: 10, nodes: 1, estimate: 5},                   // ineligible: passed over
-		{id: 11, nodes: 7, estimate: 10, eligible: true},  // head: shadow 90, extra 1
-		{id: 12, nodes: 3, estimate: 10, eligible: true},  // exceeds free
-		{id: 13, nodes: 2, estimate: 500, eligible: true}, // outlives shadow, exceeds extra
-	}
+	q := queueOf(
+		&tjob{id: 10, nodes: 1, estimate: 5},                   // ineligible: passed over
+		&tjob{id: 11, nodes: 7, estimate: 10, eligible: true},  // head: shadow 90, extra 1
+		&tjob{id: 12, nodes: 3, estimate: 10, eligible: true},  // exceeds free
+		&tjob{id: 13, nodes: 2, estimate: 500, eligible: true}, // outlives shadow, exceeds extra
+	)
 	if n := testing.AllocsPerRun(100, func() {
 		if _, _, ok := c.Running.Reservation(10, m.free, 7); !ok {
 			t.Fatal("reservation unsatisfiable")
@@ -382,9 +574,8 @@ func TestNoAllocBlockedPass(t *testing.T) {
 		t.Errorf("Reservation allocates %v times per call", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		rest, _, err := c.Pass(queue, 10)
-		if err != nil || len(rest) != len(queue) {
-			t.Fatalf("blocked pass left %d of %d jobs (err %v)", len(rest), len(queue), err)
+		if _, err := c.Pass(q, 10); err != nil || q.Len() != 4 {
+			t.Fatalf("blocked pass left %d of 4 jobs (err %v)", q.Len(), err)
 		}
 	}); n != 0 {
 		t.Errorf("a pass in which nothing starts allocates %v times", n)

@@ -2,15 +2,15 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/workload"
 )
 
-// Policy orders the waiting queue before each scheduling pass. The paper's
-// SLURM setup is FIFO (priority = submit order) with EASY backfilling; the
-// other policies are standard batch-scheduling baselines for ablation.
+// Policy orders the waiting queue: each arrival is queued where the policy
+// serves it (engine.enqueue). The paper's SLURM setup is FIFO (priority =
+// submit order) with EASY backfilling; the other policies are standard
+// batch-scheduling baselines for ablation.
 type Policy uint8
 
 const (
@@ -55,7 +55,8 @@ func ParsePolicy(s string) (Policy, error) {
 
 // less reports whether job a should run before job b under the policy.
 // Submission order (index order, since traces are submit-sorted) is always
-// the final tiebreaker, keeping every policy deterministic.
+// the final tiebreaker, which makes less a strict total order: every policy
+// is deterministic and a sorted queue has one place for an arrival.
 func (p Policy) less(jobs []workload.Job, a, b int) bool {
 	ja, jb := jobs[a], jobs[b]
 	switch p {
@@ -70,29 +71,4 @@ func (p Policy) less(jobs []workload.Job, a, b int) bool {
 		}
 	}
 	return a < b
-}
-
-// order sorts queued job indexes in place according to the policy. FIFO is
-// a no-op: arrival order is already submission order. For the other
-// policies the queue is usually still sorted from the previous pass (at
-// most one arrival was appended since), so an O(n) sortedness scan skips
-// the sort — less is a total order, making "no adjacent inversion"
-// equivalent to "stable sort is the identity".
-func (p Policy) order(jobs []workload.Job, queue []int) {
-	if p == FIFO || len(queue) < 2 {
-		return
-	}
-	sorted := true
-	for i := 0; i+1 < len(queue); i++ {
-		if p.less(jobs, queue[i+1], queue[i]) {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return
-	}
-	sort.SliceStable(queue, func(x, y int) bool {
-		return p.less(jobs, queue[x], queue[y])
-	})
 }

@@ -139,7 +139,7 @@ type engine struct {
 
 	events eventQueue
 	seq    int64
-	queue  []int // waiting job indexes, FIFO
+	queue  sched.Queue[int] // waiting job indexes, in the policy's order
 	// core is the shared FIFO + EASY pass and the running set, keyed by
 	// trace index.
 	core sched.Core[int]
@@ -285,7 +285,7 @@ func (e *engine) loop() error {
 					continue
 				}
 			}
-			e.queue = append(e.queue, ev.job)
+			e.enqueue(ev.job)
 		case evComplete:
 			if ev.inc != e.inc[ev.job] {
 				// Completion of a killed attempt: the job was requeued (and
@@ -328,9 +328,9 @@ func (e *engine) loop() error {
 			return err
 		}
 	}
-	if len(e.queue) > 0 || len(e.core.Running) > 0 || len(e.held) > 0 {
+	if e.queue.Len() > 0 || len(e.core.Running) > 0 || len(e.held) > 0 {
 		return fmt.Errorf("sim: %d queued, %d running and %d held jobs at end of events",
-			len(e.queue), len(e.core.Running), len(e.held))
+			e.queue.Len(), len(e.core.Running), len(e.held))
 	}
 	return nil
 }
@@ -357,17 +357,29 @@ func (e *engine) requeue(idx int, now float64) error {
 	return nil
 }
 
-// schedule orders the queue by the run's policy and hands it to the shared
-// pass: the head first, then EASY backfilling behind its reservation.
+// enqueue puts an arrived job in the queue where the run's policy serves
+// it: at the tail under FIFO, otherwise ahead of the first queued job it is
+// Policy.less than. less is a strict total order on attributes that do not
+// change while a job waits, so the queue stays sorted under it and this is
+// where a stable sort of the queue plus the arrival would put the job.
+func (e *engine) enqueue(idx int) {
+	jobs, p := e.trace.Jobs, e.cfg.Policy
+	if p == FIFO {
+		e.queue.Push(idx, jobs[idx].Nodes)
+		return
+	}
+	e.queue.Insert(idx, jobs[idx].Nodes, func(q int) bool { return p.less(jobs, idx, q) })
+}
+
+// schedule hands the queue to the shared pass: the head first, then EASY
+// backfilling behind its reservation.
 func (e *engine) schedule(now float64) error {
-	e.cfg.Policy.order(e.trace.Jobs, e.queue)
-	rest, starved, err := e.core.Pass(e.queue, now)
-	e.queue = rest
+	starved, err := e.core.Pass(&e.queue, now)
 	if err == nil && starved && len(e.cfg.Faults) == 0 {
 		// Only under faults can the head be transiently unsatisfiable (enough
 		// nodes down that draining every running job would not free its
 		// request; a repair restores capacity). Without them it never runs.
-		head := e.trace.Jobs[rest[0]]
+		head := e.trace.Jobs[e.queue.Jobs()[0]]
 		err = fmt.Errorf("sim: job %d (%d nodes) can never run", head.ID, head.Nodes)
 	}
 	return err
@@ -375,9 +387,8 @@ func (e *engine) schedule(now float64) error {
 
 // job describes a queued job to the pass. Every queued job is eligible:
 // jobs held on a dependency are parked outside the queue.
-func (e *engine) job(idx int) (nodes int, estimate float64, eligible bool) {
-	j := &e.trace.Jobs[idx]
-	return j.Nodes, j.EstimatedRuntime(), true
+func (e *engine) job(idx int) (estimate float64, eligible bool) {
+	return e.trace.Jobs[idx].EstimatedRuntime(), true
 }
 
 // start selects nodes for the job, applies the Eq. 7 runtime model, commits

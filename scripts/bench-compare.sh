@@ -4,9 +4,11 @@
 # failing on >20% ns/op regressions in the /opt fast paths, in the cold
 # schedule compile (BenchmarkCompile, which has no reference twin), and in the
 # run-form commit and the state clone, which must stay O(words) (/runs and
-# BenchmarkCloneIntrepid).
+# BenchmarkCloneIntrepid), and in the backlog scheduling pass
+# (BenchmarkPassBacklog).
 #
 # Usage: sh scripts/bench-compare.sh [output.json]
+#        sh scripts/bench-compare.sh -selftest   (checks the baseline pick)
 # Env:   BENCHTIME (default 1s) — forwarded to `go test -benchtime`.
 #        BENCHCOUNT (default 3) — repetitions; benchcmp keeps the fastest,
 #        which shrugs off noisy-neighbor load on shared boxes.
@@ -15,11 +17,37 @@ set -eu
 GO=${GO:-go}
 BENCHTIME=${BENCHTIME:-1s}
 BENCHCOUNT=${BENCHCOUNT:-3}
-BENCH_PKGS="./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon"
-BENCH_RE='BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkJobCost$|BenchmarkCompile|BenchmarkScheduleBlocks|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput'
+BENCH_PKGS="./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon ./internal/sched"
+BENCH_RE='BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkJobCost$|BenchmarkCompile|BenchmarkScheduleBlocks|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog'
 
-# Baseline: the newest committed artifact (dated names sort chronologically).
-base=$(git ls-files 'BENCH_*.json' | sort | tail -1)
+# newest prints, of the artifacts named, the one recorded last: by the Time
+# of its first record (`go test -json` stamps every event, RFC 3339, and the
+# artifacts are recorded in UTC, so the stamps sort as text). The names do
+# not say: a day's second and third runs are BENCH_<date>.1.json and .2.json,
+# and both sort before the first run's BENCH_<date>.json.
+newest() {
+    for f in "$@"; do
+        printf '%s %s\n' "$(head -n 1 "$f" | sed -n 's/.*"Time":"\([^"]*\)".*/\1/p')" "$f"
+    done | sort | tail -1 | cut -d' ' -f2-
+}
+
+if [ "${1:-}" = "-selftest" ]; then
+    dir=$(mktemp -d)
+    trap 'rm -rf "$dir"' EXIT
+    for run in .:02:22 .1.:04:45 .2.:07:41; do
+        printf '{"Time":"2026-10-01T%s:48.7Z","Action":"start"}\n' "${run#*:}" > "$dir/BENCH_2026-10-01${run%%:*}json"
+    done
+    got=$(newest "$dir"/BENCH_*.json)
+    if [ "$got" != "$dir/BENCH_2026-10-01.2.json" ]; then
+        echo "bench-compare: selftest: baseline pick is ${got##*/}, want BENCH_2026-10-01.2.json (recorded last)" >&2
+        exit 1
+    fi
+    echo "bench-compare: selftest ok (baseline is the artifact recorded last)"
+    exit 0
+fi
+
+# Baseline: the committed artifact recorded last.
+base=$(newest $(git ls-files 'BENCH_*.json'))
 
 out=${1:-}
 if [ -z "$out" ]; then
@@ -49,4 +77,4 @@ if [ "$base" = "$out" ]; then
 fi
 
 echo "bench-compare: comparing against committed baseline $base"
-$GO run ./cmd/benchcmp -gate /opt,BenchmarkCompile/,BenchmarkAllocateReleaseIntrepid/runs,BenchmarkCloneIntrepid "$base" "$out"
+$GO run ./cmd/benchcmp -gate /opt,BenchmarkCompile/,BenchmarkAllocateReleaseIntrepid/runs,BenchmarkCloneIntrepid,BenchmarkPassBacklog "$base" "$out"
