@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: check build vet lint lint-allow test race fuzz-smoke verify bench bench-smoke bench-compare bench-selftest bench-e2e coverage soak soak-smoke quality-compare
+.PHONY: check build vet lint lint-allow test race fuzz-smoke verify bench bench-smoke bench-compare bench-selftest bench-e2e coverage soak soak-smoke
 
 check: vet lint build race fuzz-smoke
 
@@ -101,12 +101,6 @@ bench-selftest:
 
 bench-e2e:
 	bash bench/run.sh
-
-# Placement-quality gate: run the deterministic anneal quality-vs-budget
-# sweep and fail if the budget-256 median Eq. 6 cost regresses >2% against
-# the committed scripts/quality-baseline.txt.
-quality-compare:
-	sh scripts/quality-compare.sh $(QUALITY_OUT)
 
 # Closed-loop serving soak: ~20s of pipelined Theta-shaped bursty load
 # against an in-process daemon, failing below the sustained ops/sec

@@ -39,8 +39,6 @@ func main() {
 		jobs      = flag.Int("jobs", 1000, "number of jobs (synthetic trace or SWF prefix)")
 		seed      = flag.Int64("seed", 1, "random seed for synthesis and tagging")
 		algName   = flag.String("alg", "adaptive", "allocation algorithm: default, greedy, balanced, adaptive, balanced-nopow2, anneal")
-		annBudget = flag.Int("anneal-budget", 0, "anneal: evaluated-candidates budget (0 = default 256, negative = seed passthrough)")
-		annSeed   = flag.Uint64("anneal-seed", 0, "anneal: PRNG seed (0 = default 1)")
 		patName   = flag.String("pattern", "RHVD", "collective pattern of comm-intensive jobs: RD, RHVD, Binomial, Ring")
 		commFrac  = flag.Float64("comm", 0.9, "fraction of jobs tagged communication-intensive")
 		commShare = flag.Float64("commshare", 0.7, "fraction of a comm job's runtime spent communicating")
@@ -60,16 +58,14 @@ func main() {
 	flag.Parse()
 	fm := faults.Model{MTBF: *mtbf, MTTR: *mttr, DrainFraction: *drainFrac, Seed: *faultSeed}
 	if err := run(*machine, *topoPath, *logPath, *jobs, *seed, *algName, *patName, *policy,
-		*commFrac, *commShare, *compare, *noBF, *remap, *perJob, *validate, *csvPath, *jsonPath,
-		*annBudget, *annSeed, fm); err != nil {
+		*commFrac, *commShare, *compare, *noBF, *remap, *perJob, *validate, *csvPath, *jsonPath, fm); err != nil {
 		fmt.Fprintln(os.Stderr, "cawsched:", err)
 		os.Exit(1)
 	}
 }
 
 func run(machine, topoPath, logPath string, jobs int, seed int64, algName, patName, policyName string,
-	commFrac, commShare float64, compare, noBF, remap, perJob, validate bool, csvPath, jsonPath string,
-	annealBudget int, annealSeed uint64, fm faults.Model) error {
+	commFrac, commShare float64, compare, noBF, remap, perJob, validate bool, csvPath, jsonPath string, fm faults.Model) error {
 	pattern, err := collective.ParsePattern(patName)
 	if err != nil {
 		return err
@@ -148,7 +144,6 @@ func run(machine, topoPath, logPath string, jobs int, seed int64, algName, patNa
 		cfg := sim.Config{
 			Topology: topo, Algorithm: alg, DisableBackfill: noBF, RankRemap: remap,
 			Policy: policy, Faults: ftrace,
-			AnnealBudget: annealBudget, AnnealSeed: annealSeed,
 		}
 		var res *sim.Result
 		if validate {

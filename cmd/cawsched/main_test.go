@@ -13,7 +13,7 @@ func TestRunCompareWithExports(t *testing.T) {
 	csvPath := filepath.Join(dir, "jobs.csv")
 	jsonPath := filepath.Join(dir, "cmp.json")
 	err := run("Theta", "", "", 40, 1, "adaptive", "RHVD", "fifo",
-		0.9, 0.7, true, false, false, false, true, csvPath, jsonPath, 0, 0, faults.Model{})
+		0.9, 0.7, true, false, false, false, true, csvPath, jsonPath, faults.Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestRunCompareWithExports(t *testing.T) {
 
 func TestRunSingleAlgorithmPerJob(t *testing.T) {
 	if err := run("Mira", "", "", 20, 2, "balanced", "RD", "sjf",
-		0.5, 0.6, false, true, true, true, true, "", "", 0, 0, faults.Model{}); err != nil {
+		0.5, 0.6, false, true, true, true, true, "", "", faults.Model{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -35,7 +35,7 @@ func TestRunSingleAlgorithmPerJob(t *testing.T) {
 func TestRunWithFaultInjection(t *testing.T) {
 	fm := faults.Model{MTBF: 5e5, MTTR: 3e3, DrainFraction: 0.25, Seed: 7}
 	if err := run("Theta", "", "", 60, 3, "adaptive", "RHVD", "fifo",
-		0.9, 0.7, false, false, false, false, true, "", "", 0, 0, fm); err != nil {
+		0.9, 0.7, false, false, false, false, true, "", "", fm); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -54,7 +54,7 @@ func TestRunWithTopologyAndSWF(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := run("", topoPath, swfPath, 0, 1, "greedy", "Binomial", "fifo",
-		1.0, 0.7, false, false, false, false, true, "", "", 0, 0, faults.Model{}); err != nil {
+		1.0, 0.7, false, false, false, false, true, "", "", faults.Model{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -64,13 +64,13 @@ func TestRunErrors(t *testing.T) {
 		name string
 		err  error
 	}{
-		{"bad machine", run("Nope", "", "", 10, 1, "adaptive", "RD", "fifo", 0.9, 0.7, false, false, false, false, true, "", "", 0, 0, faults.Model{})},
-		{"bad algorithm", run("Theta", "", "", 10, 1, "frob", "RD", "fifo", 0.9, 0.7, false, false, false, false, true, "", "", 0, 0, faults.Model{})},
-		{"bad pattern", run("Theta", "", "", 10, 1, "adaptive", "frob", "fifo", 0.9, 0.7, false, false, false, false, true, "", "", 0, 0, faults.Model{})},
-		{"bad policy", run("Theta", "", "", 10, 1, "adaptive", "RD", "frob", 0.9, 0.7, false, false, false, false, true, "", "", 0, 0, faults.Model{})},
-		{"bad fraction", run("Theta", "", "", 10, 1, "adaptive", "RD", "fifo", 1.9, 0.7, false, false, false, false, true, "", "", 0, 0, faults.Model{})},
-		{"missing topology", run("", "/nonexistent/topo.conf", "", 10, 1, "adaptive", "RD", "fifo", 0.9, 0.7, false, false, false, false, true, "", "", 0, 0, faults.Model{})},
-		{"missing log", run("Theta", "", "/nonexistent/log.swf", 10, 1, "adaptive", "RD", "fifo", 0.9, 0.7, false, false, false, false, true, "", "", 0, 0, faults.Model{})},
+		{"bad machine", run("Nope", "", "", 10, 1, "adaptive", "RD", "fifo", 0.9, 0.7, false, false, false, false, true, "", "", faults.Model{})},
+		{"bad algorithm", run("Theta", "", "", 10, 1, "frob", "RD", "fifo", 0.9, 0.7, false, false, false, false, true, "", "", faults.Model{})},
+		{"bad pattern", run("Theta", "", "", 10, 1, "adaptive", "frob", "fifo", 0.9, 0.7, false, false, false, false, true, "", "", faults.Model{})},
+		{"bad policy", run("Theta", "", "", 10, 1, "adaptive", "RD", "frob", 0.9, 0.7, false, false, false, false, true, "", "", faults.Model{})},
+		{"bad fraction", run("Theta", "", "", 10, 1, "adaptive", "RD", "fifo", 1.9, 0.7, false, false, false, false, true, "", "", faults.Model{})},
+		{"missing topology", run("", "/nonexistent/topo.conf", "", 10, 1, "adaptive", "RD", "fifo", 0.9, 0.7, false, false, false, false, true, "", "", faults.Model{})},
+		{"missing log", run("Theta", "", "/nonexistent/log.swf", 10, 1, "adaptive", "RD", "fifo", 0.9, 0.7, false, false, false, false, true, "", "", faults.Model{})},
 	}
 	for _, c := range cases {
 		if c.err == nil {

@@ -37,8 +37,6 @@ func main() {
 		machine   = flag.String("machine", "Theta", "machine preset: Intrepid, Theta or Mira (ignored with -topology)")
 		topoPath  = flag.String("topology", "", "SLURM topology.conf (overrides -machine)")
 		algName   = flag.String("alg", "adaptive", "allocation algorithm: slurm, greedy, balanced, balanced-nopow2, adaptive or anneal")
-		annBudget = flag.Int("anneal-budget", 0, "anneal: evaluated-candidates budget (0 = default 256, negative = seed passthrough)")
-		annSeed   = flag.Uint64("anneal-seed", 0, "anneal: PRNG seed (0 = default 1)")
 		timeScale = flag.Float64("timescale", 1, "virtual seconds per wall second")
 		noBF      = flag.Bool("nobackfill", false, "disable EASY backfilling")
 		costMode  = flag.String("costmode", "effective-hops", "cost function: effective-hops, hop-bytes, distance-only")
@@ -50,15 +48,14 @@ func main() {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if err := run(*listen, *machine, *topoPath, *algName, *timeScale, *noBF, *costMode,
-		*statePath, *confPath, *depth, *annBudget, *annSeed, explicit); err != nil {
+		*statePath, *confPath, *depth, explicit); err != nil {
 		fmt.Fprintln(os.Stderr, "cawschedd:", err)
 		os.Exit(1)
 	}
 }
 
 func run(listen, machine, topoPath, algName string, timeScale float64, noBF bool,
-	costMode, statePath, confPath string, depth int,
-	annealBudget int, annealSeed uint64, explicit map[string]bool) error {
+	costMode, statePath, confPath string, depth int, explicit map[string]bool) error {
 	var topo *topology.Topology
 	var err error
 	if confPath != "" {
@@ -108,8 +105,6 @@ func run(listen, machine, topoPath, algName string, timeScale float64, noBF bool
 		TimeScale:       timeScale,
 		DisableBackfill: noBF,
 		CostMode:        mode,
-		AnnealBudget:    annealBudget,
-		AnnealSeed:      annealSeed,
 	}
 	var d *daemon.Daemon
 	if statePath != "" {

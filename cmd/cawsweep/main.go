@@ -31,8 +31,6 @@ func main() {
 		comm      = flag.String("comm", "0.9", "comma-separated comm-intensive job fractions")
 		commShare = flag.String("commshare", "0.7", "comma-separated per-job communication shares")
 		algs      = flag.String("algs", "default,greedy,balanced,adaptive", "comma-separated algorithms (default,greedy,balanced,adaptive,balanced-nopow2,anneal)")
-		annBudget = flag.Int("anneal-budget", 0, "anneal: evaluated-candidates budget (0 = default 256, negative = seed passthrough)")
-		annSeed   = flag.Uint64("anneal-seed", 0, "anneal: PRNG seed (0 = default 1)")
 		jobs      = flag.Int("jobs", 500, "jobs per trace")
 		seed      = flag.Int64("seed", 1, "random seed")
 		costMode  = flag.String("costmode", "effective-hops", "cost function")
@@ -49,7 +47,7 @@ func main() {
 		os.Exit(1)
 	}
 	err = run(*machines, *patterns, *comm, *commShare, *algs, *jobs, *seed,
-		*costMode, *policy, *parallel, *annBudget, *annSeed, *out)
+		*costMode, *policy, *parallel, *out)
 	if serr := stop(); err == nil {
 		err = serr
 	}
@@ -63,9 +61,8 @@ func main() {
 }
 
 func run(machines, patterns, comm, commShare, algs string, jobs int, seed int64,
-	costMode, policy string, parallel, annealBudget int, annealSeed uint64, out string) error {
-	g := sweep.Grid{Jobs: jobs, Seed: seed, Parallelism: parallel,
-		AnnealBudget: annealBudget, AnnealSeed: annealSeed}
+	costMode, policy string, parallel int, out string) error {
+	g := sweep.Grid{Jobs: jobs, Seed: seed, Parallelism: parallel}
 	for _, name := range strings.Split(machines, ",") {
 		p, err := workload.PresetByName(strings.TrimSpace(name))
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 func TestRunSweep(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "sweep.csv")
 	err := run("Theta", "rd", "0.3,0.9", "0.7", "default,adaptive", 40, 1,
-		"effective-hops", "fifo", 0, 0, 0, out)
+		"effective-hops", "fifo", 0, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRunSweepKernelColumnExact(t *testing.T) {
 		t.Helper()
 		out := filepath.Join(t.TempDir(), "sweep.csv")
 		err := run("Theta", "rd", "0.3,0.9", "0.7", "default,adaptive", 40, 1,
-			"effective-hops", "fifo", parallel, 0, 0, out)
+			"effective-hops", "fifo", parallel, out)
 		if err != nil {
 			t.Fatalf("-parallel %d: %v", parallel, err)
 		}
@@ -90,7 +90,7 @@ func TestRunSweepParallelByteIdentical(t *testing.T) {
 	for _, parallel := range []int{1, 4, 0} { // 0 = GOMAXPROCS
 		out := filepath.Join(t.TempDir(), "sweep.csv")
 		err := run("Theta", "rd", "0.3,0.9", "0.7", "default,adaptive", 40, 1,
-			"effective-hops", "fifo", parallel, 0, 0, out)
+			"effective-hops", "fifo", parallel, out)
 		if err != nil {
 			t.Fatalf("-parallel %d: %v", parallel, err)
 		}
@@ -110,12 +110,12 @@ func TestRunSweepParallelByteIdentical(t *testing.T) {
 
 func TestRunSweepErrors(t *testing.T) {
 	cases := []error{
-		run("Nope", "rd", "0.9", "0.7", "default", 10, 1, "effective-hops", "fifo", 0, 0, 0, ""),
-		run("Theta", "frob", "0.9", "0.7", "default", 10, 1, "effective-hops", "fifo", 0, 0, 0, ""),
-		run("Theta", "rd", "zzz", "0.7", "default", 10, 1, "effective-hops", "fifo", 0, 0, 0, ""),
-		run("Theta", "rd", "0.9", "0.7", "frob", 10, 1, "effective-hops", "fifo", 0, 0, 0, ""),
-		run("Theta", "rd", "0.9", "0.7", "default", 10, 1, "frob", "fifo", 0, 0, 0, ""),
-		run("Theta", "rd", "0.9", "0.7", "default", 10, 1, "effective-hops", "frob", 0, 0, 0, ""),
+		run("Nope", "rd", "0.9", "0.7", "default", 10, 1, "effective-hops", "fifo", 0, ""),
+		run("Theta", "frob", "0.9", "0.7", "default", 10, 1, "effective-hops", "fifo", 0, ""),
+		run("Theta", "rd", "zzz", "0.7", "default", 10, 1, "effective-hops", "fifo", 0, ""),
+		run("Theta", "rd", "0.9", "0.7", "frob", 10, 1, "effective-hops", "fifo", 0, ""),
+		run("Theta", "rd", "0.9", "0.7", "default", 10, 1, "frob", "fifo", 0, ""),
+		run("Theta", "rd", "0.9", "0.7", "default", 10, 1, "effective-hops", "frob", 0, ""),
 	}
 	for i, err := range cases {
 		if err == nil {

@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig1, table3, fig6, table4, fig7, fig8, fig9, future, anneal or all (anneal — the quality-vs-budget sweep behind the CI quality gate — only runs when asked for by name; it is not part of the paper's evaluation)")
+		exp      = flag.String("exp", "all", "experiment: fig1, table3, fig6, table4, fig7, fig8, fig9, future, anneal or all (anneal, the quality-vs-budget sweep, only runs when asked for by name; it is not part of the paper's evaluation)")
 		jobs     = flag.Int("jobs", 1000, "jobs per continuous trace")
 		indJobs  = flag.Int("individual-jobs", 200, "jobs sampled for individual runs")
 		seed     = flag.Int64("seed", 1, "random seed")
@@ -217,8 +217,8 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 		}
 		report("fig9", res.Check())
 	}
-	// The anneal quality sweep is repo tooling (it feeds the CI quality
-	// gate), not part of the paper's evaluation, so "all" skips it.
+	// The anneal quality sweep is repo tooling, not part of the paper's
+	// evaluation, so "all" skips it.
 	if exp == "anneal" {
 		res, err := experiments.AnnealQuality(o)
 		if err != nil {

@@ -41,11 +41,6 @@ type Config struct {
 	// Clock overrides the wall-clock source (tests inject deterministic
 	// clocks for the batching differential proofs); nil means time.Now.
 	Clock func() time.Time
-	// AnnealBudget/AnnealSeed tune the core.Anneal selector (0 = search
-	// defaults, negative budget = seed passthrough); ignored by the other
-	// algorithms.
-	AnnealBudget int
-	AnnealSeed   uint64
 }
 
 type jobState uint8
@@ -140,9 +135,7 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("daemon: negative time scale %v", cfg.TimeScale)
 	}
 	// The zero Algorithm value is core.Default, i.e. stock SLURM behaviour.
-	selector, err := core.NewWith(cfg.Algorithm, core.Options{
-		AnnealBudget: cfg.AnnealBudget, AnnealSeed: cfg.AnnealSeed,
-	})
+	selector, err := core.New(cfg.Algorithm)
 	if err != nil {
 		return nil, err
 	}
@@ -520,13 +513,12 @@ func (d *Daemon) submitLocked(spec *SubmitSpec, v float64) Response {
 		}
 		mix = collective.SinglePattern(pattern, share)
 	}
-	if spec.After != 0 {
-		if _, ok := d.jobs[spec.After]; !ok {
-			return Response{Error: fmt.Sprintf("dependency job %d unknown", spec.After)}
-		}
-		if spec.After >= d.nextID {
-			return Response{Error: fmt.Sprintf("dependency job %d invalid", spec.After)}
-		}
+	// Every ID in [1, nextID) was issued. One without a record finished
+	// before the snapshot this daemon was restored from (Restore refills
+	// d.jobs with queued and running jobs only), and the pass treats a
+	// missing dependency as satisfied.
+	if spec.After < 0 || spec.After >= d.nextID {
+		return Response{Error: fmt.Sprintf("dependency job %d unknown", spec.After)}
 	}
 	id := d.nextID
 	d.nextID++

@@ -42,6 +42,10 @@ type persistedJob struct {
 	RefCost   float64 `json:"ref_cost,omitempty"`
 	Ratio     float64 `json:"ratio,omitempty"`
 	Requeues  int     `json:"requeues,omitempty"`
+	// RequeuedAt and LostSec carry a requeued job's fault accounting over
+	// a restart (both zero, and omitted, for a job never killed).
+	RequeuedAt float64 `json:"requeued_at,omitempty"`
+	LostSec    float64 `json:"lost_sec,omitempty"`
 }
 
 type persistedState struct {
@@ -82,6 +86,8 @@ func (d *Daemon) persistJob(r *jobRecord) persistedJob {
 		pj.Ratio = r.place.Ratio
 	}
 	pj.Requeues = r.requeues
+	pj.RequeuedAt = r.requeuedAt
+	pj.LostSec = r.lostSec
 	return pj
 }
 
@@ -185,13 +191,15 @@ func (pj persistedJob) toRecord() (*jobRecord, error) {
 			Class:   class,
 			Mix:     mix,
 		},
-		name:     pj.Name,
-		pattern:  pattern,
-		after:    pj.After,
-		submit:   pj.Submit,
-		start:    pj.Start,
-		end:      pj.End,
-		requeues: pj.Requeues,
+		name:       pj.Name,
+		pattern:    pattern,
+		after:      pj.After,
+		submit:     pj.Submit,
+		start:      pj.Start,
+		end:        pj.End,
+		requeues:   pj.Requeues,
+		requeuedAt: pj.RequeuedAt,
+		lostSec:    pj.LostSec,
 	}, nil
 }
 

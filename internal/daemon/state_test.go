@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -205,5 +206,107 @@ func TestRestoreResumesOnInjectedClock(t *testing.T) {
 	}
 	if info := d2.Info(); info.VirtualNow != 120 || info.FreeNodes != 8 {
 		t.Fatalf("after completion: now %v free %d, want 120 and 8", info.VirtualNow, info.FreeNodes)
+	}
+}
+
+// restart snapshots d, closes it and returns a daemon restored from the
+// snapshot under the same config.
+func restart(t *testing.T, d *Daemon, cfg Config) *Daemon {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	d2, err := Restore(cfg, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d2.Close)
+	return d2
+}
+
+// A dependency on a job that finished before the snapshot is accepted after
+// the restart as it was before it (Restore keeps no record of a finished
+// job, and every ID below next_id was issued), and the dependant starts;
+// IDs never issued are still refused.
+func TestRestoreAcceptsDependencyOnFinishedJob(t *testing.T) {
+	clk := newFakeClock()
+	cfg := Config{Topology: topology.PaperExample(), Algorithm: core.Adaptive, TimeScale: 1, Clock: clk.Now}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := d.Submit(Request{Nodes: 2, Runtime: 1, Class: "compute"})
+	if !done.Ok {
+		t.Fatal(done.Error)
+	}
+	clk.Advance(2 * time.Second)
+	if st := d.Status(done.ID); st.Job.State != "completed" {
+		t.Fatalf("setup: job is %s", st.Job.State)
+	}
+	before := d.Submit(Request{Nodes: 1, Runtime: 1, Class: "compute", After: done.ID})
+	if !before.Ok {
+		t.Fatalf("before the restart: %s", before.Error)
+	}
+	d2 := restart(t, d, cfg)
+	dep := d2.Submit(Request{Nodes: 1, Runtime: 1, Class: "compute", After: done.ID})
+	if !dep.Ok {
+		t.Fatalf("after the restart: %s", dep.Error)
+	}
+	if st := d2.Status(dep.ID); st.Job.State != "running" {
+		t.Fatalf("dependant is %s, want running", st.Job.State)
+	}
+	for _, after := range []int64{dep.ID + 1, dep.ID + 100, -1} {
+		if resp := d2.Submit(Request{Nodes: 1, Runtime: 1, Class: "compute", After: after}); resp.Ok {
+			t.Errorf("dependency on job %d, never issued, accepted", after)
+		}
+	}
+}
+
+// A job requeued before a snapshot finishes after the restart with the fault
+// accounting of a twin daemon that never restarted: the same JobResult and
+// the same lost node-hours.
+func TestRestoreKeepsFaultAccounting(t *testing.T) {
+	run := func(restartAfterKill bool) (metrics.JobResult, float64) {
+		clk := newFakeClock()
+		cfg := Config{Topology: topology.PaperExample(), Algorithm: core.Adaptive, TimeScale: 1, Clock: clk.Now}
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		job := d.Submit(Request{Nodes: 8, Runtime: 2, Class: "comm"})
+		if !job.Ok {
+			t.Fatal(job.Error)
+		}
+		clk.Advance(time.Second) // half-way through the run
+		if resp := d.Fail("n0"); !resp.Ok || resp.ID != job.ID {
+			t.Fatalf("fail: %+v", resp)
+		}
+		if restartAfterKill {
+			d = restart(t, d, cfg)
+		}
+		if resp := d.Resume("n0"); !resp.Ok {
+			t.Fatal(resp.Error)
+		}
+		clk.Advance(2 * time.Second)
+		if st := d.Status(job.ID); st.Job.State != "completed" {
+			t.Fatalf("after the re-run: %+v", st.Job)
+		}
+		var res metrics.JobResult
+		d.call(func() Response {
+			res = d.completed[0]
+			return Response{Ok: true}
+		})
+		return res, d.Stats().LostNodeHours
+	}
+	wantRes, wantLost := run(false)
+	gotRes, gotLost := run(true)
+	if wantRes.Requeues != 1 || wantRes.LostSeconds != 1 || wantRes.RequeuedAt != 1 || wantLost <= 0 {
+		t.Fatalf("twin that never restarted: %+v, %v lost node-hours", wantRes, wantLost)
+	}
+	if gotRes != wantRes || gotLost != wantLost {
+		t.Errorf("restarted: %+v, %v lost node-hours; twin: %+v, %v", gotRes, gotLost, wantRes, wantLost)
 	}
 }

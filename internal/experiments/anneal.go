@@ -21,8 +21,8 @@ type AnnealQualityRow struct {
 	Budget int
 	// MedianCommCost / MeanCommCost summarise per-job Eq. 6 cost under the
 	// run's allocations, over communication-intensive jobs — the placement
-	// quality the annealer optimises. The median is the number the CI
-	// quality gate tracks (scripts/quality-compare.sh).
+	// quality the annealer optimises. TestAnnealQualityQuick pins the
+	// median and the execution hours of every row on the gate workload.
 	MedianCommCost float64
 	MeanCommCost   float64
 	ExecHours      float64
@@ -105,9 +105,7 @@ func AnnealQuality(o Options) (*AnnealQualityResult, error) {
 	return out, nil
 }
 
-// Format renders the quality-vs-budget table. Rows are deliberately
-// awk-friendly — first column the budget, second the median Eq. 6 cost —
-// because scripts/quality-compare.sh parses them for the CI gate.
+// Format renders the quality-vs-budget table.
 func (r *AnnealQualityResult) Format() string {
 	header := []string{"budget", "median_comm_cost", "mean_comm_cost", "exec_hours", "wait_hours"}
 	var rows [][]string

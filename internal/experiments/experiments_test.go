@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -222,7 +223,7 @@ func TestAnnealQualityQuick(t *testing.T) {
 			t.Fatalf("format missing %q:\n%s", want, text)
 		}
 	}
-	// Determinism: the gate depends on repeat runs agreeing exactly.
+	// Determinism: the pin below depends on repeat runs agreeing exactly.
 	again, err := AnnealQuality(o)
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +231,27 @@ func TestAnnealQualityQuick(t *testing.T) {
 	for i := range res.Rows {
 		if again.Rows[i] != res.Rows[i] {
 			t.Fatalf("row %d differs across runs: %+v vs %+v", i, again.Rows[i], res.Rows[i])
+		}
+	}
+
+	// The gate workload (Theta, RD, 150 jobs, seed 1; EXPERIMENTS.md
+	// "Anneal quality vs budget"). The sweep is deterministic, so the
+	// table is asserted exactly: any drift is a behaviour change in the
+	// annealer's trajectory, the selectors, the cost model or the
+	// simulator, and the numbers move only with the reason stated.
+	o.Jobs = 150
+	gate, err := AnnealQuality(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ median, execHours string }{
+		{"18.8962", "249.2"}, {"17.9781", "247.2"}, {"18.0874", "249.4"}, {"18.1421", "247.8"},
+	}
+	for i, row := range gate.Rows {
+		median, execHours := fmt.Sprintf("%.4f", row.MedianCommCost), fmt.Sprintf("%.1f", row.ExecHours)
+		if median != want[i].median || execHours != want[i].execHours {
+			t.Errorf("budget %d: median %s exec hours %s, want %s and %s",
+				row.Budget, median, execHours, want[i].median, want[i].execHours)
 		}
 	}
 }

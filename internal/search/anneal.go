@@ -1,3 +1,15 @@
+// Package search implements a deterministic, seeded simulated-annealing
+// refinement pass over candidate node allocations (ROADMAP "search-based
+// allocator family"; cf. the neural-SA line of work, arXiv 2302.03517).
+// It starts from a seed placement, in practice the adaptive selector's
+// pick, and explores swap/shift moves over the candidate node set,
+// pricing each visited list through costmodel, the only evaluator of
+// Eq. 5/6 in the tree.
+//
+// The package sits below internal/core (which wires it into the
+// Algorithm enum) and above internal/cluster / internal/costmodel; it
+// threads its PRNG explicitly, so a given (state, seed placement, Config)
+// triple always returns the same nodes regardless of caller concurrency.
 package search
 
 import (
@@ -5,15 +17,16 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
+	"repro/internal/costmodel"
 )
 
-// Budget and seed defaults, shared by every layer that plumbs a Config
-// (core.NewWith, sim.Config, sweep.Grid, the daemon and the CLIs all
-// treat a zero budget/seed as "use the default").
+// Budget and seed defaults: every layer that plumbs a budget or seed down
+// to a Config (core.Options, sim.Config, verify.RunConfig) treats zero as
+// "use the default".
 const (
 	// DefaultBudget is the evaluated-candidates budget when a Config
-	// leaves Budget zero: enough for the quality plateau the
-	// EXPERIMENTS.md budget sweep shows, cheap enough for the CI gate.
+	// leaves Budget zero, and what -alg anneal runs at everywhere: the
+	// EXPERIMENTS.md budget sweep shows nothing gained beyond it.
 	DefaultBudget = 256
 	// DefaultSeed is the PRNG seed when a Config leaves Seed zero.
 	DefaultSeed = 1
@@ -101,11 +114,15 @@ const (
 )
 
 // Improve refines a seed placement for (job, class, pattern) by seeded
-// simulated annealing over swap and shift moves, pricing every move
-// through the delta Engine. It never mutates st and never returns a
+// simulated annealing over swap and shift moves. The candidate is a plain
+// rank-ordered node list: a move exchanges two slots in place, the list
+// is priced from scratch by costmodel.CandidateCostMode (Eq. 6), and a
+// rejected move is undone by the same exchange. It never returns a
 // placement costlier than the seed: the best-so-far assignment is
 // tracked separately from the annealing walk. The returned list is
-// always a fresh slice in rank order.
+// always a fresh slice in rank order. On an optimized state st is only
+// read; on a reference state each pricing tentatively allocates and
+// rolls back (see costmodel.PlacementCostMode).
 func Improve(st *cluster.State, job cluster.JobID, class cluster.Class,
 	seed []int, p collective.Pattern, cfg Config) ([]int, Stats, error) {
 	cfg = cfg.withDefaults()
@@ -113,77 +130,66 @@ func Improve(st *cluster.State, job cluster.JobID, class cluster.Class,
 	if cfg.Budget <= 0 || len(seed) < 2 || class != cluster.CommIntensive {
 		return out, Stats{}, nil
 	}
-	e, err := NewEngine(st, job, class, seed, p)
+	cand := append([]int(nil), seed...)
+	price := func() (float64, error) {
+		return costmodel.CandidateCostMode(st, job, class, cand, p, costmodel.ModeEffectiveHops)
+	}
+	// Pricing the seed also validates it: distinct, in-range, free nodes
+	// and a job that is not already running.
+	cur, err := price()
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	rng := prng{state: jobSeed(cfg.Seed, job)}
 	rng.next() // warm the mixed state
 
-	// Free nodes outside the candidate, in ascending id order. An
-	// accepted shift exchanges the displaced node into the vacated slot,
-	// so the list stays an exact complement of the candidate set.
+	// Free nodes outside the candidate, in ascending id order. A shift
+	// exchanges a rank's node with one of these, so the list stays an
+	// exact complement of the candidate set.
+	inCand := make([]bool, st.Topology().NumNodes())
+	for _, id := range cand {
+		inCand[id] = true
+	}
 	var free []int
-	for id := 0; id < st.Topology().NumNodes(); id++ {
-		if st.NodeFree(id) && !e.Contains(id) {
+	for id, in := range inCand {
+		if !in && st.NodeFree(id) {
 			free = append(free, id)
 		}
 	}
 
-	stats := Stats{SeedCost: e.Cost(), BestCost: e.Cost()}
-	cur := stats.SeedCost
+	stats := Stats{SeedCost: cur}
 	best := cur
 	temp := startTempFrac * cur
 	cool := math.Exp(math.Log(endTempFrac) / float64(cfg.Budget))
-	ranks := e.Len()
 
-	accept := func(delta float64) bool {
-		if delta <= 0 {
-			return true
-		}
-		if temp <= 0 {
-			return false
-		}
-		return -temp*math.Log(rng.unit()) > delta
-	}
 	for i := 0; i < cfg.Budget; i++ {
 		// Shifts and swaps alternate on a fair coin; with no free nodes
-		// the shift arm is unavailable and every move is a swap.
+		// the shift arm is unavailable and every move is a swap. Either
+		// way a move exchanges a rank's slot with a second slot, of the
+		// free list or of the candidate, and so does its undo.
+		other := cand
 		if len(free) > 0 && rng.next()&1 == 0 {
-			r := rng.intn(ranks)
-			fi := rng.intn(len(free))
-			old := e.Node(r)
-			if err := e.Shift(r, free[fi]); err != nil {
-				return nil, Stats{}, err
-			}
-			stats.Evaluated++
-			if nc := e.Cost(); accept(nc - cur) {
-				cur = nc
-				free[fi] = old
-				stats.Accepted++
-				if cur < best {
-					best = cur
-					e.CopyNodes(out)
-				}
-			} else if err := e.Shift(r, old); err != nil {
-				return nil, Stats{}, err
+			other = free
+		}
+		a := &cand[rng.intn(len(cand))]
+		b := &other[rng.intn(len(other))]
+		*a, *b = *b, *a
+		nc, err := price()
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		stats.Evaluated++
+		// Metropolis: the uniform is drawn only for an uphill move at a
+		// positive temperature.
+		if d := nc - cur; d <= 0 || temp > 0 && -temp*math.Log(rng.unit()) > d {
+			cur = nc
+			stats.Accepted++
+			if cur < best {
+				best = cur
+				copy(out, cand)
 			}
 		} else {
-			r1, r2 := rng.intn(ranks), rng.intn(ranks)
-			if err := e.Swap(r1, r2); err != nil {
-				return nil, Stats{}, err
-			}
-			stats.Evaluated++
-			if nc := e.Cost(); accept(nc - cur) {
-				cur = nc
-				stats.Accepted++
-				if cur < best {
-					best = cur
-					e.CopyNodes(out)
-				}
-			} else if err := e.Swap(r1, r2); err != nil {
-				return nil, Stats{}, err
-			}
+			*a, *b = *b, *a
 		}
 		temp *= cool
 	}

@@ -166,3 +166,32 @@ func TestImproveFindsImprovement(t *testing.T) {
 			got, seedCost, stats)
 	}
 }
+
+// TestImproveRejectsBadSeeds: the seed is validated exactly as
+// costmodel.CandidateCost validates a candidate, before any move is tried.
+func TestImproveRejectsBadSeeds(t *testing.T) {
+	st := testState(t, 8, 4)
+	free := freeNodes(st)
+	busy := -1
+	for id := 0; id < st.Topology().NumNodes() && busy < 0; id++ {
+		if !st.NodeFree(id) {
+			busy = id
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		job   cluster.JobID
+		nodes []int
+	}{
+		{"negative-job", -1, free[:2]},
+		{"duplicate-node", 1, []int{free[0], free[0]}},
+		{"running-job", 900001, free[:2]},
+		{"out-of-range", 1, []int{free[0], st.Topology().NumNodes()}},
+		{"negative-node", 1, []int{-3, free[0]}},
+		{"busy-node", 1, []int{free[0], busy}},
+	} {
+		if _, _, err := Improve(st, tc.job, cluster.CommIntensive, tc.nodes, collective.RD, Config{Budget: 8}); err == nil {
+			t.Errorf("%s: Improve accepted the seed", tc.name)
+		}
+	}
+}

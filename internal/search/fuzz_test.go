@@ -1,6 +1,7 @@
 package search
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -9,16 +10,17 @@ import (
 	"repro/internal/topology"
 )
 
-// FuzzAnnealMoves drives fuzzer-chosen move sequences and budgets against
-// the anneal-vs-reference invariants: after every applied move the
-// engine's incremental cost must be bit-identical to a from-scratch
-// CandidateCost of its current node list, and an Improve run over the
-// same state must never return a placement costlier than its seed.
+// FuzzAnnealMoves asserts Improve's contract on fuzzer-chosen states: the
+// returned list is distinct free nodes of the seed's length, Stats.BestCost
+// is costmodel.CandidateCost of that list bit for bit and never above
+// SeedCost, the whole budget is spent, and a second call returns the same
+// list.
 //
 // The input bytes encode, in order: topology shape, background load,
-// candidate width, pattern, a per-job PRNG seed, and then one move per
-// remaining byte pair (kind + operands derived by modulus, so every byte
-// string is a valid program).
+// candidate width, pattern (and PRNG seed), the budget, and then one
+// swap/shift per remaining byte pair applied to the seed placement before
+// the search (kind + operands derived by modulus, so every byte string is
+// a valid program).
 func FuzzAnnealMoves(f *testing.F) {
 	f.Add(uint8(8), uint8(4), uint8(3), uint8(12), uint8(0), uint16(64), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(uint8(4), uint8(6), uint8(1), uint8(9), uint8(1), uint16(16), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
@@ -72,61 +74,65 @@ func FuzzAnnealMoves(f *testing.F) {
 		pat := patterns[int(patByte)%len(patterns)]
 		job := cluster.JobID(7000)
 
-		// Invariant 1: every move prices identically to from-scratch.
-		e, err := NewEngine(st, job, cluster.CommIntensive, cand, pat)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
+		// The fuzzer's moves scramble the seed placement: a swap exchanges
+		// two ranks, a shift exchanges a rank with a free node outside.
+		inCand := make(map[int]bool, ranks)
+		for _, id := range cand {
+			inCand[id] = true
 		}
-		check := func(ctx string) {
-			want, err := costmodel.CandidateCost(st, job, cluster.CommIntensive, e.Nodes(), pat)
-			if err != nil {
-				t.Fatalf("%s: CandidateCost: %v", ctx, err)
-			}
-			if got := e.Cost(); got != want {
-				t.Fatalf("%s: engine %v != from-scratch %v", ctx, got, want)
-			}
-		}
-		check("init")
 		outside := free[:0:0]
 		for _, id := range free {
-			if !e.Contains(id) {
+			if !inCand[id] {
 				outside = append(outside, id)
 			}
 		}
 		for i := 0; i+1 < len(moves); i += 2 {
 			a, b := int(moves[i]), int(moves[i+1])
+			r := a / 2 % ranks
 			if a%2 == 0 || len(outside) == 0 {
-				if err := e.Swap(a/2%ranks, b%ranks); err != nil {
-					t.Fatalf("swap: %v", err)
-				}
+				cand[r], cand[b%ranks] = cand[b%ranks], cand[r]
 			} else {
-				r := a / 2 % ranks
 				fi := b % len(outside)
-				old := e.Node(r)
-				if err := e.Shift(r, outside[fi]); err != nil {
-					t.Fatalf("shift: %v", err)
-				}
-				outside[fi] = old
+				cand[r], outside[fi] = outside[fi], cand[r]
 			}
-			check("after move")
 		}
 
-		// Invariant 2: Improve never returns worse than its seed.
 		seedCost, err := costmodel.CandidateCost(st, job, cluster.CommIntensive, cand, pat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := Improve(st, job, cluster.CommIntensive, cand, pat,
-			Config{Budget: int(budget % 512), Seed: uint64(patByte) + 1})
+		cfg := Config{Budget: 1 + int(budget%512), Seed: uint64(patByte) + 1}
+		got, stats, err := Improve(st, job, cluster.CommIntensive, cand, pat, cfg)
 		if err != nil {
 			t.Fatalf("Improve: %v", err)
 		}
+		if len(got) != len(cand) {
+			t.Fatalf("Improve returned %d nodes for a seed of %d", len(got), len(cand))
+		}
+		// CandidateCost validates the list as Allocate would: distinct,
+		// in-range, free nodes.
 		bestCost, err := costmodel.CandidateCost(st, job, cluster.CommIntensive, got, pat)
 		if err != nil {
 			t.Fatalf("Improve returned an invalid placement: %v", err)
 		}
+		if stats.SeedCost != seedCost {
+			t.Fatalf("Stats.SeedCost %v != CandidateCost of the seed %v", stats.SeedCost, seedCost)
+		}
+		if stats.BestCost != bestCost {
+			t.Fatalf("Stats.BestCost %v != CandidateCost of the returned list %v", stats.BestCost, bestCost)
+		}
 		if bestCost > seedCost {
 			t.Fatalf("Improve returned %v, worse than seed %v", bestCost, seedCost)
+		}
+		if stats.Evaluated != cfg.Budget {
+			t.Fatalf("evaluated %d moves on a budget of %d", stats.Evaluated, cfg.Budget)
+		}
+		again, stats2, err := Improve(st, job, cluster.CommIntensive, cand, pat, cfg)
+		if err != nil {
+			t.Fatalf("second Improve: %v", err)
+		}
+		if stats2 != stats || !slices.Equal(again, got) {
+			t.Fatalf("second call differs: %v %+v, first %v %+v", again, stats2, got, stats)
 		}
 	})
 }

@@ -47,10 +47,6 @@ type Config struct {
 	// passthrough, i.e. bit-identical to core.Adaptive). Ignored by the
 	// other algorithms.
 	AnnealBudget int
-	// AnnealSeed is core.Anneal's base PRNG seed (0 = search.DefaultSeed);
-	// mixed with each job ID, so runs are reproducible whatever order
-	// jobs are priced in. Ignored by the other algorithms.
-	AnnealSeed uint64
 	// Faults is the node failure/drain/repair event trace injected into the
 	// run. A hard failure kills the job running on the node and requeues it
 	// at the failure time (SLURM's requeue-on-node-fail); drains let running
@@ -180,9 +176,7 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 	if err := cfg.Faults.Validate(cfg.Topology.NumNodes()); err != nil {
 		return nil, err
 	}
-	sel, err := core.NewWith(cfg.Algorithm, core.Options{
-		AnnealBudget: cfg.AnnealBudget, AnnealSeed: cfg.AnnealSeed,
-	})
+	sel, err := core.NewWith(cfg.Algorithm, core.Options{AnnealBudget: cfg.AnnealBudget})
 	if err != nil {
 		return nil, err
 	}

@@ -37,10 +37,6 @@ type Grid struct {
 	CostMode      costmodel.Mode
 	Policy        sim.Policy
 	Parallelism   int
-	// AnnealBudget/AnnealSeed tune core.Anneal cells (same zero-value
-	// conventions as sim.Config); ignored by the other algorithms.
-	AnnealBudget int
-	AnnealSeed   uint64
 	// Reference runs every cell on a reference state (sim.Config.Reference).
 	Reference bool
 }
@@ -155,7 +151,6 @@ func Run(g Grid) ([]Point, error) {
 			res, err = sim.RunContinuousValidated(sim.Config{
 				Topology: c.topo, Algorithm: c.alg,
 				CostMode: g.CostMode, Policy: g.Policy,
-				AnnealBudget: g.AnnealBudget, AnnealSeed: g.AnnealSeed,
 				Reference: g.Reference,
 			}, tagged)
 		}

@@ -151,8 +151,6 @@ func annealGrid() Grid {
 	g := smallGrid()
 	g.Patterns = []collective.Pattern{collective.RD}
 	g.Algorithms = []core.Algorithm{core.Default, core.Adaptive, core.Anneal}
-	g.AnnealBudget = 64
-	g.AnnealSeed = 3
 	g.Jobs = 60
 	return g
 }
