@@ -52,6 +52,8 @@ var DefaultNoAllocConfig = NoAllocConfig{
 		},
 		"repro/internal/daemon": {
 			"readFrame",
+			"appendRequest",
+			"appendResponse",
 			"latRing.recordAck",
 			"latRing.recordWait",
 		},

@@ -11,6 +11,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/cluster"
@@ -483,7 +484,9 @@ func (d *Daemon) submitLocked(spec *SubmitSpec, v float64) Response {
 		return Response{Error: fmt.Sprintf("nodes %d out of range 1..%d",
 			spec.Nodes, d.cfg.Topology.NumNodes())}
 	}
-	if spec.Runtime <= 0 {
+	// Written so NaN fails too: a NaN end never compares in sched.Running,
+	// and once first there it stops every later completion.
+	if !(spec.Runtime > 0) || math.IsInf(spec.Runtime, 1) {
 		return Response{Error: "runtime must be positive"}
 	}
 	class := cluster.ComputeIntensive
@@ -501,7 +504,7 @@ func (d *Daemon) submitLocked(spec *SubmitSpec, v float64) Response {
 		if share == 0 {
 			share = 0.7
 		}
-		if share < 0 || share > 1 {
+		if !(share >= 0 && share <= 1) {
 			return Response{Error: fmt.Sprintf("commshare %v out of [0,1]", share)}
 		}
 		if spec.Pattern != "" {

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -124,19 +125,37 @@ func TestCancel(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	d := newTestDaemon(t, core.Balanced, 1)
+	clk := newFakeClock()
+	d, err := New(Config{Topology: topology.PaperExample(), Algorithm: core.Balanced, TimeScale: 1, Clock: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
 	bad := []Request{
 		{Nodes: 0, Runtime: 10},
 		{Nodes: 99, Runtime: 10},
 		{Nodes: 2, Runtime: 0},
+		{Nodes: 2, Runtime: math.NaN()},
+		{Nodes: 2, Runtime: math.Inf(1)},
 		{Nodes: 2, Runtime: 10, Class: "frobnicate"},
 		{Nodes: 2, Runtime: 10, Class: "comm", Pattern: "nope"},
 		{Nodes: 2, Runtime: 10, Class: "comm", CommShare: 2},
+		{Nodes: 2, Runtime: 10, Class: "comm", CommShare: math.NaN()},
 	}
 	for i, req := range bad {
 		if resp := d.Submit(req); resp.Ok {
 			t.Errorf("bad submit %d accepted: %+v", i, req)
 		}
+	}
+	// A job with a NaN end, first in the running set, held back every later
+	// completion.
+	ok := d.Submit(Request{Nodes: 2, Runtime: 10})
+	clk.Advance(100 * time.Second)
+	if st := d.Status(ok.ID); st.Job == nil || st.Job.State != "completed" {
+		t.Fatalf("valid job after the rejected ones: %+v", st.Job)
+	}
+	if s := d.Stats(); s.Completed != 1 {
+		t.Fatalf("stats.completed = %d, want 1", s.Completed)
 	}
 }
 

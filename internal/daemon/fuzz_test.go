@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -200,13 +203,28 @@ func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int) []int64 {
 
 // FuzzReadFrame feeds arbitrary bytes through the server's reader: the
 // frames readFrame cuts, through a window far smaller than a frame may be,
-// are the input's lines with their terminators stripped, and decoding each
-// as a request either fails or yields a request, never a panic.
+// are the input's lines with their terminators stripped, and the wire
+// codec decodes each as encoding/json does (checkCodec).
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte(`{"op":"submit","nodes":4,"runtime":60,"class":"comm","pattern":"RD"}` + "\n"))
 	f.Add([]byte("{\"op\":\"submit_batch\",\"batch\":[{\"nodes\":1,\"runtime\":1e308}]}\r\n\r\n{\"op\":\"queue\"}"))
 	f.Add([]byte("\n\r\n{not json\n{\"op\":7}\n" + `{"op":"status","id":9223372036854775808}`))
 	f.Add(bytes.Repeat([]byte("a"), 100))
+	// Frames the server and the clients write.
+	f.Add([]byte(`{"ok":true,"jobs":[{"id":1,"name":"j","nodes":4,"class":"comm","pattern":"RD","state":"running","after":3,"submit":1.5,"start":1.5,"end":61.5,"exec":60,"baserun":60,"ratio":1.25,"cost":2.5e-7,"nodelist":"n[0-3]","requeues":1}]}` + "\n" +
+		`{"ok":true,"batch":[{"id":1},{"error":"runtime must be positive"},{}],"job":{"id":2,"nodes":1,"class":"compute","state":"queued","submit":0}}` + "\n" +
+		`{"ok":true,"leaves":[{"switch":"s0","nodes":4,"busy":2,"comm":1,"ratio":0.5}],"machine_nodes":8,"free_nodes":6,"down_nodes":1,"failed_nodes":1,"algorithm":"adaptive","virtual_now":1e21}` + "\n" +
+		`{"ok":false,"error":"busy","retryable":true,"id":7,"completed":3,"total_exec_hours":0.1,"total_wait_hours":1e-7,"avg_comm_cost":3,"requeues":2,"lost_node_hours":4,"latency":{"acks":3,"wall_p50_ms":0.5,"wall_p95_ms":1,"wall_p99_ms":2,"starts":3,"wait_p50":1,"wait_p95":2,"wait_p99":3}}` + "\n" +
+		`{"op":"submit_batch","nodes":2,"runtime":5,"class":"comm","pattern":"Ring","commshare":0.5,"name":"x","after":1,"batch":[{"nodes":1,"runtime":2,"class":"comm","pattern":"RHVD","commshare":0.7,"name":"y","after":1}],"id":3,"node":"n1"}`))
+	// The fallbacks: an empty list, nulls, a repeated, a miscased and an
+	// unknown key, numbers an integer field or a float64 refuses, -0,
+	// escapes, non-ASCII and invalid UTF-8, trailing bytes, odd whitespace.
+	f.Add([]byte(`{"op":"submit_batch","batch":[]}` + "\n" + `{"ok":true,"jobs":[],"batch":[],"leaves":[]}` + "\n" +
+		`{"op":null,"batch":null,"id":null}` + "\n" + `{"ok":null,"job":null,"jobs":[null],"latency":null}` + "\n" + `null`))
+	f.Add([]byte(`{"op":"queue","op":"stats"}` + "\n" + `{"OK":true}` + "\n" + `{"op":"info","extra":1}` + "\n" + `{"ok":true,"jobs":[{"id":1,"id":2}]}`))
+	f.Add([]byte(`{"op":"status","id":1e2}` + "\n" + `{"op":"submit","nodes":1.0}` + "\n" + `{"op":"submit","runtime":1e400}` + "\n" + `{"op":"status","id":-0,"runtime":-0}` + "\n" + `{"ok":true,"id":01}`))
+	f.Add([]byte(`{"op":"submit","name":"a\"b\\c\/d\nA` + "\\u" + "2028" + `"}` + "\n" + `{"op":"submit","name":"` + string(rune(0x2028)) + `"}` + "\n" + `{"ok":false,"error":"ünï <&>"}` + "\n" + "{\"op\":\"submit\",\"name\":\"\xff\xfe\"}"))
+	f.Add([]byte(`{"op":"info"}x` + "\n" + `{"op":"info"} {}` + "\n" + " {\t\"op\" :\r\"info\" , \"id\": 3 } \n" + "{\"op\":\"info\"}\v\n" + `{"ok":tru}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want := bytes.Split(data, []byte("\n"))
 		if len(want[len(want)-1]) == 0 { // nothing after the last terminator
@@ -226,14 +244,66 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("frame %d is %q, input lines %q", i, line, want)
 			}
 			buf = line
-			var req Request
-			if err := json.Unmarshal(line, &req); err == nil {
-				if _, err := json.Marshal(&req); err != nil {
-					t.Fatalf("request decoded from %q does not encode: %v", line, err)
-				}
-			}
+			checkCodec(t, line, decodeRequest, appendRequest)
+			checkCodec(t, line, decodeResponse, appendResponse)
 		}
 	})
+}
+
+// checkCodec holds the wire codec to encoding/json on one frame: decoding
+// gives json.Unmarshal's value and error text, the value keeps none of the
+// frame's bytes, and it encodes to json.Marshal's bytes and a newline.
+func checkCodec[T any](t *testing.T, frame []byte, decode func([]byte, *T) error, encode func([]byte, *T) ([]byte, error)) {
+	t.Helper()
+	var want, got T
+	werr := json.Unmarshal(frame, &want)
+	own := bytes.Clone(frame)
+	gerr := decode(own, &got)
+	clear(own)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T from %q: decoded %+v, %v; encoding/json %+v, %v", got, frame, got, gerr, want, werr)
+	}
+	if gerr != nil {
+		return
+	}
+	m, err := json.Marshal(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := encode([]byte("prefix"), &got); err != nil || string(b) != "prefix"+string(m)+"\n" {
+		t.Fatalf("%T from %q encodes as %q, %v; encoding/json %s", got, frame, b, err, m)
+	}
+}
+
+// A frame with a NaN or infinite float is refused with encoding/json's
+// error, and nothing of it is written.
+func TestEncodeRefusesNonFinite(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, req := range []Request{
+			{Op: "submit", Runtime: x},
+			{Op: "submit_batch", Batch: []SubmitSpec{{Nodes: 1, Runtime: 1}, {Nodes: 1, Runtime: 1, CommShare: x}}},
+		} {
+			checkRefused(t, &req, appendRequest)
+		}
+		for _, resp := range []Response{
+			{Ok: true, Jobs: []JobInfo{{ID: 1}, {ID: 2, End: x}}},
+			{Ok: true, Leafs: []LeafInfo{{Ratio: x}}},
+			{Ok: true, TotalExecHours: 1, AvgCommCost: x, LostNodeHours: math.NaN()},
+			{Ok: true, Latency: &LatencyStats{WaitP99: x}},
+		} {
+			checkRefused(t, &resp, appendResponse)
+		}
+	}
+}
+
+func checkRefused[T any](t *testing.T, v *T, encode func([]byte, *T) ([]byte, error)) {
+	t.Helper()
+	var w bytes.Buffer
+	werr := json.NewEncoder(&w).Encode(v)
+	b, err := encode([]byte("prefix"), v)
+	if werr == nil || fmt.Sprint(err) != werr.Error() || string(b) != "prefix" || w.Len() != 0 {
+		t.Fatalf("%+v: wrote %q, %v; encoding/json %q, %v", *v, b, err, w.Bytes(), werr)
+	}
 }
 
 // A job whose end is further away than a time.Duration can say must not

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -33,6 +34,73 @@ func TestNoAllocServingPaths(t *testing.T) {
 			t.Fatalf("warm readFrame allocates %.1f/op, want 0", allocs)
 		}
 	})
+
+	// A 64-job queue listing, and a 16-spec submit_batch shaped like the
+	// bench's: 90 % comm, no names.
+	clk := newFakeClock()
+	d := newClockedDaemon(t, clk)
+	d.Submit(Request{Nodes: 8, Runtime: 1e4})
+	specs := identityTrace(64, 3)
+	for i := range specs {
+		specs[i].Nodes = 1 + i%8
+	}
+	d.SubmitBatch(specs)
+	listing := d.Queue()
+	if len(listing.Jobs) != 64 {
+		t.Fatalf("listing of %d jobs, want 64", len(listing.Jobs))
+	}
+	batch := Request{Op: "submit_batch", Batch: make([]SubmitSpec, 16)}
+	for i := range batch.Batch {
+		batch.Batch[i] = SubmitSpec{Nodes: 1 + i%8, Runtime: 37.5 * float64(i+1)}
+		if i%10 != 9 {
+			batch.Batch[i].Class, batch.Batch[i].Pattern, batch.Batch[i].CommShare = "comm", "RHVD", 0.7
+		}
+	}
+	frame, err := appendRequest(nil, &batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	var req Request
+	var ji JobInfo
+	submit := []byte(`{"op":"submit","nodes":4,"runtime":60,"class":"comm","pattern":"RD"}`)
+	job := []byte(`{"id":3,"nodes":4,"class":"comm","pattern":"Binomial","state":"queued","submit":1.5}`)
+
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func() error
+	}{
+		{"appendResponse/queue64", 0, func() (err error) { out, err = appendResponse(out[:0], &listing); return }},
+		{"appendRequest/batch16", 0, func() (err error) { out, err = appendRequest(out[:0], &batch); return }},
+		// Slice growth only: 1, 2, 4, 8 and 16 specs.
+		{"decodeRequest/batch16", 6, func() error { return decodeRequest(frame, &req) }},
+		// op, class, pattern and state decode to constants.
+		{"decode/vocabulary", 0, func() error {
+			if err := decodeRequest(submit, &req); err != nil {
+				return err
+			}
+			dec, f := decoder{b: job}, ji.fields()
+			if dec.object(jobKeys, f[:]); !dec.end() {
+				return fmt.Errorf("job not canonical")
+			}
+			return nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.f(); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := c.f(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > c.max {
+				t.Fatalf("%s allocates %.1f/op, want <= %.0f", c.name, allocs, c.max)
+			}
+		})
+	}
 
 	t.Run("latRing", func(t *testing.T) {
 		var l latRing

@@ -171,9 +171,11 @@ func TestSequentialBatchIdentity(t *testing.T) {
 }
 
 // TestPipelinedWireIdentity proves the over-the-wire form of the same
-// property: a client that pipelines a burst of frames gets byte-identical
-// response frames, in the same order, as a client that sends the frames
-// one at a time and waits for each ack.
+// property, and holds the server's encoder to encoding/json on real
+// traffic: every raw response frame, sent one at a time or pipelined, is
+// json.Marshal of the response a twin daemon's direct API gives for the
+// same op under the same fake clock. The listings carry hostlists, names
+// and every float field.
 func TestPipelinedWireIdentity(t *testing.T) {
 	specs := identityTrace(40, 7)
 	frames := make([]Request, 0, len(specs)+2)
@@ -184,60 +186,54 @@ func TestPipelinedWireIdentity(t *testing.T) {
 	}
 	frames = append(frames, Request{Op: "queue"}, Request{Op: "running"})
 
-	collect := func(pipelined bool) []string {
+	for _, pipelined := range []bool{false, true} {
 		clk := newFakeClock()
-		d := newClockedDaemon(t, clk)
+		d, twin := newClockedDaemon(t, clk), newClockedDaemon(t, clk)
+		clk.Advance(1500 * time.Millisecond)
 		srv := NewServer(d)
 		if err := srv.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 		go srv.Serve()
-		defer srv.Close()
+		t.Cleanup(srv.Close)
 		p, err := DialPipe(srv.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
-		out := make([]string, 0, len(frames))
-		if pipelined {
-			for _, f := range frames {
-				if err := p.Send(f); err != nil {
-					t.Fatal(err)
-				}
+		t.Cleanup(func() { p.Close() })
+		send := func(f Request) {
+			if err := p.Send(f); err != nil {
+				t.Fatal(err)
 			}
 			if err := p.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			for range frames {
-				resp, err := p.Recv()
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, marshal(t, resp))
-			}
-		} else {
+		}
+		if pipelined {
 			for _, f := range frames {
-				if err := p.Send(f); err != nil {
-					t.Fatal(err)
-				}
-				if err := p.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				resp, err := p.Recv()
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, marshal(t, resp))
+				send(f)
 			}
 		}
-		return out
-	}
-
-	seq := collect(false)
-	pipe := collect(true)
-	for i := range seq {
-		if seq[i] != pipe[i] {
-			t.Fatalf("frame %d diverged:\nsequential %s\npipelined  %s", i, seq[i], pipe[i])
+		var line []byte
+		for i, f := range frames {
+			if !pipelined {
+				send(f)
+			}
+			if line, err = readFrame(p.br, line); err != nil {
+				t.Fatal(err)
+			}
+			var want Response
+			switch f.Op {
+			case "submit":
+				want = twin.Submit(f)
+			case "queue":
+				want = twin.Queue()
+			case "running":
+				want = twin.Running()
+			}
+			if m := marshal(t, want); string(line) != m {
+				t.Fatalf("pipelined %v, frame %d (%s):\nwire   %s\ndirect %s", pipelined, i, f.Op, line, m)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -151,7 +150,7 @@ type serverConn struct {
 	writeQ chan int
 
 	bw     *bufio.Writer
-	enc    *json.Encoder
+	wbuf   []byte // the frame being written, reused
 	encErr error
 
 	done chan struct{}
@@ -170,7 +169,6 @@ func newServerConn(s *Server, conn net.Conn) *serverConn {
 		done:   make(chan struct{}),
 	}
 	c.bw = bufio.NewWriter(conn)
-	c.enc = json.NewEncoder(c.bw)
 	for i := 0; i < n; i++ {
 		c.free <- i
 	}
@@ -221,7 +219,7 @@ func (c *serverConn) read() {
 		idx := <-c.free
 		op := &c.slots[idx]
 		*op = pendingOp{recv: c.s.d.clock()}
-		if uerr := json.Unmarshal(line, &op.req); uerr != nil {
+		if uerr := decodeRequest(line, &op.req); uerr != nil {
 			op.pass = true
 			op.resp = Response{Error: "malformed request: " + uerr.Error()}
 		} else if len(c.execQ) >= c.depth {
@@ -305,7 +303,11 @@ func (c *serverConn) emit(idx int) {
 	op := &c.slots[idx]
 	shutdown := op.req.Op == "shutdown" && op.resp.Ok && !op.pass
 	if c.encErr == nil {
-		if err := c.enc.Encode(&op.resp); err != nil {
+		var err error
+		if c.wbuf, err = appendResponse(c.wbuf[:0], &op.resp); err == nil {
+			_, err = c.bw.Write(c.wbuf)
+		}
+		if err != nil {
 			c.encErr = err
 			c.conn.Close()
 		}
@@ -369,7 +371,7 @@ const (
 // streams use Pipe.
 type Client struct {
 	conn net.Conn
-	enc  *json.Encoder
+	wbuf []byte
 	br   *bufio.Reader
 	rbuf []byte
 	mu   sync.Mutex
@@ -389,7 +391,6 @@ func Dial(addr string) (*Client, error) {
 	}
 	return &Client{
 		conn:       conn,
-		enc:        json.NewEncoder(conn),
 		br:         bufio.NewReader(conn),
 		MaxRetries: clientMaxRetries,
 		Backoff:    clientBaseBackoff,
@@ -410,8 +411,12 @@ func (c *Client) Do(req Request) (Response, error) {
 	if backoff <= 0 {
 		backoff = clientBaseBackoff
 	}
+	var err error
+	if c.wbuf, err = appendRequest(c.wbuf[:0], &req); err != nil {
+		return Response{}, err
+	}
 	for attempt := 0; ; attempt++ {
-		if err := c.enc.Encode(req); err != nil {
+		if _, err = c.conn.Write(c.wbuf); err != nil {
 			return Response{}, err
 		}
 		line, err := readFrame(c.br, c.rbuf)
@@ -423,7 +428,7 @@ func (c *Client) Do(req Request) (Response, error) {
 		}
 		c.rbuf = line
 		var resp Response
-		if err := json.Unmarshal(line, &resp); err != nil {
+		if err := decodeResponse(line, &resp); err != nil {
 			return Response{}, err
 		}
 		if resp.Retryable && attempt < c.MaxRetries {
@@ -529,7 +534,7 @@ func (c *Client) Shutdown() error {
 type Pipe struct {
 	conn net.Conn
 	bw   *bufio.Writer
-	enc  *json.Encoder
+	wbuf []byte
 	br   *bufio.Reader
 	rbuf []byte
 }
@@ -540,15 +545,19 @@ func DialPipe(addr string) (*Pipe, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pipe{conn: conn, br: bufio.NewReader(conn)}
-	p.bw = bufio.NewWriter(conn)
-	p.enc = json.NewEncoder(p.bw)
-	return p, nil
+	return &Pipe{conn: conn, bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}, nil
 }
 
 // Send buffers one request; call Flush to put buffered frames on the
 // wire.
-func (p *Pipe) Send(req Request) error { return p.enc.Encode(req) }
+func (p *Pipe) Send(req Request) error {
+	var err error
+	if p.wbuf, err = appendRequest(p.wbuf[:0], &req); err != nil {
+		return err
+	}
+	_, err = p.bw.Write(p.wbuf)
+	return err
+}
 
 // Flush writes buffered frames to the connection.
 func (p *Pipe) Flush() error { return p.bw.Flush() }
@@ -561,7 +570,7 @@ func (p *Pipe) Recv() (Response, error) {
 	}
 	p.rbuf = line
 	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
+	if err := decodeResponse(line, &resp); err != nil {
 		return Response{}, err
 	}
 	return resp, nil
