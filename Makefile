@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: check build vet lint lint-allow test race fuzz-smoke verify bench bench-smoke bench-compare bench-selftest bench-e2e coverage soak soak-smoke
+.PHONY: check build vet lint lint-allow test race fuzz-smoke verify bench bench-smoke bench-compare bench-selftest bench-e2e coverage
 
 check: vet lint build race fuzz-smoke
 
@@ -101,15 +101,3 @@ bench-selftest:
 
 bench-e2e:
 	bash bench/run.sh
-
-# Closed-loop serving soak: ~20s of pipelined Theta-shaped bursty load
-# against an in-process daemon, failing below the sustained ops/sec
-# floor. SOAK_FLOOR is deliberately conservative (shared CI runners); a
-# healthy workstation sustains two orders of magnitude more.
-SOAK_FLOOR ?= 1000
-soak:
-	$(GO) run ./cmd/loadgen -mode pipe -conns 4 -batch 64 -duration 20s -floor $(SOAK_FLOOR)
-
-# CI smoke variant: a few seconds, same floor semantics.
-soak-smoke:
-	$(GO) run ./cmd/loadgen -mode pipe -conns 2 -batch 64 -duration 3s -jobs 5000 -floor $(SOAK_FLOOR)

@@ -54,6 +54,11 @@ func (c Class) String() string {
 // header word leaf<<32 | node count and then that leaf's words of the
 // layout's bitmap with the job's nodes set. Nobody else records who holds a
 // node.
+//
+// An Allocation is immutable: AllocatePlacement builds it with masks of its
+// own, and Release only forgets it, changing nothing in it. A holder may keep
+// it past the release, and its Nodes stay the job's even after other jobs
+// commit the same nodes.
 type Allocation struct {
 	Job   JobID
 	Class Class

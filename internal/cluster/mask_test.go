@@ -30,6 +30,51 @@ func mixedLeaves(t testing.TB) *topology.Topology {
 	return topo
 }
 
+// An allocation kept past its release still names the job's nodes: Release
+// forgets it without touching its masks, and later commits of the same nodes
+// (the state's mask scratch reused) build masks of their own.
+func TestAllocationOutlivesRelease(t *testing.T) {
+	s := New(mixedLeaves(t))
+	var nodes []int
+	for l := 1; l < s.topo.NumLeaves(); l++ {
+		ids := s.topo.LeafNodes(l)
+		nodes = append(nodes, ids[l%len(ids)], ids[len(ids)-1])
+	}
+	slices.Sort(nodes)
+	if err := s.Allocate(1, CommIntensive, nodes); err != nil {
+		t.Fatal(err)
+	}
+	a := s.Allocation(1)
+	masks := slices.Clone(a.masks)
+	check := func(when string) {
+		t.Helper()
+		if got := a.Nodes(); !slices.Equal(got, nodes) || !slices.Equal(a.masks, masks) {
+			t.Fatalf("%s: the allocation names %v (masks changed: %v), want %v", when, got, !slices.Equal(a.masks, masks), nodes)
+		}
+	}
+	check("held")
+	if err := s.Release(1); err != nil {
+		t.Fatal(err)
+	}
+	check("after the release")
+	if err := s.Allocate(2, ComputeIntensive, nodes[1:]); err != nil {
+		t.Fatal(err)
+	}
+	var rest []int
+	for id := 0; id < s.topo.NumNodes(); id++ {
+		if s.NodeFree(id) {
+			rest = append(rest, id)
+		}
+	}
+	if err := s.Allocate(3, CommIntensive, rest); err != nil {
+		t.Fatal(err)
+	}
+	check("after other jobs took the same nodes")
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // walkRanks is the node-by-node walk the bit selector replaced: the k
 // allocatable nodes of ids after the first skip of them.
 func walkRanks(s *State, ids []int, skip, k int) (out []int) {

@@ -206,14 +206,15 @@ func replayNodes(t *testing.T, name func(int) string, st *cluster.State, trace w
 			continue
 		}
 		pl, err := sim.PlaceJob(st, sel, def, j, 0)
+		nodes := pl.Placed.Nodes()
 		if err == nil {
-			err = st.Allocate(j.ID, j.Class, pl.Nodes)
+			err = st.Allocate(j.ID, j.Class, nodes)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		names := make([]string, len(pl.Nodes))
-		for k, id := range pl.Nodes {
+		names := make([]string, len(nodes))
+		for k, id := range nodes {
 			names[k] = name(id)
 		}
 		out[s.job] = hostlist.Compress(names)

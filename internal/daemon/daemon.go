@@ -106,8 +106,10 @@ type Daemon struct {
 	queue  sched.Queue[*jobRecord]
 	// core is the shared FIFO + EASY pass and the running set, keyed by
 	// job ID.
-	core      sched.Core[*jobRecord]
-	completed []metrics.JobResult
+	core sched.Core[*jobRecord]
+	// completed sums the results of every completed job: stats reads it in
+	// O(1), and no result is kept.
+	completed metrics.Accumulator
 	lat       latRing
 }
 
@@ -238,7 +240,7 @@ func (d *Daemon) advance(v float64) {
 func (d *Daemon) complete(r *jobRecord) {
 	_ = d.st.Release(r.job.ID)
 	r.state = stateCompleted
-	d.completed = append(d.completed, metrics.JobResult{
+	d.completed.Add(metrics.JobResult{
 		ID:          int64(r.job.ID),
 		Nodes:       r.job.Nodes,
 		Comm:        r.job.Class == cluster.CommIntensive,
@@ -292,13 +294,12 @@ func (d *Daemon) job(r *jobRecord) (estimate float64, eligible bool) {
 	return r.job.Runtime, eligible
 }
 
-// placed is what a record keeps of a committed sim.Placement: the
-// rank-ordered list sim.PlaceJob listed before the commit, which status
-// hostlists and snapshots read (the cluster's allocation holds leaf masks
-// and has no rank order), and the Eq. 7 results. Its free-rank runs meant
-// something only at the generation the commit has just ended.
+// placed is what a record keeps of a committed sim.Placement: the cluster's
+// own allocation, whose leaf masks status hostlists and snapshots read (it is
+// immutable, so it still names the nodes once the job has released them),
+// and the Eq. 7 results. Nothing reads a rank order.
 type placed struct {
-	Nodes                      []int
+	Alloc                      *cluster.Allocation
 	Exec, Cost, RefCost, Ratio float64
 }
 
@@ -321,7 +322,7 @@ func (d *Daemon) startJob(r *jobRecord, v float64) (sched.Outcome, error) {
 		r.name = r.name + " (failed: " + err.Error() + ")"
 		return sched.Dropped, nil
 	}
-	r.place = placed{pl.Nodes, pl.Exec, pl.Cost, pl.RefCost, pl.Ratio}
+	r.place = placed{d.st.Allocation(r.job.ID), pl.Exec, pl.Cost, pl.RefCost, pl.Ratio}
 	r.state = stateRunning
 	r.start = v
 	r.end = v + pl.Exec
@@ -353,8 +354,9 @@ func (d *Daemon) info(r *jobRecord) JobInfo {
 		ji.Exec = r.place.Exec
 		ji.CostRatio = r.place.Ratio
 		ji.CommCost = r.place.Cost
-		names := make([]string, len(r.place.Nodes))
-		for i, id := range r.place.Nodes {
+		ids := r.place.Alloc.Nodes()
+		names := make([]string, len(ids))
+		for i, id := range ids {
 			names[i] = d.cfg.Topology.NodeName(id)
 		}
 		ji.NodeList = hostlist.Compress(names)
@@ -571,7 +573,7 @@ func (d *Daemon) dispatchLocked(req *Request, v float64) Response {
 		return d.infoLocked(v)
 	case "stats":
 		d.tick(v)
-		s := metrics.Summarize(d.completed)
+		s := d.completed.Summary()
 		return Response{
 			Ok:             true,
 			Completed:      s.Jobs,

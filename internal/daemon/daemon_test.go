@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -435,4 +436,52 @@ func TestDependencySurvivesRestore(t *testing.T) {
 		t.Fatal(resp.Error)
 	}
 	waitState(t, d2, dep.ID, "completed")
+}
+
+// TestFinishedJobRetainedBytes bounds what a finished job leaves in the heap:
+// 20k 128-node Theta jobs run to completion through the direct API on a fake
+// clock, and the heap still live after a collection is divided by the jobs.
+// Measured on linux/amd64, go1.24: 1432 B per job while records kept a
+// rank-ordered node list and stats kept every JobResult, 422 B with the
+// allocation's leaf masks and a running sum. The bound lies midway.
+func TestFinishedJobRetainedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes the heap; run without -race for the bound")
+	}
+	const jobs, wide, bound = 20000, 128, 927
+	topo := topology.Theta()
+	live := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second empties the pools' victim caches
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	base := live()
+	clk := newFakeClock()
+	d, err := New(Config{Topology: topo, Algorithm: core.Adaptive, TimeScale: 1, Clock: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	batch := make([]SubmitSpec, topo.NumNodes()/wide) // a machine's worth
+	for i := range batch {
+		batch[i] = SubmitSpec{Nodes: wide, Runtime: 10}
+	}
+	for done := 0; done < jobs; done += len(batch) {
+		batch = batch[:min(len(batch), jobs-done)]
+		if resp := d.SubmitBatch(batch); !resp.Ok || resp.Batch[len(batch)-1].Error != "" {
+			t.Fatalf("submit_batch: %+v", resp)
+		}
+		clk.Advance(10 * time.Second)
+	}
+	if s := d.Stats(); s.Completed != jobs {
+		t.Fatalf("%d of %d jobs completed", s.Completed, jobs)
+	}
+	perJob := float64(live()-base) / jobs
+	runtime.KeepAlive(d)
+	t.Logf("%.0f B retained per finished job", perJob)
+	if perJob > bound {
+		t.Errorf("%.0f B retained per finished %d-node job, want <= %d", perJob, wide, bound)
+	}
 }

@@ -58,8 +58,9 @@ func (b *fuzzBytes) spec(machine int) SubmitSpec {
 // cancelled with the queue and the running set agreeing, and the queue
 // listing is the naive model's: a slice of job IDs appended to on submit,
 // cut on cancel, inserted into in job-ID order on a requeue, and emptied of
-// whatever the daemon says has started. A snapshot restores to the same
-// queue.
+// whatever the daemon says has started. A completed job's status names the
+// nodes it ran on, even after other jobs reuse them. A snapshot restores to
+// the same queue.
 func FuzzDispatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{
@@ -89,6 +90,7 @@ func FuzzDispatch(f *testing.F) {
 		defer d.Close()
 		var model []int64 // the queue, as job IDs
 		admitted := 0
+		ran := map[int64]string{} // hostlists seen running; a requeue forgets one
 		admit := func(id int64) {
 			model = append(model, id)
 			admitted++
@@ -129,6 +131,7 @@ func FuzzDispatch(f *testing.F) {
 				}
 			case 4:
 				if resp := d.Fail(node(&in)); resp.Ok && resp.ID != 0 {
+					delete(ran, resp.ID)
 					pos := 0 // the killed job goes ahead of the first larger ID
 					for pos < len(model) && model[pos] < resp.ID {
 						pos++
@@ -149,7 +152,7 @@ func FuzzDispatch(f *testing.F) {
 			case 9:
 				clk.Advance(time.Duration(in.next()%64) * time.Second)
 			}
-			model = checkDaemon(t, d, model, admitted)
+			model = checkDaemon(t, d, model, admitted, ran)
 		}
 		var snap bytes.Buffer
 		if err := d.SaveState(&snap); err != nil {
@@ -169,18 +172,24 @@ func FuzzDispatch(f *testing.F) {
 
 // checkDaemon drops from the model the jobs the daemon no longer holds as
 // queued and compares what is left with the queue listing; it returns the
-// model.
-func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int) []int64 {
+// model. It also remembers in ran the hostlist of every running job and
+// holds each completed job's status to the hostlist it ran on: a job that
+// starts in an op ends after it, so every completed job was seen running.
+func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int, ran map[int64]string) []int64 {
 	t.Helper()
 	listing := d.Queue() // first: a listing runs a pass of its own
 	checkInvariants(t, d)
 	var counts [4]int
 	var queueLen, runningLen, completedLen int
+	var placed []JobInfo
 	d.call(func() Response {
 		for _, r := range d.jobs {
 			counts[r.state]++
+			if r.state == stateRunning || r.state == stateCompleted {
+				placed = append(placed, d.info(r))
+			}
 		}
-		queueLen, runningLen, completedLen = d.queue.Len(), len(d.core.Running), len(d.completed)
+		queueLen, runningLen, completedLen = d.queue.Len(), len(d.core.Running), d.completed.Jobs
 		model = slices.DeleteFunc(model, func(id int64) bool { return d.jobs[id].state != stateQueued })
 		return Response{Ok: true}
 	})
@@ -188,6 +197,17 @@ func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int) []int64 {
 		counts[stateQueued] != queueLen || counts[stateRunning] != runningLen || counts[stateCompleted] != completedLen {
 		t.Fatalf("%d admitted; records %v (queued, running, completed, cancelled); queue %d, running set %d, history %d",
 			admitted, counts, queueLen, runningLen, completedLen)
+	}
+	for _, ji := range placed {
+		was, ok := ran[ji.ID]
+		switch {
+		case ji.State == "running" && ok && was != ji.NodeList:
+			t.Fatalf("running job %d moved from %q to %q", ji.ID, was, ji.NodeList)
+		case ji.State == "running":
+			ran[ji.ID] = ji.NodeList
+		case !ok || was != ji.NodeList:
+			t.Fatalf("job %d ran on %q (seen: %v), its status after completion says %q", ji.ID, was, ok, ji.NodeList)
+		}
 	}
 	got := make([]int64, len(listing.Jobs))
 	for i, ji := range listing.Jobs {

@@ -60,8 +60,13 @@ func TestNoAllocServingPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	listingFrame, err := appendResponse(nil, &listing)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []byte
 	var req Request
+	var resp Response
 	var ji JobInfo
 	submit := []byte(`{"op":"submit","nodes":4,"runtime":60,"class":"comm","pattern":"RD"}`)
 	job := []byte(`{"id":3,"nodes":4,"class":"comm","pattern":"Binomial","state":"queued","submit":1.5}`)
@@ -75,6 +80,9 @@ func TestNoAllocServingPaths(t *testing.T) {
 		{"appendRequest/batch16", 0, func() (err error) { out, err = appendRequest(out[:0], &batch); return }},
 		// Slice growth only: 1, 2, 4, 8 and 16 specs.
 		{"decodeRequest/batch16", 6, func() error { return decodeRequest(frame, &req) }},
+		// The slice once, and each job's name: grown by append, the slice
+		// took 7 allocations (1, 2, 4, ..., 64 jobs).
+		{"decodeResponse/queue64", 65, func() error { return decodeResponse(listingFrame, &resp) }},
 		// op, class, pattern and state decode to constants.
 		{"decode/vocabulary", 0, func() error {
 			if err := decodeRequest(submit, &req); err != nil {

@@ -84,18 +84,24 @@ func TestNodeDownBetweenSelectionAndCommitRetries(t *testing.T) {
 	}
 }
 
-// parentObservables is the SHA-256 of everything TestObservablesMatchParent
-// collects, computed by running this very test on the commit before
-// placements became free-rank runs (PR 17, 830e840).
-const parentObservables = "2eea3525ae59d0b6ec16c9d0a59f51d82991b3b4fa5eab3a23ed8440bebdf6e4"
+// parentObservables is the SHA-256 of the queue and running listings and
+// every job's status that TestObservablesMatchParent collects. It has not
+// changed since the commit before placements became free-rank runs
+// (830e840): neither listing a placement lazily, nor holding allocations as
+// leaf masks, nor records keeping those masks instead of node lists changed
+// what an operator is shown.
+const parentObservables = "69cec9706fd9bbec08e21ec4eff2302b81a8c2a781f1162203d216bd6a8c1c0c"
+
+// snapshotObservables is the SHA-256 of the test's snapshot. It changed once,
+// on purpose, with snapshot version 2: running jobs' node IDs ascending, and
+// the completed jobs' running sums in place of their results.
+const snapshotObservables = "cd59706f512d0461bb8da655dac6fc4b4512c6b3d0b7cb4bc6d7554ad0f8f3db"
 
 // TestObservablesMatchParent replays a fixed trace on a machine with
 // drained and failed nodes and hashes what an operator sees of placements:
-// every job's status (rank-ordered NodeList hostlists included), the queue
-// and running listings, and the snapshot, which must also survive a
-// restore → save round trip byte for byte. The digest is that of the commit
-// before placements became free-rank runs: neither listing a placement lazily
-// nor holding allocations as leaf masks changed any of it.
+// every job's status (sorted NodeList hostlists included), the queue and
+// running listings, and separately the snapshot, which must also survive a
+// restore → save round trip byte for byte.
 func TestObservablesMatchParent(t *testing.T) {
 	clk := newFakeClock()
 	cfg := Config{
@@ -157,7 +163,6 @@ func TestObservablesMatchParent(t *testing.T) {
 	if err := d.SaveState(&snap); err != nil {
 		t.Fatal(err)
 	}
-	h.Write(snap.Bytes())
 
 	d2, err := Restore(cfg, bytes.NewReader(snap.Bytes()))
 	if err != nil {
@@ -202,6 +207,9 @@ func TestObservablesMatchParent(t *testing.T) {
 	}
 	checkInvariants(t, d2)
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != parentObservables {
-		t.Errorf("status, listings and snapshot hash to %s, the parent commit's to %s", got, parentObservables)
+		t.Errorf("status and listings hash to %s, want %s", got, parentObservables)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(snap.Bytes())); got != snapshotObservables {
+		t.Errorf("the snapshot hashes to %s, want %s", got, snapshotObservables)
 	}
 }

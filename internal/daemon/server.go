@@ -529,8 +529,9 @@ func (c *Client) Shutdown() error {
 // Pipe is a pipelined protocol connection: Send enqueues frames into a
 // buffered writer without waiting, Recv reads responses in request
 // order. One goroutine may Send while another Recvs — that is the whole
-// point — but each side is single-goroutine. Used by loadgen and the
-// pipelining tests; Client remains the simple synchronous surface.
+// point — but each side is single-goroutine. Used by the end-to-end
+// benchmark and the pipelining tests; Client remains the simple synchronous
+// surface.
 type Pipe struct {
 	conn net.Conn
 	bw   *bufio.Writer

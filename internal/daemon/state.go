@@ -20,8 +20,11 @@ import (
 // node states to JSON and be restored from that snapshot after a restart.
 // Restored running jobs keep their exact node allocations and completion
 // times; the virtual clock resumes where it stopped.
+//
+// Version 2 stores the completed statistics as their running sums; version
+// 1 stored every completed job's result, and restores by folding them in.
 
-const stateVersion = 1
+const stateVersion = 2
 
 type persistedJob struct {
 	ID        int64   `json:"id"`
@@ -58,7 +61,8 @@ type persistedState struct {
 	FailedNodes []string            `json:"failed_nodes,omitempty"`
 	Queued      []persistedJob      `json:"queued,omitempty"`
 	Running     []persistedJob      `json:"running,omitempty"`
-	Completed   []metrics.JobResult `json:"completed,omitempty"`
+	Completed   []metrics.JobResult `json:"completed,omitempty"` // version 1 only
+	Stats       metrics.Accumulator `json:"stats"`
 }
 
 func (d *Daemon) persistJob(r *jobRecord) persistedJob {
@@ -79,7 +83,7 @@ func (d *Daemon) persistJob(r *jobRecord) persistedJob {
 		pj.CommShare = r.job.Mix.CommFrac()
 	}
 	if r.state == stateRunning {
-		pj.NodeIDs = append([]int(nil), r.place.Nodes...)
+		pj.NodeIDs = r.place.Alloc.Nodes()
 		pj.Exec = r.place.Exec
 		pj.Cost = r.place.Cost
 		pj.RefCost = r.place.RefCost
@@ -102,7 +106,7 @@ func (d *Daemon) SaveState(w io.Writer) error {
 			Version:    stateVersion,
 			VirtualNow: v,
 			NextID:     d.nextID,
-			Completed:  append([]metrics.JobResult(nil), d.completed...),
+			Stats:      d.completed,
 		}
 		for id := 0; id < d.cfg.Topology.NumNodes(); id++ {
 			if d.st.NodeDown(id) {
@@ -211,8 +215,8 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 	if err := json.NewDecoder(r).Decode(&ps); err != nil {
 		return nil, fmt.Errorf("daemon: decoding state: %w", err)
 	}
-	if ps.Version != stateVersion {
-		return nil, fmt.Errorf("daemon: state version %d, want %d", ps.Version, stateVersion)
+	if ps.Version != 1 && ps.Version != stateVersion {
+		return nil, fmt.Errorf("daemon: state version %d, want 1 or %d", ps.Version, stateVersion)
 	}
 	d, err := New(cfg)
 	if err != nil {
@@ -222,7 +226,10 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 		// Resume the virtual clock where the snapshot stopped.
 		d.wallBase = d.clock().Add(-time.Duration(ps.VirtualNow / d.cfg.TimeScale * float64(time.Second)))
 		d.nextID = ps.NextID
-		d.completed = append([]metrics.JobResult(nil), ps.Completed...)
+		d.completed = ps.Stats
+		for _, res := range ps.Completed {
+			d.completed.Add(res)
+		}
 		// Running allocations go first: a node drained while busy is down in
 		// the snapshot but still carries its job, and Allocate rejects down
 		// nodes — so the drains (and then the failure marks) are reapplied
@@ -232,15 +239,11 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 			if err != nil {
 				return Response{Error: err.Error()}
 			}
-			rec.state = stateRunning
-			rec.place.Nodes = append([]int(nil), pj.NodeIDs...)
-			rec.place.Exec = pj.Exec
-			rec.place.Cost = pj.Cost
-			rec.place.RefCost = pj.RefCost
-			rec.place.Ratio = pj.Ratio
-			if err := d.st.Allocate(rec.job.ID, rec.job.Class, rec.place.Nodes); err != nil {
+			if err := d.st.Allocate(rec.job.ID, rec.job.Class, pj.NodeIDs); err != nil {
 				return Response{Error: fmt.Sprintf("restoring job %d: %v", pj.ID, err)}
 			}
+			rec.state = stateRunning
+			rec.place = placed{d.st.Allocation(rec.job.ID), pj.Exec, pj.Cost, pj.RefCost, pj.Ratio}
 			d.jobs[pj.ID] = rec
 			d.core.Running.Add(sched.Entry{End: rec.end, Key: pj.ID, Nodes: rec.job.Nodes})
 		}

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -39,6 +40,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("setup: blocked job is %s", st.Job.State)
 	}
 	runningBefore := d.Status(long.ID)
+	statsBefore := d.Stats()
 
 	var buf bytes.Buffer
 	if err := d.SaveState(&buf); err != nil {
@@ -52,9 +54,11 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	}
 	t.Cleanup(d2.Close)
 
-	// Completed stats survived.
-	if stats := d2.Stats(); stats.Completed != 1 {
-		t.Fatalf("restored completed = %d, want 1", stats.Completed)
+	// Completed stats survived, bit for bit.
+	stats := d2.Stats()
+	stats.Latency, statsBefore.Latency = nil, nil
+	if stats.Completed != 1 || marshal(t, stats) != marshal(t, statsBefore) {
+		t.Fatalf("restored stats %s, before %s", marshal(t, stats), marshal(t, statsBefore))
 	}
 	// The running job kept its allocation.
 	after := d2.Status(long.ID)
@@ -76,6 +80,38 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	next := d2.Submit(Request{Nodes: 1, Runtime: 10, Class: "compute"})
 	if !next.Ok || next.ID <= blocked.ID {
 		t.Fatalf("restored next ID = %d (after %d)", next.ID, blocked.ID)
+	}
+
+	// A version-1 snapshot carries the completed results themselves: they
+	// fold into the same stats Summarize gives over them, and a save of the
+	// restored daemon (version 2) restores to those stats again.
+	history := []metrics.JobResult{
+		{ID: 1, Nodes: 2, Comm: true, Submit: 0.5, Start: 3, End: 70.25, Exec: 67.25, CommCost: 1.75, RefCost: 2, CostRatio: 0.9},
+		{ID: 2, Nodes: 3, Submit: 1, Start: 1, End: 61, Exec: 60, Requeues: 1, RequeuedAt: 0.5, LostSeconds: 0.5},
+		{ID: 3, Nodes: 5, Comm: true, Submit: 2, Start: 71, End: 90.125, Exec: 19.125, CommCost: 0.3},
+	}
+	v1, err := json.Marshal(map[string]any{"version": 1, "virtual_now": 100, "next_id": 4, "completed": history})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock()
+	cfg.Clock = clk.Now
+	fromV1, err := Restore(cfg, bytes.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fromV1.Close)
+	want := metrics.Summarize(history)
+	got := fromV1.Stats()
+	if got.Completed != want.Jobs || got.TotalExecHours != want.TotalExecHours || got.TotalWaitHours != want.TotalWaitHours ||
+		got.AvgCommCost != want.AvgCommCost || got.Requeues != want.Requeues || got.LostNodeHours != want.LostNodeHours {
+		t.Fatalf("version-1 history restored to %+v, Summarize gives %+v", got, want)
+	}
+	got.Latency = nil
+	again := restart(t, fromV1, cfg).Stats()
+	again.Latency = nil
+	if marshal(t, again) != marshal(t, got) {
+		t.Fatalf("restored from version 2: %s, from version 1: %s", marshal(t, again), marshal(t, got))
 	}
 }
 
@@ -265,10 +301,10 @@ func TestRestoreAcceptsDependencyOnFinishedJob(t *testing.T) {
 }
 
 // A job requeued before a snapshot finishes after the restart with the fault
-// accounting of a twin daemon that never restarted: the same JobResult and
-// the same lost node-hours.
+// accounting of a twin daemon that never restarted: the same status and the
+// same stats, lost node-hours included.
 func TestRestoreKeepsFaultAccounting(t *testing.T) {
-	run := func(restartAfterKill bool) (metrics.JobResult, float64) {
+	run := func(restartAfterKill bool) (status, stats Response) {
 		clk := newFakeClock()
 		cfg := Config{Topology: topology.PaperExample(), Algorithm: core.Adaptive, TimeScale: 1, Clock: clk.Now}
 		d, err := New(cfg)
@@ -291,22 +327,24 @@ func TestRestoreKeepsFaultAccounting(t *testing.T) {
 			t.Fatal(resp.Error)
 		}
 		clk.Advance(2 * time.Second)
-		if st := d.Status(job.ID); st.Job.State != "completed" {
-			t.Fatalf("after the re-run: %+v", st.Job)
+		status = d.Status(job.ID)
+		if status.Job.State != "completed" {
+			t.Fatalf("after the re-run: %+v", status.Job)
 		}
-		var res metrics.JobResult
-		d.call(func() Response {
-			res = d.completed[0]
-			return Response{Ok: true}
-		})
-		return res, d.Stats().LostNodeHours
+		stats = d.Stats()
+		stats.Latency = nil // acks are the process's, not the snapshot's
+		return status, stats
 	}
-	wantRes, wantLost := run(false)
-	gotRes, gotLost := run(true)
-	if wantRes.Requeues != 1 || wantRes.LostSeconds != 1 || wantRes.RequeuedAt != 1 || wantLost <= 0 {
-		t.Fatalf("twin that never restarted: %+v, %v lost node-hours", wantRes, wantLost)
+	wantStatus, wantStats := run(false)
+	gotStatus, gotStats := run(true)
+	// 8 nodes lost the 1 s they had run when n0 failed.
+	if wantStatus.Job.Requeues != 1 || wantStats.Completed != 1 || wantStats.Requeues != 1 || wantStats.LostNodeHours != 8.0/3600 {
+		t.Fatalf("twin that never restarted: %+v, %+v", wantStatus.Job, wantStats)
 	}
-	if gotRes != wantRes || gotLost != wantLost {
-		t.Errorf("restarted: %+v, %v lost node-hours; twin: %+v, %v", gotRes, gotLost, wantRes, wantLost)
+	if a, b := marshal(t, gotStatus), marshal(t, wantStatus); a != b {
+		t.Errorf("restarted status %s; twin %s", a, b)
+	}
+	if a, b := marshal(t, gotStats), marshal(t, wantStats); a != b {
+		t.Errorf("restarted stats %s; twin %s", a, b)
 	}
 }

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -357,7 +358,11 @@ func (d *decoder) value(v any) {
 			d.object(batchResultKeys, f[:])
 		}
 	case *[]JobInfo:
-		*v = []JobInfo{}
+		// Sized once: a 14k-job listing grown by append allocates about five
+		// times its size. Every job object opens with its id and no canonical
+		// string holds a '"', so in a frame the server writes, where only the
+		// jobs follow, the count is exact.
+		*v = make([]JobInfo, 0, bytes.Count(d.b[d.i:], []byte(`{"id":`)))
 		for i := 0; d.elem(i); i++ {
 			*v = append(*v, JobInfo{})
 			f := (*v)[i].fields()

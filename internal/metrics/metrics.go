@@ -72,44 +72,74 @@ type Summary struct {
 
 const secondsPerHour = 3600
 
+// Accumulator is a Summary kept as a running sum: every field is a sum taken
+// in Add order, a count or a max, so Summary after N calls to Add is
+// bit-identical to Summarize over the same N results in the same order, and
+// the results need not be kept. The fields are exported so a snapshot can
+// store them.
+type Accumulator struct {
+	Jobs, CommJobs, Requeues int
+	// Hour sums over all jobs; CommCost and CommWaitHours over the
+	// communication-intensive ones.
+	ExecHours, WaitHours, TurnaroundHours, NodeHours float64
+	CommCost, CommWaitHours, LostNodeHours           float64
+	// MaxEnd is the latest end time in seconds (0 before any job).
+	MaxEnd float64
+}
+
+// Add folds one result into the sums.
+func (a *Accumulator) Add(r JobResult) {
+	a.Jobs++
+	a.ExecHours += r.Exec / secondsPerHour
+	a.WaitHours += r.Wait() / secondsPerHour
+	a.TurnaroundHours += r.Turnaround() / secondsPerHour
+	a.NodeHours += r.NodeSeconds() / secondsPerHour
+	if r.Comm {
+		a.CommCost += r.CommCost
+		a.CommWaitHours += r.Wait() / secondsPerHour
+		a.CommJobs++
+	}
+	if r.End > a.MaxEnd {
+		a.MaxEnd = r.End
+	}
+	a.Requeues += r.Requeues
+	a.LostNodeHours += float64(r.Nodes) * r.LostSeconds / secondsPerHour
+}
+
+// Summary derives the averages from the sums.
+func (a *Accumulator) Summary() Summary {
+	if a.Jobs == 0 {
+		return Summary{}
+	}
+	s := Summary{
+		Jobs:               a.Jobs,
+		TotalExecHours:     a.ExecHours,
+		TotalWaitHours:     a.WaitHours,
+		AvgWaitHours:       a.WaitHours / float64(a.Jobs),
+		AvgTurnaroundHours: a.TurnaroundHours / float64(a.Jobs),
+		TotalNodeHours:     a.NodeHours,
+		MakespanHours:      a.MaxEnd / secondsPerHour,
+		CommJobs:           a.CommJobs,
+		Requeues:           a.Requeues,
+		LostNodeHours:      a.LostNodeHours,
+	}
+	if a.CommJobs > 0 {
+		s.AvgCommCost = a.CommCost / float64(a.CommJobs)
+		s.AvgCommWaitHours = a.CommWaitHours / float64(a.CommJobs)
+	}
+	if compute := a.Jobs - a.CommJobs; compute > 0 {
+		s.AvgComputeWaitHours = (a.WaitHours - a.CommWaitHours) / float64(compute)
+	}
+	return s
+}
+
 // Summarize aggregates per-job results.
 func Summarize(results []JobResult) Summary {
-	s := Summary{Jobs: len(results)}
-	if len(results) == 0 {
-		return s
-	}
-	commJobs := 0
-	makespan := 0.0
-	turnaround := 0.0
-	commWait := 0.0
+	var a Accumulator
 	for _, r := range results {
-		s.TotalExecHours += r.Exec / secondsPerHour
-		s.TotalWaitHours += r.Wait() / secondsPerHour
-		turnaround += r.Turnaround() / secondsPerHour
-		s.TotalNodeHours += r.NodeSeconds() / secondsPerHour
-		if r.Comm {
-			s.AvgCommCost += r.CommCost
-			commWait += r.Wait() / secondsPerHour
-			commJobs++
-		}
-		if r.End > makespan {
-			makespan = r.End
-		}
-		s.Requeues += r.Requeues
-		s.LostNodeHours += float64(r.Nodes) * r.LostSeconds / secondsPerHour
+		a.Add(r)
 	}
-	s.AvgWaitHours = s.TotalWaitHours / float64(len(results))
-	s.AvgTurnaroundHours = turnaround / float64(len(results))
-	s.CommJobs = commJobs
-	if commJobs > 0 {
-		s.AvgCommCost /= float64(commJobs)
-		s.AvgCommWaitHours = commWait / float64(commJobs)
-	}
-	if compute := len(results) - commJobs; compute > 0 {
-		s.AvgComputeWaitHours = (s.TotalWaitHours - commWait) / float64(compute)
-	}
-	s.MakespanHours = makespan / secondsPerHour
-	return s
+	return a.Summary()
 }
 
 // TurnaroundDegradationPct reports how much average turnaround degraded

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -57,6 +59,97 @@ func TestSummarize(t *testing.T) {
 }
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+
+// summarizeRef is Summarize as it was written before the Accumulator: one
+// loop over the whole list.
+func summarizeRef(results []JobResult) Summary {
+	s := Summary{Jobs: len(results)}
+	if len(results) == 0 {
+		return s
+	}
+	commJobs := 0
+	makespan := 0.0
+	turnaround := 0.0
+	commWait := 0.0
+	for _, r := range results {
+		s.TotalExecHours += r.Exec / secondsPerHour
+		s.TotalWaitHours += r.Wait() / secondsPerHour
+		turnaround += r.Turnaround() / secondsPerHour
+		s.TotalNodeHours += r.NodeSeconds() / secondsPerHour
+		if r.Comm {
+			s.AvgCommCost += r.CommCost
+			commWait += r.Wait() / secondsPerHour
+			commJobs++
+		}
+		if r.End > makespan {
+			makespan = r.End
+		}
+		s.Requeues += r.Requeues
+		s.LostNodeHours += float64(r.Nodes) * r.LostSeconds / secondsPerHour
+	}
+	s.AvgWaitHours = s.TotalWaitHours / float64(len(results))
+	s.AvgTurnaroundHours = turnaround / float64(len(results))
+	s.CommJobs = commJobs
+	if commJobs > 0 {
+		s.AvgCommCost /= float64(commJobs)
+		s.AvgCommWaitHours = commWait / float64(commJobs)
+	}
+	if compute := len(results) - commJobs; compute > 0 {
+		s.AvgComputeWaitHours = (s.TotalWaitHours - commWait) / float64(compute)
+	}
+	s.MakespanHours = makespan / secondsPerHour
+	return s
+}
+
+// sameBits compares two summaries field by field, floats by their bits.
+func sameBits(a, b Summary) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		x, y := va.Field(i), vb.Field(i)
+		if x.Kind() == reflect.Float64 {
+			if math.Float64bits(x.Float()) != math.Float64bits(y.Float()) {
+				return false
+			}
+		} else if x.Int() != y.Int() {
+			return false
+		}
+	}
+	return true
+}
+
+// After every Add, the accumulator's Summary is the reference loop's over
+// the results so far, bit for bit: empty, all-comm, all-compute, mixed, and
+// with requeues.
+func TestAccumulatorMatchesSummarize(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		mix := trial % 4 // 0 all compute, 1 all comm, 2 and 3 mixed
+		var results []JobResult
+		var acc Accumulator
+		if s := acc.Summary(); !sameBits(s, summarizeRef(nil)) {
+			t.Fatalf("empty accumulator: %+v", s)
+		}
+		for n := rng.Intn(60); len(results) < n; {
+			submit := rng.Float64() * 1e6
+			start := submit + rng.ExpFloat64()*3600
+			exec := 1 + rng.Float64()*7200
+			r := JobResult{ID: int64(len(results) + 1), Nodes: 1 + rng.Intn(4096), Submit: submit,
+				Start: start, End: start + exec, BaseRun: exec, Exec: exec,
+				Comm: mix == 1 || (mix >= 2 && rng.Intn(2) == 0)}
+			if r.Comm {
+				r.CommCost, r.RefCost = rng.Float64()*40, rng.Float64()*40
+			}
+			if mix == 3 && rng.Intn(3) == 0 {
+				r.Requeues, r.RequeuedAt, r.LostSeconds = 1+rng.Intn(3), start, rng.Float64()*900
+			}
+			results = append(results, r)
+			acc.Add(r)
+			if got, want := acc.Summary(), summarizeRef(results); !sameBits(got, want) || !sameBits(Summarize(results), want) {
+				t.Fatalf("trial %d after %d results: accumulator %+v, reference %+v", trial, len(results), got, want)
+			}
+		}
+	}
+}
 
 func TestImprovementPct(t *testing.T) {
 	if got := ImprovementPct(100, 90); !approx(got, 10) {

@@ -122,7 +122,7 @@ func RunIndividual(cfg IndividualConfig, trace workload.Trace, jobIdx []int,
 			if err != nil {
 				return nil, err
 			}
-			pl, err := placeJob(st, sel, defSel, j, cfg.CostMode, false)
+			pl, err := PlaceJob(st, sel, defSel, j, cfg.CostMode)
 			if err != nil {
 				return nil, err
 			}

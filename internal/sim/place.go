@@ -15,13 +15,11 @@ import (
 // nodes, the Eq. 7 modified execution time, and the cost bookkeeping for
 // the dominant pattern.
 type Placement struct {
-	// Nodes is Placed listed in rank order. PlaceJob and PlaceJobMapped
-	// fill it; the engine, which never reads an ID, places without listing.
-	Nodes []int
 	// Placed is the selection as the selector built and pricing validated
 	// it: free-rank runs bound to the state's generation, or the remapped
 	// list. Committed (State.AllocatePlacement) on the unchanged state it
 	// is not checked again; once the state moved, unlisted runs are stale.
+	// Nobody lists it but a caller that asks (Placed.Nodes, rank order).
 	Placed cluster.Placement
 	// Exec is the modified runtime (Eq. 7); equals the job's base runtime
 	// for compute-intensive jobs and under the default algorithm.
@@ -49,14 +47,6 @@ func PlaceJob(st *cluster.State, selector, defSel core.Selector, j workload.Job,
 // assignment over the selected nodes is reordered to reduce the Eq. 6 cost
 // of the dominant pattern before the runtime model is applied.
 func PlaceJobMapped(st *cluster.State, selector, defSel core.Selector, j workload.Job,
-	mode costmodel.Mode, remap bool) (Placement, error) {
-	pl, err := placeJob(st, selector, defSel, j, mode, remap)
-	pl.Nodes = pl.Placed.Nodes()
-	return pl, err
-}
-
-// placeJob is PlaceJobMapped with Nodes left unlisted.
-func placeJob(st *cluster.State, selector, defSel core.Selector, j workload.Job,
 	mode costmodel.Mode, remap bool) (Placement, error) {
 	pattern := collective.RD
 	if p, ok := j.Mix.PrimaryPattern(); ok {

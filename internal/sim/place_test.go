@@ -44,12 +44,11 @@ func commJob(id, nodes int) workload.Job {
 		Mix: collective.Mix{ComputeFrac: 0.4, Comms: []collective.Component{{Pattern: collective.RHVD, Frac: 0.4}, {Pattern: collective.Ring, Frac: 0.2}}}}
 }
 
-// TestPlaceJobListsAndTheEngineDoesNot pins who lists: PlaceJob and
-// PlaceJobMapped return Nodes filled with exactly the selector's node list
-// and, with remap, results bit-identical to the same steps taken over bare
-// node lists; the engine's placeJob leaves Nodes nil and its placement
-// commits to the same allocation.
-func TestPlaceJobListsAndTheEngineDoesNot(t *testing.T) {
+// TestPlaceJobPlacesWhatSelectLists pins the one placement path: PlaceJob's
+// unlisted placement names exactly the selector's node list when asked and
+// commits to that allocation, and with remap PlaceJobMapped's results are
+// bit-identical to the same steps taken over bare node lists.
+func TestPlaceJobPlacesWhatSelectLists(t *testing.T) {
 	topo := topology.Theta()
 	st := loadedState(t, topo)
 	def := core.MustNew(core.Default)
@@ -67,20 +66,10 @@ func TestPlaceJobListsAndTheEngineDoesNot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(pl.Nodes, want) || !slices.Equal(pl.Placed.Nodes(), want) {
-				t.Fatalf("%v job %d: PlaceJob lists %v, Select %v", alg, j.ID, pl.Nodes, want)
+			if got := pl.Placed.Nodes(); !slices.Equal(got, want) {
+				t.Fatalf("%v job %d: PlaceJob lists %v, Select %v", alg, j.ID, got, want)
 			}
-			eng, err := placeJob(st, sel, def, j, costmodel.ModeEffectiveHops, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if eng.Nodes != nil {
-				t.Errorf("%v job %d: the engine's placement came listed", alg, j.ID)
-			}
-			if eng.Exec != pl.Exec || eng.Cost != pl.Cost || eng.RefCost != pl.RefCost || eng.Ratio != pl.Ratio {
-				t.Errorf("%v job %d: unlisted %+v vs listed %+v", alg, j.ID, eng, pl)
-			}
-			if err := st.AllocatePlacement(j.ID, j.Class, &eng.Placed); err != nil {
+			if err := st.AllocatePlacement(j.ID, j.Class, &pl.Placed); err != nil {
 				t.Fatal(err)
 			}
 			sorted := slices.Clone(want)
@@ -128,10 +117,10 @@ func TestPlaceJobListsAndTheEngineDoesNot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got.Nodes, mapped) || math.Float64bits(got.Cost) != math.Float64bits(cost) ||
+			if nodes := got.Placed.Nodes(); !slices.Equal(nodes, mapped) || math.Float64bits(got.Cost) != math.Float64bits(cost) ||
 				math.Float64bits(got.RefCost) != math.Float64bits(ref) || math.Float64bits(got.Exec) != math.Float64bits(max(exec, 1)) {
 				t.Errorf("%v job %d remapped: cost %v ref %v exec %v, over bare lists %v %v %v (nodes equal: %v)",
-					alg, j.ID, got.Cost, got.RefCost, got.Exec, cost, ref, exec, slices.Equal(got.Nodes, mapped))
+					alg, j.ID, got.Cost, got.RefCost, got.Exec, cost, ref, exec, slices.Equal(nodes, mapped))
 			}
 		}
 	}
@@ -151,7 +140,7 @@ func TestWideJobAllocatesOneList(t *testing.T) {
 	j := workload.Job{ID: 1, Nodes: nodes, Runtime: 3600, Class: cluster.CommIntensive,
 		Mix: collective.Mix{ComputeFrac: 0.5, Comms: []collective.Component{{Pattern: collective.RD, Frac: 0.5}}}}
 	start := func() {
-		pl, err := placeJob(st, sel, def, j, costmodel.ModeEffectiveHops, false)
+		pl, err := PlaceJob(st, sel, def, j, costmodel.ModeEffectiveHops)
 		if err == nil {
 			err = st.AllocatePlacement(j.ID, j.Class, &pl.Placed)
 		}
