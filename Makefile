@@ -37,8 +37,8 @@ race:
 # Short fuzz runs of the native fuzz targets; CI smoke, not a soak. The
 # scheduled CI fuzz job runs the same eleven targets at FUZZTIME=5m.
 # (internal/verify keeps a FuzzSubtreeAggregation of the same inputs that
-# checks the entry points against the reference alone; costmodel's also runs
-# both evaluators, so it is the one fuzzed.)
+# runs them through the differential harness; costmodel's is the cheaper
+# one, so it is the one fuzzed.)
 fuzz-smoke:
 	$(GO) test ./internal/collective -run FuzzCompactExpand -fuzz FuzzCompactExpand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run FuzzAllocate -fuzz FuzzAllocate -fuzztime $(FUZZTIME)
@@ -69,22 +69,23 @@ BENCH_PKGS = ./internal/collective ./internal/core ./internal/costmodel ./intern
 # -p 1 keeps package test binaries sequential: concurrently running
 # packages contaminate each other's timings.
 bench:
-	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkJobCost$$|BenchmarkCompile|BenchmarkScheduleBlocks|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog' \
+	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkPrice|BenchmarkScheduleBlocks|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog' \
 		-benchtime $(BENCHTIME) -benchmem -json $(BENCH_PKGS) > BENCH_$$(date +%F).json
 	@echo "wrote BENCH_$$(date +%F).json"
 
 # One iteration per benchmark: proves they still compile and run (CI),
-# BenchmarkJobCost512Leaves and BenchmarkJobCost4096LeavesWide included,
-# which the recorded set above leaves out: they re-price one unchanged state
-# in a loop at leaf counts no preset has, and their layer's end-to-end rows
-# are bench/'s costmodel.price_{cold,warm}_us_per_job.
+# BenchmarkJobCost, BenchmarkJobCost512Leaves and
+# BenchmarkJobCost4096LeavesWide included, which the recorded set above
+# leaves out: they re-price one unchanged state in a loop, a shape no caller
+# has, and their layer's end-to-end rows are bench/'s
+# costmodel.price_{cold,warm}_us_per_job.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 # Record a fresh dated artifact and diff it against the latest committed
 # BENCH_*.json (latest by the time its first record carries, not by name)
-# via cmd/benchcmp; >20% ns/op regression on an /opt path, a cold
-# BenchmarkCompile case or another gated name fails. Override the output
+# via cmd/benchcmp; >20% ns/op regression on an /opt path, a
+# BenchmarkPrice case or another gated name fails. Override the output
 # name with BENCH_OUT=..., duration with BENCHTIME=....
 bench-compare:
 	BENCHTIME=$(BENCHTIME) sh scripts/bench-compare.sh $(BENCH_OUT)

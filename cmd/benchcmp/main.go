@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	benchcmp [-threshold 0.20] [-gate /opt,BenchmarkCompile/] old.json new.json
+//	benchcmp [-threshold 0.20] [-gate /opt,BenchmarkPrice/] old.json new.json
 //
 // Every benchmark present in both files is printed with its ns/op delta;
 // benchmarks whose name contains one of the comma-separated gate substrings
 // (default "/opt", the fast-path halves of the opt/ref speedup pairs;
-// bench-compare adds the twinless cold compile) exit non-zero when they
+// bench-compare adds the twinless one-pass pricing) exit non-zero when they
 // regress by more than the threshold. Reference halves and allocation
 // counts are reported but never gate: the ref paths exist for equivalence
 // proofs, not speed.

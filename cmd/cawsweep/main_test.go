@@ -24,8 +24,8 @@ func TestRunSweep(t *testing.T) {
 		t.Fatalf("%d CSV lines, want 5", len(lines))
 	}
 	// Every data row must carry the kernel-path column so the sweep output
-	// records which cost path produced it — "aggregated", the default
-	// policy with the subtree-aggregated stage armed.
+	// records which cost path produced it — "aggregated", the one-pass
+	// fast path.
 	if !strings.Contains(lines[0], "cost_kernel") {
 		t.Fatalf("header missing cost_kernel column: %s", lines[0])
 	}

@@ -31,20 +31,15 @@ type NoAllocConfig struct {
 }
 
 // DefaultNoAllocConfig pins the kernels the BENCH_*.json zero-alloc
-// results depend on: leaf-schedule and subtree-aggregated evaluation and
-// the selector inner helpers.
+// results depend on: the one-pass pricing walk and the selector inner
+// helpers.
 var DefaultNoAllocConfig = NoAllocConfig{
 	Require: map[string][]string{
 		"repro/internal/cluster": {"State.Release"},
 		"repro/internal/costmodel": {
-			"leafSchedule.eval",
-			"leafSchedule.evalFlat",
-			"leafSchedule.evalDistance",
-			"leafSchedule.evalDistanceFlat",
-			"leafSchedule.evalAgg",
-			"leafSchedule.evalDistanceAgg",
-			"evalScratch.overlayHops",
-			"leafHops",
+			"priceScratch.price",
+			"walker.block",
+			"priceScratch.hops",
 		},
 		"repro/internal/core": {
 			"selScratch.take",

@@ -23,12 +23,11 @@ type RefParityConfig struct {
 
 // DefaultRefParityConfig covers the two packages with fast paths:
 // cluster's per-switch free counters and incrementally maintained comm
-// shares, and costmodel's schedule memo and compiled leaf-aggregated
-// schedules.
+// shares, and costmodel's schedule memo.
 var DefaultRefParityConfig = RefParityConfig{
 	FastPath: map[string][]string{
 		"repro/internal/cluster":   {"switchFree", "leafShare"},
-		"repro/internal/costmodel": {"scheduleCache", "leafSchedCache"},
+		"repro/internal/costmodel": {"scheduleCache"},
 	},
 	OwnerType: map[string]string{
 		"repro/internal/cluster": "State",

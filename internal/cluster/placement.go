@@ -16,7 +16,7 @@ var ErrStalePlacement = fmt.Errorf("placement selected at another generation: %w
 // and, once somebody needs node IDs, the nodes in rank order (rank r runs
 // on Nodes()[r]). The paper's selectors choose how many nodes to take from
 // which leaf, never which ones, so a placement of thousands of ranks is a
-// few dozen runs, and validation, costmodel's compile and the counters'
+// few dozen runs, and validation, costmodel's pricing and the counters'
 // deltas work per run.
 //
 // A selector-built placement (FreeRankRuns) is its runs and nothing else:
@@ -77,15 +77,6 @@ func (p *Placement) Len() int {
 // Runs returns the run sequence: a selector-built placement's own, else
 // the one its latest Reduce or Validate left in that call's Scratch.
 func (p *Placement) Runs() []uint64 { return p.runs }
-
-// RunsKey is Runs in a form safe to keep: copied unless the placement
-// owns it.
-func (p *Placement) RunsKey() []uint64 {
-	if p.owned {
-		return p.runs
-	}
-	return slices.Clone(p.runs)
-}
 
 // SameNodes reports whether p and q put the same node at every rank. Unlisted
 // free-rank placements of one (state, generation) are compared by their

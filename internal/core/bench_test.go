@@ -80,7 +80,7 @@ func BenchmarkSelectAnneal64(b *testing.B)  { benchSelectAnneal(b, 64) }
 func BenchmarkSelectAnneal256(b *testing.B) { benchSelectAnneal(b, 256) }
 
 // intrepidState is Intrepid loaded the way costmodel's
-// BenchmarkCompile/selector fixture loads it for a job of n ranks: every
+// BenchmarkPrice/selector fixture loads it for a job of n ranks: every
 // leaf busy on a random prefix, to half on average or as far as leaves room
 // for the job.
 func intrepidState(tb testing.TB, n int) *cluster.State {
@@ -100,7 +100,7 @@ func intrepidState(tb testing.TB, n int) *cluster.State {
 // job as the replays run it: Place, which splits leaf free counts into
 // free-rank runs and, for adaptive, validates and prices two candidates by
 // their runs. Nothing in it is proportional to the job's nodes: B/op is the
-// run slice (plus the cached compile's share on a cold iteration).
+// run slice.
 func BenchmarkPlaceIntrepid(b *testing.B) {
 	for _, a := range Algorithms {
 		for _, n := range []int{4096, 32768} {

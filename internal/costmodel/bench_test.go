@@ -14,11 +14,11 @@ import (
 
 // BenchmarkJobCost512Leaves measures Eq. 6 on a machine four times past
 // the paper's largest (512 leaves, three-level tree): a 256-node
-// recursive-doubling job striped across every other leaf, evaluated by
-// the leaf-pair kernel ("opt") and the uncached reference loop ("ref").
-// Machines past 128 leaves once ran the reference path silently; this pair
-// records that they no longer do. It times one unchanged state re-priced in
-// a loop, a shape no caller has, so it runs under bench-smoke only.
+// recursive-doubling job striped across every other leaf, priced on the
+// fast path ("opt") and by the reference loop ("ref"). Machines past 128
+// leaves once ran the reference path silently; this pair records that they
+// no longer do. It times one unchanged state re-priced in a loop, a shape
+// no caller has, so it runs under bench-smoke only.
 func BenchmarkJobCost512Leaves(b *testing.B) {
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 2, Fanouts: []int{128, 4}})
 	st := cluster.New(topo)
@@ -29,35 +29,13 @@ func BenchmarkJobCost512Leaves(b *testing.B) {
 	if err := st.Allocate(1, cluster.CommIntensive, nodes); err != nil {
 		b.Fatal(err)
 	}
-	steps := collective.RD.MustSchedule(256)
-	benchOptRef(b, st, nodes, steps)
-
-	// The wide variant: a 512-rank alltoall with one rank on every leaf
-	// (quadratic distinct leaf pairs — the shape where flat costing is
-	// O(touched²)), on its own uniformly loaded state so cross-pod blocks
-	// collapse. "wide/opt" is the subtree-aggregated kernel, "wide/flat"
-	// the flat leaf-pair kernel, "wide/ref" the uncached loops.
-	b.Run("wide", func(b *testing.B) {
-		wst := cluster.New(topo)
-		wnodes := make([]int, 512)
-		for i := range wnodes {
-			wnodes[i] = topo.LeafNodes(i)[0]
-		}
-		if err := wst.Allocate(1, cluster.CommIntensive, wnodes); err != nil {
-			b.Fatal(err)
-		}
-		benchKernelPaths(b, wst, wnodes, collective.Alltoall.MustSchedule(512))
-	})
+	benchOptRef(b, st, nodes, collective.RD.MustSchedule(256))
 }
 
 // BenchmarkJobCost4096LeavesWide is the dragonfly-scale pair (bench-smoke
 // only, like the 512-leaf one): 4096 leaves in 64 pods of 64, a 1024-rank
-// alltoall striped across every fourth leaf (16 touched leaves in every
-// pod, so every cross-pod block is live), costed by the subtree-aggregated
-// kernel ("opt"), the flat kernel ("flat"), and the reference loops
-// ("ref"). The alltoall's XOR step structure puts ~32 cross-pod blocks per
-// step where the flat kernel scans 512 pairs, which is where the ≥5×
-// collapse comes from.
+// alltoall striped across every fourth leaf, 16 touched leaves in every
+// pod, priced on the fast path ("opt") and by the reference loops ("ref").
 func BenchmarkJobCost4096LeavesWide(b *testing.B) {
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 2, Fanouts: []int{64, 64}})
 	st := cluster.New(topo)
@@ -68,12 +46,11 @@ func BenchmarkJobCost4096LeavesWide(b *testing.B) {
 	if err := st.Allocate(1, cluster.CommIntensive, nodes); err != nil {
 		b.Fatal(err)
 	}
-	steps := collective.Alltoall.MustSchedule(1024)
-	benchKernelPaths(b, st, nodes, steps)
+	benchOptRef(b, st, nodes, collective.Alltoall.MustSchedule(1024))
 }
 
 // benchOptRef runs one JobCost fixture on st ("opt") and on its reference
-// clone ("ref"), the speedup pair the committed BENCH_*.json tracks.
+// clone ("ref").
 func benchOptRef(b *testing.B, st *cluster.State, nodes []int, steps []collective.Step) {
 	for _, mode := range []struct {
 		name string
@@ -90,33 +67,10 @@ func benchOptRef(b *testing.B, st *cluster.State, nodes []int, steps []collectiv
 	}
 }
 
-// benchKernelPaths runs one JobCost fixture through the three evaluation
-// paths: the aggregated kernel its schedule compiles to, the flat
-// evaluator called on that same schedule, and the reference loops. The
-// fixture must be wide enough to compile the aggregated stage — otherwise
-// "opt" and "flat" would silently time the same code.
-func benchKernelPaths(b *testing.B, st *cluster.State, nodes []int, steps []collective.Step) {
-	b.Helper()
-	ls, err := leafSchedFor(st, nodes, steps)
-	if err != nil || ls == nil || ls.agg == nil {
-		b.Fatalf("fixture not on the aggregated path (schedule %v, err %v)", ls, err)
-	}
-	benchOptRef(b, st, nodes, steps)
-	b.Run("flat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkCost = ls.evalFlat(st, false, false, 0)
-		}
-	})
-}
-
-// sinkCost keeps a benchmarked evaluation's result alive.
-var sinkCost float64
-
 // BenchmarkJobCost measures Eq. 6 over a 512-node recursive-doubling job
-// spread across every Theta leaf, through the leaf-pair kernel ("opt") and the
-// uncached reference loop ("ref"). The committed BENCH_*.json tracks the
-// opt/ref pair.
+// spread across every Theta leaf, on the fast path ("opt") and by the
+// reference loop ("ref"). Like the wide pairs above it re-prices one
+// unchanged state, a shape no caller has, so it runs under bench-smoke only.
 func BenchmarkJobCost(b *testing.B) {
 	topo := topology.Theta()
 	st := cluster.New(topo)
@@ -134,8 +88,8 @@ func BenchmarkJobCost(b *testing.B) {
 	benchOptRef(b, st, nodes, steps)
 }
 
-// compileLists are the node-list shapes BenchmarkCompile and
-// TestCompileMatchesPerPairReference compile against, n ranks each on
+// compileLists are the node-list shapes BenchmarkPrice and
+// TestPriceMatchesReference price, n ranks each on
 // topo: "contiguous" fills leaves in order (what the selectors mostly
 // emit), "fragmented" deals chunk-node pieces round-robin over the leaves
 // (a busy machine's leftovers), "permuted" shuffles the fragmented list
@@ -180,17 +134,18 @@ func compileLists(topo *topology.Topology, n, chunk int) map[string][]int {
 	return map[string][]int{"contiguous": contiguous, "fragmented": fragmented, "permuted": permuted, "selector": selector}
 }
 
-// BenchmarkCompile measures the cold compile — buildLeafSchedule from the
-// memo's blocks, as a schedule's first pricing on a new node list runs it —
-// of recursive doubling on Intrepid. Its cost is linear in blocks × runs
-// crossed, not in pairs; ns/pair is reported to show how far below one
-// visit per pair (≈ 10 ns each before the run compile) that lands.
-// "selector" is the shape the replays compile: what greedy Place returns on
-// a half-loaded machine. Every other costmodel benchmark prices through a
-// warm leafSchedCache and never sees this layer.
-func BenchmarkCompile(b *testing.B) {
+// BenchmarkPrice measures one pricing — the walk of recursive doubling's
+// memoized blocks over a placement's leaf runs, with the overlay, as
+// PlacementCostMode runs it for a communication-intensive candidate — on
+// Intrepid. Its cost is linear in blocks × runs crossed plus one Hops per
+// distinct leaf pair, not in pairs; ns/pair is reported to show how far
+// below one visit per pair (≈ 10 ns each before the run walk) that lands.
+// "selector" is the shape the replays price: what greedy Place returns on a
+// half-loaded machine.
+func BenchmarkPrice(b *testing.B) {
 	topo := topology.Intrepid()
 	lay := cluster.LayoutOf(topo)
+	st := cluster.New(topo)
 	for _, shape := range []string{"contiguous", "fragmented", "permuted", "selector"} {
 		sizes := []int{512, 4096, 32768}
 		if shape == "selector" {
@@ -204,14 +159,14 @@ func BenchmarkCompile(b *testing.B) {
 			}
 			pairs := collective.TotalMessages(collective.Expand(blocks))
 			b.Run(fmt.Sprintf("%s/%d", shape, n), func(b *testing.B) {
-				sc := new(buildScratch)
+				sc := new(priceScratch)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					pl := cluster.NewPlacement(nodes)
 					if !pl.Reduce(lay, &sc.scan) {
-						b.Fatal("fixture list does not compile")
+						b.Fatal("fixture list has no run sequence")
 					}
-					if _, err := buildLeafSchedule(lay, sc, pl.Runs(), nil, blocks); err != nil {
+					if _, err := sc.price(st, lay, pl.Runs(), nil, blocks, ModeEffectiveHops, true, 1); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -53,32 +53,22 @@ func Hops(st *cluster.State, i, j int) float64 {
 //	Cost = Σ_{steps n} max_{(a,b) ∈ S_n} Hops(nodes[a], nodes[b])
 //
 // The schedule's pair ranks must all be in [0, len(nodes)). The fast path
-// compiles the schedule's node pairs down to distinct leaf-switch pairs
-// (leafSchedule, cached per (schedule, rank→leaf runs)) and evaluates Hops once
-// per pair; a reference state (cluster.NewReference) takes the uncached
-// node-pair loop. Steps slices must not be mutated after being costed
-// (ScheduleFor's memoized schedules satisfy this by contract).
+// walks the schedule once over the list's rank→leaf runs and evaluates Hops
+// once per distinct leaf pair; a reference state (cluster.NewReference) takes
+// the node-pair loop.
 func JobCost(st *cluster.State, nodes []int, steps []collective.Step) (float64, error) {
 	if st.Reference() {
 		return jobCostRef(st, nodes, steps)
 	}
-	if len(steps) == 0 {
-		return 0, nil
+	if cost, ok, err := priceList(st, nodes, steps, ModeEffectiveHops, 1); ok {
+		return cost, err
 	}
-	ls, err := leafSchedFor(st, nodes, steps)
-	if err != nil {
-		return 0, err
-	}
-	if ls == nil { // repeated or foreign node id: only the reference loops price it
-		return jobCostRef(st, nodes, steps)
-	}
-	return ls.eval(st, false, false, 0), nil
+	return jobCostRef(st, nodes, steps)
 }
 
-// jobCostRef is the uncached reference implementation of JobCost, kept for
+// jobCostRef is the reference implementation of JobCost, kept for
 // differential equivalence checks (a reference state routes all costing
-// through it). It is no longer a size fallback: every topology gets a
-// layout, so the fast kernel handles any leaf count.
+// through it) and for the lists the fast path cannot price (priceList).
 func jobCostRef(st *cluster.State, nodes []int, steps []collective.Step) (float64, error) {
 	total := 0.0
 	var prevPairs *collective.Pair
@@ -115,21 +105,13 @@ func JobCostHopBytes(st *cluster.State, nodes []int, steps []collective.Step, ba
 	if st.Reference() {
 		return jobCostHopBytesRef(st, nodes, steps, baseMsgSize)
 	}
-	if len(steps) == 0 {
-		return 0, nil
+	if cost, ok, err := priceList(st, nodes, steps, ModeHopBytes, baseMsgSize); ok {
+		return cost, err
 	}
-	ls, err := leafSchedFor(st, nodes, steps)
-	if err != nil {
-		return 0, err
-	}
-	if ls == nil {
-		return jobCostHopBytesRef(st, nodes, steps, baseMsgSize)
-	}
-	return ls.eval(st, false, true, baseMsgSize), nil
+	return jobCostHopBytesRef(st, nodes, steps, baseMsgSize)
 }
 
-// jobCostHopBytesRef is the uncached reference implementation of
-// JobCostHopBytes.
+// jobCostHopBytesRef is the reference implementation of JobCostHopBytes.
 func jobCostHopBytesRef(st *cluster.State, nodes []int, steps []collective.Step, baseMsgSize float64) (float64, error) {
 	total := 0.0
 	var prevPairs *collective.Pair
@@ -181,9 +163,9 @@ func CandidateCost(st *cluster.State, job cluster.JobID, class cluster.Class,
 // selector-built placement that passes is stamped: pricing and committing
 // it against the unchanged state skip the node scan.
 func ValidateCandidate(st *cluster.State, job cluster.JobID, pl *cluster.Placement) error {
-	sc := buildScratchPool.Get().(*buildScratch)
+	sc := priceScratchPool.Get().(*priceScratch)
 	err := pl.Validate(st, job, &sc.scan)
-	buildScratchPool.Put(sc)
+	priceScratchPool.Put(sc)
 	if err != nil {
 		return fmt.Errorf("costmodel: candidate allocate: %w", err)
 	}
@@ -200,15 +182,14 @@ func CandidateCostReadOnly(st *cluster.State) bool {
 	return !st.Reference()
 }
 
-// KernelPath names the cost-evaluation policy pricing over st takes:
-// "aggregated" for the compiled kernels, where schedules touching at least
-// AggTouchedLeaves leaves on layouts with a usable aggregation level
-// collapse cross-subtree blocks while narrower ones take the flat leaf-pair
-// scans; "reference" for a reference state, priced by the uncached
-// node-pair loops. There is no per-topology size fallback, and surfacing
-// the path, rather than silently falling back, is what lets sweeps and
-// operators verify large machines really run the kernel they are
-// benchmarking.
+// KernelPath names the cost-evaluation path pricing over st takes:
+// "aggregated" for the one-pass fast path, which walks a schedule over the
+// placement's leaf runs and prices each distinct leaf pair once (the name
+// predates the walk and is kept because sweep CSVs and their digests carry
+// it); "reference" for a reference state, priced by the node-pair loops.
+// There is no per-topology size fallback, and surfacing the path, rather
+// than silently falling back, is what lets sweeps and operators verify
+// large machines really run the kernel they are benchmarking.
 func KernelPath(st *cluster.State) string {
 	if st.Reference() {
 		return "reference"

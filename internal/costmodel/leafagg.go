@@ -2,209 +2,123 @@ package costmodel
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
 )
 
-// Leaf-aggregated cost kernel.
+// One-pass pricing.
 //
 // Eq. 6 evaluates, per schedule step, the maximum of Eq. 5's
 // Hops(i,j) = d(i,j)·(1+C(i,j)) over the step's rank pairs. For i ≠ j both
-// factors depend on the nodes only through their leaf switches, so the
-// step's node pairs regroup by leaf pair: a pair (l_a, l_b) that m node
-// pairs map onto contributes the term Hops(l_a, l_b) with multiplicity m,
-// and since max over a multiset equals max over its support, the step
-// reduces to the distinct leaf pairs it touches — O(L²) terms for L
-// occupied leaves instead of O(n²) node pairs (see DESIGN.md §7 for the
-// term-for-term derivation). The regrouping itself is independent of the
-// cluster state: it is a pure function of (schedule, node→leaf map), so it
-// is precomputed once into a leafSchedule and reused across generations,
-// with only the per-pair Hops values re-read from the live counters.
+// factors depend on the nodes only through their leaf switches, and a max
+// over a multiset is the max over its support, so a step's max is the max
+// over the distinct leaf pairs its node pairs map onto (see DESIGN.md §7).
+// Pricing walks the schedule's blocks over the placement's rank→leaf runs
+// once: a stretch of pairs that stays inside one run on both sides is one
+// leaf pair, whose Hops is computed the first time the pricing meets it and
+// folded into the step's running max. Steps are summed in order, so the
+// total is the reference loops' bit for bit.
 
-// Step kinds of a compiled leafSchedule.
-const (
-	// stepCompute scans the step's leaf-pair list and updates the running
-	// max that repeat steps reuse.
-	stepCompute uint8 = iota
-	// stepEmpty is a pair-less step: it contributes zero and leaves the
-	// running max untouched (mirroring the reference loops, which only
-	// update their memo for steps with pairs).
-	stepEmpty
-	// stepRepeat shares its pairs slice with the previous non-empty step
-	// (the ring schedule repeats one matching P−1 times) and is charged the
-	// memoised maximum.
-	stepRepeat
-)
-
-// leafSchedule is a collective schedule compiled against one node list:
-// the candidate's per-leaf node counts, the distinct leaf pairs its steps
-// touch, and per-step index lists into that pair table. Entries are
-// immutable after construction and safe for concurrent evaluation; all
-// mutable evaluation state lives in pooled scratches.
-type leafSchedule struct {
-	lay *cluster.Layout
-	// The cache key's second part: pat's own schedule over the ranks runs
-	// ends with (sid nil), or caller-supplied steps, known by &steps[0].
-	pat    collective.Pattern
-	sid    *collective.Step
-	nSteps int
-	runs   []uint64 // the placement's run sequence (cluster.Placement.Runs), the cache key's third part
-
-	// leaves/counts are the distinct leaf indices hosting the job's nodes
-	// and the node count c_i on each — the histogram the candidate overlay
-	// adds to the live L_comm counters.
-	leaves []int32
-	counts []int32
-
-	// pairLi/pairLj list the distinct leaf pairs (li ≤ lj, real leaf
-	// indices) any step touches; ids/w are the per-step flat lists of
-	// indices into that table with their node-pair multiplicities
-	// (ids[off[s]:off[s+1]] for step s). The multiplicities are not needed
-	// for the max — they document the regrouping and let tests check it
-	// term for term.
-	pairLi, pairLj []int32
-	ids, w         []int32
-	off            []int32
-	kind           []uint8
-	msg            []float64 // per-step MsgSize, for the hop-bytes variant
-
-	// agg is the subtree-aggregated evaluation stage (subtreeagg.go),
-	// compiled when the schedule is wide enough for the kernel heuristic
-	// and the layout has a usable aggregation level; nil keeps evaluation
-	// on the flat per-pair scans. Which kernel evaluates a schedule is
-	// decided here, at compile time, from the schedule's width alone.
-	agg *subtreeSchedule
+// priceScratch is the pooled working set of one pricing and of candidate
+// validation: the cluster.Scratch a wrapped list is scanned with, the
+// touched leaves with their Eq. 5 inputs, and the epoch-stamped arrays that
+// replace per-pricing maps. Touched leaves get compact positions in
+// first-run order and the pair values are indexed by position pair, so they
+// are O(touched²) whatever the machine size. Arrays grow on demand and
+// persist in the pool; freshly grown arrays are zeroed, which the monotone
+// epoch reads as stale.
+type priceScratch struct {
+	scan      cluster.Scratch
+	leaves    []int32   // position -> leaf
+	comm      []int     // position -> L_comm, plus the candidate's nodes there under the overlay
+	share     []float64 // position -> that count over L_nodes
+	leafPos   []int32   // leaf -> position, valid per epoch
+	leafEpoch []uint32
+	runPos    []int32   // run -> position of its leaf
+	pairVal   []float64 // lo·touched + hi -> the position pair's Hops or distance, valid per epoch
+	pairEpoch []uint32
+	epoch     uint32
 }
 
-// leafSchedSlots bounds the compiled-schedule cache. The steady-state
-// working set is small — the adaptive selector prices two candidates per
-// request and the simulator re-costs the chosen one — while unbounded
-// candidate churn (rank remapping's hill climb) just cycles the ring.
-const leafSchedSlots = 64
+var priceScratchPool = sync.Pool{New: func() any { return new(priceScratch) }}
 
-// leafSchedCache is the shared compiled-schedule cache: a mutex-guarded
-// ring of immutable entries, keyed on all a compiled schedule depends on:
-// (layout, schedule, the node list's rank→leaf run sequence). A pattern's
-// own schedule is named by the pattern, so pricing finds its entry without
-// the schedule in hand; caller-supplied steps by slice identity, and the
-// entry's sid keeps that slice alive, so the address cannot be recycled for
-// another schedule while the entry is cached. Like the schedule memo this
-// assumes steps are never mutated after being costed; ScheduleFor's
-// memoized schedules satisfy that by contract.
-var leafSchedCache struct {
-	mu   sync.Mutex
-	ents [leafSchedSlots]*leafSchedule
-	next int
-}
-
-// leafSchedFor returns the compiled schedule for (steps, nodes), building
-// and caching it on first use. steps must be non-empty. The returned entry
-// is shared and read-only. A nil entry with a nil error means the list
-// repeats a node id or names one outside the topology: the run view cannot
-// express what the reference loops do with such pairs, so the caller prices
-// the list through them.
-func leafSchedFor(st *cluster.State, nodes []int, steps []collective.Step) (*leafSchedule, error) {
-	lay, pl := cluster.LayoutOf(st.Topology()), cluster.NewPlacement(nodes)
-	sc := buildScratchPool.Get().(*buildScratch)
-	defer buildScratchPool.Put(sc)
-	if !pl.Reduce(lay, &sc.scan) {
-		return nil, nil
-	}
-	return sc.leafSched(lay, &pl, 0, steps)
-}
-
-// leafSched is leafSchedFor for a placement whose runs are at hand: its
-// own (a selector-built placement's run sequence is the cache key as it
-// stands), or those a Reduce or Validate just left in sc.scan. With steps
-// nil it compiles pat's own schedule, fetching its blocks only on a cache
-// miss; the entry is nil if that schedule has no steps.
-func (sc *buildScratch) leafSched(lay *cluster.Layout, pl *cluster.Placement, pat collective.Pattern, steps []collective.Step) (*leafSchedule, error) {
-	runs := pl.Runs()
-	var sid *collective.Step
-	if steps != nil {
-		sid = &steps[0]
-	}
-	leafSchedCache.mu.Lock()
-	for _, ls := range leafSchedCache.ents {
-		if ls != nil && ls.sid == sid && ls.pat == pat && (sid == nil || ls.nSteps == len(steps)) && ls.lay == lay && slices.Equal(ls.runs, runs) {
-			leafSchedCache.mu.Unlock()
-			return ls, nil
-		}
-	}
-	leafSchedCache.mu.Unlock()
-	var blocks []collective.BlockStep
-	if sid == nil {
-		var err error
-		if blocks, err = blocksFor(pat, pl.Len()); err != nil || len(blocks) == 0 {
-			return nil, err
-		}
-	}
-	ls, err := buildLeafSchedule(lay, sc, runs, steps, blocks)
-	if err != nil {
-		return nil, err
-	}
-	ls.pat, ls.sid, ls.runs = pat, sid, pl.RunsKey()
-	leafSchedCache.mu.Lock()
-	leafSchedCache.ents[leafSchedCache.next] = ls                    //lint:allow globalmut ring-buffer memo insert under leafSchedCache.mu; entries are immutable once built
-	leafSchedCache.next = (leafSchedCache.next + 1) % leafSchedSlots //lint:allow globalmut ring cursor advance under leafSchedCache.mu
-	leafSchedCache.mu.Unlock()
-	return ls, nil
-}
-
-// buildScratch is the pooled working set of leafSchedFor and of candidate
-// validation: the cluster.Scratch a wrapped list is scanned with, and the
-// epoch- and tag-stamped leaf and leaf-pair arrays that replace per-build
-// maps. The leaf arrays are sized off the layout; the pair arrays are
-// indexed by *compact* touched-leaf positions, so they are O(touched²) —
-// the sparse index that lets compilation scale past the old 128-leaf dense
-// matrices (a job touching k leaves needs k² slots however large L is).
-// Arrays grow on demand and persist in the pool; freshly grown arrays are
-// zeroed, which the monotone epoch/tag counters read as stale.
-type buildScratch struct {
-	scan                   cluster.Scratch
-	leafPos                []int32 // real leaf -> index into ls.leaves, valid per epoch
-	runPos                 []int32 // run -> index of its leaf in ls.leaves
-	leafEpoch              []uint32
-	pairID                 []int32 // compact pair -> index into ls.pairLi, valid per epoch
-	pairEpoch              []uint32
-	stepTag                []uint32 // compact pair -> tag of the step that last saw it
-	stepPos                []int32  // compact pair -> position in ls.ids for that step
-	pairLi, pairLj, ids, w []int32  // what a schedule's tables grow in; it keeps exact copies
-	epoch                  uint32
-	tag                    uint32
-}
-
-var buildScratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
-
-// ensurePairs sizes the compact pair arrays for n touched leaves.
-func (sc *buildScratch) ensurePairs(n int) {
-	if len(sc.pairID) < n*n {
-		sc.pairID = make([]int32, n*n)
-		sc.pairEpoch = make([]uint32, n*n)
-		sc.stepTag = make([]uint32, n*n)
-		sc.stepPos = make([]int32, n*n)
-	}
-}
-
-// begin opens a new epoch for a compile against lay.
-func (sc *buildScratch) begin(lay *cluster.Layout) {
+// begin opens a pricing of runs against lay: it numbers the touched leaves
+// in first-run order and, unless only distances are read, loads each one's
+// comm count and share. Those are the live counters or, under the overlay,
+// the counters plus the candidate's nodes on the leaf, divided as
+// State.updateShare divides after a real Allocate, so overlay pricing is
+// bit-identical to tentative allocation.
+func (sc *priceScratch) begin(st *cluster.State, lay *cluster.Layout, runs []uint64, overlay, dist bool) {
 	if len(sc.leafPos) < lay.L {
 		sc.leafPos = make([]int32, lay.L)
 		sc.leafEpoch = make([]uint32, lay.L)
 	}
+	if cap(sc.runPos) < len(runs) {
+		sc.runPos = make([]int32, len(runs))
+	}
+	sc.runPos = sc.runPos[:len(runs)]
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stale stamps could collide
 		clear(sc.leafEpoch)
 		clear(sc.pairEpoch)
 		sc.epoch = 1
 	}
+	leaves, comm := sc.leaves[:0], sc.comm[:0]
+	for i, run := range runs[:len(runs)-1] {
+		l := int32(run >> 32)
+		if sc.leafEpoch[l] != sc.epoch {
+			sc.leafEpoch[l] = sc.epoch
+			sc.leafPos[l] = int32(len(leaves))
+			leaves = append(leaves, l)
+			comm = append(comm, 0)
+		}
+		sc.runPos[i] = sc.leafPos[l]
+		comm[sc.leafPos[l]] += int(uint32(runs[i+1]) - uint32(run))
+	}
+	sc.leaves, sc.comm = leaves, comm
+	t := len(leaves)
+	if len(sc.pairVal) < t*t {
+		sc.pairVal = make([]float64, t*t)
+		sc.pairEpoch = make([]uint32, t*t)
+	}
+	if dist {
+		return
+	}
+	if cap(sc.share) < t {
+		sc.share = make([]float64, t)
+	}
+	sc.share = sc.share[:t]
+	for i, l := range leaves {
+		if overlay {
+			comm[i] += st.LeafComm(int(l))
+			sc.share[i] = float64(comm[i]) / lay.LeafSize[l]
+		} else {
+			comm[i], sc.share[i] = st.LeafComm(int(l)), st.CommShare(int(l))
+		}
+	}
+}
+
+// hops is Eq. 5 between the touched leaves at positions i and j, mirroring
+// Hops/Contention expression for expression (same conversions, same
+// association order; which leaf comes first does not matter, floating-point
+// addition being commutative), so pricing and the reference loops are
+// bit-identical.
+//
+//caws:noalloc
+func (sc *priceScratch) hops(lay *cluster.Layout, i, j int32) float64 {
+	li, lj := sc.leaves[i], sc.leaves[j]
+	d := lay.Dist(li, lj)
+	if i == j {
+		return d * (1 + sc.share[i])
+	}
+	shared := 0.5 * float64(sc.comm[i]+sc.comm[j]) / lay.PairSize(li, lj)
+	return d * (1 + (sc.share[i] + sc.share[j] + shared))
 }
 
 // runCursor is one side's place in the run sequence: run i holds the ranks
-// [lo, end) on the leaf at position pos of ls.leaves.
+// [lo, end) on the leaf at position pos.
 type runCursor struct {
 	i, lo, end int
 	pos        int32
@@ -243,104 +157,80 @@ func (c *runCursor) seek(runs []uint64, runPos []int32, x int) {
 	*c = runCursor{lo, int(uint32(runs[lo])), int(uint32(runs[lo+1])), runPos[lo]}
 }
 
-// compiler is the state of one buildLeafSchedule: the schedule being built,
-// the runs it is compiled against, and a run cursor per side of the pairs.
-type compiler struct {
-	ls     *leafSchedule
-	sc     *buildScratch
+// walker is the state of one pricing's pass: the runs it walks, a run
+// cursor per side of the pairs, and the running max of the current step.
+type walker struct {
+	sc     *priceScratch
+	lay    *cluster.Layout
 	runs   []uint64
-	n      int // ranks
+	n      int  // ranks
+	dist   bool // price d(i,j) alone: the distance-only ablation
 	ca, cb runCursor
+	max    float64
 }
 
-// buildLeafSchedule compiles a schedule against a placement's run sequence
-// (cluster.Placement.Runs) without visiting pairs or ranks. The schedule
-// comes as a pattern's blocks or, blocks nil, as caller-supplied steps cut
-// into single-repetition blocks on the fly (collective.SegmentAt: no
-// allocation); compiler.block walks either. Pair ranks are validated in
-// exactly the reference loops' order (steps in order, pairs in order,
-// repeat steps skipped), so a build failure reproduces the reference error.
-func buildLeafSchedule(lay *cluster.Layout, sc *buildScratch, runs []uint64, steps []collective.Step, blocks []collective.BlockStep) (*leafSchedule, error) {
-	nSteps := max(len(steps), len(blocks))
-	sc.begin(lay)
-	ls := &leafSchedule{
-		lay:    lay,
-		nSteps: nSteps,
-		off:    make([]int32, nSteps+1),
-		kind:   make([]uint8, nSteps),
-		msg:    make([]float64, nSteps),
-		pairLi: sc.pairLi[:0], pairLj: sc.pairLj[:0], ids: sc.ids[:0], w: sc.w[:0],
-	}
-	if cap(sc.runPos) < len(runs) {
-		sc.runPos = make([]int32, len(runs))
-	}
-	sc.runPos = sc.runPos[:len(runs)]
-	for i, run := range runs[:len(runs)-1] {
-		l := int32(run >> 32)
-		if sc.leafEpoch[l] != sc.epoch {
-			sc.leafEpoch[l] = sc.epoch
-			sc.leafPos[l] = int32(len(ls.leaves))
-			ls.leaves = append(ls.leaves, l)
-			ls.counts = append(ls.counts, 0)
-		}
-		sc.runPos[i] = sc.leafPos[l]
-		ls.counts[sc.leafPos[l]] += int32(uint32(runs[i+1]) - uint32(run))
-	}
-	// The pair index is compact: pairs are keyed by the touched-leaf
-	// positions just assigned, never by real leaf indices, so the scratch
-	// is O(touched²) whatever the machine size.
-	sc.ensurePairs(len(ls.leaves))
-
-	first := runCursor{0, 0, int(uint32(runs[1])), sc.runPos[0]}
-	c := compiler{ls: ls, sc: sc, runs: runs, n: int(runs[len(runs)-1]), ca: first, cb: first}
+// price is Eq. 6 over the placement whose run sequence
+// (cluster.Placement.Runs) is runs. The schedule comes as a pattern's
+// blocks or, blocks nil, as caller-supplied steps cut into single-repetition
+// blocks on the fly (collective.SegmentAt: no allocation). mode picks
+// effective hops, hop-bytes (each step weighted by MsgSize·base) or
+// distance alone; overlay adds the runs' nodes to the comm counters. Pair
+// ranks are range-checked in exactly the reference loops' order (steps in
+// order, pairs in order, repeat steps skipped), so an error reproduces the
+// reference error.
+//
+//caws:noalloc
+func (sc *priceScratch) price(st *cluster.State, lay *cluster.Layout, runs []uint64,
+	steps []collective.Step, blocks []collective.BlockStep, mode Mode, overlay bool, base float64) (float64, error) {
+	w := walker{sc: sc, lay: lay, runs: runs, n: int(runs[len(runs)-1]), dist: mode == ModeDistanceOnly}
+	sc.begin(st, lay, runs, overlay, w.dist)
+	w.ca = runCursor{0, 0, int(uint32(runs[1])), sc.runPos[0]}
+	w.cb = w.ca
+	total, prevMax := 0.0, 0.0
 	var prevPairs *collective.Pair
-	for sIdx := 0; sIdx < nSteps; sIdx++ {
-		ls.off[sIdx] = int32(len(ls.ids))
+	for s := 0; s < max(len(steps), len(blocks)); s++ {
+		var msg float64
 		var pairs []collective.Pair
 		var stepBlocks []collective.Block
 		var repeat bool
 		if blocks != nil {
-			bs := &blocks[sIdx]
-			ls.msg[sIdx], stepBlocks, repeat = bs.MsgSize, bs.Blocks, bs.Repeat
+			bs := &blocks[s]
+			msg, stepBlocks, repeat = bs.MsgSize, bs.Blocks, bs.Repeat
 		} else {
-			ls.msg[sIdx], pairs = steps[sIdx].MsgSize, steps[sIdx].Pairs
+			msg, pairs = steps[s].MsgSize, steps[s].Pairs
 			repeat = len(pairs) > 0 && prevPairs == &pairs[0]
 		}
-		if repeat {
-			ls.kind[sIdx] = stepRepeat
-			continue
-		}
-		if len(pairs) == 0 && len(stepBlocks) == 0 {
-			ls.kind[sIdx] = stepEmpty
-			continue
-		}
-		sc.tag++
-		if sc.tag == 0 {
-			clear(sc.stepTag)
-			sc.tag = 1
-		}
-		for i := range stepBlocks {
-			if err := c.block(sIdx, &stepBlocks[i]); err != nil {
-				return nil, err
+		if !repeat {
+			// A pair-less step contributes zero and leaves the max a repeat
+			// step re-charges untouched, as in the reference loops.
+			if len(pairs) == 0 && len(stepBlocks) == 0 {
+				continue
 			}
-		}
-		if len(pairs) > 0 {
-			prevPairs = &pairs[0]
-		}
-		for i := 0; i < len(pairs); {
-			k := collective.SegmentAt(pairs, i)
-			i += k.N
-			if err := c.block(sIdx, &k); err != nil {
-				return nil, err
+			w.max = 0
+			for i := range stepBlocks {
+				if err := w.block(s, &stepBlocks[i]); err != nil {
+					return 0, err
+				}
 			}
+			if len(pairs) > 0 {
+				prevPairs = &pairs[0]
+			}
+			for i := 0; i < len(pairs); {
+				k := collective.SegmentAt(pairs, i)
+				i += k.N
+				if err := w.block(s, &k); err != nil {
+					return 0, err
+				}
+			}
+			prevMax = w.max
+		}
+		if mode == ModeHopBytes {
+			total += prevMax * msg * base
+		} else {
+			total += prevMax
 		}
 	}
-	ls.off[nSteps] = int32(len(ls.ids))
-	// The tables grew in the scratch's buffers, which stay with it.
-	sc.pairLi, sc.pairLj, sc.ids, sc.w = ls.pairLi, ls.pairLj, ls.ids, ls.w
-	ls.pairLi, ls.pairLj, ls.ids, ls.w = slices.Clone(ls.pairLi), slices.Clone(ls.pairLj), slices.Clone(ls.ids), slices.Clone(ls.w)
-	ls.agg = buildSubtreeSchedule(lay, ls)
-	return ls, nil
+	return total, nil
 }
 
 // ceilDiv is ⌈x/y⌉ for y ≥ 1 (at most 0 for x ≤ 0): the number of ranks
@@ -369,15 +259,16 @@ func firstOutOfRange(k *collective.Block, n int) (a, b int) {
 	return a + k.SA*t, b + k.SB*t
 }
 
-// block adds one block's pairs to step sIdx by walking run breakpoints.
-// Where a repetition's whole span lies inside one run on both sides, so do
-// the next ones until either run ends, and all of them are one pair-table
-// update; otherwise the repetition is cut into pieces that stay inside one
-// run on both sides. Pieces follow the pairs' listing order and every pair
-// of a piece joins the same two leaves, so discovery order and
-// multiplicities are those of a pair-by-pair walk (DESIGN.md §7).
-func (c *compiler) block(sIdx int, k *collective.Block) error {
-	n := c.n
+// block folds one block's pairs of step sIdx into the step's max by walking
+// run breakpoints. Where a repetition's whole span lies inside one run on
+// both sides, so do the next ones until either run ends, and all of them
+// are one leaf pair; otherwise the repetition is cut into pieces that stay
+// inside one run on both sides, each one leaf pair. A leaf pair's value is
+// computed once per pricing, the first time a piece maps onto it.
+//
+//caws:noalloc
+func (w *walker) block(sIdx int, k *collective.Block) error {
+	n := w.n
 	spanA, spanB := k.SA*(k.N-1), k.SB*(k.N-1)
 	if last := k.Outer * (k.Reps - 1); k.A < 0 || k.B < 0 || k.A+spanA+last >= n || k.B+spanB+last >= n {
 		a, b := firstOutOfRange(k, n)
@@ -386,9 +277,9 @@ func (c *compiler) block(sIdx int, k *collective.Block) error {
 	if k.A == k.B && k.SA == k.SB {
 		return nil // self pairs: Hops(i,i) = 0, never the max
 	}
-	ls, sc, runs := c.ls, c.sc, c.runs
-	nTouched := len(ls.leaves)
-	ca, cb := c.ca, c.cb
+	sc, runs := w.sc, w.runs
+	t := len(sc.leaves)
+	ca, cb := w.ca, w.cb
 	for u := 0; u < k.Reps; {
 		a, b := k.A+k.Outer*u, k.B+k.Outer*u
 		if a < ca.lo || a >= ca.end {
@@ -414,32 +305,28 @@ func (c *compiler) block(sIdx int, k *collective.Block) error {
 		if roomA, roomB := ca.end-1-a-spanA, cb.end-1-b-spanB; roomA >= 0 && roomB >= 0 {
 			reps := 1
 			if k.Reps-u > 1 && roomA >= k.Outer && roomB >= k.Outer {
-				reps = min(k.Reps-u, roomA/k.Outer+1, roomB/k.Outer+1)
+				reps = min(k.Reps-u, min(roomA, roomB)/k.Outer+1) // one division: ⌊·/Outer⌋ is monotone
 			}
 			m, u = reps*k.N, u+reps
 		} else {
 			m, u = min(ceilDiv(ca.end-a, k.SA), ceilDiv(cb.end-b, k.SB)), u+1
 		}
 		for left := k.N; ; {
-			lo, hi := ca.pos, cb.pos // any canonical slot serves the scratch; the table orders by leaf
+			lo, hi := ca.pos, cb.pos
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			pidx := int(lo)*nTouched + int(hi)
-			if sc.pairEpoch[pidx] != sc.epoch {
-				sc.pairEpoch[pidx] = sc.epoch
-				sc.pairID[pidx] = int32(len(ls.pairLi))
-				li, lj := ls.leaves[lo], ls.leaves[hi]
-				ls.pairLi = append(ls.pairLi, min(li, lj))
-				ls.pairLj = append(ls.pairLj, max(li, lj))
+			p := int(lo)*t + int(hi)
+			if sc.pairEpoch[p] != sc.epoch {
+				sc.pairEpoch[p] = sc.epoch
+				if w.dist {
+					sc.pairVal[p] = w.lay.Dist(sc.leaves[lo], sc.leaves[hi])
+				} else {
+					sc.pairVal[p] = sc.hops(w.lay, lo, hi)
+				}
 			}
-			if sc.stepTag[pidx] != sc.tag {
-				sc.stepTag[pidx] = sc.tag
-				sc.stepPos[pidx] = int32(len(ls.ids))
-				ls.ids = append(ls.ids, sc.pairID[pidx])
-				ls.w = append(ls.w, int32(m))
-			} else {
-				ls.w[sc.stepPos[pidx]] += int32(m)
+			if v := sc.pairVal[p]; v > w.max {
+				w.max = v
 			}
 			if left -= m; left <= 0 {
 				break
@@ -459,209 +346,21 @@ func (c *compiler) block(sIdx int, k *collective.Block) error {
 			m = min(ceilDiv(ca.end-a, k.SA), ceilDiv(cb.end-b, k.SB), left)
 		}
 	}
-	c.ca, c.cb = ca, cb
+	w.ca, w.cb = ca, cb
 	return nil
 }
 
-// leafHops computes Eq. 5 between two leaves from the live counters,
-// mirroring Hops/Contention expression for expression (same conversions,
-// same association order), so kernel and reference evaluations are
-// bit-identical.
-//
-//caws:noalloc
-func leafHops(st *cluster.State, lay *cluster.Layout, li, lj int32) float64 {
-	d := lay.Dist(li, lj)
-	if li == lj {
-		return d * (1 + st.CommShare(int(li)))
+// priceList prices caller-supplied steps over a node list. ok is false, and
+// nothing is priced, for a list that is empty, repeats a node id or names
+// one outside the topology: the run view cannot express what the reference
+// loops do with such a list, so the caller prices it through them.
+func priceList(st *cluster.State, nodes []int, steps []collective.Step, mode Mode, base float64) (cost float64, ok bool, err error) {
+	lay, pl := cluster.LayoutOf(st.Topology()), cluster.NewPlacement(nodes)
+	sc := priceScratchPool.Get().(*priceScratch)
+	defer priceScratchPool.Put(sc)
+	if len(nodes) == 0 || !pl.Reduce(lay, &sc.scan) {
+		return 0, false, nil
 	}
-	shared := 0.5 * float64(st.LeafComm(int(li))+st.LeafComm(int(lj))) / lay.PairSize(li, lj)
-	return d * (1 + (st.CommShare(int(li)) + st.CommShare(int(lj)) + shared))
-}
-
-// evalScratch holds one evaluation's mutable state: the prefilled per-pair
-// Hops values and the candidate overlay (leaf-indexed comm counts and
-// shares, epoch-stamped so they reset in O(touched leaves)). The overlay
-// arrays are arenas sized off the layout (grown on demand, then pooled), so
-// large-L costing stays zero-alloc in the steady state; distinct concurrent
-// evaluations draw distinct instances.
-type evalScratch struct {
-	pairVal []float64
-	ovComm  []int
-	ovShare []float64
-	ovSet   []uint32
-	ovEpoch uint32
-
-	// Aggregated-kernel arenas (subtreeagg.go): per touched subtree the
-	// uniformity pass's shared (comm, size) state and verdict, per
-	// cross-subtree block its collapsed value and non-uniform flag. Sized
-	// by ensureAgg, fully rewritten each evaluation (no stamps needed).
-	subComm    []int32
-	subSize    []int32
-	subUniform []bool
-	blockVal   []float64
-	blockNU    []bool
-}
-
-var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
-
-// ensureLeaves sizes the overlay arenas for a layout with l leaves.
-// Growing discards the old stamps; the fresh zeroed ovSet reads as stale
-// against the monotone ovEpoch, exactly like an epoch bump.
-func (sc *evalScratch) ensureLeaves(l int) {
-	if len(sc.ovSet) < l {
-		sc.ovComm = make([]int, l)
-		sc.ovShare = make([]float64, l)
-		sc.ovSet = make([]uint32, l)
-	}
-}
-
-// beginOverlay installs the schedule's leaf histogram as a comm-counter
-// overlay: leaf l reads as L_comm(l) + c_l, with the share recomputed by
-// the same division State.updateShare would store after a real Allocate —
-// so overlay costing is bit-identical to tentative allocation.
-func (sc *evalScratch) beginOverlay(st *cluster.State, lay *cluster.Layout, ls *leafSchedule) {
-	sc.ensureLeaves(lay.L)
-	sc.ovEpoch++
-	if sc.ovEpoch == 0 { // wrapped: stale stamps could collide
-		clear(sc.ovSet)
-		sc.ovEpoch = 1
-	}
-	for i, l := range ls.leaves {
-		comm := st.LeafComm(int(l)) + int(ls.counts[i])
-		sc.ovComm[l] = comm
-		sc.ovShare[l] = float64(comm) / lay.LeafSize[l]
-		sc.ovSet[l] = sc.ovEpoch
-	}
-}
-
-// overlayHops is leafHops with the candidate overlay applied to whichever
-// endpoints it covers.
-//
-//caws:noalloc
-func (sc *evalScratch) overlayHops(st *cluster.State, lay *cluster.Layout, li, lj int32) float64 {
-	commI, shareI := st.LeafComm(int(li)), st.CommShare(int(li))
-	if sc.ovSet[li] == sc.ovEpoch {
-		commI, shareI = sc.ovComm[li], sc.ovShare[li]
-	}
-	d := lay.Dist(li, lj)
-	if li == lj {
-		return d * (1 + shareI)
-	}
-	commJ, shareJ := st.LeafComm(int(lj)), st.CommShare(int(lj))
-	if sc.ovSet[lj] == sc.ovEpoch {
-		commJ, shareJ = sc.ovComm[lj], sc.ovShare[lj]
-	}
-	shared := 0.5 * float64(commI+commJ) / lay.PairSize(li, lj)
-	return d * (1 + (shareI + shareJ + shared))
-}
-
-// eval computes Eq. 6 (or its hop-bytes weighting) over the compiled
-// schedule against the live state, optionally with the candidate overlay.
-// Leaf-pair Hops are prefilled in the schedule's fixed pair order — one
-// computation per distinct pair — then each step takes the max over its
-// index list, so sums are reproducible regardless of caller concurrency.
-//
-//caws:noalloc
-func (ls *leafSchedule) eval(st *cluster.State, overlay, hopBytes bool, baseMsgSize float64) float64 {
-	if ls.agg != nil {
-		return ls.evalAgg(st, overlay, hopBytes, baseMsgSize)
-	}
-	return ls.evalFlat(st, overlay, hopBytes, baseMsgSize)
-}
-
-// evalFlat is eval as the flat scan over every distinct leaf pair: the
-// kernel of a schedule without an aggregation stage, and the one evalAgg is
-// tested against on a schedule with one.
-//
-//caws:noalloc
-func (ls *leafSchedule) evalFlat(st *cluster.State, overlay, hopBytes bool, baseMsgSize float64) float64 {
-	sc := evalScratchPool.Get().(*evalScratch)
-	if cap(sc.pairVal) < len(ls.pairLi) {
-		sc.pairVal = make([]float64, len(ls.pairLi))
-	}
-	pv := sc.pairVal[:len(ls.pairLi)]
-	if overlay {
-		sc.beginOverlay(st, ls.lay, ls)
-		for p := range pv {
-			pv[p] = sc.overlayHops(st, ls.lay, ls.pairLi[p], ls.pairLj[p])
-		}
-	} else {
-		for p := range pv {
-			pv[p] = leafHops(st, ls.lay, ls.pairLi[p], ls.pairLj[p])
-		}
-	}
-	total, prevMax := 0.0, 0.0
-	for s := 0; s < ls.nSteps; s++ {
-		var max float64
-		switch ls.kind[s] {
-		case stepEmpty:
-			continue
-		case stepRepeat:
-			max = prevMax
-		default:
-			for _, id := range ls.ids[ls.off[s]:ls.off[s+1]] {
-				if v := pv[id]; v > max {
-					max = v
-				}
-			}
-			prevMax = max
-		}
-		if hopBytes {
-			total += max * ls.msg[s] * baseMsgSize
-		} else {
-			total += max
-		}
-	}
-	evalScratchPool.Put(sc)
-	return total
-}
-
-// evalDistance is eval for the distance-only ablation: per-step max of
-// d(i,j) with no contention term. Distances are prefilled once per
-// distinct leaf pair (they are derived on demand from the layout's
-// ancestor chains, so one walk per pair, not one per step reference);
-// each is the exact conversion of the reference's integer distance, so
-// the float max equals the reference's converted integer max bit for bit.
-//
-//caws:noalloc
-func (ls *leafSchedule) evalDistance() float64 {
-	if ls.agg != nil {
-		return ls.evalDistanceAgg()
-	}
-	return ls.evalDistanceFlat()
-}
-
-// evalDistanceFlat is evalDistance as the flat scan (see evalFlat).
-//
-//caws:noalloc
-func (ls *leafSchedule) evalDistanceFlat() float64 {
-	lay := ls.lay
-	sc := evalScratchPool.Get().(*evalScratch)
-	if cap(sc.pairVal) < len(ls.pairLi) {
-		sc.pairVal = make([]float64, len(ls.pairLi))
-	}
-	pv := sc.pairVal[:len(ls.pairLi)]
-	for p := range pv {
-		pv[p] = lay.Dist(ls.pairLi[p], ls.pairLj[p])
-	}
-	total, prevMax := 0.0, 0.0
-	for s := 0; s < ls.nSteps; s++ {
-		var max float64
-		switch ls.kind[s] {
-		case stepEmpty:
-			continue
-		case stepRepeat:
-			max = prevMax
-		default:
-			for _, id := range ls.ids[ls.off[s]:ls.off[s+1]] {
-				if v := pv[id]; v > max {
-					max = v
-				}
-			}
-			prevMax = max
-		}
-		total += max
-	}
-	evalScratchPool.Put(sc)
-	return total
+	cost, err = sc.price(st, lay, pl.Runs(), steps, nil, mode, false, base)
+	return cost, true, err
 }

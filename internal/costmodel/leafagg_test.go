@@ -9,8 +9,8 @@ import (
 	"repro/internal/topology"
 )
 
-// leafAggState builds a small, partially loaded state that has a flat
-// layout (so JobCost/CandidateCost take the leaf-aggregated kernel).
+// leafAggState builds a small, partially loaded state, priced on the fast
+// path.
 func leafAggState(t *testing.T) *cluster.State {
 	t.Helper()
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 4, Fanouts: []int{4, 2}})
@@ -30,11 +30,10 @@ func refJobCost(st *cluster.State, nodes []int, steps []collective.Step) (float6
 	return JobCost(st.CloneAs(true), nodes, steps)
 }
 
-// TestLeafScheduleRegrouping drives the kernel through every step shape
-// the compiler distinguishes — ordinary compute steps, empty steps,
-// repeated steps (shared Pairs backing array), self pairs, and per-step
-// message sizes — and requires bit-identical totals against the reference
-// node-pair loops. This is the executable form of the DESIGN §7
+// TestLeafScheduleRegrouping drives the walk through every step shape it
+// distinguishes — ordinary compute steps, empty steps, repeated steps
+// (shared Pairs backing array), self pairs, and per-step message sizes —
+// and requires bit-identical totals against the reference node-pair loops. This is the executable form of the DESIGN §7
 // regrouping argument: max over node pairs = max over distinct leaf pairs.
 func TestLeafScheduleRegrouping(t *testing.T) {
 	st := leafAggState(t)
@@ -76,46 +75,9 @@ func TestLeafScheduleRegrouping(t *testing.T) {
 	}
 }
 
-// TestLeafScheduleCacheIdentity pins the compiled-schedule memo's key —
-// (layout, steps identity, rank→leaf run signature): node lists with the
-// same signature must hit the same compiled leafSchedule whatever their
-// node ids, and a different signature over the same steps must compile
-// separately.
-func TestLeafScheduleCacheIdentity(t *testing.T) {
-	st := leafAggState(t)
-	steps, err := ScheduleFor(collective.RD, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(nodes ...int) *leafSchedule {
-		t.Helper()
-		ls, err := leafSchedFor(st, nodes, steps)
-		if err != nil || ls == nil {
-			t.Fatalf("leafSchedFor(%v) = %v, %v", nodes, ls, err)
-		}
-		return ls
-	}
-	lsA := get(2, 3, 6, 10) // leaves 0,0,1,2
-	if get(2, 3, 6, 10) != lsA {
-		t.Error("same (steps, nodes) compiled twice")
-	}
-	if get(3, 2, 7, 11) != lsA {
-		t.Error("same run signature over different node ids compiled twice")
-	}
-	for _, other := range [][]int{
-		{2, 3, 6, 14}, // last run on another leaf
-		{2, 6, 3, 10}, // same leaves, different run lengths
-		{6, 2, 3, 10}, // same runs, different order
-	} {
-		if get(other...) == lsA {
-			t.Errorf("node list %v has another run signature but shares the compiled schedule", other)
-		}
-	}
-}
-
 // TestPairRangeErrorParity checks that an out-of-range schedule pair
-// produces the identical error through the kernel and the reference loop
-// (the kernel validates in reference order during compilation).
+// produces the identical error through the walk and the reference loop
+// (the walk range-checks in reference order).
 func TestPairRangeErrorParity(t *testing.T) {
 	st := leafAggState(t)
 	nodes := []int{2, 3}

@@ -63,25 +63,17 @@ func JobCostMode(st *cluster.State, nodes []int, steps []collective.Step, mode M
 		if st.Reference() {
 			return jobCostDistanceRef(st, nodes, steps)
 		}
-		if len(steps) == 0 {
-			return 0, nil
+		if cost, ok, err := priceList(st, nodes, steps, ModeDistanceOnly, 1); ok {
+			return cost, err
 		}
-		ls, err := leafSchedFor(st, nodes, steps)
-		if err != nil {
-			return 0, err
-		}
-		if ls == nil {
-			return jobCostDistanceRef(st, nodes, steps)
-		}
-		return ls.evalDistance(), nil
+		return jobCostDistanceRef(st, nodes, steps)
 	default:
 		return 0, fmt.Errorf("costmodel: unknown mode %d", uint8(mode))
 	}
 }
 
-// jobCostDistanceRef is the uncached reference implementation of the
-// distance-only ablation: the per-step max of the integer d(i,j), summed
-// over steps.
+// jobCostDistanceRef is the reference implementation of the distance-only
+// ablation: the per-step max of the integer d(i,j), summed over steps.
 func jobCostDistanceRef(st *cluster.State, nodes []int, steps []collective.Step) (float64, error) {
 	topo := st.Topology()
 	total := 0.0
@@ -149,35 +141,23 @@ func PlacementCostMode(st *cluster.State, job cluster.JobID, class cluster.Class
 		}
 		return cost, err
 	}
-	ls, err := candidateSched(st, job, pl, p)
-	if err != nil || ls == nil {
+	sc := priceScratchPool.Get().(*priceScratch)
+	defer priceScratchPool.Put(sc)
+	if err := pl.Validate(st, job, &sc.scan); err != nil {
+		return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
+	}
+	blocks, err := blocksFor(p, pl.Len())
+	if err != nil {
 		return 0, err
 	}
-	// Only a communication-intensive candidate changes the comm counters;
-	// a compute-intensive one costs against the state as-is.
-	overlay := class == cluster.CommIntensive
 	switch mode {
-	case ModeEffectiveHops:
-		return ls.eval(st, overlay, false, 0), nil
-	case ModeHopBytes:
-		return ls.eval(st, overlay, true, 1), nil
-	case ModeDistanceOnly:
-		// Distance ignores contention, so the overlay is irrelevant.
-		return ls.evalDistance(), nil
+	case ModeEffectiveHops, ModeHopBytes, ModeDistanceOnly:
 	default:
 		return 0, fmt.Errorf("costmodel: unknown mode %d", uint8(mode))
 	}
-}
-
-// candidateSched validates the placement and returns its compiled schedule
-// for p, nil if that schedule has no steps. One pooled scratch serves both:
-// a wrapped list's runs stay in it from the validation to the compile.
-func candidateSched(st *cluster.State, job cluster.JobID, pl *cluster.Placement, p collective.Pattern) (*leafSchedule, error) {
-	sc := buildScratchPool.Get().(*buildScratch)
-	defer buildScratchPool.Put(sc)
-	if err := pl.Validate(st, job, &sc.scan); err != nil {
-		return nil, fmt.Errorf("costmodel: candidate allocate: %w", err)
-	}
-	// A validated placement lists distinct in-range nodes, so it compiles.
-	return sc.leafSched(cluster.LayoutOf(st.Topology()), pl, p, nil)
+	// Only a communication-intensive candidate changes the comm counters; a
+	// compute-intensive one costs against the state as-is. A validated
+	// placement lists distinct in-range nodes, so its runs are at hand: its
+	// own, or those the validation just left in sc.scan.
+	return sc.price(st, cluster.LayoutOf(st.Topology()), pl.Runs(), nil, blocks, mode, class == cluster.CommIntensive, 1)
 }

@@ -13,95 +13,44 @@ import (
 	"repro/internal/topology"
 )
 
-// perPairCompile is the compiler buildLeafSchedule replaced, kept as the
-// term-for-term reference: visit every pair of every non-repeat step in
-// order, skip pairs on one node, and regroup the rest by leaf pair in
-// discovery order. Maps stand in for the pooled scratch.
-func perPairCompile(lay *cluster.Layout, nodes []int, steps []collective.Step) (*leafSchedule, error) {
-	ls := &leafSchedule{
-		lay:    lay,
-		sid:    &steps[0],
-		nSteps: len(steps),
-		off:    make([]int32, len(steps)+1),
-		kind:   make([]uint8, len(steps)),
-		msg:    make([]float64, len(steps)),
-	}
-	leafPos := map[int32]int{}
-	for _, id := range nodes {
-		l := lay.NodeLeaf[id]
-		if _, ok := leafPos[l]; !ok {
-			leafPos[l] = len(ls.leaves)
-			ls.leaves = append(ls.leaves, l)
-			ls.counts = append(ls.counts, 0)
-		}
-		ls.counts[leafPos[l]]++
-	}
-	pairID := map[[2]int32]int32{}
-	var prevPairs *collective.Pair
-	for sIdx, step := range steps {
-		ls.off[sIdx] = int32(len(ls.ids))
-		ls.msg[sIdx] = step.MsgSize
-		if len(step.Pairs) == 0 {
-			ls.kind[sIdx] = stepEmpty
-			continue
-		}
-		if prevPairs == &step.Pairs[0] {
-			ls.kind[sIdx] = stepRepeat
-			continue
-		}
-		prevPairs = &step.Pairs[0]
-		stepPos := map[int32]int{}
-		for _, p := range step.Pairs {
-			if p.A < 0 || p.A >= len(nodes) || p.B < 0 || p.B >= len(nodes) {
-				return nil, fmt.Errorf("costmodel: step %d pair (%d,%d) out of range for %d nodes",
-					sIdx, p.A, p.B, len(nodes))
-			}
-			na, nb := nodes[p.A], nodes[p.B]
-			if na == nb {
-				continue
-			}
-			lo, hi := lay.NodeLeaf[na], lay.NodeLeaf[nb]
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			id, ok := pairID[[2]int32{lo, hi}]
-			if !ok {
-				id = int32(len(ls.pairLi))
-				pairID[[2]int32{lo, hi}] = id
-				ls.pairLi = append(ls.pairLi, lo)
-				ls.pairLj = append(ls.pairLj, hi)
-			}
-			if pos, ok := stepPos[id]; ok {
-				ls.w[pos]++
-			} else {
-				stepPos[id] = len(ls.ids)
-				ls.ids = append(ls.ids, id)
-				ls.w = append(ls.w, 1)
-			}
-		}
-	}
-	ls.off[len(steps)] = int32(len(ls.ids))
-	ls.agg = buildSubtreeSchedule(lay, ls)
-	return ls, nil
-}
-
-// compileCold runs the production compile on a fresh scratch, bypassing
-// leafSchedCache, from blocks or, blocks nil, from steps with on-the-fly
-// detection; ok is false for a list the run view rejects.
-func compileCold(lay *cluster.Layout, nodes []int, steps []collective.Step, blocks []collective.BlockStep) (ls *leafSchedule, ok bool, err error) {
-	sc := new(buildScratch)
+// priceCold prices steps over nodes on a fresh scratch, from blocks or,
+// blocks nil, from the steps cut on the fly; ok is false for a list the run
+// view rejects.
+func priceCold(st *cluster.State, nodes []int, steps []collective.Step, blocks []collective.BlockStep, mode Mode, overlay bool, base float64) (cost float64, ok bool, err error) {
+	lay := cluster.LayoutOf(st.Topology())
+	sc := new(priceScratch)
 	pl := cluster.NewPlacement(nodes)
-	if !pl.Reduce(lay, &sc.scan) {
-		return nil, false, nil
+	if len(nodes) == 0 || !pl.Reduce(lay, &sc.scan) {
+		return 0, false, nil
 	}
 	if blocks != nil {
 		steps = nil
 	}
-	ls, err = buildLeafSchedule(lay, sc, pl.Runs(), steps, blocks)
-	return ls, true, err
+	cost, err = sc.price(st, lay, pl.Runs(), steps, blocks, mode, overlay, base)
+	return cost, true, err
 }
 
-// blockSources are the three forms the compile reads one schedule in: the
+// refPrice is the reference loop of mode: jobCostRef, jobCostHopBytesRef
+// or jobCostDistanceRef.
+func refPrice(t testing.TB, st *cluster.State, nodes []int, steps []collective.Step, mode Mode, base float64) float64 {
+	t.Helper()
+	var c float64
+	var err error
+	switch mode {
+	case ModeHopBytes:
+		c, err = jobCostHopBytesRef(st, nodes, steps, base)
+	case ModeDistanceOnly:
+		c, err = jobCostDistanceRef(st, nodes, steps)
+	default:
+		c, err = jobCostRef(st, nodes, steps)
+	}
+	if err != nil {
+		t.Fatalf("%v reference: %v", mode, err)
+	}
+	return c
+}
+
+// blockSources are the three forms pricing reads one schedule in: the
 // pattern's own Blocks (closed form where there is one; nil for steps no
 // pattern made), the detector's blocks, and nil — the steps themselves,
 // cut into single-repetition blocks on the fly.
@@ -144,7 +93,7 @@ func checkExpands(t *testing.T, label string, blocks []collective.BlockStep, ste
 
 // compileReach counts which shapes of the breakpoint walk a test's inputs
 // exercised, so "it passed" cannot mean "it never got there". Everything is
-// derived from the blocks and the node list, not from the compiler.
+// derived from the blocks and the node list, not from the walk.
 type compileReach struct {
 	stride1, stride2, single, repeat int // equal-stride blocks by shape (N > 1, N = 1), repeat steps
 	multiRep, unequal                int // blocks with Reps > 1, blocks with SA ≠ SB and N > 1
@@ -152,7 +101,7 @@ type compileReach struct {
 	unequalPieces                    int // unequal-stride repetitions cut by a run boundary
 	backwards                        int // blocks starting in a run behind the one the last block ended in
 	splitA, splitB                   int // pieces ended by the A side's run alone / the B side's alone
-	own, compacted, onTheFly         int // compiles per block source
+	own, compacted, onTheFly         int // pricings per block source
 }
 
 // observe classifies one (blocks, node list) input.
@@ -224,8 +173,8 @@ func (r *compileReach) unreached() []string {
 		"whole-repetition skips (k > 1)": r.wholeSkips, "cut unequal-stride repetitions": r.unequalPieces,
 		"backward cursor moves at a block start": r.backwards,
 		"A-side run splits":                      r.splitA, "B-side run splits": r.splitB,
-		"compiles from a pattern's own blocks": r.own, "compiles from compacted blocks": r.compacted,
-		"on-the-fly compiles": r.onTheFly,
+		"pricings from a pattern's own blocks": r.own, "pricings from compacted blocks": r.compacted,
+		"on-the-fly pricings": r.onTheFly,
 	} {
 		if n == 0 {
 			missing = append(missing, name)
@@ -235,7 +184,7 @@ func (r *compileReach) unreached() []string {
 	return missing
 }
 
-// count records one compile from the named block source.
+// count records one pricing from the named block source.
 func (r *compileReach) count(src string) {
 	switch src {
 	case "own":
@@ -247,36 +196,50 @@ func (r *compileReach) count(src string) {
 	}
 }
 
-// diffLeafSchedules compares two compiled schedules term for term.
-func diffLeafSchedules(got, want *leafSchedule) string {
-	switch {
-	case !slices.Equal(got.leaves, want.leaves):
-		return fmt.Sprintf("leaves %v, want %v", got.leaves, want.leaves)
-	case !slices.Equal(got.counts, want.counts):
-		return fmt.Sprintf("counts %v, want %v", got.counts, want.counts)
-	case !slices.Equal(got.pairLi, want.pairLi) || !slices.Equal(got.pairLj, want.pairLj):
-		return "pair table (content or discovery order) differs"
-	case !slices.Equal(got.ids, want.ids):
-		return "ids differ"
-	case !slices.Equal(got.w, want.w):
-		return fmt.Sprintf("multiplicities w %v, want %v", got.w, want.w)
-	case !slices.Equal(got.off, want.off):
-		return fmt.Sprintf("off %v, want %v", got.off, want.off)
-	case !slices.Equal(got.kind, want.kind):
-		return fmt.Sprintf("kind %v, want %v", got.kind, want.kind)
-	case !slices.Equal(got.msg, want.msg):
-		return "msg differs"
-	case (got.agg != nil) != (want.agg != nil):
-		return fmt.Sprintf("agg compiled: %v, want %v", got.agg != nil, want.agg != nil)
+// loadedAround returns an empty machine with resident comm jobs on free
+// nodes outside nodes (the first free node of every third leaf, two jobs so
+// several leaves see contention), and its reference clone with nodes
+// allocated on top as a communication-intensive job: the state an overlay
+// pricing of nodes must agree with.
+func loadedAround(t testing.TB, topo *topology.Topology, nodes []int) (st, allocated *cluster.State) {
+	t.Helper()
+	st = cluster.New(topo)
+	taken := make(map[int]bool, len(nodes))
+	for _, id := range nodes {
+		taken[id] = true
 	}
-	return ""
+	var resident [2][]int
+	for l := 0; l < topo.NumLeaves(); l += 3 {
+		for _, id := range topo.LeafNodes(l) {
+			if !taken[id] {
+				resident[l%2] = append(resident[l%2], id)
+				break
+			}
+		}
+	}
+	for i, rn := range resident {
+		if len(rn) == 0 {
+			continue
+		}
+		if err := st.Allocate(cluster.JobID(9000+i), cluster.CommIntensive, rn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocated = st.CloneAs(true)
+	if err := allocated.Allocate(1, cluster.CommIntensive, nodes); err != nil {
+		t.Fatal(err)
+	}
+	return st, allocated
 }
 
-// TestCompileMatchesPerPairReference compares the breakpoint-walk compile
-// with the per-pair compiler it replaced, term for term, over every
+// TestPriceMatchesReference holds the walk to the reference loops bit for
+// bit — jobCostRef, jobCostHopBytesRef and jobCostDistanceRef — over every
 // pattern, power-of-two and folded sizes, and node lists from one run per
-// leaf down to one rank per run — each through all three block sources.
-func TestCompileMatchesPerPairReference(t *testing.T) {
+// leaf down to one rank per run, each through all three block sources.
+// Pricing without the overlay is checked against the loops on the same
+// state, with it against the loops on a reference clone where the list is
+// allocated for real.
+func TestPriceMatchesReference(t *testing.T) {
 	small := topology.MustGenerate(topology.Spec{NodesPerLeaf: 16, Fanouts: []int{16, 16}})
 	patterns := []collective.Pattern{collective.RD, collective.RHVD, collective.Binomial,
 		collective.Ring, collective.Stencil, collective.Alltoall}
@@ -292,8 +255,8 @@ func TestCompileMatchesPerPairReference(t *testing.T) {
 			n    int
 		}{{small, 1000}, {small, 4096}, {intrepid, 5263}, {intrepid, 12000}}...)
 	}
+	bits := math.Float64bits
 	var reach compileReach
-	aggCompiled := 0
 	for _, tc := range cases {
 		topo, n := tc.topo, tc.n
 		lay := cluster.LayoutOf(topo)
@@ -304,47 +267,45 @@ func TestCompileMatchesPerPairReference(t *testing.T) {
 			perRun[r] = topo.LeafNodes(r % topo.NumLeaves())[r/topo.NumLeaves()]
 		}
 		lists["one-rank-per-run"] = perRun
-		for _, p := range patterns {
-			if n > 1000 && (p == collective.Alltoall || p == collective.Ring && n > 4096) {
-				continue // n−1 steps: millions of pairs (or of per-pair map updates) add time, not shapes
-			}
-			steps := p.MustSchedule(n)
-			own, err := p.Blocks(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srcs := blockSources(t, fmt.Sprintf("%v/%d", p, n), own, steps)
-			for shape, nodes := range lists {
-				label := fmt.Sprintf("%v/%d/%s", p, n, shape)
-				want, err := perPairCompile(lay, nodes, steps)
-				if err != nil {
-					t.Fatalf("%s: reference compile: %v", label, err)
+		for shape, nodes := range lists {
+			st, allocated := loadedAround(t, topo, nodes)
+			for _, p := range patterns {
+				if n > 1000 && (p == collective.Alltoall || p == collective.Ring && n > 4096) {
+					continue // n−1 steps: millions of reference pairs add time, not shapes
 				}
+				steps := p.MustSchedule(n)
+				own, err := p.Blocks(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srcs := blockSources(t, fmt.Sprintf("%v/%d", p, n), own, steps)
 				for name, blocks := range srcs {
 					if blocks != nil {
 						reach.observe(lay, nodes, blocks)
 					}
-					got, ok, err := compileCold(lay, nodes, steps, blocks)
-					if err != nil || !ok {
-						t.Fatalf("%s (%s): compile: ok=%v err=%v", label, name, ok, err)
-					}
-					if d := diffLeafSchedules(got, want); d != "" {
-						t.Fatalf("%s (%s): %s", label, name, d)
-					}
 					reach.count(name)
 				}
-				if want.agg != nil {
-					aggCompiled++
+				for _, mode := range allModes {
+					want := map[bool]float64{
+						false: refPrice(t, st, nodes, steps, mode, 3),
+						true:  refPrice(t, allocated, nodes, steps, mode, 3),
+					}
+					for name, blocks := range srcs {
+						for overlay, w := range want {
+							got, ok, err := priceCold(st, nodes, steps, blocks, mode, overlay, 3)
+							if err != nil || !ok || bits(got) != bits(w) {
+								t.Fatalf("%v/%d/%s (%s) %v overlay=%v: price = %v (ok=%v, err=%v), reference %v",
+									p, n, shape, name, mode, overlay, got, ok, err, w)
+							}
+						}
+					}
 				}
 			}
 		}
 	}
-	t.Logf("reach: %+v, agg compiled in %d cases", reach, aggCompiled)
+	t.Logf("reach: %+v", reach)
 	for _, name := range reach.unreached() {
 		t.Errorf("the inputs never produced %s", name)
-	}
-	if aggCompiled == 0 {
-		t.Error("the inputs never produced aggregated schedules")
 	}
 }
 
@@ -373,8 +334,8 @@ func TestCompileFallsBackOnRepeatedNodes(t *testing.T) {
 			nodes := slices.Clone(base)
 			nodes[tc.to] = nodes[tc.from]
 			label := fmt.Sprintf("%v, repeat at %s", p, tc.name)
-			if _, ok, _ := compileCold(cluster.LayoutOf(st.Topology()), nodes, steps, nil); ok {
-				t.Fatalf("%s: the run compile accepted a list that repeats node %d", label, nodes[tc.to])
+			if _, ok, _ := priceList(st, nodes, steps, ModeEffectiveHops, 1); ok {
+				t.Fatalf("%s: the walk priced a list that repeats node %d", label, nodes[tc.to])
 			}
 			wantCost, err := jobCostRef(st, nodes, steps)
 			if err != nil {
@@ -402,9 +363,6 @@ func TestCompileFallsBackOnRepeatedNodes(t *testing.T) {
 					t.Errorf("%s: JobCostMode(%v) = %v, %v; reference = %v", label, mode, got, err, want)
 				}
 			}
-			if agg, err := ScheduleAggregated(st, nodes, steps); agg || err != nil {
-				t.Errorf("%s: ScheduleAggregated = %v, %v on a list the reference loops price", label, agg, err)
-			}
 		}
 	}
 }
@@ -417,7 +375,6 @@ func TestCompileFallsBackOnRepeatedNodes(t *testing.T) {
 // unequal-stride block, and on the A side as well as the B side.
 func TestSegmentRangeErrorParity(t *testing.T) {
 	st := leafAggState(t)
-	lay := cluster.LayoutOf(st.Topology())
 	free := []int{2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 18, 19, 20}
 	pattern := func(p collective.Pattern, ranks int) ([]collective.Step, []collective.BlockStep) {
 		own, err := p.Blocks(ranks)
@@ -485,9 +442,9 @@ func TestSegmentRangeErrorParity(t *testing.T) {
 			t.Fatalf("%s: reference error %v does not name %s", tc.name, refErr, tc.want)
 		}
 		for name, blocks := range blockSources(t, tc.name, tc.own, tc.steps) {
-			_, _, err := compileCold(lay, nodes, tc.steps, blocks)
+			_, _, err := priceCold(st, nodes, tc.steps, blocks, ModeEffectiveHops, false, 1)
 			if err == nil || err.Error() != refErr.Error() {
-				t.Errorf("%s (%s): compile error %v, reference %v", tc.name, name, err, refErr)
+				t.Errorf("%s (%s): price error %v, reference %v", tc.name, name, err, refErr)
 			}
 		}
 		if _, err := JobCost(st, nodes, tc.steps); err == nil || err.Error() != refErr.Error() {
@@ -496,16 +453,16 @@ func TestSegmentRangeErrorParity(t *testing.T) {
 	}
 }
 
-// TestCompileRandomSchedules drives the compile with schedules no pattern
+// TestCompileRandomSchedules drives the walk with schedules no pattern
 // emits — random pairs, descending and mixed strides, self pairs, ranks
-// in either order — against random node lists, through both block sources.
+// in either order — against random node lists on a loaded state, through
+// both block sources, and holds every mode to its reference loop.
 func TestCompileRandomSchedules(t *testing.T) {
-	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 4, Fanouts: []int{4, 2}})
-	lay := cluster.LayoutOf(topo)
+	st := leafAggState(t)
 	rng := rand.New(rand.NewSource(14))
 	for iter := 0; iter < 400; iter++ {
 		n := 2 + rng.Intn(24)
-		nodes := rng.Perm(topo.NumNodes())[:n]
+		nodes := rng.Perm(st.Topology().NumNodes())[:n]
 		if iter%2 == 0 {
 			slices.Sort(nodes)
 		}
@@ -520,17 +477,14 @@ func TestCompileRandomSchedules(t *testing.T) {
 				}
 			}
 		}
-		want, err := perPairCompile(lay, nodes, steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, blocks := range blockSources(t, fmt.Sprintf("iter %d", iter), nil, steps) {
-			got, ok, err := compileCold(lay, nodes, steps, blocks)
-			if err != nil || !ok {
-				t.Fatalf("iter %d (%s): ok=%v err=%v", iter, name, ok, err)
-			}
-			if d := diffLeafSchedules(got, want); d != "" {
-				t.Fatalf("iter %d (%s): %s\nnodes %v\nsteps %+v", iter, name, d, nodes, steps)
+		for _, mode := range allModes {
+			want := refPrice(t, st, nodes, steps, mode, 2)
+			for name, blocks := range blockSources(t, fmt.Sprintf("iter %d", iter), nil, steps) {
+				got, ok, err := priceCold(st, nodes, steps, blocks, mode, false, 2)
+				if err != nil || !ok || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("iter %d (%s) %v: price = %v (ok=%v, err=%v), reference %v\nnodes %v\nsteps %+v",
+						iter, name, mode, got, ok, err, want, nodes, steps)
+				}
 			}
 		}
 	}

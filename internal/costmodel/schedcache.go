@@ -21,8 +21,8 @@ import (
 // its blocks — 56 B each, fifteen for 32,768-rank RD against 245,760
 // pairs — plus 40 B per step, and grows a pair list only when ScheduleFor
 // is asked for one (3.9 MB for that schedule). Once the memo is full a new
-// size costs pricing one block generation per cold compile (O(steps) for
-// the closed forms) and costs ScheduleFor a fresh pair list per call.
+// size costs pricing one block generation per call (O(steps) for the closed
+// forms) and costs ScheduleFor a fresh pair list per call.
 const maxScheduleEntries = 256
 
 type scheduleKey struct {
@@ -31,7 +31,7 @@ type scheduleKey struct {
 }
 
 // memoSchedule is one memo entry: the schedule in block form, which is all
-// the compile reads, and its pair lists once some caller has asked for them.
+// pricing reads, and its pair lists once some caller has asked for them.
 type memoSchedule struct {
 	blocks []collective.BlockStep
 	once   sync.Once

@@ -80,8 +80,8 @@ type Result struct {
 	// the makespan.
 	Utilization float64
 	// Kernel names the cost-evaluation path the run's state took
-	// (costmodel.KernelPath): "aggregated", or "reference" under
-	// Config.Reference.
+	// (costmodel.KernelPath): "aggregated", the one-pass fast path, or
+	// "reference" under Config.Reference.
 	Kernel string
 }
 

@@ -84,11 +84,11 @@ type Point struct {
 	CommShare    float64
 	Algorithm    core.Algorithm
 	// Kernel records the cost-evaluation path the cell ran under —
-	// "aggregated" for the compiled kernels (wide schedules collapse
-	// cross-subtree blocks, narrow ones take the flat scans), "reference"
-	// for the uncached loops of a Grid.Reference sweep — so sweep output
-	// is auditable: a sweep that ran the O(P log P) reference path is
-	// distinguishable from one that ran the kernel it is benchmarking.
+	// "aggregated" for the one-pass fast path (costmodel.KernelPath; the
+	// name is kept for the CSV), "reference" for the node-pair loops of a
+	// Grid.Reference sweep — so sweep output is auditable: a sweep that ran
+	// the O(P log P) reference path is distinguishable from one that ran
+	// the kernel it is benchmarking.
 	Kernel  string
 	Summary metrics.Summary
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestReferenceEquivalence proves the optimized fast paths (per-switch
-// free counters, maintained comm shares, compiled schedules) produce
+// free counters, maintained comm shares, one-pass pricing) produce
 // bit-identical schedules to the reference implementations over the full
 // configuration matrix for several seeds.
 func TestReferenceEquivalence(t *testing.T) {

@@ -1,8 +1,8 @@
 #!/bin/sh
 # bench-compare: run the benchmark suite into a dated BENCH_<date>.json and
 # diff it against the latest *committed* BENCH_*.json with cmd/benchcmp,
-# failing on >20% ns/op regressions in the /opt fast paths, in the cold
-# schedule compile (BenchmarkCompile, which has no reference twin), and in the
+# failing on >20% ns/op regressions in the /opt fast paths, in one-pass
+# pricing (BenchmarkPrice, which has no reference twin), and in the
 # run-form commit and the state clone, which must stay O(words) (/runs and
 # BenchmarkCloneIntrepid), and in the backlog scheduling pass
 # (BenchmarkPassBacklog).
@@ -18,7 +18,7 @@ GO=${GO:-go}
 BENCHTIME=${BENCHTIME:-1s}
 BENCHCOUNT=${BENCHCOUNT:-3}
 BENCH_PKGS="./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon ./internal/sched"
-BENCH_RE='BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkJobCost$|BenchmarkCompile|BenchmarkScheduleBlocks|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog'
+BENCH_RE='BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkPrice|BenchmarkScheduleBlocks|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog'
 
 # newest prints, of the artifacts named, the one recorded last: by the Time
 # of its first record (`go test -json` stamps every event, RFC 3339, and the
@@ -77,4 +77,4 @@ if [ "$base" = "$out" ]; then
 fi
 
 echo "bench-compare: comparing against committed baseline $base"
-$GO run ./cmd/benchcmp -gate /opt,BenchmarkCompile/,BenchmarkAllocateReleaseIntrepid/runs,BenchmarkCloneIntrepid,BenchmarkPassBacklog "$base" "$out"
+$GO run ./cmd/benchcmp -gate /opt,BenchmarkPrice/,BenchmarkAllocateReleaseIntrepid/runs,BenchmarkCloneIntrepid,BenchmarkPassBacklog "$base" "$out"
