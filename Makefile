@@ -35,10 +35,10 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz runs of the native fuzz targets; CI smoke, not a soak. The
-# scheduled CI fuzz job runs the same eleven targets at FUZZTIME=5m.
-# (internal/verify keeps a FuzzSubtreeAggregation of the same inputs that
-# runs them through the differential harness; costmodel's is the cheaper
-# one, so it is the one fuzzed.)
+# scheduled CI fuzz job runs the same eleven targets at FUZZTIME=5m, plus
+# the three parsers of outside input (hostlist.FuzzExpand,
+# topology.FuzzParseConfig, swf.FuzzRead), which run here only as seed
+# corpora under `make test`.
 fuzz-smoke:
 	$(GO) test ./internal/collective -run FuzzCompactExpand -fuzz FuzzCompactExpand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run FuzzAllocate -fuzz FuzzAllocate -fuzztime $(FUZZTIME)
@@ -46,7 +46,7 @@ fuzz-smoke:
 	$(GO) test ./internal/verify -run FuzzRunContinuous -fuzz FuzzRunContinuous -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify -run FuzzFaultTrace -fuzz FuzzFaultTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify -run FuzzLayoutScale -fuzz FuzzLayoutScale -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/costmodel -run FuzzSubtreeAggregation -fuzz FuzzSubtreeAggregation -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/costmodel -run FuzzWidePlacementPricing -fuzz FuzzWidePlacementPricing -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search -run FuzzAnnealMoves -fuzz FuzzAnnealMoves -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sched -run FuzzQueueOps -fuzz FuzzQueueOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/daemon -run FuzzDispatch -fuzz FuzzDispatch -fuzztime $(FUZZTIME)

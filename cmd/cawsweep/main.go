@@ -103,7 +103,7 @@ func run(machines, patterns, comm, commShare, algs string, jobs int, seed int64,
 		return err
 	}
 	// Name the cost-evaluation path the cells report having run: a sweep
-	// on the reference loops instead of the kernel it claims to benchmark
+	// on the reference loop instead of the kernel it claims to benchmark
 	// would be invisible in the numbers alone.
 	fmt.Fprintf(os.Stderr, "cawsweep: %d runs, cost kernel: %s\n", len(points), points[0].Kernel)
 	w := os.Stdout

@@ -319,7 +319,7 @@ func EffectiveHops(st *ClusterState, i, j int) float64 { return costmodel.Hops(s
 // tentatively allocated, costed with the pattern's schedule, and rolled
 // back.
 func AllocationCost(st *ClusterState, job JobID, class JobClass, nodes []int, p Pattern) (float64, error) {
-	return costmodel.CandidateCost(st, job, class, nodes, p)
+	return costmodel.CandidateCostMode(st, job, class, nodes, p, costmodel.ModeEffectiveHops)
 }
 
 // ImprovementPct returns the percentage improvement of value over base

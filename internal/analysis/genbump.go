@@ -28,7 +28,7 @@ var DefaultGenBumpConfig = GenBumpConfig{
 	TypeName: "State",
 	Guarded: []string{
 		"busyBits", "downBits", "failedBits", "leafBusy", "leafComm",
-		"leafShare", "leafUnavail", "free", "switchFree", "allocs",
+		"leafUnavail", "free", "switchFree", "allocs",
 	},
 	Counter: "gen",
 }

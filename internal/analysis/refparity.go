@@ -22,11 +22,10 @@ type RefParityConfig struct {
 }
 
 // DefaultRefParityConfig covers the two packages with fast paths:
-// cluster's per-switch free counters and incrementally maintained comm
-// shares, and costmodel's schedule memo.
+// cluster's per-switch free counters and costmodel's schedule memo.
 var DefaultRefParityConfig = RefParityConfig{
 	FastPath: map[string][]string{
-		"repro/internal/cluster":   {"switchFree", "leafShare"},
+		"repro/internal/cluster":   {"switchFree"},
 		"repro/internal/costmodel": {"scheduleCache"},
 	},
 	OwnerType: map[string]string{

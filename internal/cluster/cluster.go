@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -131,9 +130,9 @@ func pickRanks(free uint64, skip, k int) (uint64, int, int) {
 type State struct {
 	topo *topology.Topology
 	lay  *Layout
-	// reference, fixed at construction, routes SwitchFree and CommShare
-	// through their *Slow recomputations, and costmodel and the selectors
-	// through their reference loops, for every evaluation over this state.
+	// reference, fixed at construction, routes SwitchFree through
+	// SwitchFreeSlow, and costmodel and the selectors through their
+	// reference loops, for every evaluation over this state.
 	// The differential harness runs the same trace on a state of each kind.
 	reference bool
 
@@ -147,12 +146,6 @@ type State struct {
 
 	leafBusy []int // per leaf: allocated node count (L_busy)
 	leafComm []int // per leaf: nodes running comm-intensive jobs (L_comm)
-	// leafShare[l] is L_comm/L_nodes for leaf l — the per-switch contention
-	// term of Eq. 2/3 — maintained incrementally whenever leafComm changes,
-	// so cost evaluation reads a float instead of dividing per pair. Each
-	// update stores the result of the same division CommShareSlow performs,
-	// so the fast read is bit-identical to the reference recompute.
-	leafShare []float64
 	// leafUnavail counts free-but-drained nodes per leaf; they are excluded
 	// from LeafFree and FreeTotal.
 	leafUnavail []int
@@ -201,7 +194,6 @@ func newState(topo *topology.Topology, reference bool) *State {
 		failedBits:  make([]uint64, words),
 		leafBusy:    make([]int, topo.NumLeaves()),
 		leafComm:    make([]int, topo.NumLeaves()),
-		leafShare:   make([]float64, topo.NumLeaves()),
 		leafUnavail: make([]int, topo.NumLeaves()),
 		free:        topo.NumNodes(),
 		switchFree:  make([]int, len(topo.Switches)),
@@ -230,8 +222,8 @@ func (s *State) adjustFree(l, delta int) {
 }
 
 // Reference reports whether the state was built to take the reference
-// implementations: the O(leaves) SwitchFreeSlow and per-call CommShareSlow
-// here, the uncached node-pair loops and tentative allocation in costmodel.
+// implementations: the O(leaves) SwitchFreeSlow here, the node-pair loop
+// and tentative allocation in costmodel.
 // It never changes over a state's life, so readers need no synchronisation.
 func (s *State) Reference() bool { return s.reference }
 
@@ -333,30 +325,10 @@ func (s *State) CommRatio(l int) float64 {
 }
 
 // CommShare returns L_comm/L_nodes for leaf l, the per-switch contention
-// term of the cost model (Eq. 2 and Eq. 3). It is an O(1) read of the
-// incrementally maintained per-leaf share; a reference state falls back to
-// CommShareSlow, the original per-call division, for differential
-// equivalence checks.
+// term of the cost model (Eq. 2 and Eq. 3). costmodel's pricing divides the
+// same two numbers the same way, so both agree bit for bit.
 func (s *State) CommShare(l int) float64 {
-	if s.reference {
-		return s.CommShareSlow(l)
-	}
-	return s.leafShare[l]
-}
-
-// CommShareSlow recomputes L_comm/L_nodes from the counters — the
-// reference implementation the maintained leafShare is checked against
-// (CheckInvariants and the verify harness).
-func (s *State) CommShareSlow(l int) float64 {
-	return float64(s.leafComm[l]) / float64(s.topo.LeafSize(l))
-}
-
-// updateShare refreshes the maintained L_comm/L_nodes after a leafComm
-// change. It stores the division result itself (never an incremental
-// delta), so the fast read stays bit-identical to CommShareSlow.
-func (s *State) updateShare(l int) {
-	//lint:allow genbump share maintenance inside Allocate/Release, which bump gen once per mutation
-	s.leafShare[l] = float64(s.leafComm[l]) / float64(s.topo.LeafSize(l))
+	return float64(s.leafComm[l]) / s.lay.LeafSize[l]
 }
 
 // FreeOnLeaf appends the IDs of the allocatable nodes on leaf l to dst and
@@ -452,7 +424,6 @@ func (s *State) AllocatePlacement(job JobID, class Class, p *Placement) error {
 		s.adjustFree(l, -held)
 		if class == CommIntensive {
 			s.leafComm[l] += held
-			s.updateShare(l)
 		}
 	}
 	s.maskBuf = masks
@@ -482,7 +453,6 @@ func (s *State) Release(job JobID) error {
 		s.leafBusy[l] -= held
 		if a.Class == CommIntensive {
 			s.leafComm[l] -= held
-			s.updateShare(l)
 		}
 		// Drained while running: those nodes leave service instead of
 		// returning to the allocatable pool, so the subtree free counts do
@@ -516,7 +486,6 @@ func (s *State) CloneAs(reference bool) *State {
 		failedBits:  slices.Clone(s.failedBits),
 		leafBusy:    append([]int(nil), s.leafBusy...),
 		leafComm:    append([]int(nil), s.leafComm...),
-		leafShare:   append([]float64(nil), s.leafShare...),
 		leafUnavail: append([]int(nil), s.leafUnavail...),
 		free:        s.free,
 		down:        s.down,
@@ -626,11 +595,6 @@ func (s *State) CheckInvariants() error {
 		}
 		if unavail[l] != s.leafUnavail[l] {
 			return fmt.Errorf("leaf %d unavail %d, recomputed %d", l, s.leafUnavail[l], unavail[l])
-		}
-		// The maintained share must be bit-identical to the reference
-		// division, not merely close: cost evaluation mixes the two paths.
-		if math.Float64bits(s.leafShare[l]) != math.Float64bits(s.CommShareSlow(l)) {
-			return fmt.Errorf("leaf %d comm share %v, recomputed %v", l, s.leafShare[l], s.CommShareSlow(l))
 		}
 	}
 	for _, sw := range s.topo.Switches {

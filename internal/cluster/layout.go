@@ -1,20 +1,19 @@
 package cluster
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/topology"
 )
 
-// Layout is the flat structure-of-arrays view of a topology that the
-// leaf-aggregated cost kernel (costmodel) consumes. Per-leaf quantities —
-// leaf sizes (as both the exact integers and their float64 conversions)
-// and the node → leaf map — are laid out as contiguous slices; the
-// per-*pair* quantities Eq. 5 needs (leaf-pair distance, pairwise size
-// sum) are computed on demand from that per-leaf data by Dist and
-// PairSize, so a Layout is O(nodes + leaves) however many leaves the
-// topology has. A Layout is built once per topology and shared (the
+// Layout is the flat structure-of-arrays view of a topology that
+// costmodel's pricing and State's per-leaf bitmaps consume. Per-leaf
+// quantities — leaf sizes (as both the exact integers and their float64
+// conversions) and the node → leaf map — are laid out as contiguous
+// slices; the per-*pair* quantities Eq. 5 needs (leaf-pair distance,
+// pairwise size sum) are computed on demand from that per-leaf data by
+// Dist and PairSize, so a Layout is O(nodes + leaves) however many leaves
+// the topology has. A Layout is built once per topology and shared (the
 // topology is immutable); the generation-keyed state on top of it
 // (per-leaf contention) lives in State.
 //
@@ -36,11 +35,6 @@ type Layout struct {
 	// Eq. 3's shared-term denominator (PairSize converts the integer sum,
 	// never sums the conversions).
 	LeafSizeInt []int32
-	// LeafNodeOff/LeafNodeID are the per-leaf attached-node ranges as one
-	// contiguous slice: leaf l's node IDs are
-	// LeafNodeID[LeafNodeOff[l]:LeafNodeOff[l+1]], ascending.
-	LeafNodeOff []int32
-	LeafNodeID  []int32
 	// LeafWordOff/NodeBit place every node in the per-leaf bitmaps a State
 	// and an Allocation keep: leaf l owns words
 	// [LeafWordOff[l], LeafWordOff[l+1]), 64 nodes to a word in LeafNodes(l)
@@ -49,23 +43,6 @@ type Layout struct {
 	// past its size are pad: no node answers to them.
 	LeafWordOff []int32
 	NodeBit     []int32
-
-	// AggLevel is the switch level the subtree-aggregated cost kernel
-	// groups leaves at, chosen once per layout: the level k in
-	// [2, Height()] whose ancestor-group count is closest to √L (balancing
-	// the O(S²) cross-subtree block count against the O((L/S)²) intra-
-	// subtree exact pairs), restricted to 2 ≤ S < L so the grouping is
-	// non-trivial. 0 means no usable level exists (two-level trees group
-	// everything under the root) and costing stays on the flat leaf-pair
-	// kernel.
-	AggLevel int
-	// SubOf maps leaf index -> dense subtree id at AggLevel (nil when
-	// AggLevel is 0); SubCount is the number of subtrees and SubRep the
-	// first (lowest-index) leaf in each — the representative SubDist
-	// resolves cross-subtree distance through.
-	SubOf    []int32
-	SubCount int
-	SubRep   []int32
 }
 
 // Dist returns the Eq. 4 distance between two leaves —
@@ -81,17 +58,6 @@ func (lay *Layout) Dist(li, lj int32) float64 {
 // matching the reference expression bit for bit.
 func (lay *Layout) PairSize(li, lj int32) float64 {
 	return float64(int(lay.LeafSizeInt[li]) + int(lay.LeafSizeInt[lj]))
-}
-
-// SubDist returns the Eq. 4 distance between any leaf of subtree a and any
-// leaf of subtree b (a ≠ b, dense ids at AggLevel). Leaves in distinct
-// level-k ancestor groups meet only above both group ancestors, so the
-// lowest common switch — and hence Dist — is identical for every cross
-// pair of the block; the representative leaves stand in for all of them
-// bit for bit (the same float64(2 * level) conversion of the same integer
-// level). Only meaningful when AggLevel is non-zero.
-func (lay *Layout) SubDist(a, b int32) float64 {
-	return lay.Dist(lay.SubRep[a], lay.SubRep[b])
 }
 
 // maxLayoutCacheEntries bounds the layout cache. Layouts are O(nodes), so
@@ -139,7 +105,6 @@ func buildLayout(topo *topology.Topology) *Layout {
 		NodeLeaf:    make([]int32, topo.NumNodes()),
 		LeafSize:    make([]float64, l),
 		LeafSizeInt: make([]int32, l),
-		LeafNodeOff: make([]int32, l+1),
 		LeafWordOff: make([]int32, l+1),
 		NodeBit:     make([]int32, topo.NumNodes()),
 	}
@@ -149,53 +114,10 @@ func buildLayout(topo *topology.Topology) *Layout {
 	for i := 0; i < l; i++ {
 		lay.LeafSize[i] = float64(topo.LeafSize(i))
 		lay.LeafSizeInt[i] = int32(topo.LeafSize(i))
-	}
-	for i := 0; i < l; i++ {
-		lay.LeafNodeOff[i] = int32(len(lay.LeafNodeID))
 		for at, id := range topo.LeafNodes(i) {
-			lay.LeafNodeID = append(lay.LeafNodeID, int32(id))
 			lay.NodeBit[id] = lay.LeafWordOff[i]<<6 + int32(at)
 		}
 		lay.LeafWordOff[i+1] = lay.LeafWordOff[i] + int32(topo.LeafSize(i)+63)>>6
 	}
-	lay.LeafNodeOff[l] = int32(len(lay.LeafNodeID))
-	chooseAggLevel(lay, topo)
 	return lay
-}
-
-// chooseAggLevel picks the layout's subtree-aggregation level: among the
-// levels k in [2, Height()] whose ancestor-group count S satisfies
-// 2 ≤ S < L, the one with S closest to √L (ties to the lower level). S²
-// cross-subtree blocks trade against (L/S)² exact intra-subtree pairs, so
-// √L balances the two; S < 2 means every leaf groups together (all pairs
-// intra, nothing to collapse) and S = L means every leaf is its own group
-// (every block a single pair, pure overhead) — both leave AggLevel at 0
-// and the flat kernel in charge.
-func chooseAggLevel(lay *Layout, topo *topology.Topology) {
-	target := math.Sqrt(float64(lay.L))
-	bestDiff := math.Inf(1)
-	for k := 2; k <= topo.Height(); k++ {
-		groups, n := topo.AncestorGroups(k)
-		if n < 2 || n >= lay.L {
-			continue
-		}
-		if diff := math.Abs(float64(n) - target); diff < bestDiff {
-			bestDiff = diff
-			lay.AggLevel = k
-			lay.SubOf = groups
-			lay.SubCount = n
-		}
-	}
-	if lay.AggLevel == 0 {
-		return
-	}
-	lay.SubRep = make([]int32, lay.SubCount)
-	for i := range lay.SubRep {
-		lay.SubRep[i] = -1
-	}
-	for l, g := range lay.SubOf {
-		if lay.SubRep[g] == -1 {
-			lay.SubRep[g] = int32(l)
-		}
-	}
 }

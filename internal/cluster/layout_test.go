@@ -71,18 +71,13 @@ func TestLayoutMatchesTopology(t *testing.T) {
 			}
 		}
 		for l := 0; l < lay.L; l++ {
-			ids := topo.LeafNodes(l)
-			got := lay.LeafNodeID[lay.LeafNodeOff[l]:lay.LeafNodeOff[l+1]]
-			if len(got) != len(ids) {
-				t.Fatalf("%+v: leaf %d has %d layout nodes, want %d", spec, l, len(got), len(ids))
+			for k, id := range topo.LeafNodes(l) {
+				if got, want := lay.NodeBit[id], lay.LeafWordOff[l]<<6+int32(k); got != want {
+					t.Errorf("%+v: leaf %d node %d at bit %d, want %d", spec, l, id, got, want)
+				}
 			}
-			for k, id := range ids {
-				if int(got[k]) != id {
-					t.Errorf("%+v: leaf %d node %d = %d, want %d", spec, l, k, got[k], id)
-				}
-				if k > 0 && got[k-1] >= got[k] {
-					t.Errorf("%+v: leaf %d node IDs not ascending: %v", spec, l, got)
-				}
+			if words := lay.LeafWordOff[l+1] - lay.LeafWordOff[l]; int(words) != (topo.LeafSize(l)+63)/64 {
+				t.Errorf("%+v: leaf %d owns %d words for %d nodes", spec, l, words, topo.LeafSize(l))
 			}
 		}
 	}
@@ -106,7 +101,7 @@ func TestLayoutShared(t *testing.T) {
 // TestLayoutBeyondDenseThreshold is the regression test for the old
 // 128-leaf ceiling: topologies past it used to get no layout
 // at all, silently dropping the largest machines onto the O(P log P)
-// reference loops. Now every leaf count gets a full layout — the fast
+// reference loop. Now every leaf count gets a full layout — the fast
 // kernel path — and its derived pair quantities stay exact.
 func TestLayoutBeyondDenseThreshold(t *testing.T) {
 	for _, leaves := range []int{128, 129, 300, 1024} {
@@ -149,47 +144,5 @@ func TestLayoutCacheBounded(t *testing.T) {
 	layoutCache.mu.RUnlock()
 	if n > maxLayoutCacheEntries {
 		t.Fatalf("layout cache holds %d entries, bound is %d", n, maxLayoutCacheEntries)
-	}
-}
-
-// TestLayoutSubtreeGrouping pins the aggregation-level choice and the
-// lifted subtree distance: on a three-level 16×8 tree the level-2 groups
-// are the 8 pods (the group count closest to √128), SubOf maps leaves to
-// their pod, SubRep is each pod's first leaf, and SubDist of two pods is
-// bit-identical to Dist of any leaf pair drawn from them — the
-// block-constant distance the subtree kernel collapses through. Two-level
-// trees have no level with 2 ≤ groups < leaves and must report AggLevel 0.
-func TestLayoutSubtreeGrouping(t *testing.T) {
-	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 2, Fanouts: []int{16, 8}})
-	lay := LayoutOf(topo)
-	if lay.AggLevel != 2 || lay.SubCount != 8 {
-		t.Fatalf("AggLevel=%d SubCount=%d, want 2 and 8", lay.AggLevel, lay.SubCount)
-	}
-	for l := 0; l < lay.L; l++ {
-		if got, want := lay.SubOf[l], int32(l/16); got != want {
-			t.Fatalf("SubOf[%d] = %d, want %d (pod)", l, got, want)
-		}
-	}
-	for s := 0; s < lay.SubCount; s++ {
-		if got, want := lay.SubRep[s], int32(s*16); got != want {
-			t.Errorf("SubRep[%d] = %d, want %d (first leaf of pod)", s, got, want)
-		}
-	}
-	// Every cross pair of two pods shares the block distance.
-	for _, pair := range [][2]int32{{0, 1}, {0, 7}, {3, 5}} {
-		a, b := pair[0], pair[1]
-		want := lay.SubDist(a, b)
-		for _, la := range []int32{a * 16, a*16 + 7, a*16 + 15} {
-			for _, lb := range []int32{b * 16, b*16 + 9, b*16 + 15} {
-				if got := lay.Dist(la, lb); got != want {
-					t.Fatalf("Dist(%d,%d) = %v, want block-constant %v", la, lb, got, want)
-				}
-			}
-		}
-	}
-
-	flat := LayoutOf(topology.MustGenerate(topology.Spec{NodesPerLeaf: 1, Fanouts: []int{64}}))
-	if flat.AggLevel != 0 || flat.SubOf != nil {
-		t.Errorf("two-level tree: AggLevel=%d SubOf=%v, want 0 and nil", flat.AggLevel, flat.SubOf)
 	}
 }

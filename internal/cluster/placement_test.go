@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -91,7 +90,6 @@ func (s *refState) allocateRef(job JobID, class Class, nodes []int) error {
 		s.adjustFree(l, -1)
 		if class == CommIntensive {
 			s.leafComm[l]++
-			s.updateShare(l)
 		}
 	}
 	s.free -= len(sorted)
@@ -118,7 +116,6 @@ func (s *refState) releaseRef(job JobID) error {
 		s.leafBusy[l]--
 		if a.Class == CommIntensive {
 			s.leafComm[l]--
-			s.updateShare(l)
 		}
 		if s.NodeDown(id) {
 			s.leafUnavail[l]++
@@ -134,7 +131,7 @@ func (s *refState) releaseRef(job JobID) error {
 }
 
 // sameState reports the first difference between two states' observable and
-// internal bookkeeping: every counter, leafShare bit for bit, switchFree,
+// internal bookkeeping: every counter, switchFree,
 // free, the generation, the bitmaps (pad bits included), what every node
 // query answers for every node, and every allocation's node list.
 func sameState(a, b *State) error {
@@ -155,11 +152,6 @@ func sameState(a, b *State) error {
 	} {
 		if !c.same {
 			return fmt.Errorf("%s differs", c.name)
-		}
-	}
-	for l := range a.leafShare {
-		if math.Float64bits(a.leafShare[l]) != math.Float64bits(b.leafShare[l]) {
-			return fmt.Errorf("leaf %d share %v vs %v", l, a.leafShare[l], b.leafShare[l])
 		}
 	}
 	for id := 0; id < a.topo.NumNodes(); id++ {

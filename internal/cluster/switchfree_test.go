@@ -88,8 +88,8 @@ func TestSwitchFreeMatchesSlowUnderChurn(t *testing.T) {
 
 // TestSwitchFreeReferenceMode pins the mode a state is built with: an
 // optimized state and its reference clone agree on a state with allocations
-// in flight, and only the reference one recounts: a counter or share
-// knocked out of step shows through the optimized read alone.
+// in flight, and only the reference one recounts: a counter knocked out of
+// step shows through the optimized read alone.
 func TestSwitchFreeReferenceMode(t *testing.T) {
 	topo := topology.PaperExample()
 	st := New(topo)
@@ -108,12 +108,8 @@ func TestSwitchFreeReferenceMode(t *testing.T) {
 	root := topo.Switches[len(topo.Switches)-1]
 	for _, s := range []*State{st, ref} {
 		s.switchFree[root.Index]++
-		s.leafShare[0]++
 		if got, want := s.SwitchFree(root) != s.SwitchFreeSlow(root), !s.reference; got != want {
 			t.Errorf("reference=%v: SwitchFree reads the maintained counter = %v", s.reference, got)
-		}
-		if got, want := s.CommShare(0) != s.CommShareSlow(0), !s.reference; got != want {
-			t.Errorf("reference=%v: CommShare reads the maintained share = %v", s.reference, got)
 		}
 	}
 }

@@ -24,7 +24,7 @@ type BlockStep struct {
 	// Repeat marks a step that exchanges the previous non-empty step's
 	// pairs again (every ring step after the first) and has no blocks of
 	// its own; Expand gives it that step's Pairs slice itself, the identity
-	// cost evaluation recognises repeats by.
+	// Compact and the reference cost loop recognise repeats by.
 	Repeat bool
 }
 
@@ -76,11 +76,11 @@ func Expand(blocks []BlockStep) []Step {
 	return steps
 }
 
-// SegmentAt returns the longest stretch of pairs starting at pairs[i] that
+// segmentAt returns the longest stretch of pairs starting at pairs[i] that
 // one single-repetition Block lists: pairs[i+t] = (A + SA·t, B + SB·t) with
 // both strides positive. A stretch with unequal strides stops before a pair
 // of equal ranks and never starts on one.
-func SegmentAt(pairs []Pair, i int) Block {
+func segmentAt(pairs []Pair, i int) Block {
 	rest := pairs[i:]
 	k := Block{A: rest[0].A, B: rest[0].B, SA: 1, SB: 1, N: 1, Reps: 1}
 	if len(rest) < 2 {
@@ -101,7 +101,7 @@ func SegmentAt(pairs []Pair, i int) Block {
 }
 
 // Compact rewrites pair lists as blocks, whatever made them: each step is
-// cut into SegmentAt stretches, and a stretch that is the block before it
+// cut into segmentAt stretches, and a stretch that is the block before it
 // shifted by one more positive stride, the same on both sides, becomes
 // another repetition of that block. A step that shares its Pairs with the
 // previous non-empty step becomes a Repeat.
@@ -120,7 +120,7 @@ func Compact(steps []Step) []BlockStep {
 		prev = &st.Pairs[0]
 		var blocks []Block
 		for i := 0; i < len(st.Pairs); {
-			k := SegmentAt(st.Pairs, i)
+			k := segmentAt(st.Pairs, i)
 			i += k.N
 			if n := len(blocks); n > 0 {
 				last := &blocks[n-1]

@@ -156,7 +156,7 @@ func NewWith(a Algorithm, o Options) (Selector, error) {
 	case BalancedNoPow2:
 		return balancedSelector{pow2: false}, nil
 	case Anneal:
-		return annealSelector{cfg: search.Config{Budget: o.AnnealBudget, Seed: o.AnnealSeed}}, nil
+		return annealSelector{cfg: search.Config{Budget: o.AnnealBudget}}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %d", uint8(a))
 	}

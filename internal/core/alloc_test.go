@@ -249,11 +249,11 @@ func TestAdaptiveAgreesWithCheaperCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costG, err := costmodel.CandidateCost(st, req.Job, req.Class, g, req.Pattern)
+	costG, err := costmodel.CandidateCostMode(st, req.Job, req.Class, g, req.Pattern, costmodel.ModeEffectiveHops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	costB, err := costmodel.CandidateCost(st, req.Job, req.Class, b, req.Pattern)
+	costB, err := costmodel.CandidateCostMode(st, req.Job, req.Class, b, req.Pattern, costmodel.ModeEffectiveHops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestAdaptiveAgreesWithCheaperCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costA, err := costmodel.CandidateCost(st, req.Job, req.Class, a, req.Pattern)
+	costA, err := costmodel.CandidateCostMode(st, req.Job, req.Class, a, req.Pattern, costmodel.ModeEffectiveHops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,14 +278,14 @@ func TestAdaptiveAgreesWithCheaperCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costAC, err := costmodel.CandidateCost(st, reqC.Job, reqC.Class, ac, reqC.Pattern)
+	costAC, err := costmodel.CandidateCostMode(st, reqC.Job, reqC.Class, ac, reqC.Pattern, costmodel.ModeEffectiveHops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gc, _ := MustNew(Greedy).Select(st, reqC)
 	bc, _ := MustNew(Balanced).Select(st, reqC)
-	costGC, _ := costmodel.CandidateCost(st, reqC.Job, reqC.Class, gc, reqC.Pattern)
-	costBC, _ := costmodel.CandidateCost(st, reqC.Job, reqC.Class, bc, reqC.Pattern)
+	costGC, _ := costmodel.CandidateCostMode(st, reqC.Job, reqC.Class, gc, reqC.Pattern, costmodel.ModeEffectiveHops)
+	costBC, _ := costmodel.CandidateCostMode(st, reqC.Job, reqC.Class, bc, reqC.Pattern, costmodel.ModeEffectiveHops)
 	max := costGC
 	if costBC > max {
 		max = costBC
@@ -521,7 +521,7 @@ func TestAdaptiveOptimalityProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", alg, err)
 			}
-			c, err := costmodel.CandidateCost(st, req.Job, req.Class, nodes, pattern)
+			c, err := costmodel.CandidateCostMode(st, req.Job, req.Class, nodes, pattern, costmodel.ModeEffectiveHops)
 			if err != nil {
 				t.Fatal(err)
 			}

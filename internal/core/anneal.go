@@ -17,10 +17,6 @@ type Options struct {
 	// the budget-0 row of quality sweeps and as a bit-identity check
 	// against Adaptive).
 	AnnealBudget int
-	// AnnealSeed is the base PRNG seed for Anneal (0 = search.DefaultSeed).
-	// It is mixed with each job's ID, so one seed yields independent but
-	// reproducible per-job streams.
-	AnnealSeed uint64
 }
 
 // annealSelector seeds from the adaptive selector and refines

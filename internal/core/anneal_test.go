@@ -21,7 +21,7 @@ func TestAnnealNeverWorseThanAdaptive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seedCost, err := costmodel.CandidateCost(st, req.Job, req.Class, seed, req.Pattern)
+		seedCost, err := costmodel.CandidateCostMode(st, req.Job, req.Class, seed, req.Pattern, costmodel.ModeEffectiveHops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func TestAnnealNeverWorseThanAdaptive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cost, err := costmodel.CandidateCost(st, req.Job, req.Class, got, req.Pattern)
+		cost, err := costmodel.CandidateCostMode(st, req.Job, req.Class, got, req.Pattern, costmodel.ModeEffectiveHops)
 		if err != nil {
 			t.Fatalf("%d nodes: anneal placement invalid: %v", nodes, err)
 		}
@@ -74,7 +74,7 @@ func TestAnnealZeroBudgetIsAdaptive(t *testing.T) {
 // the same options are byte-identical.
 func TestAnnealDeterministicSelect(t *testing.T) {
 	st := benchState(t)
-	sel, err := NewWith(Anneal, Options{AnnealBudget: 128, AnnealSeed: 9})
+	sel, err := NewWith(Anneal, Options{AnnealBudget: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

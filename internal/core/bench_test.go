@@ -67,7 +67,7 @@ func BenchmarkSelectAdaptive(b *testing.B) { benchSelect(b, Adaptive) }
 // benchSelectAnneal measures the annealing selector at a given
 // evaluated-candidates budget, with the same opt/ref speedup pair as the
 // other selectors (the ref half runs the whole search against the
-// uncached reference counters — the engine reads CommShareSlow there).
+// uncached reference counters and the node-pair pricing loop).
 func benchSelectAnneal(b *testing.B, budget int) {
 	sel, err := NewWith(Anneal, Options{AnnealBudget: budget})
 	if err != nil {

@@ -130,11 +130,11 @@ func selectRef(a Algorithm, st *cluster.State, req Request) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		costG, err := costmodel.CandidateCost(st, req.Job, req.Class, g, req.Pattern)
+		costG, err := costmodel.CandidateCostMode(st, req.Job, req.Class, g, req.Pattern, costmodel.ModeEffectiveHops)
 		if err != nil {
 			return nil, err
 		}
-		costB, err := costmodel.CandidateCost(st, req.Job, req.Class, b, req.Pattern)
+		costB, err := costmodel.CandidateCostMode(st, req.Job, req.Class, b, req.Pattern, costmodel.ModeEffectiveHops)
 		if err != nil {
 			return nil, err
 		}

@@ -29,13 +29,13 @@ func BenchmarkJobCost512Leaves(b *testing.B) {
 	if err := st.Allocate(1, cluster.CommIntensive, nodes); err != nil {
 		b.Fatal(err)
 	}
-	benchOptRef(b, st, nodes, collective.RD.MustSchedule(256))
+	benchOptRef(b, st, nodes, collective.RD)
 }
 
 // BenchmarkJobCost4096LeavesWide is the dragonfly-scale pair (bench-smoke
 // only, like the 512-leaf one): 4096 leaves in 64 pods of 64, a 1024-rank
 // alltoall striped across every fourth leaf, 16 touched leaves in every
-// pod, priced on the fast path ("opt") and by the reference loops ("ref").
+// pod, priced on the fast path ("opt") and by the reference loop ("ref").
 func BenchmarkJobCost4096LeavesWide(b *testing.B) {
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 2, Fanouts: []int{64, 64}})
 	st := cluster.New(topo)
@@ -46,12 +46,12 @@ func BenchmarkJobCost4096LeavesWide(b *testing.B) {
 	if err := st.Allocate(1, cluster.CommIntensive, nodes); err != nil {
 		b.Fatal(err)
 	}
-	benchOptRef(b, st, nodes, collective.Alltoall.MustSchedule(1024))
+	benchOptRef(b, st, nodes, collective.Alltoall)
 }
 
 // benchOptRef runs one JobCost fixture on st ("opt") and on its reference
 // clone ("ref").
-func benchOptRef(b *testing.B, st *cluster.State, nodes []int, steps []collective.Step) {
+func benchOptRef(b *testing.B, st *cluster.State, nodes []int, p collective.Pattern) {
 	for _, mode := range []struct {
 		name string
 		st   *cluster.State
@@ -59,7 +59,7 @@ func benchOptRef(b *testing.B, st *cluster.State, nodes []int, steps []collectiv
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := JobCost(mode.st, nodes, steps); err != nil {
+				if _, err := JobCost(mode.st, nodes, p, ModeEffectiveHops); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -84,8 +84,7 @@ func BenchmarkJobCost(b *testing.B) {
 	if err := st.Allocate(1, cluster.CommIntensive, nodes); err != nil {
 		b.Fatal(err)
 	}
-	steps := collective.RD.MustSchedule(512)
-	benchOptRef(b, st, nodes, steps)
+	benchOptRef(b, st, nodes, collective.RD)
 }
 
 // compileLists are the node-list shapes BenchmarkPrice and
@@ -166,7 +165,7 @@ func BenchmarkPrice(b *testing.B) {
 					if !pl.Reduce(lay, &sc.scan) {
 						b.Fatal("fixture list has no run sequence")
 					}
-					if _, err := sc.price(st, lay, pl.Runs(), nil, blocks, ModeEffectiveHops, true, 1); err != nil {
+					if _, err := sc.price(st, lay, pl.Runs(), blocks, ModeEffectiveHops, true); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -14,7 +14,8 @@ import (
 // TestPairRangeValidationQuadrants is the regression test for the
 // incomplete bounds check: the old condition (p.A < 0 || p.B >= len(nodes))
 // accepted pairs with A >= len(nodes) or B < 0 and indexed out of range.
-// Every cost loop must reject all four quadrants.
+// The reference loop and the walk's block guard must reject all four
+// quadrants in every mode.
 func TestPairRangeValidationQuadrants(t *testing.T) {
 	st := figure5State(t)
 	nodes := []int{6, 7}
@@ -24,29 +25,24 @@ func TestPairRangeValidationQuadrants(t *testing.T) {
 		{A: 2, B: 0},  // missed by the old check
 		{A: 0, B: 2},
 	}
-	for _, st := range []*cluster.State{st, st.CloneAs(true)} {
-		ref := st.Reference()
-		for _, p := range bad {
-			steps := []collective.Step{{Pairs: []collective.Pair{p}, MsgSize: 1}}
-			if _, err := JobCost(st, nodes, steps); err == nil ||
+	for _, p := range bad {
+		steps := []collective.Step{{Pairs: []collective.Pair{p}, MsgSize: 1}}
+		for _, mode := range allModes {
+			if _, err := costRef(st, nodes, steps, mode); err == nil ||
 				!strings.Contains(err.Error(), "out of range") {
-				t.Errorf("ref=%v JobCost(pair %+v): err = %v, want out-of-range", ref, p, err)
+				t.Errorf("costRef(%v, pair %+v): err = %v, want out-of-range", mode, p, err)
 			}
-			if _, err := JobCostHopBytes(st, nodes, steps, 1); err == nil ||
+			if _, _, err := priceCold(st, nodes, collective.Compact(steps), mode, false); err == nil ||
 				!strings.Contains(err.Error(), "out of range") {
-				t.Errorf("ref=%v JobCostHopBytes(pair %+v): err = %v, want out-of-range", ref, p, err)
-			}
-			if _, err := JobCostMode(st, nodes, steps, ModeDistanceOnly); err == nil ||
-				!strings.Contains(err.Error(), "out of range") {
-				t.Errorf("ref=%v JobCostMode(distance, pair %+v): err = %v, want out-of-range", ref, p, err)
+				t.Errorf("price(%v, pair %+v): err = %v, want out-of-range", mode, p, err)
 			}
 		}
 	}
 }
 
 // TestScheduleForMemoized pins the schedule memo: repeated calls return the
-// identical backing array (so the per-step ring memoization in JobCost
-// keeps working), and the reference counterpart builds fresh.
+// identical backing array (so a ring's repeat steps keep sharing one pair
+// list), and the reference counterpart builds fresh.
 func TestScheduleForMemoized(t *testing.T) {
 	a, err := ScheduleFor(collective.RD, 16)
 	if err != nil {

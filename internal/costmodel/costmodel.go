@@ -48,114 +48,79 @@ func Hops(st *cluster.State, i, j int) float64 {
 	return float64(d) * (1 + Contention(st, i, j))
 }
 
-// JobCost evaluates Eq. 6 for a job whose rank r runs on nodes[r]:
+// JobCost evaluates Eq. 6 under mode for a job already allocated, rank r
+// on nodes[r], communicating in pattern p:
 //
 //	Cost = Σ_{steps n} max_{(a,b) ∈ S_n} Hops(nodes[a], nodes[b])
 //
-// The schedule's pair ranks must all be in [0, len(nodes)). The fast path
-// walks the schedule once over the list's rank→leaf runs and evaluates Hops
-// once per distinct leaf pair; a reference state (cluster.NewReference) takes
-// the node-pair loop.
-func JobCost(st *cluster.State, nodes []int, steps []collective.Step) (float64, error) {
-	if st.Reference() {
-		return jobCostRef(st, nodes, steps)
+// The fast path walks the pattern's blocks once over the list's rank→leaf
+// runs and evaluates Hops once per distinct leaf pair. A reference state
+// (cluster.NewReference), and a list the run view cannot express (one that
+// repeats a node id or names one outside the topology), take the node-pair
+// loop.
+func JobCost(st *cluster.State, nodes []int, p collective.Pattern, mode Mode) (float64, error) {
+	if err := checkMode(mode); err != nil {
+		return 0, err
 	}
-	if cost, ok, err := priceList(st, nodes, steps, ModeEffectiveHops, 1); ok {
-		return cost, err
-	}
-	return jobCostRef(st, nodes, steps)
-}
-
-// jobCostRef is the reference implementation of JobCost, kept for
-// differential equivalence checks (a reference state routes all costing
-// through it) and for the lists the fast path cannot price (priceList).
-func jobCostRef(st *cluster.State, nodes []int, steps []collective.Step) (float64, error) {
-	total := 0.0
-	var prevPairs *collective.Pair
-	prevMax := 0.0
-	for sIdx, step := range steps {
-		if len(step.Pairs) > 0 && prevPairs == &step.Pairs[0] {
-			total += prevMax
-			continue
-		}
-		max := 0.0
-		for _, p := range step.Pairs {
-			if p.A < 0 || p.A >= len(nodes) || p.B < 0 || p.B >= len(nodes) {
-				return 0, fmt.Errorf("costmodel: step %d pair (%d,%d) out of range for %d nodes",
-					sIdx, p.A, p.B, len(nodes))
+	if !st.Reference() && len(nodes) > 0 {
+		lay, pl := cluster.LayoutOf(st.Topology()), cluster.NewPlacement(nodes)
+		sc := priceScratchPool.Get().(*priceScratch)
+		defer priceScratchPool.Put(sc)
+		if pl.Reduce(lay, &sc.scan) {
+			blocks, err := blocksFor(p, len(nodes))
+			if err != nil {
+				return 0, err
 			}
-			if h := Hops(st, nodes[p.A], nodes[p.B]); h > max {
-				max = h
-			}
+			return sc.price(st, lay, pl.Runs(), blocks, mode, false)
 		}
-		if len(step.Pairs) > 0 {
-			prevPairs = &step.Pairs[0]
-			prevMax = max
-		}
-		total += max
 	}
-	return total, nil
-}
-
-// JobCostHopBytes is JobCost with each step weighted by its relative
-// message size (hop-bytes, §5.3): vector-doubling steps that move more data
-// contribute proportionally more. baseMsgSize scales all steps (use 1 for a
-// relative comparison).
-func JobCostHopBytes(st *cluster.State, nodes []int, steps []collective.Step, baseMsgSize float64) (float64, error) {
-	if st.Reference() {
-		return jobCostHopBytesRef(st, nodes, steps, baseMsgSize)
-	}
-	if cost, ok, err := priceList(st, nodes, steps, ModeHopBytes, baseMsgSize); ok {
-		return cost, err
-	}
-	return jobCostHopBytesRef(st, nodes, steps, baseMsgSize)
-}
-
-// jobCostHopBytesRef is the reference implementation of JobCostHopBytes.
-func jobCostHopBytesRef(st *cluster.State, nodes []int, steps []collective.Step, baseMsgSize float64) (float64, error) {
-	total := 0.0
-	var prevPairs *collective.Pair
-	prevMax := 0.0
-	for sIdx, step := range steps {
-		if len(step.Pairs) > 0 && prevPairs == &step.Pairs[0] {
-			total += prevMax * step.MsgSize * baseMsgSize
-			continue
-		}
-		max := 0.0
-		for _, p := range step.Pairs {
-			if p.A < 0 || p.A >= len(nodes) || p.B < 0 || p.B >= len(nodes) {
-				return 0, fmt.Errorf("costmodel: step %d pair (%d,%d) out of range for %d nodes",
-					sIdx, p.A, p.B, len(nodes))
-			}
-			if h := Hops(st, nodes[p.A], nodes[p.B]); h > max {
-				max = h
-			}
-		}
-		if len(step.Pairs) > 0 {
-			prevPairs = &step.Pairs[0]
-			prevMax = max
-		}
-		total += max * step.MsgSize * baseMsgSize
-	}
-	return total, nil
-}
-
-// PatternCost computes Eq. 6 for the pattern over the allocation, building
-// the schedule internally (memoized per pattern and size).
-func PatternCost(st *cluster.State, nodes []int, p collective.Pattern) (float64, error) {
 	steps, err := ScheduleFor(p, len(nodes))
 	if err != nil {
 		return 0, err
 	}
-	return JobCost(st, nodes, steps)
+	return costRef(st, nodes, steps, mode)
 }
 
-// CandidateCost evaluates what Eq. 6 would be if the job were placed on the
-// candidate nodes, with the job's own nodes counting towards contention as
-// in Figure 5: CandidateCostMode under the paper's effective-hops mode.
-func CandidateCost(st *cluster.State, job cluster.JobID, class cluster.Class,
-	nodes []int, p collective.Pattern) (float64, error) {
-	return CandidateCostMode(st, job, class, nodes, p, ModeEffectiveHops)
+// costRef is the node-pair reference loop of every mode: per step the max
+// over its pairs of Hops, or of the distance alone, summed over steps, a
+// step weighted by its MsgSize under hop-bytes. A step that shares the
+// previous non-empty step's Pairs re-charges that step's max. It prices
+// every evaluation over a reference state, and the lists the walk cannot
+// express; the differential checks hold the walk to it bit for bit.
+func costRef(st *cluster.State, nodes []int, steps []collective.Step, mode Mode) (float64, error) {
+	topo := st.Topology()
+	total, prevMax := 0.0, 0.0
+	var prevPairs *collective.Pair
+	for sIdx, step := range steps {
+		max := prevMax
+		if len(step.Pairs) == 0 || prevPairs != &step.Pairs[0] {
+			max = 0
+			for _, p := range step.Pairs {
+				if p.A < 0 || p.A >= len(nodes) || p.B < 0 || p.B >= len(nodes) {
+					return 0, fmt.Errorf("costmodel: step %d pair (%d,%d) out of range for %d nodes",
+						sIdx, p.A, p.B, len(nodes))
+				}
+				var h float64
+				if mode == ModeDistanceOnly {
+					h = float64(topo.Distance(nodes[p.A], nodes[p.B]))
+				} else {
+					h = Hops(st, nodes[p.A], nodes[p.B])
+				}
+				if h > max {
+					max = h
+				}
+			}
+			if len(step.Pairs) > 0 {
+				prevPairs, prevMax = &step.Pairs[0], max
+			}
+		}
+		if mode == ModeHopBytes {
+			total += max * step.MsgSize
+		} else {
+			total += max
+		}
+	}
+	return total, nil
 }
 
 // ValidateCandidate runs cluster's validator over a candidate placement
@@ -172,7 +137,7 @@ func ValidateCandidate(st *cluster.State, job cluster.JobID, pl *cluster.Placeme
 	return nil
 }
 
-// CandidateCostReadOnly reports whether CandidateCost and
+// CandidateCostReadOnly reports whether PlacementCostMode and
 // CandidateCostMode are pure reads of st (the overlay fast path) and
 // therefore safe to call from concurrent goroutines over it. False means
 // candidate costing tentatively mutates the state (a reference state) and
@@ -186,7 +151,7 @@ func CandidateCostReadOnly(st *cluster.State) bool {
 // "aggregated" for the one-pass fast path, which walks a schedule over the
 // placement's leaf runs and prices each distinct leaf pair once (the name
 // predates the walk and is kept because sweep CSVs and their digests carry
-// it); "reference" for a reference state, priced by the node-pair loops.
+// it); "reference" for a reference state, priced by the node-pair loop.
 // There is no per-topology size fallback, and surfacing the path, rather
 // than silently falling back, is what lets sweeps and operators verify
 // large machines really run the kernel they are benchmarking.

@@ -60,11 +60,10 @@ func TestJobCostRDFigure5(t *testing.T) {
 	st := figure5State(t)
 	// Job1's nodes in rank order: ranks 0,1 on leaf 0; ranks 2,3 on leaf 1.
 	nodes := []int{0, 1, 4, 5}
-	steps := collective.RD.MustSchedule(4)
 	// Step 0: pairs (0,1)->(n0,n1) and (2,3)->(n4,n5). Intra-leaf.
 	// Hops(n0,n1) = 4; Hops(n4,n5) = 2·(1 + 2/4) = 3. Max = 4.
 	// Step 1: pairs (0,2)->(n0,n4), (1,3)->(n1,n5). Both cross: 11.5. Max = 11.5.
-	cost, err := JobCost(st, nodes, steps)
+	cost, err := JobCost(st, nodes, collective.RD, ModeEffectiveHops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,41 +75,40 @@ func TestJobCostRDFigure5(t *testing.T) {
 func TestJobCostHopBytes(t *testing.T) {
 	st := figure5State(t)
 	nodes := []int{0, 1, 4, 5}
-	steps := collective.RHVD.MustSchedule(4)
 	// RHVD(4): step 0 dist 2 (cross-leaf, msize 1): max hops 11.5;
 	// step 1 dist 1 (intra-leaf, msize 2): max hops 4.
-	cost, err := JobCostHopBytes(st, nodes, steps, 1)
+	cost, err := JobCost(st, nodes, collective.RHVD, ModeHopBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !approx(cost, 11.5*1+4*2) {
 		t.Errorf("hop-bytes = %v, want 19.5", cost)
 	}
-	// Base message size scales linearly.
-	cost2, err := JobCostHopBytes(st, nodes, steps, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(cost2, 3*cost) {
-		t.Errorf("base msize scaling: %v vs %v", cost2, cost)
-	}
 }
 
+// TestJobCostRangeError holds the walk and the reference loop to rejecting
+// a schedule for more ranks than the list has, in every mode.
 func TestJobCostRangeError(t *testing.T) {
 	st := figure5State(t)
 	steps := collective.RD.MustSchedule(8)
-	if _, err := JobCost(st, []int{0, 1}, steps); err == nil {
-		t.Error("out-of-range pair accepted")
+	blocks, err := collective.RD.Blocks(8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := JobCostHopBytes(st, []int{0, 1}, steps, 1); err == nil {
-		t.Error("out-of-range pair accepted (hop-bytes)")
+	for _, mode := range allModes {
+		if _, err := costRef(st, []int{0, 1}, steps, mode); err == nil {
+			t.Errorf("%v: out-of-range pair accepted by the reference loop", mode)
+		}
+		if _, _, err := priceCold(st, []int{0, 1}, blocks, mode, false); err == nil {
+			t.Errorf("%v: out-of-range block accepted by the walk", mode)
+		}
 	}
 }
 
 func TestCandidateCostRollsBack(t *testing.T) {
 	st := figure5State(t)
 	before := st.FreeTotal()
-	cost, err := CandidateCost(st, 99, cluster.CommIntensive, []int{6, 7}, collective.RD)
+	cost, err := CandidateCostMode(st, 99, cluster.CommIntensive, []int{6, 7}, collective.RD, ModeEffectiveHops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,16 +124,16 @@ func TestCandidateCostRollsBack(t *testing.T) {
 		t.Errorf("candidate cost = %v, want 4", cost)
 	}
 	// Single-node candidates cost nothing.
-	c1, err := CandidateCost(st, 99, cluster.CommIntensive, []int{6}, collective.RD)
+	c1, err := CandidateCostMode(st, 99, cluster.CommIntensive, []int{6}, collective.RD, ModeEffectiveHops)
 	if err != nil || c1 != 0 {
 		t.Errorf("single-node candidate cost = %v, %v; want 0, nil", c1, err)
 	}
 	// Empty candidate is an error.
-	if _, err := CandidateCost(st, 99, cluster.CommIntensive, nil, collective.RD); err == nil {
+	if _, err := CandidateCostMode(st, 99, cluster.CommIntensive, nil, collective.RD, ModeEffectiveHops); err == nil {
 		t.Error("empty candidate accepted")
 	}
 	// Busy nodes are an error.
-	if _, err := CandidateCost(st, 99, cluster.CommIntensive, []int{0}, collective.RD); err == nil {
+	if _, err := CandidateCostMode(st, 99, cluster.CommIntensive, []int{0}, collective.RD, ModeEffectiveHops); err == nil {
 		t.Error("busy candidate accepted")
 	}
 }
@@ -243,10 +241,9 @@ func BenchmarkJobCostRD512(b *testing.B) {
 	if err := st.Allocate(1, cluster.CommIntensive, nodes); err != nil {
 		b.Fatal(err)
 	}
-	steps := collective.RD.MustSchedule(512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := JobCost(st, nodes, steps); err != nil {
+		if _, err := JobCost(st, nodes, collective.RD, ModeEffectiveHops); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -261,7 +258,7 @@ func BenchmarkCandidateCost512(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CandidateCost(st, 1, cluster.CommIntensive, nodes, collective.RD); err != nil {
+		if _, err := CandidateCostMode(st, 1, cluster.CommIntensive, nodes, collective.RD, ModeEffectiveHops); err != nil {
 			b.Fatal(err)
 		}
 	}

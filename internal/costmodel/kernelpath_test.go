@@ -10,7 +10,7 @@ import (
 
 // TestKernelPathLargeTopology is the regression test for the silent
 // fallback: topologies past 128 leaves used to get no layout and dropped
-// invisibly onto the reference loops. The path indicator must report the
+// invisibly onto the reference loop. The path indicator must report the
 // compiled kernels at every scale, and costing a cross-machine job at that
 // scale must actually succeed through them.
 func TestKernelPathLargeTopology(t *testing.T) {
@@ -21,11 +21,7 @@ func TestKernelPathLargeTopology(t *testing.T) {
 			t.Fatalf("%d leaves: KernelPath = %q, want \"aggregated\"", leaves, got)
 		}
 		nodes := []int{0, topo.NumNodes() - 1}
-		steps, err := ScheduleFor(collective.RD, len(nodes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cost, err := JobCost(st, nodes, steps)
+		cost, err := JobCost(st, nodes, collective.RD, ModeEffectiveHops)
 		if err != nil {
 			t.Fatalf("%d leaves: JobCost on the fast path: %v", leaves, err)
 		}

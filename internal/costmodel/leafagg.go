@@ -19,7 +19,7 @@ import (
 // once: a stretch of pairs that stays inside one run on both sides is one
 // leaf pair, whose Hops is computed the first time the pricing meets it and
 // folded into the step's running max. Steps are summed in order, so the
-// total is the reference loops' bit for bit.
+// total is the reference loop's (costRef) bit for bit.
 
 // priceScratch is the pooled working set of one pricing and of candidate
 // validation: the cluster.Scratch a wrapped list is scanned with, the
@@ -46,10 +46,10 @@ var priceScratchPool = sync.Pool{New: func() any { return new(priceScratch) }}
 
 // begin opens a pricing of runs against lay: it numbers the touched leaves
 // in first-run order and, unless only distances are read, loads each one's
-// comm count and share. Those are the live counters or, under the overlay,
-// the counters plus the candidate's nodes on the leaf, divided as
-// State.updateShare divides after a real Allocate, so overlay pricing is
-// bit-identical to tentative allocation.
+// comm count and share. The count is the live counter or, under the
+// overlay, the counter plus the candidate's nodes on the leaf; the share is
+// that count divided as State.CommShare divides, so pricing is bit-identical
+// to the reference loop, overlay pricing to it after a real Allocate.
 func (sc *priceScratch) begin(st *cluster.State, lay *cluster.Layout, runs []uint64, overlay, dist bool) {
 	if len(sc.leafPos) < lay.L {
 		sc.leafPos = make([]int32, lay.L)
@@ -93,17 +93,17 @@ func (sc *priceScratch) begin(st *cluster.State, lay *cluster.Layout, runs []uin
 	for i, l := range leaves {
 		if overlay {
 			comm[i] += st.LeafComm(int(l))
-			sc.share[i] = float64(comm[i]) / lay.LeafSize[l]
 		} else {
-			comm[i], sc.share[i] = st.LeafComm(int(l)), st.CommShare(int(l))
+			comm[i] = st.LeafComm(int(l))
 		}
+		sc.share[i] = float64(comm[i]) / lay.LeafSize[l]
 	}
 }
 
 // hops is Eq. 5 between the touched leaves at positions i and j, mirroring
 // Hops/Contention expression for expression (same conversions, same
 // association order; which leaf comes first does not matter, floating-point
-// addition being commutative), so pricing and the reference loops are
+// addition being commutative), so pricing and the reference loop are
 // bit-identical.
 //
 //caws:noalloc
@@ -170,62 +170,36 @@ type walker struct {
 }
 
 // price is Eq. 6 over the placement whose run sequence
-// (cluster.Placement.Runs) is runs. The schedule comes as a pattern's
-// blocks or, blocks nil, as caller-supplied steps cut into single-repetition
-// blocks on the fly (collective.SegmentAt: no allocation). mode picks
-// effective hops, hop-bytes (each step weighted by MsgSize·base) or
-// distance alone; overlay adds the runs' nodes to the comm counters. Pair
-// ranks are range-checked in exactly the reference loops' order (steps in
-// order, pairs in order, repeat steps skipped), so an error reproduces the
-// reference error.
+// (cluster.Placement.Runs) is runs, for a schedule in block form (blocksFor).
+// mode picks effective hops, hop-bytes (each step weighted by its MsgSize)
+// or distance alone; overlay adds the runs' nodes to the comm counters.
 //
 //caws:noalloc
 func (sc *priceScratch) price(st *cluster.State, lay *cluster.Layout, runs []uint64,
-	steps []collective.Step, blocks []collective.BlockStep, mode Mode, overlay bool, base float64) (float64, error) {
+	blocks []collective.BlockStep, mode Mode, overlay bool) (float64, error) {
 	w := walker{sc: sc, lay: lay, runs: runs, n: int(runs[len(runs)-1]), dist: mode == ModeDistanceOnly}
 	sc.begin(st, lay, runs, overlay, w.dist)
 	w.ca = runCursor{0, 0, int(uint32(runs[1])), sc.runPos[0]}
 	w.cb = w.ca
 	total, prevMax := 0.0, 0.0
-	var prevPairs *collective.Pair
-	for s := 0; s < max(len(steps), len(blocks)); s++ {
-		var msg float64
-		var pairs []collective.Pair
-		var stepBlocks []collective.Block
-		var repeat bool
-		if blocks != nil {
-			bs := &blocks[s]
-			msg, stepBlocks, repeat = bs.MsgSize, bs.Blocks, bs.Repeat
-		} else {
-			msg, pairs = steps[s].MsgSize, steps[s].Pairs
-			repeat = len(pairs) > 0 && prevPairs == &pairs[0]
-		}
-		if !repeat {
+	for s := range blocks {
+		bs := &blocks[s]
+		if !bs.Repeat {
 			// A pair-less step contributes zero and leaves the max a repeat
-			// step re-charges untouched, as in the reference loops.
-			if len(pairs) == 0 && len(stepBlocks) == 0 {
+			// step re-charges untouched, as in the reference loop.
+			if len(bs.Blocks) == 0 {
 				continue
 			}
 			w.max = 0
-			for i := range stepBlocks {
-				if err := w.block(s, &stepBlocks[i]); err != nil {
-					return 0, err
-				}
-			}
-			if len(pairs) > 0 {
-				prevPairs = &pairs[0]
-			}
-			for i := 0; i < len(pairs); {
-				k := collective.SegmentAt(pairs, i)
-				i += k.N
-				if err := w.block(s, &k); err != nil {
+			for i := range bs.Blocks {
+				if err := w.block(s, &bs.Blocks[i]); err != nil {
 					return 0, err
 				}
 			}
 			prevMax = w.max
 		}
 		if mode == ModeHopBytes {
-			total += prevMax * msg * base
+			total += prevMax * bs.MsgSize
 		} else {
 			total += prevMax
 		}
@@ -233,30 +207,13 @@ func (sc *priceScratch) price(st *cluster.State, lay *cluster.Layout, runs []uin
 	return total, nil
 }
 
-// ceilDiv is ⌈x/y⌉ for y ≥ 1 (at most 0 for x ≤ 0): the number of ranks
+// ceilDiv is ⌈x/y⌉ for x ≥ 0 and y ≥ 1: the number of ranks
 // x₀, x₀+y, x₀+2y, … among the next x.
 func ceilDiv(x, y int) int {
 	if y == 1 {
 		return x
 	}
 	return (x + y - 1) / y
-}
-
-// firstOutOfRange returns the first pair, in listing order, of a block
-// that has one with a rank outside [0, n): the pair the reference loops
-// would stop at.
-func firstOutOfRange(k *collective.Block, n int) (a, b int) {
-	a, b = k.A, k.B
-	if a < 0 || b < 0 { // sides only grow: the first pair already is
-		return a, b
-	}
-	if k.Reps > 1 {
-		// The first repetition whose last pair leaves the range on a side.
-		u := max(0, min(ceilDiv(n-a-k.SA*(k.N-1), k.Outer), ceilDiv(n-b-k.SB*(k.N-1), k.Outer)))
-		a, b = a+k.Outer*u, b+k.Outer*u
-	}
-	t := max(0, min(ceilDiv(n-a, k.SA), ceilDiv(n-b, k.SB)))
-	return a + k.SA*t, b + k.SB*t
 }
 
 // block folds one block's pairs of step sIdx into the step's max by walking
@@ -271,8 +228,7 @@ func (w *walker) block(sIdx int, k *collective.Block) error {
 	n := w.n
 	spanA, spanB := k.SA*(k.N-1), k.SB*(k.N-1)
 	if last := k.Outer * (k.Reps - 1); k.A < 0 || k.B < 0 || k.A+spanA+last >= n || k.B+spanB+last >= n {
-		a, b := firstOutOfRange(k, n)
-		return fmt.Errorf("costmodel: step %d pair (%d,%d) out of range for %d nodes", sIdx, a, b, n)
+		return fmt.Errorf("costmodel: step %d block from pair (%d,%d) out of range for %d ranks", sIdx, k.A, k.B, n)
 	}
 	if k.A == k.B && k.SA == k.SB {
 		return nil // self pairs: Hops(i,i) = 0, never the max
@@ -348,19 +304,4 @@ func (w *walker) block(sIdx int, k *collective.Block) error {
 	}
 	w.ca, w.cb = ca, cb
 	return nil
-}
-
-// priceList prices caller-supplied steps over a node list. ok is false, and
-// nothing is priced, for a list that is empty, repeats a node id or names
-// one outside the topology: the run view cannot express what the reference
-// loops do with such a list, so the caller prices it through them.
-func priceList(st *cluster.State, nodes []int, steps []collective.Step, mode Mode, base float64) (cost float64, ok bool, err error) {
-	lay, pl := cluster.LayoutOf(st.Topology()), cluster.NewPlacement(nodes)
-	sc := priceScratchPool.Get().(*priceScratch)
-	defer priceScratchPool.Put(sc)
-	if len(nodes) == 0 || !pl.Reduce(lay, &sc.scan) {
-		return 0, false, nil
-	}
-	cost, err = sc.price(st, lay, pl.Runs(), steps, nil, mode, false, base)
-	return cost, true, err
 }

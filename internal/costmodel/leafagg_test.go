@@ -1,7 +1,7 @@
 package costmodel
 
 import (
-	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -25,16 +25,12 @@ func leafAggState(t *testing.T) *cluster.State {
 	return st
 }
 
-// refJobCost evaluates JobCost on st's reference clone.
-func refJobCost(st *cluster.State, nodes []int, steps []collective.Step) (float64, error) {
-	return JobCost(st.CloneAs(true), nodes, steps)
-}
-
 // TestLeafScheduleRegrouping drives the walk through every step shape it
 // distinguishes — ordinary compute steps, empty steps, repeated steps
 // (shared Pairs backing array), self pairs, and per-step message sizes —
-// and requires bit-identical totals against the reference node-pair loops. This is the executable form of the DESIGN §7
-// regrouping argument: max over node pairs = max over distinct leaf pairs.
+// and requires bit-identical totals in every mode against the reference
+// node-pair loop. This is the executable form of the DESIGN §7 regrouping
+// argument: max over node pairs = max over distinct leaf pairs.
 func TestLeafScheduleRegrouping(t *testing.T) {
 	st := leafAggState(t)
 	nodes := []int{2, 3, 6, 10, 14, 5}
@@ -47,37 +43,15 @@ func TestLeafScheduleRegrouping(t *testing.T) {
 		{Pairs: []collective.Pair{{A: 2, B: 2}}, MsgSize: 1}, // self pair only: max stays 0
 		{Pairs: []collective.Pair{{A: 5, B: 0}, {A: 1, B: 1}}, MsgSize: 0.5},
 	}
-	fast, err := JobCost(st, nodes, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := refJobCost(st, nodes, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(fast) != math.Float64bits(ref) {
-		t.Errorf("JobCost: fast %v != reference %v", fast, ref)
-	}
-	if math.Float64bits(fast) == math.Float64bits(0) {
-		t.Error("regrouping fixture evaluated to zero; the property is vacuous")
-	}
-
-	fastHB, err := JobCostHopBytes(st, nodes, steps, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refHB, err := JobCostHopBytes(st.CloneAs(true), nodes, steps, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(fastHB) != math.Float64bits(refHB) {
-		t.Errorf("JobCostHopBytes: fast %v != reference %v", fastHB, refHB)
+	for _, mode := range allModes {
+		w := priceSteps(t, st, nodes, steps, mode)
+		checkNonZero(t, "regrouping fixture, "+mode.String(), w)
 	}
 }
 
-// TestPairRangeErrorParity checks that an out-of-range schedule pair
-// produces the identical error through the walk and the reference loop
-// (the walk range-checks in reference order).
+// TestPairRangeErrorParity checks that an out-of-range schedule pair is an
+// error through the walk and through the reference loop alike, in the same
+// step.
 func TestPairRangeErrorParity(t *testing.T) {
 	st := leafAggState(t)
 	nodes := []int{2, 3}
@@ -85,19 +59,21 @@ func TestPairRangeErrorParity(t *testing.T) {
 		{Pairs: []collective.Pair{{A: 0, B: 1}}, MsgSize: 1},
 		{Pairs: []collective.Pair{{A: 1, B: 2}}, MsgSize: 1}, // B out of range
 	}
-	_, fastErr := JobCost(st, nodes, steps)
-	_, refErr := refJobCost(st, nodes, steps)
+	_, _, fastErr := priceCold(st, nodes, collective.Compact(steps), ModeEffectiveHops, false)
+	_, refErr := costRef(st, nodes, steps, ModeEffectiveHops)
 	if fastErr == nil || refErr == nil {
 		t.Fatalf("expected range errors, got fast=%v ref=%v", fastErr, refErr)
 	}
-	if fastErr.Error() != refErr.Error() {
-		t.Errorf("range error diverges:\n fast: %s\n  ref: %s", fastErr, refErr)
+	for _, err := range []error{fastErr, refErr} {
+		if !strings.Contains(err.Error(), "step 1 ") {
+			t.Errorf("range error %q does not name step 1", err)
+		}
 	}
 }
 
 // TestCandidateValidationErrorParity checks that the overlay fast path's
 // candidate validation reproduces cluster.Allocate's rejections verbatim:
-// for every way a candidate can be invalid, CandidateCost must return the
+// for every way a candidate can be invalid, CandidateCostMode must return the
 // same error string whether it validates read-only (fast) or actually
 // attempts the allocation (reference).
 func TestCandidateValidationErrorParity(t *testing.T) {
@@ -124,8 +100,8 @@ func TestCandidateValidationErrorParity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := st.CloneAs(true)
-			_, fastErr := CandidateCost(st, tc.job, cluster.CommIntensive, tc.nodes, collective.RD)
-			_, refErr := CandidateCost(ref, tc.job, cluster.CommIntensive, tc.nodes, collective.RD)
+			_, fastErr := CandidateCostMode(st, tc.job, cluster.CommIntensive, tc.nodes, collective.RD, ModeEffectiveHops)
+			_, refErr := CandidateCostMode(ref, tc.job, cluster.CommIntensive, tc.nodes, collective.RD, ModeEffectiveHops)
 			if fastErr == nil || refErr == nil {
 				t.Fatalf("expected errors, got fast=%v ref=%v", fastErr, refErr)
 			}

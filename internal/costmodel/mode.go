@@ -52,55 +52,13 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// JobCostMode evaluates the job cost under the chosen mode.
-func JobCostMode(st *cluster.State, nodes []int, steps []collective.Step, mode Mode) (float64, error) {
+// checkMode rejects a mode outside the three defined.
+func checkMode(mode Mode) error {
 	switch mode {
-	case ModeEffectiveHops:
-		return JobCost(st, nodes, steps)
-	case ModeHopBytes:
-		return JobCostHopBytes(st, nodes, steps, 1)
-	case ModeDistanceOnly:
-		if st.Reference() {
-			return jobCostDistanceRef(st, nodes, steps)
-		}
-		if cost, ok, err := priceList(st, nodes, steps, ModeDistanceOnly, 1); ok {
-			return cost, err
-		}
-		return jobCostDistanceRef(st, nodes, steps)
-	default:
-		return 0, fmt.Errorf("costmodel: unknown mode %d", uint8(mode))
+	case ModeEffectiveHops, ModeHopBytes, ModeDistanceOnly:
+		return nil
 	}
-}
-
-// jobCostDistanceRef is the reference implementation of the distance-only
-// ablation: the per-step max of the integer d(i,j), summed over steps.
-func jobCostDistanceRef(st *cluster.State, nodes []int, steps []collective.Step) (float64, error) {
-	topo := st.Topology()
-	total := 0.0
-	var prevPairs *collective.Pair
-	prevMax := 0
-	for sIdx, step := range steps {
-		if len(step.Pairs) > 0 && prevPairs == &step.Pairs[0] {
-			total += float64(prevMax)
-			continue
-		}
-		max := 0
-		for _, p := range step.Pairs {
-			if p.A < 0 || p.A >= len(nodes) || p.B < 0 || p.B >= len(nodes) {
-				return 0, fmt.Errorf("costmodel: step %d pair (%d,%d) out of range for %d nodes",
-					sIdx, p.A, p.B, len(nodes))
-			}
-			if d := topo.Distance(nodes[p.A], nodes[p.B]); d > max {
-				max = d
-			}
-		}
-		if len(step.Pairs) > 0 {
-			prevPairs = &step.Pairs[0]
-			prevMax = max
-		}
-		total += float64(max)
-	}
-	return total, nil
+	return fmt.Errorf("costmodel: unknown mode %d", uint8(mode))
 }
 
 // CandidateCostMode is PlacementCostMode for a bare rank-ordered node list.
@@ -126,6 +84,9 @@ func PlacementCostMode(st *cluster.State, job cluster.JobID, class cluster.Class
 	if pl.Len() == 0 {
 		return 0, fmt.Errorf("costmodel: empty candidate allocation")
 	}
+	if err := checkMode(mode); err != nil {
+		return 0, err
+	}
 	if st.Reference() {
 		nodes := pl.Nodes() // listed before the tentative allocation moves the generation
 		if err := st.AllocatePlacement(job, class, pl); err != nil {
@@ -134,7 +95,7 @@ func PlacementCostMode(st *cluster.State, job cluster.JobID, class cluster.Class
 		steps, err := scheduleRef(p, pl.Len())
 		var cost float64
 		if err == nil {
-			cost, err = JobCostMode(st, nodes, steps, mode)
+			cost, err = costRef(st, nodes, steps, mode)
 		}
 		if rerr := st.Release(job); rerr != nil && err == nil {
 			err = rerr
@@ -150,14 +111,9 @@ func PlacementCostMode(st *cluster.State, job cluster.JobID, class cluster.Class
 	if err != nil {
 		return 0, err
 	}
-	switch mode {
-	case ModeEffectiveHops, ModeHopBytes, ModeDistanceOnly:
-	default:
-		return 0, fmt.Errorf("costmodel: unknown mode %d", uint8(mode))
-	}
 	// Only a communication-intensive candidate changes the comm counters; a
 	// compute-intensive one costs against the state as-is. A validated
 	// placement lists distinct in-range nodes, so its runs are at hand: its
 	// own, or those the validation just left in sc.scan.
-	return sc.price(st, cluster.LayoutOf(st.Topology()), pl.Runs(), nil, blocks, mode, class == cluster.CommIntensive, 1)
+	return sc.price(st, cluster.LayoutOf(st.Topology()), pl.Runs(), blocks, mode, class == cluster.CommIntensive)
 }

@@ -39,48 +39,23 @@ func TestParseModeAndString(t *testing.T) {
 	}
 }
 
+// TestJobCostModeAgreement pins the three modes on Figure 5's state and
+// holds each to the reference loop on a reference clone.
 func TestJobCostModeAgreement(t *testing.T) {
 	st := figure5State(t)
 	nodes := []int{0, 1, 4, 5}
-	steps := collective.RHVD.MustSchedule(4)
-
-	hops, err := JobCostMode(st, nodes, steps, ModeEffectiveHops)
-	if err != nil {
-		t.Fatal(err)
+	// RHVD(4) over a 2+2 split has one cross step (d=4, Hops 11.5) and one
+	// intra step (d=2, Hops 4, message size 2).
+	want := map[Mode]float64{ModeEffectiveHops: 15.5, ModeHopBytes: 19.5, ModeDistanceOnly: 6}
+	for mode, w := range want {
+		got, err := JobCost(st, nodes, collective.RHVD, mode)
+		if err != nil || !approx(got, w) {
+			t.Fatalf("%v = %v, %v; want %v", mode, got, err, w)
+		}
+		priceJob(t, st, nodes, collective.RHVD, mode).check(t, mode.String())
 	}
-	want, err := JobCost(st, nodes, steps)
-	if err != nil || hops != want {
-		t.Fatalf("effective-hops mode %v != JobCost %v (%v)", hops, want, err)
-	}
-
-	hb, err := JobCostMode(st, nodes, steps, ModeHopBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantHB, err := JobCostHopBytes(st, nodes, steps, 1)
-	if err != nil || hb != wantHB {
-		t.Fatalf("hop-bytes mode %v != JobCostHopBytes %v (%v)", hb, wantHB, err)
-	}
-
-	// Distance-only: RHVD(4) over a 2+2 split has one cross step (d=4) and
-	// one intra step (d=2): 6.
-	dist, err := JobCostMode(st, nodes, steps, ModeDistanceOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist != 6 {
-		t.Fatalf("distance-only = %v, want 6", dist)
-	}
-	// Contention makes effective hops strictly larger than distance here.
-	if hops <= dist {
-		t.Fatalf("effective hops %v <= distance %v", hops, dist)
-	}
-
-	if _, err := JobCostMode(st, nodes, steps, Mode(77)); err == nil {
+	if _, err := JobCost(st, nodes, collective.RHVD, Mode(77)); err == nil {
 		t.Error("unknown mode accepted")
-	}
-	if _, err := JobCostMode(st, []int{0}, steps, ModeDistanceOnly); err == nil {
-		t.Error("out-of-range pair accepted in distance-only mode")
 	}
 }
 
@@ -114,15 +89,18 @@ func TestCandidateCostMode(t *testing.T) {
 
 func TestPatternCost(t *testing.T) {
 	st := figure5State(t)
-	cost, err := PatternCost(st, []int{0, 1, 4, 5}, collective.RD)
+	cost, err := JobCost(st, []int{0, 1, 4, 5}, collective.RD, ModeEffectiveHops)
 	if err != nil || cost <= 0 {
-		t.Fatalf("PatternCost = %v, %v", cost, err)
+		t.Fatalf("JobCost = %v, %v", cost, err)
 	}
-	if _, err := PatternCost(st, []int{6, 7}, collective.Pattern(99)); err == nil {
+	if _, err := JobCost(st, []int{6, 7}, collective.Pattern(99), ModeEffectiveHops); err == nil {
 		t.Error("bad pattern accepted")
 	}
+	if _, err := JobCost(st, nil, collective.RD, ModeEffectiveHops); err == nil {
+		t.Error("empty node list accepted")
+	}
 	// Single-node jobs have an empty schedule and zero cost for any pattern.
-	if cost, err := PatternCost(st, []int{6}, collective.Pattern(99)); err != nil || cost != 0 {
+	if cost, err := JobCost(st, []int{6}, collective.Pattern(99), ModeEffectiveHops); err != nil || cost != 0 {
 		t.Errorf("single-node cost = %v, %v; want 0, nil", cost, err)
 	}
 }
@@ -140,7 +118,7 @@ func TestRingCostMemoization(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := collective.Ring.MustSchedule(len(nodes))
-	fast, err := JobCost(st, nodes, steps)
+	fast, err := JobCost(st, nodes, collective.Ring, ModeEffectiveHops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +141,8 @@ func TestRingCostMemoization(t *testing.T) {
 	for i := range big {
 		big[i] = i
 	}
-	bigSteps := collective.Ring.MustSchedule(512)
 	start := time.Now()
-	if _, err := JobCost(st, big, bigSteps); err != nil {
+	if _, err := JobCost(st, big, collective.Ring, ModeEffectiveHops); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 200*time.Millisecond {

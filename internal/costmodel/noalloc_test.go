@@ -27,8 +27,9 @@ func freeRankPlacement(st *cluster.State, nodes []int) cluster.Placement {
 // (DESIGN.md §8): after one warm-up call grows the pooled scratch and
 // fills the schedule memo, pricing runs with zero heap allocations — a
 // selector-built Intrepid placement through PlacementCostMode in every
-// mode, with and without the overlay, and a node list through the JobCost
-// entry points. The build-time halves of the contract are cawslint's
+// mode, with and without the overlay, a node list as a candidate through
+// CandidateCostMode, and an allocated node list through JobCost in every
+// mode. The build-time halves of the contract are cawslint's
 // noalloc analyzer and scripts/noalloc-check.sh's escape-diagnostic
 // intersection; this test proves the sanctioned guarded grow branches
 // really are cold once warm.
@@ -54,7 +55,6 @@ func TestNoAllocKernels(t *testing.T) {
 	if err := st.Allocate(1, cluster.CommIntensive, resident); err != nil {
 		t.Fatal(err)
 	}
-	steps := collective.RD.MustSchedule(len(nodes))
 
 	check := func(name string, f func()) {
 		t.Helper()
@@ -73,24 +73,16 @@ func TestNoAllocKernels(t *testing.T) {
 			})
 		}
 	}
-	check("CandidateCost", func() {
-		if _, err := CandidateCost(st, 99, cluster.CommIntensive, nodes, collective.RD); err != nil {
+	check("CandidateCostMode", func() {
+		if _, err := CandidateCostMode(st, 99, cluster.CommIntensive, nodes, collective.RD, ModeEffectiveHops); err != nil {
 			t.Fatal(err)
 		}
 	})
-	check("JobCost", func() {
-		if _, err := JobCost(st, nodes, steps); err != nil {
-			t.Fatal(err)
-		}
-	})
-	check("JobCostHopBytes", func() {
-		if _, err := JobCostHopBytes(st, nodes, steps, 3); err != nil {
-			t.Fatal(err)
-		}
-	})
-	check("JobCostMode(distance)", func() {
-		if _, err := JobCostMode(st, nodes, steps, ModeDistanceOnly); err != nil {
-			t.Fatal(err)
-		}
-	})
+	for _, mode := range allModes {
+		check(fmt.Sprintf("JobCost(%v)", mode), func() {
+			if _, err := JobCost(st, nodes, collective.RD, mode); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -13,57 +13,41 @@ import (
 	"repro/internal/topology"
 )
 
-// priceCold prices steps over nodes on a fresh scratch, from blocks or,
-// blocks nil, from the steps cut on the fly; ok is false for a list the run
-// view rejects.
-func priceCold(st *cluster.State, nodes []int, steps []collective.Step, blocks []collective.BlockStep, mode Mode, overlay bool, base float64) (cost float64, ok bool, err error) {
+// priceCold prices blocks over nodes on a fresh scratch; ok is false for a
+// list the run view rejects.
+func priceCold(st *cluster.State, nodes []int, blocks []collective.BlockStep, mode Mode, overlay bool) (cost float64, ok bool, err error) {
 	lay := cluster.LayoutOf(st.Topology())
 	sc := new(priceScratch)
 	pl := cluster.NewPlacement(nodes)
 	if len(nodes) == 0 || !pl.Reduce(lay, &sc.scan) {
 		return 0, false, nil
 	}
-	if blocks != nil {
-		steps = nil
-	}
-	cost, err = sc.price(st, lay, pl.Runs(), steps, blocks, mode, overlay, base)
+	cost, err = sc.price(st, lay, pl.Runs(), blocks, mode, overlay)
 	return cost, true, err
 }
 
-// refPrice is the reference loop of mode: jobCostRef, jobCostHopBytesRef
-// or jobCostDistanceRef.
-func refPrice(t testing.TB, st *cluster.State, nodes []int, steps []collective.Step, mode Mode, base float64) float64 {
+// refPrice is costRef under mode, which must succeed.
+func refPrice(t testing.TB, st *cluster.State, nodes []int, steps []collective.Step, mode Mode) float64 {
 	t.Helper()
-	var c float64
-	var err error
-	switch mode {
-	case ModeHopBytes:
-		c, err = jobCostHopBytesRef(st, nodes, steps, base)
-	case ModeDistanceOnly:
-		c, err = jobCostDistanceRef(st, nodes, steps)
-	default:
-		c, err = jobCostRef(st, nodes, steps)
-	}
+	c, err := costRef(st, nodes, steps, mode)
 	if err != nil {
 		t.Fatalf("%v reference: %v", mode, err)
 	}
 	return c
 }
 
-// blockSources are the three forms pricing reads one schedule in: the
+// blockSources are the two forms pricing reads one schedule in: the
 // pattern's own Blocks (closed form where there is one; nil for steps no
-// pattern made), the detector's blocks, and nil — the steps themselves,
-// cut into single-repetition blocks on the fly.
+// pattern made) and the detector's blocks (collective.Compact), which is
+// how a schedule of any shape reaches the walk.
 func blockSources(t *testing.T, label string, own []collective.BlockStep, steps []collective.Step) map[string][]collective.BlockStep {
 	t.Helper()
-	srcs := map[string][]collective.BlockStep{"compacted": collective.Compact(steps), "on the fly": nil}
+	srcs := map[string][]collective.BlockStep{"compacted": collective.Compact(steps)}
 	if own != nil {
 		srcs["own"] = own
 	}
 	for name, blocks := range srcs {
-		if blocks != nil {
-			checkExpands(t, label+" ("+name+")", blocks, steps)
-		}
+		checkExpands(t, label+" ("+name+")", blocks, steps)
 	}
 	return srcs
 }
@@ -101,7 +85,7 @@ type compileReach struct {
 	unequalPieces                    int // unequal-stride repetitions cut by a run boundary
 	backwards                        int // blocks starting in a run behind the one the last block ended in
 	splitA, splitB                   int // pieces ended by the A side's run alone / the B side's alone
-	own, compacted, onTheFly         int // pricings per block source
+	own, compacted                   int // pricings per block source
 }
 
 // observe classifies one (blocks, node list) input.
@@ -174,7 +158,6 @@ func (r *compileReach) unreached() []string {
 		"backward cursor moves at a block start": r.backwards,
 		"A-side run splits":                      r.splitA, "B-side run splits": r.splitB,
 		"pricings from a pattern's own blocks": r.own, "pricings from compacted blocks": r.compacted,
-		"on-the-fly pricings": r.onTheFly,
 	} {
 		if n == 0 {
 			missing = append(missing, name)
@@ -186,13 +169,10 @@ func (r *compileReach) unreached() []string {
 
 // count records one pricing from the named block source.
 func (r *compileReach) count(src string) {
-	switch src {
-	case "own":
+	if src == "own" {
 		r.own++
-	case "compacted":
+	} else {
 		r.compacted++
-	default:
-		r.onTheFly++
 	}
 }
 
@@ -232,13 +212,12 @@ func loadedAround(t testing.TB, topo *topology.Topology, nodes []int) (st, alloc
 	return st, allocated
 }
 
-// TestPriceMatchesReference holds the walk to the reference loops bit for
-// bit — jobCostRef, jobCostHopBytesRef and jobCostDistanceRef — over every
-// pattern, power-of-two and folded sizes, and node lists from one run per
-// leaf down to one rank per run, each through all three block sources.
-// Pricing without the overlay is checked against the loops on the same
-// state, with it against the loops on a reference clone where the list is
-// allocated for real.
+// TestPriceMatchesReference holds the walk to the reference loop (costRef)
+// bit for bit in every mode, over every pattern, power-of-two and folded
+// sizes, and node lists from one run per leaf down to one rank per run,
+// each through both block sources. Pricing without the overlay is checked
+// against the loop on the same state, with it against the loop on a
+// reference clone where the list is allocated for real.
 func TestPriceMatchesReference(t *testing.T) {
 	small := topology.MustGenerate(topology.Spec{NodesPerLeaf: 16, Fanouts: []int{16, 16}})
 	patterns := []collective.Pattern{collective.RD, collective.RHVD, collective.Binomial,
@@ -280,19 +259,17 @@ func TestPriceMatchesReference(t *testing.T) {
 				}
 				srcs := blockSources(t, fmt.Sprintf("%v/%d", p, n), own, steps)
 				for name, blocks := range srcs {
-					if blocks != nil {
-						reach.observe(lay, nodes, blocks)
-					}
+					reach.observe(lay, nodes, blocks)
 					reach.count(name)
 				}
 				for _, mode := range allModes {
 					want := map[bool]float64{
-						false: refPrice(t, st, nodes, steps, mode, 3),
-						true:  refPrice(t, allocated, nodes, steps, mode, 3),
+						false: refPrice(t, st, nodes, steps, mode),
+						true:  refPrice(t, allocated, nodes, steps, mode),
 					}
 					for name, blocks := range srcs {
 						for overlay, w := range want {
-							got, ok, err := priceCold(st, nodes, steps, blocks, mode, overlay, 3)
+							got, ok, err := priceCold(st, nodes, blocks, mode, overlay)
 							if err != nil || !ok || bits(got) != bits(w) {
 								t.Fatalf("%v/%d/%s (%s) %v overlay=%v: price = %v (ok=%v, err=%v), reference %v",
 									p, n, shape, name, mode, overlay, got, ok, err, w)
@@ -310,10 +287,10 @@ func TestPriceMatchesReference(t *testing.T) {
 }
 
 // TestCompileFallsBackOnRepeatedNodes pins the semantics the run view
-// cannot express: the reference loops skip a pair whose two ranks sit on
+// cannot express: the reference loop skips a pair whose two ranks sit on
 // one node, which only a list that repeats a node id can produce. Such
-// lists must price through the reference loops, bit for bit, wherever the
-// repeat falls relative to segments and runs.
+// lists must price through the reference loop, bit for bit in every mode,
+// wherever the repeat falls relative to segments and runs.
 func TestCompileFallsBackOnRepeatedNodes(t *testing.T) {
 	st := leafAggState(t)                                  // 8 leaves of 4 nodes; resident comm job on nodes 0, 1, 4
 	base := []int{2, 3, 5, 6, 7, 8, 9, 10, 12, 13, 16, 17} // runs of 2, 3, 3, 2, 2 ranks
@@ -330,49 +307,35 @@ func TestCompileFallsBackOnRepeatedNodes(t *testing.T) {
 	}
 	for _, p := range []collective.Pattern{collective.RD, collective.RHVD, collective.Ring, collective.Alltoall} {
 		steps := p.MustSchedule(len(base))
+		blocks, err := p.Blocks(len(base))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, tc := range cases {
 			nodes := slices.Clone(base)
 			nodes[tc.to] = nodes[tc.from]
 			label := fmt.Sprintf("%v, repeat at %s", p, tc.name)
-			if _, ok, _ := priceList(st, nodes, steps, ModeEffectiveHops, 1); ok {
+			if _, ok, _ := priceCold(st, nodes, blocks, ModeEffectiveHops, false); ok {
 				t.Fatalf("%s: the walk priced a list that repeats node %d", label, nodes[tc.to])
 			}
-			wantCost, err := jobCostRef(st, nodes, steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantHB, err := jobCostHopBytesRef(st, nodes, steps, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantDist, err := jobCostDistanceRef(st, nodes, steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := JobCost(st, nodes, steps)
-			if err != nil || math.Float64bits(got) != math.Float64bits(wantCost) {
-				t.Errorf("%s: JobCost = %v, %v; jobCostRef = %v", label, got, err, wantCost)
-			}
-			got, err = JobCostHopBytes(st, nodes, steps, 1)
-			if err != nil || math.Float64bits(got) != math.Float64bits(wantHB) {
-				t.Errorf("%s: JobCostHopBytes = %v, %v; reference = %v", label, got, err, wantHB)
-			}
-			for mode, want := range map[Mode]float64{ModeEffectiveHops: wantCost, ModeHopBytes: wantHB, ModeDistanceOnly: wantDist} {
-				got, err = JobCostMode(st, nodes, steps, mode)
+			for _, mode := range allModes {
+				want := refPrice(t, st, nodes, steps, mode)
+				got, err := JobCost(st, nodes, p, mode)
 				if err != nil || math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("%s: JobCostMode(%v) = %v, %v; reference = %v", label, mode, got, err, want)
+					t.Errorf("%s: JobCost(%v) = %v, %v; reference %v", label, mode, got, err, want)
 				}
 			}
 		}
 	}
 }
 
-// TestSegmentRangeErrorParity checks that a rank past the node list is
-// reported exactly as the reference loop reports it — same step, same
-// (A,B) — when it sits inside a block rather than at its start: in the
-// stride-2 fold prefix of a non-power-of-two schedule, mid-way through a
-// stride-1 block, in a later repetition of a multi-repetition block, in an
-// unequal-stride block, and on the A side as well as the B side.
+// TestSegmentRangeErrorParity checks that the walk's range guard rejects a
+// rank past the node list as an error in the step where the reference loop
+// rejects it, not as an index panic, when it sits inside a block rather
+// than at its start: in the stride-2 fold prefix of a non-power-of-two
+// schedule, mid-way through a stride-1 block, in a later repetition of a
+// multi-repetition block, in an unequal-stride block, and on the A side as
+// well as the B side.
 func TestSegmentRangeErrorParity(t *testing.T) {
 	st := leafAggState(t)
 	free := []int{2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 18, 19, 20}
@@ -437,26 +400,26 @@ func TestSegmentRangeErrorParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		nodes := free[:tc.nodes]
-		_, refErr := jobCostRef(st, nodes, tc.steps)
+		_, refErr := costRef(st, nodes, tc.steps, ModeEffectiveHops)
 		if refErr == nil || !strings.Contains(refErr.Error(), tc.want) {
 			t.Fatalf("%s: reference error %v does not name %s", tc.name, refErr, tc.want)
 		}
+		step := strings.Join(strings.Fields(tc.want)[:2], " ") + " "
 		for name, blocks := range blockSources(t, tc.name, tc.own, tc.steps) {
-			_, _, err := priceCold(st, nodes, tc.steps, blocks, ModeEffectiveHops, false, 1)
-			if err == nil || err.Error() != refErr.Error() {
-				t.Errorf("%s (%s): price error %v, reference %v", tc.name, name, err, refErr)
+			for _, mode := range allModes {
+				_, _, err := priceCold(st, nodes, blocks, mode, false)
+				if err == nil || !strings.Contains(err.Error(), step) || !strings.Contains(err.Error(), "out of range") {
+					t.Errorf("%s (%s) %v: price error %v, want an out-of-range error in %s", tc.name, name, mode, err, step)
+				}
 			}
-		}
-		if _, err := JobCost(st, nodes, tc.steps); err == nil || err.Error() != refErr.Error() {
-			t.Errorf("%s: JobCost error %v, reference %v", tc.name, err, refErr)
 		}
 	}
 }
 
 // TestCompileRandomSchedules drives the walk with schedules no pattern
 // emits — random pairs, descending and mixed strides, self pairs, ranks
-// in either order — against random node lists on a loaded state, through
-// both block sources, and holds every mode to its reference loop.
+// in either order — compacted into blocks, against random node lists on a
+// loaded state, and holds every mode to the reference loop on the steps.
 func TestCompileRandomSchedules(t *testing.T) {
 	st := leafAggState(t)
 	rng := rand.New(rand.NewSource(14))
@@ -477,14 +440,13 @@ func TestCompileRandomSchedules(t *testing.T) {
 				}
 			}
 		}
+		blocks := blockSources(t, fmt.Sprintf("iter %d", iter), nil, steps)["compacted"]
 		for _, mode := range allModes {
-			want := refPrice(t, st, nodes, steps, mode, 2)
-			for name, blocks := range blockSources(t, fmt.Sprintf("iter %d", iter), nil, steps) {
-				got, ok, err := priceCold(st, nodes, steps, blocks, mode, false, 2)
-				if err != nil || !ok || math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("iter %d (%s) %v: price = %v (ok=%v, err=%v), reference %v\nnodes %v\nsteps %+v",
-						iter, name, mode, got, ok, err, want, nodes, steps)
-				}
+			want := refPrice(t, st, nodes, steps, mode)
+			got, ok, err := priceCold(st, nodes, blocks, mode, false)
+			if err != nil || !ok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("iter %d %v: price = %v (ok=%v, err=%v), reference %v\nnodes %v\nsteps %+v",
+					iter, mode, got, ok, err, want, nodes, steps)
 			}
 		}
 	}

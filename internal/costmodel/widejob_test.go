@@ -13,8 +13,7 @@ import (
 )
 
 // parity is one price computed on the fast path and on the reference
-// path: the exported entry point on the optimized state and on its
-// reference clone.
+// path.
 type parity struct {
 	fast, ref float64
 }
@@ -36,24 +35,29 @@ func checkNonZero(t *testing.T, label string, w parity) {
 	w.check(t, label)
 }
 
-// priceJob prices (nodes, steps) against st under mode; base scales
-// hop-bytes.
-func priceJob(t testing.TB, st *cluster.State, nodes []int, steps []collective.Step, mode Mode, base float64) parity {
+// priceJob prices nodes in pattern p under mode through JobCost, on st
+// and on its reference clone.
+func priceJob(t testing.TB, st *cluster.State, nodes []int, p collective.Pattern, mode Mode) parity {
 	t.Helper()
 	entry := func(st *cluster.State) float64 {
-		var c float64
-		var err error
-		if mode == ModeHopBytes {
-			c, err = JobCostHopBytes(st, nodes, steps, base)
-		} else {
-			c, err = JobCostMode(st, nodes, steps, mode)
-		}
+		c, err := JobCost(st, nodes, p, mode)
 		if err != nil {
 			t.Fatalf("%v job cost (reference=%v): %v", mode, st.Reference(), err)
 		}
 		return c
 	}
 	return parity{fast: entry(st), ref: entry(st.CloneAs(true))}
+}
+
+// priceSteps prices caller-made steps over nodes under mode: the walk over
+// their compacted blocks against the reference loop over the steps.
+func priceSteps(t testing.TB, st *cluster.State, nodes []int, steps []collective.Step, mode Mode) parity {
+	t.Helper()
+	fast, ok, err := priceCold(st, nodes, collective.Compact(steps), mode, false)
+	if err != nil || !ok {
+		t.Fatalf("%v walk: ok=%v, %v", mode, ok, err)
+	}
+	return parity{fast: fast, ref: refPrice(t, st, nodes, steps, mode)}
 }
 
 // priceCandidate prices job on nodes as a candidate under mode: the overlay
@@ -128,8 +132,7 @@ func subtreeAggState(t *testing.T, width int) (*cluster.State, []int) {
 // cross-pod pairs, empty steps, repeated steps (shared Pairs backing
 // array), self pairs, per-step message sizes — and a full recursive
 // doubling, on a state where pod 0's leaves differ in contention. Fast and
-// reference prices must agree bit for bit on Eq. 6, hop-bytes, and
-// distance-only costs.
+// reference prices must agree bit for bit in every mode.
 func TestSubtreeScheduleParity(t *testing.T) {
 	st, nodes := subtreeAggState(t, 100)
 	shared := []collective.Pair{{A: 0, B: 99}, {A: 17, B: 81}, {A: 3, B: 5}}
@@ -141,15 +144,10 @@ func TestSubtreeScheduleParity(t *testing.T) {
 		{Pairs: []collective.Pair{{A: 7, B: 7}}, MsgSize: 1}, // self pair only
 		{Pairs: []collective.Pair{{A: 96, B: 32}, {A: 64, B: 48}, {A: 1, B: 1}}, MsgSize: 0.5},
 	}
-	checkNonZero(t, "JobCost", priceJob(t, st, nodes, steps, ModeEffectiveHops, 1))
-	checkNonZero(t, "JobCostHopBytes", priceJob(t, st, nodes, steps, ModeHopBytes, 3))
-	checkNonZero(t, "JobCostMode(DistanceOnly)", priceJob(t, st, nodes, steps, ModeDistanceOnly, 1))
-
-	rd, err := ScheduleFor(collective.RD, len(nodes))
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range allModes {
+		checkNonZero(t, "steps, "+mode.String(), priceSteps(t, st, nodes, steps, mode))
+		checkNonZero(t, "JobCost(RD), "+mode.String(), priceJob(t, st, nodes, collective.RD, mode))
 	}
-	checkNonZero(t, "JobCost(RD)", priceJob(t, st, nodes, rd, ModeEffectiveHops, 1))
 }
 
 // TestSubtreeCandidateOverlayParity prices a wide candidate under the
@@ -174,7 +172,7 @@ func TestSubtreeCandidateOverlayParity(t *testing.T) {
 // TestCrossScaleWideJobKernels is the package-level half of
 // verify.TestCrossScaleWideJobParity: at 512 and 4096 leaves, jobs touching
 // hundreds of leaves are priced through the entry points and the reference
-// loops, bit for bit, as jobs in every cost mode and as candidates of both
+// loop, bit for bit, as jobs in every cost mode and as candidates of both
 // classes. Residents on the first, middle and last leaves make the leaves'
 // contention differ; alltoall supplies the quadratic leaf-pair structure.
 func TestCrossScaleWideJobKernels(t *testing.T) {
@@ -199,12 +197,8 @@ func TestCrossScaleWideJobKernels(t *testing.T) {
 			}
 			wide := spreadNodes(t, st, min(leaves/2, 1024))
 			for _, pat := range []collective.Pattern{collective.Alltoall, collective.RD, collective.Ring} {
-				steps, err := ScheduleFor(pat, len(wide))
-				if err != nil {
-					t.Fatal(err)
-				}
 				for _, mode := range allModes {
-					priceJob(t, st, wide, steps, mode, 1).check(t, fmt.Sprintf("%v job, %v", pat, mode))
+					priceJob(t, st, wide, pat, mode).check(t, fmt.Sprintf("%v job, %v", pat, mode))
 				}
 			}
 			for _, class := range []cluster.Class{cluster.CommIntensive, cluster.ComputeIntensive} {
@@ -217,15 +211,14 @@ func TestCrossScaleWideJobKernels(t *testing.T) {
 	}
 }
 
-// FuzzSubtreeAggregation hands fuzzer-chosen tree shapes and job widths
-// (tens to a few hundred touched leaves) to the parity check: the fast
-// path and the node-pair reference loops must produce bit-identical job
-// and candidate costs on the same randomly loaded state. The random
-// residents perturb per-leaf comm counters; negative seeds permute the
-// ranks (one rank per run) and even negative ones repeat a node id, which
-// the reference loops price. (verify.FuzzSubtreeAggregation draws the same
-// inputs through the differential harness.)
-func FuzzSubtreeAggregation(f *testing.F) {
+// FuzzWidePlacementPricing hands fuzzer-chosen tree shapes and job widths
+// (tens to a few hundred touched leaves) to the parity check: the one-pass
+// walk and the node-pair reference loop must produce bit-identical job
+// costs in every mode and candidate costs of both classes on the same
+// randomly loaded state. The random residents perturb per-leaf comm
+// counters; negative seeds permute the ranks (one rank per run) and even
+// negative ones repeat a node id, which the reference loop prices.
+func FuzzWidePlacementPricing(f *testing.F) {
 	f.Add(uint8(40), uint8(4), uint8(1), int8(-4), int64(1))
 	f.Add(uint8(40), uint8(4), uint8(1), int8(0), int64(2))
 	f.Add(uint8(40), uint8(4), uint8(1), int8(8), int64(3))
@@ -283,7 +276,9 @@ func FuzzSubtreeAggregation(f *testing.F) {
 		pat := []collective.Pattern{collective.RD, collective.Ring, collective.Binomial}[uint64(seed)%3]
 		label := fmt.Sprintf("npl=%d fanouts=%v width=%d %v", npl, fanouts, len(wide), pat)
 		for _, class := range []cluster.Class{cluster.CommIntensive, cluster.ComputeIntensive} {
-			priceCandidate(t, st, 300, class, wide, pat, ModeEffectiveHops).check(t, label+" candidate")
+			for _, mode := range allModes {
+				priceCandidate(t, st, 300, class, wide, pat, mode).check(t, label+" candidate, "+mode.String())
+			}
 		}
 		if seed < 0 { // rank-remapped shapes are only costed, never allocated
 			rng.Shuffle(len(wide), func(i, j int) { wide[i], wide[j] = wide[j], wide[i] })
@@ -291,12 +286,8 @@ func FuzzSubtreeAggregation(f *testing.F) {
 				wide[len(wide)-1] = wide[0]
 			}
 		}
-		steps, err := ScheduleFor(pat, len(wide))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, mode := range allModes {
-			priceJob(t, st, wide, steps, mode, 1).check(t, label+" job, "+mode.String())
+			priceJob(t, st, wide, pat, mode).check(t, label+" job, "+mode.String())
 		}
 	})
 }

@@ -358,7 +358,7 @@ func trimEOL(b []byte) []byte {
 	return b
 }
 
-// Retry/backoff defaults for Client.Do's handling of busy responses.
+// Retry and backoff of Client.Do's handling of busy responses.
 const (
 	clientMaxRetries  = 8
 	clientBaseBackoff = time.Millisecond
@@ -375,12 +375,6 @@ type Client struct {
 	br   *bufio.Reader
 	rbuf []byte
 	mu   sync.Mutex
-
-	// MaxRetries caps Do's automatic retries of retryable busy
-	// responses; Backoff is the initial retry delay, doubled per attempt
-	// up to clientMaxBackoff. Adjust before first use.
-	MaxRetries int
-	Backoff    time.Duration
 }
 
 // Dial connects to a daemon.
@@ -389,12 +383,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{
-		conn:       conn,
-		br:         bufio.NewReader(conn),
-		MaxRetries: clientMaxRetries,
-		Backoff:    clientBaseBackoff,
-	}, nil
+	return &Client{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
 // Close closes the connection.
@@ -402,15 +391,13 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // Do sends one request and reads its response. Responses with no frame
 // limit: listings of any size are reassembled. Retryable busy responses
-// (queue backpressure) are resent after exponential backoff, up to
-// MaxRetries, before being returned as errors.
+// (queue backpressure) are resent after exponential backoff, from
+// clientBaseBackoff doubling up to clientMaxBackoff, at most
+// clientMaxRetries times, before being returned as errors.
 func (c *Client) Do(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	backoff := c.Backoff
-	if backoff <= 0 {
-		backoff = clientBaseBackoff
-	}
+	backoff := clientBaseBackoff
 	var err error
 	if c.wbuf, err = appendRequest(c.wbuf[:0], &req); err != nil {
 		return Response{}, err
@@ -431,7 +418,7 @@ func (c *Client) Do(req Request) (Response, error) {
 		if err := decodeResponse(line, &resp); err != nil {
 			return Response{}, err
 		}
-		if resp.Retryable && attempt < c.MaxRetries {
+		if resp.Retryable && attempt < clientMaxRetries {
 			time.Sleep(backoff)
 			backoff *= 2
 			if backoff > clientMaxBackoff {

@@ -135,15 +135,14 @@ func Figure1(o Figure1Options) (*Figure1Result, error) {
 	if err := st.Allocate(1, cluster.CommIntensive, j1Nodes); err != nil {
 		return nil, err
 	}
-	steps := collective.RHVD.MustSchedule(len(j1Nodes))
-	res.CostAlone, err = costmodel.JobCost(st, j1Nodes, steps)
+	res.CostAlone, err = costmodel.JobCost(st, j1Nodes, collective.RHVD, costmodel.ModeEffectiveHops)
 	if err != nil {
 		return nil, err
 	}
 	if err := st.Allocate(2, cluster.CommIntensive, j2Nodes); err != nil {
 		return nil, err
 	}
-	res.CostShared, err = costmodel.JobCost(st, j1Nodes, steps)
+	res.CostShared, err = costmodel.JobCost(st, j1Nodes, collective.RHVD, costmodel.ModeEffectiveHops)
 	if err != nil {
 		return nil, err
 	}

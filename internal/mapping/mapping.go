@@ -86,10 +86,6 @@ func Remap(st *cluster.State, job cluster.JobID, class cluster.Class,
 	if len(nodes) == 0 {
 		return nil, 0, fmt.Errorf("mapping: empty allocation")
 	}
-	steps, err := costmodel.ScheduleFor(pattern, len(nodes))
-	if err != nil {
-		return nil, 0, err
-	}
 	// Evaluate candidates with the job allocated, as the cost model
 	// prescribes (Figure 5 counts the job's own nodes).
 	if err := st.Allocate(job, class, nodes); err != nil {
@@ -98,12 +94,12 @@ func Remap(st *cluster.State, job cluster.JobID, class cluster.Class,
 	defer func() { _ = st.Release(job) }()
 
 	best := append([]int(nil), nodes...)
-	bestCost, err := costmodel.JobCost(st, best, steps)
+	bestCost, err := costmodel.JobCost(st, best, pattern, costmodel.ModeEffectiveHops)
 	if err != nil {
 		return nil, 0, err
 	}
 	blocked := LeafBlocking(st, nodes)
-	blockedCost, err := costmodel.JobCost(st, blocked, steps)
+	blockedCost, err := costmodel.JobCost(st, blocked, pattern, costmodel.ModeEffectiveHops)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -123,7 +119,7 @@ func Remap(st *cluster.State, job cluster.JobID, class cluster.Class,
 					continue
 				}
 				best[i], best[j] = best[j], best[i]
-				cost, err := costmodel.JobCost(st, best, steps)
+				cost, err := costmodel.JobCost(st, best, pattern, costmodel.ModeEffectiveHops)
 				if err != nil {
 					return nil, 0, err
 				}

@@ -62,12 +62,10 @@ func TestRemapImprovesInterleaved(t *testing.T) {
 	rand.New(rand.NewSource(3)).Shuffle(len(nodes), func(i, j int) {
 		nodes[i], nodes[j] = nodes[j], nodes[i]
 	})
-	steps := collective.RD.MustSchedule(len(nodes))
-
 	if err := st.Allocate(9, cluster.CommIntensive, nodes); err != nil {
 		t.Fatal(err)
 	}
-	before, err := costmodel.JobCost(st, nodes, steps)
+	before, err := costmodel.JobCost(st, nodes, collective.RD, costmodel.ModeEffectiveHops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +100,7 @@ func TestRemapImprovesInterleaved(t *testing.T) {
 	if err := st.Allocate(9, cluster.CommIntensive, nodes); err != nil {
 		t.Fatal(err)
 	}
-	blockedCost, err := costmodel.JobCost(st, blocked, steps)
+	blockedCost, err := costmodel.JobCost(st, blocked, collective.RD, costmodel.ModeEffectiveHops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +140,10 @@ func TestRemapNeverWorse(t *testing.T) {
 		nodes := free[:size]
 		pattern := []collective.Pattern{collective.RD, collective.RHVD, collective.Binomial}[patRaw%3]
 
-		steps := pattern.MustSchedule(size)
 		if err := st.Allocate(9, cluster.CommIntensive, nodes); err != nil {
 			return false
 		}
-		before, err := costmodel.JobCost(st, nodes, steps)
+		before, err := costmodel.JobCost(st, nodes, pattern, costmodel.ModeEffectiveHops)
 		if err != nil {
 			return false
 		}

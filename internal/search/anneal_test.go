@@ -17,7 +17,7 @@ func TestImproveNeverWorseThanSeed(t *testing.T) {
 		for _, seed := range []uint64{1, 2, 99} {
 			cand := spreadCandidate(t, st, 16)
 			job := cluster.JobID(6000)
-			seedCost, err := costmodel.CandidateCost(st, job, cluster.CommIntensive, cand, collective.RD)
+			seedCost, err := costmodel.CandidateCostMode(st, job, cluster.CommIntensive, cand, collective.RD, costmodel.ModeEffectiveHops)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -26,7 +26,7 @@ func TestImproveNeverWorseThanSeed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := costmodel.CandidateCost(st, job, cluster.CommIntensive, nodes, collective.RD)
+			got, err := costmodel.CandidateCostMode(st, job, cluster.CommIntensive, nodes, collective.RD, costmodel.ModeEffectiveHops)
 			if err != nil {
 				t.Fatalf("budget %d seed %d: returned placement invalid: %v", budget, seed, err)
 			}
@@ -34,7 +34,7 @@ func TestImproveNeverWorseThanSeed(t *testing.T) {
 				t.Errorf("budget %d seed %d: improved cost %v > seed cost %v", budget, seed, got, seedCost)
 			}
 			if stats.SeedCost != seedCost {
-				t.Errorf("budget %d seed %d: stats.SeedCost %v != CandidateCost %v", budget, seed, stats.SeedCost, seedCost)
+				t.Errorf("budget %d seed %d: stats.SeedCost %v != CandidateCostMode %v", budget, seed, stats.SeedCost, seedCost)
 			}
 			if stats.BestCost != got {
 				t.Errorf("budget %d seed %d: stats.BestCost %v != re-priced cost %v", budget, seed, stats.BestCost, got)
@@ -148,7 +148,7 @@ func TestImproveFindsImprovement(t *testing.T) {
 	// Seed: 7 nodes from the first leaves plus one from the far end.
 	seed := append(append([]int(nil), free[:7]...), free[len(free)-1])
 	job := cluster.JobID(6003)
-	seedCost, err := costmodel.CandidateCost(st, job, cluster.CommIntensive, seed, collective.RD)
+	seedCost, err := costmodel.CandidateCostMode(st, job, cluster.CommIntensive, seed, collective.RD, costmodel.ModeEffectiveHops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestImproveFindsImprovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := costmodel.CandidateCost(st, job, cluster.CommIntensive, nodes, collective.RD)
+	got, err := costmodel.CandidateCostMode(st, job, cluster.CommIntensive, nodes, collective.RD, costmodel.ModeEffectiveHops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestImproveFindsImprovement(t *testing.T) {
 }
 
 // TestImproveRejectsBadSeeds: the seed is validated exactly as
-// costmodel.CandidateCost validates a candidate, before any move is tried.
+// costmodel.CandidateCostMode validates a candidate, before any move is tried.
 func TestImproveRejectsBadSeeds(t *testing.T) {
 	st := testState(t, 8, 4)
 	free := freeNodes(st)

@@ -12,7 +12,7 @@ import (
 
 // FuzzAnnealMoves asserts Improve's contract on fuzzer-chosen states: the
 // returned list is distinct free nodes of the seed's length, Stats.BestCost
-// is costmodel.CandidateCost of that list bit for bit and never above
+// is costmodel.CandidateCostMode of that list bit for bit and never above
 // SeedCost, the whole budget is spent, and a second call returns the same
 // list.
 //
@@ -97,7 +97,7 @@ func FuzzAnnealMoves(f *testing.F) {
 			}
 		}
 
-		seedCost, err := costmodel.CandidateCost(st, job, cluster.CommIntensive, cand, pat)
+		seedCost, err := costmodel.CandidateCostMode(st, job, cluster.CommIntensive, cand, pat, costmodel.ModeEffectiveHops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,17 +109,17 @@ func FuzzAnnealMoves(f *testing.F) {
 		if len(got) != len(cand) {
 			t.Fatalf("Improve returned %d nodes for a seed of %d", len(got), len(cand))
 		}
-		// CandidateCost validates the list as Allocate would: distinct,
+		// CandidateCostMode validates the list as Allocate would: distinct,
 		// in-range, free nodes.
-		bestCost, err := costmodel.CandidateCost(st, job, cluster.CommIntensive, got, pat)
+		bestCost, err := costmodel.CandidateCostMode(st, job, cluster.CommIntensive, got, pat, costmodel.ModeEffectiveHops)
 		if err != nil {
 			t.Fatalf("Improve returned an invalid placement: %v", err)
 		}
 		if stats.SeedCost != seedCost {
-			t.Fatalf("Stats.SeedCost %v != CandidateCost of the seed %v", stats.SeedCost, seedCost)
+			t.Fatalf("Stats.SeedCost %v != CandidateCostMode of the seed %v", stats.SeedCost, seedCost)
 		}
 		if stats.BestCost != bestCost {
-			t.Fatalf("Stats.BestCost %v != CandidateCost of the returned list %v", stats.BestCost, bestCost)
+			t.Fatalf("Stats.BestCost %v != CandidateCostMode of the returned list %v", stats.BestCost, bestCost)
 		}
 		if bestCost > seedCost {
 			t.Fatalf("Improve returned %v, worse than seed %v", bestCost, seedCost)

@@ -59,17 +59,6 @@ type Topology struct {
 	leafAnc    []int32
 	leafAncOff []int32
 	swLevel    []int32
-
-	// leafGroup[k-2] is the per-leaf ancestor-group table at aggregation
-	// level k (k in [2, Height()]): two leaves share a group id exactly when
-	// they share their lowest ancestor of level ≥ k. groupCount[k-2] is the
-	// number of distinct groups at that level. Group ids are dense and
-	// assigned in first-leaf order, so they are deterministic for a given
-	// tree. The subtree-aggregated cost kernel groups a wide job's touched
-	// leaves by these ids and collapses cross-group leaf pairs to one
-	// representative per group pair.
-	leafGroup  [][]int32
-	groupCount []int
 }
 
 // NumNodes returns the number of compute nodes.
@@ -247,8 +236,7 @@ func (t *Topology) validate() error {
 }
 
 // buildAncestry flattens each leaf's parent chain into the per-leaf
-// ancestor arrays LeafCommonLevel walks, then derives the per-level
-// ancestor-group tables AncestorGroups serves. O(L·height) time and space —
+// ancestor arrays LeafCommonLevel walks. O(L·height) time and space —
 // the only per-topology precomputation, so building a 4096-leaf tree costs
 // milliseconds where the former dense L×L level matrix cost minutes.
 func (t *Topology) buildAncestry() {
@@ -264,66 +252,6 @@ func (t *Topology) buildAncestry() {
 		}
 	}
 	t.leafAncOff[len(t.Leaves)] = int32(len(t.leafAnc))
-	t.buildAncestorGroups()
-}
-
-// buildAncestorGroups precomputes, for every aggregation level k in
-// [2, Height()], the per-leaf dense group ids AncestorGroups returns. A
-// leaf's level-k ancestor is its *lowest* ancestor with level ≥ k — levels
-// strictly increase along a parent chain, so in irregular trees where a
-// leaf has no ancestor at exactly level k the leaf groups under the first
-// ancestor above it; the root (level = Height()) always qualifies, so
-// every leaf lands in a group. Ids are assigned by first appearance in
-// leaf order (a slice over switch indexes, no map iteration), keeping the
-// numbering deterministic.
-func (t *Topology) buildAncestorGroups() {
-	height := int(t.swLevel[t.Root.Index])
-	if height < 2 {
-		return // single-leaf tree: no internal level to aggregate on
-	}
-	t.leafGroup = make([][]int32, height-1)
-	t.groupCount = make([]int, height-1)
-	swGroup := make([]int32, len(t.Switches))
-	for k := 2; k <= height; k++ {
-		for i := range swGroup {
-			swGroup[i] = -1
-		}
-		g := make([]int32, len(t.Leaves))
-		var n int32
-		for i := range t.Leaves {
-			chain := t.leafAnc[t.leafAncOff[i]:t.leafAncOff[i+1]]
-			anc := chain[len(chain)-1] // root fallback; always level ≥ k
-			for _, sw := range chain {
-				if t.swLevel[sw] >= int32(k) {
-					anc = sw
-					break
-				}
-			}
-			if swGroup[anc] == -1 {
-				swGroup[anc] = n
-				n++
-			}
-			g[i] = swGroup[anc]
-		}
-		t.leafGroup[k-2] = g
-		t.groupCount[k-2] = int(n)
-	}
-}
-
-// AncestorGroups returns the per-leaf ancestor-group table at aggregation
-// level k and the number of distinct groups: groups[l] is the dense id of
-// leaf l's lowest ancestor with level ≥ k. For leaves a, b in *distinct*
-// groups the lowest common switch of (a, b) equals the lowest common
-// switch of their two group ancestors — the chains only meet above both —
-// so LeafCommonLevel is constant over every cross-group leaf-pair block,
-// which is what lets the cost kernel collapse a block to one
-// representative pair. Levels outside [2, Height()] return (nil, 0). The
-// returned slice is owned by the topology and must not be modified.
-func (t *Topology) AncestorGroups(k int) ([]int32, int) {
-	if k < 2 || k-2 >= len(t.leafGroup) {
-		return nil, 0
-	}
-	return t.leafGroup[k-2], t.groupCount[k-2]
 }
 
 // LeafNodes returns the node IDs attached to leaf l. The returned slice is

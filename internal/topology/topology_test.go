@@ -256,52 +256,6 @@ func BenchmarkDistance(b *testing.B) {
 	_ = sum
 }
 
-// TestAncestorGroups pins the per-level ancestor-group tables on a
-// four-level tree (4 leaves per l2 switch, 2 l2 per l3, 2 l3 under the
-// root): at k=2 leaves group by their level-2 switch, at k=3 by their
-// level-3 switch, at k=4 (the root) every leaf shares one group, and the
-// defining property holds — leaves in distinct k-groups have
-// LeafCommonLevel equal to that of their groups' representative leaves.
-func TestAncestorGroups(t *testing.T) {
-	topo := MustGenerate(Spec{NodesPerLeaf: 1, Fanouts: []int{4, 2, 2}})
-	if topo.NumLeaves() != 16 || topo.Height() != 4 {
-		t.Fatalf("fixture: %d leaves height %d, want 16 and 4", topo.NumLeaves(), topo.Height())
-	}
-	cases := []struct {
-		k       int
-		div     int // leaves per group
-		nGroups int
-	}{{2, 4, 4}, {3, 8, 2}, {4, 16, 1}}
-	for _, tc := range cases {
-		groups, n := topo.AncestorGroups(tc.k)
-		if n != tc.nGroups {
-			t.Fatalf("k=%d: %d groups, want %d", tc.k, n, tc.nGroups)
-		}
-		for l := 0; l < topo.NumLeaves(); l++ {
-			if got, want := groups[l], int32(l/tc.div); got != want {
-				t.Fatalf("k=%d: groups[%d] = %d, want %d", tc.k, l, got, want)
-			}
-		}
-	}
-	// Out-of-range levels have no table.
-	for _, k := range []int{-1, 0, 1, 5, 99} {
-		if g, n := topo.AncestorGroups(k); g != nil || n != 0 {
-			t.Errorf("AncestorGroups(%d) = %v, %d, want nil, 0", k, g, n)
-		}
-	}
-	// Block-constant common level across distinct k=2 groups: every leaf
-	// pair drawn from groups 0 and 1 meets at the same level as the
-	// groups' first leaves (0 and 4).
-	want := topo.LeafCommonLevel(0, 4)
-	for la := 0; la < 4; la++ {
-		for lb := 4; lb < 8; lb++ {
-			if got := topo.LeafCommonLevel(la, lb); got != want {
-				t.Fatalf("LeafCommonLevel(%d,%d) = %d, want block-constant %d", la, lb, got, want)
-			}
-		}
-	}
-}
-
 // TestLeafNodes checks the leaf → node-ID accessor against LeafOf.
 func TestLeafNodes(t *testing.T) {
 	topo := MustGenerate(Spec{NodesPerLeaf: 3, Fanouts: []int{4, 2}})

@@ -13,14 +13,13 @@ import (
 )
 
 // TestCacheInvalidationUnderChurn is the invalidation property for what
-// the leaf-aggregated cost kernel keeps across mutations (compiled
-// schedules, maintained comm shares, pooled overlays): across interleaved
+// pricing keeps across mutations (the schedule memo, the pooled scratch
+// and its epoch-stamped leaf tables): across interleaved
 // Allocate/Release/Drain/Resume sequences (every kind of generation bump),
-// the fast paths — JobCost, the overlay CandidateCost, and their mode
-// variants — must stay bit-identical to the reference loops evaluated on a
-// reference clone of the very same state. A single stale value, missed
-// share update, or desynchronised SoA layout shows up as a float64 bit
-// mismatch.
+// the fast paths — JobCost in every mode and the overlay CandidateCostMode
+// — must stay bit-identical to the reference loop evaluated on a
+// reference clone of the very same state. A single stale value or
+// desynchronised SoA layout shows up as a float64 bit mismatch.
 func TestCacheInvalidationUnderChurn(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		runChurnSpec(t, DefaultSpec(seed))
@@ -30,7 +29,7 @@ func TestCacheInvalidationUnderChurn(t *testing.T) {
 // TestCacheInvalidationUnderChurnLargeTopology runs the same churn
 // property on machines past 128 leaves, where on-demand layout distances
 // and the compact pair index serve the fast path. These topologies once
-// fell back silently to the reference loops, so churn never exercised the
+// fell back silently to the reference loop, so churn never exercised the
 // kernel at this scale.
 func TestCacheInvalidationUnderChurnLargeTopology(t *testing.T) {
 	specs := []TraceSpec{
@@ -127,60 +126,29 @@ type activeJob struct {
 	pattern collective.Pattern
 }
 
-// checkFastRefBitIdentical costs every live job and one synthetic
-// candidate through the fast paths and then through the reference loops,
-// requiring bit-identical float64 results.
+// checkFastRefBitIdentical costs every live job in every mode, and one
+// synthetic candidate, through the fast paths and then on a reference
+// clone through the reference loop, requiring bit-identical float64
+// results.
 func checkFastRefBitIdentical(t *testing.T, st *cluster.State, live []activeJob, spec string, op int) {
 	t.Helper()
+	ref := st.CloneAs(true)
 	for _, a := range live {
-		steps, err := costmodel.ScheduleFor(a.pattern, len(a.nodes))
-		if err != nil {
-			t.Fatalf("%s op %d: schedule: %v", spec, op, err)
-		}
-		fastCost, err := costmodel.JobCost(st, a.nodes, steps)
-		if err != nil {
-			t.Fatalf("%s op %d: fast JobCost: %v", spec, op, err)
-		}
-		fastHB, err := costmodel.JobCostHopBytes(st, a.nodes, steps, 1)
-		if err != nil {
-			t.Fatalf("%s op %d: fast JobCostHopBytes: %v", spec, op, err)
-		}
-		fastDist, err := costmodel.JobCostMode(st, a.nodes, steps, costmodel.ModeDistanceOnly)
-		if err != nil {
-			t.Fatalf("%s op %d: fast distance JobCostMode: %v", spec, op, err)
-		}
-		refCost, refHB, refDist := referenceCosts(t, st, a.nodes, steps, spec, op)
-		if math.Float64bits(fastCost) != math.Float64bits(refCost) {
-			t.Fatalf("%s op %d job %d: fast JobCost %v != reference %v", spec, op, a.id, fastCost, refCost)
-		}
-		if math.Float64bits(fastHB) != math.Float64bits(refHB) {
-			t.Fatalf("%s op %d job %d: fast hop-bytes %v != reference %v", spec, op, a.id, fastHB, refHB)
-		}
-		if math.Float64bits(fastDist) != math.Float64bits(refDist) {
-			t.Fatalf("%s op %d job %d: fast distance %v != reference %v", spec, op, a.id, fastDist, refDist)
+		for _, mode := range allModes {
+			fast, err := costmodel.JobCost(st, a.nodes, a.pattern, mode)
+			if err != nil {
+				t.Fatalf("%s op %d: fast %v JobCost: %v", spec, op, mode, err)
+			}
+			want, err := costmodel.JobCost(ref, a.nodes, a.pattern, mode)
+			if err != nil {
+				t.Fatalf("%s op %d: reference %v JobCost: %v", spec, op, mode, err)
+			}
+			if math.Float64bits(fast) != math.Float64bits(want) {
+				t.Fatalf("%s op %d job %d: fast %v JobCost %v != reference %v", spec, op, a.id, mode, fast, want)
+			}
 		}
 	}
 	checkCandidateParity(t, st, spec, op)
-}
-
-// referenceCosts evaluates the three job-cost variants on st's reference
-// clone.
-func referenceCosts(t *testing.T, st *cluster.State, nodes []int, steps []collective.Step, spec string, op int) (cost, hb, dist float64) {
-	t.Helper()
-	st = st.CloneAs(true)
-	cost, err := costmodel.JobCost(st, nodes, steps)
-	if err != nil {
-		t.Fatalf("%s op %d: reference JobCost: %v", spec, op, err)
-	}
-	hb, err = costmodel.JobCostHopBytes(st, nodes, steps, 1)
-	if err != nil {
-		t.Fatalf("%s op %d: reference JobCostHopBytes: %v", spec, op, err)
-	}
-	dist, err = costmodel.JobCostMode(st, nodes, steps, costmodel.ModeDistanceOnly)
-	if err != nil {
-		t.Fatalf("%s op %d: reference distance JobCostMode: %v", spec, op, err)
-	}
-	return cost, hb, dist
 }
 
 // checkCandidateParity prices a synthetic candidate over the currently
@@ -200,18 +168,18 @@ func checkCandidateParity(t *testing.T, st *cluster.State, spec string, op int) 
 	}
 	const candJob = cluster.JobID(1 << 30)
 	for _, class := range []cluster.Class{cluster.CommIntensive, cluster.ComputeIntensive} {
-		fast, err := costmodel.CandidateCost(st, candJob, class, cand, collective.RD)
+		fast, err := costmodel.CandidateCostMode(st, candJob, class, cand, collective.RD, costmodel.ModeEffectiveHops)
 		if err != nil {
-			t.Fatalf("%s op %d: fast CandidateCost: %v", spec, op, err)
+			t.Fatalf("%s op %d: fast CandidateCostMode: %v", spec, op, err)
 		}
 		refSt := st.CloneAs(true)
 		gen, refGen := st.Generation(), refSt.Generation()
-		ref, err := costmodel.CandidateCost(refSt, candJob, class, cand, collective.RD)
+		ref, err := costmodel.CandidateCostMode(refSt, candJob, class, cand, collective.RD, costmodel.ModeEffectiveHops)
 		if err != nil {
-			t.Fatalf("%s op %d: reference CandidateCost: %v", spec, op, err)
+			t.Fatalf("%s op %d: reference CandidateCostMode: %v", spec, op, err)
 		}
 		if math.Float64bits(fast) != math.Float64bits(ref) {
-			t.Fatalf("%s op %d class %v: fast CandidateCost %v != reference %v", spec, op, class, fast, ref)
+			t.Fatalf("%s op %d class %v: fast CandidateCostMode %v != reference %v", spec, op, class, fast, ref)
 		}
 		// The reference path allocates and rolls back (two generation
 		// bumps) on its own state; the overlay reads and moves nothing.
@@ -219,12 +187,12 @@ func checkCandidateParity(t *testing.T, st *cluster.State, spec string, op int) 
 			t.Fatalf("%s op %d: generations after pricing: reference %d -> %d, optimized %d -> %d",
 				spec, op, refGen, refSt.Generation(), gen, st.Generation())
 		}
-		again, err := costmodel.CandidateCost(st, candJob, class, cand, collective.RD)
+		again, err := costmodel.CandidateCostMode(st, candJob, class, cand, collective.RD, costmodel.ModeEffectiveHops)
 		if err != nil {
-			t.Fatalf("%s op %d: re-priced CandidateCost: %v", spec, op, err)
+			t.Fatalf("%s op %d: re-priced CandidateCostMode: %v", spec, op, err)
 		}
 		if math.Float64bits(again) != math.Float64bits(fast) {
-			t.Fatalf("%s op %d class %v: CandidateCost unstable across calls: %v then %v", spec, op, class, fast, again)
+			t.Fatalf("%s op %d class %v: CandidateCostMode unstable across calls: %v then %v", spec, op, class, fast, again)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // both sides of 128 leaves (the paper's largest machine, and once the
 // ceiling of the fast kernel), the paper's largest machine class (64), and
 // machines far past the old ceiling (512, 4096) that previously fell back
-// to the reference loops. Shapes mix two- and three-level trees so
+// to the reference loop. Shapes mix two- and three-level trees so
 // the ancestor-chain distance walk is exercised at both heights.
 var scaleShapes = []struct {
 	leaves int
@@ -84,9 +84,9 @@ func scaleJobNodes(t *testing.T, st *cluster.State, n int) []int {
 }
 
 // TestCrossScaleParity is the tentpole property: at every scale — below,
-// at, and far beyond 128 leaves — JobCost, its hop-bytes and distance-only
-// variants, and CandidateCost evaluated through the leaf-pair kernel are
-// bit-identical to the reference node-pair loops on a reference clone of
+// at, and far beyond 128 leaves — JobCost in every mode and
+// CandidateCostMode evaluated through the walk are bit-identical to the
+// reference node-pair loop on a reference clone of
 // the same state. The >128-leaf shapes run on-demand layout distances; any
 // divergence is a float64 bit mismatch with the shape in the failure
 // message.
@@ -112,11 +112,7 @@ func TestCrossScaleParity(t *testing.T) {
 
 			// The property must not be vacuous: with residents on both end
 			// leaves the cross-machine jobs see real contention.
-			steps, err := costmodel.ScheduleFor(collective.RD, len(live[0].nodes))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cost, err := costmodel.JobCost(st, live[0].nodes, steps)
+			cost, err := costmodel.JobCost(st, live[0].nodes, collective.RD, costmodel.ModeEffectiveHops)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +126,7 @@ func TestCrossScaleParity(t *testing.T) {
 // TestCrossScaleWideJobParity extends the cross-scale property to wide
 // placements: at every scale from 64 to 4096 leaves, jobs touching half the
 // leaves (at most 1024) must be priced bit for bit as the node-pair
-// reference loops price them. The resident jobs make the leaves' contention
+// reference loop prices them. The resident jobs make the leaves' contention
 // differ (extra comm on the first/middle/last leaves), and the alltoall
 // pattern supplies the quadratic leaf-pair structure.
 func TestCrossScaleWideJobParity(t *testing.T) {
@@ -144,16 +140,11 @@ func TestCrossScaleWideJobParity(t *testing.T) {
 				{id: 302, nodes: wide, pattern: collective.Ring},
 			}
 			// Non-vacuity: the wide alltoall sees real contention.
-			steps, err := costmodel.ScheduleFor(collective.Alltoall, len(wide))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cost, err := costmodel.JobCost(st, wide, steps); err != nil || cost == 0 {
+			if cost, err := costmodel.JobCost(st, wide, collective.Alltoall, costmodel.ModeEffectiveHops); err != nil || cost == 0 {
 				t.Fatalf("%d leaves: wide alltoall cost = %v, %v; property vacuous", shape.leaves, cost, err)
 			}
 
-			// JobCost, hop-bytes, distance-only, and candidate pricing
-			// each run.
+			// JobCost in every mode, and candidate pricing, each run.
 			checkFastRefBitIdentical(t, st, live, fmt.Sprintf("wide L=%d", shape.leaves), 0)
 
 			// checkCandidateParity prices an 8-node candidate, so price the
@@ -161,7 +152,7 @@ func TestCrossScaleWideJobParity(t *testing.T) {
 			// rollback path.
 			ref := st.CloneAs(true)
 			for _, class := range []cluster.Class{cluster.CommIntensive, cluster.ComputeIntensive} {
-				for _, mode := range []costmodel.Mode{costmodel.ModeEffectiveHops, costmodel.ModeHopBytes, costmodel.ModeDistanceOnly} {
+				for _, mode := range allModes {
 					const candJob = cluster.JobID(1 << 29)
 					fast, err := costmodel.CandidateCostMode(st, candJob, class, wide, collective.Alltoall, mode)
 					if err != nil {
