@@ -44,6 +44,7 @@ var DefaultNoAllocConfig = NoAllocConfig{
 		"repro/internal/core": {
 			"selScratch.take",
 			"snapshotLeaves",
+			"sortLeaves",
 		},
 		"repro/internal/daemon": {
 			"readFrame",

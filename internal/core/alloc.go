@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -57,14 +58,35 @@ type placer interface {
 	Place(st *cluster.State, req Request) (cluster.Placement, error)
 }
 
+// pricer is a placer that prices its pick on the way (adaptive).
+type pricer interface {
+	Place(st *cluster.State, req Request) (cluster.Placement, Price, error)
+}
+
+// Price is the effective-hops cost of req.Pattern on the placement a
+// selector returned (Eq. 6, the job counted towards contention), when the
+// selector computed it on the way; OK is false when it computed none.
+// Pricing is a deterministic function of (state, runs, pattern, mode,
+// class), so on the unchanged state Cost is bit for bit what
+// costmodel.PlacementCostMode of the placement returns.
+type Price struct {
+	Cost float64
+	OK   bool
+}
+
 // Place runs the selector and returns its selection as a placement: the
-// built-in selectors' own, any other Selector's node list wrapped.
-func Place(sel Selector, st *cluster.State, req Request) (cluster.Placement, error) {
-	if p, ok := sel.(placer); ok {
-		return p.Place(st, req)
+// built-in selectors' own, any other Selector's node list wrapped, and the
+// selection's price if the selector computed one.
+func Place(sel Selector, st *cluster.State, req Request) (cluster.Placement, Price, error) {
+	switch s := sel.(type) {
+	case pricer:
+		return s.Place(st, req)
+	case placer:
+		pl, err := s.Place(st, req)
+		return pl, Price{}, err
 	}
 	nodes, err := sel.Select(st, req)
-	return cluster.NewPlacement(nodes), err
+	return cluster.NewPlacement(nodes), Price{}, err
 }
 
 // nodesOf adapts a Place result to Select's.
@@ -204,20 +226,33 @@ func findLowestSwitch(st *cluster.State, n int) (*topology.Switch, error) {
 
 // leafOrder pairs a leaf index with the sort keys current when the
 // selector ran; sorting a snapshot keeps selectors deterministic even
-// though allocation mutates free counts as it walks the order.
+// though allocation mutates free counts as it walks the order. Only
+// greedy's orders read ratio.
 type leafOrder struct {
 	leaf  int
 	free  int
 	ratio float64
 }
 
-// selScratch holds the per-selection working set — the leaf snapshot, the
-// balanced algorithm's pass-one take counts and the free-rank runs chosen so
-// far — so a selection allocates only the one slice its placement keeps, and
-// reads no node: it splits the snapshot's free counts into runs. Scratches
-// are pooled; selectors acquire one, use it, and release it before returning.
+// leafSort names the order a selection visits a switch's leaves in.
+type leafSort uint8
+
+const (
+	freeAsc       leafSort = iota // ascending free count (best fit), then leaf index
+	freeDesc                      // descending free count, then leaf index
+	greedyComm                    // cmpGreedyComm
+	greedyCompute                 // cmpGreedyCompute
+)
+
+// selScratch holds the per-selection working set — the leaf order and its
+// sort keys, the balanced algorithm's pass-one take counts and the free-rank
+// runs chosen so far — so a selection allocates only the one slice its
+// placement keeps, and reads no node: it splits the order's free counts into
+// runs. Scratches are pooled; selectors acquire one, use it, and release it
+// before returning.
 type selScratch struct {
 	order []leafOrder
+	keys  []uint64 // free-count orders: one packed sort key per leaf
 	taken []int
 	runs  []uint64 // leaf<<32|first rank per leaf visit, in rank order
 	skip  []uint64 // per run: how many allocatable nodes of its leaf precede it
@@ -268,8 +303,9 @@ func (sc *selScratch) placement(st *cluster.State) cluster.Placement {
 	return pl
 }
 
-// snapshotLeaves fills the scratch's leaf-order buffer; the returned slice
-// is valid until the scratch is released.
+// snapshotLeaves fills the scratch's leaf-order buffer with every leaf's
+// free count and communication ratio; the returned slice is valid until the
+// scratch is released.
 //
 //caws:noalloc
 func snapshotLeaves(st *cluster.State, leaves []int, sc *selScratch) []leafOrder {
@@ -284,26 +320,51 @@ func snapshotLeaves(st *cluster.State, leaves []int, sc *selScratch) []leafOrder
 	return out
 }
 
+// sortLeaves returns leaves with their free counts in the order by names;
+// the slice is valid until the scratch is released. The free-count orders
+// sort one packed key per leaf, free<<32|leaf ascending and
+// (MaxUint32-free)<<32|leaf descending, which orders exactly as comparing
+// (free, leaf) does, with no comparator call and no ratio computed. Ties
+// break on the leaf index, not on the position in leaves: a parsed
+// topology.conf may list a switch's leaves out of index order. Greedy's
+// first key is a float, so its orders sort the snapshot by comparator.
+//
+//caws:noalloc
+func sortLeaves(st *cluster.State, leaves []int, by leafSort, sc *selScratch) []leafOrder {
+	switch by {
+	case greedyComm:
+		order := snapshotLeaves(st, leaves, sc)
+		slices.SortFunc(order, cmpGreedyComm)
+		return order
+	case greedyCompute:
+		order := snapshotLeaves(st, leaves, sc)
+		slices.SortFunc(order, cmpGreedyCompute)
+		return order
+	}
+	if cap(sc.keys) < len(leaves) {
+		sc.keys = make([]uint64, len(leaves))
+	}
+	if cap(sc.order) < len(leaves) {
+		sc.order = make([]leafOrder, len(leaves))
+	}
+	keys, order := sc.keys[:len(leaves)], sc.order[:len(leaves)]
+	var flip uint64 // MaxUint32^free is MaxUint32-free for any 32-bit count
+	if by == freeDesc {
+		flip = math.MaxUint32
+	}
+	for i, l := range leaves {
+		keys[i] = (flip^uint64(st.LeafFree(l)))<<32 | uint64(l)
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		order[i] = leafOrder{leaf: int(uint32(k)), free: int(flip ^ k>>32)}
+	}
+	return order
+}
+
 // The comparators below are total strict orders (the unique leaf index is
 // always the final key), so the unstable slices.SortFunc yields the same
-// permutation the previous sort.SliceStable did, without the closure and
-// interface allocations.
-
-// cmpFreeAsc orders by ascending free count (best-fit), then leaf index.
-func cmpFreeAsc(a, b leafOrder) int {
-	if a.free != b.free {
-		return a.free - b.free
-	}
-	return a.leaf - b.leaf
-}
-
-// cmpFreeDesc orders by descending free count, then leaf index.
-func cmpFreeDesc(a, b leafOrder) int {
-	if a.free != b.free {
-		return b.free - a.free
-	}
-	return a.leaf - b.leaf
-}
+// permutation a stable sort would.
 
 // cmpGreedyComm orders for communication-intensive greedy selection:
 // ascending communication ratio, then descending free, then leaf index.
@@ -337,17 +398,15 @@ func cmpGreedyCompute(a, b leafOrder) int {
 
 // placeInOrder is the selection default, greedy and (for compute-intensive
 // jobs) balanced share: find the lowest-level switch with enough free nodes,
-// then fill its leaves in cmp's order.
-func placeInOrder(st *cluster.State, req Request, name string, cmp func(a, b leafOrder) int) (cluster.Placement, error) {
+// then fill its leaves in the order by names.
+func placeInOrder(st *cluster.State, req Request, name string, by leafSort) (cluster.Placement, error) {
 	p, err := findLowestSwitch(st, req.Nodes)
 	if err != nil {
 		return cluster.Placement{}, err
 	}
 	sc := getScratch()
 	defer sc.release()
-	order := snapshotLeaves(st, p.DescLeaves, sc) // a leaf switch lists itself
-	slices.SortFunc(order, cmp)
-	for _, lo := range order {
+	for _, lo := range sortLeaves(st, p.DescLeaves, by, sc) { // a leaf switch lists itself
 		sc.take(lo.leaf, 0, min(lo.free, req.Nodes-sc.n))
 		if sc.n == req.Nodes {
 			return sc.placement(st), nil
@@ -371,7 +430,7 @@ func (s defaultSelector) Select(st *cluster.State, req Request) ([]int, error) {
 // lowest-level switch with enough free nodes, then fill leaves in
 // increasing order of free node count to reduce fragmentation.
 func (defaultSelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
-	return placeInOrder(st, req, "default", cmpFreeAsc)
+	return placeInOrder(st, req, "default", freeAsc)
 }
 
 // ----------------------------------------------------------------- greedy
@@ -390,9 +449,9 @@ func (s greedySelector) Select(st *cluster.State, req Request) ([]int, error) {
 // good leaves for future communication-intensive jobs.
 func (greedySelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
 	if req.Class == cluster.CommIntensive {
-		return placeInOrder(st, req, "greedy", cmpGreedyComm)
+		return placeInOrder(st, req, "greedy", greedyComm)
 	}
-	return placeInOrder(st, req, "greedy", cmpGreedyCompute)
+	return placeInOrder(st, req, "greedy", greedyCompute)
 }
 
 // --------------------------------------------------------------- balanced
@@ -423,7 +482,7 @@ func (s balancedSelector) Select(st *cluster.State, req Request) ([]int, error) 
 // nodes, preserving large free blocks.
 func (s balancedSelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
 	if req.Class != cluster.CommIntensive {
-		return placeInOrder(st, req, "balanced", cmpFreeAsc)
+		return placeInOrder(st, req, "balanced", freeAsc)
 	}
 	p, err := findLowestSwitch(st, req.Nodes)
 	if err != nil {
@@ -431,9 +490,8 @@ func (s balancedSelector) Place(st *cluster.State, req Request) (cluster.Placeme
 	}
 	sc := getScratch()
 	defer sc.release()
-	order := snapshotLeaves(st, p.DescLeaves, sc)
+	order := sortLeaves(st, p.DescLeaves, freeDesc, sc)
 	remaining := req.Nodes
-	slices.SortFunc(order, cmpFreeDesc)
 	// First pass: powers of two only (lines 12-21 of Algorithm 2).
 	if cap(sc.taken) < len(order) {
 		sc.taken = make([]int, len(order))
@@ -495,7 +553,8 @@ type adaptiveSelector struct{}
 func (adaptiveSelector) Name() string { return "adaptive" }
 
 func (s adaptiveSelector) Select(st *cluster.State, req Request) ([]int, error) {
-	return nodesOf(s.Place(st, req))
+	pl, _, err := s.Place(st, req)
+	return pl.Nodes(), err
 }
 
 // Place implements §4.3: build both the greedy and the balanced
@@ -503,48 +562,48 @@ func (s adaptiveSelector) Select(st *cluster.State, req Request) ([]int, error) 
 // candidate counted towards contention), and keep the cheaper candidate
 // for communication-intensive jobs or the more expensive one for
 // compute-intensive jobs (preserving low-cost placements for comm jobs).
-// Ties go to the balanced candidate.
+// Ties go to the balanced candidate. The winner's cost is returned with it.
 //
 // Both candidates are validated while the state is still at the generation
 // they were selected on (pricing a reference state moves it), then priced one
-// after the other on the caller's goroutine.
-func (adaptiveSelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
+// after the other on the caller's goroutine. Candidates that place the same
+// nodes are priced once: the price is a function of the placement, so the
+// tie, and the balanced candidate, wins as if both had been priced.
+func (adaptiveSelector) Place(st *cluster.State, req Request) (cluster.Placement, Price, error) {
 	g, err := greedySelector{}.Place(st, req)
 	if err != nil {
-		return g, err
+		return g, Price{}, err
 	}
 	b, err := balancedSelector{pow2: true}.Place(st, req)
 	if err != nil {
-		return b, err
+		return b, Price{}, err
 	}
 	errG := costmodel.ValidateCandidate(st, req.Job, &g)
 	errB := costmodel.ValidateCandidate(st, req.Job, &b)
 	var costG, costB float64
 	if errG == nil && errB == nil {
+		same := g.SameNodes(&b)
 		costG, errG = costmodel.PlacementCostMode(st, req.Job, req.Class, &g, req.Pattern, costmodel.ModeEffectiveHops)
-		costB, errB = costmodel.PlacementCostMode(st, req.Job, req.Class, &b, req.Pattern, costmodel.ModeEffectiveHops)
+		costB = costG
+		if !same {
+			costB, errB = costmodel.PlacementCostMode(st, req.Job, req.Class, &b, req.Pattern, costmodel.ModeEffectiveHops)
+		}
 	}
 	if errG != nil {
-		return cluster.Placement{}, fmt.Errorf("core: adaptive: costing greedy candidate: %w", errG)
+		return cluster.Placement{}, Price{}, fmt.Errorf("core: adaptive: costing greedy candidate: %w", errG)
 	}
 	if errB != nil {
-		return cluster.Placement{}, fmt.Errorf("core: adaptive: costing balanced candidate: %w", errB)
+		return cluster.Placement{}, Price{}, fmt.Errorf("core: adaptive: costing balanced candidate: %w", errB)
 	}
-	if req.Class == cluster.CommIntensive {
-		if costG < costB {
-			return g, nil
-		}
-		return b, nil
+	if (req.Class == cluster.CommIntensive && costG < costB) || (req.Class != cluster.CommIntensive && costG > costB) {
+		return g, Price{costG, true}, nil
 	}
-	if costG > costB {
-		return g, nil
-	}
-	return b, nil
+	return b, Price{costB, true}, nil
 }
 
 // SelectAndAllocate runs the selector and commits the result on success.
 func SelectAndAllocate(sel Selector, st *cluster.State, req Request) ([]int, error) {
-	pl, err := Place(sel, st, req)
+	pl, _, err := Place(sel, st, req)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func (s annealSelector) Select(st *cluster.State, req Request) ([]int, error) {
 }
 
 func (s annealSelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
-	seed, err := adaptiveSelector{}.Place(st, req)
+	seed, _, err := adaptiveSelector{}.Place(st, req)
 	if err != nil || req.Class != cluster.CommIntensive || seed.Len() < 2 {
 		return seed, err
 	}

@@ -98,9 +98,9 @@ func intrepidState(tb testing.TB, n int) *cluster.State {
 
 // BenchmarkPlaceIntrepid is the selection of a wide communication-intensive
 // job as the replays run it: Place, which splits leaf free counts into
-// free-rank runs and, for adaptive, validates and prices two candidates by
-// their runs. Nothing in it is proportional to the job's nodes: B/op is the
-// run slice.
+// free-rank runs and, for adaptive, validates two candidates and prices
+// them by their runs, once when they coincide. Nothing in it is
+// proportional to the job's nodes: B/op is the run slice.
 func BenchmarkPlaceIntrepid(b *testing.B) {
 	for _, a := range Algorithms {
 		for _, n := range []int{4096, 32768} {
@@ -110,7 +110,7 @@ func BenchmarkPlaceIntrepid(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if pl, err := Place(sel, st, req); err != nil || pl.Len() != n {
+					if pl, _, err := Place(sel, st, req); err != nil || pl.Len() != n {
 						b.Fatal(pl.Len(), err)
 					}
 				}
@@ -137,7 +137,7 @@ func TestSelectAllocations(t *testing.T) {
 				t.Fatalf("%v/%v: %v", a, class, err)
 			}
 			allocs := testing.AllocsPerRun(50, func() {
-				if _, err := Place(sel, st, req); err != nil {
+				if _, _, err := Place(sel, st, req); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -184,7 +184,7 @@ func TestAdaptiveSelectAllocations(t *testing.T) {
 		}
 		before := runtime.NumGoroutine()
 		for i := 0; i < 1000; i++ {
-			if _, err := Place(sel, st, req); err != nil {
+			if _, _, err := Place(sel, st, req); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
+	"repro/internal/costmodel"
 	"repro/internal/topology"
 )
 
@@ -51,7 +52,8 @@ func sameCounters(a, b *cluster.State) error {
 // of it lists as a reversed bare list (derived runs, node scan, sorted):
 // the two must agree on every counter after every step, which a run the
 // selector recorded wrongly would break. The listed nodes must also be
-// exactly what the list-building selectors (listref_test.go) choose.
+// exactly what the list-building selectors (listref_test.go) choose, and
+// a price Place reports must be bit for bit a fresh pricing of its pick.
 func FuzzAllocate(f *testing.F) {
 	f.Add(uint8(2), uint8(4), []byte{0x13, 0x85, 0x04, 0x00, 0xff, 0x21})
 	f.Add(uint8(5), uint8(7), []byte{0xfe, 0x01, 0x3c, 0x3c, 0x3c, 0x00, 0x00})
@@ -104,7 +106,7 @@ func FuzzAllocate(f *testing.F) {
 			}
 			sel := sels[i%len(sels)]
 			free := st.FreeTotal()
-			pl, err := Place(sel, st, req)
+			pl, price, err := Place(sel, st, req)
 			listed := pl // a copy: pl itself is committed as unlisted free-rank runs
 			nodes := listed.Nodes()
 			if req.Nodes > free {
@@ -137,6 +139,12 @@ func FuzzAllocate(f *testing.F) {
 			}
 			if ref, err := selectRef(algs[i%len(sels)], st, req); err != nil || !slices.Equal(ref, nodes) {
 				t.Fatalf("op %d: %s: the list-building selector chose %v, %v; the free-rank runs list %v", i, sel.Name(), ref, err, nodes)
+			}
+			if price.OK {
+				fresh, err := costmodel.PlacementCostMode(st, req.Job, req.Class, &pl, req.Pattern, costmodel.ModeEffectiveHops)
+				if err != nil || math.Float64bits(fresh) != math.Float64bits(price.Cost) {
+					t.Fatalf("op %d: %s priced its pick at %v; priced afresh it costs %v, %v", i, sel.Name(), price.Cost, fresh, err)
+				}
 			}
 			bare := cluster.NewPlacement(nodes)
 			if !bare.Reduce(cluster.LayoutOf(topo), new(cluster.Scratch)) || !slices.Equal(bare.Runs(), pl.Runs()) {

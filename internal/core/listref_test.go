@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,6 +19,24 @@ import (
 // out node by node through NodeFree, balanced's second pass filtering out
 // what the first chose. selectRef(alg) must return exactly what
 // Place(alg).Nodes() lists.
+
+// cmpFreeAsc orders by ascending free count (best-fit), then leaf index:
+// the oracle of sortLeaves' freeAsc keys.
+func cmpFreeAsc(a, b leafOrder) int {
+	if a.free != b.free {
+		return a.free - b.free
+	}
+	return a.leaf - b.leaf
+}
+
+// cmpFreeDesc orders by descending free count, then leaf index: the oracle
+// of sortLeaves' freeDesc keys.
+func cmpFreeDesc(a, b leafOrder) int {
+	if a.free != b.free {
+		return b.free - a.free
+	}
+	return a.leaf - b.leaf
+}
 
 // takeFromLeaf appends up to max free nodes of leaf l (ascending node ID).
 func takeFromLeaf(st *cluster.State, l, max int, dst []int) []int {
@@ -146,13 +165,41 @@ func selectRef(a Algorithm, st *cluster.State, req Request) ([]int, error) {
 	return nil, fmt.Errorf("selectRef: no list-building form of %v", a)
 }
 
+// outOfOrderConf is a topology.conf whose switches list their children out
+// of file order: a switch's DescLeaves is not ascending, so a free-count
+// order that broke ties on the position in it, not on the leaf index, would
+// visit tied leaves in another order than the oracle's comparators.
+const outOfOrderConf = `
+SwitchName=l0 Nodes=n[0-3]
+SwitchName=l1 Nodes=n[4-7]
+SwitchName=l2 Nodes=n[8-11]
+SwitchName=l3 Nodes=n[12-15]
+SwitchName=l4 Nodes=n[16-19]
+SwitchName=l5 Nodes=n[20-23]
+SwitchName=m0 Switches=l3,l1,l5
+SwitchName=m1 Switches=l4,l0,l2
+SwitchName=top Switches=m1,m0
+`
+
 // TestPlaceListsWhatTheListSelectorsBuilt compares every selector's
 // free-rank placement, listed, against its list-building original on
-// machines with drained, failed and busy nodes scattered inside leaves.
+// machines with drained, failed and busy nodes scattered inside leaves:
+// twelve generated ones, and four states of one parsed from a topology.conf
+// that lists leaves out of index order.
 func TestPlaceListsWhatTheListSelectorsBuilt(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
+	conf, err := topology.ParseConfig(strings.NewReader(outOfOrderConf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.IsSorted(conf.Root.DescLeaves) {
+		t.Fatalf("the parsed switches list their leaves in index order %v", conf.Root.DescLeaves)
+	}
+	for seed := int64(1); seed <= 16; seed++ {
 		rng := randNew(seed)
-		topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 3 + rng.Intn(14), Fanouts: []int{2 + rng.Intn(4), 1 + rng.Intn(4)}})
+		topo := conf
+		if seed <= 12 {
+			topo = topology.MustGenerate(topology.Spec{NodesPerLeaf: 3 + rng.Intn(14), Fanouts: []int{2 + rng.Intn(4), 1 + rng.Intn(4)}})
+		}
 		st := cluster.New(topo)
 		n := topo.NumNodes()
 		var busy, comm []int
@@ -191,7 +238,7 @@ func TestPlaceListsWhatTheListSelectorsBuilt(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d %v/%v/%d: %v", seed, a, class, want, err)
 					}
-					pl, err := Place(MustNew(a), st, req)
+					pl, _, err := Place(MustNew(a), st, req)
 					if err != nil {
 						t.Fatalf("seed %d %v/%v/%d: %v", seed, a, class, want, err)
 					}
@@ -215,7 +262,7 @@ func TestAdaptivePricesRunsWithoutListing(t *testing.T) {
 	sel := MustNew(Adaptive)
 	const workers, rounds, nodes = 4, 6, 16384
 	place := func(job cluster.JobID) cluster.Placement {
-		pl, err := Place(sel, st, Request{Job: job, Nodes: nodes, Class: cluster.CommIntensive, Pattern: collective.RD})
+		pl, _, err := Place(sel, st, Request{Job: job, Nodes: nodes, Class: cluster.CommIntensive, Pattern: collective.RD})
 		if err != nil || pl.Len() != nodes {
 			t.Errorf("job %d: %d ranks, %v", job, pl.Len(), err)
 		}

@@ -9,9 +9,9 @@ import (
 
 // Schedule memoization: a collective schedule is a pure function of
 // (pattern, rank count), and the scheduler's hot paths need the same one
-// repeatedly — the adaptive selector costs two candidates per request,
-// the simulator costs the chosen and the reference allocation per job
-// start, and rank remapping's hill climb re-reads it for every swap.
+// repeatedly — the adaptive selector costs its distinct candidates per
+// request, the simulator costs the chosen and the reference allocation per
+// job start, and rank remapping's hill climb re-reads it for every swap.
 // Entries are immutable; callers of ScheduleFor must never mutate the
 // returned steps.
 

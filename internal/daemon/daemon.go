@@ -89,7 +89,7 @@ type Daemon struct {
 	cfg      Config
 	st       *cluster.State
 	selector core.Selector
-	defSel   core.Selector
+	defSel   core.Selector // nil under Default (sim.ReferenceSelector)
 
 	cmds chan func()
 	quit chan struct{}
@@ -142,10 +142,6 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	defSel, err := core.New(core.Default)
-	if err != nil {
-		return nil, err
-	}
 	clk := cfg.Clock
 	if clk == nil {
 		clk = time.Now
@@ -154,7 +150,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:      cfg,
 		st:       cluster.New(cfg.Topology),
 		selector: selector,
-		defSel:   defSel,
+		defSel:   sim.ReferenceSelector(cfg.Algorithm),
 		cmds:     make(chan func()),
 		quit:     make(chan struct{}),
 		clock:    clk,

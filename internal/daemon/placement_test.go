@@ -28,7 +28,7 @@ type drainingPlacer struct {
 }
 
 func (s *drainingPlacer) Place(st *cluster.State, req core.Request) (cluster.Placement, error) {
-	pl, err := core.Place(s.Selector, st, req)
+	pl, _, err := core.Place(s.Selector, st, req)
 	if err == nil && req.Job == s.job && !s.fired {
 		s.fired = true
 		if s.fail {

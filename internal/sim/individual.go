@@ -102,7 +102,6 @@ func RunIndividual(cfg IndividualConfig, trace workload.Trace, jobIdx []int,
 	if err != nil {
 		return nil, err
 	}
-	defSel := core.MustNew(core.Default)
 	out := make([]IndividualResult, 0, len(jobIdx))
 	for _, idx := range jobIdx {
 		if idx < 0 || idx >= len(trace.Jobs) {
@@ -122,7 +121,7 @@ func RunIndividual(cfg IndividualConfig, trace workload.Trace, jobIdx []int,
 			if err != nil {
 				return nil, err
 			}
-			pl, err := PlaceJob(st, sel, defSel, j, cfg.CostMode)
+			pl, err := PlaceJob(st, sel, ReferenceSelector(alg), j, cfg.CostMode)
 			if err != nil {
 				return nil, err
 			}

@@ -32,10 +32,22 @@ type Placement struct {
 	Ratio float64
 }
 
+// ReferenceSelector returns the reference selector PlaceJob takes for jobs
+// placed by algorithm a: the default selector, or nil when a is Default, whose
+// selection is then its own reference.
+func ReferenceSelector(a core.Algorithm) core.Selector {
+	if a == core.Default {
+		return nil
+	}
+	return core.MustNew(core.Default)
+}
+
 // PlaceJob selects nodes for the job with the given selector, evaluates the
 // paper's runtime model against the hypothetical default placement from the
 // same cluster state, and returns the placement WITHOUT committing it. The
-// state is unchanged on return.
+// state is unchanged on return. defSel selects the default placement; nil
+// means selector is the default selector, and its selection serves as both
+// (ReferenceSelector).
 func PlaceJob(st *cluster.State, selector, defSel core.Selector, j workload.Job,
 	mode costmodel.Mode) (Placement, error) {
 	return PlaceJobMapped(st, selector, defSel, j, mode, false)
@@ -45,7 +57,8 @@ func PlaceJob(st *cluster.State, selector, defSel core.Selector, j workload.Job,
 // (the paper's §7 "process mapping after node allocation" future work):
 // when remap is true and the job is communication-intensive, the rank→node
 // assignment over the selected nodes is reordered to reduce the Eq. 6 cost
-// of the dominant pattern before the runtime model is applied.
+// of the dominant pattern before the runtime model is applied. With a nil
+// defSel the reference is the selection before the remap.
 func PlaceJobMapped(st *cluster.State, selector, defSel core.Selector, j workload.Job,
 	mode costmodel.Mode, remap bool) (Placement, error) {
 	pattern := collective.RD
@@ -53,7 +66,7 @@ func PlaceJobMapped(st *cluster.State, selector, defSel core.Selector, j workloa
 		pattern = p
 	}
 	req := core.Request{Job: j.ID, Nodes: j.Nodes, Class: j.Class, Pattern: pattern}
-	placed, err := core.Place(selector, st, req)
+	placed, price, err := core.Place(selector, st, req)
 	if err != nil {
 		return Placement{}, fmt.Errorf("sim: job %d: %w", j.ID, err)
 	}
@@ -61,16 +74,24 @@ func PlaceJobMapped(st *cluster.State, selector, defSel core.Selector, j workloa
 	if j.Class != cluster.CommIntensive || len(j.Mix.Comms) == 0 || j.Nodes <= 1 {
 		return pl, nil
 	}
+	def := placed // with a nil defSel, the selection before any remap is its own reference
 	if remap {
-		mapped, _, err := mapping.Remap(st, j.ID, j.Class, pl.Placed.Nodes(), pattern, mapping.Options{})
+		mapped, _, err := mapping.Remap(st, j.ID, j.Class, def.Nodes(), pattern, mapping.Options{})
 		if err != nil {
 			return Placement{}, fmt.Errorf("sim: job %d remap: %w", j.ID, err)
 		}
 		pl.Placed = cluster.NewPlacement(mapped)
 	}
-	def, err := core.Place(defSel, st, req)
-	if err != nil {
-		return Placement{}, fmt.Errorf("sim: job %d (default reference): %w", j.ID, err)
+	// The selector's price, if it made one, is of its own selection in
+	// effective hops: it serves the primary pattern's component only when
+	// that is what is placed and how it is priced.
+	if remap || mode != costmodel.ModeEffectiveHops {
+		price = core.Price{}
+	}
+	if defSel != nil {
+		if def, _, err = core.Place(defSel, st, req); err != nil {
+			return Placement{}, fmt.Errorf("sim: job %d (default reference): %w", j.ID, err)
+		}
 	}
 	// The default selector's own jobs, and most jobs of any selector on an
 	// empty enough machine, are placed where the reference is: pricing is
@@ -80,9 +101,11 @@ func PlaceJobMapped(st *cluster.State, selector, defSel core.Selector, j workloa
 	var buf [4]float64
 	ratios := buf[:0]
 	for _, c := range j.Mix.Comms {
-		costX, err := costmodel.PlacementCostMode(st, j.ID, j.Class, &pl.Placed, c.Pattern, mode)
-		if err != nil {
-			return Placement{}, fmt.Errorf("sim: job %d cost: %w", j.ID, err)
+		costX := price.Cost
+		if !price.OK || c.Pattern != pattern {
+			if costX, err = costmodel.PlacementCostMode(st, j.ID, j.Class, &pl.Placed, c.Pattern, mode); err != nil {
+				return Placement{}, fmt.Errorf("sim: job %d cost: %w", j.ID, err)
+			}
 		}
 		costD := costX
 		if !same {

@@ -44,17 +44,74 @@ func commJob(id, nodes int) workload.Job {
 		Mix: collective.Mix{ComputeFrac: 0.4, Comms: []collective.Component{{Pattern: collective.RHVD, Frac: 0.4}, {Pattern: collective.Ring, Frac: 0.2}}}}
 }
 
+// overBareLists is PlaceJob's runtime model worked over bare node lists,
+// every component of the job priced afresh on nodes and on the reference
+// defNodes: the oracle of Cost, RefCost, Exec and Ratio.
+func overBareLists(t *testing.T, st *cluster.State, j workload.Job, nodes, defNodes []int, mode costmodel.Mode) Placement {
+	t.Helper()
+	pattern, _ := j.Mix.PrimaryPattern()
+	want := Placement{Ratio: 1}
+	var ratios []float64
+	total, weight := 0.0, 0.0
+	for _, c := range j.Mix.Comms {
+		x, err := costmodel.CandidateCostMode(st, j.ID, j.Class, nodes, c.Pattern, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := costmodel.CandidateCostMode(st, j.ID, j.Class, defNodes, c.Pattern, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := costmodel.RuntimeRatio(x, d)
+		ratios = append(ratios, r)
+		total += r * c.Frac
+		weight += c.Frac
+		if c.Pattern == pattern {
+			want.Cost, want.RefCost = x, d
+		}
+	}
+	exec, err := costmodel.ModifiedRuntimeMix(j.Runtime, j.Mix, ratios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Exec, want.Ratio = max(exec, 1), total/weight
+	return want
+}
+
+// sameModel reports whether two placements carry bit-identical results.
+func sameModel(a, b Placement) bool {
+	return math.Float64bits(a.Cost) == math.Float64bits(b.Cost) && math.Float64bits(a.RefCost) == math.Float64bits(b.RefCost) &&
+		math.Float64bits(a.Exec) == math.Float64bits(b.Exec) && math.Float64bits(a.Ratio) == math.Float64bits(b.Ratio)
+}
+
 // TestPlaceJobPlacesWhatSelectLists pins the one placement path: PlaceJob's
 // unlisted placement names exactly the selector's node list when asked and
-// commits to that allocation, and with remap PlaceJobMapped's results are
-// bit-identical to the same steps taken over bare node lists.
+// commits to that allocation, and its results are bit-identical to the same
+// steps taken over bare node lists, with or without remap. That covers the
+// prices PlaceJob does not compute: adaptive's price of its pick, reused
+// only for the primary pattern in effective hops, and the default
+// selection serving as its own reference. The single-leaf job's candidates
+// coincide (adaptive prices once), the wide job's differ.
 func TestPlaceJobPlacesWhatSelectLists(t *testing.T) {
 	topo := topology.Theta()
 	st := loadedState(t, topo)
 	def := core.MustNew(core.Default)
+	narrow, wide := commJob(2, 64), commJob(1, 700)
+	for _, c := range []struct {
+		j    workload.Job
+		same bool
+	}{{narrow, true}, {wide, false}} {
+		pattern, _ := c.j.Mix.PrimaryPattern()
+		req := core.Request{Job: c.j.ID, Nodes: c.j.Nodes, Class: c.j.Class, Pattern: pattern}
+		g, _ := core.MustNew(core.Greedy).Select(st, req)
+		b, _ := core.MustNew(core.Balanced).Select(st, req)
+		if slices.Equal(g, b) != c.same {
+			t.Fatalf("job %d: greedy and balanced coincide: %v, want %v", c.j.ID, !c.same, c.same)
+		}
+	}
 	for _, alg := range []core.Algorithm{core.Default, core.Greedy, core.Balanced, core.Adaptive} {
 		sel := core.MustNew(alg)
-		for _, j := range []workload.Job{commJob(1, 700), commJob(2, 64),
+		for _, j := range []workload.Job{wide, narrow,
 			{ID: 3, Nodes: 300, Runtime: 50, Class: cluster.ComputeIntensive}} {
 			pattern, _ := j.Mix.PrimaryPattern()
 			req := core.Request{Job: j.ID, Nodes: j.Nodes, Class: j.Class, Pattern: pattern}
@@ -62,12 +119,28 @@ func TestPlaceJobPlacesWhatSelectLists(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pl, err := PlaceJob(st, sel, def, j, costmodel.ModeEffectiveHops)
+			defNodes, err := def.Select(st, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := pl.Placed.Nodes(); !slices.Equal(got, want) {
-				t.Fatalf("%v job %d: PlaceJob lists %v, Select %v", alg, j.ID, got, want)
+			for _, mode := range []costmodel.Mode{costmodel.ModeEffectiveHops, costmodel.ModeHopBytes, costmodel.ModeDistanceOnly} {
+				pl, err := PlaceJob(st, sel, ReferenceSelector(alg), j, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := pl.Placed.Nodes(); !slices.Equal(got, want) {
+					t.Fatalf("%v job %d: PlaceJob lists %v, Select %v", alg, j.ID, got, want)
+				}
+				if j.Class == cluster.CommIntensive {
+					if oracle := overBareLists(t, st, j, want, defNodes, mode); !sameModel(pl, oracle) {
+						t.Errorf("%v job %d %v: cost %v ref %v exec %v ratio %v, over bare lists %v %v %v %v",
+							alg, j.ID, mode, pl.Cost, pl.RefCost, pl.Exec, pl.Ratio, oracle.Cost, oracle.RefCost, oracle.Exec, oracle.Ratio)
+					}
+				}
+			}
+			pl, err := PlaceJob(st, sel, def, j, costmodel.ModeEffectiveHops)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if err := st.AllocatePlacement(j.ID, j.Class, &pl.Placed); err != nil {
 				t.Fatal(err)
@@ -85,44 +158,76 @@ func TestPlaceJobPlacesWhatSelectLists(t *testing.T) {
 				continue
 			}
 			// Remapped: the same steps over bare lists.
-			got, err := PlaceJobMapped(st, sel, def, j, costmodel.ModeEffectiveHops, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mapped, _, err := mapping.Remap(st, j.ID, j.Class, want, pattern, mapping.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defNodes, err := def.Select(st, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ratios []float64
-			var cost, ref float64
-			for _, c := range j.Mix.Comms {
-				x, err := costmodel.CandidateCostMode(st, j.ID, j.Class, mapped, c.Pattern, costmodel.ModeEffectiveHops)
+			for _, ref := range []core.Selector{def, ReferenceSelector(alg)} {
+				got, err := PlaceJobMapped(st, sel, ref, j, costmodel.ModeEffectiveHops, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, err := costmodel.CandidateCostMode(st, j.ID, j.Class, defNodes, c.Pattern, costmodel.ModeEffectiveHops)
+				mapped, _, err := mapping.Remap(st, j.ID, j.Class, want, pattern, mapping.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ratios = append(ratios, costmodel.RuntimeRatio(x, d))
-				if c.Pattern == pattern {
-					cost, ref = x, d
+				if oracle := overBareLists(t, st, j, mapped, defNodes, costmodel.ModeEffectiveHops); !slices.Equal(got.Placed.Nodes(), mapped) || !sameModel(got, oracle) {
+					t.Errorf("%v job %d remapped: cost %v ref %v exec %v, over bare lists %v %v %v (nodes equal: %v)",
+						alg, j.ID, got.Cost, got.RefCost, got.Exec, oracle.Cost, oracle.RefCost, oracle.Exec, slices.Equal(got.Placed.Nodes(), mapped))
 				}
-			}
-			exec, err := costmodel.ModifiedRuntimeMix(j.Runtime, j.Mix, ratios)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nodes := got.Placed.Nodes(); !slices.Equal(nodes, mapped) || math.Float64bits(got.Cost) != math.Float64bits(cost) ||
-				math.Float64bits(got.RefCost) != math.Float64bits(ref) || math.Float64bits(got.Exec) != math.Float64bits(max(exec, 1)) {
-				t.Errorf("%v job %d remapped: cost %v ref %v exec %v, over bare lists %v %v %v (nodes equal: %v)",
-					alg, j.ID, got.Cost, got.RefCost, got.Exec, cost, ref, exec, slices.Equal(nodes, mapped))
 			}
 		}
+	}
+	// The pin above would let hop-bytes take adaptive's effective-hops price
+	// only if the two were equal; they are not.
+	req := core.Request{Job: wide.ID, Nodes: wide.Nodes, Class: wide.Class, Pattern: collective.RHVD}
+	pl, price, err := core.Place(core.MustNew(core.Adaptive), st, req)
+	if err != nil || !price.OK {
+		t.Fatalf("adaptive reports no price (%v)", err)
+	}
+	hb, err := costmodel.PlacementCostMode(st, wide.ID, wide.Class, &pl, collective.RHVD, costmodel.ModeHopBytes)
+	if err != nil || hb == price.Cost {
+		t.Errorf("RHVD costs %v in hop-bytes (%v), as much as adaptive's effective-hops price %v", hb, err, price.Cost)
+	}
+}
+
+// TestPlaceJobPricesEachPlacementOnce counts pricings on a reference state,
+// where each one allocates and releases the job (two generation bumps).
+// Adaptive prices coinciding candidates once and PlaceJob reuses the
+// winner's price; distinct candidates cost two pricings, plus one for a
+// default reference elsewhere. Default prices its selection once, serving
+// as both costs.
+func TestPlaceJobPricesEachPlacementOnce(t *testing.T) {
+	st := loadedState(t, topology.Theta()).CloneAs(true)
+	job := func(id, nodes int) workload.Job {
+		return workload.Job{ID: cluster.JobID(id), Nodes: nodes, Runtime: 1000, Class: cluster.CommIntensive,
+			Mix: collective.Mix{ComputeFrac: 0.5, Comms: []collective.Component{{Pattern: collective.RHVD, Frac: 0.5}}}}
+	}
+	pricings := func(alg core.Algorithm, j workload.Job) uint64 {
+		t.Helper()
+		gen := st.Generation()
+		if _, err := PlaceJob(st, core.MustNew(alg), ReferenceSelector(alg), j, costmodel.ModeEffectiveHops); err != nil {
+			t.Fatal(err)
+		}
+		return (st.Generation() - gen) / 2
+	}
+	if got := pricings(core.Adaptive, job(1, 64)); got != 1 {
+		t.Errorf("adaptive single-leaf job: %d pricings, want 1", got)
+	}
+	if got := pricings(core.Default, job(2, 64)); got != 1 {
+		t.Errorf("default single-leaf job: %d pricings, want 1", got)
+	}
+	wide := job(3, 700)
+	req := core.Request{Job: wide.ID, Nodes: wide.Nodes, Class: wide.Class, Pattern: collective.RHVD}
+	g, _ := core.MustNew(core.Greedy).Select(st, req)
+	b, _ := core.MustNew(core.Balanced).Select(st, req)
+	won, _ := core.MustNew(core.Adaptive).Select(st, req)
+	d, _ := core.MustNew(core.Default).Select(st, req)
+	if slices.Equal(g, b) {
+		t.Fatal("the wide job's candidates coincide")
+	}
+	want := uint64(2)
+	if !slices.Equal(won, d) {
+		want++
+	}
+	if got := pricings(core.Adaptive, wide); got != want {
+		t.Errorf("adaptive wide job: %d pricings, want %d", got, want)
 	}
 }
 

@@ -131,7 +131,7 @@ type engine struct {
 	trace    workload.Trace
 	st       *cluster.State
 	selector core.Selector
-	defSel   core.Selector
+	defSel   core.Selector // nil under Default (ReferenceSelector)
 
 	events eventQueue
 	seq    int64
@@ -180,16 +180,12 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defSel, err := core.New(core.Default)
-	if err != nil {
-		return nil, err
-	}
 	e := &engine{
 		cfg:         cfg,
 		trace:       trace,
 		st:          newState(cfg.Topology, cfg.Reference),
 		selector:    sel,
-		defSel:      defSel,
+		defSel:      ReferenceSelector(cfg.Algorithm),
 		results:     make([]metrics.JobResult, len(trace.Jobs)),
 		started:     make([]bool, len(trace.Jobs)),
 		idToIdx:     make(map[cluster.JobID]int, len(trace.Jobs)),
