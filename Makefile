@@ -35,7 +35,7 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz runs of the native fuzz targets; CI smoke, not a soak. The
-# scheduled CI fuzz job runs the same eleven targets at FUZZTIME=5m, plus
+# scheduled CI fuzz job runs the same twelve targets at FUZZTIME=5m, plus
 # the three parsers of outside input (hostlist.FuzzExpand,
 # topology.FuzzParseConfig, swf.FuzzRead), which run here only as seed
 # corpora under `make test`.
@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sched -run FuzzQueueOps -fuzz FuzzQueueOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/daemon -run FuzzDispatch -fuzz FuzzDispatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/daemon -run FuzzReadFrame -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run FuzzBackfillAudit -fuzz FuzzBackfillAudit -fuzztime $(FUZZTIME)
 
 # Statement-coverage gate: fails when total coverage over ./internal/...
 # drops below the floor in scripts/coverage-floor.txt.
@@ -69,7 +70,7 @@ BENCH_PKGS = ./internal/collective ./internal/core ./internal/costmodel ./intern
 # -p 1 keeps package test binaries sequential: concurrently running
 # packages contaminate each other's timings.
 bench:
-	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkPrice|BenchmarkScheduleBlocks|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog' \
+	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkPrice|BenchmarkScheduleBlocks|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog|BenchmarkValidateResultConfig' \
 		-benchtime $(BENCHTIME) -benchmem -json $(BENCH_PKGS) > BENCH_$$(date +%F).json
 	@echo "wrote BENCH_$$(date +%F).json"
 

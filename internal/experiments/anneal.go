@@ -50,7 +50,7 @@ func AnnealQuality(o Options) (*AnnealQualityResult, error) {
 	o = o.withDefaults()
 	preset := pickMachine(o.Machines, "Theta")
 	topo := preset.NewTopology()
-	trace := preset.Synthesize(o.Jobs, o.Seed)
+	trace := preset.On(topo).Synthesize(o.Jobs, o.Seed)
 	tagged, err := trace.Tag(o.CommFraction,
 		collective.SinglePattern(collective.RD, o.CommShare), o.Seed+17)
 	if err != nil {

@@ -124,7 +124,7 @@ func runAll(parallelism int, thunks []func() error) error {
 // and run it under one algorithm.
 func continuousRun(o Options, preset workload.Preset, topo *topology.Topology,
 	commFraction float64, mix collective.Mix, alg core.Algorithm) (*sim.Result, error) {
-	trace := preset.Synthesize(o.Jobs, o.Seed)
+	trace := preset.On(topo).Synthesize(o.Jobs, o.Seed)
 	tagged, err := trace.Tag(commFraction, mix, o.Seed+17)
 	if err != nil {
 		return nil, err

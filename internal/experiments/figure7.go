@@ -28,7 +28,7 @@ func Figure7(o Options) (*Figure7Result, error) {
 	o = o.withDefaults()
 	preset := pickMachine(o.Machines, "Theta")
 	topo := preset.NewTopology()
-	trace := preset.Synthesize(o.Jobs, o.Seed)
+	trace := preset.On(topo).Synthesize(o.Jobs, o.Seed)
 	tagged, err := trace.Tag(o.CommFraction, collective.SinglePattern(collective.RD, o.CommShare), o.Seed+17)
 	if err != nil {
 		return nil, err

@@ -39,7 +39,7 @@ func Table4(o Options) (*Table4Result, error) {
 		for _, pat := range patternsRHVDRD {
 			pat := pat
 			thunks = append(thunks, func() error {
-				trace := preset.Synthesize(o.Jobs, o.Seed)
+				trace := preset.On(topo).Synthesize(o.Jobs, o.Seed)
 				tagged, err := trace.Tag(o.CommFraction, collective.SinglePattern(pat, o.CommShare), o.Seed+17)
 				if err != nil {
 					return err

@@ -33,3 +33,24 @@ func BenchmarkRunContinuous(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkValidateResultConfig audits a 1000-job adaptive Theta result:
+// the per-job checks, the capacity sweep and the one-pass backfill
+// legality audit every validated sweep cell runs.
+func BenchmarkValidateResultConfig(b *testing.B) {
+	topo := topology.Theta()
+	trace := workload.Theta.On(topo).Synthesize(1000, 1).
+		MustTag(0.3, collective.SinglePattern(collective.RD, 0.5), 2)
+	cfg := Config{Topology: topo, Algorithm: core.Adaptive}
+	res, err := RunContinuous(cfg, trace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ValidateResultConfig(res, trace, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

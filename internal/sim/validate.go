@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -311,28 +313,76 @@ func (a *auditor) estEnd(i int) float64 {
 // shadow-outliving backfills consume it. Ambiguous instants (event-time
 // collisions, eligibility ties under FIFO with dependencies) are skipped
 // rather than guessed, so a correct engine is never falsely flagged.
+//
+// The instants are visited once, in time order. Jobs are sorted once by
+// start, end and eligibility; the waiting set (in index order), the running
+// set (by planned end) and the fault view move forward with t instead of
+// being rebuilt at each instant, so the audit costs O(n log n) plus the
+// summed size of the waiting sets it inspects.
 func (a *auditor) checkBackfillLegality() error {
-	starts := make(map[float64][]int)
-	for i := range a.res.Jobs {
-		starts[a.res.Jobs[i].Start] = append(starts[a.res.Jobs[i].Start], i)
+	jobs := a.res.Jobs
+	n := len(jobs)
+	starts, ends := make([]float64, n), make([]float64, n)
+	estEnd := make([]float64, n)
+	for i := range jobs {
+		starts[i], ends[i], estEnd[i] = jobs[i].Start, jobs[i].End, a.estEnd(i)
 	}
-	instants := make([]float64, 0, len(starts))
-	for t := range starts {
-		instants = append(instants, t)
-	}
-	sort.Float64s(instants)
-	// Fault replay scratch: per-node failed/drained marks, sized to cover
-	// every node the trace touches.
-	var failedScratch, drainedScratch []bool
-	if n := maxNodeID(a.cfg.Faults); n > 0 {
-		failedScratch = make([]bool, n)
-		drainedScratch = make([]bool, n)
-	}
-	for _, t := range instants {
-		started := starts[t]
+	byStart, byEnd, byElig := orderBy(starts), orderBy(ends), orderBy(a.elig)
+	byEstEnd := func(x, y int) int { return cmp.Or(cmp.Compare(estEnd[x], estEnd[y]), x-y) }
+	var (
+		// waiting holds the jobs with elig < t and Start > t, ascending.
+		waiting, merged, arrived, pending []int
+		// running holds the jobs with Start < t < End by (estEnd, index),
+		// and busy their nodes.
+		running   []int
+		inRunning = make([]bool, n)
+		busy      int
+		// started is the previous instant's starts until the running set
+		// takes them in, then this instant's.
+		started          []int
+		prefix, backfill []int
+		endPos, eligPos  int
+	)
+	fc := newFaultCursor(a.cfg.Faults)
+	for lo := 0; lo < n; {
+		t := starts[byStart[lo]]
+		// Last instant's starts still running at t join the running set;
+		// jobs ended by t leave it.
+		for _, s := range started {
+			if ends[s] > t {
+				pos, _ := slices.BinarySearchFunc(running, s, byEstEnd)
+				running = slices.Insert(running, pos, s)
+				inRunning[s] = true
+				busy += jobs[s].Nodes
+			}
+		}
+		for ; endPos < n && ends[byEnd[endPos]] <= t; endPos++ {
+			if i := byEnd[endPos]; inRunning[i] {
+				pos, _ := slices.BinarySearchFunc(running, i, byEstEnd)
+				running = slices.Delete(running, pos, pos+1)
+				inRunning[i] = false
+				busy -= jobs[i].Nodes
+			}
+		}
+		// The jobs starting at t leave the waiting set; those that became
+		// eligible since the last instant and start after t join it.
+		hi := lo + 1
+		for hi < n && sameTime(starts[byStart[hi]], t) {
+			hi++
+		}
+		started, lo = byStart[lo:hi], hi
+		arrived = arrived[:0]
+		for ; eligPos < n && a.elig[byElig[eligPos]] < t; eligPos++ {
+			arrived = append(arrived, byElig[eligPos])
+		}
+		slices.Sort(arrived)
+		merged = mergeLive(merged[:0], waiting, arrived, starts, t)
+		waiting, merged = merged, waiting
+
 		downAt := 0
 		faultTriggers := 0
 		if len(a.cfg.Faults) > 0 {
+			fv := fc.advance(t)
 			// Killed partial attempts are invisible to this reconstruction:
 			// until the run's last kill instant the running set (and thus
 			// the free count and the shadow time) cannot be recovered from
@@ -340,7 +390,6 @@ func (a *auditor) checkBackfillLegality() error {
 			if a.hasRequeues && t <= a.maxRequeue {
 				continue
 			}
-			fv := faultViewAt(a.cfg.Faults, t, failedScratch, drainedScratch)
 			// A drained node's capacity effect depends on whether a job
 			// occupied it at drain time — node-level placement the result
 			// does not record. Skip instants with any drain in effect.
@@ -355,44 +404,38 @@ func (a *auditor) checkBackfillLegality() error {
 		// at t with unknowable interleaving — skip. Exactly one pending
 		// arrival is fine only when it is the pass trigger, i.e. there is
 		// no completion or fault event besides it.
-		ends, arrivals := 0, 0
-		pendingArrival := -1
-		for i := range a.res.Jobs {
-			if sameTime(a.res.Jobs[i].End, t) {
-				ends++
-			}
-			if sameTime(a.elig[i], t) {
-				arrivals++
-				if a.res.Jobs[i].Start > t {
-					pendingArrival = i
-				}
-			}
+		endsAt := 0
+		for k := endPos - 1; k >= 0 && sameTime(ends[byEnd[k]], t); k-- {
+			endsAt++
 		}
-		if ends+arrivals+faultTriggers > 1 {
+		arrivalsAt := 0
+		for k := eligPos; k < n && sameTime(a.elig[byElig[k]], t); k++ {
+			arrivalsAt++
+		}
+		if endsAt+arrivalsAt+faultTriggers > 1 {
 			continue
 		}
 		// Waiting queue at t: eligible strictly before t and not yet
 		// started, plus an arrival at t that stayed queued (it triggered the
 		// pass, so it was in the queue when the pass ran).
-		var waiting []int
-		for i := range a.res.Jobs {
-			if a.res.Jobs[i].Start <= t {
-				continue
-			}
-			if a.elig[i] < t || i == pendingArrival {
-				waiting = append(waiting, i)
+		queue := waiting
+		if arrivalsAt == 1 {
+			if p := byElig[eligPos]; starts[p] > t {
+				pos, _ := slices.BinarySearch(waiting, p)
+				pending = append(append(append(pending[:0], waiting[:pos]...), p), waiting[pos:]...)
+				queue = pending
 			}
 		}
-		if len(waiting) == 0 {
+		if len(queue) == 0 {
 			continue // nothing reserved, every start was a head start
 		}
-		head, ambiguous := a.policyMin(waiting)
+		head, ambiguous := a.policyMin(queue)
 		if ambiguous {
 			continue
 		}
 		// Split the pass's starts into the head-loop prefix (queued ahead of
 		// the head) and backfills (queued behind it), in policy order.
-		var prefix, backfills []int
+		prefix, backfill = prefix[:0], backfill[:0]
 		skip := false
 		for _, s := range started {
 			before, known := a.policyBefore(s, head)
@@ -403,20 +446,27 @@ func (a *auditor) checkBackfillLegality() error {
 			if before {
 				prefix = append(prefix, s)
 			} else {
-				backfills = append(backfills, s)
+				backfill = append(backfill, s)
 			}
 		}
-		if skip || len(backfills) == 0 {
+		if skip || len(backfill) == 0 {
 			continue
 		}
-		if !sortPolicy(a, backfills) {
+		if !sortPolicy(a, backfill) {
 			continue // relative order of two backfills undecidable
 		}
-		shadow, extra, ok := a.reservationAt(t, started, prefix, a.trace.Jobs[head].Nodes, downAt)
+		// The reservation counts the head-loop prefix as running: it was
+		// allocated before the shadow time was computed.
+		free := a.trace.MachineNodes - downAt - busy
+		for _, s := range prefix {
+			free -= jobs[s].Nodes
+		}
+		slices.SortFunc(prefix, byEstEnd)
+		shadow, extra, ok := reservation(t, free, a.trace.Jobs[head].Nodes, running, prefix, byEstEnd, estEnd, jobs)
 		if !ok {
 			continue
 		}
-		for _, b := range backfills {
+		for _, b := range backfill {
 			finishesBeforeShadow := t+a.trace.Jobs[b].EstimatedRuntime() <= shadow+validateEps
 			fitsExtra := a.trace.Jobs[b].Nodes <= extra
 			if !finishesBeforeShadow && !fitsExtra {
@@ -430,6 +480,33 @@ func (a *auditor) checkBackfillLegality() error {
 		}
 	}
 	return nil
+}
+
+// orderBy returns the indexes of key sorted by (key, index).
+func orderBy(key []float64) []int {
+	idx := make([]int, len(key))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(x, y int) int { return cmp.Or(cmp.Compare(key[x], key[y]), x-y) })
+	return idx
+}
+
+// mergeLive appends to dst, in ascending order, the members of the
+// ascending lists a and b that start after t.
+func mergeLive(dst, a, b []int, starts []float64, t float64) []int {
+	for len(a) > 0 || len(b) > 0 {
+		var i int
+		if len(b) == 0 || (len(a) > 0 && a[0] < b[0]) {
+			i, a = a[0], a[1:]
+		} else {
+			i, b = b[0], b[1:]
+		}
+		if starts[i] > t {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 // policyMin returns the policy-first member of the waiting set, or
@@ -472,50 +549,27 @@ func sortPolicy(a *auditor, idx []int) bool {
 	return ok
 }
 
-// reservationAt recomputes the EASY shadow time and extra node count the
-// engine saw in the pass at time t: jobs running strictly across t plus
-// the pass's head-loop prefix (already allocated when the reservation was
-// computed), for a head job needing `need` nodes. started lists every job
-// beginning at t (all excluded from the strictly-running set); down is the
-// number of nodes out of service at t due to hard failures, which shrink
-// the free baseline.
-func (a *auditor) reservationAt(t float64, started, prefix []int, need, down int) (shadow float64, extra int, ok bool) {
-	startedAtT := make(map[int]bool, len(started))
-	for _, s := range started {
-		startedAtT[s] = true
-	}
-	free := a.trace.MachineNodes - down
-	type run struct {
-		idx    int
-		estEnd float64
-		nodes  int
-	}
-	var running []run
-	for i := range a.res.Jobs {
-		if startedAtT[i] || a.res.Jobs[i].Start > t || a.res.Jobs[i].End <= t {
-			continue
-		}
-		free -= a.res.Jobs[i].Nodes
-		running = append(running, run{i, a.estEnd(i), a.res.Jobs[i].Nodes})
-	}
-	for _, s := range prefix {
-		free -= a.res.Jobs[s].Nodes
-		running = append(running, run{s, a.estEnd(s), a.res.Jobs[s].Nodes})
-	}
+// reservation recomputes the EASY shadow time and extra node count the
+// engine saw in the pass at time t for a head job needing `need` nodes.
+// free is what the pass left free: the machine less failed nodes, the jobs
+// running strictly across t and the head-loop prefix. running and prefix,
+// each sorted by order, the engine's (estEnd, index) reservation
+// tie-break, are merged until enough nodes are released.
+func reservation(t float64, free, need int, running, prefix []int, order func(x, y int) int,
+	estEnd []float64, jobs []metrics.JobResult) (shadow float64, extra int, ok bool) {
 	if need <= free {
 		return t, free - need, true
 	}
-	// (estEnd, job index) mirrors the engine's reservation tie-break.
-	sort.Slice(running, func(x, y int) bool {
-		if running[x].estEnd != running[y].estEnd {
-			return running[x].estEnd < running[y].estEnd
+	for len(running) > 0 || len(prefix) > 0 {
+		var i int
+		if len(prefix) == 0 || (len(running) > 0 && order(running[0], prefix[0]) < 0) {
+			i, running = running[0], running[1:]
+		} else {
+			i, prefix = prefix[0], prefix[1:]
 		}
-		return running[x].idx < running[y].idx
-	})
-	for _, r := range running {
-		free += r.nodes
+		free += jobs[i].Nodes
 		if free >= need {
-			return r.estEnd, free - need, true
+			return estEnd[i], free - need, true
 		}
 	}
 	return 0, 0, false

@@ -37,8 +37,8 @@ func validateFaultBookkeeping(r metrics.JobResult) error {
 	return nil
 }
 
-// faultView replays the configured fault trace up to (and including) an
-// instant and reports what the auditor needs to know about it.
+// faultView is what the auditor needs to know about the fault trace at
+// one instant.
 type faultView struct {
 	// failedDown is the number of nodes out of service at the instant due
 	// to hard failures — a deterministic capacity reduction the
@@ -54,47 +54,57 @@ type faultView struct {
 	eventsAt int
 }
 
-// faultViewAt replays trace (time-ordered, as Validate enforces) through
-// instant t. Events at exactly t are applied: the engine processes an
-// event and then reschedules at the same instant, so starts at t observe
-// the event's effect whenever it is the instant's only trigger — and
-// multi-trigger instants are skipped by the caller regardless.
-func faultViewAt(trace faults.Trace, t float64, failed, drained []bool) faultView {
-	for i := range failed {
-		failed[i] = false
-		drained[i] = false
-	}
-	var v faultView
-	for _, ev := range trace {
-		if ev.Time > t {
-			break
-		}
-		if sameTime(ev.Time, t) {
-			v.eventsAt++
-		}
+// faultCursor replays a fault trace (time-ordered, as Validate enforces)
+// forward through non-decreasing instants, keeping per-node failed and
+// drained marks and their counts.
+type faultCursor struct {
+	trace           faults.Trace
+	next            int
+	failed, drained []bool
+	failedDown      int
+	drainedNodes    int
+}
+
+func newFaultCursor(trace faults.Trace) faultCursor {
+	n := maxNodeID(trace)
+	return faultCursor{trace: trace, failed: make([]bool, n), drained: make([]bool, n)}
+}
+
+// advance applies the events through instant t and reports the view at t.
+// Events at exactly t are applied: the engine processes an event and then
+// reschedules at the same instant, so starts at t observe the event's
+// effect whenever it is the instant's only trigger — and multi-trigger
+// instants are skipped by the caller regardless.
+func (c *faultCursor) advance(t float64) faultView {
+	for ; c.next < len(c.trace) && c.trace[c.next].Time <= t; c.next++ {
+		ev := c.trace[c.next]
 		switch ev.Kind {
 		case faults.Fail:
-			if !failed[ev.Node] {
-				failed[ev.Node] = true
+			if !c.failed[ev.Node] {
+				c.failed[ev.Node] = true
+				c.failedDown++
 			}
 		case faults.Drain:
-			if !failed[ev.Node] {
-				drained[ev.Node] = true
+			if !c.failed[ev.Node] && !c.drained[ev.Node] {
+				c.drained[ev.Node] = true
+				c.drainedNodes++
 			}
 		case faults.Repair:
-			failed[ev.Node] = false
-			drained[ev.Node] = false
+			if c.failed[ev.Node] {
+				c.failed[ev.Node] = false
+				c.failedDown--
+			}
+			if c.drained[ev.Node] {
+				c.drained[ev.Node] = false
+				c.drainedNodes--
+			}
 		default:
 			// Unknown kinds are rejected by Validate before a run starts.
 		}
 	}
-	for i := range failed {
-		if failed[i] {
-			v.failedDown++
-		}
-		if drained[i] {
-			v.drainActive = true
-		}
+	v := faultView{failedDown: c.failedDown, drainActive: c.drainedNodes > 0}
+	for k := c.next - 1; k >= 0 && sameTime(c.trace[k].Time, t); k-- {
+		v.eventsAt++
 	}
 	return v
 }

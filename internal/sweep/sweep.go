@@ -115,7 +115,7 @@ func expand(g Grid) []cell {
 	cells := make([]cell, 0, g.Size())
 	for _, preset := range g.Machines {
 		topo := preset.NewTopology()
-		trace := preset.Synthesize(g.Jobs, g.Seed)
+		trace := preset.On(topo).Synthesize(g.Jobs, g.Seed)
 		for _, pat := range g.Patterns {
 			for _, frac := range g.CommFractions {
 				for _, share := range g.CommShares {

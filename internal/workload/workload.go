@@ -194,6 +194,14 @@ func PresetByName(name string) (Preset, error) {
 	return Preset{}, fmt.Errorf("workload: unknown machine %q", name)
 }
 
+// On returns the preset with its topology constructor replaced by one that
+// hands back topo, for a caller that has built the machine already:
+// Synthesize builds a topology per call only to read its node count.
+func (p Preset) On(topo *topology.Topology) Preset {
+	p.NewTopology = func() *topology.Topology { return topo }
+	return p
+}
+
 // Synthesize builds a numJobs-long trace for the preset. The generator is
 // fully determined by the seed:
 //

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -66,6 +67,20 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	}
 	if n := len(Theta.Synthesize(0, 1).Jobs); n != 0 {
 		t.Fatalf("zero-job trace has %d jobs", n)
+	}
+}
+
+// TestOnSynthesizesTheSameTrace pins Preset.On: a preset handed its built
+// topology synthesizes exactly the trace it builds on its own, field for
+// field, for every machine and for the empty trace.
+func TestOnSynthesizesTheSameTrace(t *testing.T) {
+	for _, p := range Presets {
+		on := p.On(p.NewTopology())
+		for _, n := range []int{0, 300} {
+			if got, want := on.Synthesize(n, 5), p.Synthesize(n, 5); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %d jobs: On(topo).Synthesize differs from Synthesize", p.Name, n)
+			}
+		}
 	}
 }
 

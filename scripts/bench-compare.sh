@@ -18,7 +18,7 @@ GO=${GO:-go}
 BENCHTIME=${BENCHTIME:-1s}
 BENCHCOUNT=${BENCHCOUNT:-3}
 BENCH_PKGS="./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon ./internal/sched"
-BENCH_RE='BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkPrice|BenchmarkScheduleBlocks|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog'
+BENCH_RE='BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkPrice|BenchmarkScheduleBlocks|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog|BenchmarkValidateResultConfig'
 
 # newest prints, of the artifacts named, the one recorded last: by the Time
 # of its first record (`go test -json` stamps every event, RFC 3339, and the
