@@ -35,7 +35,7 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz runs of the native fuzz targets; CI smoke, not a soak. The
-# scheduled CI fuzz job runs the same twelve targets at FUZZTIME=5m, plus
+# scheduled CI fuzz job runs the same thirteen targets at FUZZTIME=5m, plus
 # the three parsers of outside input (hostlist.FuzzExpand,
 # topology.FuzzParseConfig, swf.FuzzRead), which run here only as seed
 # corpora under `make test`.
@@ -52,6 +52,7 @@ fuzz-smoke:
 	$(GO) test ./internal/daemon -run FuzzDispatch -fuzz FuzzDispatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/daemon -run FuzzReadFrame -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run FuzzBackfillAudit -fuzz FuzzBackfillAudit -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hostlist -run FuzzTableCompress -fuzz FuzzTableCompress -fuzztime $(FUZZTIME)
 
 # Statement-coverage gate: fails when total coverage over ./internal/...
 # drops below the floor in scripts/coverage-floor.txt.

@@ -69,19 +69,31 @@ type Allocation struct {
 // Nodes lists the held node IDs, ascending, rendered from the masks on every
 // call.
 func (a *Allocation) Nodes() []int {
-	nodes := make([]int, 0, a.size)
-	for m := a.masks; len(m) > 0; {
-		l, _, mask, rest := a.lay.leafMask(m)
-		ids := a.lay.Topo.LeafNodes(l)
+	return a.lay.AppendNodes(make([]int, 0, a.size), a.masks)
+}
+
+// Masks returns the allocation's leaf masks in the encoding described on
+// Allocation, for a holder to copy. The slice is the allocation's own and
+// must not be modified.
+func (a *Allocation) Masks() []uint64 { return a.masks }
+
+// AppendNodes appends to dst, ascending, the node IDs set in masks — an
+// Allocation's masks or a copy of them — and returns the extended slice. It
+// only reads masks.
+func (lay *Layout) AppendNodes(dst []int, masks []uint64) []int {
+	start := len(dst)
+	for m := masks; len(m) > 0; {
+		l, _, mask, rest := lay.leafMask(m)
+		ids := lay.Topo.LeafNodes(l)
 		for w, word := range mask {
-			nodes = appendBits(nodes, ids[w<<6:], word)
+			dst = appendBits(dst, ids[w<<6:], word)
 		}
 		m = rest
 	}
-	if !slices.IsSorted(nodes) { // leaves whose ID ranges interleave
+	if nodes := dst[start:]; !slices.IsSorted(nodes) { // leaves whose ID ranges interleave
 		slices.Sort(nodes)
 	}
-	return nodes
+	return dst
 }
 
 // leafMask splits the first leaf off an allocation's masks: the leaf, the

@@ -283,7 +283,9 @@ func TestAdaptivePricesRunsWithoutListing(t *testing.T) {
 	}
 	wg.Wait()
 	runtime.ReadMemStats(&after)
-	if perPlace, list := (after.TotalAlloc-before.TotalAlloc)/(workers*rounds), uint64(8*nodes); perPlace > list/4 {
+	// Under the race detector sync.Pool drops scratches at random, so only
+	// the byte count is left to the plain run.
+	if perPlace, list := (after.TotalAlloc-before.TotalAlloc)/(workers*rounds), uint64(8*nodes); perPlace > list/4 && !raceEnabled {
 		t.Errorf("an adaptive Place of %d nodes allocated %d bytes; one node list is %d, so something listed a candidate", nodes, perPlace, list)
 	}
 	// The winner lists on request, and to what the list builder chooses.

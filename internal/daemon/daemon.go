@@ -18,7 +18,6 @@ import (
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/hostlist"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -47,7 +46,8 @@ type Config struct {
 type jobState uint8
 
 const (
-	stateQueued jobState = iota
+	stateNone jobState = iota // a slot no job holds
+	stateQueued
 	stateRunning
 	stateCompleted
 	stateCancelled
@@ -68,19 +68,33 @@ func (s jobState) String() string {
 	}
 }
 
+// jobRecord is a live (queued or running) job: its ID and history slot h,
+// which holds everything status reads, and what only placing, completing and
+// snapshotting it need besides.
 type jobRecord struct {
-	job        workload.Job
-	name       string
-	pattern    collective.Pattern
-	after      int64 // daemon job ID this one waits for (0 = none)
-	state      jobState
-	submit     float64 // virtual time
-	start      float64
-	end        float64
-	place      placed
-	requeues   int     // times a node failure killed and requeued this job
+	id         int64
+	h          *histRecord
+	share      float64 // a comm job's communication share of its runtime
+	refCost    float64 // Eq. 7 reference cost of the last start
 	requeuedAt float64 // virtual time of the last kill
 	lostSec    float64 // node-seconds-per-node of discarded partial work
+}
+
+// asJob is the job as placement sees it, built from its slot at each start.
+func (r *jobRecord) asJob() workload.Job {
+	h := r.h
+	j := workload.Job{
+		ID:      cluster.JobID(r.id),
+		Submit:  h.submit,
+		Runtime: h.runtime,
+		Nodes:   int(h.nodes),
+		Class:   h.class,
+		Mix:     collective.Mix{ComputeFrac: 1},
+	}
+	if h.class == cluster.CommIntensive {
+		j.Mix = collective.SinglePattern(h.pattern, r.share)
+	}
+	return j
 }
 
 // Daemon is the scheduling service. All state is owned by the engine
@@ -102,7 +116,8 @@ type Daemon struct {
 	timer    *time.Timer
 
 	nextID int64
-	jobs   map[int64]*jobRecord
+	jobs   map[int64]*jobRecord // live jobs only
+	hist   history              // every admitted job's slot, by ID
 	queue  sched.Queue[*jobRecord]
 	// core is the shared FIFO + EASY pass and the running set, keyed by
 	// job ID.
@@ -111,6 +126,12 @@ type Daemon struct {
 	// O(1), and no result is kept.
 	completed metrics.Accumulator
 	lat       latRing
+
+	// lay walks a slot's leaf masks; ids and text are the node-list
+	// rendering's buffers, reused row after row.
+	lay  *cluster.Layout
+	ids  []int
+	text []byte
 }
 
 // pendingOp is one in-flight protocol operation. The server's connection
@@ -158,6 +179,7 @@ func New(cfg Config) (*Daemon, error) {
 		timer:    time.NewTimer(time.Hour),
 		nextID:   1,
 		jobs:     make(map[int64]*jobRecord),
+		lay:      cluster.LayoutOf(cfg.Topology),
 	}
 	d.core = sched.Core[*jobRecord]{
 		Free: d.st.FreeTotal, Job: d.job, Start: d.startJob,
@@ -229,29 +251,34 @@ func (d *Daemon) advance(v float64) {
 	for len(d.core.Running) > 0 && d.core.Running[0].End <= v {
 		next := d.core.Running[0]
 		d.core.Running.Remove(next.Key)
-		d.complete(d.jobs[next.Key])
+		d.complete(next.Key)
 	}
 }
 
-func (d *Daemon) complete(r *jobRecord) {
-	_ = d.st.Release(r.job.ID)
-	r.state = stateCompleted
+// complete finishes running job id: its slot says so, and it leaves the
+// live table.
+func (d *Daemon) complete(id int64) {
+	r := d.jobs[id]
+	h := r.h
+	_ = d.st.Release(cluster.JobID(id))
+	h.state = stateCompleted
 	d.completed.Add(metrics.JobResult{
-		ID:          int64(r.job.ID),
-		Nodes:       r.job.Nodes,
-		Comm:        r.job.Class == cluster.CommIntensive,
-		Submit:      r.submit,
-		Start:       r.start,
-		End:         r.end,
-		BaseRun:     r.job.Runtime,
-		Exec:        r.place.Exec,
-		CommCost:    r.place.Cost,
-		RefCost:     r.place.RefCost,
-		CostRatio:   r.place.Ratio,
-		Requeues:    r.requeues,
+		ID:          id,
+		Nodes:       int(h.nodes),
+		Comm:        h.class == cluster.CommIntensive,
+		Submit:      h.submit,
+		Start:       h.start,
+		End:         h.end,
+		BaseRun:     h.runtime,
+		Exec:        h.exec,
+		CommCost:    h.cost,
+		RefCost:     r.refCost,
+		CostRatio:   h.ratio,
+		Requeues:    int(h.requeues),
 		RequeuedAt:  r.requeuedAt,
 		LostSeconds: r.lostSec,
 	})
+	delete(d.jobs, id)
 }
 
 // schedule runs one scheduling pass at virtual time v, then sets the
@@ -282,21 +309,12 @@ func (d *Daemon) schedule(v float64) {
 // eligible, as with SLURM's afterany.
 func (d *Daemon) job(r *jobRecord) (estimate float64, eligible bool) {
 	eligible = true
-	if r.after != 0 {
-		if dep, ok := d.jobs[r.after]; ok {
+	if after := r.h.after; after != 0 {
+		if dep := d.hist.get(after); dep != nil {
 			eligible = dep.state == stateCompleted || dep.state == stateCancelled
 		}
 	}
-	return r.job.Runtime, eligible
-}
-
-// placed is what a record keeps of a committed sim.Placement: the cluster's
-// own allocation, whose leaf masks status hostlists and snapshots read (it is
-// immutable, so it still names the nodes once the job has released them),
-// and the Eq. 7 results. Nothing reads a rank order.
-type placed struct {
-	Alloc                      *cluster.Allocation
-	Exec, Cost, RefCost, Ratio float64
+	return r.h.runtime, eligible
 }
 
 // startJob places and starts a job at virtual time v. A node going down
@@ -306,56 +324,58 @@ type placed struct {
 // Deterministic selectors otherwise only fail on capacity, which the pass
 // just checked; anything else cancels the job with the reason recorded.
 func (d *Daemon) startJob(r *jobRecord, v float64) (sched.Outcome, error) {
-	pl, err := sim.PlaceJob(d.st, d.selector, d.defSel, r.job, d.cfg.CostMode)
+	h := r.h
+	pl, err := sim.PlaceJob(d.st, d.selector, d.defSel, r.asJob(), d.cfg.CostMode)
 	if err == nil {
-		err = d.st.AllocatePlacement(r.job.ID, r.job.Class, &pl.Placed)
+		err = d.st.AllocatePlacement(cluster.JobID(r.id), h.class, &pl.Placed)
 	}
 	if errors.Is(err, cluster.ErrNodeUnavailable) {
 		return sched.Retry, nil
 	}
 	if err != nil {
-		r.state = stateCancelled
-		r.name = r.name + " (failed: " + err.Error() + ")"
+		h.state = stateCancelled
+		d.hist.setName(h, d.hist.name(h)+" (failed: "+err.Error()+")")
+		delete(d.jobs, r.id)
 		return sched.Dropped, nil
 	}
-	r.place = placed{d.st.Allocation(r.job.ID), pl.Exec, pl.Cost, pl.RefCost, pl.Ratio}
-	r.state = stateRunning
-	r.start = v
-	r.end = v + pl.Exec
-	d.core.Running.Add(sched.Entry{End: r.end, Key: int64(r.job.ID), Nodes: r.job.Nodes})
+	// The slot keeps its own copy of the masks: running and finished rows
+	// render from it alike, and the allocation is the cluster's alone.
+	h.masks = d.hist.masks.add(d.st.Allocation(cluster.JobID(r.id)).Masks())
+	h.exec, h.cost, h.ratio, r.refCost = pl.Exec, pl.Cost, pl.Ratio, pl.RefCost
+	h.state = stateRunning
+	h.start = v
+	h.end = v + pl.Exec
+	d.core.Running.Add(sched.Entry{End: h.end, Key: r.id, Nodes: int(h.nodes)})
 	// Queue-wait sample: virtual seconds from (first) submission to start.
-	d.lat.recordWait(v - r.submit)
+	d.lat.recordWait(v - h.submit)
 	return sched.Started, nil
 }
 
-// info converts a record to its wire form.
-func (d *Daemon) info(r *jobRecord) JobInfo {
+// info converts job id's slot to its wire form.
+func (d *Daemon) info(id int64, h *histRecord) JobInfo {
 	ji := JobInfo{
-		ID:       int64(r.job.ID),
-		Name:     r.name,
-		Nodes:    r.job.Nodes,
-		Class:    r.job.Class.String(),
-		State:    r.state.String(),
-		After:    r.after,
-		Submit:   r.submit,
-		BaseRun:  r.job.Runtime,
-		Requeues: r.requeues,
+		ID:       id,
+		Name:     d.hist.name(h),
+		Nodes:    int(h.nodes),
+		Class:    h.class.String(),
+		State:    h.state.String(),
+		After:    h.after,
+		Submit:   h.submit,
+		BaseRun:  h.runtime,
+		Requeues: int(h.requeues),
 	}
-	if r.job.Class == cluster.CommIntensive {
-		ji.Pattern = r.pattern.String()
+	if h.class == cluster.CommIntensive {
+		ji.Pattern = h.pattern.String()
 	}
-	if r.state == stateRunning || r.state == stateCompleted {
-		ji.Start = r.start
-		ji.End = r.end
-		ji.Exec = r.place.Exec
-		ji.CostRatio = r.place.Ratio
-		ji.CommCost = r.place.Cost
-		ids := r.place.Alloc.Nodes()
-		names := make([]string, len(ids))
-		for i, id := range ids {
-			names[i] = d.cfg.Topology.NodeName(id)
-		}
-		ji.NodeList = hostlist.Compress(names)
+	if h.state == stateRunning || h.state == stateCompleted {
+		ji.Start = h.start
+		ji.End = h.end
+		ji.Exec = h.exec
+		ji.CostRatio = h.ratio
+		ji.CommCost = h.cost
+		d.ids = d.lay.AppendNodes(d.ids[:0], d.hist.masks.get(h.masks))
+		d.text = d.cfg.Topology.NameTable().Append(d.text[:0], d.ids)
+		ji.NodeList = string(d.text)
 	}
 	return ji
 }
@@ -365,7 +385,7 @@ func (d *Daemon) info(r *jobRecord) JobInfo {
 func (d *Daemon) listLocked(recs []*jobRecord) Response {
 	resp := Response{Ok: true, Jobs: make([]JobInfo, 0, len(recs))}
 	for _, r := range recs {
-		resp.Jobs = append(resp.Jobs, d.info(r))
+		resp.Jobs = append(resp.Jobs, d.info(r.id, r.h))
 	}
 	return resp
 }
@@ -495,10 +515,9 @@ func (d *Daemon) submitLocked(spec *SubmitSpec, v float64) Response {
 	default:
 		return Response{Error: fmt.Sprintf("unknown class %q", spec.Class)}
 	}
-	mix := collective.Mix{ComputeFrac: 1}
-	pattern := collective.RD
+	pattern, share := collective.RD, 0.0
 	if class == cluster.CommIntensive {
-		share := spec.CommShare
+		share = spec.CommShare
 		if share == 0 {
 			share = 0.7
 		}
@@ -512,34 +531,30 @@ func (d *Daemon) submitLocked(spec *SubmitSpec, v float64) Response {
 			}
 			pattern = p
 		}
-		mix = collective.SinglePattern(pattern, share)
 	}
-	// Every ID in [1, nextID) was issued. One without a record finished
+	// Every ID in [1, nextID) was issued. One without a slot finished
 	// before the snapshot this daemon was restored from (Restore refills
-	// d.jobs with queued and running jobs only), and the pass treats a
+	// slots of queued and running jobs only), and the pass treats a
 	// missing dependency as satisfied.
 	if spec.After < 0 || spec.After >= d.nextID {
 		return Response{Error: fmt.Sprintf("dependency job %d unknown", spec.After)}
 	}
 	id := d.nextID
 	d.nextID++
-	r := &jobRecord{
-		job: workload.Job{
-			ID:      cluster.JobID(id),
-			Submit:  v,
-			Runtime: spec.Runtime,
-			Nodes:   spec.Nodes,
-			Class:   class,
-			Mix:     mix,
-		},
-		name:    spec.Name,
-		pattern: pattern,
-		after:   spec.After,
-		state:   stateQueued,
+	h := d.hist.slot(id)
+	*h = histRecord{
 		submit:  v,
+		runtime: spec.Runtime,
+		after:   spec.After,
+		nodes:   int32(spec.Nodes),
+		state:   stateQueued,
+		class:   class,
+		pattern: pattern,
 	}
+	d.hist.setName(h, spec.Name)
+	r := &jobRecord{id: id, h: h, share: share}
 	d.jobs[id] = r
-	d.queue.Push(r, r.job.Nodes)
+	d.queue.Push(r, spec.Nodes)
 	return Response{Ok: true, ID: id}
 }
 
@@ -551,11 +566,11 @@ func (d *Daemon) dispatchLocked(req *Request, v float64) Response {
 	switch req.Op {
 	case "status":
 		d.tick(v)
-		r, ok := d.jobs[req.ID]
-		if !ok {
+		h := d.hist.get(req.ID)
+		if h == nil {
 			return Response{Error: fmt.Sprintf("unknown job %d", req.ID)}
 		}
-		ji := d.info(r)
+		ji := d.info(req.ID, h)
 		return Response{Ok: true, Job: &ji}
 	case "cancel":
 		return d.cancelLocked(req.ID, v)
@@ -617,22 +632,22 @@ func (d *Daemon) Cancel(id int64) Response {
 
 func (d *Daemon) cancelLocked(id int64, v float64) Response {
 	d.advance(v)
-	r, ok := d.jobs[id]
-	if !ok {
+	h := d.hist.get(id)
+	if h == nil {
 		return Response{Error: fmt.Sprintf("unknown job %d", id)}
 	}
-	switch r.state {
+	switch h.state {
 	case stateQueued:
-		d.queue.Remove(r)
-		r.state = stateCancelled
+		d.queue.Remove(d.jobs[id])
 	case stateRunning:
 		d.core.Running.Remove(id)
-		_ = d.st.Release(r.job.ID)
-		r.state = stateCancelled
-		r.end = v
-	case stateCompleted, stateCancelled:
-		return Response{Error: fmt.Sprintf("job %d already %s", id, r.state)}
+		_ = d.st.Release(cluster.JobID(id))
+		h.end = v
+	default:
+		return Response{Error: fmt.Sprintf("job %d already %s", id, h.state)}
 	}
+	h.state = stateCancelled
+	delete(d.jobs, id)
 	d.schedule(v)
 	return Response{Ok: true, ID: id}
 }
@@ -674,14 +689,15 @@ func (d *Daemon) requeueJob(id int64, v float64) {
 		return
 	}
 	r := d.jobs[id]
-	_ = d.st.Release(r.job.ID)
-	r.state = stateQueued
-	r.requeues++
+	h := r.h
+	_ = d.st.Release(cluster.JobID(id))
+	h.state = stateQueued
+	h.requeues++
 	r.requeuedAt = v
-	r.lostSec += v - r.start
-	r.start, r.end = 0, 0
-	r.place = placed{}
-	d.queue.Insert(r, r.job.Nodes, func(q *jobRecord) bool { return q.job.ID > r.job.ID })
+	r.lostSec += v - h.start
+	h.start, h.end = 0, 0
+	h.exec, h.cost, h.ratio, r.refCost, h.masks = 0, 0, 0, 0, span{}
+	d.queue.Insert(r, int(h.nodes), func(q *jobRecord) bool { return q.id > id })
 }
 
 // Drain marks a node (by name) ineligible for new allocations; a running

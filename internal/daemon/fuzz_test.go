@@ -172,31 +172,44 @@ func FuzzDispatch(f *testing.F) {
 
 // checkDaemon drops from the model the jobs the daemon no longer holds as
 // queued and compares what is left with the queue listing; it returns the
-// model. It also remembers in ran the hostlist of every running job and
+// model. Every admitted job has a history slot, and exactly the queued and
+// running ones a live record. It also remembers in ran the hostlist of every running job and
 // holds each completed job's status to the hostlist it ran on: a job that
 // starts in an op ends after it, so every completed job was seen running.
 func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int, ran map[int64]string) []int64 {
 	t.Helper()
 	listing := d.Queue() // first: a listing runs a pass of its own
 	checkInvariants(t, d)
-	var counts [4]int
-	var queueLen, runningLen, completedLen int
+	var counts [5]int
+	var queueLen, runningLen, completedLen, liveLen int
 	var placed []JobInfo
 	d.call(func() Response {
-		for _, r := range d.jobs {
-			counts[r.state]++
-			if r.state == stateRunning || r.state == stateCompleted {
-				placed = append(placed, d.info(r))
+		for id := int64(1); id < d.nextID; id++ {
+			h := d.hist.get(id)
+			if h == nil {
+				t.Errorf("admitted job %d has no history slot", id)
+				continue
+			}
+			counts[h.state]++
+			if r, live := d.jobs[id]; live != (h.state == stateQueued || h.state == stateRunning) || live && r.h != h {
+				t.Errorf("job %d is %s; live record %v", id, h.state, live)
+			}
+			if h.state == stateRunning || h.state == stateCompleted {
+				placed = append(placed, d.info(id, h))
 			}
 		}
-		queueLen, runningLen, completedLen = d.queue.Len(), len(d.core.Running), d.completed.Jobs
-		model = slices.DeleteFunc(model, func(id int64) bool { return d.jobs[id].state != stateQueued })
+		queueLen, runningLen, completedLen, liveLen = d.queue.Len(), len(d.core.Running), d.completed.Jobs, len(d.jobs)
+		model = slices.DeleteFunc(model, func(id int64) bool { return d.hist.get(id).state != stateQueued })
 		return Response{Ok: true}
 	})
-	if sum := counts[0] + counts[1] + counts[2] + counts[3]; sum != admitted ||
-		counts[stateQueued] != queueLen || counts[stateRunning] != runningLen || counts[stateCompleted] != completedLen {
-		t.Fatalf("%d admitted; records %v (queued, running, completed, cancelled); queue %d, running set %d, history %d",
-			admitted, counts, queueLen, runningLen, completedLen)
+	if t.Failed() {
+		t.FailNow()
+	}
+	if sum := counts[stateQueued] + counts[stateRunning] + counts[stateCompleted] + counts[stateCancelled]; sum != admitted ||
+		counts[stateQueued] != queueLen || counts[stateRunning] != runningLen || counts[stateCompleted] != completedLen ||
+		counts[stateQueued]+counts[stateRunning] != liveLen {
+		t.Fatalf("%d admitted; slots %v (none, queued, running, completed, cancelled); queue %d, running set %d, completed %d, live records %d",
+			admitted, counts, queueLen, runningLen, completedLen, liveLen)
 	}
 	for _, ji := range placed {
 		was, ok := ran[ji.ID]

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // TestNoAllocServingPaths is the runtime gate of the three-gate
@@ -109,6 +110,30 @@ func TestNoAllocServingPaths(t *testing.T) {
 			}
 		})
 	}
+
+	// A started job's status or running row, in either state, renders its
+	// node list from the slot's masks into the daemon's buffers: the string
+	// is its only allocation.
+	t.Run("info/started", func(t *testing.T) {
+		clk := newFakeClock()
+		d := newClockedDaemon(t, clk)
+		long, short := d.Submit(Request{Nodes: 5, Runtime: 1e4}), d.Submit(Request{Nodes: 3, Runtime: 1, Class: "comm"})
+		clk.Advance(2 * time.Second)
+		d.Stats() // completes the short job
+		for id, want := range map[int64]string{long.ID: "running", short.ID: "completed"} {
+			var ji JobInfo
+			var allocs float64
+			d.call(func() Response {
+				h := d.hist.get(id)
+				ji = d.info(id, h)
+				allocs = testing.AllocsPerRun(100, func() { ji = d.info(id, h) })
+				return Response{Ok: true}
+			})
+			if ji.State != want || ji.NodeList == "" || allocs > 1 {
+				t.Fatalf("%s job %d (%q on %q): its row allocates %.1f/op, want <= 1", want, id, ji.State, ji.NodeList, allocs)
+			}
+		}
+	})
 
 	t.Run("latRing", func(t *testing.T) {
 		var l latRing

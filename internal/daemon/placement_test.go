@@ -70,9 +70,9 @@ func TestNodeDownBetweenSelectionAndCommitRetries(t *testing.T) {
 		// Read the record as the submit's pass left it: any request, Status
 		// included, runs a pass of its own first.
 		d.call(func() Response {
-			if r := d.jobs[resp.ID]; r.state != stateQueued || strings.Contains(r.name, "failed") || d.st.FreeTotal() != 7 {
+			if r := d.hist.get(resp.ID); r.state != stateQueued || strings.Contains(d.hist.name(r), "failed") || d.st.FreeTotal() != 7 {
 				t.Errorf("%s: job is %v (%q) with %d nodes free after its placement went stale, want queued for a retry",
-					c.name, r.state, r.name, d.st.FreeTotal())
+					c.name, r.state, d.hist.name(r), d.st.FreeTotal())
 			}
 			return Response{Ok: true}
 		})

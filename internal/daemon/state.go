@@ -12,7 +12,6 @@ import (
 	"repro/internal/collective"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/workload"
 )
 
 // State persistence, mirroring slurmctld's StateSaveLocation: a daemon can
@@ -66,32 +65,33 @@ type persistedState struct {
 }
 
 func (d *Daemon) persistJob(r *jobRecord) persistedJob {
+	h := r.h
 	pj := persistedJob{
-		ID:      int64(r.job.ID),
-		Name:    r.name,
-		Nodes:   r.job.Nodes,
-		Runtime: r.job.Runtime,
-		Class:   r.job.Class.String(),
-		State:   r.state.String(),
-		After:   r.after,
-		Submit:  r.submit,
-		Start:   r.start,
-		End:     r.end,
+		ID:         r.id,
+		Name:       d.hist.name(h),
+		Nodes:      int(h.nodes),
+		Runtime:    h.runtime,
+		Class:      h.class.String(),
+		State:      h.state.String(),
+		After:      h.after,
+		Submit:     h.submit,
+		Start:      h.start,
+		End:        h.end,
+		Requeues:   int(h.requeues),
+		RequeuedAt: r.requeuedAt,
+		LostSec:    r.lostSec,
 	}
-	if r.job.Class == cluster.CommIntensive {
-		pj.Pattern = r.pattern.String()
-		pj.CommShare = r.job.Mix.CommFrac()
+	if h.class == cluster.CommIntensive {
+		pj.Pattern = h.pattern.String()
+		pj.CommShare = r.share
 	}
-	if r.state == stateRunning {
-		pj.NodeIDs = r.place.Alloc.Nodes()
-		pj.Exec = r.place.Exec
-		pj.Cost = r.place.Cost
-		pj.RefCost = r.place.RefCost
-		pj.Ratio = r.place.Ratio
+	if h.state == stateRunning {
+		pj.NodeIDs = d.lay.AppendNodes(nil, d.hist.masks.get(h.masks))
+		pj.Exec = h.exec
+		pj.Cost = h.cost
+		pj.RefCost = r.refCost
+		pj.Ratio = h.ratio
 	}
-	pj.Requeues = r.requeues
-	pj.RequeuedAt = r.requeuedAt
-	pj.LostSec = r.lostSec
 	return pj
 }
 
@@ -140,7 +140,7 @@ func (d *Daemon) runningOrdered() []*jobRecord {
 	for _, e := range d.core.Running {
 		out = append(out, d.jobs[e.Key])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].job.ID < out[j].job.ID })
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
@@ -163,10 +163,16 @@ func (d *Daemon) SaveStateFile(path string) error {
 	return os.Rename(tmp, path)
 }
 
-func (pj persistedJob) toRecord() (*jobRecord, error) {
-	class := cluster.ComputeIntensive
-	mix := collective.Mix{ComputeFrac: 1}
-	pattern := collective.RD
+// restoreJob gives a snapshot's live job its slot, in state, and its live
+// record.
+func (d *Daemon) restoreJob(pj persistedJob, state jobState, nextID int64) (*jobRecord, error) {
+	if pj.ID < 1 || pj.ID >= nextID {
+		return nil, fmt.Errorf("daemon: job %d outside the snapshot's IDs 1..%d", pj.ID, nextID-1)
+	}
+	if n := d.cfg.Topology.NumNodes(); pj.Nodes < 1 || pj.Nodes > n {
+		return nil, fmt.Errorf("daemon: job %d needs %d nodes, outside 1..%d", pj.ID, pj.Nodes, n)
+	}
+	class, pattern, share := cluster.ComputeIntensive, collective.RD, 0.0
 	switch pj.Class {
 	case "compute":
 	case "comm":
@@ -178,33 +184,39 @@ func (pj persistedJob) toRecord() (*jobRecord, error) {
 			}
 			pattern = p
 		}
-		share := pj.CommShare
-		if share <= 0 || share > 1 {
+		if share = pj.CommShare; share <= 0 || share > 1 {
 			share = 0.7
 		}
-		mix = collective.SinglePattern(pattern, share)
 	default:
 		return nil, fmt.Errorf("daemon: unknown class %q for job %d", pj.Class, pj.ID)
 	}
-	return &jobRecord{
-		job: workload.Job{
-			ID:      cluster.JobID(pj.ID),
-			Submit:  pj.Submit,
-			Runtime: pj.Runtime,
-			Nodes:   pj.Nodes,
-			Class:   class,
-			Mix:     mix,
-		},
-		name:       pj.Name,
-		pattern:    pattern,
-		after:      pj.After,
-		submit:     pj.Submit,
-		start:      pj.Start,
-		end:        pj.End,
-		requeues:   pj.Requeues,
+	h := d.hist.slot(pj.ID)
+	*h = histRecord{
+		submit:   pj.Submit,
+		start:    pj.Start,
+		end:      pj.End,
+		runtime:  pj.Runtime,
+		exec:     pj.Exec,
+		cost:     pj.Cost,
+		ratio:    pj.Ratio,
+		after:    pj.After,
+		nodes:    int32(pj.Nodes),
+		requeues: int32(pj.Requeues),
+		state:    state,
+		class:    class,
+		pattern:  pattern,
+	}
+	d.hist.setName(h, pj.Name)
+	r := &jobRecord{
+		id:         pj.ID,
+		h:          h,
+		share:      share,
+		refCost:    pj.RefCost,
 		requeuedAt: pj.RequeuedAt,
 		lostSec:    pj.LostSec,
-	}, nil
+	}
+	d.jobs[pj.ID] = r
+	return r, nil
 }
 
 // Restore builds a new daemon from a snapshot. The config's topology must
@@ -235,17 +247,15 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 		// nodes — so the drains (and then the failure marks) are reapplied
 		// only after every running job holds its nodes again.
 		for _, pj := range ps.Running {
-			rec, err := pj.toRecord()
+			rec, err := d.restoreJob(pj, stateRunning, ps.NextID)
 			if err != nil {
 				return Response{Error: err.Error()}
 			}
-			if err := d.st.Allocate(rec.job.ID, rec.job.Class, pj.NodeIDs); err != nil {
+			if err := d.st.Allocate(cluster.JobID(pj.ID), rec.h.class, pj.NodeIDs); err != nil {
 				return Response{Error: fmt.Sprintf("restoring job %d: %v", pj.ID, err)}
 			}
-			rec.state = stateRunning
-			rec.place = placed{d.st.Allocation(rec.job.ID), pj.Exec, pj.Cost, pj.RefCost, pj.Ratio}
-			d.jobs[pj.ID] = rec
-			d.core.Running.Add(sched.Entry{End: rec.end, Key: pj.ID, Nodes: rec.job.Nodes})
+			rec.h.masks = d.hist.masks.add(d.st.Allocation(cluster.JobID(pj.ID)).Masks())
+			d.core.Running.Add(sched.Entry{End: rec.h.end, Key: pj.ID, Nodes: pj.Nodes})
 		}
 		for _, name := range ps.DownNodes {
 			id := d.cfg.Topology.NodeID(name)
@@ -272,13 +282,11 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 			}
 		}
 		for _, pj := range ps.Queued {
-			rec, err := pj.toRecord()
+			rec, err := d.restoreJob(pj, stateQueued, ps.NextID)
 			if err != nil {
 				return Response{Error: err.Error()}
 			}
-			rec.state = stateQueued
-			d.jobs[pj.ID] = rec
-			d.queue.Push(rec, rec.job.Nodes)
+			d.queue.Push(rec, pj.Nodes)
 		}
 		d.tick(ps.VirtualNow)
 		return Response{Ok: true}

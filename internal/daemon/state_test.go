@@ -180,12 +180,25 @@ func TestRestoreRejectsBadState(t *testing.T) {
 		t.Error("unknown node accepted")
 	}
 	if _, err := Restore(cfg, strings.NewReader(
-		`{"version":1,"running":[{"id":1,"nodes":2,"runtime":10,"class":"weird"}]}`)); err == nil {
-		t.Error("unknown class accepted")
+		`{"version":1,"next_id":2,"running":[{"id":1,"nodes":2,"runtime":10,"class":"weird"}]}`)); err == nil || !strings.Contains(err.Error(), "class") {
+		t.Errorf("unknown class accepted (%v)", err)
 	}
 	if _, err := Restore(cfg, strings.NewReader(
-		`{"version":1,"running":[{"id":1,"nodes":2,"runtime":10,"class":"compute","node_ids":[0,99]}]}`)); err == nil {
-		t.Error("out-of-range restored allocation accepted")
+		`{"version":1,"next_id":2,"running":[{"id":1,"nodes":2,"runtime":10,"class":"compute","node_ids":[0,99]}]}`)); err == nil || !strings.Contains(err.Error(), "restoring job 1") {
+		t.Errorf("out-of-range restored allocation accepted (%v)", err)
+	}
+	// Job IDs are dense from 1 and below next_id: a slot exists for no other.
+	for _, id := range []string{"0", "-3", "5", "9223372036854775807"} {
+		if _, err := Restore(cfg, strings.NewReader(
+			`{"version":2,"next_id":5,"queued":[{"id":`+id+`,"nodes":2,"runtime":10,"class":"compute"}]}`)); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("job ID %s restored under next_id 5 (%v)", id, err)
+		}
+	}
+	for _, nodes := range []string{"0", "9", "4294967298"} { // the machine has 8
+		if _, err := Restore(cfg, strings.NewReader(
+			`{"version":2,"next_id":5,"queued":[{"id":1,"nodes":`+nodes+`,"runtime":10,"class":"compute"}]}`)); err == nil || !strings.Contains(err.Error(), "needs") {
+			t.Errorf("a job of %s nodes restored (%v)", nodes, err)
+		}
 	}
 }
 

@@ -9,8 +9,9 @@
 package hostlist
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -154,8 +155,11 @@ func expandItem(item string) ([]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hostlist: %v in %q", err, item)
 		}
-		for v := lo; v <= hi; v++ {
+		for v := lo; ; v++ { // v <= hi would never fail at the largest int
 			out = append(out, fmt.Sprintf("%s%0*d%s", prefix, width, v, suffix))
+			if v == hi {
+				break
+			}
 		}
 	}
 	return out, nil
@@ -191,66 +195,153 @@ func parseRange(r string) (lo, hi, width int, err error) {
 // Compress renders a set of host names as a compact hostlist expression.
 // Names sharing a prefix with a trailing integer are folded into bracket
 // ranges; everything else is emitted verbatim. The output lists prefixes in
-// sorted order and numeric ranges ascending, so it is deterministic.
+// sorted order, numbers ascending by (value, width) and the verbatim names
+// sorted after them, so it depends only on the set, not on its order.
 func Compress(names []string) string {
-	type numbered struct {
-		value int
-		width int
+	ids := make([]int, len(names))
+	for i := range ids {
+		ids[i] = i
 	}
-	groups := make(map[string][]numbered)
-	var plain []string
-	var prefixOrder []string
-	for _, name := range names {
-		prefix, numStr := splitTrailingDigits(name)
-		if numStr == "" {
-			plain = append(plain, name)
-			continue
-		}
-		v, err := strconv.Atoi(numStr)
-		if err != nil {
-			plain = append(plain, name)
+	return string(NewTable(names).Append(nil, ids))
+}
+
+// Table is an immutable index of host names by ID (a name's position in the
+// list it was built from), split once into what Compress needs: the rank of
+// each name's prefix among the distinct prefixes, its trailing number and
+// the number's width, and its place in the rendering order. Append renders
+// any set of IDs without building a name.
+type Table struct {
+	names    []string
+	prefixes []string // distinct prefixes of numbered names, sorted
+	group    []int32  // by ID: prefix rank, or -1 for a name emitted verbatim
+	value    []int    // by ID: the trailing number
+	width    []int32  // by ID: the number's zero-padded width (1 if unpadded)
+	pos      []int32  // by ID: position in the rendering order
+}
+
+// NewTable splits names once. The table keeps names (not a copy); the
+// caller must not modify it afterwards.
+func NewTable(names []string) *Table {
+	n := len(names)
+	t := &Table{
+		names: names,
+		group: make([]int32, n),
+		value: make([]int, n),
+		width: make([]int32, n),
+		pos:   make([]int32, n),
+	}
+	prefix := make([]string, n)
+	for id, name := range names {
+		t.group[id] = -1
+		p, num := splitTrailingDigits(name)
+		v, err := strconv.Atoi(num)
+		if num == "" || err != nil { // no number, or one past int range
 			continue
 		}
 		w := 1
-		if len(numStr) > 1 && numStr[0] == '0' {
-			w = len(numStr)
+		if len(num) > 1 && num[0] == '0' {
+			w = len(num)
 		}
-		if _, ok := groups[prefix]; !ok {
-			prefixOrder = append(prefixOrder, prefix)
+		t.group[id], t.value[id], t.width[id], prefix[id] = 0, v, int32(w), p
+		if len(t.prefixes) == 0 || t.prefixes[len(t.prefixes)-1] != p {
+			t.prefixes = append(t.prefixes, p)
 		}
-		groups[prefix] = append(groups[prefix], numbered{v, w})
 	}
-	sort.Strings(prefixOrder)
-	sort.Strings(plain)
+	slices.Sort(t.prefixes)
+	t.prefixes = slices.Compact(t.prefixes)
+	order := make([]int32, n)
+	for id := range order {
+		order[id] = int32(id)
+		if t.group[id] >= 0 {
+			r, _ := slices.BinarySearch(t.prefixes, prefix[id])
+			t.group[id] = int32(r)
+		}
+	}
+	// Numbered names by (prefix rank, value, width), the verbatim ones after
+	// them by name; equal names keep their IDs' order.
+	byRender := func(a, b int32) int {
+		ga, gb := t.group[a], t.group[b]
+		switch {
+		case ga < 0 || gb < 0:
+			if ga >= 0 || gb >= 0 {
+				return cmp.Compare(gb, ga) // the numbered one first
+			}
+			return strings.Compare(names[a], names[b])
+		case ga != gb:
+			return cmp.Compare(ga, gb)
+		case t.value[a] != t.value[b]:
+			return cmp.Compare(t.value[a], t.value[b])
+		}
+		return cmp.Compare(t.width[a], t.width[b])
+	}
+	if !slices.IsSortedFunc(order, byRender) { // a machine's names usually are
+		slices.SortStableFunc(order, byRender)
+	}
+	for at, id := range order {
+		t.pos[id] = int32(at)
+	}
+	return t
+}
 
-	var parts []string
-	for _, prefix := range prefixOrder {
-		nums := groups[prefix]
-		sort.Slice(nums, func(i, j int) bool { return nums[i].value < nums[j].value })
-		var ranges []string
-		for i := 0; i < len(nums); {
-			j := i
-			for j+1 < len(nums) &&
-				nums[j+1].value == nums[j].value+1 &&
-				nums[j+1].width == nums[i].width {
+// Append appends the hostlist expression of the named IDs to dst, byte for
+// byte what Compress returns for their names, and returns the extended
+// buffer. It sorts ids into rendering order in place. ids must be distinct
+// and in range.
+func (t *Table) Append(dst []byte, ids []int) []byte {
+	if !slices.IsSortedFunc(ids, t.cmpPos) {
+		slices.SortFunc(ids, t.cmpPos)
+	}
+	for i := 0; i < len(ids); {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		g := t.group[ids[i]]
+		if g < 0 {
+			dst = append(dst, t.names[ids[i]]...)
+			i++
+			continue
+		}
+		dst = append(dst, t.prefixes[g]...)
+		open := len(dst)
+		dst = append(dst, '[')
+		ranges, single := 0, false
+		for ; i < len(ids) && t.group[ids[i]] == g; ranges++ {
+			lo, j := ids[i], i
+			for j+1 < len(ids) && t.group[ids[j+1]] == g &&
+				t.value[ids[j+1]] == t.value[ids[j]]+1 && t.width[ids[j+1]] == t.width[lo] {
 				j++
 			}
-			lo, hi, w := nums[i].value, nums[j].value, nums[i].width
-			if lo == hi {
-				ranges = append(ranges, fmt.Sprintf("%0*d", w, lo))
-			} else {
-				ranges = append(ranges, fmt.Sprintf("%0*d-%0*d", w, lo, w, hi))
+			if ranges > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendNum(dst, t.value[lo], t.width[lo])
+			if single = j == i; !single {
+				dst = append(dst, '-')
+				dst = appendNum(dst, t.value[ids[j]], t.width[lo])
 			}
 			i = j + 1
 		}
-		if len(ranges) == 1 && !strings.Contains(ranges[0], "-") {
-			parts = append(parts, prefix+ranges[0])
+		if ranges == 1 && single { // a lone name needs no brackets
+			dst = append(dst[:open], dst[open+1:]...)
 		} else {
-			parts = append(parts, prefix+"["+strings.Join(ranges, ",")+"]")
+			dst = append(dst, ']')
 		}
 	}
-	parts = append(parts, plain...)
-	return strings.Join(parts, ",")
+	return dst
+}
+
+func (t *Table) cmpPos(a, b int) int { return cmp.Compare(t.pos[a], t.pos[b]) }
+
+// appendNum appends v zero-padded to width w.
+func appendNum(dst []byte, v int, w int32) []byte {
+	digits := int32(1)
+	for x := v; x >= 10; x /= 10 {
+		digits++
+	}
+	for ; digits < w; digits++ {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(v), 10)
 }
 
 func splitTrailingDigits(s string) (prefix, digits string) {

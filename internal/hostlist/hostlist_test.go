@@ -3,6 +3,7 @@ package hostlist
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -25,6 +26,7 @@ func TestExpandSimple(t *testing.T) {
 		{"", nil},
 		{"  ", nil},
 		{"n[10-12]", []string{"n10", "n11", "n12"}},
+		{"n[9223372036854775806-9223372036854775807]", []string{"n9223372036854775806", "n9223372036854775807"}},
 	}
 	for _, c := range cases {
 		got, err := Expand(c.expr)
@@ -124,6 +126,60 @@ func TestCompressExpandIdentity(t *testing.T) {
 				t.Fatalf("round trip invented %q (expr %q)", b, expr)
 			}
 		}
+	}
+}
+
+// TestCompressOrderIndependent holds Compress to its promise of a
+// deterministic output: every order of a set whose prefix holds the same
+// numbers at two widths (and repeats a verbatim name's neighbours) renders
+// the same expression.
+func TestCompressOrderIndependent(t *testing.T) {
+	set := []string{"n01", "n1", "n2", "n02", "n3", "m", "n"}
+	const want = "n[1,01,2,02,3],m,n"
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(set) {
+			if got := Compress(set); got != want {
+				t.Fatalf("Compress(%v) = %q, want %q", set, got, want)
+			}
+			return
+		}
+		for i := k; i < len(set); i++ {
+			set[k], set[i] = set[i], set[k]
+			permute(k + 1)
+			set[k], set[i] = set[i], set[k]
+		}
+	}
+	permute(0)
+}
+
+// TestTableAppend renders subsets of a table in any order, and checks that
+// rendering into a buffer with room allocates nothing, sorting included.
+func TestTableAppend(t *testing.T) {
+	names := []string{"c3", "c1", "login", "c2", "gpu007", "c10", "gpu008", "c0"}
+	tab := NewTable(names)
+	for _, c := range []struct {
+		ids  []int
+		want string
+	}{
+		{[]int{1, 3, 0}, "c[1-3]"},
+		{[]int{0, 2, 1}, "c[1,3],login"},
+		{[]int{6, 4}, "gpu[007-008]"},
+		{[]int{5}, "c10"},
+		{[]int{7, 6, 5, 4, 3, 2, 1, 0}, "c[0-3,10],gpu[007-008],login"},
+		{nil, ""},
+	} {
+		if got := string(tab.Append(nil, c.ids)); got != c.want {
+			t.Errorf("Append(%v) = %q, want %q", c.ids, got, c.want)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	ids := []int{7, 6, 5, 4, 3, 2, 1, 0}
+	if allocs := testing.AllocsPerRun(20, func() {
+		slices.Reverse(ids) // every other run arrives out of order
+		buf = tab.Append(buf[:0], ids)
+	}); allocs != 0 {
+		t.Errorf("Append allocated %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -10,6 +10,9 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync"
+
+	"repro/internal/hostlist"
 )
 
 // Switch is one switch in the tree. Leaves have Level 1 and a non-empty
@@ -59,6 +62,13 @@ type Topology struct {
 	leafAnc    []int32
 	leafAncOff []int32
 	swLevel    []int32
+
+	// names is the hostlist table of nodeNames, built by NameTable on first
+	// use: only the daemon renders node lists.
+	names struct {
+		once  sync.Once
+		table *hostlist.Table
+	}
 }
 
 // NumNodes returns the number of compute nodes.
@@ -72,6 +82,14 @@ func (t *Topology) Height() int { return t.Root.Level }
 
 // NodeName returns the name of node id.
 func (t *Topology) NodeName(id int) string { return t.nodeNames[id] }
+
+// NameTable returns the hostlist table of the node names, indexed by node
+// ID, building it on first use. It is shared by every caller of this
+// topology and immutable.
+func (t *Topology) NameTable() *hostlist.Table {
+	t.names.once.Do(func() { t.names.table = hostlist.NewTable(t.nodeNames) })
+	return t.names.table
+}
 
 // NodeID returns the id of the named node, or -1 if unknown.
 func (t *Topology) NodeID(name string) int {
