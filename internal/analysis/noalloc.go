@@ -50,6 +50,7 @@ var DefaultNoAllocConfig = NoAllocConfig{
 			"readFrame",
 			"appendRequest",
 			"appendResponse",
+			"encoder.job",
 			"latRing.recordAck",
 			"latRing.recordWait",
 		},

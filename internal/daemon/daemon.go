@@ -80,8 +80,11 @@ type jobRecord struct {
 	lostSec    float64 // node-seconds-per-node of discarded partial work
 }
 
-// asJob is the job as placement sees it, built from its slot at each start.
-func (r *jobRecord) asJob() workload.Job {
+// asJob is the job as placement sees it, built from its slot at each start
+// without allocating: a comm job's one Mix component is written to comm,
+// which the caller owns and placement reads only during the call. The Mix
+// has no name; nothing on the placement path reads one.
+func (r *jobRecord) asJob(comm *[1]collective.Component) workload.Job {
 	h := r.h
 	j := workload.Job{
 		ID:      cluster.JobID(r.id),
@@ -92,7 +95,8 @@ func (r *jobRecord) asJob() workload.Job {
 		Mix:     collective.Mix{ComputeFrac: 1},
 	}
 	if h.class == cluster.CommIntensive {
-		j.Mix = collective.SinglePattern(h.pattern, r.share)
+		comm[0] = collective.Component{Pattern: h.pattern, Frac: r.share}
+		j.Mix = collective.Mix{ComputeFrac: 1 - r.share, Comms: comm[:]}
 	}
 	return j
 }
@@ -132,6 +136,8 @@ type Daemon struct {
 	lay  *cluster.Layout
 	ids  []int
 	text []byte
+	// comm is the Mix component of the comm job being placed (asJob).
+	comm [1]collective.Component
 }
 
 // pendingOp is one in-flight protocol operation. The server's connection
@@ -216,7 +222,9 @@ func (d *Daemon) engine() {
 	}
 }
 
-// call runs f on the engine goroutine and returns its response.
+// call runs f on the engine goroutine and returns its response. Once the
+// engine has taken f it runs it to the end, quit or not, and f may be
+// writing into the caller's memory (execBatch's ops), so call waits for it.
 func (d *Daemon) call(f func() Response) Response {
 	ch := make(chan Response, 1)
 	select {
@@ -224,12 +232,7 @@ func (d *Daemon) call(f func() Response) Response {
 	case <-d.quit:
 		return Response{Error: "daemon: shut down"}
 	}
-	select {
-	case r := <-ch:
-		return r
-	case <-d.quit:
-		return Response{Error: "daemon: shut down"}
-	}
+	return <-ch
 }
 
 // now reads the clock as virtual time. An engine wakeup reads it once and
@@ -325,7 +328,7 @@ func (d *Daemon) job(r *jobRecord) (estimate float64, eligible bool) {
 // just checked; anything else cancels the job with the reason recorded.
 func (d *Daemon) startJob(r *jobRecord, v float64) (sched.Outcome, error) {
 	h := r.h
-	pl, err := sim.PlaceJob(d.st, d.selector, d.defSel, r.asJob(), d.cfg.CostMode)
+	pl, err := sim.PlaceJob(d.st, d.selector, d.defSel, r.asJob(&d.comm), d.cfg.CostMode)
 	if err == nil {
 		err = d.st.AllocatePlacement(cluster.JobID(r.id), h.class, &pl.Placed)
 	}

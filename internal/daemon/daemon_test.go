@@ -25,6 +25,40 @@ func newTestDaemon(t *testing.T, alg core.Algorithm, scale float64) *Daemon {
 	return d
 }
 
+// TestCallWaitsForAcceptedClosure closes the daemon while the engine is
+// inside a call's closure. The engine runs the closure to its end, and
+// execBatch's closure fills ops the server's writer recycles as soon as the
+// call returns, so the call must return the closure's own response, after
+// the closure. Run it under -race too: returning early is also a data race
+// on what the closure writes.
+func TestCallWaitsForAcceptedClosure(t *testing.T) {
+	d := newTestDaemon(t, core.Default, 1)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var filled int64 // written by the engine, read by the caller
+	done := make(chan Response, 1)
+	go func() {
+		resp := d.call(func() Response {
+			close(entered)
+			<-release
+			filled = 7
+			return Response{Ok: true, ID: 7}
+		})
+		resp.ID += filled
+		done <- resp
+	}()
+	<-entered
+	d.Close()
+	select {
+	case resp := <-done:
+		t.Fatalf("call returned %+v while its closure was still running", resp)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if resp := <-done; !resp.Ok || resp.ID != 14 {
+		t.Fatalf("call returned %+v, want the closure's response", resp)
+	}
+}
+
 func TestSubmitRunsAndCompletes(t *testing.T) {
 	// 1000x time compression: a 100-second job completes in ~100ms wall,
 	// long enough that the Status call below still sees it running.

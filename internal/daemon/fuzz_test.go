@@ -249,6 +249,18 @@ func FuzzReadFrame(f *testing.F) {
 		`{"ok":true,"leaves":[{"switch":"s0","nodes":4,"busy":2,"comm":1,"ratio":0.5}],"machine_nodes":8,"free_nodes":6,"down_nodes":1,"failed_nodes":1,"algorithm":"adaptive","virtual_now":1e21}` + "\n" +
 		`{"ok":false,"error":"busy","retryable":true,"id":7,"completed":3,"total_exec_hours":0.1,"total_wait_hours":1e-7,"avg_comm_cost":3,"requeues":2,"lost_node_hours":4,"latency":{"acks":3,"wall_p50_ms":0.5,"wall_p95_ms":1,"wall_p99_ms":2,"starts":3,"wait_p50":1,"wait_p95":2,"wait_p99":3}}` + "\n" +
 		`{"op":"submit_batch","nodes":2,"runtime":5,"class":"comm","pattern":"Ring","commshare":0.5,"name":"x","after":1,"batch":[{"nodes":1,"runtime":2,"class":"comm","pattern":"RHVD","commshare":0.7,"name":"y","after":1}],"id":3,"node":"n1"}`))
+	// A queue and a status frame with every JobInfo field set, and one whose
+	// job objects the straight-line reader does not take (spacing, order).
+	f.Add([]byte(`{"ok":true,"jobs":[{"id":9,"name":"a","nodes":3,"class":"comm","pattern":"Ring","state":"completed","after":8,"submit":0.25,"start":1,"end":2,"exec":1.5,"baserun":1,"ratio":1.5,"cost":3e-9,"nodelist":"n[0-2]","requeues":2},{"id":10,"nodes":1,"class":"compute","state":"queued","submit":7}]}` + "\n" +
+		`{"ok":true,"job":{"id":5,"name":"b","nodes":2,"class":"comm","pattern":"Binomial","state":"running","after":4,"submit":12.5,"start":13,"end":73,"exec":60,"baserun":48,"ratio":1.25,"cost":0.5,"nodelist":"n[4-5]","requeues":1}}` + "\n" +
+		`{"ok":true,"jobs":[{"id":1, "nodes":1,"class":"compute","state":"queued","submit":1},{"nodes":1,"id":2,"class":"compute","state":"queued","submit":1}]}`))
+	// Numbers at the edges of the integer fast paths, in integer and float
+	// fields: 0, -0, ±(2^53-1), ±2^53, 2^53+1, 15 and 16 digits, 1e15, 1e20,
+	// 0.5, and 2^60, whose shortest form is not its integer digits.
+	f.Add([]byte(`{"ok":true,"id":999999999999999,"jobs":[{"id":0,"nodes":-0,"class":"comm","state":"queued","submit":-0,"start":9007199254740991,"end":-9007199254740991,"exec":9007199254740992,"baserun":-9007199254740992,"ratio":9007199254740993,"cost":1e15,"requeues":999999999999999},{"id":1234567890123456,"nodes":9007199254740993,"class":"compute","state":"queued","after":-9007199254740992,"submit":1e20,"start":0.5,"end":999999999999999,"exec":1234567890123456,"baserun":100000000000000000000,"ratio":0,"cost":-0.5}],"virtual_now":-0,"total_exec_hours":9007199254740993,"total_wait_hours":1152921504606846976}` + "\n" +
+		`{"op":"submit","nodes":999999999999999,"runtime":9007199254740991,"commshare":9999999999999999999}` + "\n" +
+		`{"op":"submit","nodes":999999999999999,"runtime":9007199254740991,"commshare":-0,"after":1234567890123456,"id":9007199254740993}` + "\n" +
+		`{"ok":true,"jobs":[{"id":1e15,"nodes":1,"class":"comm","state":"queued","submit":0}]}` + "\n" + `{"ok":true,"id":1000000000000000,"virtual_now":0.5}`))
 	// The fallbacks: an empty list, nulls, a repeated, a miscased and an
 	// unknown key, numbers an integer field or a float64 refuses, -0,
 	// escapes, non-ASCII and invalid UTF-8, trailing bytes, odd whitespace.
@@ -256,7 +268,7 @@ func FuzzReadFrame(f *testing.F) {
 		`{"op":null,"batch":null,"id":null}` + "\n" + `{"ok":null,"job":null,"jobs":[null],"latency":null}` + "\n" + `null`))
 	f.Add([]byte(`{"op":"queue","op":"stats"}` + "\n" + `{"OK":true}` + "\n" + `{"op":"info","extra":1}` + "\n" + `{"ok":true,"jobs":[{"id":1,"id":2}]}`))
 	f.Add([]byte(`{"op":"status","id":1e2}` + "\n" + `{"op":"submit","nodes":1.0}` + "\n" + `{"op":"submit","runtime":1e400}` + "\n" + `{"op":"status","id":-0,"runtime":-0}` + "\n" + `{"ok":true,"id":01}`))
-	f.Add([]byte(`{"op":"submit","name":"a\"b\\c\/d\nA` + "\\u" + "2028" + `"}` + "\n" + `{"op":"submit","name":"` + string(rune(0x2028)) + `"}` + "\n" + `{"ok":false,"error":"ünï <&>"}` + "\n" + "{\"op\":\"submit\",\"name\":\"\xff\xfe\"}"))
+	f.Add([]byte(`{"op":"submit","name":"a\"b\\c\/d\nA` + "\\u" + "2028" + `"}` + "\n" + `{"op":"submit","name":"` + string(rune(0x2028)) + `"}` + "\n" + `{"ok":false,"error":"ünï <&>"}` + "\n" + `{"ok":true,"job":{"id":1,"name":"a\\","nodes":1,"class":"compute","state":"queued","submit":0}}` + "\n" + "{\"op\":\"submit\",\"name\":\"\xff\xfe\"}"))
 	f.Add([]byte(`{"op":"info"}x` + "\n" + `{"op":"info"} {}` + "\n" + " {\t\"op\" :\r\"info\" , \"id\": 3 } \n" + "{\"op\":\"info\"}\v\n" + `{"ok":tru}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want := bytes.Split(data, []byte("\n"))

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/collective"
 )
 
 // TestNoAllocServingPaths is the runtime gate of the three-gate
@@ -89,8 +91,8 @@ func TestNoAllocServingPaths(t *testing.T) {
 			if err := decodeRequest(submit, &req); err != nil {
 				return err
 			}
-			dec, f := decoder{b: job}, ji.fields()
-			if dec.object(jobKeys, f[:]); !dec.end() {
+			dec := decoder{b: job}
+			if dec.job(&ji); !dec.end() {
 				return fmt.Errorf("job not canonical")
 			}
 			return nil
@@ -132,6 +134,24 @@ func TestNoAllocServingPaths(t *testing.T) {
 			if ji.State != want || ji.NodeList == "" || allocs > 1 {
 				t.Fatalf("%s job %d (%q on %q): its row allocates %.1f/op, want <= 1", want, id, ji.State, ji.NodeList, allocs)
 			}
+		}
+	})
+
+	// Placement's view of a comm job is built in place at every start.
+	t.Run("asJob", func(t *testing.T) {
+		clk := newFakeClock()
+		d := newClockedDaemon(t, clk)
+		var allocs float64
+		d.call(func() Response {
+			r := d.jobs[d.submitLocked(&SubmitSpec{Nodes: 2, Runtime: 1, Class: "comm", Pattern: "RHVD", CommShare: 0.25}, 0).ID]
+			if j := r.asJob(&d.comm); len(j.Mix.Comms) != 1 || j.Mix.Comms[0] != (collective.Component{Pattern: collective.RHVD, Frac: 0.25}) || j.Mix.ComputeFrac != 0.75 || j.Mix.Validate() != nil {
+				t.Errorf("comm job's mix: %+v", j.Mix)
+			}
+			allocs = testing.AllocsPerRun(100, func() { _ = r.asJob(&d.comm) })
+			return Response{Ok: true}
+		})
+		if allocs != 0 {
+			t.Fatalf("asJob allocates %.1f/op, want 0", allocs)
 		}
 	})
 

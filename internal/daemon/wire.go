@@ -17,9 +17,12 @@ import (
 // and every error string stay encoding/json's, which the tests use as the
 // oracle (FuzzReadFrame, TestPipelinedWireIdentity).
 //
-// Each protocol type is described once, for both directions: its JSON keys
-// (below) and pointers to its fields (its fields method), both in struct
-// order. The oracle tests hold the two to the json tags in protocol.go.
+// Each protocol type has one codec for both directions. JobInfo, the one
+// element whose count in a frame grows with the queue, is written and read
+// by straight-line code (encoder.job, decoder.job). Every other type is
+// described by its JSON keys (below) and pointers to its fields (its fields
+// method), both in struct order, which encoder.object and decoder.object
+// walk. The oracle tests hold both kinds to the json tags in protocol.go.
 
 // key is one field of a wire object: its JSON name, the bytes that write
 // it after another field, and whether it is left out when zero
@@ -46,7 +49,6 @@ var (
 	responseKeys = wireKeys("ok error? retryable? id? batch? job? jobs? leaves? machine_nodes? free_nodes? down_nodes? failed_nodes? " +
 		"algorithm? virtual_now? completed? total_exec_hours? total_wait_hours? avg_comm_cost? requeues? lost_node_hours? latency?")
 	batchResultKeys = wireKeys("id? error?")
-	jobKeys         = wireKeys("id name? nodes class pattern? state after? submit start? end? exec? baserun? ratio? cost? nodelist? requeues?")
 	leafKeys        = wireKeys("switch nodes busy comm ratio")
 	latencyKeys     = wireKeys("acks wall_p50_ms wall_p95_ms wall_p99_ms starts wait_p50? wait_p95? wait_p99?")
 )
@@ -66,11 +68,6 @@ func (r *Response) fields() [21]any {
 }
 
 func (r *BatchResult) fields() [2]any { return [...]any{&r.ID, &r.Error} }
-
-func (j *JobInfo) fields() [16]any {
-	return [...]any{&j.ID, &j.Name, &j.Nodes, &j.Class, &j.Pattern, &j.State, &j.After, &j.Submit,
-		&j.Start, &j.End, &j.Exec, &j.BaseRun, &j.CostRatio, &j.CommCost, &j.NodeList, &j.Requeues}
-}
 
 func (l *LeafInfo) fields() [5]any { return [...]any{&l.Switch, &l.Nodes, &l.Busy, &l.Comm, &l.Ratio} }
 
@@ -195,8 +192,8 @@ func (e *encoder) value(v any) {
 		e.b = append(e.b, ']')
 	case *[]JobInfo:
 		for i := range *v {
-			f := (*v)[i].fields()
-			e.item(i, jobKeys, f[:])
+			e.b = append(e.b, "[,"[min(i, 1)])
+			e.job(&(*v)[i])
 		}
 		e.b = append(e.b, ']')
 	case *[]LeafInfo:
@@ -206,8 +203,7 @@ func (e *encoder) value(v any) {
 		}
 		e.b = append(e.b, ']')
 	case **JobInfo:
-		f := (*v).fields()
-		e.object(jobKeys, f[:])
+		e.job(*v)
 	case **LatencyStats:
 		f := (*v).fields()
 		e.object(latencyKeys, f[:])
@@ -216,9 +212,75 @@ func (e *encoder) value(v any) {
 	}
 }
 
+// job writes j: its keys in struct order, each with the comma before it,
+// and its omitempty fields only when they are not zero.
+//
+//caws:noalloc
+func (e *encoder) job(j *JobInfo) {
+	e.int(`{"id":`, j.ID)
+	if j.Name != "" {
+		e.raw(`,"name":`).str(j.Name)
+	}
+	e.int(`,"nodes":`, int64(j.Nodes))
+	e.raw(`,"class":`).str(j.Class)
+	if j.Pattern != "" {
+		e.raw(`,"pattern":`).str(j.Pattern)
+	}
+	e.raw(`,"state":`).str(j.State)
+	if j.After != 0 {
+		e.int(`,"after":`, j.After)
+	}
+	e.raw(`,"submit":`).float(j.Submit)
+	if j.Start != 0 {
+		e.raw(`,"start":`).float(j.Start)
+	}
+	if j.End != 0 {
+		e.raw(`,"end":`).float(j.End)
+	}
+	if j.Exec != 0 {
+		e.raw(`,"exec":`).float(j.Exec)
+	}
+	if j.BaseRun != 0 {
+		e.raw(`,"baserun":`).float(j.BaseRun)
+	}
+	if j.CostRatio != 0 {
+		e.raw(`,"ratio":`).float(j.CostRatio)
+	}
+	if j.CommCost != 0 {
+		e.raw(`,"cost":`).float(j.CommCost)
+	}
+	if j.NodeList != "" {
+		e.raw(`,"nodelist":`).str(j.NodeList)
+	}
+	if j.Requeues != 0 {
+		e.int(`,"requeues":`, int64(j.Requeues))
+	}
+	e.b = append(e.b, '}')
+}
+
+// raw writes lit, the bytes before a value.
+func (e *encoder) raw(lit string) *encoder {
+	e.b = append(e.b, lit...)
+	return e
+}
+
+// int writes lit and then v.
+func (e *encoder) int(lit string, v int64) {
+	e.b = strconv.AppendInt(append(e.b, lit...), v, 10)
+}
+
 // float formats as encoding/json does: the shortest 'f' form for
 // 1e-6 <= |f| < 1e21, else 'e' with a one-digit negative exponent unpadded.
+// An integral |f| < 2^53 is written as its digits: the floats beside it are
+// at most 1 away, so only decimals within 1/2 of it round to it, and none
+// with fewer significant digits (another integer) is that close; the
+// shortest 'f' form is then strconv.AppendInt's. -0, which encoding/json
+// writes "-0", takes the general path.
 func (e *encoder) float(f float64) {
+	if i := int64(f); float64(i) == f && i > -1<<53 && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		e.b = strconv.AppendInt(e.b, i, 10)
+		return
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		if e.err == nil {
 			_, e.err = json.Marshal(f) // encoding/json's UnsupportedValueError
@@ -277,8 +339,9 @@ func decodeResponse(data []byte, r *Response) error {
 
 // decoder reads the canonical form: exact-case known keys, each at most
 // once; null; numbers strconv parses into the field's type; strings of
-// printable ASCII with no backslash. bad is set at the first byte outside
-// it, and from then on every read fails, so the caller falls back.
+// printable ASCII with no backslash; a job object only as encoder.job
+// writes it. bad is set at the first byte outside it, and from then on
+// every read fails, so the caller falls back.
 type decoder struct {
 	b   []byte
 	i   int
@@ -365,8 +428,7 @@ func (d *decoder) value(v any) {
 		*v = make([]JobInfo, 0, bytes.Count(d.b[d.i:], []byte(`{"id":`)))
 		for i := 0; d.elem(i); i++ {
 			*v = append(*v, JobInfo{})
-			f := (*v)[i].fields()
-			d.object(jobKeys, f[:])
+			d.job(&(*v)[i])
 		}
 	case *[]LeafInfo:
 		*v = []LeafInfo{}
@@ -377,8 +439,7 @@ func (d *decoder) value(v any) {
 		}
 	case **JobInfo:
 		*v = new(JobInfo)
-		f := (*v).fields()
-		d.object(jobKeys, f[:])
+		d.job(*v)
 	case **LatencyStats:
 		*v = new(LatencyStats)
 		f := (*v).fields()
@@ -386,6 +447,57 @@ func (d *decoder) value(v any) {
 	default:
 		panic("daemon: no wire decoding for a field") // only a fields method can bring one
 	}
+}
+
+// job reads a job object as encoder.job writes it: keys in struct order,
+// each matched with the comma before it, the omitempty ones where present.
+// Anything else, whitespace inside the object, a null or a key out of
+// order, is not canonical here, and the frame falls back.
+func (d *decoder) job(j *JobInfo) {
+	d.need(`{"id":`)
+	j.ID = d.integer(64)
+	if d.lit(`,"name":`) {
+		j.Name = d.word()
+	}
+	d.need(`,"nodes":`)
+	j.Nodes = int(d.integer(strconv.IntSize))
+	d.need(`,"class":`)
+	j.Class = d.word()
+	if d.lit(`,"pattern":`) {
+		j.Pattern = d.word()
+	}
+	d.need(`,"state":`)
+	j.State = d.word()
+	if d.lit(`,"after":`) {
+		j.After = d.integer(64)
+	}
+	d.need(`,"submit":`)
+	j.Submit = d.float()
+	if d.lit(`,"start":`) {
+		j.Start = d.float()
+	}
+	if d.lit(`,"end":`) {
+		j.End = d.float()
+	}
+	if d.lit(`,"exec":`) {
+		j.Exec = d.float()
+	}
+	if d.lit(`,"baserun":`) {
+		j.BaseRun = d.float()
+	}
+	if d.lit(`,"ratio":`) {
+		j.CostRatio = d.float()
+	}
+	if d.lit(`,"cost":`) {
+		j.CommCost = d.float()
+	}
+	if d.lit(`,"nodelist":`) {
+		j.NodeList = d.word()
+	}
+	if d.lit(`,"requeues":`) {
+		j.Requeues = int(d.integer(strconv.IntSize))
+	}
+	d.need("}")
 }
 
 // elem steps through an array: the first call (i 0) reads the '[', and
@@ -432,11 +544,23 @@ func (d *decoder) skip(c byte) bool {
 // literal reads the word s after any whitespace, if it is next.
 func (d *decoder) literal(s string) bool {
 	d.ws()
+	return d.lit(s)
+}
+
+// lit reads s if it is next.
+func (d *decoder) lit(s string) bool {
 	if d.bad || len(d.b)-d.i < len(s) || string(d.b[d.i:d.i+len(s)]) != s {
 		return false
 	}
 	d.i += len(s)
 	return true
+}
+
+// need reads s, or marks the frame bad.
+func (d *decoder) need(s string) {
+	if !d.lit(s) {
+		d.bad = true
+	}
 }
 
 func (d *decoder) boolean() bool {
@@ -449,45 +573,84 @@ func (d *decoder) boolean() bool {
 	return false
 }
 
-// str reads a string and returns its bytes, which alias the frame.
+// str reads a string and returns its bytes, which alias the frame. The
+// first '"' ends it; a string that escapes one holds a backslash before
+// it, which is not canonical.
 func (d *decoder) str() []byte {
 	if !d.skip('"') {
 		d.bad = true
 		return nil
 	}
-	for start := d.i; d.i < len(d.b); d.i++ {
-		switch c := d.b[d.i]; {
-		case c == '"':
-			d.i++
-			return d.b[start : d.i-1]
-		case c < 0x20 || c > 0x7e || c == '\\':
+	n := bytes.IndexByte(d.b[d.i:], '"')
+	if n < 0 {
+		d.bad = true
+		return nil
+	}
+	s := d.b[d.i : d.i+n]
+	for _, c := range s {
+		if c < 0x20 || c > 0x7e || c == '\\' {
 			d.bad = true
 			return nil
 		}
 	}
-	d.bad = true
-	return nil
+	d.i += n + 1
+	return s
 }
 
-// vocabulary is the closed set of strings an op, class, pattern or state
-// carries; decoding one hands out the constant instead of a copy.
-var vocabulary = [...]string{
-	"submit", "submit_batch", "status", "queue", "running", "info", "stats",
-	"cancel", "drain", "resume", "fail", "shutdown",
-	"comm", "compute", "RD", "RHVD", "Binomial", "Ring", "Stencil", "Alltoall",
-	"queued", "completed", "cancelled",
-}
-
-// word reads a string: a word of the vocabulary, or a copy that does not
-// alias the frame.
+// word reads a string. A word of the closed vocabulary an op, class,
+// pattern or state carries is handed out as the constant; any other string
+// is a copy that does not alias the frame.
 func (d *decoder) word() string {
-	b := d.str()
-	for _, w := range vocabulary {
-		if string(b) == w {
-			return w
-		}
+	switch b := d.str(); string(b) {
+	case "submit":
+		return "submit"
+	case "submit_batch":
+		return "submit_batch"
+	case "status":
+		return "status"
+	case "queue":
+		return "queue"
+	case "running":
+		return "running"
+	case "info":
+		return "info"
+	case "stats":
+		return "stats"
+	case "cancel":
+		return "cancel"
+	case "drain":
+		return "drain"
+	case "resume":
+		return "resume"
+	case "fail":
+		return "fail"
+	case "shutdown":
+		return "shutdown"
+	case "comm":
+		return "comm"
+	case "compute":
+		return "compute"
+	case "RD":
+		return "RD"
+	case "RHVD":
+		return "RHVD"
+	case "Binomial":
+		return "Binomial"
+	case "Ring":
+		return "Ring"
+	case "Stencil":
+		return "Stencil"
+	case "Alltoall":
+		return "Alltoall"
+	case "queued":
+		return "queued"
+	case "completed":
+		return "completed"
+	case "cancelled":
+		return "cancelled"
+	default:
+		return string(b)
 	}
-	return string(b)
 }
 
 // number reads the bytes of a JSON number.
@@ -532,6 +695,9 @@ func (d *decoder) digits() bool {
 // integer reads a number that strconv.ParseInt takes at bitSize, which is
 // what encoding/json accepts for an integer field.
 func (d *decoder) integer(bitSize int) int64 {
+	if v, ok := d.small(); ok && v>>(bitSize-1) == 0 {
+		return v
+	}
 	v, err := strconv.ParseInt(string(d.number()), 10, bitSize)
 	if err != nil {
 		d.bad = true
@@ -540,11 +706,32 @@ func (d *decoder) integer(bitSize int) int64 {
 }
 
 func (d *decoder) float() float64 {
+	if v, ok := d.small(); ok {
+		return float64(v)
+	}
 	v, err := strconv.ParseFloat(string(d.number()), 64)
 	if err != nil {
 		d.bad = true
 	}
 	return v
+}
+
+// small reads a number that is an unsigned integer of at most 15 digits,
+// by accumulation: below 10^15 < 2^53 it is exact as an int64 and as a
+// float64, so it is the value strconv parses. Any other number, a leading
+// zero before a digit included, is left unread for number.
+func (d *decoder) small() (int64, bool) {
+	d.ws()
+	i, v := d.i, int64(0)
+	for ; i < len(d.b) && i-d.i <= 15 && d.b[i]-'0' <= 9; i++ {
+		v = v*10 + int64(d.b[i]-'0')
+	}
+	if n := i - d.i; n == 0 || n > 15 || n > 1 && d.b[d.i] == '0' ||
+		i < len(d.b) && (d.b[i] == '.' || d.b[i] == 'e' || d.b[i] == 'E') {
+		return 0, false
+	}
+	d.i = i
+	return v, true
 }
 
 // end reports whether the frame was canonical to its last byte.
