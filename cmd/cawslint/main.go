@@ -1,6 +1,6 @@
 // Command cawslint is the project's multichecker: it runs the
-// internal/analysis suite — determinism, genbump, exhaustive, floatcmp,
-// refparity, poolhygiene, globalmut, sharedwrite and noalloc — over the
+// internal/analysis suite — the eight analyzers determinism, genbump,
+// exhaustive, floatcmp, refparity, globalmut, sharedwrite and noalloc — over the
 // packages matched by its arguments (default ./...) and exits non-zero
 // on any diagnostic. There is no warn-only mode; suppress a false
 // positive in place with

@@ -51,8 +51,6 @@ func TestFixtures(t *testing.T) {
 		{"refparity/bad", "repro/fixture/refparity", RefParity(refCfg)},
 		{"refparity/clean", "repro/fixture/refparity", RefParity(refCfg)},
 		{"refparity/unswitched", "repro/fixture/refparity", RefParity(refCfg)},
-		{"poolhygiene/bad", "repro/internal/core", PoolHygiene(DefaultPoolHygieneScope)},
-		{"poolhygiene/clean", "repro/internal/core", PoolHygiene(DefaultPoolHygieneScope)},
 		{"globalmut/bad", "repro/fixture/globalmut", GlobalMut(gmScope)},
 		{"globalmut/clean", "repro/fixture/globalmut", GlobalMut(gmScope)},
 		{"sharedwrite/bad", "repro/internal/sweep", SharedWrite(DefaultSharedWriteScope)},

@@ -23,8 +23,8 @@ var DefaultGlobalMutScope = []string{
 
 // mutatingMethods are method names that write their receiver on the
 // sync/atomic types package-level state is typically wrapped in
-// (atomic.Bool/Int64/..., sync.Map). Read-side methods (Load, Range) and
-// sync.Pool traffic (Get/Put) are not mutations of logical state.
+// (atomic.Bool/Int64/..., sync.Map). Read-side methods (Load, Range) are
+// not mutations of logical state.
 var mutatingMethods = map[string]bool{
 	"Store": true, "Swap": true, "CompareAndSwap": true, "Add": true,
 	"Delete": true, "LoadOrStore": true, "LoadAndDelete": true,

@@ -31,18 +31,21 @@ type NoAllocConfig struct {
 }
 
 // DefaultNoAllocConfig pins the kernels the BENCH_*.json zero-alloc
-// results depend on: the one-pass pricing walk and the selector inner
-// helpers.
+// results depend on: the one-pass pricing walk, the selector inner
+// helpers and the placement path that works in a caller's scratch.
 var DefaultNoAllocConfig = NoAllocConfig{
 	Require: map[string][]string{
-		"repro/internal/cluster": {"State.Release"},
+		"repro/internal/cluster": {"State.Release", "RunStore.Place"},
 		"repro/internal/costmodel": {
-			"priceScratch.price",
+			"Scratch.price",
 			"walker.block",
-			"priceScratch.hops",
+			"Scratch.hops",
 		},
 		"repro/internal/core": {
-			"selScratch.take",
+			"Scratch.begin",
+			"Scratch.take",
+			"Scratch.placement",
+			"adaptiveSelector.Place",
 			"snapshotLeaves",
 			"sortLeaves",
 		},
@@ -156,7 +159,7 @@ func sanctioned(stack []ast.Node) bool {
 func noAllocBody(pass *Pass, fd *ast.FuncDecl, name string) {
 	report := func(n ast.Node, what string) {
 		pass.Reportf(n.Pos(),
-			"unconditional %s in //caws:noalloc %s: steady-state allocation on the hot path — guard it behind a grow check or use a pooled arena", what, name)
+			"unconditional %s in //caws:noalloc %s: steady-state allocation on the hot path — guard it behind a grow check or keep the buffer in a caller-owned scratch", what, name)
 	}
 	inspectStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		if sanctioned(stack) {

@@ -26,7 +26,7 @@ type RefParityConfig struct {
 var DefaultRefParityConfig = RefParityConfig{
 	FastPath: map[string][]string{
 		"repro/internal/cluster":   {"switchFree"},
-		"repro/internal/costmodel": {"scheduleCache"},
+		"repro/internal/costmodel": {"schedules"},
 	},
 	OwnerType: map[string]string{
 		"repro/internal/cluster": "State",

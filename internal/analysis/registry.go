@@ -11,7 +11,6 @@ func Suite() []*Analyzer {
 		Exhaustive(DefaultEnums),
 		FloatCmp(DefaultFloatCmpScope, DefaultApprovedComparators),
 		RefParity(DefaultRefParityConfig),
-		PoolHygiene(DefaultPoolHygieneScope),
 		GlobalMut(DefaultGlobalMutScope),
 		SharedWrite(DefaultSharedWriteScope),
 		NoAlloc(DefaultNoAllocConfig),

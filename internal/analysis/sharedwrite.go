@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -102,4 +103,9 @@ func sharedWriteLit(pass *Pass, lit *ast.FuncLit) {
 		}
 		return true
 	})
+}
+
+// nodeContains reports whether pos lies within n's source range.
+func nodeContains(n ast.Node, pos token.Pos) bool {
+	return n.Pos() <= pos && pos < n.End()
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -229,5 +230,53 @@ func TestRunValidatorAgreesWithNodeScan(t *testing.T) {
 	empty := FreeRankRuns(s, []uint64{0}, []uint64{})
 	if err := empty.Validate(s, 1, &sc); err == nil || !strings.Contains(err.Error(), "empty allocation") {
 		t.Errorf("empty free-rank placement: %v", err)
+	}
+}
+
+// TestRunStoreReuseFailsLoudly pins the RunStore contract: a placement kept
+// in a store is valid until the store's next Place, and after that —
+// listed or not, at the generation it was selected on — validating and
+// committing it fail with ErrReusedPlacement, which is not a "select
+// again" condition, and it has no ranks. The generation alone cannot
+// catch this: nothing moved the state between the two selections.
+func TestRunStoreReuseFailsLoudly(t *testing.T) {
+	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 4, Fanouts: []int{4}})
+	s := New(topo)
+	var rs RunStore
+	// Leaves 0 and 1 first, then leaves 2 and 3: both fit the unchanged state.
+	first := rs.Place(s, []uint64{0<<32 | 0, 1<<32 | 2, 4}, []uint64{0, 0})
+	listedFirst := rs.Place(s, []uint64{0<<32 | 0, 1<<32 | 2, 4}, []uint64{0, 0})
+	want := slices.Clone(listedFirst.Nodes())
+	gen := s.Generation()
+	second := rs.Place(s, []uint64{2<<32 | 0, 3<<32 | 2, 4}, []uint64{0, 0})
+	if s.Generation() != gen {
+		t.Fatal("placing moved the generation")
+	}
+	for name, pl := range map[string]*Placement{"unlisted": &first, "listed": &listedFirst} {
+		var sc Scratch
+		if err := pl.Validate(s, 1, &sc); !errors.Is(err, ErrReusedPlacement) || errors.Is(err, ErrNodeUnavailable) {
+			t.Errorf("%s: validating a placement whose store was reused: %v, want ErrReusedPlacement alone", name, err)
+		}
+		if err := s.AllocatePlacement(1, CommIntensive, pl); !errors.Is(err, ErrReusedPlacement) {
+			t.Errorf("%s: committing a placement whose store was reused: %v, want ErrReusedPlacement", name, err)
+		}
+		if s.FreeTotal() != topo.NumNodes() {
+			t.Fatalf("%s: a rejected commit took %d nodes", name, topo.NumNodes()-s.FreeTotal())
+		}
+		if pl.SameNodes(&second) || second.SameNodes(pl) {
+			t.Errorf("%s: a reused placement compares equal to its successor", name)
+		}
+	}
+	if first.Len() != 0 || first.Nodes() != nil {
+		t.Errorf("unlisted reused placement: %d ranks, nodes %v; want none", first.Len(), first.Nodes())
+	}
+	if got := listedFirst.Nodes(); !slices.Equal(got, want) {
+		t.Errorf("a listed placement's own list changed with its store: %v, want %v", got, want)
+	}
+	if err := s.AllocatePlacement(2, CommIntensive, &second); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Allocation(2).Nodes(); !slices.Equal(got, []int{8, 9, 12, 13}) {
+		t.Errorf("the store's current placement committed %v, want [8 9 12 13]", got)
 	}
 }

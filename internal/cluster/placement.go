@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 )
@@ -9,6 +10,11 @@ import (
 // was selected on has moved: its runs are never read against another
 // generation. It wraps ErrNodeUnavailable, the "select again" condition.
 var ErrStalePlacement = fmt.Errorf("placement selected at another generation: %w", ErrNodeUnavailable)
+
+// ErrReusedPlacement rejects a placement whose RunStore has since held
+// another one: its runs are gone, whatever the generation. It is a caller's
+// bug, not a "select again" condition, so it wraps nothing.
+var ErrReusedPlacement = errors.New("placement's run store was reused by a later selection")
 
 // Placement is a job's prospective nodes as every layer consumes them: a
 // rank→leaf run sequence — leaf<<32 | first rank for each maximal run of
@@ -30,7 +36,8 @@ var ErrStalePlacement = fmt.Errorf("placement selected at another generation: %w
 // (ErrStalePlacement). A placement wrapped around a caller's list
 // (NewPlacement) owns no runs: each Reduce or Validate reduces it into the
 // Scratch it is handed, where the runs stay readable until that Scratch's
-// next use, and it never keeps a stamp.
+// next use, and it never keeps a stamp. A placement kept in a RunStore
+// lives until the store's next Place.
 type Placement struct {
 	nodes []int
 	runs  []uint64
@@ -39,6 +46,8 @@ type Placement struct {
 	valid bool     // Validate passed at (st, gen)
 	st    *State
 	gen   uint64
+	store *RunStore // where runs and skip live, if in a store
+	lease uint64    // the store's lease they were written under
 }
 
 // NewPlacement wraps a rank-ordered node list.
@@ -51,6 +60,39 @@ func NewPlacement(nodes []int) Placement { return Placement{nodes: nodes} }
 func FreeRankRuns(st *State, runs, skip []uint64) Placement {
 	return Placement{runs: runs, skip: skip, owned: true, st: st, gen: st.gen}
 }
+
+// RunStore is reusable storage for free-rank placements: Place copies a
+// selection's runs in, so a warm store allocates nothing. The placement it
+// returns reads them there until the store's next Place; from then on it
+// has no ranks, and validating, committing or pricing it fails with
+// ErrReusedPlacement — the generation alone cannot tell, since a store may
+// be reused on an unchanged state. The zero value is ready; a store serves
+// one goroutine at a time.
+type RunStore struct {
+	words []uint64
+	lease uint64
+}
+
+// Place is FreeRankRuns over copies of runs and skip kept in the store.
+//
+//caws:noalloc
+func (rs *RunStore) Place(st *State, runs, skip []uint64) Placement {
+	rs.lease++
+	r, n := len(runs), len(runs)+len(skip)
+	if cap(rs.words) < n {
+		rs.words = make([]uint64, n)
+	}
+	w := rs.words[:n]
+	copy(w, runs)
+	copy(w[r:], skip)
+	p := FreeRankRuns(st, w[:r:r], w[r:])
+	p.store, p.lease = rs, rs.lease
+	return p
+}
+
+// reused reports whether the store p lives in has since held another
+// placement.
+func (p *Placement) reused() bool { return p.store != nil && p.store.lease != p.lease }
 
 // Nodes returns the rank-ordered node list, which must not be modified. A
 // free-rank placement lists itself on the first call (a read of the state,
@@ -66,9 +108,10 @@ func (p *Placement) Nodes() []int {
 	return p.nodes
 }
 
-// Len returns the number of ranks.
+// Len returns the number of ranks: 0 for an unlisted placement whose store
+// was reused.
 func (p *Placement) Len() int {
-	if p.owned && p.nodes == nil && len(p.runs) > 0 {
+	if p.owned && p.nodes == nil && len(p.runs) > 0 && !p.reused() {
 		return int(uint32(p.runs[len(p.runs)-1]))
 	}
 	return len(p.nodes)
@@ -80,8 +123,12 @@ func (p *Placement) Runs() []uint64 { return p.runs }
 
 // SameNodes reports whether p and q put the same node at every rank. Unlisted
 // free-rank placements of one (state, generation) are compared by their
-// runs, which are maximal and so determined by the nodes; others by list.
+// runs, which are maximal and so determined by the nodes; others by list. A
+// placement whose store was reused is the same as none.
 func (p *Placement) SameNodes(q *Placement) bool {
+	if p.reused() || q.reused() {
+		return false
+	}
 	if p.owned && q.owned && p.nodes == nil && q.nodes == nil && p.st == q.st && p.gen == q.gen {
 		return slices.Equal(p.runs, q.runs) && slices.Equal(p.skip, q.skip)
 	}
@@ -213,8 +260,12 @@ func (p *Placement) checkRuns(st *State, job JobID, sc *Scratch) error {
 // job checks run on every call; nothing more for a placement that last
 // passed at st's current generation. Free-rank runs still at their own
 // generation are checked as runs, a list node by node (faults in per-node
-// order), and unlisted runs of another generation are stale.
+// order), and unlisted runs of another generation are stale. A placement
+// whose RunStore was reused fails before anything else, listed or not.
 func (p *Placement) Validate(st *State, job JobID, sc *Scratch) error {
+	if p.reused() {
+		return fmt.Errorf("cluster: job %d: %w", job, ErrReusedPlacement)
+	}
 	if job < 0 {
 		return fmt.Errorf("cluster: job IDs must be non-negative, got %d", job)
 	}

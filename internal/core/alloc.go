@@ -6,7 +6,8 @@
 // A Selector chooses nodes but does not commit them; callers allocate the
 // returned node list on the cluster.State. Returned node lists are in rank
 // order: rank r of the job runs on nodes[r]. All selectors are
-// deterministic for a given state.
+// deterministic for a given state, and stateless: Place works in a Scratch
+// its caller owns.
 package core
 
 import (
@@ -15,7 +16,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
@@ -52,15 +52,16 @@ type Selector interface {
 }
 
 // placer is what the built-in selectors implement besides Selector: the
-// same selection as the free-rank runs it is made of (cluster.FreeRankRuns),
-// one per leaf visit, with no node named yet. Select is Place listed.
+// same selection as the free-rank runs it is made of, one per leaf visit,
+// with no node named yet, kept in sc. Select is Place in a fresh Scratch,
+// listed.
 type placer interface {
-	Place(st *cluster.State, req Request) (cluster.Placement, error)
+	Place(st *cluster.State, req Request, sc *Scratch) (cluster.Placement, error)
 }
 
 // pricer is a placer that prices its pick on the way (adaptive).
 type pricer interface {
-	Place(st *cluster.State, req Request) (cluster.Placement, Price, error)
+	Place(st *cluster.State, req Request, sc *Scratch) (cluster.Placement, Price, error)
 }
 
 // Price is the effective-hops cost of req.Pattern on the placement a
@@ -74,15 +75,20 @@ type Price struct {
 	OK   bool
 }
 
-// Place runs the selector and returns its selection as a placement: the
-// built-in selectors' own, any other Selector's node list wrapped, and the
-// selection's price if the selector computed one.
-func Place(sel Selector, st *cluster.State, req Request) (cluster.Placement, Price, error) {
+// Place runs the selector in sc and returns its selection as a placement:
+// the built-in selectors' own, any other Selector's node list wrapped, and
+// the selection's price if the selector computed one. A built-in
+// selector's placement lives in sc until sc's next placement by a selector
+// of the same kind (see Scratch); a nil sc places in a fresh one.
+func Place(sel Selector, st *cluster.State, req Request, sc *Scratch) (cluster.Placement, Price, error) {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	switch s := sel.(type) {
 	case pricer:
-		return s.Place(st, req)
+		return s.Place(st, req, sc)
 	case placer:
-		pl, err := s.Place(st, req)
+		pl, err := s.Place(st, req, sc)
 		return pl, Price{}, err
 	}
 	nodes, err := sel.Select(st, req)
@@ -244,35 +250,73 @@ const (
 	greedyCompute                 // cmpGreedyCompute
 )
 
-// selScratch holds the per-selection working set — the leaf order and its
-// sort keys, the balanced algorithm's pass-one take counts and the free-rank
-// runs chosen so far — so a selection allocates only the one slice its
-// placement keeps, and reads no node: it splits the order's free counts into
-// runs. Scratches are pooled; selectors acquire one, use it, and release it
-// before returning.
-type selScratch struct {
+// Scratch is the working set of a placement loop, owned by whoever runs
+// the loop (the simulator's and the daemon's engines, the annealer's
+// search) and handed to every Place: the leaf order and its sort keys, the
+// balanced algorithm's pass-one take counts and the free-rank runs chosen
+// so far, the pricing scratch, and the run storage of the candidates a
+// placement builds, one store per kind of selection (greedy, balanced,
+// default). A selection reads no node: it splits the order's free counts
+// into runs, and a warm Scratch places and prices with no allocation.
+//
+// A placement Place returns reads its runs in the Scratch: it is valid
+// until the Scratch's next placement by a selector of the same kind, so
+// adaptive's two candidates stay valid together. A reference selection
+// made beside them, such as Eq. 7's default placement, goes into
+// Reference(). Used after that, a placement fails validation, committing
+// and pricing with cluster.ErrReusedPlacement. The zero value is ready; a
+// Scratch serves one goroutine at a time.
+type Scratch struct {
 	order []leafOrder
 	keys  []uint64 // free-count orders: one packed sort key per leaf
 	taken []int
 	runs  []uint64 // leaf<<32|first rank per leaf visit, in rank order
 	skip  []uint64 // per run: how many allocatable nodes of its leaf precede it
 	n     int      // ranks placed so far
+	price costmodel.Scratch
+	cand  [numKinds]cluster.RunStore
+	ref   *Scratch
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(selScratch) }}
+// kind names the store a selection's placement is kept in.
+type kind uint8
 
-func getScratch() *selScratch {
-	sc := scratchPool.Get().(*selScratch)
+const (
+	greedyKind kind = iota
+	balancedKind
+	defaultKind
+	numKinds
+)
+
+// Pricing returns the pricing scratch the placements made in sc are priced
+// in, for a caller that prices more of them itself.
+func (sc *Scratch) Pricing() *costmodel.Scratch { return &sc.price }
+
+// Reference returns the scratch to place a reference selection in, beside
+// a placement made in sc that must stay valid: its own, made on first use.
+func (sc *Scratch) Reference() *Scratch {
+	if sc.ref == nil {
+		sc.ref = new(Scratch)
+	}
+	return sc.ref
+}
+
+// begin opens a selection over a switch of the given number of leaves,
+// which visits each leaf at most twice (balanced's two passes).
+//
+//caws:noalloc
+func (sc *Scratch) begin(leaves int) {
+	if cap(sc.skip) < 2*leaves {
+		sc.runs, sc.skip = make([]uint64, 0, 2*leaves+1), make([]uint64, 0, 2*leaves)
+	}
 	sc.runs, sc.skip, sc.n = sc.runs[:0], sc.skip[:0], 0
-	return sc
 }
-func (sc *selScratch) release() { scratchPool.Put(sc) }
 
 // take places the next k ranks on leaf l's allocatable nodes after its first
 // skip. Carrying on where the previous run stopped extends it: runs stay maximal.
 //
 //caws:noalloc
-func (sc *selScratch) take(l, skip, k int) {
+func (sc *Scratch) take(l, skip, k int) {
 	if k <= 0 {
 		return
 	}
@@ -285,18 +329,15 @@ func (sc *selScratch) take(l, skip, k int) {
 	sc.n += k
 }
 
-// placement closes the chosen runs into a free-rank placement bound to st;
-// runs and free ranks share the one slice a selection allocates. When
-// pricing mutates the state (a reference state is allocated on and released
-// around every price) the nodes are listed now, while the runs can still be
-// read.
-func (sc *selScratch) placement(st *cluster.State) cluster.Placement {
-	r := len(sc.runs)
-	words := make([]uint64, 2*r+1)
-	copy(words, sc.runs)
-	words[r] = uint64(sc.n)
-	copy(words[r+1:], sc.skip)
-	pl := cluster.FreeRankRuns(st, words[:r+1:r+1], words[r+1:])
+// placement closes the chosen runs into a free-rank placement bound to st,
+// kept in the store of kind k. When pricing mutates the state (a reference
+// state is allocated on and released around every price) the nodes are
+// listed now, while the runs can still be read.
+//
+//caws:noalloc
+func (sc *Scratch) placement(st *cluster.State, k kind) cluster.Placement {
+	sc.runs = append(sc.runs, uint64(sc.n))
+	pl := sc.cand[k].Place(st, sc.runs, sc.skip)
 	if !costmodel.CandidateCostReadOnly(st) {
 		pl.Nodes()
 	}
@@ -305,10 +346,10 @@ func (sc *selScratch) placement(st *cluster.State) cluster.Placement {
 
 // snapshotLeaves fills the scratch's leaf-order buffer with every leaf's
 // free count and communication ratio; the returned slice is valid until the
-// scratch is released.
+// scratch's next selection.
 //
 //caws:noalloc
-func snapshotLeaves(st *cluster.State, leaves []int, sc *selScratch) []leafOrder {
+func snapshotLeaves(st *cluster.State, leaves []int, sc *Scratch) []leafOrder {
 	if cap(sc.order) < len(leaves) {
 		sc.order = make([]leafOrder, len(leaves))
 	}
@@ -321,7 +362,7 @@ func snapshotLeaves(st *cluster.State, leaves []int, sc *selScratch) []leafOrder
 }
 
 // sortLeaves returns leaves with their free counts in the order by names;
-// the slice is valid until the scratch is released. The free-count orders
+// the slice is valid until the scratch's next selection. The free-count orders
 // sort one packed key per leaf, free<<32|leaf ascending and
 // (MaxUint32-free)<<32|leaf descending, which orders exactly as comparing
 // (free, leaf) does, with no comparator call and no ratio computed. Ties
@@ -330,7 +371,7 @@ func snapshotLeaves(st *cluster.State, leaves []int, sc *selScratch) []leafOrder
 // first key is a float, so its orders sort the snapshot by comparator.
 //
 //caws:noalloc
-func sortLeaves(st *cluster.State, leaves []int, by leafSort, sc *selScratch) []leafOrder {
+func sortLeaves(st *cluster.State, leaves []int, by leafSort, sc *Scratch) []leafOrder {
 	switch by {
 	case greedyComm:
 		order := snapshotLeaves(st, leaves, sc)
@@ -398,18 +439,18 @@ func cmpGreedyCompute(a, b leafOrder) int {
 
 // placeInOrder is the selection default, greedy and (for compute-intensive
 // jobs) balanced share: find the lowest-level switch with enough free nodes,
-// then fill its leaves in the order by names.
-func placeInOrder(st *cluster.State, req Request, name string, by leafSort) (cluster.Placement, error) {
+// then fill its leaves in the order by names, keeping the placement in the
+// store of kind k.
+func placeInOrder(st *cluster.State, req Request, sc *Scratch, k kind, name string, by leafSort) (cluster.Placement, error) {
 	p, err := findLowestSwitch(st, req.Nodes)
 	if err != nil {
 		return cluster.Placement{}, err
 	}
-	sc := getScratch()
-	defer sc.release()
+	sc.begin(len(p.DescLeaves))
 	for _, lo := range sortLeaves(st, p.DescLeaves, by, sc) { // a leaf switch lists itself
 		sc.take(lo.leaf, 0, min(lo.free, req.Nodes-sc.n))
 		if sc.n == req.Nodes {
-			return sc.placement(st), nil
+			return sc.placement(st, k), nil
 		}
 	}
 	return cluster.Placement{}, fmt.Errorf("core: %s: switch %s promised %d nodes, found %d",
@@ -423,14 +464,14 @@ type defaultSelector struct{}
 func (defaultSelector) Name() string { return "default" }
 
 func (s defaultSelector) Select(st *cluster.State, req Request) ([]int, error) {
-	return nodesOf(s.Place(st, req))
+	return nodesOf(s.Place(st, req, new(Scratch)))
 }
 
 // Place implements SLURM's best-fit topology allocation (§3.1): find the
 // lowest-level switch with enough free nodes, then fill leaves in
 // increasing order of free node count to reduce fragmentation.
-func (defaultSelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
-	return placeInOrder(st, req, "default", freeAsc)
+func (defaultSelector) Place(st *cluster.State, req Request, sc *Scratch) (cluster.Placement, error) {
+	return placeInOrder(st, req, sc, defaultKind, "default", freeAsc)
 }
 
 // ----------------------------------------------------------------- greedy
@@ -440,18 +481,18 @@ type greedySelector struct{}
 func (greedySelector) Name() string { return "greedy" }
 
 func (s greedySelector) Select(st *cluster.State, req Request) ([]int, error) {
-	return nodesOf(s.Place(st, req))
+	return nodesOf(s.Place(st, req, new(Scratch)))
 }
 
 // Place implements Algorithm 1. Communication-intensive jobs fill leaves
 // in increasing order of communication ratio (least contended, most free
 // first); compute-intensive jobs fill in decreasing order, preserving the
 // good leaves for future communication-intensive jobs.
-func (greedySelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
+func (greedySelector) Place(st *cluster.State, req Request, sc *Scratch) (cluster.Placement, error) {
 	if req.Class == cluster.CommIntensive {
-		return placeInOrder(st, req, "greedy", greedyComm)
+		return placeInOrder(st, req, sc, greedyKind, "greedy", greedyComm)
 	}
-	return placeInOrder(st, req, "greedy", greedyCompute)
+	return placeInOrder(st, req, sc, greedyKind, "greedy", greedyCompute)
 }
 
 // --------------------------------------------------------------- balanced
@@ -470,7 +511,7 @@ func (s balancedSelector) Name() string {
 }
 
 func (s balancedSelector) Select(st *cluster.State, req Request) ([]int, error) {
-	return nodesOf(s.Place(st, req))
+	return nodesOf(s.Place(st, req, new(Scratch)))
 }
 
 // Place implements Algorithm 2. For communication-intensive jobs, leaves
@@ -480,16 +521,15 @@ func (s balancedSelector) Select(st *cluster.State, req Request) ([]int, error) 
 // reverse-order pass without the power-of-two constraint. For
 // compute-intensive jobs, leaves are filled in increasing order of free
 // nodes, preserving large free blocks.
-func (s balancedSelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
+func (s balancedSelector) Place(st *cluster.State, req Request, sc *Scratch) (cluster.Placement, error) {
 	if req.Class != cluster.CommIntensive {
-		return placeInOrder(st, req, "balanced", freeAsc)
+		return placeInOrder(st, req, sc, balancedKind, "balanced", freeAsc)
 	}
 	p, err := findLowestSwitch(st, req.Nodes)
 	if err != nil {
 		return cluster.Placement{}, err
 	}
-	sc := getScratch()
-	defer sc.release()
+	sc.begin(len(p.DescLeaves))
 	order := sortLeaves(st, p.DescLeaves, freeDesc, sc)
 	remaining := req.Nodes
 	// First pass: powers of two only (lines 12-21 of Algorithm 2).
@@ -521,7 +561,7 @@ func (s balancedSelector) Place(st *cluster.State, req Request) (cluster.Placeme
 		taken[i] = take
 		remaining -= take
 		if remaining == 0 {
-			return sc.placement(st), nil
+			return sc.placement(st, balancedKind), nil
 		}
 	}
 	// Second pass, reverse sorted order: fill with whatever is left
@@ -543,7 +583,7 @@ func (s balancedSelector) Place(st *cluster.State, req Request) (cluster.Placeme
 		return cluster.Placement{}, fmt.Errorf("core: balanced: switch %s promised %d nodes, short by %d",
 			p.Name, req.Nodes, remaining)
 	}
-	return sc.placement(st), nil
+	return sc.placement(st, balancedKind), nil
 }
 
 // --------------------------------------------------------------- adaptive
@@ -553,7 +593,7 @@ type adaptiveSelector struct{}
 func (adaptiveSelector) Name() string { return "adaptive" }
 
 func (s adaptiveSelector) Select(st *cluster.State, req Request) ([]int, error) {
-	pl, _, err := s.Place(st, req)
+	pl, _, err := s.Place(st, req, new(Scratch))
 	return pl.Nodes(), err
 }
 
@@ -568,25 +608,29 @@ func (s adaptiveSelector) Select(st *cluster.State, req Request) ([]int, error) 
 // they were selected on (pricing a reference state moves it), then priced one
 // after the other on the caller's goroutine. Candidates that place the same
 // nodes are priced once: the price is a function of the placement, so the
-// tie, and the balanced candidate, wins as if both had been priced.
-func (adaptiveSelector) Place(st *cluster.State, req Request) (cluster.Placement, Price, error) {
-	g, err := greedySelector{}.Place(st, req)
+// tie, and the balanced candidate, wins as if both had been priced. Both
+// candidates live in sc, and with a warm sc the whole placement allocates
+// nothing.
+//
+//caws:noalloc
+func (adaptiveSelector) Place(st *cluster.State, req Request, sc *Scratch) (cluster.Placement, Price, error) {
+	g, err := greedySelector{}.Place(st, req, sc)
 	if err != nil {
 		return g, Price{}, err
 	}
-	b, err := balancedSelector{pow2: true}.Place(st, req)
+	b, err := balancedSelector{pow2: true}.Place(st, req, sc)
 	if err != nil {
 		return b, Price{}, err
 	}
-	errG := costmodel.ValidateCandidate(st, req.Job, &g)
-	errB := costmodel.ValidateCandidate(st, req.Job, &b)
+	errG := sc.price.Validate(st, req.Job, &g)
+	errB := sc.price.Validate(st, req.Job, &b)
 	var costG, costB float64
 	if errG == nil && errB == nil {
 		same := g.SameNodes(&b)
-		costG, errG = costmodel.PlacementCostMode(st, req.Job, req.Class, &g, req.Pattern, costmodel.ModeEffectiveHops)
+		costG, errG = sc.price.PlacementCostMode(st, req.Job, req.Class, &g, req.Pattern, costmodel.ModeEffectiveHops)
 		costB = costG
 		if !same {
-			costB, errB = costmodel.PlacementCostMode(st, req.Job, req.Class, &b, req.Pattern, costmodel.ModeEffectiveHops)
+			costB, errB = sc.price.PlacementCostMode(st, req.Job, req.Class, &b, req.Pattern, costmodel.ModeEffectiveHops)
 		}
 	}
 	if errG != nil {
@@ -603,7 +647,7 @@ func (adaptiveSelector) Place(st *cluster.State, req Request) (cluster.Placement
 
 // SelectAndAllocate runs the selector and commits the result on success.
 func SelectAndAllocate(sel Selector, st *cluster.State, req Request) ([]int, error) {
-	pl, _, err := Place(sel, st, req)
+	pl, _, err := Place(sel, st, req, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -586,3 +586,41 @@ func TestBalancedEdgeCases(t *testing.T) {
 		t.Fatalf("single node: %v, %v", nodes, err)
 	}
 }
+
+// TestPlacementFromReusedScratchFailsLoudly: a placement lives in its
+// Scratch until the scratch's next placement of the same kind. Pricing or
+// committing it after that fails with cluster.ErrReusedPlacement on the
+// very state it was selected on — the generation has not moved, so only
+// the store can tell — and never commits the nodes the newer selection
+// chose. A reference selection placed in Reference() leaves it valid.
+func TestPlacementFromReusedScratchFailsLoudly(t *testing.T) {
+	st := benchState(t)
+	sel, def, sc := MustNew(Adaptive), MustNew(Default), new(Scratch)
+	req := Request{Job: 1, Nodes: 200, Class: cluster.CommIntensive, Pattern: collective.RD}
+	old, _, err := Place(sel, st, req, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Place(def, st, req, sc.Reference()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.Pricing().PlacementCostMode(st, req.Job, req.Class, &old, req.Pattern, costmodel.ModeEffectiveHops); err != nil {
+		t.Fatalf("a reference selection invalidated the placement: %v", err)
+	}
+	gen, free := st.Generation(), st.FreeTotal()
+	if _, _, err := Place(sel, st, Request{Job: 2, Nodes: 300, Class: cluster.CommIntensive, Pattern: collective.RD}, sc); err != nil {
+		t.Fatal(err)
+	}
+	if st.Generation() != gen {
+		t.Fatal("placing moved the generation")
+	}
+	if _, err := sc.Pricing().PlacementCostMode(st, req.Job, req.Class, &old, req.Pattern, costmodel.ModeEffectiveHops); !errors.Is(err, cluster.ErrReusedPlacement) {
+		t.Errorf("pricing a placement whose scratch was reused: %v, want ErrReusedPlacement", err)
+	}
+	if err := st.AllocatePlacement(req.Job, req.Class, &old); !errors.Is(err, cluster.ErrReusedPlacement) || errors.Is(err, cluster.ErrNodeUnavailable) {
+		t.Errorf("committing a placement whose scratch was reused: %v, want ErrReusedPlacement and no retry", err)
+	}
+	if st.FreeTotal() != free || st.Allocation(req.Job) != nil {
+		t.Fatalf("a rejected commit took %d nodes", free-st.FreeTotal())
+	}
+}

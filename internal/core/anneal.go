@@ -31,15 +31,17 @@ type annealSelector struct {
 func (s annealSelector) Name() string { return "anneal" }
 
 func (s annealSelector) Select(st *cluster.State, req Request) ([]int, error) {
-	return nodesOf(s.Place(st, req))
+	return nodesOf(s.Place(st, req, new(Scratch)))
 }
 
-func (s annealSelector) Place(st *cluster.State, req Request) (cluster.Placement, error) {
-	seed, _, err := adaptiveSelector{}.Place(st, req)
+// Place prices the adaptive seed's candidates and every move of the search
+// in sc.
+func (s annealSelector) Place(st *cluster.State, req Request, sc *Scratch) (cluster.Placement, error) {
+	seed, _, err := adaptiveSelector{}.Place(st, req, sc)
 	if err != nil || req.Class != cluster.CommIntensive || seed.Len() < 2 {
 		return seed, err
 	}
-	nodes, _, err := search.Improve(st, req.Job, req.Class, seed.Nodes(), req.Pattern, s.cfg)
+	nodes, _, err := search.Improve(&sc.price, st, req.Job, req.Class, seed.Nodes(), req.Pattern, s.cfg)
 	if err != nil {
 		return cluster.Placement{}, fmt.Errorf("core: anneal: %w", err)
 	}

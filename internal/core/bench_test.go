@@ -97,20 +97,21 @@ func intrepidState(tb testing.TB, n int) *cluster.State {
 }
 
 // BenchmarkPlaceIntrepid is the selection of a wide communication-intensive
-// job as the replays run it: Place, which splits leaf free counts into
-// free-rank runs and, for adaptive, validates two candidates and prices
-// them by their runs, once when they coincide. Nothing in it is
-// proportional to the job's nodes: B/op is the run slice.
+// job as the replays run it: Place in the engine's scratch, which splits
+// leaf free counts into free-rank runs and, for adaptive, validates two
+// candidates and prices them by their runs, once when they coincide.
+// Nothing in it is proportional to the job's nodes, and once the scratch
+// is warm nothing allocates.
 func BenchmarkPlaceIntrepid(b *testing.B) {
 	for _, a := range Algorithms {
 		for _, n := range []int{4096, 32768} {
 			b.Run(fmt.Sprintf("%v/%d", a, n), func(b *testing.B) {
-				st, sel := intrepidState(b, n), MustNew(a)
+				st, sel, sc := intrepidState(b, n), MustNew(a), new(Scratch)
 				req := Request{Job: 1, Nodes: n, Class: cluster.CommIntensive, Pattern: collective.RD}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if pl, _, err := Place(sel, st, req); err != nil || pl.Len() != n {
+					if pl, _, err := Place(sel, st, req, sc); err != nil || pl.Len() != n {
 						b.Fatal(pl.Len(), err)
 					}
 				}
@@ -119,72 +120,84 @@ func BenchmarkPlaceIntrepid(b *testing.B) {
 	}
 }
 
-// TestSelectAllocations pins the selector fast paths: Place allocates one
-// slice, the placement's runs and free ranks together, and Select one more,
-// the node list it lists them into. The leaf snapshot, sort, take counters
-// and run buffers all live in the pooled scratch.
+// selectAllocs bounds what one Select allocates: the fresh Scratch it
+// places in, its leaf order and sort keys, balanced's take counts, the runs
+// and their store, and the node list. adaptiveSelectAllocs adds the second
+// candidate and the pricing scratch, grown from empty.
+const selectAllocs, adaptiveSelectAllocs = 8, 24
+
+// TestSelectAllocations pins the selector fast paths: Place in a warm
+// Scratch allocates nothing — the leaf snapshot, sort, take counters, run
+// buffers and the placement's runs all live in the caller's scratch — and
+// Select allocates a fresh scratch and the node list it lists into.
 func TestSelectAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop scratches at random; pin measured without -race")
-	}
 	st := benchState(t)
 	for _, a := range []Algorithm{Default, Greedy, Balanced, BalancedNoPow2} {
-		sel := MustNew(a)
+		sel, sc := MustNew(a), new(Scratch)
 		for _, class := range []cluster.Class{cluster.CommIntensive, cluster.ComputeIntensive} {
 			req := Request{Job: 1, Nodes: 511, Class: class, Pattern: collective.RD}
-			// Warm the scratch pool outside the measured runs.
-			if _, err := sel.Select(st, req); err != nil {
+			// Warm the scratch outside the measured runs.
+			if _, _, err := Place(sel, st, req, sc); err != nil {
 				t.Fatalf("%v/%v: %v", a, class, err)
 			}
 			allocs := testing.AllocsPerRun(50, func() {
-				if _, _, err := Place(sel, st, req); err != nil {
+				if _, _, err := Place(sel, st, req, sc); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if allocs > 1 {
-				t.Errorf("%v/%v: %.1f allocs per Place, want <= 1 (the runs)", a, class, allocs)
+			if allocs != 0 {
+				t.Errorf("%v/%v: %.1f allocs per Place in a warm scratch, want 0", a, class, allocs)
 			}
 			allocs = testing.AllocsPerRun(50, func() {
 				if _, err := sel.Select(st, req); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if allocs > 2 {
-				t.Errorf("%v/%v: %.1f allocs per Select, want <= 2 (the runs and the node list)", a, class, allocs)
+			if allocs > selectAllocs {
+				t.Errorf("%v/%v: %.1f allocs per Select, want <= %d (a fresh scratch and the node list)", a, class, allocs, selectAllocs)
 			}
 		}
 	}
 }
 
-// TestAdaptiveSelectAllocations pins the adaptive selector to three heap
-// allocations per call: the greedy and balanced candidates' runs and the
-// winner's node list. Everything else — candidate validation, the overlay
-// comm counters, the leaf-pair hops values — lives in pooled scratch, so a
-// regression here means PlacementCostMode started allocating again. Both
-// candidates are priced on the caller's goroutine: no call leaves one behind.
+// TestAdaptiveSelectAllocations pins the adaptive selector to no heap
+// allocation per Place in a warm scratch: both candidates' runs, candidate
+// validation, the overlay comm counters and the leaf-pair hops values all
+// live in the caller's Scratch, so a regression here means pricing started
+// allocating again. Select adds a fresh scratch and the winner's list. Both
+// candidates are priced on the caller's goroutine: no call leaves one
+// behind.
 func TestAdaptiveSelectAllocations(t *testing.T) {
 	st := benchState(t)
 	if !costmodel.CandidateCostReadOnly(st) {
 		t.Fatal("benchmark fixture should take the read-only candidate path")
 	}
-	sel := MustNew(Adaptive)
+	sel, sc := MustNew(Adaptive), new(Scratch)
 	for _, class := range []cluster.Class{cluster.CommIntensive, cluster.ComputeIntensive} {
 		req := Request{Job: 1, Nodes: 511, Class: class, Pattern: collective.RD}
-		// Warm the scratch pools outside the measured runs.
-		if _, err := sel.Select(st, req); err != nil {
+		// Warm the scratch and the schedule memo outside the measured runs.
+		if _, _, err := Place(sel, st, req, sc); err != nil {
 			t.Fatalf("%v: %v", class, err)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
+			if _, _, err := Place(sel, st, req, sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: %.1f allocs per adaptive Place in a warm scratch, want 0", class, allocs)
+		}
+		allocs = testing.AllocsPerRun(50, func() {
 			if _, err := sel.Select(st, req); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 3 && !raceEnabled { // under the race detector sync.Pool drops scratches at random
-			t.Errorf("%v: %.1f allocs per adaptive Select, want <= 3 (two candidates' runs, the winner's list)", class, allocs)
+		if allocs > adaptiveSelectAllocs {
+			t.Errorf("%v: %.1f allocs per adaptive Select, want <= %d (a fresh scratch and the winner's list)", class, allocs, adaptiveSelectAllocs)
 		}
 		before := runtime.NumGoroutine()
 		for i := 0; i < 1000; i++ {
-			if _, _, err := Place(sel, st, req); err != nil {
+			if _, _, err := Place(sel, st, req, sc); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -196,14 +209,15 @@ func TestAdaptiveSelectAllocations(t *testing.T) {
 
 // TestBalancedSecondPassAvoidsFirstPassNodes pins the second pass's free
 // ranks: it carries on after what the power-of-two pass took on a leaf and
-// never duplicates a node, across repeated reuses of the pooled scratch.
+// never duplicates a node, across repeated reuses of one scratch.
 func TestBalancedSecondPassAvoidsFirstPassNodes(t *testing.T) {
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 7, Fanouts: []int{3}})
 	st := cluster.New(topo)
 	occupy(t, st, []int{1, 2, 4})
-	sel := MustNew(Balanced)
+	sel, sc := MustNew(Balanced), new(Scratch)
 	for round := 0; round < 5; round++ {
-		nodes, err := sel.Select(st, Request{Job: 1, Nodes: 11, Class: cluster.CommIntensive})
+		pl, _, err := Place(sel, st, Request{Job: 1, Nodes: 11, Class: cluster.CommIntensive}, sc)
+		nodes := pl.Nodes()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,6 +78,7 @@ func FuzzAllocate(f *testing.F) {
 		patterns := []collective.Pattern{collective.RD, collective.RHVD,
 			collective.Binomial, collective.Ring}
 
+		sc := new(Scratch) // one for the whole sequence, as an engine keeps it
 		next := cluster.JobID(1)
 		var live []cluster.JobID
 		for i, b := range ops {
@@ -106,7 +107,7 @@ func FuzzAllocate(f *testing.F) {
 			}
 			sel := sels[i%len(sels)]
 			free := st.FreeTotal()
-			pl, price, err := Place(sel, st, req)
+			pl, price, err := Place(sel, st, req, sc)
 			listed := pl // a copy: pl itself is committed as unlisted free-rank runs
 			nodes := listed.Nodes()
 			if req.Nodes > free {
@@ -141,7 +142,7 @@ func FuzzAllocate(f *testing.F) {
 				t.Fatalf("op %d: %s: the list-building selector chose %v, %v; the free-rank runs list %v", i, sel.Name(), ref, err, nodes)
 			}
 			if price.OK {
-				fresh, err := costmodel.PlacementCostMode(st, req.Job, req.Class, &pl, req.Pattern, costmodel.ModeEffectiveHops)
+				fresh, err := sc.Pricing().PlacementCostMode(st, req.Job, req.Class, &pl, req.Pattern, costmodel.ModeEffectiveHops)
 				if err != nil || math.Float64bits(fresh) != math.Float64bits(price.Cost) {
 					t.Fatalf("op %d: %s priced its pick at %v; priced afresh it costs %v, %v", i, sel.Name(), price.Cost, fresh, err)
 				}

@@ -71,7 +71,7 @@ func listInOrder(st *cluster.State, req Request, cmp func(a, b leafOrder) int) (
 	if err != nil {
 		return nil, err
 	}
-	order := snapshotLeaves(st, p.DescLeaves, new(selScratch))
+	order := snapshotLeaves(st, p.DescLeaves, new(Scratch))
 	slices.SortFunc(order, cmp)
 	var out []int
 	for _, lo := range order {
@@ -91,7 +91,7 @@ func listBalanced(st *cluster.State, req Request, pow2 bool) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	order := snapshotLeaves(st, p.DescLeaves, new(selScratch))
+	order := snapshotLeaves(st, p.DescLeaves, new(Scratch))
 	slices.SortFunc(order, cmpFreeDesc)
 	var out []int
 	taken := make([]int, len(order))
@@ -238,7 +238,7 @@ func TestPlaceListsWhatTheListSelectorsBuilt(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d %v/%v/%d: %v", seed, a, class, want, err)
 					}
-					pl, _, err := Place(MustNew(a), st, req)
+					pl, _, err := Place(MustNew(a), st, req, nil)
 					if err != nil {
 						t.Fatalf("seed %d %v/%v/%d: %v", seed, a, class, want, err)
 					}
@@ -252,23 +252,27 @@ func TestPlaceListsWhatTheListSelectorsBuilt(t *testing.T) {
 }
 
 // TestAdaptivePricesRunsWithoutListing runs adaptive selections of a wide
-// job from several goroutines over one shared state (run it under -race:
-// validation, the compile and both pricings must only read the state and
-// their own candidates) and checks that nothing on the way
-// listed a candidate: the whole selection allocates far less than one node
-// list.
+// job from several goroutines over one shared state, each in a scratch of
+// its own (run it under -race: validation, the compile and both pricings
+// must only read the state and their own candidates), and checks that
+// nothing on the way listed a candidate: once the scratches are warm the
+// whole selection allocates far less than one node list.
 func TestAdaptivePricesRunsWithoutListing(t *testing.T) {
 	st := intrepidState(t, 16384)
 	sel := MustNew(Adaptive)
 	const workers, rounds, nodes = 4, 6, 16384
-	place := func(job cluster.JobID) cluster.Placement {
-		pl, _, err := Place(sel, st, Request{Job: job, Nodes: nodes, Class: cluster.CommIntensive, Pattern: collective.RD})
+	place := func(job cluster.JobID, sc *Scratch) cluster.Placement {
+		pl, _, err := Place(sel, st, Request{Job: job, Nodes: nodes, Class: cluster.CommIntensive, Pattern: collective.RD}, sc)
 		if err != nil || pl.Len() != nodes {
 			t.Errorf("job %d: %d ranks, %v", job, pl.Len(), err)
 		}
 		return pl
 	}
-	first := place(0) // warms the schedule cache and the pools
+	scratches := make([]*Scratch, workers)
+	for w := range scratches {
+		scratches[w] = new(Scratch)
+		place(0, scratches[w]) // warms the schedule memo and the scratch
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	var wg sync.WaitGroup
@@ -277,17 +281,16 @@ func TestAdaptivePricesRunsWithoutListing(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				place(cluster.JobID(1 + w*rounds + r))
+				place(cluster.JobID(1+w*rounds+r), scratches[w])
 			}
 		}(w)
 	}
 	wg.Wait()
 	runtime.ReadMemStats(&after)
-	// Under the race detector sync.Pool drops scratches at random, so only
-	// the byte count is left to the plain run.
-	if perPlace, list := (after.TotalAlloc-before.TotalAlloc)/(workers*rounds), uint64(8*nodes); perPlace > list/4 && !raceEnabled {
+	if perPlace, list := (after.TotalAlloc-before.TotalAlloc)/(workers*rounds), uint64(8*nodes); perPlace > list/4 {
 		t.Errorf("an adaptive Place of %d nodes allocated %d bytes; one node list is %d, so something listed a candidate", nodes, perPlace, list)
 	}
+	first := place(0, new(Scratch))
 	// The winner lists on request, and to what the list builder chooses.
 	ref, err := selectRef(Adaptive, st, Request{Job: 0, Nodes: nodes, Class: cluster.CommIntensive, Pattern: collective.RD})
 	if err != nil || !slices.Equal(first.Nodes(), ref) {

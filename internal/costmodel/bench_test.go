@@ -158,7 +158,7 @@ func BenchmarkPrice(b *testing.B) {
 			}
 			pairs := collective.TotalMessages(collective.Expand(blocks))
 			b.Run(fmt.Sprintf("%s/%d", shape, n), func(b *testing.B) {
-				sc := new(priceScratch)
+				sc := new(Scratch)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					pl := cluster.NewPlacement(nodes)

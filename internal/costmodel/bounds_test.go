@@ -88,11 +88,7 @@ func TestFastPathNeverMaterialisesPairs(t *testing.T) {
 	const p = collective.RHVD
 	free := []int{2, 3, 5, 6, 7, 8, 9, 10, 12, 13, 16, 17, 21, 22, 24, 25, 26, 28, 29}
 	n := 13 // the first size from here that nothing has priced yet (-count reruns this test)
-	entry := func() *memoSchedule {
-		v, _ := scheduleCache.Load(scheduleKey{p, n})
-		m, _ := v.(*memoSchedule)
-		return m
-	}
+	entry := func() *memoSchedule { return schedules.lookup(p, n) }
 	for entry() != nil {
 		if n++; n > len(free) {
 			t.Skipf("%v is memoised at every size this test can price", p)

@@ -53,19 +53,23 @@ func Hops(st *cluster.State, i, j int) float64 {
 //
 //	Cost = Σ_{steps n} max_{(a,b) ∈ S_n} Hops(nodes[a], nodes[b])
 //
-// The fast path walks the pattern's blocks once over the list's rank→leaf
-// runs and evaluates Hops once per distinct leaf pair. A reference state
-// (cluster.NewReference), and a list the run view cannot express (one that
-// repeats a node id or names one outside the topology), take the node-pair
-// loop.
+// It prices with a Scratch of its own; Scratch.JobCost is the same with
+// the caller's.
 func JobCost(st *cluster.State, nodes []int, p collective.Pattern, mode Mode) (float64, error) {
+	return new(Scratch).JobCost(st, nodes, p, mode)
+}
+
+// JobCost is the package's JobCost in sc. The fast path walks the
+// pattern's blocks once over the list's rank→leaf runs and evaluates Hops
+// once per distinct leaf pair. A reference state (cluster.NewReference),
+// and a list the run view cannot express (one that repeats a node id or
+// names one outside the topology), take the node-pair loop.
+func (sc *Scratch) JobCost(st *cluster.State, nodes []int, p collective.Pattern, mode Mode) (float64, error) {
 	if err := checkMode(mode); err != nil {
 		return 0, err
 	}
 	if !st.Reference() && len(nodes) > 0 {
 		lay, pl := cluster.LayoutOf(st.Topology()), cluster.NewPlacement(nodes)
-		sc := priceScratchPool.Get().(*priceScratch)
-		defer priceScratchPool.Put(sc)
 		if pl.Reduce(lay, &sc.scan) {
 			blocks, err := blocksFor(p, len(nodes))
 			if err != nil {
@@ -123,15 +127,12 @@ func costRef(st *cluster.State, nodes []int, steps []collective.Step, mode Mode)
 	return total, nil
 }
 
-// ValidateCandidate runs cluster's validator over a candidate placement
-// with a pooled scratch, so it stays a pure read of the state. A
-// selector-built placement that passes is stamped: pricing and committing
-// it against the unchanged state skip the node scan.
-func ValidateCandidate(st *cluster.State, job cluster.JobID, pl *cluster.Placement) error {
-	sc := priceScratchPool.Get().(*priceScratch)
-	err := pl.Validate(st, job, &sc.scan)
-	priceScratchPool.Put(sc)
-	if err != nil {
+// Validate runs cluster's validator over a candidate placement with sc's
+// marks, so it stays a pure read of the state. A selector-built placement
+// that passes is stamped: pricing and committing it against the unchanged
+// state skip the node scan.
+func (sc *Scratch) Validate(st *cluster.State, job cluster.JobID, pl *cluster.Placement) error {
+	if err := pl.Validate(st, job, &sc.scan); err != nil {
 		return fmt.Errorf("costmodel: candidate allocate: %w", err)
 	}
 	return nil

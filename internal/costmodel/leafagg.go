@@ -2,7 +2,6 @@ package costmodel
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
@@ -21,15 +20,17 @@ import (
 // folded into the step's running max. Steps are summed in order, so the
 // total is the reference loop's (costRef) bit for bit.
 
-// priceScratch is the pooled working set of one pricing and of candidate
-// validation: the cluster.Scratch a wrapped list is scanned with, the
-// touched leaves with their Eq. 5 inputs, and the epoch-stamped arrays that
-// replace per-pricing maps. Touched leaves get compact positions in
-// first-run order and the pair values are indexed by position pair, so they
-// are O(touched²) whatever the machine size. Arrays grow on demand and
-// persist in the pool; freshly grown arrays are zeroed, which the monotone
-// epoch reads as stale.
-type priceScratch struct {
+// Scratch is the working set of pricing and of candidate validation: the
+// cluster.Scratch a wrapped list is scanned with, the touched leaves with
+// their Eq. 5 inputs, and the epoch-stamped arrays that replace per-pricing
+// maps. Touched leaves get compact positions in first-run order and the
+// pair values are indexed by position pair, so they are O(touched²)
+// whatever the machine size. Arrays grow on demand and persist in the
+// Scratch, so a warm one prices with no allocation; freshly grown arrays
+// are zeroed, which the monotone epoch reads as stale. Whoever owns a
+// pricing loop owns one; the zero value is ready, and a Scratch serves one
+// goroutine at a time.
+type Scratch struct {
 	scan      cluster.Scratch
 	leaves    []int32   // position -> leaf
 	comm      []int     // position -> L_comm, plus the candidate's nodes there under the overlay
@@ -42,21 +43,20 @@ type priceScratch struct {
 	epoch     uint32
 }
 
-var priceScratchPool = sync.Pool{New: func() any { return new(priceScratch) }}
-
 // begin opens a pricing of runs against lay: it numbers the touched leaves
 // in first-run order and, unless only distances are read, loads each one's
 // comm count and share. The count is the live counter or, under the
 // overlay, the counter plus the candidate's nodes on the leaf; the share is
 // that count divided as State.CommShare divides, so pricing is bit-identical
 // to the reference loop, overlay pricing to it after a real Allocate.
-func (sc *priceScratch) begin(st *cluster.State, lay *cluster.Layout, runs []uint64, overlay, dist bool) {
+func (sc *Scratch) begin(st *cluster.State, lay *cluster.Layout, runs []uint64, overlay, dist bool) {
 	if len(sc.leafPos) < lay.L {
 		sc.leafPos = make([]int32, lay.L)
 		sc.leafEpoch = make([]uint32, lay.L)
 	}
 	if cap(sc.runPos) < len(runs) {
 		sc.runPos = make([]int32, len(runs))
+		sc.leaves, sc.comm = make([]int32, 0, len(runs)), make([]int, 0, len(runs))
 	}
 	sc.runPos = sc.runPos[:len(runs)]
 	sc.epoch++
@@ -107,7 +107,7 @@ func (sc *priceScratch) begin(st *cluster.State, lay *cluster.Layout, runs []uin
 // bit-identical.
 //
 //caws:noalloc
-func (sc *priceScratch) hops(lay *cluster.Layout, i, j int32) float64 {
+func (sc *Scratch) hops(lay *cluster.Layout, i, j int32) float64 {
 	li, lj := sc.leaves[i], sc.leaves[j]
 	d := lay.Dist(li, lj)
 	if i == j {
@@ -160,7 +160,7 @@ func (c *runCursor) seek(runs []uint64, runPos []int32, x int) {
 // walker is the state of one pricing's pass: the runs it walks, a run
 // cursor per side of the pairs, and the running max of the current step.
 type walker struct {
-	sc     *priceScratch
+	sc     *Scratch
 	lay    *cluster.Layout
 	runs   []uint64
 	n      int  // ranks
@@ -175,7 +175,7 @@ type walker struct {
 // or distance alone; overlay adds the runs' nodes to the comm counters.
 //
 //caws:noalloc
-func (sc *priceScratch) price(st *cluster.State, lay *cluster.Layout, runs []uint64,
+func (sc *Scratch) price(st *cluster.State, lay *cluster.Layout, runs []uint64,
 	blocks []collective.BlockStep, mode Mode, overlay bool) (float64, error) {
 	w := walker{sc: sc, lay: lay, runs: runs, n: int(runs[len(runs)-1]), dist: mode == ModeDistanceOnly}
 	sc.begin(st, lay, runs, overlay, w.dist)

@@ -61,11 +61,18 @@ func checkMode(mode Mode) error {
 	return fmt.Errorf("costmodel: unknown mode %d", uint8(mode))
 }
 
-// CandidateCostMode is PlacementCostMode for a bare rank-ordered node list.
+// CandidateCostMode is Scratch.PlacementCostMode for a bare rank-ordered
+// node list, with a Scratch of its own.
 func CandidateCostMode(st *cluster.State, job cluster.JobID, class cluster.Class,
 	nodes []int, p collective.Pattern, mode Mode) (float64, error) {
+	return new(Scratch).CandidateCostMode(st, job, class, nodes, p, mode)
+}
+
+// CandidateCostMode is the package's CandidateCostMode in sc.
+func (sc *Scratch) CandidateCostMode(st *cluster.State, job cluster.JobID, class cluster.Class,
+	nodes []int, p collective.Pattern, mode Mode) (float64, error) {
 	pl := cluster.NewPlacement(nodes)
-	return PlacementCostMode(st, job, class, &pl, p, mode)
+	return sc.PlacementCostMode(st, job, class, &pl, p, mode)
 }
 
 // PlacementCostMode evaluates what the job's cost under the chosen mode
@@ -78,12 +85,9 @@ func CandidateCostMode(st *cluster.State, job cluster.JobID, class cluster.Class
 // and rolls back; that mutates the state (two generation bumps, so the
 // placement goes on as a list, scanned on every call) and must not run
 // concurrently with other evaluations of the same state. The fast path
-// never lists a placement.
-func PlacementCostMode(st *cluster.State, job cluster.JobID, class cluster.Class,
+// never lists a placement, and with a warm sc allocates nothing.
+func (sc *Scratch) PlacementCostMode(st *cluster.State, job cluster.JobID, class cluster.Class,
 	pl *cluster.Placement, p collective.Pattern, mode Mode) (float64, error) {
-	if pl.Len() == 0 {
-		return 0, fmt.Errorf("costmodel: empty candidate allocation")
-	}
 	if err := checkMode(mode); err != nil {
 		return 0, err
 	}
@@ -102,10 +106,8 @@ func PlacementCostMode(st *cluster.State, job cluster.JobID, class cluster.Class
 		}
 		return cost, err
 	}
-	sc := priceScratchPool.Get().(*priceScratch)
-	defer priceScratchPool.Put(sc)
-	if err := pl.Validate(st, job, &sc.scan); err != nil {
-		return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
+	if err := sc.Validate(st, job, pl); err != nil {
+		return 0, err
 	}
 	blocks, err := blocksFor(p, pl.Len())
 	if err != nil {

@@ -24,19 +24,16 @@ func freeRankPlacement(st *cluster.State, nodes []int) cluster.Placement {
 }
 
 // TestNoAllocKernels is the runtime gate of the //caws:noalloc contract
-// (DESIGN.md §8): after one warm-up call grows the pooled scratch and
+// (DESIGN.md §8): after one warm-up call grows the caller's Scratch and
 // fills the schedule memo, pricing runs with zero heap allocations — a
 // selector-built Intrepid placement through PlacementCostMode in every
 // mode, with and without the overlay, a node list as a candidate through
 // CandidateCostMode, and an allocated node list through JobCost in every
-// mode. The build-time halves of the contract are cawslint's
-// noalloc analyzer and scripts/noalloc-check.sh's escape-diagnostic
-// intersection; this test proves the sanctioned guarded grow branches
-// really are cold once warm.
+// mode, all in one Scratch. The build-time halves of the contract are
+// cawslint's noalloc analyzer and scripts/noalloc-check.sh's
+// escape-diagnostic intersection; this test proves the sanctioned guarded
+// grow branches really are cold once warm.
 func TestNoAllocKernels(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; the zero-alloc pin is measured without -race")
-	}
 	// The replays' shape: greedy's one run per leaf, most free first, on
 	// Intrepid with the last node of every leaf the list leaves busy.
 	topo := topology.Intrepid()
@@ -58,29 +55,30 @@ func TestNoAllocKernels(t *testing.T) {
 
 	check := func(name string, f func()) {
 		t.Helper()
-		f() // warm the pool and the schedule memo
+		f() // warm the scratch and the schedule memo
 		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 			t.Errorf("%s: %.1f allocs per run, want 0 (//caws:noalloc contract)", name, allocs)
 		}
 	}
+	sc := new(Scratch)
 	for _, class := range []cluster.Class{cluster.CommIntensive, cluster.ComputeIntensive} {
 		for _, mode := range allModes {
 			pl := freeRankPlacement(st, nodes)
 			check(fmt.Sprintf("PlacementCostMode(%v, %v)", class, mode), func() {
-				if _, err := PlacementCostMode(st, 99, class, &pl, collective.RD, mode); err != nil {
+				if _, err := sc.PlacementCostMode(st, 99, class, &pl, collective.RD, mode); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
 	}
 	check("CandidateCostMode", func() {
-		if _, err := CandidateCostMode(st, 99, cluster.CommIntensive, nodes, collective.RD, ModeEffectiveHops); err != nil {
+		if _, err := sc.CandidateCostMode(st, 99, cluster.CommIntensive, nodes, collective.RD, ModeEffectiveHops); err != nil {
 			t.Fatal(err)
 		}
 	})
 	for _, mode := range allModes {
 		check(fmt.Sprintf("JobCost(%v)", mode), func() {
-			if _, err := JobCost(st, nodes, collective.RD, mode); err != nil {
+			if _, err := sc.JobCost(st, nodes, collective.RD, mode); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -17,7 +17,7 @@ import (
 // list the run view rejects.
 func priceCold(st *cluster.State, nodes []int, blocks []collective.BlockStep, mode Mode, overlay bool) (cost float64, ok bool, err error) {
 	lay := cluster.LayoutOf(st.Topology())
-	sc := new(priceScratch)
+	sc := new(Scratch)
 	pl := cluster.NewPlacement(nodes)
 	if len(nodes) == 0 || !pl.Reduce(lay, &sc.scan) {
 		return 0, false, nil

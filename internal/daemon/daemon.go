@@ -108,6 +108,7 @@ type Daemon struct {
 	st       *cluster.State
 	selector core.Selector
 	defSel   core.Selector // nil under Default (sim.ReferenceSelector)
+	scratch  core.Scratch  // every placement's working set and candidates
 
 	cmds chan func()
 	quit chan struct{}
@@ -328,7 +329,7 @@ func (d *Daemon) job(r *jobRecord) (estimate float64, eligible bool) {
 // just checked; anything else cancels the job with the reason recorded.
 func (d *Daemon) startJob(r *jobRecord, v float64) (sched.Outcome, error) {
 	h := r.h
-	pl, err := sim.PlaceJob(d.st, d.selector, d.defSel, r.asJob(&d.comm), d.cfg.CostMode)
+	pl, err := sim.PlaceJobWith(&d.scratch, d.st, d.selector, d.defSel, r.asJob(&d.comm), d.cfg.CostMode, false)
 	if err == nil {
 		err = d.st.AllocatePlacement(cluster.JobID(r.id), h.class, &pl.Placed)
 	}

@@ -27,8 +27,8 @@ type drainingPlacer struct {
 	fired bool
 }
 
-func (s *drainingPlacer) Place(st *cluster.State, req core.Request) (cluster.Placement, error) {
-	pl, _, err := core.Place(s.Selector, st, req)
+func (s *drainingPlacer) Place(st *cluster.State, req core.Request, sc *core.Scratch) (cluster.Placement, error) {
+	pl, _, err := core.Place(s.Selector, st, req, sc)
 	if err == nil && req.Job == s.job && !s.fired {
 		s.fired = true
 		if s.fail {

@@ -93,13 +93,14 @@ func Remap(st *cluster.State, job cluster.JobID, class cluster.Class,
 	}
 	defer func() { _ = st.Release(job) }()
 
+	sc := new(costmodel.Scratch) // the hill climb's pricing scratch
 	best := append([]int(nil), nodes...)
-	bestCost, err := costmodel.JobCost(st, best, pattern, costmodel.ModeEffectiveHops)
+	bestCost, err := sc.JobCost(st, best, pattern, costmodel.ModeEffectiveHops)
 	if err != nil {
 		return nil, 0, err
 	}
 	blocked := LeafBlocking(st, nodes)
-	blockedCost, err := costmodel.JobCost(st, blocked, pattern, costmodel.ModeEffectiveHops)
+	blockedCost, err := sc.JobCost(st, blocked, pattern, costmodel.ModeEffectiveHops)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -119,7 +120,7 @@ func Remap(st *cluster.State, job cluster.JobID, class cluster.Class,
 					continue
 				}
 				best[i], best[j] = best[j], best[i]
-				cost, err := costmodel.JobCost(st, best, pattern, costmodel.ModeEffectiveHops)
+				cost, err := sc.JobCost(st, best, pattern, costmodel.ModeEffectiveHops)
 				if err != nil {
 					return nil, 0, err
 				}

@@ -116,23 +116,27 @@ const (
 // Improve refines a seed placement for (job, class, pattern) by seeded
 // simulated annealing over swap and shift moves. The candidate is a plain
 // rank-ordered node list: a move exchanges two slots in place, the list
-// is priced from scratch by costmodel.CandidateCostMode (Eq. 6), and a
+// is priced from scratch by costmodel.Scratch.CandidateCostMode (Eq. 6), and a
 // rejected move is undone by the same exchange. It never returns a
 // placement costlier than the seed: the best-so-far assignment is
 // tracked separately from the annealing walk. The returned list is
-// always a fresh slice in rank order. On an optimized state st is only
+// always a fresh slice in rank order. Every pricing works in sc, which a
+// nil sc makes fresh for the call. On an optimized state st is only
 // read; on a reference state each pricing tentatively allocates and
-// rolls back (see costmodel.PlacementCostMode).
-func Improve(st *cluster.State, job cluster.JobID, class cluster.Class,
+// rolls back (see costmodel.Scratch.PlacementCostMode).
+func Improve(sc *costmodel.Scratch, st *cluster.State, job cluster.JobID, class cluster.Class,
 	seed []int, p collective.Pattern, cfg Config) ([]int, Stats, error) {
 	cfg = cfg.withDefaults()
 	out := append([]int(nil), seed...)
 	if cfg.Budget <= 0 || len(seed) < 2 || class != cluster.CommIntensive {
 		return out, Stats{}, nil
 	}
+	if sc == nil {
+		sc = new(costmodel.Scratch)
+	}
 	cand := append([]int(nil), seed...)
 	price := func() (float64, error) {
-		return costmodel.CandidateCostMode(st, job, class, cand, p, costmodel.ModeEffectiveHops)
+		return sc.CandidateCostMode(st, job, class, cand, p, costmodel.ModeEffectiveHops)
 	}
 	// Pricing the seed also validates it: distinct, in-range, free nodes
 	// and a job that is not already running.

@@ -21,7 +21,7 @@ func TestImproveNeverWorseThanSeed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodes, stats, err := Improve(st, job, cluster.CommIntensive, cand, collective.RD,
+			nodes, stats, err := Improve(nil, st, job, cluster.CommIntensive, cand, collective.RD,
 				Config{Budget: budget, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
@@ -52,13 +52,13 @@ func TestImproveDeterministic(t *testing.T) {
 	st := testState(t, 8, 4, 3)
 	cand := spreadCandidate(t, st, 16)
 	job := cluster.JobID(6001)
-	first, stats1, err := Improve(st, job, cluster.CommIntensive, cand, collective.RHVD,
+	first, stats1, err := Improve(nil, st, job, cluster.CommIntensive, cand, collective.RHVD,
 		Config{Budget: 128, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		again, stats2, err := Improve(st, job, cluster.CommIntensive, cand, collective.RHVD,
+		again, stats2, err := Improve(nil, st, job, cluster.CommIntensive, cand, collective.RHVD,
 			Config{Budget: 128, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +73,7 @@ func TestImproveDeterministic(t *testing.T) {
 		}
 	}
 	// A different seed is allowed to (and here does) explore differently.
-	other, _, err := Improve(st, job, cluster.CommIntensive, cand, collective.RHVD,
+	other, _, err := Improve(nil, st, job, cluster.CommIntensive, cand, collective.RHVD,
 		Config{Budget: 128, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestImprovePassthrough(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out, stats, err := Improve(st, 6002, tc.class, tc.nodes, collective.RD, tc.cfg)
+			out, stats, err := Improve(nil, st, 6002, tc.class, tc.nodes, collective.RD, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +152,7 @@ func TestImproveFindsImprovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, stats, err := Improve(st, job, cluster.CommIntensive, seed, collective.RD,
+	nodes, stats, err := Improve(nil, st, job, cluster.CommIntensive, seed, collective.RD,
 		Config{Budget: 256, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestImproveRejectsBadSeeds(t *testing.T) {
 		{"negative-node", 1, []int{-3, free[0]}},
 		{"busy-node", 1, []int{free[0], busy}},
 	} {
-		if _, _, err := Improve(st, tc.job, cluster.CommIntensive, tc.nodes, collective.RD, Config{Budget: 8}); err == nil {
+		if _, _, err := Improve(nil, st, tc.job, cluster.CommIntensive, tc.nodes, collective.RD, Config{Budget: 8}); err == nil {
 			t.Errorf("%s: Improve accepted the seed", tc.name)
 		}
 	}

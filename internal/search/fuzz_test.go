@@ -102,7 +102,7 @@ func FuzzAnnealMoves(f *testing.F) {
 			t.Fatal(err)
 		}
 		cfg := Config{Budget: 1 + int(budget%512), Seed: uint64(patByte) + 1}
-		got, stats, err := Improve(st, job, cluster.CommIntensive, cand, pat, cfg)
+		got, stats, err := Improve(nil, st, job, cluster.CommIntensive, cand, pat, cfg)
 		if err != nil {
 			t.Fatalf("Improve: %v", err)
 		}
@@ -127,7 +127,7 @@ func FuzzAnnealMoves(f *testing.F) {
 		if stats.Evaluated != cfg.Budget {
 			t.Fatalf("evaluated %d moves on a budget of %d", stats.Evaluated, cfg.Budget)
 		}
-		again, stats2, err := Improve(st, job, cluster.CommIntensive, cand, pat, cfg)
+		again, stats2, err := Improve(nil, st, job, cluster.CommIntensive, cand, pat, cfg)
 		if err != nil {
 			t.Fatalf("second Improve: %v", err)
 		}

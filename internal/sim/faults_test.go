@@ -215,8 +215,8 @@ func TestRepeatedFailuresRequeueRepeatedly(t *testing.T) {
 var errWorkersDiverged = errors.New("concurrent identical runs diverged")
 
 // TestFaultChurnConcurrentAdaptiveRuns exercises the adaptive selector's
-// candidate pricing (the pooled scratches and the schedule memo, shared by
-// every run in the process) while fault events kill, requeue and
+// candidate pricing (each run's own scratch, and the schedule memo shared
+// by every run in the process) while fault events kill, requeue and
 // repair around it, across several simulations running in parallel — the
 // shape the CI race job checks with -race.
 func TestFaultChurnConcurrentAdaptiveRuns(t *testing.T) {

@@ -103,6 +103,7 @@ func RunIndividual(cfg IndividualConfig, trace workload.Trace, jobIdx []int,
 		return nil, err
 	}
 	out := make([]IndividualResult, 0, len(jobIdx))
+	sc := new(core.Scratch)
 	for _, idx := range jobIdx {
 		if idx < 0 || idx >= len(trace.Jobs) {
 			return nil, fmt.Errorf("sim: job index %d out of range", idx)
@@ -121,7 +122,7 @@ func RunIndividual(cfg IndividualConfig, trace workload.Trace, jobIdx []int,
 			if err != nil {
 				return nil, err
 			}
-			pl, err := PlaceJob(st, sel, ReferenceSelector(alg), j, cfg.CostMode)
+			pl, err := PlaceJobWith(sc, st, sel, ReferenceSelector(alg), j, cfg.CostMode, false)
 			if err != nil {
 				return nil, err
 			}

@@ -16,9 +16,11 @@ import (
 // the dominant pattern.
 type Placement struct {
 	// Placed is the selection as the selector built and pricing validated
-	// it: free-rank runs bound to the state's generation, or the remapped
-	// list. Committed (State.AllocatePlacement) on the unchanged state it
-	// is not checked again; once the state moved, unlisted runs are stale.
+	// it: free-rank runs bound to the state's generation and kept in the
+	// caller's scratch, or the remapped list. Committed
+	// (State.AllocatePlacement) on the unchanged state it is not checked
+	// again; once the state moved, unlisted runs are stale, and once the
+	// scratch placed again, they are gone (cluster.ErrReusedPlacement).
 	// Nobody lists it but a caller that asks (Placed.Nodes, rank order).
 	Placed cluster.Placement
 	// Exec is the modified runtime (Eq. 7); equals the job's base runtime
@@ -47,26 +49,30 @@ func ReferenceSelector(a core.Algorithm) core.Selector {
 // same cluster state, and returns the placement WITHOUT committing it. The
 // state is unchanged on return. defSel selects the default placement; nil
 // means selector is the default selector, and its selection serves as both
-// (ReferenceSelector).
+// (ReferenceSelector). It places in a Scratch of its own, so the placement
+// stays valid whatever the caller places next.
 func PlaceJob(st *cluster.State, selector, defSel core.Selector, j workload.Job,
 	mode costmodel.Mode) (Placement, error) {
-	return PlaceJobMapped(st, selector, defSel, j, mode, false)
+	return PlaceJobWith(new(core.Scratch), st, selector, defSel, j, mode, false)
 }
 
-// PlaceJobMapped is PlaceJob with optional post-allocation rank remapping
-// (the paper's §7 "process mapping after node allocation" future work):
-// when remap is true and the job is communication-intensive, the rank→node
-// assignment over the selected nodes is reordered to reduce the Eq. 6 cost
-// of the dominant pattern before the runtime model is applied. With a nil
-// defSel the reference is the selection before the remap.
-func PlaceJobMapped(st *cluster.State, selector, defSel core.Selector, j workload.Job,
+// PlaceJobWith is PlaceJob in the caller's scratch, with optional
+// post-allocation rank remapping (the paper's §7 "process mapping after node
+// allocation" future work): when remap is true and the job is
+// communication-intensive, the rank→node assignment over the selected nodes
+// is reordered to reduce the Eq. 6 cost of the dominant pattern before the
+// runtime model is applied. With a nil defSel the reference is the
+// selection before the remap. The placement lives in sc until sc's next
+// placement (core.Scratch); with a warm sc and no remap, placing a job
+// allocates nothing.
+func PlaceJobWith(sc *core.Scratch, st *cluster.State, selector, defSel core.Selector, j workload.Job,
 	mode costmodel.Mode, remap bool) (Placement, error) {
 	pattern := collective.RD
 	if p, ok := j.Mix.PrimaryPattern(); ok {
 		pattern = p
 	}
 	req := core.Request{Job: j.ID, Nodes: j.Nodes, Class: j.Class, Pattern: pattern}
-	placed, price, err := core.Place(selector, st, req)
+	placed, price, err := core.Place(selector, st, req, sc)
 	if err != nil {
 		return Placement{}, fmt.Errorf("sim: job %d: %w", j.ID, err)
 	}
@@ -89,7 +95,7 @@ func PlaceJobMapped(st *cluster.State, selector, defSel core.Selector, j workloa
 		price = core.Price{}
 	}
 	if defSel != nil {
-		if def, _, err = core.Place(defSel, st, req); err != nil {
+		if def, _, err = core.Place(defSel, st, req, sc.Reference()); err != nil {
 			return Placement{}, fmt.Errorf("sim: job %d (default reference): %w", j.ID, err)
 		}
 	}
@@ -98,18 +104,19 @@ func PlaceJobMapped(st *cluster.State, selector, defSel core.Selector, j workloa
 	// a deterministic function of its arguments, so one evaluation serves
 	// as both costs. Selections made on one state compare by their runs.
 	same := pl.Placed.SameNodes(&def)
+	pr := sc.Pricing()
 	var buf [4]float64
 	ratios := buf[:0]
 	for _, c := range j.Mix.Comms {
 		costX := price.Cost
 		if !price.OK || c.Pattern != pattern {
-			if costX, err = costmodel.PlacementCostMode(st, j.ID, j.Class, &pl.Placed, c.Pattern, mode); err != nil {
+			if costX, err = pr.PlacementCostMode(st, j.ID, j.Class, &pl.Placed, c.Pattern, mode); err != nil {
 				return Placement{}, fmt.Errorf("sim: job %d cost: %w", j.ID, err)
 			}
 		}
 		costD := costX
 		if !same {
-			if costD, err = costmodel.PlacementCostMode(st, j.ID, j.Class, &def, c.Pattern, mode); err != nil {
+			if costD, err = pr.PlacementCostMode(st, j.ID, j.Class, &def, c.Pattern, mode); err != nil {
 				return Placement{}, fmt.Errorf("sim: job %d reference cost: %w", j.ID, err)
 			}
 		}

@@ -159,7 +159,7 @@ func TestPlaceJobPlacesWhatSelectLists(t *testing.T) {
 			}
 			// Remapped: the same steps over bare lists.
 			for _, ref := range []core.Selector{def, ReferenceSelector(alg)} {
-				got, err := PlaceJobMapped(st, sel, ref, j, costmodel.ModeEffectiveHops, true)
+				got, err := PlaceJobWith(new(core.Scratch), st, sel, ref, j, costmodel.ModeEffectiveHops, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -177,11 +177,12 @@ func TestPlaceJobPlacesWhatSelectLists(t *testing.T) {
 	// The pin above would let hop-bytes take adaptive's effective-hops price
 	// only if the two were equal; they are not.
 	req := core.Request{Job: wide.ID, Nodes: wide.Nodes, Class: wide.Class, Pattern: collective.RHVD}
-	pl, price, err := core.Place(core.MustNew(core.Adaptive), st, req)
+	sc := new(core.Scratch)
+	pl, price, err := core.Place(core.MustNew(core.Adaptive), st, req, sc)
 	if err != nil || !price.OK {
 		t.Fatalf("adaptive reports no price (%v)", err)
 	}
-	hb, err := costmodel.PlacementCostMode(st, wide.ID, wide.Class, &pl, collective.RHVD, costmodel.ModeHopBytes)
+	hb, err := sc.Pricing().PlacementCostMode(st, wide.ID, wide.Class, &pl, collective.RHVD, costmodel.ModeHopBytes)
 	if err != nil || hb == price.Cost {
 		t.Errorf("RHVD costs %v in hop-bytes (%v), as much as adaptive's effective-hops price %v", hb, err, price.Cost)
 	}
@@ -234,18 +235,18 @@ func TestPlaceJobPricesEachPlacementOnce(t *testing.T) {
 // TestWideJobAllocatesOneList is the end-to-end pin of the free-rank form
 // and the leaf masks: one adaptive 32,768-node communication-intensive job on
 // Intrepid, placed (two candidates and the default reference selected,
-// validated and priced) and committed the way the engine does it, allocates
-// less than an eighth of ONE node list — nobody lists the nodes any more,
+// validated and priced in the engine's scratch) and committed the way the
+// engine does it, allocates less than an eighth of ONE node list — nobody lists the nodes any more,
 // the allocation holds them as masks — and Allocation.Nodes() still names
 // them all.
 func TestWideJobAllocatesOneList(t *testing.T) {
 	const nodes = 32768
 	st := loadedState(t, topology.Intrepid()) // 128 leaves of 320, up to 60 busy on each
-	sel, def := core.MustNew(core.Adaptive), core.MustNew(core.Default)
+	sel, def, sc := core.MustNew(core.Adaptive), core.MustNew(core.Default), new(core.Scratch)
 	j := workload.Job{ID: 1, Nodes: nodes, Runtime: 3600, Class: cluster.CommIntensive,
 		Mix: collective.Mix{ComputeFrac: 0.5, Comms: []collective.Component{{Pattern: collective.RD, Frac: 0.5}}}}
 	start := func() {
-		pl, err := PlaceJob(st, sel, def, j, costmodel.ModeEffectiveHops)
+		pl, err := PlaceJobWith(sc, st, sel, def, j, costmodel.ModeEffectiveHops, false)
 		if err == nil {
 			err = st.AllocatePlacement(j.ID, j.Class, &pl.Placed)
 		}
@@ -253,9 +254,8 @@ func TestWideJobAllocatesOneList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The first round compiles the schedules and fills the pools; a collection
-	// between rounds may empty a pool again, so the least of a few rounds is
-	// what one start costs.
+	// The first round compiles the schedules and grows the scratch, so the
+	// least of a few rounds is what one start costs.
 	got, limit := uint64(math.MaxUint64), uint64(8*nodes/8)
 	for round := 0; round < 5; round++ {
 		if round > 0 {
@@ -270,11 +270,44 @@ func TestWideJobAllocatesOneList(t *testing.T) {
 		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
 	t.Logf("%d bytes for one %d-node job (one list is %d)", got, nodes, 8*nodes)
-	if got >= limit && !raceEnabled { // the race detector makes sync.Pool drop scratches at random
+	if got >= limit {
 		t.Errorf("placing and committing a %d-node job allocated %d bytes, want < %d (an eighth of a node list)", nodes, got, limit)
 	}
 	held := st.Allocation(j.ID).Nodes()
 	if len(held) != nodes || !slices.IsSorted(held) || slices.ContainsFunc(held, st.NodeFree) {
 		t.Errorf("allocation lists %d nodes (ascending %v), want %d busy ones", len(held), slices.IsSorted(held), nodes)
+	}
+}
+
+// TestWarmEnginePlacementAllocatesNothing pins the engine's placement path
+// at zero allocations: a communication-intensive job placed by adaptive in
+// the engine's own scratch — both candidates selected, validated and
+// priced, the default reference selected and priced for Eq. 7 — on Theta
+// and on Intrepid, at a width each machine's traces run, once the scratch
+// and the schedule memo are warm. The commit is not part of it: the
+// allocation it records is the cluster's.
+func TestWarmEnginePlacementAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		topo  *topology.Topology
+		nodes int
+	}{{"Theta", topology.Theta(), 400}, {"Intrepid", topology.Intrepid(), 4096}} {
+		st := loadedState(t, c.topo)
+		sel, defSel, sc := core.MustNew(core.Adaptive), ReferenceSelector(core.Adaptive), new(core.Scratch)
+		j := workload.Job{ID: 1, Nodes: c.nodes, Runtime: 3600, Class: cluster.CommIntensive,
+			Mix: collective.SinglePattern(collective.RHVD, 0.5)}
+		place := func() {
+			if _, err := PlaceJobWith(sc, st, sel, defSel, j, costmodel.ModeEffectiveHops, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The widths are where the candidates differ and the reference is
+		// elsewhere, so every pricing runs.
+		if pl, err := PlaceJobWith(sc, st, sel, defSel, j, costmodel.ModeEffectiveHops, false); err != nil || pl.Cost == pl.RefCost {
+			t.Fatalf("%s: cost %v, reference %v (%v): the fixture no longer prices a distinct reference", c.name, pl.Cost, pl.RefCost, err)
+		}
+		if allocs := testing.AllocsPerRun(20, place); allocs != 0 {
+			t.Errorf("%s: a warm adaptive placement of %d nodes allocated %.1f times, want 0", c.name, c.nodes, allocs)
+		}
 	}
 }

@@ -132,6 +132,7 @@ type engine struct {
 	st       *cluster.State
 	selector core.Selector
 	defSel   core.Selector // nil under Default (ReferenceSelector)
+	scratch  core.Scratch  // every placement's working set and candidates
 
 	events eventQueue
 	seq    int64
@@ -388,7 +389,7 @@ func (e *engine) start(idx int, now float64) (sched.Outcome, error) {
 	if e.started[idx] {
 		return 0, fmt.Errorf("sim: job %d started twice", j.ID)
 	}
-	pl, err := PlaceJobMapped(e.st, e.selector, e.defSel, j, e.cfg.CostMode, e.cfg.RankRemap)
+	pl, err := PlaceJobWith(&e.scratch, e.st, e.selector, e.defSel, j, e.cfg.CostMode, e.cfg.RankRemap)
 	if err != nil {
 		return 0, err
 	}

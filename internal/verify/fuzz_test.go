@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
+	"repro/internal/costmodel"
 	"repro/internal/topology"
 )
 
@@ -86,7 +87,7 @@ func FuzzLayoutScale(f *testing.F) {
 		if seed < 0 && len(live) > 0 {
 			live = append(live, activeJob{200, scrambled(live[0].nodes, rng, seed%2 == 0), live[0].pattern})
 		}
-		checkFastRefBitIdentical(t, st, live, fmt.Sprintf("npl=%d fanouts=%v", npl, fanouts), 0)
+		checkFastRefBitIdentical(t, new(costmodel.Scratch), st, live, fmt.Sprintf("npl=%d fanouts=%v", npl, fanouts), 0)
 	})
 }
 

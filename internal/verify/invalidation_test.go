@@ -13,8 +13,8 @@ import (
 )
 
 // TestCacheInvalidationUnderChurn is the invalidation property for what
-// pricing keeps across mutations (the schedule memo, the pooled scratch
-// and its epoch-stamped leaf tables): across interleaved
+// pricing keeps across mutations (the schedule memo, the caller's scratch
+// and its epoch-stamped leaf tables, one scratch for the whole sequence): across interleaved
 // Allocate/Release/Drain/Resume sequences (every kind of generation bump),
 // the fast paths — JobCost in every mode and the overlay CandidateCostMode
 // — must stay bit-identical to the reference loop evaluated on a
@@ -60,6 +60,7 @@ func runChurnSpec(t *testing.T, spec TraceSpec) {
 	st := cluster.New(topo)
 	rng := rand.New(rand.NewSource(spec.Seed ^ 0xcac4e))
 	sel := core.MustNew(core.Greedy)
+	sc := new(costmodel.Scratch)
 
 	var live []activeJob
 	next := 0
@@ -105,10 +106,10 @@ func runChurnSpec(t *testing.T, spec TraceSpec) {
 				}
 			}
 		}
-		checkFastRefBitIdentical(t, st, live, spec.String(), op)
+		checkFastRefBitIdentical(t, sc, st, live, spec.String(), op)
 		// A fresh clone must cost identically to its own reference.
 		if rng.Float64() < 0.2 {
-			checkFastRefBitIdentical(t, st.Clone(), live, spec.String()+" (clone)", op)
+			checkFastRefBitIdentical(t, sc, st.Clone(), live, spec.String()+" (clone)", op)
 		}
 		if err := st.CheckInvariants(); err != nil {
 			t.Fatalf("%v op %d: %v", spec, op, err)
@@ -129,13 +130,13 @@ type activeJob struct {
 // checkFastRefBitIdentical costs every live job in every mode, and one
 // synthetic candidate, through the fast paths and then on a reference
 // clone through the reference loop, requiring bit-identical float64
-// results.
-func checkFastRefBitIdentical(t *testing.T, st *cluster.State, live []activeJob, spec string, op int) {
+// results. The fast paths price in sc.
+func checkFastRefBitIdentical(t *testing.T, sc *costmodel.Scratch, st *cluster.State, live []activeJob, spec string, op int) {
 	t.Helper()
 	ref := st.CloneAs(true)
 	for _, a := range live {
 		for _, mode := range allModes {
-			fast, err := costmodel.JobCost(st, a.nodes, a.pattern, mode)
+			fast, err := sc.JobCost(st, a.nodes, a.pattern, mode)
 			if err != nil {
 				t.Fatalf("%s op %d: fast %v JobCost: %v", spec, op, mode, err)
 			}
@@ -148,14 +149,14 @@ func checkFastRefBitIdentical(t *testing.T, st *cluster.State, live []activeJob,
 			}
 		}
 	}
-	checkCandidateParity(t, st, spec, op)
+	checkCandidateParity(t, sc, st, spec, op)
 }
 
 // checkCandidateParity prices a synthetic candidate over the currently
 // free nodes through the read-only overlay and, on a reference clone,
 // through the allocate/cost/rollback path, for both job classes (only
 // comm-intensive candidates overlay the comm counters).
-func checkCandidateParity(t *testing.T, st *cluster.State, spec string, op int) {
+func checkCandidateParity(t *testing.T, sc *costmodel.Scratch, st *cluster.State, spec string, op int) {
 	t.Helper()
 	var cand []int
 	for id := 0; id < st.Topology().NumNodes() && len(cand) < 8; id++ {
@@ -168,7 +169,7 @@ func checkCandidateParity(t *testing.T, st *cluster.State, spec string, op int) 
 	}
 	const candJob = cluster.JobID(1 << 30)
 	for _, class := range []cluster.Class{cluster.CommIntensive, cluster.ComputeIntensive} {
-		fast, err := costmodel.CandidateCostMode(st, candJob, class, cand, collective.RD, costmodel.ModeEffectiveHops)
+		fast, err := sc.CandidateCostMode(st, candJob, class, cand, collective.RD, costmodel.ModeEffectiveHops)
 		if err != nil {
 			t.Fatalf("%s op %d: fast CandidateCostMode: %v", spec, op, err)
 		}
@@ -187,7 +188,7 @@ func checkCandidateParity(t *testing.T, st *cluster.State, spec string, op int) 
 			t.Fatalf("%s op %d: generations after pricing: reference %d -> %d, optimized %d -> %d",
 				spec, op, refGen, refSt.Generation(), gen, st.Generation())
 		}
-		again, err := costmodel.CandidateCostMode(st, candJob, class, cand, collective.RD, costmodel.ModeEffectiveHops)
+		again, err := sc.CandidateCostMode(st, candJob, class, cand, collective.RD, costmodel.ModeEffectiveHops)
 		if err != nil {
 			t.Fatalf("%s op %d: re-priced CandidateCostMode: %v", spec, op, err)
 		}

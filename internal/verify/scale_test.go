@@ -108,7 +108,7 @@ func TestCrossScaleParity(t *testing.T) {
 			// The jobs are costed unallocated (parity holds either way);
 			// checkFastRefBitIdentical also prices a synthetic candidate
 			// through the overlay and the allocate/rollback reference path.
-			checkFastRefBitIdentical(t, st, live, fmt.Sprintf("scale L=%d", shape.leaves), 0)
+			checkFastRefBitIdentical(t, new(costmodel.Scratch), st, live, fmt.Sprintf("scale L=%d", shape.leaves), 0)
 
 			// The property must not be vacuous: with residents on both end
 			// leaves the cross-machine jobs see real contention.
@@ -145,7 +145,7 @@ func TestCrossScaleWideJobParity(t *testing.T) {
 			}
 
 			// JobCost in every mode, and candidate pricing, each run.
-			checkFastRefBitIdentical(t, st, live, fmt.Sprintf("wide L=%d", shape.leaves), 0)
+			checkFastRefBitIdentical(t, new(costmodel.Scratch), st, live, fmt.Sprintf("wide L=%d", shape.leaves), 0)
 
 			// checkCandidateParity prices an 8-node candidate, so price the
 			// wide node set itself through the overlay and the reference
