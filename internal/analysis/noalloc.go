@@ -54,6 +54,8 @@ var DefaultNoAllocConfig = NoAllocConfig{
 			"appendRequest",
 			"appendResponse",
 			"encoder.job",
+			"Daemon.walkQueue",
+			"listing.render",
 			"latRing.recordAck",
 			"latRing.recordWait",
 		},

@@ -13,6 +13,7 @@ package collective
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Pattern identifies a collective communication algorithm.
@@ -60,9 +61,25 @@ func (p Pattern) String() string {
 	}
 }
 
-// ParsePattern converts a case-insensitive pattern name to a Pattern.
+// ParsePattern converts a case-insensitive pattern name to a Pattern. An
+// ASCII name is lowered in a buffer on the stack, so a valid one allocates
+// nothing; any other is lowered by strings.ToLower, which may map it onto an
+// ASCII name.
 func ParsePattern(s string) (Pattern, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
+	var buf [len("recursive-halving-vector-doubling")]byte // the longest name
+	name, t := buf[:0], strings.TrimSpace(s)
+	for i := 0; i < len(t); i++ {
+		c := t[i]
+		if c >= utf8.RuneSelf || len(name) == len(buf) {
+			name = []byte(strings.ToLower(t))
+			break
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		name = append(name, c)
+	}
+	switch string(name) {
 	case "rd", "recursive-doubling", "recursivedoubling":
 		return RD, nil
 	case "rhvd", "recursive-halving-vector-doubling":

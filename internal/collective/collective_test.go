@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -242,6 +243,59 @@ func TestParsePattern(t *testing.T) {
 	}
 	if RD.String() != "RD" || Pattern(42).String() == "" {
 		t.Error("Pattern.String mismatch")
+	}
+}
+
+// patternAliases is every name ParsePattern takes, lowered.
+var patternAliases = map[string]Pattern{
+	"rd": RD, "recursive-doubling": RD, "recursivedoubling": RD,
+	"rhvd": RHVD, "recursive-halving-vector-doubling": RHVD,
+	"binomial": Binomial, "binomial-tree": Binomial, "btree": Binomial,
+	"ring": Ring, "stencil": Stencil, "stencil2d": Stencil,
+	"alltoall": Alltoall, "a2a": Alltoall, "pairwise": Alltoall,
+}
+
+// mixedCase spells s with every other ASCII letter in capitals.
+func mixedCase(s string) string {
+	b := []byte(s)
+	for i := 0; i < len(b); i += 2 {
+		if 'a' <= b[i] && b[i] <= 'z' {
+			b[i] -= 'a' - 'A'
+		}
+	}
+	return string(b)
+}
+
+// A name is matched as strings.ToLower lowers it, whatever its case and
+// the space around it, and a valid one allocates nothing.
+func TestParsePatternAliases(t *testing.T) {
+	var names []string
+	for alias, want := range patternAliases {
+		for _, in := range []string{alias, strings.ToUpper(alias), mixedCase(alias), " \t" + mixedCase(alias) + "\n"} {
+			if got, err := ParsePattern(in); err != nil || got != want {
+				t.Errorf("ParsePattern(%q) = %v, %v; want %v", in, got, err, want)
+			}
+			names = append(names, in)
+		}
+	}
+	// Unicode lowering maps a dotted capital I onto i; a long s stays what it is.
+	if got, err := ParsePattern("B\u0130NOMIAL"); err != nil || got != Binomial {
+		t.Errorf("ParsePattern(B\u0130NOMIAL) = %v, %v", got, err)
+	}
+	for _, in := range []string{"Star", "\u017ftencil", "recursive-halving-vector-doubling-x", " "} {
+		if _, err := ParsePattern(in); err == nil || err.Error() != `collective: unknown pattern "`+in+`"` {
+			t.Errorf("ParsePattern(%q): %v", in, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, in := range names {
+			if _, err := ParsePattern(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("parsing %d valid names allocates %.1f times, want 0", len(names), allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -76,5 +77,63 @@ func BenchmarkDaemonSubmitThroughputBatched(b *testing.B) {
 		if _, err := c.SubmitBatch(specs[:n]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkQueueListing renders a 14k-job queue listing on the engine, as
+// daemon_backlog's last listings are: 1,024 of its jobs were queued since
+// the listing before. "memo" is the queue op's render, which copies the
+// other rows from the last listing; "fresh" builds every row's JobInfo
+// and encodes the whole response into a reused buffer, as the writer did
+// before.
+func BenchmarkQueueListing(b *testing.B) {
+	const batches, since = 14, 1024
+	clk := newFakeClock()
+	d, err := New(Config{Topology: topology.PaperExample(), Algorithm: core.Adaptive, TimeScale: 1, Clock: clk.Now})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	specs := make([]SubmitSpec, since)
+	for i := range specs {
+		specs[i] = SubmitSpec{Nodes: 8, Runtime: 3600 + 0.25*float64(i), Class: "comm", Pattern: "RHVD"}
+	}
+	for range batches { // the first job runs and holds the machine
+		d.SubmitBatch(specs)
+		clk.Advance(1234567 * time.Microsecond)
+	}
+	var out []byte // the writer's buffer
+	for _, c := range []struct {
+		name   string
+		render func() ([]byte, error)
+	}{
+		{"memo", func() ([]byte, error) {
+			d.listed.rows = d.listed.rows[:len(d.listed.rows)-since]
+			return d.queueFrame()
+		}},
+		{"fresh", func() (_ []byte, err error) {
+			resp := d.listLocked(d.queue.Jobs())
+			out, err = appendResponse(out[:0], &resp)
+			return out, err
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var frame []byte
+			var err error
+			d.call(func() Response {
+				if _, err = d.queueFrame(); err != nil {
+					return Response{}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N && err == nil; i++ {
+					frame, err = c.render()
+				}
+				return Response{Ok: true}
+			})
+			if err != nil || len(frame) < batches*since*64 {
+				b.Fatalf("a listing of %d bytes: %v", len(frame), err)
+			}
+		})
 	}
 }

@@ -139,6 +139,29 @@ type Daemon struct {
 	text []byte
 	// comm is the Mix component of the comm job being placed (asJob).
 	comm [1]collective.Component
+
+	// listed is the last queue listing, which the next one copies its
+	// unchanged rows from; spare and fresh are the next one's index and
+	// the rows it encodes.
+	listed listing
+	spare  []listRow
+	fresh  []byte
+}
+
+// listing is a rendered queue listing: its frame, which nothing writes once
+// it is handed out, and where each row lies in it.
+type listing struct {
+	frame []byte
+	rows  []listRow
+}
+
+// listRow is one row of a listing: the job and requeue count it shows, and
+// its bytes, frame[off:off+n]. While a listing is built, off is -1 for a row
+// encoded into its fresh bytes.
+type listRow struct {
+	id       int64
+	off, n   int
+	requeues int32
 }
 
 // pendingOp is one in-flight protocol operation. The server's connection
@@ -148,6 +171,9 @@ type pendingOp struct {
 	req  Request
 	resp Response
 	recv time.Time // wall receipt time, the submit-ack latency base
+	// frame is the response already rendered (a queue listing): the
+	// writer sends it as it is, and resp only says Ok.
+	frame []byte
 	// pass marks an op whose response was prefilled before the engine
 	// (busy backpressure, malformed frame): the engine must not run it.
 	pass bool
@@ -384,14 +410,104 @@ func (d *Daemon) info(id int64, h *histRecord) JobInfo {
 	return ji
 }
 
-// listLocked is a queue or running listing of recs, sized once: at 14k
-// queued a listing grown by doubling copies it twice over.
+// listLocked is a listing of recs, sized once. The running listing is
+// built this way; the queue listing is rendered (queueFrame).
 func (d *Daemon) listLocked(recs []*jobRecord) Response {
 	resp := Response{Ok: true, Jobs: make([]JobInfo, 0, len(recs))}
 	for _, r := range recs {
 		resp.Jobs = append(resp.Jobs, d.info(r.id, r.h))
 	}
 	return resp
+}
+
+// queueFrame renders the queue listing's frame (engine goroutine) and keeps
+// it for the next listing to copy from. The frame is its one allocation,
+// made to size: the writer may still be sending it while the next listing
+// reads it, so nothing writes it again.
+func (d *Daemon) queueFrame() ([]byte, error) {
+	rows, fresh, size, err := d.walkQueue(d.spare[:0], d.fresh[:0])
+	d.fresh = fresh
+	if err != nil {
+		d.spare = rows
+		return nil, err
+	}
+	frame := d.listed.render(make([]byte, 0, size), rows, fresh)
+	d.spare, d.listed = d.listed.rows, listing{frame, rows}
+	return frame, nil
+}
+
+// walkQueue is a listing's first pass: it appends each queued job's row to
+// rows and returns the frame's size. While a job stays queued its row does
+// not change, and a requeue bumps its count, so a row of the last listing
+// with the same job and requeue count is copied; the others are encoded
+// into fresh. IDs ascend along the queue (submissions push at the tail, a
+// requeue goes ahead of the first larger ID), so one walk finds every such
+// row. In any other order (a restored snapshot's) a row is only missed, and
+// encoded again.
+//
+//caws:noalloc
+func (d *Daemon) walkQueue(rows []listRow, fresh []byte) ([]listRow, []byte, int, error) {
+	jobs := d.queue.Jobs()
+	if len(jobs) == 0 {
+		return rows, fresh, len(emptyListing), nil
+	}
+	last := d.listed.rows
+	size, k := len(listingHead)+len(jobs)-1+len(listingTail), 0
+	for _, r := range jobs {
+		for k < len(last) && last[k].id < r.id {
+			k++
+		}
+		row := listRow{id: r.id, off: -1, requeues: r.h.requeues}
+		if k < len(last) && last[k].id == r.id && last[k].requeues == r.h.requeues {
+			row.off, row.n = last[k].off, last[k].n
+			k++
+		} else {
+			ji := d.info(r.id, r.h)
+			e := encoder{b: fresh}
+			if e.job(&ji); e.err != nil {
+				return rows, fresh, 0, e.err
+			}
+			row.n = len(e.b) - len(fresh)
+			fresh = e.b
+		}
+		size += row.n
+		rows = append(rows, row)
+	}
+	return rows, fresh, size, nil
+}
+
+// The bytes of a queue listing's frame around its rows, and of an empty one.
+const (
+	listingHead  = `{"ok":true,"jobs":[`
+	listingTail  = "]}\n"
+	emptyListing = `{"ok":true}` + "\n"
+)
+
+// render is a listing's second pass: it appends to frame the listing of
+// rows, each copied from l's frame or, if walkQueue encoded it, from fresh,
+// where they lie in order, and points each row at its bytes in frame.
+//
+//caws:noalloc
+func (l *listing) render(frame []byte, rows []listRow, fresh []byte) []byte {
+	if len(rows) == 0 {
+		return append(frame, emptyListing...)
+	}
+	frame = append(frame, listingHead...)
+	for i := range rows {
+		r := &rows[i]
+		if i > 0 {
+			frame = append(frame, ',')
+		}
+		var src []byte
+		if r.off < 0 {
+			src, fresh = fresh[:r.n], fresh[r.n:]
+		} else {
+			src = l.frame[r.off : r.off+r.n]
+		}
+		r.off = len(frame)
+		frame = append(frame, src...)
+	}
+	return append(frame, listingTail...)
 }
 
 // execBatch runs a drained batch of protocol ops in a single engine
@@ -415,7 +531,7 @@ func (d *Daemon) execBatch(ops []*pendingOp) {
 				continue
 			}
 			if !isSubmitOp(ops[i].req.Op) {
-				ops[i].resp = d.dispatchLocked(&ops[i].req, v)
+				ops[i].resp = d.dispatchLocked(ops[i], v)
 				i++
 				continue
 			}
@@ -447,11 +563,17 @@ func (d *Daemon) execBatch(ops []*pendingOp) {
 
 func isSubmitOp(op string) bool { return op == "submit" || op == "submit_batch" }
 
-// exec1 runs one op as a singleton batch — the direct API path.
+// exec1 runs one op as a singleton batch — the direct API path. A
+// rendered response is read back as a client reads it.
 func (d *Daemon) exec1(req Request) Response {
 	op := pendingOp{req: req, recv: d.clock()}
 	ops := [1]*pendingOp{&op}
 	d.execBatch(ops[:])
+	if op.frame != nil {
+		if err := decodeResponse(op.frame, &op.resp); err != nil {
+			return Response{Error: err.Error()}
+		}
+	}
 	return op.resp
 }
 
@@ -563,11 +685,12 @@ func (d *Daemon) submitLocked(spec *SubmitSpec, v float64) Response {
 }
 
 // dispatchLocked executes one non-submit op at virtual time v with its
-// classic semantics (engine goroutine). Submit ops never reach it: execBatch
+// classic semantics (engine goroutine) and returns its response; a queue
+// listing leaves its frame in op. Submit ops never reach it: execBatch
 // routes them through the batch machinery so the one-pass-per-batch
 // invariant cannot be bypassed.
-func (d *Daemon) dispatchLocked(req *Request, v float64) Response {
-	switch req.Op {
+func (d *Daemon) dispatchLocked(op *pendingOp, v float64) Response {
+	switch req := &op.req; req.Op {
 	case "status":
 		d.tick(v)
 		h := d.hist.get(req.ID)
@@ -580,7 +703,12 @@ func (d *Daemon) dispatchLocked(req *Request, v float64) Response {
 		return d.cancelLocked(req.ID, v)
 	case "queue":
 		d.tick(v)
-		return d.listLocked(d.queue.Jobs())
+		frame, err := d.queueFrame()
+		if err != nil {
+			return Response{Error: "queue: " + err.Error()}
+		}
+		op.frame = frame
+		return Response{Ok: true}
 	case "running":
 		d.tick(v)
 		return d.listLocked(d.runningOrdered())

@@ -405,8 +405,22 @@ func TestDrainAndResume(t *testing.T) {
 	}
 }
 
+// TestDependencyAfter steps a fake clock, so no state depends on how fast
+// the test runs: a dependant holds while its dependency runs, a later job
+// passes it, and it starts when the dependency completes.
 func TestDependencyAfter(t *testing.T) {
-	d := newTestDaemon(t, core.Default, 1000)
+	clk := newFakeClock()
+	d, err := New(Config{Topology: topology.PaperExample(), Algorithm: core.Default, TimeScale: 1, Clock: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	state := func(id int64, want string) {
+		t.Helper()
+		if st := d.Status(id); st.Job == nil || st.Job.State != want {
+			t.Fatalf("job %d: %+v, want %s", id, st.Job, want)
+		}
+	}
 	// A short job, then a dependant that must wait for it even though the
 	// machine is mostly free.
 	first := d.Submit(Request{Nodes: 2, Runtime: 1, Class: "compute", Name: "first"})
@@ -417,23 +431,20 @@ func TestDependencyAfter(t *testing.T) {
 	if !dep.Ok {
 		t.Fatal(dep.Error)
 	}
-	// While first runs, second must be queued (dependency), not running.
-	if st := d.Status(dep.ID); st.Job.State == "running" {
-		t.Fatalf("dependant started before its dependency: %+v", st.Job)
-	}
+	state(first.ID, "running")
+	state(dep.ID, "queued")
 	// An independent job passes the held dependant.
 	indep := d.Submit(Request{Nodes: 2, Runtime: 1, Class: "compute", Name: "bystander"})
 	if !indep.Ok {
 		t.Fatal(indep.Error)
 	}
-	// "running" normally; "completed" when the scheduler outpaces this
-	// goroutine (1 s virtual runtime under race-detector slowdown) —
-	// either proves the dependant's hold didn't block it.
-	if st := d.Status(indep.ID); st.Job.State != "running" && st.Job.State != "completed" {
-		t.Fatalf("independent job blocked by a held dependant: %s", st.Job.State)
-	}
-	waitState(t, d, first.ID, "completed")
-	waitState(t, d, dep.ID, "completed")
+	state(indep.ID, "running")
+	state(dep.ID, "queued")
+	clk.Advance(time.Second)
+	state(first.ID, "completed")
+	state(dep.ID, "running")
+	clk.Advance(time.Second)
+	state(dep.ID, "completed")
 	// Unknown dependency rejected.
 	if resp := d.Submit(Request{Nodes: 1, Runtime: 1, Class: "compute", After: 999}); resp.Ok {
 		t.Fatal("unknown dependency accepted")

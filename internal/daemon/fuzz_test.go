@@ -58,9 +58,10 @@ func (b *fuzzBytes) spec(machine int) SubmitSpec {
 // cancelled with the queue and the running set agreeing, and the queue
 // listing is the naive model's: a slice of job IDs appended to on submit,
 // cut on cancel, inserted into in job-ID order on a requeue, and emptied of
-// whatever the daemon says has started. A completed job's status names the
-// nodes it ran on, even after other jobs reuse them. A snapshot restores to
-// the same queue.
+// whatever the daemon says has started. The listing's frame, which copies
+// every row it can from the listing before, is the bytes the whole listing
+// encodes to afresh. A completed job's status names the nodes it ran on,
+// even after other jobs reuse them. A snapshot restores to the same queue.
 func FuzzDispatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{
@@ -76,6 +77,12 @@ func FuzzDispatch(f *testing.F) {
 		9, 40, 3, 1, 3, 1, // 40 s later cancel job 1, twice
 	})
 	f.Add(bytes.Repeat([]byte{0, 6, 32, 2, 4, 1, 0, 3, 16, 2, 4, 9, 9, 7}, 12)) // a backlog under failing nodes
+	f.Add([]byte{
+		0, 16, 10, 2, // submit 16 nodes for 10 s: runs
+		0, 16, 30, 2, // submit 16 nodes: listed as queued
+		9, 10, 8, // 10 s later it starts, with no listing since
+		4, 0, // fail n0: it is requeued, and its row shows one requeue
+	})
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 4, Fanouts: []int{2, 2}})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
@@ -103,7 +110,8 @@ func FuzzDispatch(f *testing.F) {
 		}
 		in := fuzzBytes(data)
 		for len(in) > 0 {
-			switch op := in.next() % 10; op {
+			op := in.next() % 10
+			switch op {
 			case 0, 1:
 				s := in.spec(topo.NumNodes())
 				if resp := d.Submit(Request{Nodes: s.Nodes, Runtime: s.Runtime, Class: s.Class,
@@ -152,7 +160,9 @@ func FuzzDispatch(f *testing.F) {
 			case 9:
 				clk.Advance(time.Duration(in.next()%64) * time.Second)
 			}
-			model = checkDaemon(t, d, model, admitted, ran)
+			// No queue listing follows a running listing or a clock step, so
+			// a job can start and then be killed and requeued between two.
+			model = checkDaemon(t, d, model, admitted, ran, op < 8)
 		}
 		var snap bytes.Buffer
 		if err := d.SaveState(&snap); err != nil {
@@ -171,14 +181,18 @@ func FuzzDispatch(f *testing.F) {
 }
 
 // checkDaemon drops from the model the jobs the daemon no longer holds as
-// queued and compares what is left with the queue listing; it returns the
-// model. Every admitted job has a history slot, and exactly the queued and
-// running ones a live record. It also remembers in ran the hostlist of every running job and
+// queued and, if list is set, compares what is left with the queue listing,
+// and the listing's frame with a fresh render; it returns the model. Every
+// admitted job has a history slot, and exactly the queued and running ones a
+// live record. It also remembers in ran the hostlist of every running job and
 // holds each completed job's status to the hostlist it ran on: a job that
 // starts in an op ends after it, so every completed job was seen running.
-func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int, ran map[int64]string) []int64 {
+func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int, ran map[int64]string, list bool) []int64 {
 	t.Helper()
-	listing := d.Queue() // first: a listing runs a pass of its own
+	var listing Response
+	if list {
+		listing = d.Queue() // first: a listing runs a pass of its own
+	}
 	checkInvariants(t, d)
 	var counts [5]int
 	var queueLen, runningLen, completedLen, liveLen int
@@ -197,6 +211,14 @@ func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int, ran map[i
 			if h.state == stateRunning || h.state == stateCompleted {
 				placed = append(placed, d.info(id, h))
 			}
+		}
+		// The listing copied what it could from the one before: its bytes
+		// are the fresh render's, and its index is the queue's.
+		if list {
+			if want := oracleQueue(t, d); !bytes.Equal(d.listed.frame, want) {
+				t.Errorf("queue frame\n%s\nfresh render\n%s", d.listed.frame, want)
+			}
+			checkRows(t, d)
 		}
 		queueLen, runningLen, completedLen, liveLen = d.queue.Len(), len(d.core.Running), d.completed.Jobs, len(d.jobs)
 		model = slices.DeleteFunc(model, func(id int64) bool { return d.hist.get(id).state != stateQueued })
@@ -221,6 +243,9 @@ func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int, ran map[i
 		case !ok || was != ji.NodeList:
 			t.Fatalf("job %d ran on %q (seen: %v), its status after completion says %q", ji.ID, was, ok, ji.NodeList)
 		}
+	}
+	if !list {
+		return model
 	}
 	got := make([]int64, len(listing.Jobs))
 	for i, ji := range listing.Jobs {

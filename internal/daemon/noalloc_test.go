@@ -63,6 +63,14 @@ func TestNoAllocServingPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	acks := Response{Ok: true, Batch: make([]BatchResult, 16)}
+	for i := range acks.Batch {
+		acks.Batch[i].ID = int64(100 + i)
+	}
+	acksFrame, err := appendResponse(nil, &acks)
+	if err != nil {
+		t.Fatal(err)
+	}
 	listingFrame, err := appendResponse(nil, &listing)
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +89,11 @@ func TestNoAllocServingPaths(t *testing.T) {
 	}{
 		{"appendResponse/queue64", 0, func() (err error) { out, err = appendResponse(out[:0], &listing); return }},
 		{"appendRequest/batch16", 0, func() (err error) { out, err = appendRequest(out[:0], &batch); return }},
-		// Slice growth only: 1, 2, 4, 8 and 16 specs.
-		{"decodeRequest/batch16", 6, func() error { return decodeRequest(frame, &req) }},
-		// The slice once, and each job's name: grown by append, the slice
-		// took 7 allocations (1, 2, 4, ..., 64 jobs).
+		// Each list once, sized by counting its elements: grown by append,
+		// 16 specs or results took 5 allocations (1, 2, 4, 8, 16), and 64
+		// jobs 7. A job's name is a string of its own.
+		{"decodeRequest/batch16", 1, func() error { return decodeRequest(frame, &req) }},
+		{"decodeResponse/batch16", 1, func() error { return decodeResponse(acksFrame, &resp) }},
 		{"decodeResponse/queue64", 65, func() error { return decodeResponse(listingFrame, &resp) }},
 		// op, class, pattern and state decode to constants.
 		{"decode/vocabulary", 0, func() error {
@@ -112,6 +121,21 @@ func TestNoAllocServingPaths(t *testing.T) {
 			}
 		})
 	}
+
+	// A queue listing with nothing changed since the last copies every row
+	// from it, names included: the frame is its one allocation.
+	t.Run("queueFrame/warm", func(t *testing.T) {
+		var allocs float64
+		var frame []byte
+		var err error
+		d.call(func() Response {
+			allocs = testing.AllocsPerRun(100, func() { frame, err = d.queueFrame() })
+			return Response{Ok: true}
+		})
+		if err != nil || !bytes.Equal(frame, listingFrame) || allocs != 1 {
+			t.Fatalf("a warm listing allocates %.1f/op, want 1; frame equal to the first: %v (%v)", allocs, bytes.Equal(frame, listingFrame), err)
+		}
+	})
 
 	// A started job's status or running row, in either state, renders its
 	// node list from the slot's masks into the daemon's buffers: the string

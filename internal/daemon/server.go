@@ -294,7 +294,8 @@ func (c *serverConn) write() {
 	c.bw.Flush()
 }
 
-// emit writes one response and recycles its slot. After an encode error
+// emit writes one response, or the frame the engine rendered for it, and
+// recycles its slot. After an encode error
 // the connection is poisoned (unblocking the reader) but slots keep
 // recycling so the pipeline drains instead of deadlocking. A successful
 // shutdown ack flushes first, then triggers the server-wide close — the
@@ -304,7 +305,9 @@ func (c *serverConn) emit(idx int) {
 	shutdown := op.req.Op == "shutdown" && op.resp.Ok && !op.pass
 	if c.encErr == nil {
 		var err error
-		if c.wbuf, err = appendResponse(c.wbuf[:0], &op.resp); err == nil {
+		if op.frame != nil {
+			_, err = c.bw.Write(op.frame)
+		} else if c.wbuf, err = appendResponse(c.wbuf[:0], &op.resp); err == nil {
 			_, err = c.bw.Write(c.wbuf)
 		}
 		if err != nil {

@@ -407,25 +407,21 @@ func (d *decoder) value(v any) {
 	case *string:
 		*v = d.word()
 	case *[]SubmitSpec:
-		*v = []SubmitSpec{}
+		*v = make([]SubmitSpec, 0, d.count(`{"nodes":`))
 		for i := 0; d.elem(i); i++ {
 			*v = append(*v, SubmitSpec{})
 			f := (*v)[i].fields()
 			d.object(specKeys, f[:])
 		}
 	case *[]BatchResult:
-		*v = []BatchResult{}
+		*v = make([]BatchResult, 0, d.count(`{"`))
 		for i := 0; d.elem(i); i++ {
 			*v = append(*v, BatchResult{})
 			f := (*v)[i].fields()
 			d.object(batchResultKeys, f[:])
 		}
 	case *[]JobInfo:
-		// Sized once: a 14k-job listing grown by append allocates about five
-		// times its size. Every job object opens with its id and no canonical
-		// string holds a '"', so in a frame the server writes, where only the
-		// jobs follow, the count is exact.
-		*v = make([]JobInfo, 0, bytes.Count(d.b[d.i:], []byte(`{"id":`)))
+		*v = make([]JobInfo, 0, d.count(`{"id":`))
 		for i := 0; d.elem(i); i++ {
 			*v = append(*v, JobInfo{})
 			d.job(&(*v)[i])
@@ -447,6 +443,18 @@ func (d *decoder) value(v any) {
 	default:
 		panic("daemon: no wire decoding for a field") // only a fields method can bring one
 	}
+}
+
+// count is the capacity a list is made with: how often open, the bytes a
+// canonical element of the list starts with, occurs in the rest of the
+// frame. Grown by append instead, a 14k-job listing allocates about five
+// times its size. No canonical string holds a '"', so in a frame the server
+// or a client writes, where nothing after the list opens that way, the
+// count is exact (a batch result opens with "id" or "error"). It never
+// exceeds the rest of the frame over len(open): a frame buys at most one
+// element of capacity per len(open) bytes it sends.
+func (d *decoder) count(open string) int {
+	return bytes.Count(d.b[d.i:], []byte(open))
 }
 
 // job reads a job object as encoder.job writes it: keys in struct order,
