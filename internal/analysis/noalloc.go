@@ -54,7 +54,7 @@ var DefaultNoAllocConfig = NoAllocConfig{
 			"appendRequest",
 			"appendResponse",
 			"encoder.job",
-			"Daemon.walkQueue",
+			"Daemon.walkRows",
 			"listing.render",
 			"latRing.recordAck",
 			"latRing.recordWait",

@@ -108,11 +108,11 @@ func BenchmarkQueueListing(b *testing.B) {
 		render func() ([]byte, error)
 	}{
 		{"memo", func() ([]byte, error) {
-			d.listed.rows = d.listed.rows[:len(d.listed.rows)-since]
-			return d.queueFrame()
+			d.queued.listed.rows = d.queued.listed.rows[:len(d.queued.listed.rows)-since]
+			return d.listFrame(&d.queued, d.queue.Jobs())
 		}},
 		{"fresh", func() (_ []byte, err error) {
-			resp := d.listLocked(d.queue.Jobs())
+			resp := listLocked(d, d.queue.Jobs())
 			out, err = appendResponse(out[:0], &resp)
 			return out, err
 		}},
@@ -121,7 +121,7 @@ func BenchmarkQueueListing(b *testing.B) {
 			var frame []byte
 			var err error
 			d.call(func() Response {
-				if _, err = d.queueFrame(); err != nil {
+				if _, err = d.listFrame(&d.queued, d.queue.Jobs()); err != nil {
 					return Response{}
 				}
 				b.ReportAllocs()

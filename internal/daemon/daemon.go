@@ -68,26 +68,13 @@ func (s jobState) String() string {
 	}
 }
 
-// jobRecord is a live (queued or running) job: its ID and history slot h,
-// which holds everything status reads, and what only placing, completing and
-// snapshotting it need besides.
-type jobRecord struct {
-	id         int64
-	h          *histRecord
-	share      float64 // a comm job's communication share of its runtime
-	refCost    float64 // Eq. 7 reference cost of the last start
-	requeuedAt float64 // virtual time of the last kill
-	lostSec    float64 // node-seconds-per-node of discarded partial work
-}
-
-// asJob is the job as placement sees it, built from its slot at each start
+// asJob is job id as placement sees it, built from its slot h at each start
 // without allocating: a comm job's one Mix component is written to comm,
 // which the caller owns and placement reads only during the call. The Mix
 // has no name; nothing on the placement path reads one.
-func (r *jobRecord) asJob(comm *[1]collective.Component) workload.Job {
-	h := r.h
+func (h *histRecord) asJob(id int64, comm *[1]collective.Component) workload.Job {
 	j := workload.Job{
-		ID:      cluster.JobID(r.id),
+		ID:      cluster.JobID(id),
 		Submit:  h.submit,
 		Runtime: h.runtime,
 		Nodes:   int(h.nodes),
@@ -95,8 +82,8 @@ func (r *jobRecord) asJob(comm *[1]collective.Component) workload.Job {
 		Mix:     collective.Mix{ComputeFrac: 1},
 	}
 	if h.class == cluster.CommIntensive {
-		comm[0] = collective.Component{Pattern: h.pattern, Frac: r.share}
-		j.Mix = collective.Mix{ComputeFrac: 1 - r.share, Comms: comm[:]}
+		comm[0] = collective.Component{Pattern: h.pattern, Frac: h.share}
+		j.Mix = collective.Mix{ComputeFrac: 1 - h.share, Comms: comm[:]}
 	}
 	return j
 }
@@ -121,12 +108,11 @@ type Daemon struct {
 	timer    *time.Timer
 
 	nextID int64
-	jobs   map[int64]*jobRecord // live jobs only
-	hist   history              // every admitted job's slot, by ID
-	queue  sched.Queue[*jobRecord]
+	hist   history // every admitted job's slot, by ID: the job table
+	queue  sched.Queue[int64]
 	// core is the shared FIFO + EASY pass and the running set, keyed by
 	// job ID.
-	core sched.Core[*jobRecord]
+	core sched.Core[int64]
 	// completed sums the results of every completed job: stats reads it in
 	// O(1), and no result is kept.
 	completed metrics.Accumulator
@@ -140,15 +126,22 @@ type Daemon struct {
 	// comm is the Mix component of the comm job being placed (asJob).
 	comm [1]collective.Component
 
-	// listed is the last queue listing, which the next one copies its
-	// unchanged rows from; spare and fresh are the next one's index and
-	// the rows it encodes.
+	// queued and running are the two listings' memos; runIDs is the
+	// running set's IDs in order (runningOrdered), reused.
+	queued, running memo
+	runIDs          []int64
+}
+
+// memo is what one listing keeps between calls: the last listing, which
+// the next one copies its unchanged rows from, and the next one's index
+// and the rows it encodes.
+type memo struct {
 	listed listing
 	spare  []listRow
 	fresh  []byte
 }
 
-// listing is a rendered queue listing: its frame, which nothing writes once
+// listing is a rendered listing: its frame, which nothing writes once
 // it is handed out, and where each row lies in it.
 type listing struct {
 	frame []byte
@@ -211,10 +204,9 @@ func New(cfg Config) (*Daemon, error) {
 		wallBase: clk(),
 		timer:    time.NewTimer(time.Hour),
 		nextID:   1,
-		jobs:     make(map[int64]*jobRecord),
 		lay:      cluster.LayoutOf(cfg.Topology),
 	}
-	d.core = sched.Core[*jobRecord]{
+	d.core = sched.Core[int64]{
 		Free: d.st.FreeTotal, Job: d.job, Start: d.startJob,
 		Backfill: !cfg.DisableBackfill,
 	}
@@ -285,11 +277,9 @@ func (d *Daemon) advance(v float64) {
 	}
 }
 
-// complete finishes running job id: its slot says so, and it leaves the
-// live table.
+// complete finishes running job id: its slot says so.
 func (d *Daemon) complete(id int64) {
-	r := d.jobs[id]
-	h := r.h
+	h := d.hist.get(id)
 	_ = d.st.Release(cluster.JobID(id))
 	h.state = stateCompleted
 	d.completed.Add(metrics.JobResult{
@@ -302,13 +292,12 @@ func (d *Daemon) complete(id int64) {
 		BaseRun:     h.runtime,
 		Exec:        h.exec,
 		CommCost:    h.cost,
-		RefCost:     r.refCost,
+		RefCost:     h.refCost,
 		CostRatio:   h.ratio,
 		Requeues:    int(h.requeues),
-		RequeuedAt:  r.requeuedAt,
-		LostSeconds: r.lostSec,
+		RequeuedAt:  h.requeuedAt,
+		LostSeconds: h.lostSec,
 	})
-	delete(d.jobs, id)
 }
 
 // schedule runs one scheduling pass at virtual time v, then sets the
@@ -337,14 +326,15 @@ func (d *Daemon) schedule(v float64) {
 // dependency (if any) is unfinished: it stays pending while others pass
 // (SLURM's reason Dependency). Dependants of cancelled jobs become
 // eligible, as with SLURM's afterany.
-func (d *Daemon) job(r *jobRecord) (estimate float64, eligible bool) {
+func (d *Daemon) job(id int64) (estimate float64, eligible bool) {
+	h := d.hist.get(id)
 	eligible = true
-	if after := r.h.after; after != 0 {
-		if dep := d.hist.get(after); dep != nil {
+	if h.after != 0 {
+		if dep := d.hist.get(h.after); dep != nil {
 			eligible = dep.state == stateCompleted || dep.state == stateCancelled
 		}
 	}
-	return r.h.runtime, eligible
+	return h.runtime, eligible
 }
 
 // startJob places and starts a job at virtual time v. A node going down
@@ -353,11 +343,11 @@ func (d *Daemon) job(r *jobRecord) (estimate float64, eligible bool) {
 // gone stale unlisted, is an ErrNodeUnavailable, and the job retries.
 // Deterministic selectors otherwise only fail on capacity, which the pass
 // just checked; anything else cancels the job with the reason recorded.
-func (d *Daemon) startJob(r *jobRecord, v float64) (sched.Outcome, error) {
-	h := r.h
-	pl, err := sim.PlaceJobWith(&d.scratch, d.st, d.selector, d.defSel, r.asJob(&d.comm), d.cfg.CostMode, false)
+func (d *Daemon) startJob(id int64, v float64) (sched.Outcome, error) {
+	h := d.hist.get(id)
+	pl, err := sim.PlaceJobWith(&d.scratch, d.st, d.selector, d.defSel, h.asJob(id, &d.comm), d.cfg.CostMode, false)
 	if err == nil {
-		err = d.st.AllocatePlacement(cluster.JobID(r.id), h.class, &pl.Placed)
+		err = d.st.AllocatePlacement(cluster.JobID(id), h.class, &pl.Placed)
 	}
 	if errors.Is(err, cluster.ErrNodeUnavailable) {
 		return sched.Retry, nil
@@ -365,17 +355,16 @@ func (d *Daemon) startJob(r *jobRecord, v float64) (sched.Outcome, error) {
 	if err != nil {
 		h.state = stateCancelled
 		d.hist.setName(h, d.hist.name(h)+" (failed: "+err.Error()+")")
-		delete(d.jobs, r.id)
 		return sched.Dropped, nil
 	}
 	// The slot keeps its own copy of the masks: running and finished rows
 	// render from it alike, and the allocation is the cluster's alone.
-	h.masks = d.hist.masks.add(d.st.Allocation(cluster.JobID(r.id)).Masks())
-	h.exec, h.cost, h.ratio, r.refCost = pl.Exec, pl.Cost, pl.Ratio, pl.RefCost
+	h.masks = d.hist.masks.add(d.st.Allocation(cluster.JobID(id)).Masks())
+	h.exec, h.cost, h.ratio, h.refCost = pl.Exec, pl.Cost, pl.Ratio, pl.RefCost
 	h.state = stateRunning
 	h.start = v
 	h.end = v + pl.Exec
-	d.core.Running.Add(sched.Entry{End: h.end, Key: r.id, Nodes: int(h.nodes)})
+	d.core.Running.Add(sched.Entry{End: h.end, Key: id, Nodes: int(h.nodes)})
 	// Queue-wait sample: virtual seconds from (first) submission to start.
 	d.lat.recordWait(v - h.submit)
 	return sched.Started, nil
@@ -410,59 +399,48 @@ func (d *Daemon) info(id int64, h *histRecord) JobInfo {
 	return ji
 }
 
-// listLocked is a listing of recs, sized once. The running listing is
-// built this way; the queue listing is rendered (queueFrame).
-func (d *Daemon) listLocked(recs []*jobRecord) Response {
-	resp := Response{Ok: true, Jobs: make([]JobInfo, 0, len(recs))}
-	for _, r := range recs {
-		resp.Jobs = append(resp.Jobs, d.info(r.id, r.h))
-	}
-	return resp
-}
-
-// queueFrame renders the queue listing's frame (engine goroutine) and keeps
-// it for the next listing to copy from. The frame is its one allocation,
-// made to size: the writer may still be sending it while the next listing
-// reads it, so nothing writes it again.
-func (d *Daemon) queueFrame() ([]byte, error) {
-	rows, fresh, size, err := d.walkQueue(d.spare[:0], d.fresh[:0])
-	d.fresh = fresh
+// listFrame renders the listing of jobs ids into a frame (engine
+// goroutine) and keeps it in m for the next listing to copy from. The frame
+// is its one allocation, made to size: the writer may still be sending it
+// while the next listing reads it, so nothing writes it again.
+func (d *Daemon) listFrame(m *memo, ids []int64) ([]byte, error) {
+	rows, fresh, size, err := d.walkRows(m.listed.rows, m.spare[:0], ids, m.fresh[:0])
+	m.fresh = fresh
 	if err != nil {
-		d.spare = rows
+		m.spare = rows
 		return nil, err
 	}
-	frame := d.listed.render(make([]byte, 0, size), rows, fresh)
-	d.spare, d.listed = d.listed.rows, listing{frame, rows}
+	frame := m.listed.render(make([]byte, 0, size), rows, fresh)
+	m.spare, m.listed = m.listed.rows, listing{frame, rows}
 	return frame, nil
 }
 
-// walkQueue is a listing's first pass: it appends each queued job's row to
-// rows and returns the frame's size. While a job stays queued its row does
-// not change, and a requeue bumps its count, so a row of the last listing
-// with the same job and requeue count is copied; the others are encoded
-// into fresh. IDs ascend along the queue (submissions push at the tail, a
-// requeue goes ahead of the first larger ID), so one walk finds every such
-// row. In any other order (a restored snapshot's) a row is only missed, and
-// encoded again.
+// walkRows is a listing's first pass: it appends the row of each job of ids
+// to rows and returns the frame's size. A row does not change while its job
+// stays queued, or running, and a requeue bumps its count, so a row of the
+// last listing, last, with the same job and requeue count is copied; the
+// others are encoded into fresh. The running listing's IDs ascend, and so do
+// the queue's (submissions push at the tail, a requeue goes ahead of the
+// first larger ID), so one walk finds every such row. In any other order (a
+// restored snapshot's queue) a row is only missed, and encoded again.
 //
 //caws:noalloc
-func (d *Daemon) walkQueue(rows []listRow, fresh []byte) ([]listRow, []byte, int, error) {
-	jobs := d.queue.Jobs()
-	if len(jobs) == 0 {
+func (d *Daemon) walkRows(last, rows []listRow, ids []int64, fresh []byte) ([]listRow, []byte, int, error) {
+	if len(ids) == 0 {
 		return rows, fresh, len(emptyListing), nil
 	}
-	last := d.listed.rows
-	size, k := len(listingHead)+len(jobs)-1+len(listingTail), 0
-	for _, r := range jobs {
-		for k < len(last) && last[k].id < r.id {
+	size, k := len(listingHead)+len(ids)-1+len(listingTail), 0
+	for _, id := range ids {
+		for k < len(last) && last[k].id < id {
 			k++
 		}
-		row := listRow{id: r.id, off: -1, requeues: r.h.requeues}
-		if k < len(last) && last[k].id == r.id && last[k].requeues == r.h.requeues {
+		h := d.hist.get(id)
+		row := listRow{id: id, off: -1, requeues: h.requeues}
+		if k < len(last) && last[k].id == id && last[k].requeues == h.requeues {
 			row.off, row.n = last[k].off, last[k].n
 			k++
 		} else {
-			ji := d.info(r.id, r.h)
+			ji := d.info(id, h)
 			e := encoder{b: fresh}
 			if e.job(&ji); e.err != nil {
 				return rows, fresh, 0, e.err
@@ -476,7 +454,7 @@ func (d *Daemon) walkQueue(rows []listRow, fresh []byte) ([]listRow, []byte, int
 	return rows, fresh, size, nil
 }
 
-// The bytes of a queue listing's frame around its rows, and of an empty one.
+// The bytes of a listing's frame around its rows, and of an empty one.
 const (
 	listingHead  = `{"ok":true,"jobs":[`
 	listingTail  = "]}\n"
@@ -484,7 +462,7 @@ const (
 )
 
 // render is a listing's second pass: it appends to frame the listing of
-// rows, each copied from l's frame or, if walkQueue encoded it, from fresh,
+// rows, each copied from l's frame or, if walkRows encoded it, from fresh,
 // where they lie in order, and points each row at its bytes in frame.
 //
 //caws:noalloc
@@ -628,35 +606,9 @@ func (d *Daemon) submitLocked(spec *SubmitSpec, v float64) Response {
 		return Response{Error: fmt.Sprintf("nodes %d out of range 1..%d",
 			spec.Nodes, d.cfg.Topology.NumNodes())}
 	}
-	// Written so NaN fails too: a NaN end never compares in sched.Running,
-	// and once first there it stops every later completion.
-	if !(spec.Runtime > 0) || math.IsInf(spec.Runtime, 1) {
-		return Response{Error: "runtime must be positive"}
-	}
-	class := cluster.ComputeIntensive
-	switch spec.Class {
-	case "", "compute":
-	case "comm":
-		class = cluster.CommIntensive
-	default:
-		return Response{Error: fmt.Sprintf("unknown class %q", spec.Class)}
-	}
-	pattern, share := collective.RD, 0.0
-	if class == cluster.CommIntensive {
-		share = spec.CommShare
-		if share == 0 {
-			share = 0.7
-		}
-		if !(share >= 0 && share <= 1) {
-			return Response{Error: fmt.Sprintf("commshare %v out of [0,1]", share)}
-		}
-		if spec.Pattern != "" {
-			p, err := collective.ParsePattern(spec.Pattern)
-			if err != nil {
-				return Response{Error: err.Error()}
-			}
-			pattern = p
-		}
+	rec := histRecord{submit: v, after: spec.After, nodes: int32(spec.Nodes), state: stateQueued}
+	if err := rec.describe(spec.Runtime, spec.Class, spec.Pattern, spec.CommShare); err != nil {
+		return Response{Error: err.Error()}
 	}
 	// Every ID in [1, nextID) was issued. One without a slot finished
 	// before the snapshot this daemon was restored from (Restore refills
@@ -668,27 +620,53 @@ func (d *Daemon) submitLocked(spec *SubmitSpec, v float64) Response {
 	id := d.nextID
 	d.nextID++
 	h := d.hist.slot(id)
-	*h = histRecord{
-		submit:  v,
-		runtime: spec.Runtime,
-		after:   spec.After,
-		nodes:   int32(spec.Nodes),
-		state:   stateQueued,
-		class:   class,
-		pattern: pattern,
-	}
+	*h = rec
 	d.hist.setName(h, spec.Name)
-	r := &jobRecord{id: id, h: h, share: share}
-	d.jobs[id] = r
-	d.queue.Push(r, spec.Nodes)
+	d.queue.Push(id, spec.Nodes)
 	return Response{Ok: true, ID: id}
 }
 
+// describe checks and sets what kind of job h is, as a submission states it
+// and a snapshot restores it: its runtime, its class ("" is compute) and,
+// for a comm job, its pattern (default RD) and communication share (0 means
+// 0.7).
+func (h *histRecord) describe(runtime float64, class, pattern string, share float64) error {
+	// Written so NaN fails too: a NaN end never compares in sched.Running,
+	// and once first there it stops every later completion.
+	if !(runtime > 0) || math.IsInf(runtime, 1) {
+		return errors.New("runtime must be positive")
+	}
+	h.runtime, h.class, h.pattern, h.share = runtime, cluster.ComputeIntensive, collective.RD, 0
+	switch class {
+	case "", "compute":
+		return nil
+	case "comm":
+		h.class = cluster.CommIntensive
+	default:
+		return fmt.Errorf("unknown class %q", class)
+	}
+	if share == 0 {
+		share = 0.7
+	}
+	if !(share >= 0 && share <= 1) {
+		return fmt.Errorf("commshare %v out of [0,1]", share)
+	}
+	h.share = share
+	if pattern != "" {
+		p, err := collective.ParsePattern(pattern)
+		if err != nil {
+			return err
+		}
+		h.pattern = p
+	}
+	return nil
+}
+
 // dispatchLocked executes one non-submit op at virtual time v with its
-// classic semantics (engine goroutine) and returns its response; a queue
-// listing leaves its frame in op. Submit ops never reach it: execBatch
-// routes them through the batch machinery so the one-pass-per-batch
-// invariant cannot be bypassed.
+// classic semantics (engine goroutine) and returns its response; a queue or
+// running listing leaves its frame in op. Submit ops never reach it:
+// execBatch routes them through the batch machinery so the
+// one-pass-per-batch invariant cannot be bypassed.
 func (d *Daemon) dispatchLocked(op *pendingOp, v float64) Response {
 	switch req := &op.req; req.Op {
 	case "status":
@@ -701,17 +679,18 @@ func (d *Daemon) dispatchLocked(op *pendingOp, v float64) Response {
 		return Response{Ok: true, Job: &ji}
 	case "cancel":
 		return d.cancelLocked(req.ID, v)
-	case "queue":
+	case "queue", "running":
 		d.tick(v)
-		frame, err := d.queueFrame()
+		m, ids := &d.queued, d.queue.Jobs()
+		if req.Op == "running" {
+			m, ids = &d.running, d.runningOrdered()
+		}
+		frame, err := d.listFrame(m, ids)
 		if err != nil {
-			return Response{Error: "queue: " + err.Error()}
+			return Response{Error: req.Op + ": " + err.Error()}
 		}
 		op.frame = frame
 		return Response{Ok: true}
-	case "running":
-		d.tick(v)
-		return d.listLocked(d.runningOrdered())
 	case "info":
 		return d.infoLocked(v)
 	case "stats":
@@ -770,7 +749,7 @@ func (d *Daemon) cancelLocked(id int64, v float64) Response {
 	}
 	switch h.state {
 	case stateQueued:
-		d.queue.Remove(d.jobs[id])
+		d.queue.Remove(id)
 	case stateRunning:
 		d.core.Running.Remove(id)
 		_ = d.st.Release(cluster.JobID(id))
@@ -779,7 +758,6 @@ func (d *Daemon) cancelLocked(id int64, v float64) Response {
 		return Response{Error: fmt.Sprintf("job %d already %s", id, h.state)}
 	}
 	h.state = stateCancelled
-	delete(d.jobs, id)
 	d.schedule(v)
 	return Response{Ok: true, ID: id}
 }
@@ -820,16 +798,15 @@ func (d *Daemon) requeueJob(id int64, v float64) {
 	if _, ok := d.core.Running.Remove(id); !ok {
 		return
 	}
-	r := d.jobs[id]
-	h := r.h
+	h := d.hist.get(id)
 	_ = d.st.Release(cluster.JobID(id))
 	h.state = stateQueued
 	h.requeues++
-	r.requeuedAt = v
-	r.lostSec += v - h.start
+	h.requeuedAt = v
+	h.lostSec += v - h.start
 	h.start, h.end = 0, 0
-	h.exec, h.cost, h.ratio, r.refCost, h.masks = 0, 0, 0, 0, span{}
-	d.queue.Insert(r, int(h.nodes), func(q *jobRecord) bool { return q.id > id })
+	h.exec, h.cost, h.ratio, h.refCost, h.masks = 0, 0, 0, 0, span{}
+	d.queue.Insert(id, int(h.nodes), func(q int64) bool { return q > id })
 }
 
 // Drain marks a node (by name) ineligible for new allocations; a running

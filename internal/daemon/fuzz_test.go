@@ -58,10 +58,11 @@ func (b *fuzzBytes) spec(machine int) SubmitSpec {
 // cancelled with the queue and the running set agreeing, and the queue
 // listing is the naive model's: a slice of job IDs appended to on submit,
 // cut on cancel, inserted into in job-ID order on a requeue, and emptied of
-// whatever the daemon says has started. The listing's frame, which copies
-// every row it can from the listing before, is the bytes the whole listing
-// encodes to afresh. A completed job's status names the nodes it ran on,
-// even after other jobs reuse them. A snapshot restores to the same queue.
+// whatever the daemon says has started. A listing's frame, queue or
+// running, which copies every row it can from the listing before, is the
+// bytes the whole listing encodes to afresh. A completed job's status names
+// the nodes it ran on, even after other jobs reuse them. A snapshot restores
+// to the same queue.
 func FuzzDispatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{
@@ -162,7 +163,7 @@ func FuzzDispatch(f *testing.F) {
 			}
 			// No queue listing follows a running listing or a clock step, so
 			// a job can start and then be killed and requeued between two.
-			model = checkDaemon(t, d, model, admitted, ran, op < 8)
+			model = checkDaemon(t, d, model, admitted, ran, op)
 		}
 		var snap bytes.Buffer
 		if err := d.SaveState(&snap); err != nil {
@@ -181,21 +182,24 @@ func FuzzDispatch(f *testing.F) {
 }
 
 // checkDaemon drops from the model the jobs the daemon no longer holds as
-// queued and, if list is set, compares what is left with the queue listing,
-// and the listing's frame with a fresh render; it returns the model. Every
-// admitted job has a history slot, and exactly the queued and running ones a
-// live record. It also remembers in ran the hostlist of every running job and
-// holds each completed job's status to the hostlist it ran on: a job that
-// starts in an op ends after it, so every completed job was seen running.
-func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int, ran map[int64]string, list bool) []int64 {
+// queued and, unless op listed or stepped the clock, compares what is left
+// with the queue listing; after a listing, queue or running, it compares
+// the listing's frame with a fresh render. It returns the model. Every
+// admitted job has a slot, and the queue and the running set hold the IDs of
+// exactly the slots in those states, once each. It also remembers in ran the
+// hostlist of every running job and holds each completed job's status to
+// the hostlist it ran on: a job that starts in an op ends after it, so every
+// completed job was seen running.
+func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int, ran map[int64]string, op int) []int64 {
 	t.Helper()
+	list := op < 8
 	var listing Response
 	if list {
 		listing = d.Queue() // first: a listing runs a pass of its own
 	}
 	checkInvariants(t, d)
 	var counts [5]int
-	var queueLen, runningLen, completedLen, liveLen int
+	var queueLen, runningLen, completedLen int
 	var placed []JobInfo
 	d.call(func() Response {
 		for id := int64(1); id < d.nextID; id++ {
@@ -205,22 +209,36 @@ func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int, ran map[i
 				continue
 			}
 			counts[h.state]++
-			if r, live := d.jobs[id]; live != (h.state == stateQueued || h.state == stateRunning) || live && r.h != h {
-				t.Errorf("job %d is %s; live record %v", id, h.state, live)
-			}
 			if h.state == stateRunning || h.state == stateCompleted {
 				placed = append(placed, d.info(id, h))
 			}
 		}
-		// The listing copied what it could from the one before: its bytes
-		// are the fresh render's, and its index is the queue's.
-		if list {
-			if want := oracleQueue(t, d); !bytes.Equal(d.listed.frame, want) {
-				t.Errorf("queue frame\n%s\nfresh render\n%s", d.listed.frame, want)
+		held := map[int64]bool{}
+		hold := func(id int64, want jobState) {
+			if h := d.hist.get(id); h == nil || h.state != want || held[id] {
+				t.Errorf("job %d is held as %s (twice: %v); its slot is %+v", id, want, held[id], h)
 			}
-			checkRows(t, d)
+			held[id] = true
 		}
-		queueLen, runningLen, completedLen, liveLen = d.queue.Len(), len(d.core.Running), d.completed.Jobs, len(d.jobs)
+		for _, id := range d.queue.Jobs() {
+			hold(id, stateQueued)
+		}
+		for _, e := range d.core.Running {
+			hold(e.Key, stateRunning)
+		}
+		// The listing copied what it could from the one before: its bytes
+		// are the fresh render's, and its index is the listed jobs'.
+		m, ids := &d.queued, d.queue.Jobs()
+		if op == 8 {
+			m, ids = &d.running, d.runningOrdered()
+		}
+		if list || op == 8 {
+			if want := oracleListing(t, d, ids); !bytes.Equal(m.listed.frame, want) {
+				t.Errorf("listing frame\n%s\nfresh render\n%s", m.listed.frame, want)
+			}
+			checkRows(t, d, m, ids)
+		}
+		queueLen, runningLen, completedLen = d.queue.Len(), len(d.core.Running), d.completed.Jobs
 		model = slices.DeleteFunc(model, func(id int64) bool { return d.hist.get(id).state != stateQueued })
 		return Response{Ok: true}
 	})
@@ -228,10 +246,9 @@ func checkDaemon(t *testing.T, d *Daemon, model []int64, admitted int, ran map[i
 		t.FailNow()
 	}
 	if sum := counts[stateQueued] + counts[stateRunning] + counts[stateCompleted] + counts[stateCancelled]; sum != admitted ||
-		counts[stateQueued] != queueLen || counts[stateRunning] != runningLen || counts[stateCompleted] != completedLen ||
-		counts[stateQueued]+counts[stateRunning] != liveLen {
-		t.Fatalf("%d admitted; slots %v (none, queued, running, completed, cancelled); queue %d, running set %d, completed %d, live records %d",
-			admitted, counts, queueLen, runningLen, completedLen, liveLen)
+		counts[stateQueued] != queueLen || counts[stateRunning] != runningLen || counts[stateCompleted] != completedLen {
+		t.Fatalf("%d admitted; slots %v (none, queued, running, completed, cancelled); queue %d, running set %d, completed %d",
+			admitted, counts, queueLen, runningLen, completedLen)
 	}
 	for _, ji := range placed {
 		was, ok := ran[ji.ID]

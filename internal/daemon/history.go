@@ -5,27 +5,29 @@ import (
 	"repro/internal/collective"
 )
 
-// The job table is split in two. d.jobs holds the live jobs, queued and
-// running, as jobRecords: what placing, completing, requeueing and
-// snapshotting a job needs. Every admitted job also owns a history slot,
-// indexed by its ID, from admission on; its scalar fields are written there
-// and nowhere else, so a job that completes, is cancelled or is dropped at
-// start leaves d.jobs and nothing is copied. A slot holds no pointer: its
-// leaf masks and its name live in paged arenas, so the finished history is
-// memory the collector never scans.
+// The job table is the history: every admitted job owns a slot, indexed by
+// its ID, from admission on, and the slot is the job's only record. The
+// pending queue and the running set hold IDs, so completing, cancelling or
+// dropping a job only changes its state and nothing is copied. A slot holds
+// no pointer: its leaf masks and its name live in paged arenas, so the
+// finished history is memory the collector never scans.
 
 const (
-	histPage  = 256  // slots per history page
+	histPage  = 1024 // slots per history page: 17 whole 8 KiB spans of 136 B slots
 	arenaPage = 4096 // elements per arena page; a longer run gets a page of its own
 )
 
-// histRecord is one job's history slot: everything status, cancel and the
-// dependency check read. It must stay free of pointers, strings, slices,
+// histRecord is one job's slot: everything placing, completing, listing and
+// snapshotting it read. It must stay free of pointers, strings, slices,
 // maps and interfaces (TestHistoryRecordHasNoPointers).
 type histRecord struct {
 	submit, start, end float64 // virtual times
 	runtime            float64 // base runtime
 	exec, cost, ratio  float64 // Eq. 7 results of the last start
+	refCost            float64 // Eq. 7 reference cost of the last start
+	share              float64 // a comm job's communication share of its runtime
+	requeuedAt         float64 // virtual time of the last kill
+	lostSec            float64 // node-seconds-per-node of discarded partial work
 	after              int64   // daemon job ID this one waits for (0 = none)
 	nodes              int32
 	requeues           int32 // times a node failure killed and requeued this job

@@ -12,32 +12,41 @@ import (
 	"repro/internal/topology"
 )
 
-// oracleQueue renders the queue listing without the memo: every queued
-// job's JobInfo, encoded as one Response (engine goroutine).
-func oracleQueue(t *testing.T, d *Daemon) []byte {
-	resp := d.listLocked(d.queue.Jobs())
+// listLocked is a listing of jobs ids built without a memo: every job's
+// JobInfo, in one Response (engine goroutine).
+func listLocked(d *Daemon, ids []int64) Response {
+	resp := Response{Ok: true, Jobs: make([]JobInfo, 0, len(ids))}
+	for _, id := range ids {
+		resp.Jobs = append(resp.Jobs, d.info(id, d.hist.get(id)))
+	}
+	return resp
+}
+
+// oracleListing renders the listing of jobs ids afresh: listLocked,
+// encoded as the writer encodes a Response (engine goroutine).
+func oracleListing(t *testing.T, d *Daemon, ids []int64) []byte {
+	resp := listLocked(d, ids)
 	b, err := appendResponse(nil, &resp)
 	if err != nil {
-		t.Errorf("rendering the queue afresh: %v", err)
+		t.Errorf("rendering a listing afresh: %v", err)
 	}
 	return b
 }
 
-// checkRows holds the memo's index to its frame and to the queue: one row
-// per queued job, in queue order, with the job's ID and requeue count,
+// checkRows holds memo m's index to its frame and to the jobs it lists:
+// one row per job of ids, in order, with the job's ID and requeue count,
 // spanning that job's object.
-func checkRows(t *testing.T, d *Daemon) {
-	jobs := d.queue.Jobs()
-	if len(d.listed.rows) != len(jobs) {
-		t.Errorf("the memo indexes %d rows, the queue holds %d jobs", len(d.listed.rows), len(jobs))
+func checkRows(t *testing.T, d *Daemon, m *memo, ids []int64) {
+	if len(m.listed.rows) != len(ids) {
+		t.Errorf("the memo indexes %d rows, the listing holds %d jobs", len(m.listed.rows), len(ids))
 		return
 	}
-	for i, r := range d.listed.rows {
-		row := d.listed.frame[r.off : r.off+r.n]
-		if q := jobs[i]; r.id != q.id || r.requeues != q.h.requeues ||
+	for i, r := range m.listed.rows {
+		row := m.listed.frame[r.off : r.off+r.n]
+		if id, h := ids[i], d.hist.get(ids[i]); r.id != id || r.requeues != h.requeues ||
 			!bytes.HasPrefix(row, fmt.Appendf(nil, `{"id":%d,`, r.id)) || row[len(row)-1] != '}' {
-			t.Errorf("memo row %d (job %d, requeues %d) spans %q; the queue's job %d has requeues %d",
-				i, r.id, r.requeues, row, q.id, q.h.requeues)
+			t.Errorf("memo row %d (job %d, requeues %d) spans %q; the listing's job %d has requeues %d",
+				i, r.id, r.requeues, row, id, h.requeues)
 		}
 	}
 }
@@ -51,28 +60,29 @@ func listQueue(t *testing.T, d *Daemon) []int64 {
 	t.Helper()
 	copied := []int64{}
 	d.call(func() Response {
-		for _, r := range d.listed.rows {
-			row := d.listed.frame[r.off : r.off+r.n]
+		m := &d.queued
+		for _, r := range m.listed.rows {
+			row := m.listed.frame[r.off : r.off+r.n]
 			i := bytes.Index(row, []byte(`"state":"queued"`))
 			copy(row[i+len(`"state":"`):], "QUEUED")
 		}
 		d.tick(d.now())
-		frame, err := d.queueFrame()
+		frame, err := d.listFrame(m, d.queue.Jobs())
 		if err != nil {
 			t.Errorf("queue: %v", err)
 			return Response{}
 		}
-		for _, r := range d.listed.rows {
+		for _, r := range m.listed.rows {
 			if bytes.Contains(frame[r.off:r.off+r.n], []byte("QUEUED")) {
 				copied = append(copied, r.id)
 			}
 		}
 		frame = bytes.ReplaceAll(frame, []byte(`"QUEUED"`), []byte(`"queued"`))
-		if want := oracleQueue(t, d); !bytes.Equal(frame, want) {
+		if want := oracleListing(t, d, d.queue.Jobs()); !bytes.Equal(frame, want) {
 			t.Errorf("queue frame\n%s\nfresh render\n%s", frame, want)
 		}
-		copy(d.listed.frame, frame)
-		checkRows(t, d)
+		copy(m.listed.frame, frame)
+		checkRows(t, d, m, d.queue.Jobs())
 		return Response{Ok: true}
 	})
 	if t.Failed() {
@@ -207,8 +217,8 @@ func TestQueueListingRefusesNonFinite(t *testing.T) {
 		t.Fatalf("a listing with an infinite runtime: %+v", resp)
 	}
 	d.call(func() Response {
-		if len(d.listed.rows) != 0 || d.listed.frame != nil {
-			t.Errorf("a failed listing left a memo of %d rows", len(d.listed.rows))
+		if m := d.queued.listed; len(m.rows) != 0 || m.frame != nil {
+			t.Errorf("a failed listing left a memo of %d rows", len(m.rows))
 		}
 		return Response{Ok: true}
 	})

@@ -129,11 +129,35 @@ func TestNoAllocServingPaths(t *testing.T) {
 		var frame []byte
 		var err error
 		d.call(func() Response {
-			allocs = testing.AllocsPerRun(100, func() { frame, err = d.queueFrame() })
+			allocs = testing.AllocsPerRun(100, func() { frame, err = d.listFrame(&d.queued, d.queue.Jobs()) })
 			return Response{Ok: true}
 		})
 		if err != nil || !bytes.Equal(frame, listingFrame) || allocs != 1 {
 			t.Fatalf("a warm listing allocates %.1f/op, want 1; frame equal to the first: %v (%v)", allocs, bytes.Equal(frame, listingFrame), err)
+		}
+	})
+
+	// So does a running listing: a row is fixed while its job runs. Each
+	// row encoded afresh would allocate its node list and its name.
+	t.Run("runningFrame/warm", func(t *testing.T) {
+		clk := newFakeClock()
+		d := newClockedDaemon(t, clk)
+		for i := range 4 {
+			d.Submit(Request{Nodes: 2, Runtime: 1e4, Class: "comm", Name: fmt.Sprint("r", i)})
+		}
+		listing := d.Running()
+		first, err := appendResponse(nil, &listing)
+		if err != nil || len(listing.Jobs) != 4 {
+			t.Fatalf("running listing of %d jobs, want 4 (%v)", len(listing.Jobs), err)
+		}
+		var allocs float64
+		var frame []byte
+		d.call(func() Response {
+			allocs = testing.AllocsPerRun(100, func() { frame, err = d.listFrame(&d.running, d.runningOrdered()) })
+			return Response{Ok: true}
+		})
+		if err != nil || !bytes.Equal(frame, first) || allocs != 1 {
+			t.Fatalf("a warm running listing allocates %.1f/op, want 1; frame equal to the first: %v (%v)", allocs, bytes.Equal(frame, first), err)
 		}
 	})
 
@@ -167,11 +191,12 @@ func TestNoAllocServingPaths(t *testing.T) {
 		d := newClockedDaemon(t, clk)
 		var allocs float64
 		d.call(func() Response {
-			r := d.jobs[d.submitLocked(&SubmitSpec{Nodes: 2, Runtime: 1, Class: "comm", Pattern: "RHVD", CommShare: 0.25}, 0).ID]
-			if j := r.asJob(&d.comm); len(j.Mix.Comms) != 1 || j.Mix.Comms[0] != (collective.Component{Pattern: collective.RHVD, Frac: 0.25}) || j.Mix.ComputeFrac != 0.75 || j.Mix.Validate() != nil {
+			id := d.submitLocked(&SubmitSpec{Nodes: 2, Runtime: 1, Class: "comm", Pattern: "RHVD", CommShare: 0.25}, 0).ID
+			h := d.hist.get(id)
+			if j := h.asJob(id, &d.comm); len(j.Mix.Comms) != 1 || j.Mix.Comms[0] != (collective.Component{Pattern: collective.RHVD, Frac: 0.25}) || j.Mix.ComputeFrac != 0.75 || j.Mix.Validate() != nil {
 				t.Errorf("comm job's mix: %+v", j.Mix)
 			}
-			allocs = testing.AllocsPerRun(100, func() { _ = r.asJob(&d.comm) })
+			allocs = testing.AllocsPerRun(100, func() { _ = h.asJob(id, &d.comm) })
 			return Response{Ok: true}
 		})
 		if allocs != 0 {

@@ -368,29 +368,26 @@ const (
 	clientMaxBackoff  = 200 * time.Millisecond
 )
 
-// Client is a JSON-lines client for the daemon protocol. Do is
-// synchronous (one request, one response); busy backpressure responses
-// are retried with exponential backoff before surfacing. For pipelined
-// streams use Pipe.
+// Client is a JSON-lines client for the daemon protocol: a Pipe used one
+// request at a time. Do is synchronous (one request, one response); busy
+// backpressure responses are retried with exponential backoff before
+// surfacing. For pipelined streams use Pipe.
 type Client struct {
-	conn net.Conn
-	wbuf []byte
-	br   *bufio.Reader
-	rbuf []byte
-	mu   sync.Mutex
+	p  *Pipe
+	mu sync.Mutex
 }
 
 // Dial connects to a daemon.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	p, err := DialPipe(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, br: bufio.NewReader(conn)}, nil
+	return &Client{p: p}, nil
 }
 
 // Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.p.Close() }
 
 // Do sends one request and reads its response. Responses with no frame
 // limit: listings of any size are reassembled. Retryable busy responses
@@ -401,24 +398,18 @@ func (c *Client) Do(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	backoff := clientBaseBackoff
-	var err error
-	if c.wbuf, err = appendRequest(c.wbuf[:0], &req); err != nil {
-		return Response{}, err
-	}
 	for attempt := 0; ; attempt++ {
-		if _, err = c.conn.Write(c.wbuf); err != nil {
+		if err := c.p.Send(req); err != nil {
 			return Response{}, err
 		}
-		line, err := readFrame(c.br, c.rbuf)
+		if err := c.p.Flush(); err != nil {
+			return Response{}, err
+		}
+		resp, err := c.p.Recv()
+		if err == io.EOF {
+			return Response{}, fmt.Errorf("daemon: connection closed")
+		}
 		if err != nil {
-			if err == io.EOF {
-				return Response{}, fmt.Errorf("daemon: connection closed")
-			}
-			return Response{}, err
-		}
-		c.rbuf = line
-		var resp Response
-		if err := decodeResponse(line, &resp); err != nil {
 			return Response{}, err
 		}
 		if resp.Retryable && attempt < clientMaxRetries {

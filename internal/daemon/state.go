@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/collective"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 )
@@ -64,10 +63,10 @@ type persistedState struct {
 	Stats       metrics.Accumulator `json:"stats"`
 }
 
-func (d *Daemon) persistJob(r *jobRecord) persistedJob {
-	h := r.h
+func (d *Daemon) persistJob(id int64) persistedJob {
+	h := d.hist.get(id)
 	pj := persistedJob{
-		ID:         r.id,
+		ID:         id,
 		Name:       d.hist.name(h),
 		Nodes:      int(h.nodes),
 		Runtime:    h.runtime,
@@ -78,18 +77,18 @@ func (d *Daemon) persistJob(r *jobRecord) persistedJob {
 		Start:      h.start,
 		End:        h.end,
 		Requeues:   int(h.requeues),
-		RequeuedAt: r.requeuedAt,
-		LostSec:    r.lostSec,
+		RequeuedAt: h.requeuedAt,
+		LostSec:    h.lostSec,
 	}
 	if h.class == cluster.CommIntensive {
 		pj.Pattern = h.pattern.String()
-		pj.CommShare = r.share
+		pj.CommShare = h.share
 	}
 	if h.state == stateRunning {
 		pj.NodeIDs = d.lay.AppendNodes(nil, d.hist.masks.get(h.masks))
 		pj.Exec = h.exec
 		pj.Cost = h.cost
-		pj.RefCost = r.refCost
+		pj.RefCost = h.refCost
 		pj.Ratio = h.ratio
 	}
 	return pj
@@ -116,12 +115,12 @@ func (d *Daemon) SaveState(w io.Writer) error {
 				ps.FailedNodes = append(ps.FailedNodes, d.cfg.Topology.NodeName(id))
 			}
 		}
-		for _, r := range d.queue.Jobs() {
-			ps.Queued = append(ps.Queued, d.persistJob(r))
+		for _, id := range d.queue.Jobs() {
+			ps.Queued = append(ps.Queued, d.persistJob(id))
 		}
 		// Persist running jobs in a deterministic order.
-		for _, ji := range d.runningOrdered() {
-			ps.Running = append(ps.Running, d.persistJob(ji))
+		for _, id := range d.runningOrdered() {
+			ps.Running = append(ps.Running, d.persistJob(id))
 		}
 		return Response{Ok: true}
 	})
@@ -133,15 +132,15 @@ func (d *Daemon) SaveState(w io.Writer) error {
 	return enc.Encode(ps)
 }
 
-// runningOrdered returns running records sorted by job ID (engine
-// goroutine only).
-func (d *Daemon) runningOrdered() []*jobRecord {
-	out := make([]*jobRecord, 0, len(d.core.Running))
+// runningOrdered returns the running jobs' IDs in ascending order, in a
+// buffer the next call reuses (engine goroutine only).
+func (d *Daemon) runningOrdered() []int64 {
+	d.runIDs = d.runIDs[:0]
 	for _, e := range d.core.Running {
-		out = append(out, d.jobs[e.Key])
+		d.runIDs = append(d.runIDs, e.Key)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	slices.Sort(d.runIDs)
+	return d.runIDs
 }
 
 // SaveStateFile snapshots to a file (atomically via rename).
@@ -163,60 +162,40 @@ func (d *Daemon) SaveStateFile(path string) error {
 	return os.Rename(tmp, path)
 }
 
-// restoreJob gives a snapshot's live job its slot, in state, and its live
-// record.
-func (d *Daemon) restoreJob(pj persistedJob, state jobState, nextID int64) (*jobRecord, error) {
+// restoreJob gives a snapshot's live job its slot, in state, validated as
+// a submission is.
+func (d *Daemon) restoreJob(pj persistedJob, state jobState, nextID int64) (*histRecord, error) {
 	if pj.ID < 1 || pj.ID >= nextID {
 		return nil, fmt.Errorf("daemon: job %d outside the snapshot's IDs 1..%d", pj.ID, nextID-1)
 	}
 	if n := d.cfg.Topology.NumNodes(); pj.Nodes < 1 || pj.Nodes > n {
 		return nil, fmt.Errorf("daemon: job %d needs %d nodes, outside 1..%d", pj.ID, pj.Nodes, n)
 	}
-	class, pattern, share := cluster.ComputeIntensive, collective.RD, 0.0
-	switch pj.Class {
-	case "compute":
-	case "comm":
-		class = cluster.CommIntensive
-		if pj.Pattern != "" {
-			p, err := collective.ParsePattern(pj.Pattern)
-			if err != nil {
-				return nil, err
-			}
-			pattern = p
-		}
-		if share = pj.CommShare; share <= 0 || share > 1 {
-			share = 0.7
-		}
-	default:
-		return nil, fmt.Errorf("daemon: unknown class %q for job %d", pj.Class, pj.ID)
+	if d.hist.get(pj.ID) != nil {
+		return nil, fmt.Errorf("daemon: job %d appears twice in the snapshot", pj.ID)
 	}
-	h := d.hist.slot(pj.ID)
-	*h = histRecord{
-		submit:   pj.Submit,
-		start:    pj.Start,
-		end:      pj.End,
-		runtime:  pj.Runtime,
-		exec:     pj.Exec,
-		cost:     pj.Cost,
-		ratio:    pj.Ratio,
-		after:    pj.After,
-		nodes:    int32(pj.Nodes),
-		requeues: int32(pj.Requeues),
-		state:    state,
-		class:    class,
-		pattern:  pattern,
-	}
-	d.hist.setName(h, pj.Name)
-	r := &jobRecord{
-		id:         pj.ID,
-		h:          h,
-		share:      share,
+	rec := histRecord{
+		submit:     pj.Submit,
+		start:      pj.Start,
+		end:        pj.End,
+		exec:       pj.Exec,
+		cost:       pj.Cost,
+		ratio:      pj.Ratio,
 		refCost:    pj.RefCost,
 		requeuedAt: pj.RequeuedAt,
 		lostSec:    pj.LostSec,
+		after:      pj.After,
+		nodes:      int32(pj.Nodes),
+		requeues:   int32(pj.Requeues),
+		state:      state,
 	}
-	d.jobs[pj.ID] = r
-	return r, nil
+	if err := rec.describe(pj.Runtime, pj.Class, pj.Pattern, pj.CommShare); err != nil {
+		return nil, fmt.Errorf("daemon: job %d: %w", pj.ID, err)
+	}
+	h := d.hist.slot(pj.ID)
+	*h = rec
+	d.hist.setName(h, pj.Name)
+	return h, nil
 }
 
 // Restore builds a new daemon from a snapshot. The config's topology must
@@ -247,15 +226,15 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 		// nodes — so the drains (and then the failure marks) are reapplied
 		// only after every running job holds its nodes again.
 		for _, pj := range ps.Running {
-			rec, err := d.restoreJob(pj, stateRunning, ps.NextID)
+			h, err := d.restoreJob(pj, stateRunning, ps.NextID)
 			if err != nil {
 				return Response{Error: err.Error()}
 			}
-			if err := d.st.Allocate(cluster.JobID(pj.ID), rec.h.class, pj.NodeIDs); err != nil {
+			if err := d.st.Allocate(cluster.JobID(pj.ID), h.class, pj.NodeIDs); err != nil {
 				return Response{Error: fmt.Sprintf("restoring job %d: %v", pj.ID, err)}
 			}
-			rec.h.masks = d.hist.masks.add(d.st.Allocation(cluster.JobID(pj.ID)).Masks())
-			d.core.Running.Add(sched.Entry{End: rec.h.end, Key: pj.ID, Nodes: pj.Nodes})
+			h.masks = d.hist.masks.add(d.st.Allocation(cluster.JobID(pj.ID)).Masks())
+			d.core.Running.Add(sched.Entry{End: h.end, Key: pj.ID, Nodes: pj.Nodes})
 		}
 		for _, name := range ps.DownNodes {
 			id := d.cfg.Topology.NodeID(name)
@@ -282,11 +261,10 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 			}
 		}
 		for _, pj := range ps.Queued {
-			rec, err := d.restoreJob(pj, stateQueued, ps.NextID)
-			if err != nil {
+			if _, err := d.restoreJob(pj, stateQueued, ps.NextID); err != nil {
 				return Response{Error: err.Error()}
 			}
-			d.queue.Push(rec, pj.Nodes)
+			d.queue.Push(pj.ID, pj.Nodes)
 		}
 		d.tick(ps.VirtualNow)
 		return Response{Ok: true}

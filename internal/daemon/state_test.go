@@ -194,6 +194,24 @@ func TestRestoreRejectsBadState(t *testing.T) {
 			t.Errorf("job ID %s restored under next_id 5 (%v)", id, err)
 		}
 	}
+	// A job is validated as a submission is: a runtime that is not positive
+	// would end at or before its start, and a share outside [0,1] is refused.
+	for _, c := range []struct{ job, want string }{
+		{`"runtime":0,"class":"compute"`, "runtime must be positive"},
+		{`"runtime":-5,"class":"comm"`, "runtime must be positive"},
+		{`"runtime":10,"class":"comm","commshare":1.5`, "commshare 1.5 out of [0,1]"},
+		{`"runtime":10,"class":"comm","commshare":-0.2`, "commshare -0.2 out of [0,1]"},
+	} {
+		if _, err := Restore(cfg, strings.NewReader(
+			`{"version":2,"next_id":5,"queued":[{"id":1,"nodes":2,`+c.job+`}]}`)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("job {%s} restored (%v)", c.job, err)
+		}
+	}
+	// A job has one slot: a snapshot that lists it twice is refused.
+	if _, err := Restore(cfg, strings.NewReader(
+		`{"version":2,"next_id":5,"queued":[{"id":2,"nodes":2,"runtime":10,"class":"compute"},{"id":2,"nodes":2,"runtime":10,"class":"compute"}]}`)); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("job 2 restored twice (%v)", err)
+	}
 	for _, nodes := range []string{"0", "9", "4294967298"} { // the machine has 8
 		if _, err := Restore(cfg, strings.NewReader(
 			`{"version":2,"next_id":5,"queued":[{"id":1,"nodes":`+nodes+`,"runtime":10,"class":"compute"}]}`)); err == nil || !strings.Contains(err.Error(), "needs") {

@@ -144,14 +144,10 @@ type engine struct {
 	results []metrics.JobResult
 	started []bool
 
-	// Fault bookkeeping. inc is the per-job incarnation counter bumped on
-	// every kill (stale completion events are detected against it); the
-	// other slices accumulate requeue statistics merged into the job's
-	// result at its final start.
-	inc        []int
-	requeues   []int
-	requeuedAt []float64
-	lostSec    []float64
+	// inc is the per-job incarnation counter bumped on every kill (stale
+	// completion events are detected against it). A kill's requeue
+	// accounting is written to the job's result, and each start keeps it.
+	inc []int
 
 	// Dependency support (SWF "preceding job"): idToIdx resolves job IDs,
 	// held parks arrived jobs whose dependency has not completed, and
@@ -193,9 +189,6 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 		held:        make(map[cluster.JobID][]int),
 		completedAt: make([]float64, len(trace.Jobs)),
 		inc:         make([]int, len(trace.Jobs)),
-		requeues:    make([]int, len(trace.Jobs)),
-		requeuedAt:  make([]float64, len(trace.Jobs)),
-		lostSec:     make([]float64, len(trace.Jobs)),
 	}
 	e.core = sched.Core[int]{
 		Free: e.st.FreeTotal, Job: e.job, Start: e.start,
@@ -341,9 +334,10 @@ func (e *engine) requeue(idx int, now float64) error {
 	// started again.
 	e.inc[idx]++
 	e.started[idx] = false
-	e.requeues[idx]++
-	e.requeuedAt[idx] = now
-	e.lostSec[idx] += now - e.results[idx].Start
+	r := &e.results[idx]
+	r.Requeues++
+	r.RequeuedAt = now
+	r.LostSeconds += now - r.Start
 	e.push(event{time: now, kind: evArrive, job: idx})
 	return nil
 }
@@ -396,7 +390,8 @@ func (e *engine) start(idx int, now float64) (sched.Outcome, error) {
 	if err := e.st.AllocatePlacement(j.ID, j.Class, &pl.Placed); err != nil {
 		return 0, err
 	}
-	e.results[idx] = metrics.JobResult{
+	r := &e.results[idx]
+	*r = metrics.JobResult{
 		ID:          int64(j.ID),
 		Nodes:       j.Nodes,
 		Comm:        j.Class == cluster.CommIntensive,
@@ -408,9 +403,9 @@ func (e *engine) start(idx int, now float64) (sched.Outcome, error) {
 		CommCost:    pl.Cost,
 		RefCost:     pl.RefCost,
 		CostRatio:   pl.Ratio,
-		Requeues:    e.requeues[idx],
-		RequeuedAt:  e.requeuedAt[idx],
-		LostSeconds: e.lostSec[idx],
+		Requeues:    r.Requeues,
+		RequeuedAt:  r.RequeuedAt,
+		LostSeconds: r.LostSeconds,
 	}
 	// The scheduler plans with the walltime estimate; the completion event
 	// may come earlier.
