@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments -exp all            # everything (minutes)
+//	experiments -exp all            # everything (about 5 s)
 //	experiments -exp table3         # one experiment
 //	experiments -exp fig8 -patterns all
 //	experiments -jobs 200           # reduced scale
@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -50,7 +51,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	err = run(*exp, *jobs, *indJobs, *seed, *comm, *share, *machines, *patterns, *check, *costmode, *plot, *parallel)
+	err = run(os.Stdout, *exp, *jobs, *indJobs, *seed, *comm, *share, *machines, *patterns, *check, *costmode, *plot, *parallel)
 	if serr := stop(); err == nil {
 		err = serr
 	}
@@ -63,7 +64,7 @@ func main() {
 	}
 }
 
-func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
+func run(w io.Writer, exp string, jobs, indJobs int, seed int64, comm, share float64,
 	machines, patterns string, check bool, costmode string, plot bool, parallel int) error {
 	mode, err := costmodel.ParseMode(costmode)
 	if err != nil {
@@ -87,14 +88,14 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 			return
 		}
 		if len(issues) == 0 {
-			fmt.Printf("[check] %s: shape reproduced\n\n", name)
+			fmt.Fprintf(w, "[check] %s: shape reproduced\n\n", name)
 			return
 		}
-		fmt.Printf("[check] %s: %d violation(s):\n", name, len(issues))
+		fmt.Fprintf(w, "[check] %s: %d violation(s):\n", name, len(issues))
 		for _, s := range issues {
-			fmt.Println("  -", s)
+			fmt.Fprintln(w, "  -", s)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	want := func(name string) bool { return exp == "all" || exp == name }
 	start := time.Now()
@@ -104,21 +105,21 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 		// The paper measured TCP on Ethernet; rerun with the incast model
 		// to show the multi-x spike magnitudes that implies.
 		incast, err := experiments.Figure1(experiments.Figure1Options{IncastPenalty: 0.3})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("with TCP-incast model (penalty 0.3): during-J2 mean x%.2f of baseline"+"\n\n",
+		fmt.Fprintf(w, "with TCP-incast model (penalty 0.3): during-J2 mean x%.2f of baseline"+"\n\n",
 			incast.DuringMean/incast.BaselineMean)
 		if plot {
-			if err := txtplot.Series(os.Stdout, "J1 iteration time over wall clock (J2 bursts visible as plateaus)",
+			if err := txtplot.Series(w, "J1 iteration time over wall clock (J2 bursts visible as plateaus)",
 				res.IterEnds, res.IterTimes, 72, 10); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		report("fig1", res.Check())
 	}
@@ -127,7 +128,7 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 		report("table3", res.Check())
 	}
 	if want("fig6") {
@@ -135,7 +136,7 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 		if plot {
 			labels := []string{}
 			series := map[string][]float64{"greedy": {}, "balanced": {}, "adaptive": {}}
@@ -145,11 +146,11 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 				series["balanced"] = append(series["balanced"], p.ReductionPct[core.Balanced])
 				series["adaptive"] = append(series["adaptive"], p.ReductionPct[core.Adaptive])
 			}
-			if err := txtplot.GroupedBars(os.Stdout, "% execution-time reduction vs default",
+			if err := txtplot.GroupedBars(w, "% execution-time reduction vs default",
 				labels, series, []string{"greedy", "balanced", "adaptive"}, 40); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		report("fig6", res.Check())
 	}
@@ -158,7 +159,7 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 		report("table4", res.Check())
 	}
 	if want("fig7") {
@@ -167,12 +168,12 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 			return err
 		}
 		cont, ind := res.MaxReductionPct()
-		fmt.Printf("Figure 7: %d jobs; max per-job exec reduction: continuous %.1f%%, individual %.1f%%\n",
+		fmt.Fprintf(w, "Figure 7: %d jobs; max per-job exec reduction: continuous %.1f%%, individual %.1f%%\n",
 			len(res.JobIDs), cont, ind)
 		if exp == "fig7" { // the full series only when asked for explicitly
-			fmt.Println(res.Format())
+			fmt.Fprintln(w, res.Format())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if want("fig8") {
 		pats := []collective.Pattern{collective.Binomial}
@@ -190,7 +191,7 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 			if err != nil {
 				return err
 			}
-			fmt.Println(res.Format())
+			fmt.Fprintln(w, res.Format())
 			report(fmt.Sprintf("fig8/%v", p), res.Check())
 		}
 	}
@@ -199,7 +200,7 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 		if plot {
 			labels := []string{}
 			series := map[string][]float64{"default": {}, "greedy": {}, "balanced": {}, "adaptive": {}}
@@ -209,11 +210,11 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 					series[alg.String()] = append(series[alg.String()], p.AvgTurnaroundHours[alg])
 				}
 			}
-			if err := txtplot.GroupedBars(os.Stdout, "avg turnaround (hours)",
+			if err := txtplot.GroupedBars(w, "avg turnaround (hours)",
 				labels, series, []string{"default", "greedy", "balanced", "adaptive"}, 40); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		report("fig9", res.Check())
 	}
@@ -224,7 +225,7 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 		report("anneal", res.Check())
 	}
 	if want("future") {
@@ -232,9 +233,9 @@ func run(exp string, jobs, indJobs int, seed int64, comm, share float64,
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Format())
+		fmt.Fprintln(w, res.Format())
 		report("future", res.Check())
 	}
-	fmt.Printf("total: %.1fs\n", time.Since(start).Seconds())
+	fmt.Fprintf(w, "total: %.1fs\n", time.Since(start).Seconds())
 	return nil
 }

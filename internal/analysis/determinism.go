@@ -19,6 +19,7 @@ var DefaultDeterminismScope = []string{
 	"repro/internal/faults",
 	"repro/internal/search",
 	"repro/internal/sched",
+	"repro/internal/experiments",
 }
 
 // allowedRandConstructors are the math/rand package-level functions that

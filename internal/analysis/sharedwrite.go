@@ -6,12 +6,14 @@ import (
 	"go/types"
 )
 
-// DefaultSharedWriteScope are the packages that spawn goroutines over
-// shared scheduling state: the bounded sweep pool, the verify matrix
-// pool, and the adaptive selector's two-way join.
+// DefaultSharedWriteScope are the scheduling packages and the packages
+// that run simulation cells concurrently: sweep.Each, the one worker pool
+// (sweep, experiments and the verify matrix run their cells on it), and
+// the daemon's connection and engine goroutines.
 var DefaultSharedWriteScope = []string{
 	"repro/internal/core",
 	"repro/internal/daemon",
+	"repro/internal/experiments",
 	"repro/internal/sim",
 	"repro/internal/sweep",
 	"repro/internal/verify",

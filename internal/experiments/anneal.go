@@ -7,6 +7,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // AnnealBudgets is the quality-vs-budget sweep the anneal experiment runs:
@@ -50,9 +51,7 @@ func AnnealQuality(o Options) (*AnnealQualityResult, error) {
 	o = o.withDefaults()
 	preset := pickMachine(o.Machines, "Theta")
 	topo := preset.NewTopology()
-	trace := preset.On(topo).Synthesize(o.Jobs, o.Seed)
-	tagged, err := trace.Tag(o.CommFraction,
-		collective.SinglePattern(collective.RD, o.CommShare), o.Seed+17)
+	tagged, err := paperTrace(o, preset, topo, collective.RD)
 	if err != nil {
 		return nil, err
 	}
@@ -60,46 +59,43 @@ func AnnealQuality(o Options) (*AnnealQualityResult, error) {
 		Machine: preset.Name, Pattern: collective.RD, Jobs: o.Jobs,
 		Rows: make([]AnnealQualityRow, len(AnnealBudgets)),
 	}
-	var thunks []func() error
-	for i, budget := range AnnealBudgets {
-		i, budget := i, budget
-		thunks = append(thunks, func() error {
-			cfg := sim.Config{Topology: topo, Algorithm: core.Anneal,
-				CostMode: o.CostMode, AnnealBudget: budget}
-			if budget == 0 {
-				cfg.AnnealBudget = -1 // passthrough: the adaptive baseline
+	err = sweep.Each(len(AnnealBudgets), o.Parallelism, func(i int) error {
+		budget := AnnealBudgets[i]
+		cfg := sim.Config{Topology: topo, Algorithm: core.Anneal,
+			CostMode: o.CostMode, AnnealBudget: budget}
+		if budget == 0 {
+			cfg.AnnealBudget = -1 // passthrough: the adaptive baseline
+		}
+		res, err := sim.RunContinuousValidated(cfg, tagged)
+		if err != nil {
+			return fmt.Errorf("anneal budget %d: %w", budget, err)
+		}
+		costs := make([]float64, 0, len(res.Jobs))
+		mean := 0.0
+		for _, r := range res.Jobs {
+			if r.Comm {
+				costs = append(costs, r.CommCost)
+				mean += r.CommCost
 			}
-			res, err := sim.RunContinuousValidated(cfg, tagged)
-			if err != nil {
-				return fmt.Errorf("anneal budget %d: %w", budget, err)
-			}
-			costs := make([]float64, 0, len(res.Jobs))
-			mean := 0.0
-			for _, r := range res.Jobs {
-				if r.Comm {
-					costs = append(costs, r.CommCost)
-					mean += r.CommCost
-				}
-			}
-			if len(costs) == 0 {
-				return fmt.Errorf("anneal budget %d: no communication-intensive jobs", budget)
-			}
-			sort.Float64s(costs)
-			mid := costs[len(costs)/2]
-			if len(costs)%2 == 0 {
-				mid = (costs[len(costs)/2-1] + costs[len(costs)/2]) / 2
-			}
-			out.Rows[i] = AnnealQualityRow{
-				Budget:         budget,
-				MedianCommCost: mid,
-				MeanCommCost:   mean / float64(len(costs)),
-				ExecHours:      res.Summary.TotalExecHours,
-				WaitHours:      res.Summary.TotalWaitHours,
-			}
-			return nil
-		})
-	}
-	if err := runAll(o.Parallelism, thunks); err != nil {
+		}
+		if len(costs) == 0 {
+			return fmt.Errorf("anneal budget %d: no communication-intensive jobs", budget)
+		}
+		sort.Float64s(costs)
+		mid := costs[len(costs)/2]
+		if len(costs)%2 == 0 {
+			mid = (costs[len(costs)/2-1] + costs[len(costs)/2]) / 2
+		}
+		out.Rows[i] = AnnealQualityRow{
+			Budget:         budget,
+			MedianCommCost: mid,
+			MeanCommCost:   mean / float64(len(costs)),
+			ExecHours:      res.Summary.TotalExecHours,
+			WaitHours:      res.Summary.TotalWaitHours,
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

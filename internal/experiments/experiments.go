@@ -1,21 +1,22 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6) from the simulation substrates. Each experiment returns
 // structured results plus a formatted text rendering whose rows/series
-// mirror the paper's presentation. Runs within an experiment are
-// independent and execute in parallel, one goroutine per (machine, pattern,
-// algorithm) cell, bounded by GOMAXPROCS.
+// mirror the paper's presentation. The continuous-run experiments that are
+// slices of the sweep grid (Table 3, Figure 6, Figure 9, the future-work
+// table) run through sweep.Run; the rest run their independent cells on
+// sweep.Each. Either way the cells run on sweep.Each's worker pool, bounded
+// by Options.Parallelism, and a failure reports the lowest-indexed cell.
 package experiments
 
 import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -87,49 +88,37 @@ func pickMachine(machines []workload.Preset, preferred string) workload.Preset {
 // patternsRHVDRD is the Table 3 / Table 4 row order: RHVD on top, RD below.
 var patternsRHVDRD = []collective.Pattern{collective.RHVD, collective.RD}
 
-// runKey identifies one simulation cell.
-type runKey struct {
-	machine string
-	pattern collective.Pattern
-	alg     core.Algorithm
-}
-
-// runAll executes the given simulation thunks in parallel with bounded
-// concurrency, collecting the first error.
-func runAll(parallelism int, thunks []func() error) error {
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for _, thunk := range thunks {
-		wg.Add(1)
-		go func(f func() error) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := f(); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(thunk)
+// runGrid runs a slice of the sweep grid at o's scale: the four
+// algorithms, o's comm fraction and share where g leaves them unset, o's
+// seed, cost mode and parallelism. It returns the points in grid order,
+// one row per slice of the other axes, each row in algColumns order (the
+// default first).
+func runGrid(o Options, g sweep.Grid) ([][]sweep.Point, error) {
+	if len(g.CommFractions) == 0 {
+		g.CommFractions = []float64{o.CommFraction}
 	}
-	wg.Wait()
-	return firstErr
-}
-
-// continuousRun is a convenience wrapper: synthesize+tag a machine trace
-// and run it under one algorithm.
-func continuousRun(o Options, preset workload.Preset, topo *topology.Topology,
-	commFraction float64, mix collective.Mix, alg core.Algorithm) (*sim.Result, error) {
-	trace := preset.On(topo).Synthesize(o.Jobs, o.Seed)
-	tagged, err := trace.Tag(commFraction, mix, o.Seed+17)
+	g.CommShares = []float64{o.CommShare}
+	g.Algorithms = algColumns
+	g.Jobs, g.Seed, g.CostMode, g.Parallelism = o.Jobs, o.Seed, o.CostMode, o.Parallelism
+	points, err := sweep.Run(g)
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunContinuousValidated(sim.Config{Topology: topo, Algorithm: alg, CostMode: o.CostMode}, tagged)
+	var rows [][]sweep.Point
+	for i := 0; i < len(points); i += len(algColumns) {
+		rows = append(rows, points[i:i+len(algColumns)])
+	}
+	return rows, nil
+}
+
+// paperTrace synthesizes preset's trace at o's scale and tags o's comm
+// fraction of its jobs with pattern at o's share, with the tag seed
+// sweep.Run uses: the input of the experiments that need per-job or
+// individual-run results.
+func paperTrace(o Options, preset workload.Preset, topo *topology.Topology,
+	pattern collective.Pattern) (workload.Trace, error) {
+	return preset.On(topo).Synthesize(o.Jobs, o.Seed).Tag(o.CommFraction,
+		collective.SinglePattern(pattern, o.CommShare), o.Seed+17)
 }
 
 // algColumns is the table column order used throughout.

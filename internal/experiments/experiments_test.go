@@ -255,3 +255,24 @@ func TestAnnealQualityQuick(t *testing.T) {
 		}
 	}
 }
+
+// TestFailingGridReportsLowestCell pins the failure contract the
+// experiments share with the sweep: with every cell failing (a comm
+// fraction above 1 fails tagging), the error reported at every
+// parallelism is the first cell's in grid order — the first machine,
+// pattern and algorithm — not whichever worker failed first.
+func TestFailingGridReportsLowestCell(t *testing.T) {
+	o := quickOpts()
+	o.Jobs = 40
+	o.CommFraction = 2
+	for _, parallel := range []int{1, 4, 16} {
+		o.Parallelism = parallel
+		_, err := Table3(o)
+		if err == nil {
+			t.Fatalf("parallelism %d: invalid fraction accepted", parallel)
+		}
+		if want := "sweep Theta/RHVD/2.00/0.70/default: "; !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("parallelism %d: err = %v, want the first cell's (%s...)", parallel, err, want)
+		}
+	}
+}

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/sweep"
 )
 
 // Figure6Point is the percentage reduction in total execution time versus
@@ -28,45 +28,19 @@ type Figure6Result struct {
 // Figure6 runs the experiment over the configured machines.
 func Figure6(o Options) (*Figure6Result, error) {
 	o = o.withDefaults()
-	var mu sync.Mutex
-	exec := make(map[runKey]float64)
-	var thunks []func() error
-	algs := algColumns // includes default (the baseline)
-	for _, preset := range o.Machines {
-		preset := preset
-		topo := preset.NewTopology()
-		for _, set := range collective.ExperimentSets {
-			set := set
-			for _, alg := range algs {
-				alg := alg
-				thunks = append(thunks, func() error {
-					res, err := continuousRun(o, preset, topo, o.CommFraction, set, alg)
-					if err != nil {
-						return fmt.Errorf("figure6 %s/%s/%v: %w", preset.Name, set.Name, alg, err)
-					}
-					mu.Lock()
-					exec[runKey{preset.Name + "/" + set.Name, 0, alg}] = res.Summary.TotalExecHours
-					mu.Unlock()
-					return nil
-				})
-			}
-		}
-	}
-	if err := runAll(o.Parallelism, thunks); err != nil {
+	rows, err := runGrid(o, sweep.Grid{Machines: o.Machines, Mixes: collective.ExperimentSets})
+	if err != nil {
 		return nil, err
 	}
 	out := &Figure6Result{}
-	for _, preset := range o.Machines {
-		for _, set := range collective.ExperimentSets {
-			key := preset.Name + "/" + set.Name
-			base := exec[runKey{key, 0, core.Default}]
-			p := Figure6Point{Machine: preset.Name, Set: set.Name,
-				ReductionPct: make(map[core.Algorithm]float64, 3)}
-			for _, alg := range []core.Algorithm{core.Greedy, core.Balanced, core.Adaptive} {
-				p.ReductionPct[alg] = metrics.ImprovementPct(base, exec[runKey{key, 0, alg}])
-			}
-			out.Points = append(out.Points, p)
+	for _, points := range rows {
+		base := points[0].Summary.TotalExecHours
+		p := Figure6Point{Machine: points[0].Machine, Set: points[0].Mix,
+			ReductionPct: make(map[core.Algorithm]float64, len(algColumns)-1)}
+		for _, q := range points[1:] {
+			p.ReductionPct[q.Algorithm] = metrics.ImprovementPct(base, q.Summary.TotalExecHours)
 		}
+		out.Points = append(out.Points, p)
 	}
 	return out, nil
 }
@@ -104,25 +78,11 @@ func (r *Figure6Result) Check() []string {
 					p.Machine, p.Set, alg, p.ReductionPct[alg]))
 			}
 		}
-	}
-	machines := map[string]bool{}
-	for _, p := range r.Points {
-		machines[p.Machine] = true
-	}
-	for m := range machines {
-		a, okA := byKey[m+"/A"]
-		c, okC := byKey[m+"/C"]
-		if okA && okC && c.ReductionPct[core.Adaptive] < a.ReductionPct[core.Adaptive] {
-			issues = append(issues, fmt.Sprintf(
-				"%s: adaptive gain did not grow with comm ratio (A %.2f%% vs C %.2f%%)",
-				m, a.ReductionPct[core.Adaptive], c.ReductionPct[core.Adaptive]))
-		}
-		d, okD := byKey[m+"/D"]
-		e, okE := byKey[m+"/E"]
-		if okD && okE && e.ReductionPct[core.Adaptive] < d.ReductionPct[core.Adaptive] {
-			issues = append(issues, fmt.Sprintf(
-				"%s: adaptive gain did not grow from D %.2f%% to E %.2f%%",
-				m, d.ReductionPct[core.Adaptive], e.ReductionPct[core.Adaptive]))
+		// C and E are the higher-ratio sets of the A-C and D-E families.
+		lower := map[string]string{"C": "A", "E": "D"}[p.Set]
+		if q, ok := byKey[p.Machine+"/"+lower]; ok && p.ReductionPct[core.Adaptive] < q.ReductionPct[core.Adaptive] {
+			issues = append(issues, fmt.Sprintf("%s: adaptive gain did not grow from %s %.2f%% to %s %.2f%%",
+				p.Machine, lower, q.ReductionPct[core.Adaptive], p.Set, p.ReductionPct[core.Adaptive]))
 		}
 	}
 	return issues

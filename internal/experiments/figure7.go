@@ -6,6 +6,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // Figure7Result reproduces Figure 7: per-job execution times of the same
@@ -28,8 +29,7 @@ func Figure7(o Options) (*Figure7Result, error) {
 	o = o.withDefaults()
 	preset := pickMachine(o.Machines, "Theta")
 	topo := preset.NewTopology()
-	trace := preset.On(topo).Synthesize(o.Jobs, o.Seed)
-	tagged, err := trace.Tag(o.CommFraction, collective.SinglePattern(collective.RD, o.CommShare), o.Seed+17)
+	tagged, err := paperTrace(o, preset, topo, collective.RD)
 	if err != nil {
 		return nil, err
 	}
@@ -46,35 +46,21 @@ func Figure7(o Options) (*Figure7Result, error) {
 		evaluated[r.JobIndex] = r
 	}
 
-	// Continuous runs, one per algorithm (parallel).
-	contExec := make(map[core.Algorithm]map[int64]float64, len(algColumns))
-	type contOut struct {
-		alg  core.Algorithm
-		exec map[int64]float64
-	}
-	outCh := make(chan contOut, len(algColumns))
-	var thunks []func() error
-	for _, alg := range algColumns {
-		alg := alg
-		thunks = append(thunks, func() error {
-			res, err := sim.RunContinuousValidated(sim.Config{Topology: topo, Algorithm: alg, CostMode: o.CostMode}, tagged)
-			if err != nil {
-				return fmt.Errorf("figure7 continuous %v: %w", alg, err)
-			}
-			m := make(map[int64]float64, len(res.Jobs))
-			for _, jr := range res.Jobs {
-				m[jr.ID] = jr.Exec
-			}
-			outCh <- contOut{alg, m}
-			return nil
-		})
-	}
-	if err := runAll(o.Parallelism, thunks); err != nil {
+	// Continuous runs, one per algorithm, each job's exec time by ID.
+	contExec := make([]map[int64]float64, len(algColumns))
+	err = sweep.Each(len(algColumns), o.Parallelism, func(k int) error {
+		res, err := sim.RunContinuousValidated(sim.Config{Topology: topo, Algorithm: algColumns[k], CostMode: o.CostMode}, tagged)
+		if err != nil {
+			return fmt.Errorf("figure7 continuous %v: %w", algColumns[k], err)
+		}
+		contExec[k] = make(map[int64]float64, len(res.Jobs))
+		for _, jr := range res.Jobs {
+			contExec[k][jr.ID] = jr.Exec
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	close(outCh)
-	for c := range outCh {
-		contExec[c.alg] = c.exec
 	}
 
 	out := &Figure7Result{
@@ -88,8 +74,8 @@ func Figure7(o Options) (*Figure7Result, error) {
 		}
 		id := int64(tagged.Jobs[i].ID)
 		out.JobIDs = append(out.JobIDs, id)
-		for _, alg := range algColumns {
-			out.Continuous[alg] = append(out.Continuous[alg], contExec[alg][id])
+		for k, alg := range algColumns {
+			out.Continuous[alg] = append(out.Continuous[alg], contExec[k][id])
 			out.Individual[alg] = append(out.Individual[alg], r.Exec[alg])
 		}
 	}

@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/sim"
+	"repro/internal/sweep"
+	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // Figure8Series is one machine's communication-cost-by-node-range series
@@ -31,58 +34,52 @@ type Figure8Result struct {
 // Binomial; §6.4's text also reports RD and RHVD).
 func Figure8(o Options, pattern collective.Pattern) (*Figure8Result, error) {
 	o = o.withDefaults()
-	type cell struct {
-		buckets []metrics.Bucket
-		avgCost float64
-	}
-	var mu sync.Mutex
-	cells := make(map[runKey]cell)
-	var thunks []func() error
-	for _, preset := range o.Machines {
-		preset := preset
-		topo := preset.NewTopology()
-		boundaries := metrics.Pow2Boundaries(preset.MaxJobNodes)
-		for _, alg := range algColumns {
-			alg := alg
-			thunks = append(thunks, func() error {
-				res, err := continuousRun(o, preset, topo, o.CommFraction,
-					collective.SinglePattern(pattern, o.CommShare), alg)
-				if err != nil {
-					return fmt.Errorf("figure8 %s/%v: %w", preset.Name, alg, err)
-				}
-				c := cell{buckets: metrics.BucketByNodes(res.Jobs, boundaries)}
-				n := 0
-				for _, jr := range res.Jobs {
-					if jr.Comm && jr.Nodes > 1 {
-						c.avgCost += jr.CommCost
-						n++
-					}
-				}
-				if n > 0 {
-					c.avgCost /= float64(n)
-				}
-				mu.Lock()
-				cells[runKey{preset.Name, pattern, alg}] = c
-				mu.Unlock()
-				return nil
-			})
+	topos := make([]*topology.Topology, len(o.Machines))
+	traces := make([]workload.Trace, len(o.Machines))
+	for m, preset := range o.Machines {
+		topos[m] = preset.NewTopology()
+		var err error
+		if traces[m], err = paperTrace(o, preset, topos[m], pattern); err != nil {
+			return nil, fmt.Errorf("figure8 %s: %w", preset.Name, err)
 		}
 	}
-	if err := runAll(o.Parallelism, thunks); err != nil {
+	// One cell per machine × algorithm: its cost buckets and the mean
+	// cost over its multi-node comm jobs.
+	buckets := make([][]metrics.Bucket, len(o.Machines)*len(algColumns))
+	avgCost := make([]float64, len(buckets))
+	err := sweep.Each(len(buckets), o.Parallelism, func(k int) error {
+		m, alg := k/len(algColumns), algColumns[k%len(algColumns)]
+		res, err := sim.RunContinuousValidated(sim.Config{Topology: topos[m], Algorithm: alg, CostMode: o.CostMode}, traces[m])
+		if err != nil {
+			return fmt.Errorf("figure8 %s/%v: %w", o.Machines[m].Name, alg, err)
+		}
+		buckets[k] = metrics.BucketByNodes(res.Jobs, metrics.Pow2Boundaries(o.Machines[m].MaxJobNodes))
+		n := 0
+		for _, jr := range res.Jobs {
+			if jr.Comm && jr.Nodes > 1 {
+				avgCost[k] += jr.CommCost
+				n++
+			}
+		}
+		if n > 0 {
+			avgCost[k] /= float64(n)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := &Figure8Result{}
-	for _, preset := range o.Machines {
+	for m, preset := range o.Machines {
 		s := Figure8Series{Machine: preset.Name, Pattern: pattern,
 			Buckets:         make(map[core.Algorithm][]metrics.Bucket, len(algColumns)),
-			AvgReductionPct: make(map[core.Algorithm]float64, 3),
+			AvgReductionPct: make(map[core.Algorithm]float64, len(algColumns)-1),
 		}
-		base := cells[runKey{preset.Name, pattern, core.Default}].avgCost
-		for _, alg := range algColumns {
-			c := cells[runKey{preset.Name, pattern, alg}]
-			s.Buckets[alg] = c.buckets
-			if alg != core.Default {
-				s.AvgReductionPct[alg] = metrics.ImprovementPct(base, c.avgCost)
+		first := m * len(algColumns) // algColumns[0] is the default
+		for i, alg := range algColumns {
+			s.Buckets[alg] = buckets[first+i]
+			if i > 0 {
+				s.AvgReductionPct[alg] = metrics.ImprovementPct(avgCost[first], avgCost[first+i])
 			}
 		}
 		out.Series = append(out.Series, s)

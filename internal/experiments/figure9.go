@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/sweep"
+	"repro/internal/workload"
 )
 
 // Figure9Point is one x-axis position of Figure 9: a percentage of
@@ -31,45 +33,20 @@ type Figure9Result struct {
 func Figure9(o Options) (*Figure9Result, error) {
 	o = o.withDefaults()
 	preset := pickMachine(o.Machines, "Intrepid")
-	topo := preset.NewTopology()
-	commPcts := []int{30, 60, 90}
-	type cell struct{ turnaround, nodeHours float64 }
-	var mu sync.Mutex
-	cells := make(map[runKey]cell)
-	var thunks []func() error
-	for _, pct := range commPcts {
-		pct := pct
-		for _, alg := range algColumns {
-			alg := alg
-			thunks = append(thunks, func() error {
-				res, err := continuousRun(o, preset, topo, float64(pct)/100,
-					collective.SinglePattern(collective.RHVD, o.CommShare), alg)
-				if err != nil {
-					return fmt.Errorf("figure9 %d%%/%v: %w", pct, alg, err)
-				}
-				mu.Lock()
-				cells[runKey{fmt.Sprint(pct), 0, alg}] = cell{
-					turnaround: res.Summary.AvgTurnaroundHours,
-					nodeHours:  res.Summary.TotalNodeHours / float64(res.Summary.Jobs),
-				}
-				mu.Unlock()
-				return nil
-			})
-		}
-	}
-	if err := runAll(o.Parallelism, thunks); err != nil {
+	rows, err := runGrid(o, sweep.Grid{Machines: []workload.Preset{preset},
+		Patterns: []collective.Pattern{collective.RHVD}, CommFractions: []float64{0.3, 0.6, 0.9}})
+	if err != nil {
 		return nil, err
 	}
 	out := &Figure9Result{Machine: preset.Name}
-	for _, pct := range commPcts {
-		p := Figure9Point{CommPct: pct,
+	for _, points := range rows {
+		p := Figure9Point{CommPct: int(math.Round(points[0].CommFraction * 100)),
 			AvgTurnaroundHours: make(map[core.Algorithm]float64, len(algColumns)),
 			AvgNodeHours:       make(map[core.Algorithm]float64, len(algColumns)),
 		}
-		for _, alg := range algColumns {
-			c := cells[runKey{fmt.Sprint(pct), 0, alg}]
-			p.AvgTurnaroundHours[alg] = c.turnaround
-			p.AvgNodeHours[alg] = c.nodeHours
+		for _, q := range points {
+			p.AvgTurnaroundHours[q.Algorithm] = q.Summary.AvgTurnaroundHours
+			p.AvgNodeHours[q.Algorithm] = q.Summary.TotalNodeHours / float64(q.Summary.Jobs)
 		}
 		out.Points = append(out.Points, p)
 	}

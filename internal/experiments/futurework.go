@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/sweep"
+	"repro/internal/workload"
 )
 
 // FutureWorkResult extends the evaluation to the communication patterns the
@@ -39,41 +40,21 @@ func FutureWork(o Options) (*FutureWorkResult, error) {
 	// requests); the larger machines would scan hundreds of millions of
 	// pairs per cost evaluation.
 	preset := pickMachine(o.Machines, "Theta")
-	topo := preset.NewTopology()
-	var mu sync.Mutex
-	exec := make(map[runKey]float64)
-	var thunks []func() error
-	for _, pat := range futureWorkPatterns {
-		pat := pat
-		for _, alg := range algColumns {
-			alg := alg
-			thunks = append(thunks, func() error {
-				res, err := continuousRun(o, preset, topo, o.CommFraction,
-					collective.SinglePattern(pat, o.CommShare), alg)
-				if err != nil {
-					return fmt.Errorf("futurework %v/%v: %w", pat, alg, err)
-				}
-				mu.Lock()
-				exec[runKey{preset.Name, pat, alg}] = res.Summary.TotalExecHours
-				mu.Unlock()
-				return nil
-			})
-		}
-	}
-	if err := runAll(o.Parallelism, thunks); err != nil {
+	rows, err := runGrid(o, sweep.Grid{Machines: []workload.Preset{preset}, Patterns: futureWorkPatterns})
+	if err != nil {
 		return nil, err
 	}
 	out := &FutureWorkResult{Machine: preset.Name}
-	for _, pat := range futureWorkPatterns {
-		row := FutureWorkRow{Pattern: pat,
+	for _, points := range rows {
+		row := FutureWorkRow{Pattern: points[0].Pattern,
 			ExecHours:      make(map[core.Algorithm]float64, len(algColumns)),
-			ImprovementPct: make(map[core.Algorithm]float64, 3),
+			ImprovementPct: make(map[core.Algorithm]float64, len(algColumns)-1),
 		}
-		base := exec[runKey{preset.Name, pat, core.Default}]
-		for _, alg := range algColumns {
-			row.ExecHours[alg] = exec[runKey{preset.Name, pat, alg}]
-			if alg != core.Default {
-				row.ImprovementPct[alg] = metrics.ImprovementPct(base, row.ExecHours[alg])
+		base := points[0].Summary.TotalExecHours
+		for k, p := range points {
+			row.ExecHours[p.Algorithm] = p.Summary.TotalExecHours
+			if k > 0 {
+				row.ImprovementPct[p.Algorithm] = metrics.ImprovementPct(base, p.Summary.TotalExecHours)
 			}
 		}
 		out.Rows = append(out.Rows, row)

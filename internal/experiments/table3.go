@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/sweep"
 )
 
 // Table3Cell holds one (machine, pattern, algorithm) outcome in hours.
@@ -31,46 +31,21 @@ type Table3Result struct {
 // Table3 runs the experiment.
 func Table3(o Options) (*Table3Result, error) {
 	o = o.withDefaults()
-	var mu sync.Mutex
-	cells := make(map[runKey]Table3Cell)
-	var thunks []func() error
-	for _, preset := range o.Machines {
-		preset := preset
-		topo := preset.NewTopology()
-		for _, pat := range patternsRHVDRD {
-			pat := pat
-			for _, alg := range algColumns {
-				alg := alg
-				thunks = append(thunks, func() error {
-					res, err := continuousRun(o, preset, topo, o.CommFraction,
-						collective.SinglePattern(pat, o.CommShare), alg)
-					if err != nil {
-						return fmt.Errorf("table3 %s/%v/%v: %w", preset.Name, pat, alg, err)
-					}
-					mu.Lock()
-					cells[runKey{preset.Name, pat, alg}] = Table3Cell{
-						ExecHours: res.Summary.TotalExecHours,
-						WaitHours: res.Summary.TotalWaitHours,
-					}
-					mu.Unlock()
-					return nil
-				})
-			}
-		}
-	}
-	if err := runAll(o.Parallelism, thunks); err != nil {
+	rows, err := runGrid(o, sweep.Grid{Machines: o.Machines, Patterns: patternsRHVDRD})
+	if err != nil {
 		return nil, err
 	}
 	out := &Table3Result{}
-	for _, preset := range o.Machines {
-		for _, pat := range patternsRHVDRD {
-			row := Table3Row{Machine: preset.Name, Pattern: pat,
-				Cells: make(map[core.Algorithm]Table3Cell, len(algColumns))}
-			for _, alg := range algColumns {
-				row.Cells[alg] = cells[runKey{preset.Name, pat, alg}]
+	for _, points := range rows {
+		row := Table3Row{Machine: points[0].Machine, Pattern: points[0].Pattern,
+			Cells: make(map[core.Algorithm]Table3Cell, len(algColumns))}
+		for _, p := range points {
+			row.Cells[p.Algorithm] = Table3Cell{
+				ExecHours: p.Summary.TotalExecHours,
+				WaitHours: p.Summary.TotalWaitHours,
 			}
-			out.Rows = append(out.Rows, row)
 		}
+		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }

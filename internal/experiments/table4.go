@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/sweep"
+	"repro/internal/topology"
 )
 
 // Table4Row is one machine × pattern row: average percentage improvement in
@@ -27,63 +28,49 @@ type Table4Result struct {
 	Rows []Table4Row
 }
 
-// Table4 runs the experiment.
+// Table4 runs the experiment, one cell per machine × pattern row.
 func Table4(o Options) (*Table4Result, error) {
 	o = o.withDefaults()
-	var mu sync.Mutex
-	rowsByKey := make(map[runKey]Table4Row)
-	var thunks []func() error
-	for _, preset := range o.Machines {
-		preset := preset
-		topo := preset.NewTopology()
-		for _, pat := range patternsRHVDRD {
-			pat := pat
-			thunks = append(thunks, func() error {
-				trace := preset.On(topo).Synthesize(o.Jobs, o.Seed)
-				tagged, err := trace.Tag(o.CommFraction, collective.SinglePattern(pat, o.CommShare), o.Seed+17)
-				if err != nil {
-					return err
-				}
-				idx := tagged.Sample(o.IndividualJobs, o.Seed+31)
-				cfg := sim.IndividualConfig{Topology: topo, Seed: o.Seed + 43, CostMode: o.CostMode}
-				results, err := sim.RunIndividual(cfg, tagged, idx, algColumns)
-				if err != nil {
-					return fmt.Errorf("table4 %s/%v: %w", preset.Name, pat, err)
-				}
-				row := Table4Row{Machine: preset.Name, Pattern: pat,
-					AvgImprovementPct: make(map[core.Algorithm]float64, 3)}
-				counts := 0
-				for _, r := range results {
-					base := r.Exec[core.Default]
-					if base <= 0 {
-						continue
-					}
-					counts++
-					for _, alg := range []core.Algorithm{core.Greedy, core.Balanced, core.Adaptive} {
-						row.AvgImprovementPct[alg] += metrics.ImprovementPct(base, r.Exec[alg])
-					}
-				}
-				if counts > 0 {
-					for alg, v := range row.AvgImprovementPct {
-						row.AvgImprovementPct[alg] = v / float64(counts)
-					}
-				}
-				row.JobsEvaluated = counts
-				mu.Lock()
-				rowsByKey[runKey{preset.Name, pat, 0}] = row
-				mu.Unlock()
-				return nil
-			})
-		}
+	topos := make([]*topology.Topology, len(o.Machines))
+	for i, preset := range o.Machines {
+		topos[i] = preset.NewTopology()
 	}
-	if err := runAll(o.Parallelism, thunks); err != nil {
+	out := &Table4Result{Rows: make([]Table4Row, len(o.Machines)*len(patternsRHVDRD))}
+	err := sweep.Each(len(out.Rows), o.Parallelism, func(k int) error {
+		m, pat := k/len(patternsRHVDRD), patternsRHVDRD[k%len(patternsRHVDRD)]
+		preset := o.Machines[m]
+		tagged, err := paperTrace(o, preset, topos[m], pat)
+		if err != nil {
+			return err
+		}
+		idx := tagged.Sample(o.IndividualJobs, o.Seed+31)
+		cfg := sim.IndividualConfig{Topology: topos[m], Seed: o.Seed + 43, CostMode: o.CostMode}
+		results, err := sim.RunIndividual(cfg, tagged, idx, algColumns)
+		if err != nil {
+			return fmt.Errorf("table4 %s/%v: %w", preset.Name, pat, err)
+		}
+		row := Table4Row{Machine: preset.Name, Pattern: pat,
+			AvgImprovementPct: make(map[core.Algorithm]float64, len(algColumns)-1)}
+		for _, r := range results {
+			base := r.Exec[core.Default]
+			if base <= 0 {
+				continue
+			}
+			row.JobsEvaluated++
+			for _, alg := range algColumns[1:] {
+				row.AvgImprovementPct[alg] += metrics.ImprovementPct(base, r.Exec[alg])
+			}
+		}
+		if row.JobsEvaluated > 0 {
+			for _, alg := range algColumns[1:] {
+				row.AvgImprovementPct[alg] /= float64(row.JobsEvaluated)
+			}
+		}
+		out.Rows[k] = row
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	out := &Table4Result{}
-	for _, preset := range o.Machines {
-		for _, pat := range patternsRHVDRD {
-			out.Rows = append(out.Rows, rowsByKey[runKey{preset.Name, pat, 0}])
-		}
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
@@ -260,6 +261,88 @@ func TestKernelColumnFollowsGridMode(t *testing.T) {
 		if got := strings.ReplaceAll(csvs["reference"], ",reference,", ",aggregated,"); got != csvs["aggregated"] {
 			t.Fatalf("parallelism %d: reference and default sweeps differ beyond the kernel column:\n%s\nvs\n%s",
 				parallel, csvs["reference"], csvs["aggregated"])
+		}
+	}
+}
+
+// TestEachDeterministicFirstFailure pins the worker pool's failure
+// semantics: whatever the pool size and the interleaving, the reported
+// error is the lowest-indexed failing cell, and every cell runs exactly
+// once.
+func TestEachDeterministicFirstFailure(t *testing.T) {
+	for _, parallelism := range []int{1, 4, 16} {
+		ran := make([]int, 40)
+		err := Each(len(ran), parallelism, func(i int) error {
+			ran[i]++
+			if i == 7 || i == 23 {
+				return fmt.Errorf("cell %d failed", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "cell 7 failed" {
+			t.Errorf("parallelism %d: err = %v, want cell 7", parallelism, err)
+		}
+		for i, n := range ran {
+			if n != 1 {
+				t.Errorf("parallelism %d: cell %d ran %d times", parallelism, i, n)
+			}
+		}
+	}
+	if err := Each(5, 8, func(int) error { return nil }); err != nil {
+		t.Errorf("clean pool returned %v", err)
+	}
+}
+
+// TestMixesAxis pins the mix axis: a grid of single-pattern mixes is the
+// Patterns × CommShares grid it spells out, CSV byte for byte, and a grid
+// of the paper's sets A–E carries each set's name, primary pattern and
+// total share, in Mixes order.
+func TestMixesAxis(t *testing.T) {
+	render := func(g Grid) string {
+		t.Helper()
+		points, err := Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, points); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	g := smallGrid()
+	g.Jobs = 40
+	g.CommShares = []float64{0.5, 0.7}
+	mixed := g
+	mixed.Patterns, mixed.CommShares = nil, nil
+	for _, pat := range g.Patterns {
+		for _, share := range g.CommShares {
+			mixed.Mixes = append(mixed.Mixes, collective.SinglePattern(pat, share))
+		}
+	}
+	// The fraction axis sits between a pattern and its shares, so the row
+	// orders agree only with one fraction.
+	g.CommFractions, mixed.CommFractions = []float64{0.9}, []float64{0.9}
+	if got, want := render(mixed), render(g); got != want {
+		t.Fatalf("single-pattern mixes differ from the pattern grid:\n%s\nvs\n%s", got, want)
+	}
+
+	sets := smallGrid()
+	sets.Jobs, sets.CommFractions = 40, []float64{0.9}
+	sets.Mixes = collective.ExperimentSets
+	if got, want := sets.Size(), len(collective.ExperimentSets)*len(sets.Algorithms); got != want {
+		t.Fatalf("Size = %d, want %d", got, want)
+	}
+	points, err := Run(sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range points {
+		m := collective.ExperimentSets[i/len(sets.Algorithms)]
+		primary, _ := m.PrimaryPattern()
+		if p.Mix != m.Name || p.Pattern != primary || p.CommShare != m.CommFrac() ||
+			p.Algorithm != sets.Algorithms[i%len(sets.Algorithms)] {
+			t.Fatalf("point %d = %s/%v/%v/%v, want mix %s", i, p.Mix, p.Pattern, p.CommShare, p.Algorithm, m.Name)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -217,7 +218,7 @@ func DifferentialConfigsParallel(spec TraceSpec, configs []RunConfig, parallelis
 		}
 	}
 	results := make([]*sim.Result, len(configs))
-	err = runCells(len(configs), parallelism, func(i int) error {
+	err = sweep.Each(len(configs), parallelism, func(i int) error {
 		cfg := configs[i].simConfigFaults(topo, ftrace)
 		res, err := sim.RunContinuous(cfg, trace)
 		if err != nil {
@@ -511,7 +512,7 @@ func runMatrixResults(spec TraceSpec, configs []RunConfig, parallelism int, with
 		per = 2
 	}
 	results := make([]*sim.Result, per*len(configs))
-	err = runCells(len(results), parallelism, func(k int) error {
+	err = sweep.Each(len(results), parallelism, func(k int) error {
 		cfg := configs[k/per].simConfigFaults(topo, ftrace)
 		cfg.Reference = k%per == 1
 		res, err := sim.RunContinuous(cfg, trace)

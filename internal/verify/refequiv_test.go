@@ -2,7 +2,6 @@ package verify
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -72,33 +71,6 @@ func TestReferenceAndOptimizedRunConcurrently(t *testing.T) {
 		if !slices.Equal(got.Jobs, want.Jobs) || got.Summary != want.Summary {
 			t.Errorf("%s run differs from the sequential optimized run:\n%+v\nvs\n%+v", name, got.Summary, want.Summary)
 		}
-	}
-}
-
-// TestRunCellsDeterministicFirstFailure pins the worker pool's failure
-// semantics: whatever the interleaving, the reported error is the
-// lowest-indexed failing cell, and every cell runs exactly once.
-func TestRunCellsDeterministicFirstFailure(t *testing.T) {
-	for _, parallelism := range []int{1, 4, 16} {
-		ran := make([]int, 40)
-		err := runCells(len(ran), parallelism, func(i int) error {
-			ran[i]++
-			if i == 7 || i == 23 {
-				return fmt.Errorf("cell %d failed", i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "cell 7 failed" {
-			t.Errorf("parallelism %d: err = %v, want cell 7", parallelism, err)
-		}
-		for i, n := range ran {
-			if n != 1 {
-				t.Errorf("parallelism %d: cell %d ran %d times", parallelism, i, n)
-			}
-		}
-	}
-	if err := runCells(5, 8, func(int) error { return nil }); err != nil {
-		t.Errorf("clean pool returned %v", err)
 	}
 }
 
