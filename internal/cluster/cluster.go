@@ -61,7 +61,7 @@ func (c Class) String() string {
 type Allocation struct {
 	Job   JobID
 	Class Class
-	lay   *Layout
+	topo  *topology.Topology
 	size  int
 	masks []uint64
 }
@@ -69,7 +69,7 @@ type Allocation struct {
 // Nodes lists the held node IDs, ascending, rendered from the masks on every
 // call.
 func (a *Allocation) Nodes() []int {
-	return a.lay.AppendNodes(make([]int, 0, a.size), a.masks)
+	return AppendNodes(a.topo, make([]int, 0, a.size), a.masks)
 }
 
 // Masks returns the allocation's leaf masks in the encoding described on
@@ -78,13 +78,13 @@ func (a *Allocation) Nodes() []int {
 func (a *Allocation) Masks() []uint64 { return a.masks }
 
 // AppendNodes appends to dst, ascending, the node IDs set in masks — an
-// Allocation's masks or a copy of them — and returns the extended slice. It
-// only reads masks.
-func (lay *Layout) AppendNodes(dst []int, masks []uint64) []int {
-	start := len(dst)
+// Allocation's masks or a copy of them, over topo's layout — and returns the
+// extended slice. It only reads masks.
+func AppendNodes(topo *topology.Topology, dst []int, masks []uint64) []int {
+	start, lay := len(dst), topo.Layout()
 	for m := masks; len(m) > 0; {
-		l, _, mask, rest := lay.leafMask(m)
-		ids := lay.Topo.LeafNodes(l)
+		l, _, mask, rest := leafMask(lay, m)
+		ids := topo.LeafNodes(l)
 		for w, word := range mask {
 			dst = appendBits(dst, ids[w<<6:], word)
 		}
@@ -98,7 +98,7 @@ func (lay *Layout) AppendNodes(dst []int, masks []uint64) []int {
 
 // leafMask splits the first leaf off an allocation's masks: the leaf, the
 // node count in its header, its mask words, and the leaves after it.
-func (lay *Layout) leafMask(m []uint64) (l, held int, mask, rest []uint64) {
+func leafMask(lay *topology.Layout, m []uint64) (l, held int, mask, rest []uint64) {
 	l = int(m[0] >> 32)
 	end := 1 + int(lay.LeafWordOff[l+1]-lay.LeafWordOff[l])
 	return l, int(uint32(m[0])), m[1:end], m[end:]
@@ -141,7 +141,7 @@ func pickRanks(free uint64, skip, k int) (uint64, int, int) {
 // harnesses run independent States in parallel).
 type State struct {
 	topo *topology.Topology
-	lay  *Layout
+	lay  *topology.Layout
 	// reference, fixed at construction, routes SwitchFree through
 	// SwitchFreeSlow, and costmodel and the selectors through their
 	// reference loops, for every evaluation over this state.
@@ -195,7 +195,7 @@ func New(topo *topology.Topology) *State { return newState(topo, false) }
 func NewReference(topo *topology.Topology) *State { return newState(topo, true) }
 
 func newState(topo *topology.Topology, reference bool) *State {
-	lay := LayoutOf(topo)
+	lay := topo.Layout()
 	words := lay.LeafWordOff[lay.L]
 	s := &State{
 		topo:        topo,
@@ -277,7 +277,7 @@ func (s *State) NodeJob(id int) JobID {
 	b := s.lay.NodeBit[id] - s.lay.LeafWordOff[leaf]<<6
 	for _, a := range s.RunningAllocations() {
 		for m := a.masks; len(m) > 0; {
-			l, _, mask, rest := s.lay.leafMask(m)
+			l, _, mask, rest := leafMask(s.lay, m)
 			if l == leaf && mask[b>>6]>>(b&63)&1 != 0 {
 				return a.Job
 			}
@@ -441,7 +441,7 @@ func (s *State) AllocatePlacement(job JobID, class Class, p *Placement) error {
 	s.maskBuf = masks
 	s.free -= p.Len()
 	s.gen++
-	s.allocs[job] = &Allocation{Job: job, Class: class, lay: lay, size: p.Len(), masks: slices.Clone(masks)}
+	s.allocs[job] = &Allocation{Job: job, Class: class, topo: s.topo, size: p.Len(), masks: slices.Clone(masks)}
 	return nil
 }
 
@@ -456,7 +456,7 @@ func (s *State) Release(job JobID) error {
 	}
 	returned := 0
 	for m := a.masks; len(m) > 0; {
-		l, held, mask, rest := s.lay.leafMask(m)
+		l, held, mask, rest := leafMask(s.lay, m)
 		off, down := int(s.lay.LeafWordOff[l]), 0
 		for w, word := range mask {
 			s.busyBits[off+w] &^= word
@@ -526,7 +526,7 @@ func (s *State) CheckInvariants() error {
 	for _, a := range s.RunningAllocations() { // by job ID: the first violation is the same on every call
 		total := 0
 		for m := a.masks; len(m) > 0; {
-			l, held, mask, rest := s.lay.leafMask(m)
+			l, held, mask, rest := leafMask(s.lay, m)
 			ids, set := s.topo.LeafNodes(l), 0
 			for w, word := range mask {
 				for set += bits.OnesCount64(word); word != 0; word &= word - 1 {

@@ -241,7 +241,7 @@ func TestMaskCommitMatchesPerNodeOracle(t *testing.T) {
 // way both could.
 func TestCheckInvariantsCatchesMaskCorruption(t *testing.T) {
 	topo := mixedLeaves(t)
-	lay := LayoutOf(topo)
+	lay := topo.Layout()
 	first := func(l int) int { return topo.LeafNodes(l)[0] }
 	for _, c := range []struct {
 		name    string

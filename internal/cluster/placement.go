@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"repro/internal/topology"
 )
 
 // ErrStalePlacement rejects an unlisted free-rank placement once the state it
@@ -205,7 +207,7 @@ func (s *State) firstUnfree(nodes []int) int {
 // Reduce makes Runs available without consulting any state. It reports
 // false for a wrapped list that repeats a node id or names one outside the
 // layout, which has no run sequence.
-func (p *Placement) Reduce(lay *Layout, sc *Scratch) bool {
+func (p *Placement) Reduce(lay *topology.Layout, sc *Scratch) bool {
 	return p.owned || p.scan(lay.NodeLeaf, len(lay.NodeLeaf), sc) == len(p.nodes)
 }
 

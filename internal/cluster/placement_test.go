@@ -73,7 +73,7 @@ func (s *refState) allocateRef(job JobID, class Class, nodes []int) error {
 	}
 	sorted := append([]int(nil), nodes...)
 	sort.Ints(sorted)
-	a := &Allocation{Job: job, Class: class, lay: s.lay, size: len(sorted)}
+	a := &Allocation{Job: job, Class: class, topo: s.topo, size: len(sorted)}
 	leaf, header := -1, 0
 	for _, id := range sorted {
 		s.owner[id] = job

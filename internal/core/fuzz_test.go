@@ -148,7 +148,7 @@ func FuzzAllocate(f *testing.F) {
 				}
 			}
 			bare := cluster.NewPlacement(nodes)
-			if !bare.Reduce(cluster.LayoutOf(topo), new(cluster.Scratch)) || !slices.Equal(bare.Runs(), pl.Runs()) {
+			if !bare.Reduce(topo.Layout(), new(cluster.Scratch)) || !slices.Equal(bare.Runs(), pl.Runs()) {
 				t.Fatalf("op %d: %s recorded runs %x for %v, whose maximal leaf runs are %x", i, sel.Name(), pl.Runs(), nodes, bare.Runs())
 			}
 			if err := st.AllocatePlacement(req.Job, req.Class, &pl); err != nil {

@@ -143,7 +143,7 @@ func compileLists(topo *topology.Topology, n, chunk int) map[string][]int {
 // half-loaded machine.
 func BenchmarkPrice(b *testing.B) {
 	topo := topology.Intrepid()
-	lay := cluster.LayoutOf(topo)
+	lay := topo.Layout()
 	st := cluster.New(topo)
 	for _, shape := range []string{"contiguous", "fragmented", "permuted", "selector"} {
 		sizes := []int{512, 4096, 32768}

@@ -69,7 +69,7 @@ func (sc *Scratch) JobCost(st *cluster.State, nodes []int, p collective.Pattern,
 		return 0, err
 	}
 	if !st.Reference() && len(nodes) > 0 {
-		lay, pl := cluster.LayoutOf(st.Topology()), cluster.NewPlacement(nodes)
+		lay, pl := st.Topology().Layout(), cluster.NewPlacement(nodes)
 		if pl.Reduce(lay, &sc.scan) {
 			blocks, err := blocksFor(p, len(nodes))
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
+	"repro/internal/topology"
 )
 
 // One-pass pricing.
@@ -49,7 +50,7 @@ type Scratch struct {
 // overlay, the counter plus the candidate's nodes on the leaf; the share is
 // that count divided as State.CommShare divides, so pricing is bit-identical
 // to the reference loop, overlay pricing to it after a real Allocate.
-func (sc *Scratch) begin(st *cluster.State, lay *cluster.Layout, runs []uint64, overlay, dist bool) {
+func (sc *Scratch) begin(st *cluster.State, lay *topology.Layout, runs []uint64, overlay, dist bool) {
 	if len(sc.leafPos) < lay.L {
 		sc.leafPos = make([]int32, lay.L)
 		sc.leafEpoch = make([]uint32, lay.L)
@@ -107,7 +108,7 @@ func (sc *Scratch) begin(st *cluster.State, lay *cluster.Layout, runs []uint64, 
 // bit-identical.
 //
 //caws:noalloc
-func (sc *Scratch) hops(lay *cluster.Layout, i, j int32) float64 {
+func (sc *Scratch) hops(lay *topology.Layout, i, j int32) float64 {
 	li, lj := sc.leaves[i], sc.leaves[j]
 	d := lay.Dist(li, lj)
 	if i == j {
@@ -161,7 +162,7 @@ func (c *runCursor) seek(runs []uint64, runPos []int32, x int) {
 // cursor per side of the pairs, and the running max of the current step.
 type walker struct {
 	sc     *Scratch
-	lay    *cluster.Layout
+	lay    *topology.Layout
 	runs   []uint64
 	n      int  // ranks
 	dist   bool // price d(i,j) alone: the distance-only ablation
@@ -175,7 +176,7 @@ type walker struct {
 // or distance alone; overlay adds the runs' nodes to the comm counters.
 //
 //caws:noalloc
-func (sc *Scratch) price(st *cluster.State, lay *cluster.Layout, runs []uint64,
+func (sc *Scratch) price(st *cluster.State, lay *topology.Layout, runs []uint64,
 	blocks []collective.BlockStep, mode Mode, overlay bool) (float64, error) {
 	w := walker{sc: sc, lay: lay, runs: runs, n: int(runs[len(runs)-1]), dist: mode == ModeDistanceOnly}
 	sc.begin(st, lay, runs, overlay, w.dist)

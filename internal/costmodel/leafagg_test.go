@@ -15,9 +15,6 @@ func leafAggState(t *testing.T) *cluster.State {
 	t.Helper()
 	topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 4, Fanouts: []int{4, 2}})
 	st := cluster.New(topo)
-	if cluster.LayoutOf(topo) == nil {
-		t.Fatal("fixture topology unexpectedly has no layout")
-	}
 	// Resident comm job across two leaves makes contention non-trivial.
 	if err := st.Allocate(900, cluster.CommIntensive, []int{0, 1, 4}); err != nil {
 		t.Fatal(err)

@@ -96,7 +96,7 @@ func (sc *Scratch) PlacementCostMode(st *cluster.State, job cluster.JobID, class
 		if err := st.AllocatePlacement(job, class, pl); err != nil {
 			return 0, fmt.Errorf("costmodel: candidate allocate: %w", err)
 		}
-		steps, err := scheduleRef(p, pl.Len())
+		steps, err := ScheduleFor(p, pl.Len())
 		var cost float64
 		if err == nil {
 			cost, err = costRef(st, nodes, steps, mode)
@@ -117,5 +117,5 @@ func (sc *Scratch) PlacementCostMode(st *cluster.State, job cluster.JobID, class
 	// compute-intensive one costs against the state as-is. A validated
 	// placement lists distinct in-range nodes, so its runs are at hand: its
 	// own, or those the validation just left in sc.scan.
-	return sc.price(st, cluster.LayoutOf(st.Topology()), pl.Runs(), blocks, mode, class == cluster.CommIntensive)
+	return sc.price(st, st.Topology().Layout(), pl.Runs(), blocks, mode, class == cluster.CommIntensive)
 }

@@ -13,7 +13,7 @@ import (
 // node list whose runs each take the first free nodes of a leaf no other
 // run visits.
 func freeRankPlacement(st *cluster.State, nodes []int) cluster.Placement {
-	lay := cluster.LayoutOf(st.Topology())
+	lay := st.Topology().Layout()
 	var runs, skip []uint64
 	for r, id := range nodes {
 		if l := lay.NodeLeaf[id]; r == 0 || l != lay.NodeLeaf[nodes[r-1]] {

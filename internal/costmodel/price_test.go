@@ -16,7 +16,7 @@ import (
 // priceCold prices blocks over nodes on a fresh scratch; ok is false for a
 // list the run view rejects.
 func priceCold(st *cluster.State, nodes []int, blocks []collective.BlockStep, mode Mode, overlay bool) (cost float64, ok bool, err error) {
-	lay := cluster.LayoutOf(st.Topology())
+	lay := st.Topology().Layout()
 	sc := new(Scratch)
 	pl := cluster.NewPlacement(nodes)
 	if len(nodes) == 0 || !pl.Reduce(lay, &sc.scan) {
@@ -89,7 +89,7 @@ type compileReach struct {
 }
 
 // observe classifies one (blocks, node list) input.
-func (r *compileReach) observe(lay *cluster.Layout, nodes []int, blocks []collective.BlockStep) {
+func (r *compileReach) observe(lay *topology.Layout, nodes []int, blocks []collective.BlockStep) {
 	runOf := make([]int, len(nodes)) // rank -> index of its leaf run
 	for i := 1; i < len(nodes); i++ {
 		runOf[i] = runOf[i-1]
@@ -238,7 +238,7 @@ func TestPriceMatchesReference(t *testing.T) {
 	var reach compileReach
 	for _, tc := range cases {
 		topo, n := tc.topo, tc.n
-		lay := cluster.LayoutOf(topo)
+		lay := topo.Layout()
 		lists := compileLists(topo, n, 5)
 		// One rank per run: deal the ranks round-robin over the leaves.
 		perRun := make([]int, n)

@@ -9,22 +9,20 @@ import (
 )
 
 // Schedule memoization: a collective schedule is a pure function of
-// (pattern, rank count), and the scheduler's hot paths need the same one
+// (pattern, rank count), and the scheduler's hot paths price the same one
 // repeatedly — the adaptive selector costs its distinct candidates per
 // request, the simulator costs the chosen and the reference allocation per
-// job start, and rank remapping's hill climb re-reads it for every swap.
-// Entries are immutable; callers of ScheduleFor must never mutate the
-// returned steps.
+// job start, and rank remapping's hill climb re-prices it for every swap.
+// Pricing reads a schedule in block form only, so that is all the memo
+// keeps. Entries are immutable once published.
 
 // maxScheduleBytes bounds what the memo holds, so pathological traces
-// (tens of thousands of distinct job sizes, or pair lists of whole-machine
-// jobs) cannot pin unbounded memory. It counts every entry's blocks — 56 B
-// each plus 40 B per step; every (pattern, size) of the 512-node Theta
-// trace's three patterns together take about 2 MB — plus every pair list
-// ScheduleFor listed (16 B per pair: 3.9 MB for 32,768-rank RD), plus the
-// pages that index them. Nothing is evicted: once a schedule does not fit,
-// pricing generates its blocks afresh on every call (O(steps) for the
-// closed forms) and ScheduleFor lists a fresh pair list.
+// (tens of thousands of distinct job sizes) cannot pin unbounded memory. It
+// counts every entry's blocks — 56 B each plus 40 B per step; every
+// (pattern, size) of the 512-node Theta trace's three patterns together take
+// about 2 MB — plus the pages that index them. Nothing is evicted: once a
+// schedule does not fit, pricing generates its blocks afresh on every call
+// (O(steps) for the closed forms).
 const maxScheduleBytes = 32 << 20
 
 // The memo indexes entries by rank count in pages of memoPageSize, one
@@ -34,13 +32,9 @@ const (
 	memoPageSize = 1 << memoPageBits
 )
 
-// memoSchedule is one memo entry: the schedule in block form, which is all
-// pricing reads, and its pair lists once some caller has asked for them.
+// memoSchedule is one memo entry: the schedule in block form.
 type memoSchedule struct {
 	blocks []collective.BlockStep
-	kept   bool // the entry is in the memo, not generated for one call
-	once   sync.Once
-	steps  []collective.Step // collective.Expand(blocks), listed by pairs
 }
 
 type memoPage [memoPageSize]atomic.Pointer[memoSchedule]
@@ -72,32 +66,34 @@ func (m *scheduleMemo) lookup(p collective.Pattern, n int) *memoSchedule {
 }
 
 // entry returns the memo entry of pattern's schedule at n ranks, made on
-// first use. A schedule the bound refuses gets an entry of its own, not
-// kept, with its blocks generated for this call.
-func (m *scheduleMemo) entry(p collective.Pattern, n int) (*memoSchedule, error) {
+// first use, and whether the memo keeps it. A schedule the bound refuses
+// gets an entry of its own, not kept, with its blocks generated for this
+// call.
+func (m *scheduleMemo) entry(p collective.Pattern, n int) (*memoSchedule, bool, error) {
 	if e := m.lookup(p, n); e != nil {
-		return e, nil
+		return e, true, nil
 	}
 	blocks, err := p.Blocks(n)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	e := &memoSchedule{blocks: blocks}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if kept := m.lookup(p, n); kept != nil { // another goroutine made it first
-		return kept, nil
+		return kept, true, nil
 	}
 	slot, grow := m.slot(p, n)
-	if size := blocksBytes(blocks) + grow; m.bytes+size <= m.max {
-		if slot == nil {
-			slot = m.grow(p, n)
-		}
-		m.bytes += size
-		e.kept = true
-		slot.Store(e)
+	size := blocksBytes(blocks) + grow
+	if m.bytes+size > m.max {
+		return e, false, nil
 	}
-	return e, nil
+	if slot == nil {
+		slot = m.grow(p, n)
+	}
+	m.bytes += size
+	slot.Store(e)
+	return e, true, nil
 }
 
 // slot returns the slot of (p, n) if its page exists, else the bytes the
@@ -133,31 +129,6 @@ func (m *scheduleMemo) grow(p collective.Pattern, n int) *atomic.Pointer[memoSch
 	return &dir[i][n&(memoPageSize-1)]
 }
 
-// pairs lists a kept entry's pairs: once, for every caller, if the bound
-// has room for them; otherwise each call lists its own.
-func (m *scheduleMemo) pairs(e *memoSchedule) []collective.Step {
-	e.once.Do(func() {
-		if m.reserve(pairsBytes(e.blocks)) {
-			e.steps = collective.Expand(e.blocks)
-		}
-	})
-	if e.steps != nil {
-		return e.steps
-	}
-	return collective.Expand(e.blocks)
-}
-
-// reserve counts size bytes against the bound if they fit.
-func (m *scheduleMemo) reserve(size int64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.bytes+size > m.max {
-		return false
-	}
-	m.bytes += size
-	return true
-}
-
 // blocksBytes is what an entry holding blocks takes.
 func blocksBytes(blocks []collective.BlockStep) int64 {
 	b := int64(unsafe.Sizeof(memoSchedule{})) + int64(cap(blocks))*int64(unsafe.Sizeof(collective.BlockStep{}))
@@ -167,43 +138,19 @@ func blocksBytes(blocks []collective.BlockStep) int64 {
 	return b
 }
 
-// pairsBytes is what collective.Expand(blocks) allocates: a Step per block
-// step and a pair list per step that is not a repeat.
-func pairsBytes(blocks []collective.BlockStep) int64 {
-	b := int64(len(blocks)) * int64(unsafe.Sizeof(collective.Step{}))
-	for _, bs := range blocks {
-		for _, k := range bs.Blocks {
-			b += int64(k.N*k.Reps) * int64(unsafe.Sizeof(collective.Pair{}))
-		}
-	}
-	return b
-}
-
-// ScheduleFor returns pattern's schedule at n ranks, memoized. The result
-// is shared and must be treated as read-only.
+// ScheduleFor returns pattern's schedule at n ranks as pair lists, built
+// afresh on every call. Only the node-pair reference loop reads pair lists
+// (a reference state's pricing, and a list the run view cannot express), so
+// the memo never holds them and the differential runs never read the memo.
+// It stays exported because the benchmark harness's shadow replay times it.
 func ScheduleFor(p collective.Pattern, n int) ([]collective.Step, error) {
-	e, err := schedules.entry(p, n)
-	if err != nil {
-		return nil, err
-	}
-	if !e.kept {
-		return scheduleRef(p, n)
-	}
-	return schedules.pairs(e), nil
-}
-
-// scheduleRef is the memo's reference counterpart: the schedule built
-// afresh. Candidate pricing on a reference state costs against it, so the
-// differential runs never read the memo; ScheduleFor falls back to it for a
-// schedule the memo's bound refuses.
-func scheduleRef(p collective.Pattern, n int) ([]collective.Step, error) {
 	return p.Schedule(n)
 }
 
 // blocksFor returns pattern's schedule at n ranks in block form: the
 // memo's, else generated afresh.
 func blocksFor(p collective.Pattern, n int) ([]collective.BlockStep, error) {
-	e, err := schedules.entry(p, n)
+	e, _, err := schedules.entry(p, n)
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/cluster"
@@ -20,7 +22,7 @@ type memoKey struct {
 }
 
 // heldBytes recounts what m holds from its contents: the blocks of every
-// kept entry, the pair lists listed on them, the pages and the directories.
+// kept entry, the pages and the directories.
 func heldBytes(m *scheduleMemo) int64 {
 	var b int64
 	for p := range m.dirs {
@@ -37,9 +39,6 @@ func heldBytes(m *scheduleMemo) int64 {
 			for i := range pg {
 				if e := pg[i].Load(); e != nil {
 					b += blocksBytes(e.blocks)
-					if e.steps != nil {
-						b += pairsBytes(e.blocks)
-					}
 				}
 			}
 		}
@@ -49,11 +48,11 @@ func heldBytes(m *scheduleMemo) int64 {
 
 // TestScheduleMemoBoundUnderConcurrency touches a bounded memo from many
 // goroutines at once (run it under -race): every goroutine asks for every
-// key, half of them in one shared order and half each in its own, some
-// keys also for their pair lists, so first touches of one key and of
-// different keys race each other and the bound. Afterwards the memo holds at most its bound, its count of bytes
-// is exactly what its contents take, and each key has one entry: every
-// caller that got a kept entry got the one the memo holds.
+// key, half of them in one shared order and half each in its own, so first
+// touches of one key and of different keys race each other and the bound.
+// Afterwards the memo holds at most its bound, its count of bytes is
+// exactly what its contents take, and each key has one entry: every caller
+// that got a kept entry got the one the memo holds.
 func TestScheduleMemoBoundUnderConcurrency(t *testing.T) {
 	var keys []memoKey
 	for _, p := range []collective.Pattern{collective.RD, collective.Binomial, collective.Stencil} {
@@ -64,14 +63,14 @@ func TestScheduleMemoBoundUnderConcurrency(t *testing.T) {
 	// Half of what the keys' blocks take alone: some keys fit, others not.
 	full := &scheduleMemo{max: math.MaxInt64}
 	for _, k := range keys {
-		if e, err := full.entry(k.p, k.n); err != nil || !e.kept {
-			t.Fatalf("%v/%d: kept %v, %v in an unbounded memo", k.p, k.n, e != nil && e.kept, err)
+		if _, kept, err := full.entry(k.p, k.n); err != nil || !kept {
+			t.Fatalf("%v/%d: kept %v, %v in an unbounded memo", k.p, k.n, kept, err)
 		}
 	}
 	m := &scheduleMemo{max: full.bytes / 2}
 
 	const workers = 8
-	got := make([][]*memoSchedule, workers)
+	got := make([][]*memoSchedule, workers) // the kept entries each worker got
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -85,15 +84,14 @@ func TestScheduleMemoBoundUnderConcurrency(t *testing.T) {
 			}
 			<-start
 			for _, i := range order {
-				e, err := m.entry(keys[i].p, keys[i].n)
+				e, kept, err := m.entry(keys[i].p, keys[i].n)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if e.kept && (i+w)%3 == 0 {
-					m.pairs(e)
+				if kept {
+					got[w][i] = e
 				}
-				got[w][i] = e
 			}
 		}(w)
 	}
@@ -113,7 +111,7 @@ func TestScheduleMemoBoundUnderConcurrency(t *testing.T) {
 			kept++
 		}
 		for w := range got {
-			if g := got[w][i]; g.kept && g != e {
+			if g := got[w][i]; g != nil && g != e {
 				t.Fatalf("%v/%d: worker %d got a kept entry the memo does not hold", k.p, k.n, w)
 			}
 		}
@@ -139,11 +137,11 @@ func TestScheduleMemoCoversTheta(t *testing.T) {
 	var held int64
 	for _, p := range patterns {
 		for n := 1; n <= len(nodes); n++ {
-			e, err := schedules.entry(p, n)
+			e, kept, err := schedules.entry(p, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !e.kept {
+			if !kept {
 				t.Fatalf("%v/%d: the memo refused a paper-scale schedule", p, n)
 			}
 			held += blocksBytes(e.blocks)
@@ -183,14 +181,14 @@ func TestRefusedSchedulePricesLikeReference(t *testing.T) {
 		}
 		for _, p := range []collective.Pattern{collective.RD, collective.RHVD, collective.Binomial,
 			collective.Ring, collective.Stencil, collective.Alltoall} {
-			e, err := m.entry(p, n)
+			e, kept, err := m.entry(p, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.kept || m.lookup(p, n) != nil || m.bytes != 0 {
+			if kept || m.lookup(p, n) != nil || m.bytes != 0 {
 				t.Fatalf("%v/%d: a memo bounded at 0 bytes kept it", p, n)
 			}
-			steps, err := scheduleRef(p, n)
+			steps, err := ScheduleFor(p, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,4 +204,32 @@ func TestRefusedSchedulePricesLikeReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDroppedMachineIsCollectable: the process-wide caches keep schedules
+// only, so once a topology and the state over it are dropped the machine is
+// garbage, however much it was priced and committed on.
+func TestDroppedMachineIsCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		topo := topology.MustGenerate(topology.Spec{NodesPerLeaf: 8, Fanouts: []int{4}})
+		runtime.SetFinalizer(topo, func(*topology.Topology) { close(collected) })
+		st := cluster.New(topo)
+		pl := cluster.NewPlacement([]int{0, 1, 9, 17, 25})
+		if _, err := new(Scratch).PlacementCostMode(st, 1, cluster.CommIntensive, &pl, collective.RD, ModeEffectiveHops); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AllocatePlacement(1, cluster.CommIntensive, &pl); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the topology is still reachable after it and its state were dropped")
 }

@@ -118,9 +118,8 @@ type Daemon struct {
 	completed metrics.Accumulator
 	lat       latRing
 
-	// lay walks a slot's leaf masks; ids and text are the node-list
-	// rendering's buffers, reused row after row.
-	lay  *cluster.Layout
+	// ids and text are the node-list rendering's buffers, reused row after
+	// row.
 	ids  []int
 	text []byte
 	// comm is the Mix component of the comm job being placed (asJob).
@@ -204,7 +203,6 @@ func New(cfg Config) (*Daemon, error) {
 		wallBase: clk(),
 		timer:    time.NewTimer(time.Hour),
 		nextID:   1,
-		lay:      cluster.LayoutOf(cfg.Topology),
 	}
 	d.core = sched.Core[int64]{
 		Free: d.st.FreeTotal, Job: d.job, Start: d.startJob,
@@ -392,7 +390,7 @@ func (d *Daemon) info(id int64, h *histRecord) JobInfo {
 		ji.Exec = h.exec
 		ji.CostRatio = h.ratio
 		ji.CommCost = h.cost
-		d.ids = d.lay.AppendNodes(d.ids[:0], d.hist.masks.get(h.masks))
+		d.ids = cluster.AppendNodes(d.cfg.Topology, d.ids[:0], d.hist.masks.get(h.masks))
 		d.text = d.cfg.Topology.NameTable().Append(d.text[:0], d.ids)
 		ji.NodeList = string(d.text)
 	}

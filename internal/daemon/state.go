@@ -19,8 +19,8 @@ import (
 // Restored running jobs keep their exact node allocations and completion
 // times; the virtual clock resumes where it stopped.
 //
-// Version 2 stores the completed statistics as their running sums; version
-// 1 stored every completed job's result, and restores by folding them in.
+// Version 2, the one version Restore reads, stores the completed statistics
+// as their running sums.
 
 const stateVersion = 2
 
@@ -59,7 +59,6 @@ type persistedState struct {
 	FailedNodes []string            `json:"failed_nodes,omitempty"`
 	Queued      []persistedJob      `json:"queued,omitempty"`
 	Running     []persistedJob      `json:"running,omitempty"`
-	Completed   []metrics.JobResult `json:"completed,omitempty"` // version 1 only
 	Stats       metrics.Accumulator `json:"stats"`
 }
 
@@ -85,7 +84,7 @@ func (d *Daemon) persistJob(id int64) persistedJob {
 		pj.CommShare = h.share
 	}
 	if h.state == stateRunning {
-		pj.NodeIDs = d.lay.AppendNodes(nil, d.hist.masks.get(h.masks))
+		pj.NodeIDs = cluster.AppendNodes(d.cfg.Topology, nil, d.hist.masks.get(h.masks))
 		pj.Exec = h.exec
 		pj.Cost = h.cost
 		pj.RefCost = h.refCost
@@ -206,8 +205,8 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 	if err := json.NewDecoder(r).Decode(&ps); err != nil {
 		return nil, fmt.Errorf("daemon: decoding state: %w", err)
 	}
-	if ps.Version != 1 && ps.Version != stateVersion {
-		return nil, fmt.Errorf("daemon: state version %d, want 1 or %d", ps.Version, stateVersion)
+	if ps.Version != stateVersion {
+		return nil, fmt.Errorf("daemon: state version %d, want %d", ps.Version, stateVersion)
 	}
 	d, err := New(cfg)
 	if err != nil {
@@ -218,9 +217,6 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 		d.wallBase = d.clock().Add(-time.Duration(ps.VirtualNow / d.cfg.TimeScale * float64(time.Second)))
 		d.nextID = ps.NextID
 		d.completed = ps.Stats
-		for _, res := range ps.Completed {
-			d.completed.Add(res)
-		}
 		// Running allocations go first: a node drained while busy is down in
 		// the snapshot but still carries its job, and Allocate rejects down
 		// nodes — so the drains (and then the failure marks) are reapplied

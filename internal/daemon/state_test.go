@@ -2,14 +2,12 @@ package daemon
 
 import (
 	"bytes"
-	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -81,38 +79,6 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	if !next.Ok || next.ID <= blocked.ID {
 		t.Fatalf("restored next ID = %d (after %d)", next.ID, blocked.ID)
 	}
-
-	// A version-1 snapshot carries the completed results themselves: they
-	// fold into the same stats Summarize gives over them, and a save of the
-	// restored daemon (version 2) restores to those stats again.
-	history := []metrics.JobResult{
-		{ID: 1, Nodes: 2, Comm: true, Submit: 0.5, Start: 3, End: 70.25, Exec: 67.25, CommCost: 1.75, RefCost: 2, CostRatio: 0.9},
-		{ID: 2, Nodes: 3, Submit: 1, Start: 1, End: 61, Exec: 60, Requeues: 1, RequeuedAt: 0.5, LostSeconds: 0.5},
-		{ID: 3, Nodes: 5, Comm: true, Submit: 2, Start: 71, End: 90.125, Exec: 19.125, CommCost: 0.3},
-	}
-	v1, err := json.Marshal(map[string]any{"version": 1, "virtual_now": 100, "next_id": 4, "completed": history})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk := newFakeClock()
-	cfg.Clock = clk.Now
-	fromV1, err := Restore(cfg, bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fromV1.Close)
-	want := metrics.Summarize(history)
-	got := fromV1.Stats()
-	if got.Completed != want.Jobs || got.TotalExecHours != want.TotalExecHours || got.TotalWaitHours != want.TotalWaitHours ||
-		got.AvgCommCost != want.AvgCommCost || got.Requeues != want.Requeues || got.LostNodeHours != want.LostNodeHours {
-		t.Fatalf("version-1 history restored to %+v, Summarize gives %+v", got, want)
-	}
-	got.Latency = nil
-	again := restart(t, fromV1, cfg).Stats()
-	again.Latency = nil
-	if marshal(t, again) != marshal(t, got) {
-		t.Fatalf("restored from version 2: %s, from version 1: %s", marshal(t, again), marshal(t, got))
-	}
 }
 
 // A restored daemon completes a restored running job at its original
@@ -176,15 +142,15 @@ func TestRestoreRejectsBadState(t *testing.T) {
 		t.Error("wrong version accepted")
 	}
 	if _, err := Restore(cfg, strings.NewReader(
-		`{"version":1,"down_nodes":["bogus"]}`)); err == nil {
+		`{"version":2,"down_nodes":["bogus"]}`)); err == nil {
 		t.Error("unknown node accepted")
 	}
 	if _, err := Restore(cfg, strings.NewReader(
-		`{"version":1,"next_id":2,"running":[{"id":1,"nodes":2,"runtime":10,"class":"weird"}]}`)); err == nil || !strings.Contains(err.Error(), "class") {
+		`{"version":2,"next_id":2,"running":[{"id":1,"nodes":2,"runtime":10,"class":"weird"}]}`)); err == nil || !strings.Contains(err.Error(), "class") {
 		t.Errorf("unknown class accepted (%v)", err)
 	}
 	if _, err := Restore(cfg, strings.NewReader(
-		`{"version":1,"next_id":2,"running":[{"id":1,"nodes":2,"runtime":10,"class":"compute","node_ids":[0,99]}]}`)); err == nil || !strings.Contains(err.Error(), "restoring job 1") {
+		`{"version":2,"next_id":2,"running":[{"id":1,"nodes":2,"runtime":10,"class":"compute","node_ids":[0,99]}]}`)); err == nil || !strings.Contains(err.Error(), "restoring job 1") {
 		t.Errorf("out-of-range restored allocation accepted (%v)", err)
 	}
 	// Job IDs are dense from 1 and below next_id: a slot exists for no other.

@@ -91,9 +91,8 @@ func ParseConfig(r io.Reader) (*Topology, error) {
 	}
 
 	var nodeOrder []string
-	var nodeLeaf []int
 	var leaves []*Switch
-	nodeSeen := make(map[string]int)
+	nodeSeen := make(map[string]int) // node name -> its leaf's index
 	for _, rs := range raws {
 		s := switches[rs.name]
 		if len(rs.nodes) > 0 {
@@ -102,12 +101,11 @@ func ParseConfig(r io.Reader) (*Topology, error) {
 			for _, nn := range rs.nodes {
 				if prev, dup := nodeSeen[nn]; dup {
 					return nil, fmt.Errorf("topology.conf:%d: node %q already attached to %q",
-						rs.line, nn, leaves[nodeLeaf[prev]].Name)
+						rs.line, nn, leaves[prev].Name)
 				}
-				nodeSeen[nn] = len(nodeOrder)
+				nodeSeen[nn] = leafIdx
 				s.NodeIDs = append(s.NodeIDs, len(nodeOrder))
 				nodeOrder = append(nodeOrder, nn)
-				nodeLeaf = append(nodeLeaf, leafIdx)
 			}
 			continue
 		}
@@ -156,7 +154,7 @@ func ParseConfig(r io.Reader) (*Topology, error) {
 		return nil, fmt.Errorf("topology.conf: %d of %d switches unreachable from root %q",
 			len(switches)-reach, len(switches), root.Name)
 	}
-	return build(root, leaves, nodeOrder, nodeLeaf)
+	return build(root, leaves, nodeOrder)
 }
 
 // LoadConfig parses a topology.conf file from disk.

@@ -44,7 +44,6 @@ func Generate(spec Spec) (*Topology, error) {
 	}
 
 	var nodeOrder []string
-	var nodeLeaf []int
 	leaves := make([]*Switch, numLeaves)
 	for l := 0; l < numLeaves; l++ {
 		sw := &Switch{Name: nextSwitch()}
@@ -55,7 +54,6 @@ func Generate(spec Spec) (*Topology, error) {
 		for k := 0; k < size; k++ {
 			id := len(nodeOrder)
 			nodeOrder = append(nodeOrder, fmt.Sprintf("%s%d", prefix, id))
-			nodeLeaf = append(nodeLeaf, l)
 			sw.NodeIDs = append(sw.NodeIDs, id)
 		}
 		leaves[l] = sw
@@ -80,7 +78,7 @@ func Generate(spec Spec) (*Topology, error) {
 	if len(level) != 1 {
 		return nil, fmt.Errorf("topology: fanouts leave %d roots", len(level))
 	}
-	return build(level[0], leaves, nodeOrder, nodeLeaf)
+	return build(level[0], leaves, nodeOrder)
 }
 
 // MustGenerate is Generate but panics on error; for presets and tests.

@@ -51,17 +51,10 @@ type Topology struct {
 
 	nodeNames []string
 	nodeIndex map[string]int
-	nodeLeaf  []int // node ID -> leaf index
 
-	// leafAnc holds, for every leaf, its ancestor chain leaf → root as
-	// switch indexes (leaf i's chain is leafAnc[leafAncOff[i]:leafAncOff[i+1]]);
-	// swLevel is each switch's level by index. Together they answer
-	// lowest-common-switch queries in O(height) from per-leaf data alone —
-	// O(L·height) storage instead of the dense L×L level matrix, which is
-	// what lets layouts scale to dragonfly-sized leaf counts.
-	leafAnc    []int32
-	leafAncOff []int32
-	swLevel    []int32
+	// layout is the flat per-node and per-leaf view, node → leaf map and
+	// ancestor chains included, built with the topology (see Layout).
+	layout Layout
 
 	// names is the hostlist table of nodeNames, built by NameTable on first
 	// use: only the daemon renders node lists.
@@ -102,7 +95,7 @@ func (t *Topology) NodeID(name string) int {
 
 // LeafOf returns the index (into Leaves) of the leaf switch that node id is
 // attached to.
-func (t *Topology) LeafOf(id int) int { return t.nodeLeaf[id] }
+func (t *Topology) LeafOf(id int) int { return int(t.layout.NodeLeaf[id]) }
 
 // LeafSize returns the number of nodes attached to leaf l. This is the
 // paper's L_nodes.
@@ -112,31 +105,12 @@ func (t *Topology) LeafSize(l int) int { return len(t.Leaves[l].NodeIDs) }
 // leaves containing nodes i and j. Two nodes on the same leaf have common
 // switch level 1.
 func (t *Topology) CommonSwitchLevel(i, j int) int {
-	return t.LeafCommonLevel(t.nodeLeaf[i], t.nodeLeaf[j])
+	return t.LeafCommonLevel(t.LeafOf(i), t.LeafOf(j))
 }
 
 // LeafCommonLevel returns the level of the lowest common switch of two
-// leaves (by leaf index). The two ancestor chains share a common suffix
-// ending at the root; the walk backs down that suffix to its deepest
-// element, so the query is O(height) with no per-pair storage.
-func (t *Topology) LeafCommonLevel(li, lj int) int {
-	if li == lj {
-		return 1
-	}
-	a := t.leafAnc[t.leafAncOff[li]:t.leafAncOff[li+1]]
-	b := t.leafAnc[t.leafAncOff[lj]:t.leafAncOff[lj+1]]
-	i, j := len(a)-1, len(b)-1
-	if a[i] != b[j] {
-		// Disconnected forests are rejected by validate via the root walk,
-		// but be defensive: treat as joined above the root.
-		return int(^uint(0) >> 1)
-	}
-	for i > 0 && j > 0 && a[i-1] == b[j-1] {
-		i--
-		j--
-	}
-	return int(t.swLevel[a[i]])
-}
+// leaves (by leaf index), walking their ancestor chains in the layout.
+func (t *Topology) LeafCommonLevel(li, lj int) int { return t.layout.commonLevel(li, lj) }
 
 // Distance returns the paper's d(i,j) = 2 * level of the lowest common
 // switch (Eq. 4): 2 for same-leaf pairs, 4 for pairs joined at level 2, and
@@ -150,12 +124,11 @@ func (t *Topology) Distance(i, j int) int {
 
 // build finalises a topology from a fully linked switch graph. nodeOrder
 // lists node names in ID order.
-func build(root *Switch, leaves []*Switch, nodeOrder []string, nodeLeaf []int) (*Topology, error) {
+func build(root *Switch, leaves []*Switch, nodeOrder []string) (*Topology, error) {
 	t := &Topology{
 		Root:      root,
 		Leaves:    leaves,
 		nodeNames: nodeOrder,
-		nodeLeaf:  nodeLeaf,
 		nodeIndex: make(map[string]int, len(nodeOrder)),
 	}
 	for i, name := range nodeOrder {
@@ -203,7 +176,7 @@ func build(root *Switch, leaves []*Switch, nodeOrder []string, nodeLeaf []int) (
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
-	t.buildAncestry()
+	t.buildLayout()
 	return t, nil
 }
 
@@ -251,25 +224,6 @@ func (t *Topology) validate() error {
 			len(t.nodeNames), covered)
 	}
 	return nil
-}
-
-// buildAncestry flattens each leaf's parent chain into the per-leaf
-// ancestor arrays LeafCommonLevel walks. O(L·height) time and space —
-// the only per-topology precomputation, so building a 4096-leaf tree costs
-// milliseconds where the former dense L×L level matrix cost minutes.
-func (t *Topology) buildAncestry() {
-	t.swLevel = make([]int32, len(t.Switches))
-	for _, s := range t.Switches {
-		t.swLevel[s.Index] = int32(s.Level)
-	}
-	t.leafAncOff = make([]int32, len(t.Leaves)+1)
-	for i, leaf := range t.Leaves {
-		t.leafAncOff[i] = int32(len(t.leafAnc))
-		for s := leaf; s != nil; s = s.Parent {
-			t.leafAnc = append(t.leafAnc, int32(s.Index))
-		}
-	}
-	t.leafAncOff[len(t.Leaves)] = int32(len(t.leafAnc))
 }
 
 // LeafNodes returns the node IDs attached to leaf l. The returned slice is

@@ -400,8 +400,10 @@ func CheckConservation(res *sim.Result, trace workload.Trace) error {
 
 // checkComputeOnlyAgreement asserts that without communication-intensive
 // jobs the allocator, cost mode and remapping cannot influence timing:
-// every cell sharing (backfill, policy) must produce the identical
-// schedule.
+// every cell sharing (backfill, policy, faults) must produce the identical
+// schedule. A cell whose run killed a job is left out: a hard failure kills
+// whichever job holds the failed node, so there the allocator chooses the
+// victims and legitimately moves the schedule.
 func checkComputeOnlyAgreement(spec TraceSpec, configs []RunConfig, results []*sim.Result) error {
 	type group struct {
 		backfillOff bool
@@ -410,6 +412,9 @@ func checkComputeOnlyAgreement(spec TraceSpec, configs []RunConfig, results []*s
 	}
 	first := make(map[group]int)
 	for i := range configs {
+		if results[i].Summary.Requeues > 0 {
+			continue
+		}
 		g := group{configs[i].DisableBackfill, configs[i].Policy, configs[i].Faults}
 		ref, ok := first[g]
 		if !ok {

@@ -147,3 +147,19 @@ func TestFaultCellsReportRequeues(t *testing.T) {
 		t.Fatal("30 seeds of fault cells never requeued a job or lost node-hours")
 	}
 }
+
+// TestComputeOnlyAgreementSkipsKills replays the two compute-only seeds on
+// which greedy and default requeued different victims under the same
+// failures: a hard failure kills whichever job holds the failed node, so
+// cells whose runs killed a job cannot be held to one schedule.
+func TestComputeOnlyAgreementSkipsKills(t *testing.T) {
+	for _, seed := range []int64{200, 921} {
+		spec := DefaultSpec(seed)
+		if spec.CommFraction != 0 || spec.Faults == 0 {
+			t.Fatalf("%v: no longer a compute-only spec with faults", spec)
+		}
+		if err := Differential(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

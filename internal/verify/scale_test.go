@@ -97,8 +97,8 @@ func TestCrossScaleParity(t *testing.T) {
 			if got := costmodel.KernelPath(st); got != "aggregated" {
 				t.Fatalf("%d leaves: KernelPath = %q, want \"aggregated\"", shape.leaves, got)
 			}
-			if lay := cluster.LayoutOf(st.Topology()); lay == nil || lay.L != shape.leaves {
-				t.Fatalf("%d leaves: layout missing or wrong size (%v)", shape.leaves, lay)
+			if l := st.Topology().Layout().L; l != shape.leaves {
+				t.Fatalf("%d leaves: layout has %d", shape.leaves, l)
 			}
 			live := []activeJob{
 				{id: 100, nodes: scaleJobNodes(t, st, 16), pattern: collective.RD},
