@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: check build vet lint lint-allow test race fuzz-smoke verify bench bench-smoke bench-compare bench-selftest bench-e2e coverage
+.PHONY: check build vet lint lint-allow test race fuzz-smoke fuzz-parsers verify bench bench-smoke bench-compare bench-selftest bench-e2e coverage
 
 check: vet lint build race fuzz-smoke
 
@@ -34,25 +34,40 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz runs of the native fuzz targets; CI smoke, not a soak. The
-# scheduled CI fuzz job runs the same thirteen targets at FUZZTIME=5m, plus
-# the three parsers of outside input (hostlist.FuzzExpand,
-# topology.FuzzParseConfig, swf.FuzzRead), which run here only as seed
-# corpora under `make test`.
+# The native fuzz targets, as package:Target under internal/: schedule
+# blocks (detect then expand), allocators, placement commit vs the
+# node-by-node reference, the differential harness, fault traces, layout
+# scale parity, wide placement pricing parity, the anneal contract, pending
+# queue ops vs a naive splice model, daemon ops vs a queue model, wire
+# frames, the one-pass backfill audit vs the per-instant rescan, and the
+# node-name table vs Compress.
+FUZZ_TARGETS = collective:FuzzCompactExpand core:FuzzAllocate \
+	cluster:FuzzPlacementAllocate verify:FuzzRunContinuous \
+	verify:FuzzFaultTrace verify:FuzzLayoutScale \
+	costmodel:FuzzWidePlacementPricing search:FuzzAnnealMoves \
+	sched:FuzzQueueOps daemon:FuzzDispatch daemon:FuzzReadFrame \
+	sim:FuzzBackfillAudit hostlist:FuzzTableCompress
+# The parsers of outside input: host lists, topology.conf and SWF logs.
+# They run as seed corpora under `make test`; only the nightly CI job
+# fuzzes them.
+FUZZ_PARSERS = hostlist:FuzzExpand topology:FuzzParseConfig swf:FuzzRead
+
+# fuzz runs each package:Target of $(1) for FUZZTIME, stopping at the first
+# failure.
+define fuzz
+	@set -e; for t in $(1); do \
+		echo "fuzz ./internal/$${t%%:*} $${t#*:} ($(FUZZTIME))"; \
+		$(GO) test ./internal/$${t%%:*} -run $${t#*:} -fuzz $${t#*:} -fuzztime $(FUZZTIME); \
+	done
+endef
+
+# Short fuzz runs of FUZZ_TARGETS; CI smoke, not a soak. The scheduled CI
+# fuzz job runs this and fuzz-parsers at FUZZTIME=5m.
 fuzz-smoke:
-	$(GO) test ./internal/collective -run FuzzCompactExpand -fuzz FuzzCompactExpand -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run FuzzAllocate -fuzz FuzzAllocate -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cluster -run FuzzPlacementAllocate -fuzz FuzzPlacementAllocate -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/verify -run FuzzRunContinuous -fuzz FuzzRunContinuous -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/verify -run FuzzFaultTrace -fuzz FuzzFaultTrace -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/verify -run FuzzLayoutScale -fuzz FuzzLayoutScale -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/costmodel -run FuzzWidePlacementPricing -fuzz FuzzWidePlacementPricing -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/search -run FuzzAnnealMoves -fuzz FuzzAnnealMoves -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sched -run FuzzQueueOps -fuzz FuzzQueueOps -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/daemon -run FuzzDispatch -fuzz FuzzDispatch -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/daemon -run FuzzReadFrame -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sim -run FuzzBackfillAudit -fuzz FuzzBackfillAudit -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/hostlist -run FuzzTableCompress -fuzz FuzzTableCompress -fuzztime $(FUZZTIME)
+	$(call fuzz,$(FUZZ_TARGETS))
+
+fuzz-parsers:
+	$(call fuzz,$(FUZZ_PARSERS))
 
 # Statement-coverage gate: fails when total coverage over ./internal/...
 # drops below the floor in scripts/coverage-floor.txt.
@@ -66,12 +81,15 @@ verify:
 
 # Fast-path micro-benchmarks with their opt/ref speedup pairs, recorded as
 # a dated JSON artifact (BENCH_<date>.json, committed for the perf PRs).
+# BENCH_PKGS and BENCH_RE are the recorded set, for bench and for
+# bench-compare (scripts/bench-compare.sh reads them from the environment).
 BENCHTIME ?= 1s
 BENCH_PKGS = ./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon ./internal/sched
+BENCH_RE = BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkPrice|BenchmarkScheduleBlocks|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog|BenchmarkValidateResultConfig
 # -p 1 keeps package test binaries sequential: concurrently running
 # packages contaminate each other's timings.
 bench:
-	$(GO) test -p 1 -run '^$$' -bench 'BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkPrice|BenchmarkScheduleBlocks|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog|BenchmarkValidateResultConfig' \
+	$(GO) test -p 1 -run '^$$' -bench '$(BENCH_RE)' \
 		-benchtime $(BENCHTIME) -benchmem -json $(BENCH_PKGS) > BENCH_$$(date +%F).json
 	@echo "wrote BENCH_$$(date +%F).json"
 
@@ -90,7 +108,7 @@ bench-smoke:
 # BenchmarkPrice case or another gated name fails. Override the output
 # name with BENCH_OUT=..., duration with BENCHTIME=....
 bench-compare:
-	BENCHTIME=$(BENCHTIME) sh scripts/bench-compare.sh $(BENCH_OUT)
+	BENCHTIME=$(BENCHTIME) BENCH_PKGS='$(BENCH_PKGS)' BENCH_RE='$(BENCH_RE)' sh scripts/bench-compare.sh $(BENCH_OUT)
 
 # The end-to-end benchmark (bench/, its own module; BENCHMARK.json is its
 # contract): its own vet + tests, and one full run of all six workloads,

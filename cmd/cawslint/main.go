@@ -77,7 +77,7 @@ func main() {
 		return
 	}
 
-	diags, timings := analysis.RunAnalyzersTimed(pkgs, suite)
+	diags, timings := analysis.RunAnalyzers(pkgs, suite)
 	if *timing {
 		for _, t := range timings {
 			fmt.Fprintf(os.Stderr, "cawslint: timing %-12s %s\n", t.Name, t.Elapsed)

@@ -72,7 +72,7 @@ func sweep(w io.Writer, start int64, seeds, jobs, every, parallel, refSeeds int,
 		if jobs > 0 {
 			spec.Jobs = jobs
 		}
-		if err := verify.DifferentialParallel(spec, parallel); err != nil {
+		if err := verify.Differential(spec, verify.ConfigsFor(spec), parallel); err != nil {
 			return err
 		}
 		if matrix {

@@ -74,14 +74,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// RunAnalyzers applies every analyzer to every package, applies the
-// //lint:allow suppression directives (see suppress.go), and returns the
-// surviving diagnostics sorted by position then analyzer name.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunAnalyzersTimed(pkgs, analyzers)
-	return diags
-}
-
 // AnalyzerTiming is one analyzer's cumulative wall time across every
 // analyzed package, for cawslint -timing (slow analyzers must be visible
 // in CI logs, not discovered by bisecting the lint job).
@@ -90,9 +82,11 @@ type AnalyzerTiming struct {
 	Elapsed time.Duration
 }
 
-// RunAnalyzersTimed is RunAnalyzers, additionally returning per-analyzer
-// wall time in suite order.
-func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming) {
+// RunAnalyzers applies every analyzer to every package, applies the
+// //lint:allow suppression directives (see suppress.go), and returns the
+// surviving diagnostics sorted by position then analyzer name, with each
+// analyzer's wall time in suite order.
+func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming) {
 	var diags []Diagnostic
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {

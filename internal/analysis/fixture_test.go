@@ -111,11 +111,11 @@ func collectWants(t *testing.T, pkg *Package) map[string][]*want {
 
 func runFixture(t *testing.T, dir, importPath string, a *Analyzer) {
 	t.Helper()
-	pkg, err := LoadDir(filepath.Join("testdata", dir), importPath)
+	pkg, err := loadDir(filepath.Join("testdata", dir), importPath)
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{a})
+	diags, _ := RunAnalyzers([]*Package{pkg}, []*Analyzer{a})
 	wants := collectWants(t, pkg)
 	for _, d := range diags {
 		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)

@@ -17,7 +17,7 @@ func TestSuiteCleanOnTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	diags := RunAnalyzers(pkgs, Suite())
+	diags, _ := RunAnalyzers(pkgs, Suite())
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

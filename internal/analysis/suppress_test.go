@@ -15,11 +15,11 @@ import (
 // its finding would surface either as the raw finding or as a
 // stale-suppression report from the driver.
 func TestSuppressMultiAnalyzerLine(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "suppress", "multi"), "repro/internal/sim")
+	pkg, err := loadDir(filepath.Join("testdata", "suppress", "multi"), "repro/internal/sim")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{
+	diags, _ := RunAnalyzers([]*Package{pkg}, []*Analyzer{
 		Determinism(DefaultDeterminismScope),
 		FloatCmp(DefaultFloatCmpScope, DefaultApprovedComparators),
 	})
@@ -64,11 +64,11 @@ func TestSuppressDirectivesInTestFiles(t *testing.T) {
 			})
 		}
 	}
-	pkg, err := LoadDir(filepath.Join("testdata", "suppress", "testfile"), "repro/fixture/supptest")
+	pkg, err := loadDir(filepath.Join("testdata", "suppress", "testfile"), "repro/fixture/supptest")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{probe})
+	diags, _ := RunAnalyzers([]*Package{pkg}, []*Analyzer{probe})
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want exactly the stale test-file directive: %v", len(diags), diags)
 	}

@@ -250,9 +250,6 @@ func (s *State) Topology() *topology.Topology { return s.topo }
 // FreeTotal returns the number of free nodes in the whole cluster.
 func (s *State) FreeTotal() int { return s.free }
 
-// NumRunning returns the number of jobs currently holding allocations.
-func (s *State) NumRunning() int { return len(s.allocs) }
-
 // NodeFree reports whether node id is allocatable: unallocated and not
 // drained.
 func (s *State) NodeFree(id int) bool {
@@ -341,13 +338,6 @@ func (s *State) CommRatio(l int) float64 {
 // same two numbers the same way, so both agree bit for bit.
 func (s *State) CommShare(l int) float64 {
 	return float64(s.leafComm[l]) / s.lay.LeafSize[l]
-}
-
-// FreeOnLeaf appends the IDs of the allocatable nodes on leaf l to dst and
-// returns the extended slice, in ascending node-ID order: the clear bits of
-// busy|down, word by word.
-func (s *State) FreeOnLeaf(l int, dst []int) []int {
-	return s.appendRanks(dst, l, 0, s.topo.LeafSize(l))
 }
 
 // appendRanks appends to dst the allocatable nodes of leaf l at free ranks

@@ -118,7 +118,7 @@ func TestRunFormListsWhatTheSelectorsListed(t *testing.T) {
 // of nodes of l that NodeFree reports.
 func sameCounts(s *State) error {
 	for l := 0; l < s.topo.NumLeaves(); l++ {
-		if got := len(s.FreeOnLeaf(l, nil)); got != s.LeafFree(l) {
+		if got := len(freeOnLeaf(s, l)); got != s.LeafFree(l) {
 			return fmt.Errorf("leaf %d: LeafFree %d, %d allocatable nodes", l, s.LeafFree(l), got)
 		}
 	}

@@ -122,7 +122,3 @@ func (s *State) FailedTotal() int { return s.failed }
 
 // DownTotal returns the number of drained nodes (busy or free).
 func (s *State) DownTotal() int { return s.down }
-
-// LeafUnavail returns the number of drained free nodes on leaf l (nodes
-// that are neither allocatable nor busy).
-func (s *State) LeafUnavail(l int) int { return s.leafUnavail[l] }

@@ -25,7 +25,7 @@ func TestDrainFreeNode(t *testing.T) {
 	if got := s.LeafFree(0); got != 3 {
 		t.Fatalf("LeafFree(0) = %d, want 3", got)
 	}
-	if got := s.LeafUnavail(0); got != 1 {
+	if got := s.leafUnavail[0]; got != 1 {
 		t.Fatalf("LeafUnavail(0) = %d, want 1", got)
 	}
 	// Allocating the drained node is rejected.
@@ -199,13 +199,13 @@ func TestDrainChurnInvariants(t *testing.T) {
 }
 
 // Selectors integrate with drained nodes through NodeFree/LeafFree; verify
-// via FreeOnLeaf which shares the eligibility predicate.
+// via freeOnLeaf, which shares the eligibility predicate.
 func TestFreeOnLeafSkipsDrained(t *testing.T) {
 	s := New(topology.PaperExample())
 	if err := s.Drain(1); err != nil {
 		t.Fatal(err)
 	}
-	got := s.FreeOnLeaf(0, nil)
+	got := freeOnLeaf(s, 0)
 	want := []int{0, 2, 3}
 	if len(got) != len(want) {
 		t.Fatalf("FreeOnLeaf = %v, want %v", got, want)

@@ -477,8 +477,8 @@ func TestReleaseAfterMidRunDrainsAndFailures(t *testing.T) {
 		t.Errorf("FreeTotal = %d, want %d", got, want)
 	}
 	for l, want := range []int{3, 1, 0, 3} {
-		if got := p.opt.LeafUnavail(l); got != want {
-			t.Errorf("LeafUnavail(%d) = %d, want %d", l, got, want)
+		if got := p.opt.leafUnavail[l]; got != want {
+			t.Errorf("leafUnavail[%d] = %d, want %d", l, got, want)
 		}
 	}
 	p.release("release the other job", 2)

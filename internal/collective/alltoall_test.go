@@ -62,9 +62,6 @@ func TestAlltoallProperties(t *testing.T) {
 	f := func(raw uint8) bool {
 		ranks := int(raw)%60 + 2
 		steps := Alltoall.MustSchedule(ranks)
-		if len(steps) != Alltoall.NumSteps(ranks) {
-			return false
-		}
 		for _, st := range steps {
 			if st.MsgSize != 1 || len(st.Pairs) == 0 {
 				return false

@@ -161,24 +161,6 @@ func (p Pattern) MustSchedule(ranks int) []Step {
 	return s
 }
 
-// NumSteps returns the number of steps Schedule produces, without building
-// pair lists for the patterns with closed-form Blocks.
-func (p Pattern) NumSteps(ranks int) int {
-	blocks, _ := p.Blocks(ranks) // no blocks for no ranks or an unknown pattern
-	return len(blocks)
-}
-
-// TotalMessages returns the total number of point-to-point messages in the
-// schedule (pairs summed over steps); a proxy for total parallel
-// communication volume when multiplied by message sizes.
-func TotalMessages(steps []Step) int {
-	n := 0
-	for _, st := range steps {
-		n += len(st.Pairs)
-	}
-	return n
-}
-
 // TotalVolume returns the sum over steps of len(Pairs) * MsgSize, i.e. the
 // total relative bytes moved. RHVD's volume exceeds RD's for the same rank
 // count, which is why the paper sees larger gains for RHVD.

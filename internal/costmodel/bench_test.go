@@ -156,7 +156,10 @@ func BenchmarkPrice(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pairs := collective.TotalMessages(collective.Expand(blocks))
+			pairs := 0
+			for _, st := range collective.Expand(blocks) {
+				pairs += len(st.Pairs)
+			}
 			b.Run(fmt.Sprintf("%s/%d", shape, n), func(b *testing.B) {
 				sc := new(Scratch)
 				b.ReportAllocs()

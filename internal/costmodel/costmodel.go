@@ -173,21 +173,6 @@ func RuntimeRatio(jobAware, def float64) float64 {
 	return jobAware / def
 }
 
-// ModifiedRuntime applies Eq. 7 for a single-pattern job:
-//
-//	T' = T_compute + T_comm * Cost_jobaware / Cost_default
-//
-// where T_comm = base * commFrac and T_compute = base * (1 - commFrac).
-func ModifiedRuntime(base float64, commFrac float64, jobAware, def float64) float64 {
-	if commFrac <= 0 {
-		return base
-	}
-	if commFrac > 1 {
-		commFrac = 1
-	}
-	return base*(1-commFrac) + base*commFrac*RuntimeRatio(jobAware, def)
-}
-
 // ModifiedRuntimeMix applies Eq. 7 componentwise for a mixed-pattern job
 // (§6.2): each communication component scales by its own cost ratio.
 // ratios[k] is Cost_jobaware/Cost_default for mix.Comms[k].

@@ -151,21 +151,29 @@ func TestRuntimeRatioGuards(t *testing.T) {
 }
 
 func TestModifiedRuntimeEq7(t *testing.T) {
+	eq7 := func(base, commFrac, jobAware, def float64) float64 {
+		got, err := ModifiedRuntimeMix(base, collective.SinglePattern(collective.RD, commFrac),
+			[]float64{RuntimeRatio(jobAware, def)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
 	// T = 100, 40% comm, cost halved: T' = 60 + 40·0.5 = 80.
-	if got := ModifiedRuntime(100, 0.4, 1, 2); !approx(got, 80) {
+	if got := eq7(100, 0.4, 1, 2); !approx(got, 80) {
 		t.Errorf("T' = %v, want 80", got)
 	}
 	// Compute-only job unchanged.
-	if got := ModifiedRuntime(100, 0, 1, 2); got != 100 {
+	if got := eq7(100, 0, 1, 2); got != 100 {
 		t.Errorf("compute-only T' = %v, want 100", got)
 	}
 	// Worse allocation inflates runtime.
-	if got := ModifiedRuntime(100, 0.5, 3, 2); !approx(got, 125) {
+	if got := eq7(100, 0.5, 3, 2); !approx(got, 125) {
 		t.Errorf("T' = %v, want 125", got)
 	}
-	// commFrac is clamped at 1.
-	if got := ModifiedRuntime(100, 1.5, 1, 2); !approx(got, 50) {
-		t.Errorf("clamped T' = %v, want 50", got)
+	// A zero reference cost leaves the runtime as it is.
+	if got := eq7(100, 0.5, 3, 0); !approx(got, 100) {
+		t.Errorf("zero-reference T' = %v, want 100", got)
 	}
 }
 

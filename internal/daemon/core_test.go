@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -9,9 +10,12 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/hostlist"
+	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/verify"
 	"repro/internal/workload"
 )
@@ -112,17 +116,7 @@ func TestDaemonScheduleEqualsSim(t *testing.T) {
 			t.Fatalf("%v: %v", spec, err)
 		}
 
-		// The simulator's event times: arrivals in trace order, completions.
-		type event struct {
-			at      float64
-			arrival bool
-			job     int
-		}
-		var events []event
-		for i, r := range res.Jobs {
-			events = append(events, event{trace.Jobs[i].Submit, true, i}, event{r.End, false, i})
-		}
-		sort.SliceStable(events, func(a, b int) bool { return events[a].at < events[b].at })
+		events := simEvents(trace, res)
 		collision := false
 		for k := 1; k < len(events); k++ {
 			if events[k].at == events[k-1].at && !(events[k].arrival && events[k-1].arrival) {
@@ -140,20 +134,9 @@ func TestDaemonScheduleEqualsSim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var elapsed time.Duration
-		for _, ev := range events {
-			at := time.Duration(ev.at * float64(time.Second))
-			clk.Advance(at - elapsed)
-			elapsed = at
-			if !ev.arrival {
-				d.Info() // any op brings the daemon to the clock's time
-				continue
-			}
-			j := trace.Jobs[ev.job]
-			resp := d.Submit(Request{Nodes: j.Nodes, Runtime: j.Runtime, Class: "compute"})
-			if !resp.Ok || resp.ID != int64(j.ID) {
-				t.Fatalf("%v: submit of job %d: %+v", spec, j.ID, resp)
-			}
+		replayOnClock(t, d, clk, trace, events)
+		if err := auditHistory(t, d); err != nil {
+			t.Errorf("%v: %v", spec, err)
 		}
 		nodes := replayNodes(t, topo.NodeName, cluster.New(topo), trace, res)
 		for i, r := range res.Jobs {
@@ -167,6 +150,139 @@ func TestDaemonScheduleEqualsSim(t *testing.T) {
 	}
 	if compared < seeds*3/4 {
 		t.Fatalf("only %d of %d seeds were free of event collisions", compared, seeds)
+	}
+}
+
+// simEvent is an instant at which the simulator's run changed: job (a
+// trace index) arrived, or completed.
+type simEvent struct {
+	at      float64
+	arrival bool
+	job     int
+}
+
+// simEvents lists a simulator run's arrivals in trace order and its
+// completions, in time order.
+func simEvents(trace workload.Trace, res *sim.Result) []simEvent {
+	var events []simEvent
+	for i, r := range res.Jobs {
+		events = append(events, simEvent{trace.Jobs[i].Submit, true, i}, simEvent{r.End, false, i})
+	}
+	sort.SliceStable(events, func(a, b int) bool { return events[a].at < events[b].at })
+	return events
+}
+
+// replayOnClock drives d through events on the fake clock: it submits each
+// arriving job at its instant and brings d to each completion instant.
+// Where d's schedule parts from the simulator's, jobs are still running
+// after the last event; it then steps to each of their ends until none is.
+func replayOnClock(t *testing.T, d *Daemon, clk *fakeClock, trace workload.Trace, events []simEvent) {
+	t.Helper()
+	var elapsed time.Duration
+	advance := func(at time.Duration) {
+		clk.Advance(at - elapsed)
+		elapsed = at
+		d.Info() // any op brings the daemon to the clock's time
+	}
+	for _, ev := range events {
+		at := time.Duration(ev.at * float64(time.Second))
+		if !ev.arrival {
+			advance(at)
+			continue
+		}
+		clk.Advance(at - elapsed)
+		elapsed = at
+		j := trace.Jobs[ev.job]
+		req := Request{Nodes: j.Nodes, Runtime: j.Runtime, Class: "compute"}
+		if p, ok := j.Mix.PrimaryPattern(); ok && j.Class == cluster.CommIntensive {
+			req.Class, req.Pattern, req.CommShare = "comm", p.String(), j.Mix.CommFrac()
+		}
+		if resp := d.Submit(req); !resp.Ok || resp.ID != int64(j.ID) {
+			t.Fatalf("submit of job %d: %+v", j.ID, resp)
+		}
+	}
+	for steps := 0; ; steps++ {
+		run := d.Running().Jobs
+		if len(run) == 0 {
+			return
+		}
+		if steps > len(trace.Jobs) {
+			t.Fatalf("%d jobs still running after %d steps", len(run), steps)
+		}
+		next := run[0].End
+		for _, ji := range run[1:] {
+			next = min(next, ji.End)
+		}
+		advance(max(time.Duration(math.Ceil(next*float64(time.Second))), elapsed+1))
+	}
+}
+
+// auditHistory runs the simulator's auditor, sim.ValidateResultConfig,
+// over the daemon's history: every slot becomes a metrics.JobResult and a
+// workload.Job whose Estimate is its runtime, the walltime the daemon's
+// pass plans with. Every job must have completed.
+func auditHistory(t *testing.T, d *Daemon) error {
+	t.Helper()
+	topo := d.cfg.Topology
+	res := &sim.Result{Algorithm: d.cfg.Algorithm, MachineNodes: topo.NumNodes()}
+	trace := workload.Trace{MachineNodes: topo.NumNodes()}
+	resp := d.call(func() Response {
+		for id := int64(1); id < d.nextID; id++ {
+			h := d.hist.get(id)
+			if h.state != stateCompleted {
+				return Response{Error: fmt.Sprintf("job %d is %s", id, h.state)}
+			}
+			var comm [1]collective.Component
+			j := h.asJob(id, &comm)
+			j.Estimate, j.DependsOn = h.runtime, cluster.JobID(h.after)
+			trace.Jobs = append(trace.Jobs, j)
+			res.Jobs = append(res.Jobs, metrics.JobResult{
+				ID: id, Nodes: int(h.nodes), Comm: h.class == cluster.CommIntensive,
+				Submit: h.submit, Start: h.start, End: h.end, BaseRun: h.runtime,
+				Exec: h.exec, CommCost: h.cost, RefCost: h.refCost, CostRatio: h.ratio,
+				Requeues: int(h.requeues), RequeuedAt: h.requeuedAt, LostSeconds: h.lostSec,
+			})
+		}
+		return Response{Ok: true}
+	})
+	if !resp.Ok {
+		return errors.New(resp.Error)
+	}
+	return sim.ValidateResultConfig(res, trace, sim.Config{
+		Topology: topo, Algorithm: d.cfg.Algorithm, DisableBackfill: d.cfg.DisableBackfill, CostMode: d.cfg.CostMode,
+	})
+}
+
+// A 1,000-job Theta trace with communication-intensive jobs, replayed into
+// the daemon under Default on the fake clock, leaves a history the
+// simulator's auditor accepts: Eq. 7 bookkeeping, capacity, and the
+// legality of every backfilled start. Under Default a job's exec is its
+// runtime, the estimate the pass plans with.
+func TestDaemonHistoryPassesSimAudit(t *testing.T) {
+	topo := topology.Theta()
+	trace := workload.Theta.Synthesize(1000, 1).MustTag(0.5, collective.SinglePattern(collective.RHVD, 0.6), 8)
+	res, err := sim.RunContinuous(sim.Config{Topology: topo, Algorithm: core.Default}, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock()
+	d, err := New(Config{Topology: topo, Algorithm: core.Default, TimeScale: 1, Clock: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	replayOnClock(t, d, clk, trace, simEvents(trace, res))
+	comm := 0
+	for _, j := range trace.Jobs {
+		if j.Class == cluster.CommIntensive {
+			comm++
+		}
+	}
+	if comm == 0 {
+		t.Fatal("trace has no communication-intensive job")
+	}
+	if err := auditHistory(t, d); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -205,7 +321,7 @@ func replayNodes(t *testing.T, name func(int) string, st *cluster.State, trace w
 			}
 			continue
 		}
-		pl, err := sim.PlaceJob(st, sel, def, j, 0)
+		pl, err := sim.PlaceJob(new(core.Scratch), st, sel, def, j, 0, false)
 		nodes := pl.Placed.Nodes()
 		if err == nil {
 			err = st.Allocate(j.ID, j.Class, nodes)

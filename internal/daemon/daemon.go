@@ -343,7 +343,7 @@ func (d *Daemon) job(id int64) (estimate float64, eligible bool) {
 // just checked; anything else cancels the job with the reason recorded.
 func (d *Daemon) startJob(id int64, v float64) (sched.Outcome, error) {
 	h := d.hist.get(id)
-	pl, err := sim.PlaceJobWith(&d.scratch, d.st, d.selector, d.defSel, h.asJob(id, &d.comm), d.cfg.CostMode, false)
+	pl, err := sim.PlaceJob(&d.scratch, d.st, d.selector, d.defSel, h.asJob(id, &d.comm), d.cfg.CostMode, false)
 	if err == nil {
 		err = d.st.AllocatePlacement(cluster.JobID(id), h.class, &pl.Placed)
 	}

@@ -226,6 +226,12 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 			if err != nil {
 				return Response{Error: err.Error()}
 			}
+			if len(pj.NodeIDs) != pj.Nodes {
+				return Response{Error: fmt.Sprintf("running job %d needs %d nodes but holds %d nodes", pj.ID, pj.Nodes, len(pj.NodeIDs))}
+			}
+			if pj.End < pj.Start {
+				return Response{Error: fmt.Sprintf("running job %d ends at %v, before its start %v", pj.ID, pj.End, pj.Start)}
+			}
 			if err := d.st.Allocate(cluster.JobID(pj.ID), h.class, pj.NodeIDs); err != nil {
 				return Response{Error: fmt.Sprintf("restoring job %d: %v", pj.ID, err)}
 			}

@@ -153,6 +153,18 @@ func TestRestoreRejectsBadState(t *testing.T) {
 		`{"version":2,"next_id":2,"running":[{"id":1,"nodes":2,"runtime":10,"class":"compute","node_ids":[0,99]}]}`)); err == nil || !strings.Contains(err.Error(), "restoring job 1") {
 		t.Errorf("out-of-range restored allocation accepted (%v)", err)
 	}
+	// A running job holds exactly the nodes it asked for, and ends no
+	// earlier than it started.
+	for _, c := range []struct{ job, want string }{
+		{`"nodes":4,"node_ids":[0],"start":1,"end":11`, "holds 1 nodes"},
+		{`"nodes":1,"node_ids":[0,1],"start":1,"end":11`, "holds 2 nodes"},
+		{`"nodes":1,"node_ids":[0],"start":5,"end":2,"exec":-3`, "ends at 2, before its start 5"},
+	} {
+		if _, err := Restore(cfg, strings.NewReader(
+			`{"version":2,"next_id":2,"running":[{"id":1,"runtime":10,"class":"compute",`+c.job+`}]}`)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("running job {%s} restored (%v)", c.job, err)
+		}
+	}
 	// Job IDs are dense from 1 and below next_id: a slot exists for no other.
 	for _, id := range []string{"0", "-3", "5", "9223372036854775807"} {
 		if _, err := Restore(cfg, strings.NewReader(

@@ -10,7 +10,6 @@ import (
 	"io"
 	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -45,52 +44,6 @@ func JobsCSV(w io.Writer, res *sim.Result) error {
 	return cw.Error()
 }
 
-// SummaryCSV writes one row per run: the aggregates behind Table 3 and
-// Figure 9.
-func SummaryCSV(w io.Writer, results []*sim.Result) error {
-	cw := csv.NewWriter(w)
-	header := []string{"algorithm", "jobs", "total_exec_hours", "total_wait_hours",
-		"avg_wait_hours", "avg_turnaround_hours", "total_node_hours",
-		"avg_comm_cost", "makespan_hours"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, res := range results {
-		s := res.Summary
-		row := []string{
-			res.Algorithm.String(),
-			strconv.Itoa(s.Jobs),
-			f(s.TotalExecHours), f(s.TotalWaitHours), f(s.AvgWaitHours),
-			f(s.AvgTurnaroundHours), f(s.TotalNodeHours),
-			f(s.AvgCommCost), f(s.MakespanHours),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// runJSON is the JSON shape of one run.
-type runJSON struct {
-	Algorithm string              `json:"algorithm"`
-	Summary   metrics.Summary     `json:"summary"`
-	Jobs      []metrics.JobResult `json:"jobs,omitempty"`
-}
-
-// ResultJSON writes a run (summary plus, when withJobs, every per-job
-// record) as indented JSON.
-func ResultJSON(w io.Writer, res *sim.Result, withJobs bool) error {
-	out := runJSON{Algorithm: res.Algorithm.String(), Summary: res.Summary}
-	if withJobs {
-		out.Jobs = res.Jobs
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // ComparisonJSON writes several runs keyed by algorithm, with percentage
 // improvements over the first (baseline) run.
 func ComparisonJSON(w io.Writer, results []*sim.Result) error {
@@ -118,44 +71,6 @@ func ComparisonJSON(w io.Writer, results []*sim.Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// BucketsCSV writes Figure 8-style cost buckets: one row per node range,
-// one column per algorithm.
-func BucketsCSV(w io.Writer, buckets map[core.Algorithm][]metrics.Bucket,
-	order []core.Algorithm) error {
-	cw := csv.NewWriter(w)
-	header := []string{"node_range"}
-	for _, alg := range order {
-		header = append(header, alg.String())
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	if len(order) == 0 {
-		cw.Flush()
-		return cw.Error()
-	}
-	ref := buckets[order[0]]
-	for bi, b := range ref {
-		if b.Jobs == 0 {
-			continue
-		}
-		row := []string{b.Label()}
-		for _, alg := range order {
-			series := buckets[alg]
-			if bi < len(series) {
-				row = append(row, f(series[bi].Mean))
-			} else {
-				row = append(row, "")
-			}
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 func f(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }

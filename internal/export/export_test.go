@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/collective"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -54,49 +52,6 @@ func TestJobsCSV(t *testing.T) {
 	}
 }
 
-func TestSummaryCSV(t *testing.T) {
-	results := testResults(t)
-	var buf bytes.Buffer
-	if err := SummaryCSV(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 3 {
-		t.Fatalf("%d records, want 3", len(records))
-	}
-	if records[1][0] != "default" || records[2][0] != "adaptive" {
-		t.Fatalf("algorithms = %v, %v", records[1][0], records[2][0])
-	}
-}
-
-func TestResultJSON(t *testing.T) {
-	results := testResults(t)
-	var buf bytes.Buffer
-	if err := ResultJSON(&buf, results[1], true); err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		Algorithm string              `json:"algorithm"`
-		Jobs      []metrics.JobResult `json:"jobs"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Algorithm != "adaptive" || len(parsed.Jobs) != 40 {
-		t.Fatalf("parsed: %s, %d jobs", parsed.Algorithm, len(parsed.Jobs))
-	}
-	buf.Reset()
-	if err := ResultJSON(&buf, results[1], false); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), `"jobs"`) {
-		t.Fatal("jobs included without withJobs")
-	}
-}
-
 func TestComparisonJSON(t *testing.T) {
 	results := testResults(t)
 	var buf bytes.Buffer
@@ -118,33 +73,5 @@ func TestComparisonJSON(t *testing.T) {
 	}
 	if err := ComparisonJSON(&buf, nil); err == nil {
 		t.Fatal("empty results accepted")
-	}
-}
-
-func TestBucketsCSV(t *testing.T) {
-	results := testResults(t)
-	boundaries := metrics.Pow2Boundaries(512)
-	buckets := map[core.Algorithm][]metrics.Bucket{
-		core.Default:  metrics.BucketByNodes(results[0].Jobs, boundaries),
-		core.Adaptive: metrics.BucketByNodes(results[1].Jobs, boundaries),
-	}
-	var buf bytes.Buffer
-	if err := BucketsCSV(&buf, buckets, []core.Algorithm{core.Default, core.Adaptive}); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) < 2 {
-		t.Fatalf("no data rows: %v", records)
-	}
-	if records[0][1] != "default" || records[0][2] != "adaptive" {
-		t.Fatalf("header = %v", records[0])
-	}
-	// Empty order: header only.
-	buf.Reset()
-	if err := BucketsCSV(&buf, buckets, nil); err != nil {
-		t.Fatal(err)
 	}
 }

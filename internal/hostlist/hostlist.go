@@ -47,16 +47,6 @@ func Expand(expr string) ([]string, error) {
 	return out, nil
 }
 
-// MustExpand is Expand but panics on malformed input. It is intended for
-// tests and for expressions built programmatically.
-func MustExpand(expr string) []string {
-	names, err := Expand(expr)
-	if err != nil {
-		panic(err)
-	}
-	return names
-}
-
 // Count returns the number of hosts an expression expands to without
 // materialising the full list.
 func Count(expr string) (int, error) {

@@ -28,21 +28,3 @@ func TestSummarizeNoFaultsZero(t *testing.T) {
 			s.Requeues, s.LostNodeHours)
 	}
 }
-
-func TestTurnaroundDegradationPct(t *testing.T) {
-	base := Summary{AvgTurnaroundHours: 10}
-	fault := Summary{AvgTurnaroundHours: 12}
-	if got := TurnaroundDegradationPct(base, fault); math.Abs(got-20) > 1e-12 {
-		t.Fatalf("degradation = %v, want 20", got)
-	}
-	if got := TurnaroundDegradationPct(base, base); got != 0 {
-		t.Fatalf("self-degradation = %v, want 0", got)
-	}
-	if got := TurnaroundDegradationPct(Summary{}, fault); got != 0 {
-		t.Fatalf("zero-base degradation = %v, want 0", got)
-	}
-	better := Summary{AvgTurnaroundHours: 8}
-	if got := TurnaroundDegradationPct(base, better); math.Abs(got+20) > 1e-12 {
-		t.Fatalf("improvement should be negative, got %v", got)
-	}
-}

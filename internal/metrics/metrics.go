@@ -142,19 +142,6 @@ func Summarize(results []JobResult) Summary {
 	return a.Summary()
 }
 
-// TurnaroundDegradationPct reports how much average turnaround degraded
-// under faults relative to a fault-free baseline of the same policy
-// (positive = faults made turnaround worse). It is the per-policy
-// degradation metric the fault experiments compare across scheduling
-// policies.
-func TurnaroundDegradationPct(base, fault Summary) float64 {
-	if base.AvgTurnaroundHours == 0 {
-		return 0
-	}
-	return (fault.AvgTurnaroundHours - base.AvgTurnaroundHours) /
-		base.AvgTurnaroundHours * 100
-}
-
 // ImprovementPct returns the percentage improvement of value over base
 // (positive = value is lower/better), the convention of Tables 3–4 and
 // Figures 6–9.
@@ -244,22 +231,4 @@ func Pow2Boundaries(max int) []int {
 		b = append(b, v)
 	}
 	return b
-}
-
-// MeanStd returns the mean and sample standard deviation of xs.
-func MeanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, v := range xs {
-		mean += v
-	}
-	mean /= float64(len(xs))
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	for _, v := range xs {
-		std += (v - mean) * (v - mean)
-	}
-	return mean, math.Sqrt(std / float64(len(xs)-1))
 }

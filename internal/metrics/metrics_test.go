@@ -249,24 +249,6 @@ func TestPow2Boundaries(t *testing.T) {
 	}
 }
 
-func TestMeanStd(t *testing.T) {
-	m, s := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !approx(m, 5) {
-		t.Errorf("mean = %v, want 5", m)
-	}
-	if math.Abs(s-2.138) > 0.01 {
-		t.Errorf("std = %v, want ~2.14", s)
-	}
-	m, s = MeanStd(nil)
-	if m != 0 || s != 0 {
-		t.Error("empty MeanStd not zero")
-	}
-	m, s = MeanStd([]float64{3})
-	if m != 3 || s != 0 {
-		t.Error("singleton MeanStd wrong")
-	}
-}
-
 func TestPerClassWaits(t *testing.T) {
 	results := []JobResult{
 		{ID: 1, Nodes: 1, Comm: true, Submit: 0, Start: 3600, End: 7200, Exec: 3600},

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // LinkStats accumulates per-directed-link occupancy over a Run: how long
 // each link carried at least one flow and how many bytes crossed it. The
@@ -43,66 +40,6 @@ func (s *LinkStats) account(flows []*flowState, rates []float64, dt float64) {
 	for l := range seen {
 		s.BusySeconds[l] += dt
 	}
-}
-
-// LinkName renders a directed link ID: "n3:up", "n3:down", "s1:up",
-// "s1:down".
-func (n *Network) LinkName(id int) string {
-	if id < n.switchBase {
-		dir := "up"
-		if id%2 == 1 {
-			dir = "down"
-		}
-		return fmt.Sprintf("%s:%s", n.topo.NodeName(id/2), dir)
-	}
-	s := (id - n.switchBase) / 2
-	dir := "up"
-	if (id-n.switchBase)%2 == 1 {
-		dir = "down"
-	}
-	return fmt.Sprintf("%s:%s", n.topo.Switches[s].Name, dir)
-}
-
-// LinkReport is one link's utilisation summary.
-type LinkReport struct {
-	Link     string
-	BusyFrac float64 // fraction of the run the link was occupied
-	GBytes   float64
-	UtilFrac float64 // bytes / (capacity × duration)
-}
-
-// TopLinks returns the k busiest links by carried bytes, descending.
-func (s *LinkStats) TopLinks(k int) []LinkReport {
-	type kv struct {
-		id    int
-		bytes float64
-	}
-	all := make([]kv, 0, len(s.Bytes))
-	for id, b := range s.Bytes {
-		all = append(all, kv{id, b})
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].bytes != all[b].bytes {
-			return all[a].bytes > all[b].bytes
-		}
-		return all[a].id < all[b].id
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]LinkReport, 0, k)
-	for _, e := range all[:k] {
-		r := LinkReport{
-			Link:   s.net.LinkName(e.id),
-			GBytes: e.bytes / 1e9,
-		}
-		if s.Duration > 0 {
-			r.BusyFrac = s.BusySeconds[e.id] / s.Duration
-			r.UtilFrac = e.bytes / (s.net.capacity[e.id] * s.Duration)
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // SwitchUplinkBusy returns the busy fraction of the named switch's uplink

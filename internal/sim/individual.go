@@ -29,8 +29,6 @@ type IndividualConfig struct {
 	Seed int64
 	// CostMode selects the cost function (zero = paper's Eq. 6).
 	CostMode costmodel.Mode
-	// Reference evaluates on a reference state, as Config.Reference does.
-	Reference bool
 }
 
 // IndividualResult is the outcome of placing one job from the common
@@ -61,7 +59,7 @@ func PrepareOccupiedState(cfg IndividualConfig) (*cluster.State, error) {
 	if commFrac == 0 {
 		commFrac = 0.5
 	}
-	st := newState(cfg.Topology, cfg.Reference)
+	st := cluster.New(cfg.Topology)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	defSel := core.MustNew(core.Default)
 	target := int(occ * float64(cfg.Topology.NumNodes()))
@@ -122,7 +120,7 @@ func RunIndividual(cfg IndividualConfig, trace workload.Trace, jobIdx []int,
 			if err != nil {
 				return nil, err
 			}
-			pl, err := PlaceJobWith(sc, st, sel, ReferenceSelector(alg), j, cfg.CostMode, false)
+			pl, err := PlaceJob(sc, st, sel, ReferenceSelector(alg), j, cfg.CostMode, false)
 			if err != nil {
 				return nil, err
 			}

@@ -49,23 +49,15 @@ func ReferenceSelector(a core.Algorithm) core.Selector {
 // same cluster state, and returns the placement WITHOUT committing it. The
 // state is unchanged on return. defSel selects the default placement; nil
 // means selector is the default selector, and its selection serves as both
-// (ReferenceSelector). It places in a Scratch of its own, so the placement
-// stays valid whatever the caller places next.
-func PlaceJob(st *cluster.State, selector, defSel core.Selector, j workload.Job,
-	mode costmodel.Mode) (Placement, error) {
-	return PlaceJobWith(new(core.Scratch), st, selector, defSel, j, mode, false)
-}
-
-// PlaceJobWith is PlaceJob in the caller's scratch, with optional
-// post-allocation rank remapping (the paper's §7 "process mapping after node
-// allocation" future work): when remap is true and the job is
-// communication-intensive, the rank→node assignment over the selected nodes
-// is reordered to reduce the Eq. 6 cost of the dominant pattern before the
-// runtime model is applied. With a nil defSel the reference is the
-// selection before the remap. The placement lives in sc until sc's next
-// placement (core.Scratch); with a warm sc and no remap, placing a job
-// allocates nothing.
-func PlaceJobWith(sc *core.Scratch, st *cluster.State, selector, defSel core.Selector, j workload.Job,
+// (ReferenceSelector). With remap (the paper's §7 "process mapping after
+// node allocation" future work) and a communication-intensive job, the
+// rank→node assignment over the selected nodes is reordered to reduce the
+// Eq. 6 cost of the dominant pattern before the runtime model is applied;
+// with a nil defSel the reference is the selection before the remap. The
+// placement lives in sc until sc's next placement (core.Scratch): a caller
+// that keeps it past its next placement passes a scratch of its own. With a
+// warm sc and no remap, placing a job allocates nothing.
+func PlaceJob(sc *core.Scratch, st *cluster.State, selector, defSel core.Selector, j workload.Job,
 	mode costmodel.Mode, remap bool) (Placement, error) {
 	pattern := collective.RD
 	if p, ok := j.Mix.PrimaryPattern(); ok {

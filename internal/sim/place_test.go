@@ -124,7 +124,7 @@ func TestPlaceJobPlacesWhatSelectLists(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range []costmodel.Mode{costmodel.ModeEffectiveHops, costmodel.ModeHopBytes, costmodel.ModeDistanceOnly} {
-				pl, err := PlaceJob(st, sel, ReferenceSelector(alg), j, mode)
+				pl, err := PlaceJob(new(core.Scratch), st, sel, ReferenceSelector(alg), j, mode, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func TestPlaceJobPlacesWhatSelectLists(t *testing.T) {
 					}
 				}
 			}
-			pl, err := PlaceJob(st, sel, def, j, costmodel.ModeEffectiveHops)
+			pl, err := PlaceJob(new(core.Scratch), st, sel, def, j, costmodel.ModeEffectiveHops, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func TestPlaceJobPlacesWhatSelectLists(t *testing.T) {
 			}
 			// Remapped: the same steps over bare lists.
 			for _, ref := range []core.Selector{def, ReferenceSelector(alg)} {
-				got, err := PlaceJobWith(new(core.Scratch), st, sel, ref, j, costmodel.ModeEffectiveHops, true)
+				got, err := PlaceJob(new(core.Scratch), st, sel, ref, j, costmodel.ModeEffectiveHops, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -203,7 +203,7 @@ func TestPlaceJobPricesEachPlacementOnce(t *testing.T) {
 	pricings := func(alg core.Algorithm, j workload.Job) uint64 {
 		t.Helper()
 		gen := st.Generation()
-		if _, err := PlaceJob(st, core.MustNew(alg), ReferenceSelector(alg), j, costmodel.ModeEffectiveHops); err != nil {
+		if _, err := PlaceJob(new(core.Scratch), st, core.MustNew(alg), ReferenceSelector(alg), j, costmodel.ModeEffectiveHops, false); err != nil {
 			t.Fatal(err)
 		}
 		return (st.Generation() - gen) / 2
@@ -246,7 +246,7 @@ func TestWideJobAllocatesOneList(t *testing.T) {
 	j := workload.Job{ID: 1, Nodes: nodes, Runtime: 3600, Class: cluster.CommIntensive,
 		Mix: collective.Mix{ComputeFrac: 0.5, Comms: []collective.Component{{Pattern: collective.RD, Frac: 0.5}}}}
 	start := func() {
-		pl, err := PlaceJobWith(sc, st, sel, def, j, costmodel.ModeEffectiveHops, false)
+		pl, err := PlaceJob(sc, st, sel, def, j, costmodel.ModeEffectiveHops, false)
 		if err == nil {
 			err = st.AllocatePlacement(j.ID, j.Class, &pl.Placed)
 		}
@@ -297,13 +297,13 @@ func TestWarmEnginePlacementAllocatesNothing(t *testing.T) {
 		j := workload.Job{ID: 1, Nodes: c.nodes, Runtime: 3600, Class: cluster.CommIntensive,
 			Mix: collective.SinglePattern(collective.RHVD, 0.5)}
 		place := func() {
-			if _, err := PlaceJobWith(sc, st, sel, defSel, j, costmodel.ModeEffectiveHops, false); err != nil {
+			if _, err := PlaceJob(sc, st, sel, defSel, j, costmodel.ModeEffectiveHops, false); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// The widths are where the candidates differ and the reference is
 		// elsewhere, so every pricing runs.
-		if pl, err := PlaceJobWith(sc, st, sel, defSel, j, costmodel.ModeEffectiveHops, false); err != nil || pl.Cost == pl.RefCost {
+		if pl, err := PlaceJob(sc, st, sel, defSel, j, costmodel.ModeEffectiveHops, false); err != nil || pl.Cost == pl.RefCost {
 			t.Fatalf("%s: cost %v, reference %v (%v): the fixture no longer prices a distinct reference", c.name, pl.Cost, pl.RefCost, err)
 		}
 		if allocs := testing.AllocsPerRun(20, place); allocs != 0 {

@@ -383,7 +383,7 @@ func (e *engine) start(idx int, now float64) (sched.Outcome, error) {
 	if e.started[idx] {
 		return 0, fmt.Errorf("sim: job %d started twice", j.ID)
 	}
-	pl, err := PlaceJobWith(&e.scratch, e.st, e.selector, e.defSel, j, e.cfg.CostMode, e.cfg.RankRemap)
+	pl, err := PlaceJob(&e.scratch, e.st, e.selector, e.defSel, j, e.cfg.CostMode, e.cfg.RankRemap)
 	if err != nil {
 		return 0, err
 	}

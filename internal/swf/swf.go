@@ -138,19 +138,6 @@ func (l *Log) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Save writes the log to disk.
-func (l *Log) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := l.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // num formats a float compactly: integers without a decimal point.
 func num(v float64) string {
 	if v == float64(int64(v)) {

@@ -10,47 +10,6 @@ import (
 	"strings"
 )
 
-// Bars renders one horizontal bar per label. Values may be negative; bars
-// are scaled to the largest magnitude and annotated with the numeric value.
-func Bars(w io.Writer, title string, labels []string, values []float64, width int) error {
-	if len(labels) != len(values) {
-		return fmt.Errorf("txtplot: %d labels, %d values", len(labels), len(values))
-	}
-	if width <= 0 {
-		width = 40
-	}
-	if title != "" {
-		if _, err := fmt.Fprintln(w, title); err != nil {
-			return err
-		}
-	}
-	maxAbs := 0.0
-	labelW := 0
-	for i, v := range values {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-		if len(labels[i]) > labelW {
-			labelW = len(labels[i])
-		}
-	}
-	for i, v := range values {
-		n := 0
-		if maxAbs > 0 {
-			n = int(math.Round(math.Abs(v) / maxAbs * float64(width)))
-		}
-		bar := strings.Repeat("#", n)
-		sign := ""
-		if v < 0 {
-			sign = "-"
-		}
-		if _, err := fmt.Fprintf(w, "%-*s | %s%s %.2f\n", labelW, labels[i], sign, bar, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // GroupedBars renders, for every label, one bar per series — the shape of
 // Figure 6's grouped columns. Series render in the given order.
 func GroupedBars(w io.Writer, title string, labels []string,

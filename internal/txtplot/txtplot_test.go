@@ -5,48 +5,6 @@ import (
 	"testing"
 )
 
-func TestBars(t *testing.T) {
-	var b strings.Builder
-	err := Bars(&b, "gains", []string{"greedy", "balanced"}, []float64{5, 10}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "gains") {
-		t.Error("missing title")
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	// balanced (10) gets the full width, greedy (5) half.
-	if !strings.Contains(lines[2], strings.Repeat("#", 10)) {
-		t.Errorf("full bar missing: %q", lines[2])
-	}
-	if !strings.Contains(lines[1], strings.Repeat("#", 5)) || strings.Contains(lines[1], strings.Repeat("#", 6)) {
-		t.Errorf("half bar wrong: %q", lines[1])
-	}
-	// Negative values carry a sign.
-	b.Reset()
-	if err := Bars(&b, "", []string{"x"}, []float64{-3}, 10); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "-##########") {
-		t.Errorf("negative bar: %q", b.String())
-	}
-	// All-zero values render without bars.
-	b.Reset()
-	if err := Bars(&b, "", []string{"x"}, []float64{0}, 10); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "#") {
-		t.Error("zero value produced a bar")
-	}
-	if err := Bars(&b, "", []string{"x"}, []float64{1, 2}, 10); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
 func TestGroupedBars(t *testing.T) {
 	var b strings.Builder
 	series := map[string][]float64{

@@ -178,33 +178,16 @@ func (f *Failure) Reproducer() string {
 }
 
 // Differential generates the spec's trace and runs the full verification
-// stack over it: every matrix cell is simulated, audited with
-// sim.ValidateResultConfig, and conservation-checked against
+// stack over the chosen cells of the matrix (ConfigsFor(spec) is all of
+// them; the fuzz targets run one cell per input): every cell is simulated,
+// audited with sim.ValidateResultConfig, and conservation-checked against
 // internal/metrics; then the cross-configuration metamorphic properties
-// are asserted. The first violation is returned as a *Failure. Cells run
-// on a GOMAXPROCS-bounded worker pool; use DifferentialParallel to pick
-// the pool size.
-func Differential(spec TraceSpec) error {
-	return DifferentialConfigsParallel(spec, ConfigsFor(spec), 0)
-}
-
-// DifferentialParallel is Differential with an explicit worker-pool size
-// for the matrix cells (<= 0 means GOMAXPROCS, 1 forces sequential).
-func DifferentialParallel(spec TraceSpec, parallelism int) error {
-	return DifferentialConfigsParallel(spec, ConfigsFor(spec), parallelism)
-}
-
-// DifferentialConfigs is Differential over a caller-chosen subset of the
-// matrix (the fuzz targets run one cell per input).
-func DifferentialConfigs(spec TraceSpec, configs []RunConfig) error {
-	return DifferentialConfigsParallel(spec, configs, 0)
-}
-
-// DifferentialConfigsParallel runs the chosen cells on a bounded worker
-// pool. Each cell simulates an independent cluster state, so cells are
-// embarrassingly parallel; the reported failure is always the
-// lowest-indexed failing cell, matching the sequential loop.
-func DifferentialConfigsParallel(spec TraceSpec, configs []RunConfig, parallelism int) error {
+// are asserted. The first violation is returned as a *Failure. Each cell
+// simulates an independent cluster state, so the cells run on a worker
+// pool of the given size (<= 0 means GOMAXPROCS, 1 forces sequential); the
+// reported failure is always the lowest-indexed failing cell, matching the
+// sequential loop.
+func Differential(spec TraceSpec, configs []RunConfig, parallelism int) error {
 	topo, trace, err := spec.Build()
 	if err != nil {
 		return &Failure{Spec: spec, Err: err}

@@ -94,7 +94,7 @@ func TestDifferentialWithForcedFaults(t *testing.T) {
 		spec.Faults = 1 + int(seed)%5
 		t.Run(spec.String(), func(t *testing.T) {
 			t.Parallel()
-			if err := Differential(spec); err != nil {
+			if err := Differential(spec, ConfigsFor(spec), 0); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -158,7 +158,7 @@ func TestComputeOnlyAgreementSkipsKills(t *testing.T) {
 		if spec.CommFraction != 0 || spec.Faults == 0 {
 			t.Fatalf("%v: no longer a compute-only spec with faults", spec)
 		}
-		if err := Differential(spec); err != nil {
+		if err := Differential(spec, ConfigsFor(spec), 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ func FuzzRunContinuous(f *testing.F) {
 		}
 		configs := ConfigsFor(spec)
 		cfg := configs[int(cell)%len(configs)]
-		if err := DifferentialConfigs(spec, []RunConfig{cfg}); err != nil {
+		if err := Differential(spec, []RunConfig{cfg}, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -128,7 +128,7 @@ func FuzzFaultTrace(f *testing.F) {
 		}
 		fc := FaultConfigs()
 		cfg := fc[int(cell)%len(fc)]
-		if err := DifferentialConfigs(spec, []RunConfig{cfg}); err != nil {
+		if err := Differential(spec, []RunConfig{cfg}, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

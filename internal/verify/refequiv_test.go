@@ -79,8 +79,8 @@ func TestReferenceAndOptimizedRunConcurrently(t *testing.T) {
 func TestDifferentialParallelMatchesSequential(t *testing.T) {
 	spec := DefaultSpec(11)
 	spec.Jobs = 15
-	seqErr := DifferentialParallel(spec, 1)
-	parErr := DifferentialParallel(spec, 8)
+	seqErr := Differential(spec, ConfigsFor(spec), 1)
+	parErr := Differential(spec, ConfigsFor(spec), 8)
 	if (seqErr == nil) != (parErr == nil) {
 		t.Fatalf("sequential err %v, parallel err %v", seqErr, parErr)
 	}

@@ -38,7 +38,8 @@ func TestDifferential(t *testing.T) {
 		seed := *flagSeed + int64(i)
 		t.Run(specForSeed(seed).String(), func(t *testing.T) {
 			t.Parallel()
-			if err := Differential(specForSeed(seed)); err != nil {
+			spec := specForSeed(seed)
+			if err := Differential(spec, ConfigsFor(spec), 0); err != nil {
 				t.Fatal(err)
 			}
 		})

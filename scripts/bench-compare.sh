@@ -7,9 +7,11 @@
 # BenchmarkCloneIntrepid), and in the backlog scheduling pass
 # (BenchmarkPassBacklog).
 #
-# Usage: sh scripts/bench-compare.sh [output.json]
+# Usage: make bench-compare [BENCH_OUT=output.json]
 #        sh scripts/bench-compare.sh -selftest   (checks the baseline pick)
-# Env:   BENCHTIME (default 1s) — forwarded to `go test -benchtime`.
+# Env:   BENCH_PKGS, BENCH_RE — the packages and the -bench regex, which the
+#        Makefile defines once for `make bench` and `make bench-compare`.
+#        BENCHTIME (default 1s) — forwarded to `go test -benchtime`.
 #        BENCHCOUNT (default 3) — repetitions; benchcmp keeps the fastest,
 #        which shrugs off noisy-neighbor load on shared boxes.
 set -eu
@@ -17,8 +19,6 @@ set -eu
 GO=${GO:-go}
 BENCHTIME=${BENCHTIME:-1s}
 BENCHCOUNT=${BENCHCOUNT:-3}
-BENCH_PKGS="./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon ./internal/sched"
-BENCH_RE='BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkPrice|BenchmarkScheduleBlocks|BenchmarkRunContinuous$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog|BenchmarkValidateResultConfig'
 
 # newest prints, of the artifacts named, the one recorded last: by the Time
 # of its first record (`go test -json` stamps every event, RFC 3339, and the
@@ -45,6 +45,8 @@ if [ "${1:-}" = "-selftest" ]; then
     echo "bench-compare: selftest ok (baseline is the artifact recorded last)"
     exit 0
 fi
+
+: "${BENCH_PKGS:?set by make bench-compare}" "${BENCH_RE:?set by make bench-compare}"
 
 # Baseline: the committed artifact recorded last.
 base=$(newest $(git ls-files 'BENCH_*.json'))
