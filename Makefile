@@ -84,8 +84,8 @@ verify:
 # BENCH_PKGS and BENCH_RE are the recorded set, for bench and for
 # bench-compare (scripts/bench-compare.sh reads them from the environment).
 BENCHTIME ?= 1s
-BENCH_PKGS = ./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon ./internal/sched
-BENCH_RE = BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkPrice|BenchmarkScheduleBlocks|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog|BenchmarkValidateResultConfig
+BENCH_PKGS = ./internal/collective ./internal/core ./internal/costmodel ./internal/sim ./internal/cluster ./internal/sweep ./internal/daemon ./internal/sched ./internal/topology
+BENCH_RE = BenchmarkSelect|BenchmarkPlaceIntrepid|BenchmarkPrice|BenchmarkScheduleBlocks|BenchmarkRunContinuous$$|BenchmarkAllocateRelease|BenchmarkCloneIntrepid|BenchmarkSweepGrid|BenchmarkDaemonSubmitThroughput|BenchmarkPassBacklog|BenchmarkValidateResultConfig|BenchmarkGenerate
 # -p 1 keeps package test binaries sequential: concurrently running
 # packages contaminate each other's timings.
 bench:

@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -107,23 +106,52 @@ type event struct {
 	inc int
 }
 
+// eventQueue is a binary min-heap of events in (time, seq) order. seq is
+// unique, so the pop order is a total order whatever the heap's shape.
 type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].time != q[j].time {
 		return q[i].time < q[j].time
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	*q = h
+}
+
+// pop removes and returns the earliest event; the queue must not be empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, i) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
 }
 
 type engine struct {
@@ -183,6 +211,7 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 		st:          newState(cfg.Topology, cfg.Reference),
 		selector:    sel,
 		defSel:      ReferenceSelector(cfg.Algorithm),
+		events:      make(eventQueue, 0, len(trace.Jobs)+len(cfg.Faults)),
 		results:     make([]metrics.JobResult, len(trace.Jobs)),
 		started:     make([]bool, len(trace.Jobs)),
 		idToIdx:     make(map[cluster.JobID]int, len(trace.Jobs)),
@@ -237,20 +266,19 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 func (e *engine) push(ev event) {
 	ev.seq = e.seq
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 func (e *engine) loop() error {
-	heap.Init(&e.events)
 	guard := 0
 	n := len(e.trace.Jobs) + len(e.cfg.Faults)
 	limit := 10 * n * (n + 2)
-	for e.events.Len() > 0 {
+	for len(e.events) > 0 {
 		guard++
 		if guard > limit && limit > 0 {
 			return fmt.Errorf("sim: event budget exceeded (livelock?)")
 		}
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		now := ev.time
 		switch ev.kind {
 		case evArrive:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/hostlist"
@@ -92,18 +93,18 @@ func ParseConfig(r io.Reader) (*Topology, error) {
 
 	var nodeOrder []string
 	var leaves []*Switch
-	nodeSeen := make(map[string]int) // node name -> its leaf's index
+	nodeSeen := make(map[string]int) // node name -> its ID
 	for _, rs := range raws {
 		s := switches[rs.name]
 		if len(rs.nodes) > 0 {
-			leafIdx := len(leaves)
 			leaves = append(leaves, s)
 			for _, nn := range rs.nodes {
 				if prev, dup := nodeSeen[nn]; dup {
+					at := slices.IndexFunc(leaves, func(l *Switch) bool { return slices.Contains(l.NodeIDs, prev) })
 					return nil, fmt.Errorf("topology.conf:%d: node %q already attached to %q",
-						rs.line, nn, leaves[prev].Name)
+						rs.line, nn, leaves[at].Name)
 				}
-				nodeSeen[nn] = leafIdx
+				nodeSeen[nn] = len(nodeOrder)
 				s.NodeIDs = append(s.NodeIDs, len(nodeOrder))
 				nodeOrder = append(nodeOrder, nn)
 			}
@@ -154,7 +155,9 @@ func ParseConfig(r io.Reader) (*Topology, error) {
 		return nil, fmt.Errorf("topology.conf: %d of %d switches unreachable from root %q",
 			len(switches)-reach, len(switches), root.Name)
 	}
-	return build(root, leaves, nodeOrder)
+	t := &Topology{Root: root, Leaves: leaves}
+	t.names.list, t.names.index = nodeOrder, nodeSeen
+	return t.build()
 }
 
 // LoadConfig parses a topology.conf file from disk.

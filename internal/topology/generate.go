@@ -43,20 +43,21 @@ func Generate(spec Spec) (*Topology, error) {
 		return name
 	}
 
-	var nodeOrder []string
+	numNodes := numLeaves * spec.NodesPerLeaf
+	if spec.UnevenLast > 0 {
+		numNodes += spec.UnevenLast - spec.NodesPerLeaf
+	}
+	ids := make([]int, numNodes)
+	for id := range ids {
+		ids[id] = id
+	}
 	leaves := make([]*Switch, numLeaves)
-	for l := 0; l < numLeaves; l++ {
-		sw := &Switch{Name: nextSwitch()}
-		size := spec.NodesPerLeaf
-		if l == numLeaves-1 && spec.UnevenLast > 0 {
-			size = spec.UnevenLast
+	for l := range leaves {
+		lo, hi := l*spec.NodesPerLeaf, (l+1)*spec.NodesPerLeaf
+		if l == numLeaves-1 {
+			hi = numNodes
 		}
-		for k := 0; k < size; k++ {
-			id := len(nodeOrder)
-			nodeOrder = append(nodeOrder, fmt.Sprintf("%s%d", prefix, id))
-			sw.NodeIDs = append(sw.NodeIDs, id)
-		}
-		leaves[l] = sw
+		leaves[l] = &Switch{Name: nextSwitch(), NodeIDs: ids[lo:hi:hi]}
 	}
 
 	level := leaves
@@ -78,7 +79,9 @@ func Generate(spec Spec) (*Topology, error) {
 	if len(level) != 1 {
 		return nil, fmt.Errorf("topology: fanouts leave %d roots", len(level))
 	}
-	return build(level[0], leaves, nodeOrder)
+	t := &Topology{Root: level[0], Leaves: leaves}
+	t.names.prefix = prefix
+	return t.build()
 }
 
 // MustGenerate is Generate but panics on error; for presets and tests.

@@ -93,7 +93,7 @@ func (lay *Layout) commonLevel(li, lj int) int {
 // per-topology precomputation, so building a 4096-leaf tree costs
 // milliseconds where the former dense L×L level matrix cost minutes.
 func (t *Topology) buildLayout() {
-	l, n := len(t.Leaves), len(t.nodeNames)
+	l, n := len(t.Leaves), t.numNodes
 	lay := Layout{
 		L:           l,
 		NodeLeaf:    make([]int32, n),

@@ -10,6 +10,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/hostlist"
@@ -49,23 +50,28 @@ type Topology struct {
 	Leaves   []*Switch // all leaf switches, in definition order
 	Switches []*Switch // all switches, leaves first then ascending level
 
-	nodeNames []string
-	nodeIndex map[string]int
+	numNodes int
 
 	// layout is the flat per-node and per-leaf view, node → leaf map and
 	// ancestor chains included, built with the topology (see Layout).
 	layout Layout
 
-	// names is the hostlist table of nodeNames, built by NameTable on first
-	// use: only the daemon renders node lists.
+	// names holds the node names in ID order, the name → ID index and their
+	// hostlist table. Only the daemon and WriteConfig read names, so a
+	// generated topology keeps just its prefix (node i is prefix + decimal
+	// i) and lists the rest on first use; a parsed one keeps what its
+	// parser built and adds the table on first use.
 	names struct {
-		once  sync.Once
-		table *hostlist.Table
+		once   sync.Once
+		prefix string
+		list   []string
+		index  map[string]int
+		table  *hostlist.Table
 	}
 }
 
 // NumNodes returns the number of compute nodes.
-func (t *Topology) NumNodes() int { return len(t.nodeNames) }
+func (t *Topology) NumNodes() int { return t.numNodes }
 
 // NumLeaves returns the number of leaf switches.
 func (t *Topology) NumLeaves() int { return len(t.Leaves) }
@@ -74,23 +80,43 @@ func (t *Topology) NumLeaves() int { return len(t.Leaves) }
 func (t *Topology) Height() int { return t.Root.Level }
 
 // NodeName returns the name of node id.
-func (t *Topology) NodeName(id int) string { return t.nodeNames[id] }
+func (t *Topology) NodeName(id int) string {
+	t.names.once.Do(t.listNames)
+	return t.names.list[id]
+}
 
 // NameTable returns the hostlist table of the node names, indexed by node
 // ID, building it on first use. It is shared by every caller of this
 // topology and immutable.
 func (t *Topology) NameTable() *hostlist.Table {
-	t.names.once.Do(func() { t.names.table = hostlist.NewTable(t.nodeNames) })
+	t.names.once.Do(t.listNames)
 	return t.names.table
 }
 
 // NodeID returns the id of the named node, or -1 if unknown.
 func (t *Topology) NodeID(name string) int {
-	id, ok := t.nodeIndex[name]
+	t.names.once.Do(t.listNames)
+	id, ok := t.names.index[name]
 	if !ok {
 		return -1
 	}
 	return id
+}
+
+// listNames fills t.names on first use: the list and index of a generated
+// topology from its prefix, then the hostlist table.
+func (t *Topology) listNames() {
+	if t.names.list == nil {
+		t.names.list = make([]string, t.numNodes)
+		t.names.index = make(map[string]int, t.numNodes)
+		var buf []byte
+		for id := range t.names.list {
+			buf = strconv.AppendInt(append(buf[:0], t.names.prefix...), int64(id), 10)
+			t.names.list[id] = string(buf)
+			t.names.index[t.names.list[id]] = id
+		}
+	}
+	t.names.table = hostlist.NewTable(t.names.list)
 }
 
 // LeafOf returns the index (into Leaves) of the leaf switch that node id is
@@ -122,23 +148,14 @@ func (t *Topology) Distance(i, j int) int {
 	return 2 * t.CommonSwitchLevel(i, j)
 }
 
-// build finalises a topology from a fully linked switch graph. nodeOrder
-// lists node names in ID order.
-func build(root *Switch, leaves []*Switch, nodeOrder []string) (*Topology, error) {
-	t := &Topology{
-		Root:      root,
-		Leaves:    leaves,
-		nodeNames: nodeOrder,
-		nodeIndex: make(map[string]int, len(nodeOrder)),
-	}
-	for i, name := range nodeOrder {
-		if _, dup := t.nodeIndex[name]; dup {
-			return nil, fmt.Errorf("topology: duplicate node %q", name)
-		}
-		t.nodeIndex[name] = i
+// build finalises a topology from its names and a fully linked switch
+// graph whose leaves attach nodes 0..n-1, each once.
+func (t *Topology) build() (*Topology, error) {
+	for _, leaf := range t.Leaves {
+		t.numNodes += len(leaf.NodeIDs)
 	}
 	// Assign levels bottom-up and collect all switches.
-	assignLevels(root)
+	assignLevels(t.Root)
 	var all []*Switch
 	var walk func(s *Switch)
 	walk = func(s *Switch) {
@@ -147,13 +164,13 @@ func build(root *Switch, leaves []*Switch, nodeOrder []string) (*Topology, error
 		}
 		all = append(all, s)
 	}
-	walk(root)
+	walk(t.Root)
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Level < all[j].Level })
 	t.Switches = all
 	for i, s := range all {
 		s.Index = i
 	}
-	for i, leaf := range leaves {
+	for i, leaf := range t.Leaves {
 		leaf.LeafIndex = i
 	}
 	for _, s := range all {
@@ -172,7 +189,7 @@ func build(root *Switch, leaves []*Switch, nodeOrder []string) (*Topology, error
 		}
 		return s.DescLeaves
 	}
-	fillLeaves(root)
+	fillLeaves(t.Root)
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
@@ -214,14 +231,6 @@ func (t *Topology) validate() error {
 		if !s.IsLeaf() && len(s.NodeIDs) != 0 {
 			return fmt.Errorf("topology: internal switch %q lists nodes", s.Name)
 		}
-	}
-	covered := 0
-	for _, leaf := range t.Leaves {
-		covered += len(leaf.NodeIDs)
-	}
-	if covered != len(t.nodeNames) {
-		return fmt.Errorf("topology: %d nodes named but %d attached to leaves",
-			len(t.nodeNames), covered)
 	}
 	return nil
 }
