@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/hostlist"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -82,74 +83,89 @@ const grid = 1.0 / 512
 // each of the simulator's event times, must start every job at the
 // simulator's start time on the simulator's nodes.
 //
-// Both front ends run the one internal/sched pass, so this holds wherever
-// their remaining semantics coincide (DESIGN.md "Scheduling core" lists the
-// drifts), which the trace family guarantees:
+// Both front ends run the one internal/sched pass over a queue in job-ID
+// order, so this holds wherever their remaining semantics coincide
+// (DESIGN.md "Remaining semantic drift"), which the trace family
+// guarantees:
 //   - compute-only jobs with exact estimates: the simulator's planned end
 //     max(end, start+estimate) equals the daemon's end;
-//   - FIFO policy, no faults and no dependencies: no policy reorder, no
-//     requeue position, no parked or passed-over jobs, no starved head;
+//   - FIFO policy and no think times: the daemon has neither;
 //   - times on the 1/512 s grid, and no completion sharing an instant with
 //     any other event (the simulator takes events one at a time with a
 //     pass after each, the daemon completes everything due and then runs
 //     one pass) — seeds where that happens are skipped and counted.
 //
+// Each seed runs without dependencies and with verify's dependency family,
+// where a dependant waits in the queue, passed over, until its dependency
+// completes.
+//
 // The simulator's node lists are not in its Result; they are recovered by
 // replaying its start/end times through sim.PlaceJob on a fresh state.
 func TestDaemonScheduleEqualsSim(t *testing.T) {
-	compared := 0
+	compared, runs, withDeps := 0, 0, 0
 	const seeds = 24
 	for seed := int64(1); seed <= seeds; seed++ {
-		spec := verify.DefaultSpec(seed)
-		spec.CommFraction, spec.DepFraction, spec.BadEstFraction, spec.Faults = 0, 0, 0, 0
-		topo, trace, err := spec.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range trace.Jobs {
-			j := &trace.Jobs[i]
-			j.Submit = math.Round(j.Submit/grid) * grid
-			j.Runtime = math.Round(j.Runtime/grid) * grid
-		}
-		res, err := sim.RunContinuous(sim.Config{Topology: topo, Algorithm: core.Adaptive}, trace)
-		if err != nil {
-			t.Fatalf("%v: %v", spec, err)
-		}
-
-		events := simEvents(trace, res)
-		collision := false
-		for k := 1; k < len(events); k++ {
-			if events[k].at == events[k-1].at && !(events[k].arrival && events[k-1].arrival) {
-				collision = true
+		for _, depFraction := range []float64{0, 0.3} {
+			runs++
+			spec := verify.DefaultSpec(seed)
+			spec.CommFraction, spec.DepFraction, spec.BadEstFraction, spec.Faults = 0, depFraction, 0, 0
+			topo, trace, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if collision {
-			t.Logf("%v: skipped, a completion shares an instant with another event", spec)
-			continue
-		}
-		compared++
-
-		clk := newFakeClock()
-		d, err := New(Config{Topology: topo, Algorithm: core.Adaptive, TimeScale: 1, Clock: clk.Now})
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayOnClock(t, d, clk, trace, events)
-		if err := auditHistory(t, d); err != nil {
-			t.Errorf("%v: %v", spec, err)
-		}
-		nodes := replayNodes(t, topo.NodeName, cluster.New(topo), trace, res)
-		for i, r := range res.Jobs {
-			got := d.Status(r.ID).Job
-			if got.State != "completed" || got.Start != r.Start || got.End != r.End || got.NodeList != nodes[i] {
-				t.Errorf("%v: job %d: daemon %s [%v, %v] on %s, simulator [%v, %v] on %s",
-					spec, r.ID, got.State, got.Start, got.End, got.NodeList, r.Start, r.End, nodes[i])
+			deps := 0
+			for i := range trace.Jobs {
+				j := &trace.Jobs[i]
+				j.Submit = math.Round(j.Submit/grid) * grid
+				j.Runtime = math.Round(j.Runtime/grid) * grid
+				j.ThinkTime = 0
+				if j.DependsOn != 0 {
+					deps++
+				}
 			}
+			res, err := sim.RunContinuous(sim.Config{Topology: topo, Algorithm: core.Adaptive}, trace)
+			if err != nil {
+				t.Fatalf("%v: %v", spec, err)
+			}
+
+			events := simEvents(trace, res)
+			collision := false
+			for k := 1; k < len(events); k++ {
+				if events[k].at == events[k-1].at && !(events[k].arrival && events[k-1].arrival) {
+					collision = true
+				}
+			}
+			if collision {
+				t.Logf("%v: skipped, a completion shares an instant with another event", spec)
+				continue
+			}
+			compared++
+			if deps > 0 {
+				withDeps++
+			}
+
+			clk := newFakeClock()
+			d, err := New(Config{Topology: topo, Algorithm: core.Adaptive, TimeScale: 1, Clock: clk.Now})
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayOnClock(t, d, clk, trace, events)
+			if err := auditHistory(t, d, nil); err != nil {
+				t.Errorf("%v: %v", spec, err)
+			}
+			nodes := replayNodes(t, topo.NodeName, cluster.New(topo), trace, res)
+			for i, r := range res.Jobs {
+				got := d.Status(r.ID).Job
+				if got.State != "completed" || got.Start != r.Start || got.End != r.End || got.NodeList != nodes[i] {
+					t.Errorf("%v: job %d: daemon %s [%v, %v] on %s, simulator [%v, %v] on %s",
+						spec, r.ID, got.State, got.Start, got.End, got.NodeList, r.Start, r.End, nodes[i])
+				}
+			}
+			d.Close()
 		}
-		d.Close()
 	}
-	if compared < seeds*3/4 {
-		t.Fatalf("only %d of %d seeds were free of event collisions", compared, seeds)
+	if compared < runs*3/4 || withDeps < seeds/2 {
+		t.Fatalf("only %d of %d runs were free of event collisions, %d of them with dependencies", compared, runs, withDeps)
 	}
 }
 
@@ -193,7 +209,7 @@ func replayOnClock(t *testing.T, d *Daemon, clk *fakeClock, trace workload.Trace
 		clk.Advance(at - elapsed)
 		elapsed = at
 		j := trace.Jobs[ev.job]
-		req := Request{Nodes: j.Nodes, Runtime: j.Runtime, Class: "compute"}
+		req := Request{Nodes: j.Nodes, Runtime: j.Runtime, Class: "compute", After: int64(j.DependsOn)}
 		if p, ok := j.Mix.PrimaryPattern(); ok && j.Class == cluster.CommIntensive {
 			req.Class, req.Pattern, req.CommShare = "comm", p.String(), j.Mix.CommFrac()
 		}
@@ -220,8 +236,10 @@ func replayOnClock(t *testing.T, d *Daemon, clk *fakeClock, trace workload.Trace
 // auditHistory runs the simulator's auditor, sim.ValidateResultConfig,
 // over the daemon's history: every slot becomes a metrics.JobResult and a
 // workload.Job whose Estimate is its runtime, the walltime the daemon's
-// pass plans with. Every job must have completed.
-func auditHistory(t *testing.T, d *Daemon) error {
+// pass plans with, and whose dependency is the one it was submitted with.
+// ftrace lists the node failures the daemon was sent, at their virtual
+// times. Every job must have completed.
+func auditHistory(t *testing.T, d *Daemon, ftrace faults.Trace) error {
 	t.Helper()
 	topo := d.cfg.Topology
 	res := &sim.Result{Algorithm: d.cfg.Algorithm, MachineNodes: topo.NumNodes()}
@@ -249,8 +267,58 @@ func auditHistory(t *testing.T, d *Daemon) error {
 		return errors.New(resp.Error)
 	}
 	return sim.ValidateResultConfig(res, trace, sim.Config{
-		Topology: topo, Algorithm: d.cfg.Algorithm, DisableBackfill: d.cfg.DisableBackfill, CostMode: d.cfg.CostMode,
+		Topology: topo, Algorithm: d.cfg.Algorithm, DisableBackfill: d.cfg.DisableBackfill,
+		CostMode: d.cfg.CostMode, Faults: ftrace,
 	})
+}
+
+// A daemon history with a dependency and a failure requeue passes the
+// simulator's auditor, with and without backfilling: the auditor reads
+// queue order as job-ID order, as the daemon keeps it, whenever a job was
+// submitted or requeued. On 8 nodes jobs 1 and 2 (4 nodes each) start at 0;
+// job 3 (4 nodes) is submitted at 5 with job 4 depending on it. A failure at
+// 10 kills job 1, which goes back ahead of job 3 and starts when job 2
+// ends at 1000; job 3 follows at 1100 and job 4 at 1150.
+func TestDaemonHistoryWithRequeueAndDependencyPassesSimAudit(t *testing.T) {
+	for _, noBackfill := range []bool{false, true} {
+		clk := newFakeClock()
+		d, err := New(Config{Topology: topology.PaperExample(), Algorithm: core.Adaptive,
+			DisableBackfill: noBackfill, TimeScale: 1, Clock: clk.Now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := func(v float64) {
+			clk.Advance(time.Duration(v*float64(time.Second)) - clk.Now().Sub(d.wallBase))
+			d.Info()
+		}
+		d.Submit(Request{Nodes: 4, Runtime: 100})
+		d.Submit(Request{Nodes: 4, Runtime: 1000})
+		at(5)
+		d.Submit(Request{Nodes: 4, Runtime: 50})
+		d.Submit(Request{Nodes: 1, Runtime: 10, After: 3})
+		at(10)
+		var node int
+		d.call(func() Response {
+			node = d.st.Allocation(1).Nodes()[0]
+			return Response{Ok: true}
+		})
+		ftrace := faults.Trace{{Time: 10, Kind: faults.Fail, Node: node}}
+		if resp := d.Fail(d.cfg.Topology.NodeName(node)); !resp.Ok || resp.ID != 1 {
+			t.Fatalf("failing node %d: %+v, want job 1 killed", node, resp)
+		}
+		for _, v := range []float64{1000, 1100, 1150, 1160} {
+			at(v)
+		}
+		for id, want := range map[int64]float64{1: 1000, 2: 0, 3: 1100, 4: 1150} {
+			if got := d.Status(id).Job; got.Start != want {
+				t.Errorf("backfill off %v: job %d started at %v, want %v", noBackfill, id, got.Start, want)
+			}
+		}
+		if err := auditHistory(t, d, ftrace); err != nil {
+			t.Errorf("backfill off %v: %v", noBackfill, err)
+		}
+		d.Close()
+	}
 }
 
 // A 1,000-job Theta trace with communication-intensive jobs, replayed into
@@ -281,7 +349,7 @@ func TestDaemonHistoryPassesSimAudit(t *testing.T) {
 	if comm == 0 {
 		t.Fatal("trace has no communication-intensive job")
 	}
-	if err := auditHistory(t, d); err != nil {
+	if err := auditHistory(t, d, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -108,8 +108,8 @@ type Daemon struct {
 	timer    *time.Timer
 
 	nextID int64
-	hist   history // every admitted job's slot, by ID: the job table
-	queue  sched.Queue[int64]
+	hist   history            // every admitted job's slot, by ID: the job table
+	queue  sched.Queue[int64] // queued job IDs, ascending
 	// core is the shared FIFO + EASY pass and the running set, keyed by
 	// job ID.
 	core sched.Core[int64]
@@ -203,6 +203,7 @@ func New(cfg Config) (*Daemon, error) {
 		wallBase: clk(),
 		timer:    time.NewTimer(time.Hour),
 		nextID:   1,
+		queue:    sched.NewQueue(func(a, b int64) bool { return a < b }),
 	}
 	d.core = sched.Core[int64]{
 		Free: d.st.FreeTotal, Job: d.job, Start: d.startJob,
@@ -417,10 +418,8 @@ func (d *Daemon) listFrame(m *memo, ids []int64) ([]byte, error) {
 // to rows and returns the frame's size. A row does not change while its job
 // stays queued, or running, and a requeue bumps its count, so a row of the
 // last listing, last, with the same job and requeue count is copied; the
-// others are encoded into fresh. The running listing's IDs ascend, and so do
-// the queue's (submissions push at the tail, a requeue goes ahead of the
-// first larger ID), so one walk finds every such row. In any other order (a
-// restored snapshot's queue) a row is only missed, and encoded again.
+// others are encoded into fresh. Both listings' IDs ascend (the queue is
+// kept in ID order, sched.Queue.Add), so one walk finds every such row.
 //
 //caws:noalloc
 func (d *Daemon) walkRows(last, rows []listRow, ids []int64, fresh []byte) ([]listRow, []byte, int, error) {
@@ -620,7 +619,7 @@ func (d *Daemon) submitLocked(spec *SubmitSpec, v float64) Response {
 	h := d.hist.slot(id)
 	*h = rec
 	d.hist.setName(h, spec.Name)
-	d.queue.Push(id, spec.Nodes)
+	d.queue.Add(id, spec.Nodes)
 	return Response{Ok: true, ID: id}
 }
 
@@ -761,10 +760,11 @@ func (d *Daemon) cancelLocked(id int64, v float64) Response {
 }
 
 // Fail takes a node (by name) down hard: unlike Drain, a job running on
-// the node does not keep it — the job is killed and requeued, re-entering
-// the pending queue in job-ID order with its requeue counter bumped,
-// mirroring SLURM's node-failure requeue and the simulator's fault
-// semantics. The response carries the killed job's ID when there was one.
+// the node does not keep it — the job is killed and requeued, back in its
+// job-ID place in the pending queue with its requeue counter bumped, in
+// time for the pass after the failure: SLURM's node-failure requeue, and
+// what the simulator does with a failure under FIFO. The response carries
+// the killed job's ID when there was one.
 func (d *Daemon) Fail(node string) Response {
 	return d.exec1(Request{Op: "fail", Node: node})
 }
@@ -789,9 +789,8 @@ func (d *Daemon) failLocked(node string, v float64) Response {
 }
 
 // requeueJob kills a running job at virtual time v (its failed node is
-// already marked down by the caller) and returns it to the pending queue,
-// inserted in job-ID order among the queued jobs so the requeued job re-runs
-// ahead of later submissions. Engine goroutine only.
+// already marked down by the caller) and returns it to the pending queue in
+// its job-ID place, ahead of later submissions. Engine goroutine only.
 func (d *Daemon) requeueJob(id int64, v float64) {
 	if _, ok := d.core.Running.Remove(id); !ok {
 		return
@@ -804,7 +803,7 @@ func (d *Daemon) requeueJob(id int64, v float64) {
 	h.lostSec += v - h.start
 	h.start, h.end = 0, 0
 	h.exec, h.cost, h.ratio, h.refCost, h.masks = 0, 0, 0, 0, span{}
-	d.queue.Insert(id, int(h.nodes), func(q int64) bool { return q > id })
+	d.queue.Add(id, int(h.nodes))
 }
 
 // Drain marks a node (by name) ineligible for new allocations; a running

@@ -159,6 +159,42 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// Cancelling a running job that holds every node lets the waiting job
+// start at the cancel's instant: the cancel runs its own pass, so the start
+// does not wait for the next operation to bring the daemon up to date.
+func TestCancelRunningStartsWaitingJobAtCancel(t *testing.T) {
+	clk := newFakeClock()
+	d := newClockedDaemon(t, clk)
+	run := d.Submit(Request{Nodes: 8, Runtime: 100})
+	wait := d.Submit(Request{Nodes: 8, Runtime: 50})
+	clk.Advance(10 * time.Second)
+	if resp := d.Cancel(run.ID); !resp.Ok {
+		t.Fatal(resp.Error)
+	}
+	clk.Advance(5 * time.Second)
+	if got := d.Status(wait.ID).Job; got.State != "running" || got.Start != 10 {
+		t.Fatalf("waiting job is %s from %v, want running from the cancel at 10", got.State, got.Start)
+	}
+}
+
+// A cancelled running job's slot ends at the cancel time, not at the end
+// its start planned.
+func TestCancelledRunningJobEndsAtCancel(t *testing.T) {
+	clk := newFakeClock()
+	d := newClockedDaemon(t, clk)
+	run := d.Submit(Request{Nodes: 4, Runtime: 100})
+	clk.Advance(10 * time.Second)
+	if resp := d.Cancel(run.ID); !resp.Ok {
+		t.Fatal(resp.Error)
+	}
+	d.call(func() Response {
+		if h := d.hist.get(run.ID); h.state != stateCancelled || h.end != 10 {
+			t.Errorf("cancelled job's slot is %s ending at %v, want cancelled at 10", h.state, h.end)
+		}
+		return Response{Ok: true}
+	})
+}
+
 func TestSubmitValidation(t *testing.T) {
 	clk := newFakeClock()
 	d, err := New(Config{Topology: topology.PaperExample(), Algorithm: core.Balanced, TimeScale: 1, Clock: clk.Now})

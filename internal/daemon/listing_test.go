@@ -168,8 +168,9 @@ func TestQueueListingCopiesUnchangedRows(t *testing.T) {
 	want(listQueue(t, d2), 2, 3, 5, 6)
 }
 
-// A snapshot's queue need not be in ID order. The listing then only misses
-// rows it could have copied, and its bytes stay the fresh render's.
+// A snapshot's queue need not be in ID order: it is restored in ID order,
+// the order the queue is kept in, so one walk finds every row a listing
+// can copy.
 func TestQueueListingOutOfIDOrder(t *testing.T) {
 	clk := newFakeClock()
 	job := func(id int64, state string) string {
@@ -188,8 +189,8 @@ func TestQueueListingOutOfIDOrder(t *testing.T) {
 		copied []int64
 	}{
 		{0, []int64{}},        // the memo starts empty
-		{0, []int64{7, 3, 5}}, // the same order: one walk finds every row
-		{7, []int64{}},        // 3 and 5 lie past 7 in the last listing: missed
+		{0, []int64{3, 5, 7}}, // restored as 3, 5, 7
+		{7, []int64{3, 5}},
 		{0, []int64{3, 5}},
 	} {
 		if c.cancel != 0 {

@@ -266,7 +266,7 @@ func Restore(cfg Config, r io.Reader) (*Daemon, error) {
 			if _, err := d.restoreJob(pj, stateQueued, ps.NextID); err != nil {
 				return Response{Error: err.Error()}
 			}
-			d.queue.Push(pj.ID, pj.Nodes)
+			d.queue.Add(pj.ID, pj.Nodes)
 		}
 		d.tick(ps.VirtualNow)
 		return Response{Ok: true}

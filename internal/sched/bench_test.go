@@ -14,17 +14,18 @@ import (
 // job outlives the head's reservation, so the extra pool decides: with none
 // nothing starts and the pass is a read of the node counts plus a Job call
 // for what fits; with one extra node the first one-node job starts,
-// everything behind it moves down a slot, and the job is pushed back for the
-// next pass.
+// everything behind it moves down a slot, and the job is queued again, last,
+// for the next pass.
 func BenchmarkPassBacklog(b *testing.B) {
 	type rec struct {
 		job  workload.Job
-		rest [20]uint64 // name, state, times, placement
+		seq  int        // queue order, as a job ID
+		rest [19]uint64 // name, state, times, placement
 	}
 	trace := workload.Theta.Synthesize(14000, 1)
 	recs := make([]*rec, len(trace.Jobs))
 	for _, i := range rand.New(rand.NewSource(1)).Perm(len(recs)) {
-		recs[i] = &rec{job: trace.Jobs[i]}
+		recs[i] = &rec{job: trace.Jobs[i], seq: i + 1}
 	}
 	for _, bc := range []struct {
 		name  string
@@ -45,11 +46,11 @@ func BenchmarkPassBacklog(b *testing.B) {
 				return Started, nil
 			}
 			c.Running.Add(Entry{End: 1, Key: -1, Nodes: held})
-			var q Queue[*rec]
-			q.Push(&rec{}, free+held-bc.extra)
-			fit := 0
+			q := NewQueue(func(a, b *rec) bool { return a.seq < b.seq })
+			q.Add(&rec{}, free+held-bc.extra)
+			fit, seq := 0, len(recs)
 			for _, r := range recs {
-				q.Push(r, r.job.Nodes)
+				q.Add(r, r.job.Nodes)
 				if r.job.Nodes <= free {
 					fit++
 				}
@@ -62,7 +63,9 @@ func BenchmarkPassBacklog(b *testing.B) {
 				}
 				if started != nil {
 					machine += started.job.Nodes
-					q.Push(started, started.job.Nodes)
+					seq++
+					started.seq = seq
+					q.Add(started, started.job.Nodes)
 					started = nil
 				}
 			}

@@ -3,10 +3,10 @@
 // (internal/daemon): the set of running jobs ordered by planned end, and the
 // scheduling pass that starts queue heads while they fit and then backfills
 // behind the blocked head's reservation. The pending queue (Queue) is held
-// here too, with each job's node count beside it. Clocks and events, the
-// order jobs are queued in, and placement stay with the front ends; they
-// describe their jobs to the core through the callbacks of a Core and tell
-// it the planned end and tiebreak key of every job they start.
+// here too, in the order its front end names, each job's node count beside
+// it. Clocks, events, eligibility and placement stay with the front ends;
+// they describe their jobs to the core through the callbacks of a Core and
+// tell it the planned end and tiebreak key of every job they start.
 package sched
 
 import (
@@ -77,37 +77,35 @@ func (r Running) Reservation(now float64, free, need int) (shadow float64, extra
 	return 0, 0, false
 }
 
-// Queue is the pending queue: the front end's handles in queue order and,
-// beside them in a dense array, the node count each was queued with, so a
-// pass decides "cannot fit" for a job from four bytes without asking the
-// front end about it. A job's node count is stated once, when it enters, and
-// does not change while it is queued. The front end decides the order (Push
-// at the tail, Insert ahead of a job it names); the pass only removes. The
-// zero value is an empty queue.
+// Queue is the pending queue: the front end's handles, sorted by the strict
+// total order the queue is made with (NewQueue), and beside them in a dense
+// array the node count each was queued with, so a pass decides "cannot fit"
+// for a job from four bytes without asking the front end about it. A job's
+// node count is stated once, when it enters through Add, and does not
+// change while it is queued; the pass only removes.
 type Queue[J comparable] struct {
 	jobs []J
 	need []int32
+	less func(a, b J) bool
 }
+
+// NewQueue returns an empty queue kept in the strict total order less.
+func NewQueue[J comparable](less func(a, b J) bool) Queue[J] { return Queue[J]{less: less} }
 
 // Len returns the number of queued jobs.
 func (q *Queue[J]) Len() int { return len(q.jobs) }
 
 // Jobs returns the queued handles in queue order. The slice is the queue's
-// own storage: read it, and not across a Push, Insert, Remove or Pass.
+// own storage: read it, and not across an Add, Remove or Pass.
 func (q *Queue[J]) Jobs() []J { return q.jobs }
 
-// Push queues j, which needs nodes nodes, behind every queued job.
-func (q *Queue[J]) Push(j J, nodes int) {
-	q.jobs = append(q.jobs, j)
-	q.need = append(q.need, int32(nodes))
-}
-
-// Insert queues j ahead of the first queued job before reports true for,
-// or at the tail when there is none.
-func (q *Queue[J]) Insert(j J, nodes int, before func(J) bool) {
-	i := slices.IndexFunc(q.jobs, before)
-	if i < 0 {
-		i = len(q.jobs)
+// Add queues j, which needs nodes nodes, where the queue's order places it:
+// behind every queued job it does not sort before. A job that sorts last
+// is appended without a search.
+func (q *Queue[J]) Add(j J, nodes int) {
+	i := len(q.jobs)
+	if i > 0 && q.less(j, q.jobs[i-1]) {
+		i = sort.Search(i, func(k int) bool { return q.less(j, q.jobs[k]) })
 	}
 	q.jobs = slices.Insert(q.jobs, i, j)
 	q.need = slices.Insert(q.need, i, int32(nodes))
@@ -156,7 +154,7 @@ type Core[J comparable] struct {
 	// Job describes a queued job: the runtime the scheduler plans with, and
 	// whether it may start or hold the reservation now. An ineligible job
 	// keeps its queue position while later jobs pass it. The nodes it needs
-	// are the queue's to know (Queue.Push), which is what lets a pass skip
+	// are the queue's to know (Queue.Add), which is what lets a pass skip
 	// this call for every job that does not fit.
 	Job func(j J) (estimate float64, eligible bool)
 	// Start places and starts a job that fits Free at time now, calling

@@ -99,6 +99,7 @@ func TestReservationCanNeverRun(t *testing.T) {
 // report decided in advance.
 type tjob struct {
 	id       int64
+	key      int // byKey's order; fixed while the job is queued
 	nodes    int
 	estimate float64 // what the scheduler plans with
 	runtime  float64 // planned end is now + runtime
@@ -145,13 +146,20 @@ func (m *machine) core(backfill bool) *Core[*tjob] {
 	return c
 }
 
-// queueOf pushes jobs onto a fresh queue.
+// byID is the daemon's queue order: job ID.
+func byID(a, b *tjob) bool { return a.id < b.id }
+
+// byKey is an SJF-like queue order: a key fixed when the job is made, ties
+// broken by ID.
+func byKey(a, b *tjob) bool { return a.key < b.key || (a.key == b.key && a.id < b.id) }
+
+// queueOf adds jobs to a fresh queue in ID order.
 func queueOf(jobs ...*tjob) *Queue[*tjob] {
-	q := new(Queue[*tjob])
+	q := NewQueue(byID)
 	for _, j := range jobs {
-		q.Push(j, j.nodes)
+		q.Add(j, j.nodes)
 	}
-	return q
+	return &q
 }
 
 // refReservation is the reservation both front ends used to carry: collect
@@ -262,6 +270,7 @@ func (s *byteSource) Intn(n int) int {
 func randomJob(src source, id int64, total int) *tjob {
 	j := &tjob{
 		id:       id,
+		key:      src.Intn(6),
 		nodes:    1 + src.Intn(total),
 		estimate: float64(5 * (1 + src.Intn(14))),
 	}
@@ -290,22 +299,34 @@ func (j *tjob) redraw(src source) {
 
 // world is one long-lived queue on the core under test beside the naive
 // model of it: a plain slice that refPass splices, on a machine of its own.
+// gone holds the jobs cancelled out of the queue, which may come back as a
+// requeued job does.
 type world struct {
 	src      source
 	total    int
 	ref, opt *machine
 	c        *Core[*tjob]
 	q        Queue[*tjob]
+	less     func(a, b *tjob) bool
+	keyed    bool // less is byKey
 	model    []*tjob
+	gone     []*tjob
 	nextID   int64
 	now      float64
+	// inserts counts the jobs Add put ahead of a queued one.
+	inserts int
 }
 
 // newWorld draws a machine with a running set (tied ends included), down
-// nodes (so a head can be unsatisfiable) and an initial queue.
+// nodes (so a head can be unsatisfiable), a queue order and an initial
+// queue.
 func newWorld(src source) *world {
 	total := 8 + src.Intn(57)
-	w := &world{src: src, total: total, nextID: 1}
+	w := &world{src: src, total: total, nextID: 1, less: byID}
+	if src.Intn(2) == 0 {
+		w.less, w.keyed = byKey, true
+	}
+	w.q = NewQueue(w.less)
 	w.ref = &machine{free: total - src.Intn(total/4+1), running: map[int64]Entry{}}
 	for key := int64(-1); w.ref.free > 0 && src.Intn(8) > 0; key-- {
 		e := Entry{End: float64(10 * (1 + src.Intn(6))), Key: key, Nodes: 1 + src.Intn(w.ref.free)}
@@ -323,31 +344,36 @@ func newWorld(src source) *world {
 	return w
 }
 
-func (w *world) newJob() *tjob {
-	w.nextID++
-	return randomJob(w.src, w.nextID-1, w.total)
-}
-
 func (w *world) push() {
-	j := w.newJob()
-	w.q.Push(j, j.nodes)
-	w.model = append(w.model, j)
+	w.nextID++
+	w.add(randomJob(w.src, w.nextID-1, w.total))
 }
 
-// insert queues a new job ahead of the first queued job with a larger ID
-// than a pivot, the daemon's requeue; the queue is not sorted by ID once
-// this has happened twice, so "the first" matters.
-func (w *world) insert() {
-	j, pivot := w.newJob(), int64(w.src.Intn(int(w.nextID)))
-	w.q.Insert(j, j.nodes, func(q *tjob) bool { return q.id > pivot })
-	pos := len(w.model)
-	for i, q := range w.model {
-		if q.id > pivot {
-			pos = i
-			break
-		}
+// requeue queues a cancelled job again, as the daemon queues a job killed
+// by a node failure: its ID is older than the newest queued ones, so under
+// byID it goes ahead of them.
+func (w *world) requeue() {
+	if len(w.gone) == 0 {
+		w.push()
+		return
 	}
-	w.model = append(w.model[:pos], append([]*tjob{j}, w.model[pos:]...)...)
+	k := w.src.Intn(len(w.gone))
+	j := w.gone[k]
+	w.gone = append(w.gone[:k], w.gone[k+1:]...)
+	w.add(j)
+}
+
+// add queues j on both sides; the model puts it ahead of the first queued
+// job it sorts before, or last.
+func (w *world) add(j *tjob) {
+	w.q.Add(j, j.nodes)
+	pos := slices.IndexFunc(w.model, func(q *tjob) bool { return w.less(j, q) })
+	if pos < 0 {
+		pos = len(w.model)
+	} else {
+		w.inserts++
+	}
+	w.model = slices.Insert(w.model, pos, j)
 }
 
 // remove cancels a queued job, or tries to cancel one that is not queued.
@@ -362,6 +388,7 @@ func (w *world) remove(t testing.TB) {
 	if !w.q.Remove(w.model[pos]) {
 		t.Fatalf("Remove of queued job %d reported false", w.model[pos].id)
 	}
+	w.gone = append(w.gone, w.model[pos])
 	w.model = append(w.model[:pos], w.model[pos+1:]...)
 }
 
@@ -371,7 +398,7 @@ func (w *world) mutate(t testing.TB) {
 	case 0:
 		w.push()
 	case 1:
-		w.insert()
+		w.requeue()
 	case 2:
 		w.remove(t)
 	case 3:
@@ -476,8 +503,9 @@ func ids(queue []*tjob) []int64 {
 // the same order and leaves the same queue, running set, free count and
 // starved verdict as the naive pass. The queue is the long-lived object the
 // front ends hold, not a fresh slice per case: each of 600 random machines
-// keeps one Queue through 60 passes, with jobs pushed, inserted, removed and
-// changing eligibility between them and running jobs ending as time moves.
+// keeps one Queue, in ID order or in an SJF-like order, through 60 passes,
+// with jobs added, cancelled, requeued and changing eligibility between
+// them and running jobs ending as time moves.
 func TestPassMatchesSplicePerStartReference(t *testing.T) {
 	seen := map[string]int{}
 	for seed := int64(1); seed <= 600; seed++ {
@@ -492,18 +520,23 @@ func TestPassMatchesSplicePerStartReference(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("seed %d failed", seed)
 		}
+		order := "byID"
+		if w.keyed {
+			order = "byKey"
+		}
+		seen[order+" inserts"] += w.inserts
 	}
 	// The generator must actually reach every branch it claims to cover.
-	for _, k := range []string{"0", "1", "2", "r", "starved", "moved-ineligible"} {
+	for _, k := range []string{"0", "1", "2", "r", "starved", "moved-ineligible", "byID inserts", "byKey inserts"} {
 		if seen[k] < 200 {
 			t.Errorf("only %d passes exercised %q", seen[k], k)
 		}
 	}
 }
 
-// FuzzQueueOps lets the fuzzer choose the machine, the jobs and the order of
-// Push, Insert, Remove and Pass on one Queue, held to the same model and
-// checks as the property test.
+// FuzzQueueOps lets the fuzzer choose the machine, the queue order, the
+// jobs and the order of Add (new and requeued jobs), Remove and Pass on one
+// Queue, held to the same model and checks as the property test.
 func FuzzQueueOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x20\x03\x07\x01\x02\x05\x09\x11\x04\x00\x01\x02\x03\x04\x05\x06\x07"))

@@ -56,3 +56,44 @@ func TestBackfillAuditDeterministicError(t *testing.T) {
 		}
 	}
 }
+
+// Under FIFO the audit reads queue order as index order even when a trace
+// has dependencies, so an instant where the head and a backfill became
+// eligible together is decided, not skipped. Job 1 holds half the machine
+// until 100; job 2 depends on it; job 3 (the whole machine) and job 4 (2
+// nodes, estimate 1000) are both submitted at 10. The result below starts
+// job 4 at 20 past the waiting job 3, which neither ends by the shadow time
+// 100 nor fits its 0 extra nodes; job 3 starts when job 4 ends. Every other
+// property of the result holds.
+func TestBackfillAuditDecidesFIFOEligibilityTies(t *testing.T) {
+	dep := workload.Job{ID: 2, Submit: 0, Runtime: 10, Nodes: 1, DependsOn: 1}
+	trace := workload.Trace{
+		Name:         "tie",
+		MachineNodes: 8,
+		Jobs: []workload.Job{
+			{ID: 1, Submit: 0, Runtime: 100, Nodes: 4},
+			dep,
+			{ID: 3, Submit: 10, Runtime: 100, Nodes: 8},
+			{ID: 4, Submit: 10, Runtime: 1000, Nodes: 2, Estimate: 1000},
+		},
+	}
+	cfg := Config{Topology: topology.PaperExample(), Algorithm: core.Default}
+	res, err := RunContinuousValidated(cfg, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &Result{Algorithm: res.Algorithm,
+		Jobs: append([]metrics.JobResult(nil), res.Jobs...)}
+	for k, start := range map[int]float64{2: 1020, 3: 20} {
+		bad.Jobs[k].Start = start
+		bad.Jobs[k].End = start + bad.Jobs[k].Exec
+	}
+	if err := ValidateResult(bad, trace); err != nil {
+		t.Fatalf("the illegal backfill should be the result's only fault: %v", err)
+	}
+	err = ValidateResultConfig(bad, trace, cfg)
+	if err == nil || !strings.Contains(err.Error(), "job 4 ") || !strings.Contains(err.Error(), " at 20 ") {
+		t.Fatalf("audit: %v, want job 4's backfill at 20 rejected", err)
+	}
+	auditsAgree(t, bad, trace, cfg)
+}

@@ -10,9 +10,9 @@ import (
 // The backfill-legality audit as it stood before it became one pass over
 // the start instants: at every instant it rescans every job for the
 // instant's completions, arrivals, waiting set and running set, and
-// replays the fault trace from its start. It is kept here, verbatim, as
-// the oracle the one-pass audit must match error for error
-// (TestBackfillAuditMatchesRef, FuzzBackfillAudit).
+// replays the fault trace from its start. It is kept here as the oracle
+// the one-pass audit must match error for error (TestBackfillAuditMatchesRef,
+// FuzzBackfillAudit); queue order is Policy.less in both.
 
 // checkBackfillLegalityRef audits backfilled starts against the EASY rule,
 // one scheduling pass (start instant) at a time. An instant t is audited
@@ -24,8 +24,8 @@ import (
 // is a backfill that must either finish (by its walltime estimate) before
 // the head's shadow time or fit the extra node pool, which drains as
 // shadow-outliving backfills consume it. Ambiguous instants (event-time
-// collisions, eligibility ties under FIFO with dependencies) are skipped
-// rather than guessed, so a correct engine is never falsely flagged.
+// collisions) are skipped rather than guessed, so a correct engine is never
+// falsely flagged.
 func checkBackfillLegalityRef(a *auditor) error {
 	starts := make(map[float64][]int)
 	for i := range a.res.Jobs {
@@ -101,32 +101,26 @@ func checkBackfillLegalityRef(a *auditor) error {
 		if len(waiting) == 0 {
 			continue // nothing reserved, every start was a head start
 		}
-		head, ambiguous := a.policyMin(waiting)
-		if ambiguous {
-			continue
+		head := waiting[0]
+		for _, i := range waiting[1:] {
+			if a.policyBefore(i, head) {
+				head = i
+			}
 		}
 		// Split the pass's starts into the head-loop prefix (queued ahead of
 		// the head) and backfills (queued behind it), in policy order.
 		var prefix, backfills []int
-		skip := false
 		for _, s := range started {
-			before, known := a.policyBefore(s, head)
-			if !known {
-				skip = true
-				break
-			}
-			if before {
+			if a.policyBefore(s, head) {
 				prefix = append(prefix, s)
 			} else {
 				backfills = append(backfills, s)
 			}
 		}
-		if skip || len(backfills) == 0 {
+		if len(backfills) == 0 {
 			continue
 		}
-		if !sortPolicy(a, backfills) {
-			continue // relative order of two backfills undecidable
-		}
+		sort.Slice(backfills, func(x, y int) bool { return a.policyBefore(backfills[x], backfills[y]) })
 		shadow, extra, ok := reservationAtRef(a, t, started, prefix, a.trace.Jobs[head].Nodes, downAt)
 		if !ok {
 			continue

@@ -187,6 +187,7 @@ func FuzzBackfillAudit(f *testing.F) {
 	f.Add(int64(3), uint8(14), uint16(55), 17.5)
 	f.Add(int64(4), uint8(51), uint16(12), 900.0)
 	f.Add(int64(5), uint8(100), uint16(40), 60.0)
+	f.Add(int64(6), uint8(12), uint16(20), 300.0) // FIFO with dependencies
 	f.Fuzz(func(t *testing.T, seed int64, mode uint8, job uint16, shift float64) {
 		if math.IsNaN(shift) || math.IsInf(shift, 0) {
 			return

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -80,27 +81,39 @@ func TestDependencyCompletedBeforeArrival(t *testing.T) {
 	if res.Jobs[1].Start != 110 { // dep ends at 10, +100 think
 		t.Fatalf("think-time start = %v, want 110", res.Jobs[1].Start)
 	}
+	// Submitted after its dependency ended, still within the think time.
+	j2.Submit = 50
+	trace.Jobs = []workload.Job{j1, j2}
+	res, err = RunContinuous(Config{Topology: topology.PaperExample(), Algorithm: core.Default}, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Jobs[1].Start != 110 {
+		t.Fatalf("think-time start after a late submit = %v, want 110", res.Jobs[1].Start)
+	}
 }
 
-// A held job must not block unrelated jobs (it is invisible to the FIFO
-// queue until eligible).
+// A job waiting on its dependency keeps its FIFO place but does not block
+// the jobs behind it: they pass it while it is ineligible, and once its
+// dependency completes it is served ahead of them.
 func TestHeldJobDoesNotBlockQueue(t *testing.T) {
-	j1 := computeJob(1, 0, 200, 8) // fills the machine
+	j1 := computeJob(1, 0, 200, 4) // half the machine until 200
 	j2 := computeJob(2, 1, 10, 4)
-	j2.DependsOn = 1 // waits for the long job anyway
+	j2.DependsOn = 1 // waits for the long job
 	j3 := computeJob(3, 2, 10, 8)
-	trace := workload.Trace{Name: "held", MachineNodes: 8, Jobs: []workload.Job{j1, j2, j3}}
+	j4 := computeJob(4, 3, 10, 4)
+	trace := workload.Trace{Name: "held", MachineNodes: 8, Jobs: []workload.Job{j1, j2, j3, j4}}
 	res, err := RunContinuous(Config{Topology: topology.PaperExample(), Algorithm: core.Default}, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// j3 (no dependency) is the FIFO head once j1 finishes at 200; the held
-	// j2 becomes eligible at the same moment but entered the queue later.
-	if res.Jobs[2].Start != 200 {
-		t.Fatalf("j3 start = %v, want 200", res.Jobs[2].Start)
-	}
-	if res.Jobs[1].Start < 200 {
-		t.Fatalf("dependent j2 started at %v before its dependency completed", res.Jobs[1].Start)
+	// j3 is the blocked head behind the ineligible j2, with its reservation
+	// at 200; j4 backfills past both. At 200 j2 becomes eligible and is
+	// queued ahead of j3, so it starts first and j3 waits for it.
+	for i, want := range []float64{0, 200, 210, 3} {
+		if got := res.Jobs[i].Start; got != want {
+			t.Errorf("j%d start = %v, want %v", i+1, got, want)
+		}
 	}
 }
 
@@ -178,5 +191,37 @@ func TestValidateDependencyErrors(t *testing.T) {
 	bad = workload.Trace{Name: "dup", MachineNodes: 8, Jobs: []workload.Job{dup1, dup2, dep}}
 	if err := bad.Validate(); err == nil {
 		t.Error("duplicate IDs with deps accepted")
+	}
+}
+
+// The "can never run" error names the head the pass blocked on: the first
+// eligible job left queued, not a dependant waiting ahead of it. With a
+// node down outside any fault trace, job 3 needs more nodes than the
+// machine can ever free, and job 2 sits ahead of it on an unfinished
+// dependency.
+func TestCanNeverRunNamesEligibleHead(t *testing.T) {
+	j2 := computeJob(2, 0, 10, 1)
+	j2.DependsOn = 1
+	trace := workload.Trace{Name: "never", MachineNodes: 8,
+		Jobs: []workload.Job{computeJob(1, 0, 100, 1), j2, computeJob(3, 0, 10, 8)}}
+	e := &engine{
+		trace:       trace,
+		st:          cluster.New(topology.PaperExample()),
+		idToIdx:     map[cluster.JobID]int{1: 0, 2: 1, 3: 2},
+		completedAt: []float64{-1, -1, -1},
+		queue:       sched.NewQueue(func(a, b int) bool { return a < b }),
+	}
+	e.core = sched.Core[int]{Free: e.st.FreeTotal, Job: e.job, Start: e.start, Backfill: true}
+	if _, err := e.st.Fail(0); err != nil {
+		t.Fatal(err)
+	}
+	e.queue.Add(2, 8)
+	e.queue.Add(1, 1)
+	if got := e.queue.Jobs(); got[0] != 1 {
+		t.Fatalf("queue %v, want the dependant first", got)
+	}
+	err := e.schedule(0)
+	if err == nil || err.Error() != "sim: job 3 (8 nodes) can never run" {
+		t.Fatalf("schedule: %v, want job 3 named", err)
 	}
 }

@@ -171,25 +171,22 @@ func TestZeroFaultTraceIsBitIdentical(t *testing.T) {
 }
 
 func TestRepeatedFailuresRequeueRepeatedly(t *testing.T) {
-	// Kill the job twice. First attempt: the default selector packs the
-	// 4-node job onto leaf 0 (nodes 0-3), so failing node 0 at t=10 kills
-	// it; node 4 fails too, leaving healthy nodes {1,2,3,5,6,7} for the
-	// immediate restart. Second kill at t=20: any 4-node subset of those
-	// six must intersect {2,3,6}, so failing those three kills the second
-	// attempt wherever it landed, and the five healthy nodes {0,1,4,5,7}
-	// (0 and 4 repaired at t=15) host the final attempt at once.
+	// Kill the job twice. A killed job is queued again at once and the pass
+	// after its failure restarts it, so each kill is one failure of a node
+	// the job holds. First attempt: the default selector packs the 4-node
+	// job onto leaf 0 (nodes 0-3). At t=10 node 4, which is free, fails and
+	// then node 0 kills the job; the restart takes nodes 1, 2, 3 and 5 of
+	// the healthy {1,2,3,5,6,7}. Node 2 failing at t=20 (0 and 4 repaired at
+	// t=15) kills the second attempt, and the final attempt starts at once
+	// on healthy nodes.
 	cfg := Config{Topology: topology.PaperExample(), Algorithm: core.Default,
 		Faults: faults.Trace{
-			{Time: 10, Kind: faults.Fail, Node: 0},
 			{Time: 10, Kind: faults.Fail, Node: 4},
+			{Time: 10, Kind: faults.Fail, Node: 0},
 			{Time: 15, Kind: faults.Repair, Node: 0},
 			{Time: 15, Kind: faults.Repair, Node: 4},
 			{Time: 20, Kind: faults.Fail, Node: 2},
-			{Time: 20, Kind: faults.Fail, Node: 3},
-			{Time: 20, Kind: faults.Fail, Node: 6},
 			{Time: 25, Kind: faults.Repair, Node: 2},
-			{Time: 25, Kind: faults.Repair, Node: 3},
-			{Time: 25, Kind: faults.Repair, Node: 6},
 		}}
 	res, err := RunContinuousValidated(cfg, oneJobTrace())
 	if err != nil {

@@ -7,10 +7,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Policy orders the waiting queue: each arrival is queued where the policy
-// serves it (engine.enqueue). The paper's SLURM setup is FIFO (priority =
-// submit order) with EASY backfilling; the other policies are standard
-// batch-scheduling baselines for ablation.
+// Policy orders the waiting queue: the engine's sched.Queue is kept in
+// Policy.less, so a submitted job, a dependant still waiting on its
+// dependency and a job requeued by a node failure each sit where the policy
+// serves them. The paper's SLURM setup is FIFO (priority = submit order)
+// with EASY backfilling; the other policies are standard batch-scheduling
+// baselines for ablation.
 type Policy uint8
 
 const (

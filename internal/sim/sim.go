@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -92,6 +93,7 @@ const (
 	evFail   // node goes down hard; its job is killed and requeued
 	evDrain  // node leaves service gracefully; running work finishes
 	evRepair // node returns to service
+	evWake   // a queued dependant's think time has passed
 )
 
 type event struct {
@@ -164,7 +166,8 @@ type engine struct {
 
 	events eventQueue
 	seq    int64
-	queue  sched.Queue[int] // waiting job indexes, in the policy's order
+	now    float64          // the time of the event being handled
+	queue  sched.Queue[int] // submitted job indexes, in the policy's order
 	// core is the shared FIFO + EASY pass and the running set, keyed by
 	// trace index.
 	core sched.Core[int]
@@ -178,11 +181,11 @@ type engine struct {
 	inc []int
 
 	// Dependency support (SWF "preceding job"): idToIdx resolves job IDs,
-	// held parks arrived jobs whose dependency has not completed, and
-	// completedAt records completion times (-1 = not yet).
+	// completedAt records completion times (-1 = not yet), and deps says
+	// whether any job has a dependency.
 	idToIdx     map[cluster.JobID]int
-	held        map[cluster.JobID][]int
 	completedAt []float64
+	deps        bool
 }
 
 // RunContinuous replays the whole trace with its original submit times
@@ -205,6 +208,7 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	policy, jobs := cfg.Policy, trace.Jobs
 	e := &engine{
 		cfg:         cfg,
 		trace:       trace,
@@ -212,10 +216,10 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 		selector:    sel,
 		defSel:      ReferenceSelector(cfg.Algorithm),
 		events:      make(eventQueue, 0, len(trace.Jobs)+len(cfg.Faults)),
+		queue:       sched.NewQueue(func(a, b int) bool { return policy.less(jobs, a, b) }),
 		results:     make([]metrics.JobResult, len(trace.Jobs)),
 		started:     make([]bool, len(trace.Jobs)),
 		idToIdx:     make(map[cluster.JobID]int, len(trace.Jobs)),
-		held:        make(map[cluster.JobID][]int),
 		completedAt: make([]float64, len(trace.Jobs)),
 		inc:         make([]int, len(trace.Jobs)),
 	}
@@ -226,6 +230,7 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 	for i, j := range trace.Jobs {
 		e.idToIdx[j.ID] = i
 		e.completedAt[i] = -1
+		e.deps = e.deps || j.DependsOn != 0
 		e.push(event{time: j.Submit, kind: evArrive, job: i})
 	}
 	for _, fe := range cfg.Faults {
@@ -280,24 +285,13 @@ func (e *engine) loop() error {
 		}
 		ev := e.events.pop()
 		now := ev.time
+		e.now = now
 		switch ev.kind {
 		case evArrive:
-			j := e.trace.Jobs[ev.job]
-			if dep := j.DependsOn; dep != 0 && !e.started[ev.job] {
-				depIdx := e.idToIdx[dep]
-				switch {
-				case e.completedAt[depIdx] < 0:
-					// Dependency still outstanding: park the job; its
-					// completion re-arms this arrival.
-					e.held[dep] = append(e.held[dep], ev.job)
-					continue
-				case e.completedAt[depIdx]+j.ThinkTime > now:
-					e.push(event{time: e.completedAt[depIdx] + j.ThinkTime,
-						kind: evArrive, job: ev.job})
-					continue
-				}
+			e.queue.Add(ev.job, e.trace.Jobs[ev.job].Nodes)
+			if at := e.eligibleAt(ev.job); at > now && !math.IsInf(at, 1) {
+				e.push(event{time: at, kind: evWake})
 			}
-			e.enqueue(ev.job)
 		case evComplete:
 			if ev.inc != e.inc[ev.job] {
 				// Completion of a killed attempt: the job was requeued (and
@@ -311,12 +305,7 @@ func (e *engine) loop() error {
 				return err
 			}
 			e.completedAt[ev.job] = now
-			id := e.trace.Jobs[ev.job].ID
-			for _, waiter := range e.held[id] {
-				e.push(event{time: now + e.trace.Jobs[waiter].ThinkTime,
-					kind: evArrive, job: waiter})
-			}
-			delete(e.held, id)
+			e.wakeDependants(ev.job, now)
 		case evFail:
 			victim, err := e.st.Fail(ev.node)
 			if err != nil {
@@ -335,22 +324,53 @@ func (e *engine) loop() error {
 			if err := e.st.Repair(ev.node); err != nil {
 				return err
 			}
+		case evWake:
 		}
 		if err := e.schedule(now); err != nil {
 			return err
 		}
 	}
-	if e.queue.Len() > 0 || len(e.core.Running) > 0 || len(e.held) > 0 {
-		return fmt.Errorf("sim: %d queued, %d running and %d held jobs at end of events",
-			e.queue.Len(), len(e.core.Running), len(e.held))
+	if e.queue.Len() > 0 || len(e.core.Running) > 0 {
+		return fmt.Errorf("sim: %d queued and %d running jobs at end of events",
+			e.queue.Len(), len(e.core.Running))
 	}
 	return nil
 }
 
-// requeue kills the running job at index idx and resubmits it at the
+// eligibleAt returns the time job idx may start from: its dependency's
+// completion plus its think time, +Inf while the dependency has not
+// completed, and -Inf for a job without one.
+func (e *engine) eligibleAt(idx int) float64 {
+	j := e.trace.Jobs[idx]
+	if j.DependsOn == 0 {
+		return math.Inf(-1)
+	}
+	done := e.completedAt[e.idToIdx[j.DependsOn]]
+	if done < 0 {
+		return math.Inf(1)
+	}
+	return done + j.ThinkTime
+}
+
+// wakeDependants runs a pass at the instant each queued dependant of job idx,
+// which completed at now, becomes eligible, where its think time puts that
+// instant after now; the pass after this completion serves the others.
+func (e *engine) wakeDependants(idx int, now float64) {
+	if !e.deps {
+		return
+	}
+	id := e.trace.Jobs[idx].ID
+	for _, q := range e.queue.Jobs() {
+		if j := e.trace.Jobs[q]; j.DependsOn == id && j.ThinkTime > 0 {
+			e.push(event{time: now + j.ThinkTime, kind: evWake})
+		}
+	}
+}
+
+// requeue kills the running job at index idx and queues it again at the
 // failure time: the allocation is released (the failed node itself stays
-// out of service), partial work is discarded, and a fresh arrival event at
-// now puts the job back in the queue under the run's policy.
+// out of service), partial work is discarded, and the job goes back where
+// the run's policy places it, in time for the pass after the failure.
 func (e *engine) requeue(idx int, now float64) error {
 	if _, ok := e.core.Running.Remove(int64(idx)); !ok {
 		return fmt.Errorf("sim: requeue for job index %d not running", idx)
@@ -366,22 +386,8 @@ func (e *engine) requeue(idx int, now float64) error {
 	r.Requeues++
 	r.RequeuedAt = now
 	r.LostSeconds += now - r.Start
-	e.push(event{time: now, kind: evArrive, job: idx})
+	e.queue.Add(idx, e.trace.Jobs[idx].Nodes)
 	return nil
-}
-
-// enqueue puts an arrived job in the queue where the run's policy serves
-// it: at the tail under FIFO, otherwise ahead of the first queued job it is
-// Policy.less than. less is a strict total order on attributes that do not
-// change while a job waits, so the queue stays sorted under it and this is
-// where a stable sort of the queue plus the arrival would put the job.
-func (e *engine) enqueue(idx int) {
-	jobs, p := e.trace.Jobs, e.cfg.Policy
-	if p == FIFO {
-		e.queue.Push(idx, jobs[idx].Nodes)
-		return
-	}
-	e.queue.Insert(idx, jobs[idx].Nodes, func(q int) bool { return p.less(jobs, idx, q) })
 }
 
 // schedule hands the queue to the shared pass: the head first, then EASY
@@ -392,16 +398,22 @@ func (e *engine) schedule(now float64) error {
 		// Only under faults can the head be transiently unsatisfiable (enough
 		// nodes down that draining every running job would not free its
 		// request; a repair restores capacity). Without them it never runs.
-		head := e.trace.Jobs[e.queue.Jobs()[0]]
-		err = fmt.Errorf("sim: job %d (%d nodes) can never run", head.ID, head.Nodes)
+		// The head is the first eligible job the pass left queued.
+		for _, q := range e.queue.Jobs() {
+			if _, eligible := e.job(q); eligible {
+				head := e.trace.Jobs[q]
+				return fmt.Errorf("sim: job %d (%d nodes) can never run", head.ID, head.Nodes)
+			}
+		}
 	}
 	return err
 }
 
-// job describes a queued job to the pass. Every queued job is eligible:
-// jobs held on a dependency are parked outside the queue.
+// job describes a queued job to the pass: a job whose dependency has not
+// completed, or whose think time after it has not passed, keeps its place
+// in the queue while the pass serves the jobs behind it.
 func (e *engine) job(idx int) (estimate float64, eligible bool) {
-	return e.trace.Jobs[idx].EstimatedRuntime(), true
+	return e.trace.Jobs[idx].EstimatedRuntime(), e.eligibleAt(idx) <= e.now
 }
 
 // start selects nodes for the job, applies the Eq. 7 runtime model, commits

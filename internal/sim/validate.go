@@ -171,10 +171,11 @@ func validateRuntimeModel(r metrics.JobResult, j workload.Job) error {
 // eligible job waits, and with backfilling enabled every backfilled start
 // must have been legal under the EASY rule (the job either fit in the
 // nodes spare at the head job's shadow time or its walltime estimate ended
-// before the shadow). Checks that cannot be decided unambiguously from the
-// result alone (simultaneous events, eligibility ties under FIFO with
-// dependencies) are skipped rather than guessed, so the audit never
-// produces false positives on a correct engine.
+// before the shadow). Queue order is always Policy.less, whatever waited or
+// was requeued. Instants whose pass cannot be reconstructed from the result
+// alone (simultaneous events, killed attempts, drains) are skipped rather
+// than guessed, so the audit never produces false positives on a correct
+// engine.
 func ValidateResultConfig(res *Result, trace workload.Trace, cfg Config) error {
 	if err := ValidateResult(res, trace); err != nil {
 		return err
@@ -208,11 +209,10 @@ type auditor struct {
 	res   *Result
 	trace workload.Trace
 	cfg   Config
-	// elig[i] is the time job i (finally) entered the waiting queue:
+	// elig[i] is the time job i (finally) became an eligible waiting job:
 	// max(Submit, dependency End + ThinkTime, last requeue time). From that
 	// instant until its recorded Start the job is continuously waiting.
 	elig        []float64
-	hasDeps     bool
 	hasRequeues bool
 	// maxRequeue is the last job-kill instant in the run: at or before it,
 	// killed partial attempts (absent from the result) may occupy nodes, so
@@ -229,7 +229,6 @@ func newAuditor(res *Result, trace workload.Trace, cfg Config) *auditor {
 	for i, j := range trace.Jobs {
 		a.elig[i] = j.Submit
 		if j.DependsOn != 0 {
-			a.hasDeps = true
 			if di, ok := byID[int64(j.DependsOn)]; ok {
 				if t := res.Jobs[di].End + j.ThinkTime; t > a.elig[i] {
 					a.elig[i] = t
@@ -250,25 +249,10 @@ func newAuditor(res *Result, trace workload.Trace, cfg Config) *auditor {
 }
 
 // policyBefore reports whether job i is ordered ahead of job k in the
-// waiting queue, and whether that ordering is decidable from the result.
-// Non-FIFO policies order by Policy.less (a total order). FIFO queues in
-// arrival order: index order without dependencies, eligibility order with
-// them — eligibility ties are ambiguous (the engine breaks them by event
-// sequence, which the result does not record).
-func (a *auditor) policyBefore(i, k int) (before, known bool) {
-	if a.cfg.Policy != FIFO {
-		return a.cfg.Policy.less(a.trace.Jobs, i, k), true
-	}
-	// FIFO queues in arrival order: index order holds only when nothing
-	// re-enters the queue later (no dependencies, no requeues); otherwise
-	// eligibility order decides, with ties ambiguous.
-	if !a.hasDeps && !a.hasRequeues {
-		return i < k, true
-	}
-	if !sameTime(a.elig[i], a.elig[k]) {
-		return a.elig[i] < a.elig[k], true
-	}
-	return false, false
+// waiting queue: Policy.less, index order under FIFO, whenever either job
+// entered or re-entered the queue.
+func (a *auditor) policyBefore(i, k int) bool {
+	return a.cfg.Policy.less(a.trace.Jobs, i, k)
 }
 
 // checkNoBackfillOrder verifies strict policy order: a job may not start
@@ -280,7 +264,7 @@ func (a *auditor) checkNoBackfillOrder() error {
 			if i == k || a.elig[i] >= t || a.res.Jobs[i].Start <= t {
 				continue
 			}
-			if before, known := a.policyBefore(i, k); known && before {
+			if a.policyBefore(i, k) {
 				return fmt.Errorf("sim: backfill disabled but job %d started at %v while policy-earlier job %d (eligible %v) waited",
 					a.res.Jobs[k].ID, t, a.res.Jobs[i].ID, a.elig[i])
 			}
@@ -311,8 +295,8 @@ func (a *auditor) estEnd(i int) float64 {
 // is a backfill that must either finish (by its walltime estimate) before
 // the head's shadow time or fit the extra node pool, which drains as
 // shadow-outliving backfills consume it. Ambiguous instants (event-time
-// collisions, eligibility ties under FIFO with dependencies) are skipped
-// rather than guessed, so a correct engine is never falsely flagged.
+// collisions) are skipped rather than guessed, so a correct engine is never
+// falsely flagged.
 //
 // The instants are visited once, in time order. Jobs are sorted once by
 // start, end and eligibility; the waiting set (in index order), the running
@@ -429,32 +413,21 @@ func (a *auditor) checkBackfillLegality() error {
 		if len(queue) == 0 {
 			continue // nothing reserved, every start was a head start
 		}
-		head, ambiguous := a.policyMin(queue)
-		if ambiguous {
-			continue
-		}
+		head := slices.MinFunc(queue, a.comparePolicy)
 		// Split the pass's starts into the head-loop prefix (queued ahead of
 		// the head) and backfills (queued behind it), in policy order.
 		prefix, backfill = prefix[:0], backfill[:0]
-		skip := false
 		for _, s := range started {
-			before, known := a.policyBefore(s, head)
-			if !known {
-				skip = true
-				break
-			}
-			if before {
+			if a.policyBefore(s, head) {
 				prefix = append(prefix, s)
 			} else {
 				backfill = append(backfill, s)
 			}
 		}
-		if skip || len(backfill) == 0 {
+		if len(backfill) == 0 {
 			continue
 		}
-		if !sortPolicy(a, backfill) {
-			continue // relative order of two backfills undecidable
-		}
+		slices.SortFunc(backfill, a.comparePolicy)
 		// The reservation counts the head-loop prefix as running: it was
 		// allocated before the shadow time was computed.
 		free := a.trace.MachineNodes - downAt - busy
@@ -509,44 +482,15 @@ func mergeLive(dst, a, b []int, starts []float64, t float64) []int {
 	return dst
 }
 
-// policyMin returns the policy-first member of the waiting set, or
-// ambiguous=true when any pairwise order is undecidable.
-func (a *auditor) policyMin(waiting []int) (head int, ambiguous bool) {
-	head = waiting[0]
-	for _, i := range waiting[1:] {
-		before, known := a.policyBefore(i, head)
-		if !known {
-			return 0, true
-		}
-		if before {
-			head = i
-		}
+// comparePolicy is policyBefore as a three-way comparison.
+func (a *auditor) comparePolicy(i, k int) int {
+	switch {
+	case i == k:
+		return 0
+	case a.policyBefore(i, k):
+		return -1
 	}
-	// A tie anywhere in the set can hide the true head; verify the chosen
-	// head is decidably ahead of every other member.
-	for _, i := range waiting {
-		if i == head {
-			continue
-		}
-		if _, known := a.policyBefore(head, i); !known {
-			return 0, true
-		}
-	}
-	return head, false
-}
-
-// sortPolicy orders job indexes by queue position in place; false when any
-// pairwise comparison is undecidable.
-func sortPolicy(a *auditor, idx []int) bool {
-	ok := true
-	sort.SliceStable(idx, func(x, y int) bool {
-		before, known := a.policyBefore(idx[x], idx[y])
-		if !known {
-			ok = false
-		}
-		return known && before
-	})
-	return ok
+	return 1
 }
 
 // reservation recomputes the EASY shadow time and extra node count the
