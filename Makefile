@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: check build vet lint lint-allow test race fuzz-smoke fuzz-parsers verify bench bench-smoke bench-compare bench-selftest bench-e2e coverage
+.PHONY: check build vet lint lint-allow test race fuzz-smoke fuzz-parsers mutants verify bench bench-smoke bench-compare bench-selftest bench-e2e coverage
 
 check: vet lint build race fuzz-smoke
 
@@ -68,6 +68,13 @@ fuzz-smoke:
 
 fuzz-parsers:
 	$(call fuzz,$(FUZZ_PARSERS))
+
+# Mutation gate: every entry of scripts/mutants.txt, applied alone to a
+# throwaway copy, must fail `go test ./...` or `cawsverify -seeds 50`
+# (about a minute each; nightly in CI, not per push).
+# `sh scripts/mutants.sh -check` only checks that every entry still applies.
+mutants:
+	GO=$(GO) sh scripts/mutants.sh
 
 # Statement-coverage gate: fails when total coverage over ./internal/...
 # drops below the floor in scripts/coverage-floor.txt.

@@ -1,9 +1,11 @@
 package daemon
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -150,7 +152,7 @@ func TestDaemonScheduleEqualsSim(t *testing.T) {
 				t.Fatal(err)
 			}
 			replayOnClock(t, d, clk, trace, events)
-			if err := auditHistory(t, d, nil); err != nil {
+			if err := auditHistory(t, d, nil, nil); err != nil {
 				t.Errorf("%v: %v", spec, err)
 			}
 			nodes := replayNodes(t, topo.NodeName, cluster.New(topo), trace, res)
@@ -233,39 +235,88 @@ func replayOnClock(t *testing.T, d *Daemon, clk *fakeClock, trace workload.Trace
 	}
 }
 
+// cancel is a job's cancel as a test sent it: the virtual time, and
+// whether the job was running then.
+type cancel struct {
+	at      float64
+	running bool
+}
+
 // auditHistory runs the simulator's auditor, sim.ValidateResultConfig,
 // over the daemon's history: every slot becomes a metrics.JobResult and a
-// workload.Job whose Estimate is its runtime, the walltime the daemon's
-// pass plans with, and whose dependency is the one it was submitted with.
-// ftrace lists the node failures the daemon was sent, at their virtual
-// times. Every job must have completed.
-func auditHistory(t *testing.T, d *Daemon, ftrace faults.Trace) error {
+// workload.Job with the dependency it was submitted with. The daemon plans
+// with a job's exact end and backfills with its runtime as the estimate
+// (DESIGN.md's estimate drift); the job's Estimate is the smaller of its
+// runtime and its exec, which gives the auditor the daemon's planned end and
+// a backfill estimate no longer than the daemon's, so it refuses no start
+// the daemon's pass could make. ftrace lists the node faults the daemon was
+// sent, at their virtual times. Every job must have completed or be in
+// cancels: a job cancelled while running ended at its cancel, and one
+// cancelled while queued never ran and is left out, its dependants waiting
+// on nothing. Any other job that is not completed, a start that failed
+// included, is an error.
+//
+// Left out, a job was still queued at the instants from its submission to
+// its cancel, and a cancelled job whose exec exceeds its runtime held nodes
+// to a planned end the auditor is not given: the result cannot rebuild the
+// passes in those spans. Each span goes to the auditor as the drain of a
+// node past the machine, and the auditor skips the instants a drain is in
+// effect (TestValidateSkipsDrainPastMachine pins that in internal/sim).
+func auditHistory(t *testing.T, d *Daemon, ftrace faults.Trace, cancels map[int64]cancel) error {
 	t.Helper()
 	topo := d.cfg.Topology
 	res := &sim.Result{Algorithm: d.cfg.Algorithm, MachineNodes: topo.NumNodes()}
 	trace := workload.Trace{MachineNodes: topo.NumNodes()}
+	ftrace = slices.Clone(ftrace)
+	phantom := topo.NumNodes()
+	unknowable := func(from, to float64) {
+		ftrace = append(ftrace, faults.Event{Time: from, Kind: faults.Drain, Node: phantom},
+			faults.Event{Time: math.Nextafter(to, math.Inf(1)), Kind: faults.Repair, Node: phantom})
+		phantom++
+	}
+	left := map[int64]bool{}
 	resp := d.call(func() Response {
 		for id := int64(1); id < d.nextID; id++ {
 			h := d.hist.get(id)
-			if h.state != stateCompleted {
-				return Response{Error: fmt.Sprintf("job %d is %s", id, h.state)}
-			}
 			var comm [1]collective.Component
 			j := h.asJob(id, &comm)
-			j.Estimate, j.DependsOn = h.runtime, cluster.JobID(h.after)
-			trace.Jobs = append(trace.Jobs, j)
-			res.Jobs = append(res.Jobs, metrics.JobResult{
+			j.Estimate, j.DependsOn = min(h.runtime, h.exec), cluster.JobID(h.after)
+			if left[h.after] {
+				j.DependsOn = 0
+			}
+			r := metrics.JobResult{
 				ID: id, Nodes: int(h.nodes), Comm: h.class == cluster.CommIntensive,
 				Submit: h.submit, Start: h.start, End: h.end, BaseRun: h.runtime,
 				Exec: h.exec, CommCost: h.cost, RefCost: h.refCost, CostRatio: h.ratio,
 				Requeues: int(h.requeues), RequeuedAt: h.requeuedAt, LostSeconds: h.lostSec,
-			})
+			}
+			c, sent := cancels[id]
+			switch {
+			case h.state == stateCompleted:
+			case h.state != stateCancelled || !sent:
+				return Response{Error: fmt.Sprintf("job %d is %s", id, h.state)}
+			case c.running && c.at > h.start:
+				// A compute job of the length it ran.
+				if h.exec > h.runtime {
+					unknowable(h.start, c.at)
+				}
+				j.Class, j.Mix, j.Runtime = cluster.ComputeIntensive, collective.Mix{}, c.at-h.start
+				r.Comm, r.End, r.Exec, r.BaseRun = false, c.at, j.Runtime, j.Runtime
+				r.CommCost, r.RefCost, r.CostRatio = 0, 0, 1
+			default:
+				unknowable(h.submit, c.at)
+				left[id] = true
+				continue
+			}
+			trace.Jobs = append(trace.Jobs, j)
+			res.Jobs = append(res.Jobs, r)
 		}
 		return Response{Ok: true}
 	})
 	if !resp.Ok {
 		return errors.New(resp.Error)
 	}
+	slices.SortStableFunc(ftrace, func(a, b faults.Event) int { return cmp.Compare(a.Time, b.Time) })
 	return sim.ValidateResultConfig(res, trace, sim.Config{
 		Topology: topo, Algorithm: d.cfg.Algorithm, DisableBackfill: d.cfg.DisableBackfill,
 		CostMode: d.cfg.CostMode, Faults: ftrace,
@@ -314,7 +365,7 @@ func TestDaemonHistoryWithRequeueAndDependencyPassesSimAudit(t *testing.T) {
 				t.Errorf("backfill off %v: job %d started at %v, want %v", noBackfill, id, got.Start, want)
 			}
 		}
-		if err := auditHistory(t, d, ftrace); err != nil {
+		if err := auditHistory(t, d, ftrace, nil); err != nil {
 			t.Errorf("backfill off %v: %v", noBackfill, err)
 		}
 		d.Close()
@@ -349,7 +400,7 @@ func TestDaemonHistoryPassesSimAudit(t *testing.T) {
 	if comm == 0 {
 		t.Fatal("trace has no communication-intensive job")
 	}
-	if err := auditHistory(t, d, nil); err != nil {
+	if err := auditHistory(t, d, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -302,10 +302,11 @@ func (d *Daemon) complete(id int64) {
 // schedule runs one scheduling pass at virtual time v, then sets the
 // wake-up timer to the earliest running-job completion.
 func (d *Daemon) schedule(v float64) {
-	// startJob reports every failure as an outcome, so the pass cannot fail;
-	// a head that no completion can satisfy (e.g. a drained leaf) is already
-	// indefinitely delayed, and the pass lets everything that fits through.
-	_, _ = d.core.Pass(&d.queue, v)
+	// startJob reports every failure as an outcome, so the pass cannot fail.
+	// A head that no completion can satisfy (e.g. a drained leaf) holds an
+	// unreachable reservation, as in the simulator: everything that fits
+	// goes through.
+	_ = d.core.Pass(&d.queue, v)
 	d.timer.Stop()
 	select {
 	case <-d.timer.C:

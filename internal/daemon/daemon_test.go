@@ -177,6 +177,28 @@ func TestCancelRunningStartsWaitingJobAtCancel(t *testing.T) {
 	}
 }
 
+// A node failure runs its own pass, as a cancel does. Job 1 holds all 8
+// nodes and dies with node 0; requeued, it needs more nodes than are up,
+// so it holds an unreachable reservation while job 2 (7 nodes) starts at
+// the failure's instant, not at the next operation.
+func TestFailStartsWaitingJobAtFailure(t *testing.T) {
+	clk := newFakeClock()
+	d := newClockedDaemon(t, clk)
+	run := d.Submit(Request{Nodes: 8, Runtime: 100})
+	wait := d.Submit(Request{Nodes: 7, Runtime: 50})
+	clk.Advance(10 * time.Second)
+	if resp := d.Fail(d.cfg.Topology.NodeName(0)); !resp.Ok || resp.ID != run.ID {
+		t.Fatalf("fail: %+v, want job %d killed", resp, run.ID)
+	}
+	clk.Advance(5 * time.Second)
+	if got := d.Status(wait.ID).Job; got.State != "running" || got.Start != 10 {
+		t.Fatalf("waiting job is %s from %v, want running from the failure at 10", got.State, got.Start)
+	}
+	if got := d.Status(run.ID).Job; got.State != "queued" || got.Requeues != 1 {
+		t.Fatalf("killed job is %s with %d requeues, want queued with 1", got.State, got.Requeues)
+	}
+}
+
 // A cancelled running job's slot ends at the cancel time, not at the end
 // its start planned.
 func TestCancelledRunningJobEndsAtCancel(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/topology"
 )
 
@@ -62,7 +63,11 @@ func (b *fuzzBytes) spec(machine int) SubmitSpec {
 // running, which copies every row it can from the listing before, is the
 // bytes the whole listing encodes to afresh. A completed job's status names
 // the nodes it ran on, even after other jobs reuse them. A snapshot restores
-// to the same queue.
+// to the same queue. At the end every node comes back, the clock runs until
+// every job has finished, and the history passes the simulator's auditor
+// (auditHistory), cancels and faults included. A clock step wakes the
+// engine at each completion on the way, as its timer does, so every pass
+// runs at an instant the auditor can see.
 func FuzzDispatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{
@@ -109,6 +114,14 @@ func FuzzDispatch(f *testing.F) {
 			}
 			return "nowhere"
 		}
+		var ftrace faults.Trace
+		cancels := map[int64]cancel{}
+		now := func() float64 { return clk.Now().Sub(d.wallBase).Seconds() }
+		fault := func(kind faults.Kind, name string, resp Response) {
+			if resp.Ok {
+				ftrace = append(ftrace, faults.Event{Time: now(), Kind: kind, Node: topo.NodeID(name)})
+			}
+		}
 		in := fuzzBytes(data)
 		for len(in) > 0 {
 			op := in.next() % 10
@@ -135,11 +148,19 @@ func FuzzDispatch(f *testing.F) {
 				}
 			case 3:
 				id := int64(in.next() % 40)
+				running := d.call(func() Response {
+					h := d.hist.get(id)
+					return Response{Ok: h != nil && h.state == stateRunning}
+				}).Ok
 				if resp := d.Cancel(id); resp.Ok {
 					model = slices.DeleteFunc(model, func(q int64) bool { return q == id })
+					cancels[id] = cancel{at: now(), running: running}
 				}
 			case 4:
-				if resp := d.Fail(node(&in)); resp.Ok && resp.ID != 0 {
+				name := node(&in)
+				resp := d.Fail(name)
+				fault(faults.Fail, name, resp)
+				if resp.Ok && resp.ID != 0 {
 					delete(ran, resp.ID)
 					pos := 0 // the killed job goes ahead of the first larger ID
 					for pos < len(model) && model[pos] < resp.ID {
@@ -148,9 +169,11 @@ func FuzzDispatch(f *testing.F) {
 					model = slices.Insert(model, pos, resp.ID)
 				}
 			case 5:
-				d.Drain(node(&in))
+				name := node(&in)
+				fault(faults.Drain, name, d.Drain(name))
 			case 6:
-				d.Resume(node(&in))
+				name := node(&in)
+				fault(faults.Repair, name, d.Resume(name))
 			case 7:
 				id := int64(in.next() % 40)
 				if resp := d.Status(id); resp.Ok != (id >= 1 && id <= int64(admitted)) {
@@ -159,7 +182,7 @@ func FuzzDispatch(f *testing.F) {
 			case 8:
 				d.Running()
 			case 9:
-				clk.Advance(time.Duration(in.next()%64) * time.Second)
+				step(d, clk, clk.Now().Add(time.Duration(in.next()%64)*time.Second), ran)
 			}
 			// No queue listing follows a running listing or a clock step, so
 			// a job can start and then be killed and requeued between two.
@@ -178,7 +201,54 @@ func FuzzDispatch(f *testing.F) {
 			t.Fatalf("queue after restore %s, before %s", b, a)
 		}
 		checkInvariants(t, d2)
+
+		if d.Info().DownNodes > 0 {
+			for n := 0; n < topo.NumNodes(); n++ {
+				fault(faults.Repair, topo.NodeName(n), d.Resume(topo.NodeName(n)))
+			}
+		}
+		for rounds := 0; d.Info().FreeNodes < topo.NumNodes() || len(d.Queue().Jobs) > 0; rounds++ {
+			if rounds > admitted {
+				t.Fatalf("%d rounds after the last op, jobs are still queued or running", rounds)
+			}
+			step(d, clk, clk.Now().Add(time.Hour), ran)
+		}
+		if err := auditHistory(t, d, ftrace, cancels); err != nil {
+			t.Fatal(err)
+		}
 	})
+}
+
+// step moves the fake clock on to target, waking the engine (Info) at each
+// completion on the way, as the engine's timer does. It records in ran the
+// hostlist of every job running at a wakeup, since a job may start and end
+// within one step.
+func step(d *Daemon, clk *fakeClock, target time.Time, ran map[int64]string) {
+	for {
+		var end float64
+		if !d.call(func() Response {
+			if len(d.core.Running) == 0 {
+				return Response{}
+			}
+			for _, e := range d.core.Running {
+				ran[e.Key] = d.info(e.Key, d.hist.get(e.Key)).NodeList
+			}
+			end = d.core.Running[0].End
+			return Response{Ok: true}
+		}).Ok {
+			break
+		}
+		at := d.wallBase.Add(time.Duration(math.Ceil(end * float64(time.Second))))
+		if at.After(target) {
+			break
+		}
+		if !at.After(clk.Now()) {
+			at = clk.Now().Add(1) // the conversion rounded below the end
+		}
+		clk.Advance(at.Sub(clk.Now()))
+		d.Info()
+	}
+	clk.Advance(target.Sub(clk.Now()))
 }
 
 // checkDaemon drops from the model the jobs the daemon no longer holds as

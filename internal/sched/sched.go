@@ -2,11 +2,13 @@
 // the offline simulator (internal/sim) and the online daemon
 // (internal/daemon): the set of running jobs ordered by planned end, and the
 // scheduling pass that starts queue heads while they fit and then backfills
-// behind the blocked head's reservation. The pending queue (Queue) is held
-// here too, in the order its front end names, each job's node count beside
-// it. Clocks, events, eligibility and placement stay with the front ends;
-// they describe their jobs to the core through the callbacks of a Core and
-// tell it the planned end and tiebreak key of every job they start.
+// behind the blocked head's reservation. A head that no release can
+// satisfy holds an unreachable reservation, under both front ends. The
+// pending queue (Queue) is held here too, in the order its front end names,
+// each job's node count beside it. Clocks, events, eligibility and
+// placement stay with the front ends; they describe their jobs to the core
+// through the callbacks of a Core and tell it the planned end and tiebreak
+// key of every job they start.
 package sched
 
 import (
@@ -60,21 +62,23 @@ func (r *Running) Remove(key int64) (Entry, bool) {
 // nothing else starts (the EASY shadow time), given free nodes now, and the
 // number of extra free nodes at that time beyond need. Jobs ending at the
 // same instant release in Key order and the walk stops at the first release
-// that satisfies need. ok is false when need exceeds free plus every
-// planned release.
+// that satisfies need. A need that free plus every planned release cannot
+// meet (nodes are down) holds an unreachable reservation: shadow is +Inf and
+// extra is free, so whatever fits the free nodes may pass it.
 //
 //caws:noalloc
-func (r Running) Reservation(now float64, free, need int) (shadow float64, extra int, ok bool) {
+func (r Running) Reservation(now float64, free, need int) (shadow float64, extra int) {
 	if need <= free {
-		return now, free - need, true
+		return now, free - need
 	}
+	avail := free
 	for _, e := range r {
-		free += e.Nodes
-		if free >= need {
-			return e.End, free - need, true
+		avail += e.Nodes
+		if avail >= need {
+			return e.End, avail - need
 		}
 	}
-	return 0, 0, false
+	return math.Inf(1), free
 }
 
 // Queue is the pending queue: the front end's handles, sorted by the strict
@@ -174,17 +178,18 @@ type Core[J comparable] struct {
 // time the running set frees its nodes. Jobs behind the head then start if
 // they fit the free nodes and either end by that time or fit the nodes the
 // head will leave over; a job that does not fit the free nodes is decided
-// from the queue's node counts alone. starved reports a head that even the
-// end of every running job would not satisfy: it holds an unreachable
-// reservation and backfill may use whatever is free. On an error from Start
-// the unvisited jobs stay queued.
+// from the queue's node counts alone. A head that even the end of every
+// running job would not satisfy holds an unreachable reservation
+// (Running.Reservation), so backfill may use whatever is free. On an error
+// from Start the unvisited jobs stay queued.
 //
 //caws:noalloc
-func (c *Core[J]) Pass(q *Queue[J], now float64) (starved bool, err error) {
+func (c *Core[J]) Pass(q *Queue[J], now float64) error {
 	jobs, need := q.jobs, q.need[:len(q.jobs)]
 	free := c.Free()
 	w, i := 0, 0
 	var out Outcome
+	var err error
 	for ; i < len(jobs); i++ {
 		if _, eligible := c.Job(jobs[i]); !eligible {
 			if w != i {
@@ -204,15 +209,12 @@ func (c *Core[J]) Pass(q *Queue[J], now float64) (starved bool, err error) {
 	}
 	if err != nil || i == len(jobs) || !c.Backfill {
 		q.cut(w, i)
-		return false, err
+		return err
 	}
 	head := int(need[i])
 	jobs[w], need[w] = jobs[i], need[i]
 	w, i = w+1, i+1
-	shadow, extra, ok := c.Running.Reservation(now, free, head)
-	if !ok {
-		starved, shadow, extra = true, math.Inf(1), free
-	}
+	shadow, extra := c.Running.Reservation(now, free, head)
 	for ; i < len(jobs); i++ {
 		if nodes := int(need[i]); nodes <= free {
 			estimate, eligible := c.Job(jobs[i])
@@ -236,5 +238,5 @@ func (c *Core[J]) Pass(q *Queue[J], now float64) (starved bool, err error) {
 		w++
 	}
 	q.cut(w, i)
-	return starved, err
+	return err
 }

@@ -48,9 +48,9 @@ func TestRunningKeepsEndKeyOrder(t *testing.T) {
 
 func TestReservationImmediateFit(t *testing.T) {
 	r := running(Entry{End: 50, Key: 0, Nodes: 3})
-	shadow, extra, ok := r.Reservation(10, 5, 4)
-	if !ok || shadow != 10 || extra != 1 {
-		t.Fatalf("got shadow=%v extra=%d ok=%v, want 10, 1, true", shadow, extra, ok)
+	shadow, extra := r.Reservation(10, 5, 4)
+	if shadow != 10 || extra != 1 {
+		t.Fatalf("got shadow=%v extra=%d, want 10, 1", shadow, extra)
 	}
 }
 
@@ -59,14 +59,14 @@ func TestReservationWaitsForReleases(t *testing.T) {
 	// head does not fit after the 2-node release (3 + 2 = 5 < 6), so it must
 	// also wait for the 3-node job: shadow 100, extra 8-6 = 2.
 	r := running(Entry{End: 100, Key: 0, Nodes: 3}, Entry{End: 50, Key: 1, Nodes: 2})
-	shadow, extra, ok := r.Reservation(10, 3, 6)
-	if !ok || shadow != 100 || extra != 2 {
-		t.Fatalf("got shadow=%v extra=%d ok=%v, want 100, 2, true", shadow, extra, ok)
+	shadow, extra := r.Reservation(10, 3, 6)
+	if shadow != 100 || extra != 2 {
+		t.Fatalf("got shadow=%v extra=%d, want 100, 2", shadow, extra)
 	}
 	// A 5-node head only needs the first release.
-	shadow, extra, ok = r.Reservation(10, 3, 5)
-	if !ok || shadow != 50 || extra != 0 {
-		t.Fatalf("got shadow=%v extra=%d ok=%v, want 50, 0, true", shadow, extra, ok)
+	shadow, extra = r.Reservation(10, 3, 5)
+	if shadow != 50 || extra != 0 {
+		t.Fatalf("got shadow=%v extra=%d, want 50, 0", shadow, extra)
 	}
 }
 
@@ -76,22 +76,26 @@ func TestReservationTiedEnds(t *testing.T) {
 	r := running(Entry{End: 70, Key: 1, Nodes: 4}, Entry{End: 70, Key: 0, Nodes: 2})
 	// Free = 2. Need 4: job 0 releases 2 (total 4) at 70 → shadow 70,
 	// extra 0 — job 1's simultaneous release must NOT inflate extra.
-	shadow, extra, ok := r.Reservation(10, 2, 4)
-	if !ok || shadow != 70 || extra != 0 {
-		t.Fatalf("got shadow=%v extra=%d ok=%v, want 70, 0, true", shadow, extra, ok)
+	shadow, extra := r.Reservation(10, 2, 4)
+	if shadow != 70 || extra != 0 {
+		t.Fatalf("got shadow=%v extra=%d, want 70, 0", shadow, extra)
 	}
 	// Need 6: both tied releases are required → extra 8-6 = 2.
-	shadow, extra, ok = r.Reservation(10, 2, 6)
-	if !ok || shadow != 70 || extra != 2 {
-		t.Fatalf("got shadow=%v extra=%d ok=%v, want 70, 2, true", shadow, extra, ok)
+	shadow, extra = r.Reservation(10, 2, 6)
+	if shadow != 70 || extra != 2 {
+		t.Fatalf("got shadow=%v extra=%d, want 70, 2", shadow, extra)
 	}
 }
 
-// A request larger than free + all planned releases can never be satisfied.
+// A request larger than free + all planned releases can never be satisfied:
+// it holds an unreachable reservation, and every free node is extra.
 func TestReservationCanNeverRun(t *testing.T) {
 	r := running(Entry{End: 50, Key: 0, Nodes: 2})
-	if _, _, ok := r.Reservation(10, 6, 9); ok {
-		t.Fatal("impossible reservation reported satisfiable")
+	if shadow, extra := r.Reservation(10, 6, 9); !math.IsInf(shadow, 1) || extra != 6 {
+		t.Fatalf("got shadow=%v extra=%d, want +Inf, 6", shadow, extra)
+	}
+	if shadow, extra := (Running{}).Reservation(10, 3, 4); !math.IsInf(shadow, 1) || extra != 3 {
+		t.Fatalf("empty running set: got shadow=%v extra=%d, want +Inf, 3", shadow, extra)
 	}
 }
 
@@ -449,17 +453,16 @@ func (w *world) pass(t testing.TB, seen map[string]int) {
 	before := slices.Clone(w.model)
 	w.ref.log, w.opt.log = w.ref.log[:0], w.opt.log[:0]
 
-	rest, wantStarved, wantErr := w.ref.refPass(w.model, w.now, w.c.Backfill)
+	rest, starved, wantErr := w.ref.refPass(w.model, w.now, w.c.Backfill)
 	w.model = rest
-	starved, err := w.c.Pass(&w.q, w.now)
+	err := w.c.Pass(&w.q, w.now)
 
 	if !slices.Equal(w.opt.log, w.ref.log) {
 		t.Fatalf("start calls %v, reference %v", w.opt.log, w.ref.log)
 	}
 	w.check(t, "after a pass")
-	if starved != wantStarved || err != wantErr || w.opt.free != w.ref.free {
-		t.Fatalf("starved=%v err=%v free=%d, reference %v, %v, %d",
-			starved, err, w.opt.free, wantStarved, wantErr, w.ref.free)
+	if err != wantErr || w.opt.free != w.ref.free {
+		t.Fatalf("err=%v free=%d, reference %v, %d", err, w.opt.free, wantErr, w.ref.free)
 	}
 	want := make([]Entry, 0, len(w.ref.running))
 	for _, e := range w.ref.running {
@@ -473,6 +476,8 @@ func (w *world) pass(t testing.TB, seen map[string]int) {
 	for _, l := range w.ref.log {
 		seen[l[len(l)-1:]]++
 	}
+	// A head the reference found unsatisfiable: the pass under test held it
+	// to an unreachable reservation, and the start calls above agree.
 	if starved {
 		seen["starved"]++
 	}
@@ -500,8 +505,9 @@ func ids(queue []*tjob) []int64 {
 
 // TestPassMatchesSplicePerStartReference is the property the extraction
 // rests on: the single-sweep compaction pass makes the same start calls in
-// the same order and leaves the same queue, running set, free count and
-// starved verdict as the naive pass. The queue is the long-lived object the
+// the same order and leaves the same queue, running set and free count as
+// the naive pass, also behind a head the naive pass finds no release can
+// satisfy ("starved"). The queue is the long-lived object the
 // front ends hold, not a fresh slice per case: each of 600 random machines
 // keeps one Queue, in ID order or in an SJF-like order, through 60 passes,
 // with jobs added, cancelled, requeued and changing eligibility between
@@ -573,9 +579,8 @@ func TestPassDrainsExtraPool(t *testing.T) {
 		return &tjob{id: id, nodes: nodes, estimate: runtime, runtime: runtime, eligible: true}
 	}
 	q := queueOf(job(2, 4, 100), job(3, 5, 50), job(4, 2, 300), job(5, 2, 300), job(6, 1, 300))
-	starved, err := m.core(true).Pass(q, 10)
-	if err != nil || starved {
-		t.Fatalf("starved=%v err=%v", starved, err)
+	if err := m.core(true).Pass(q, 10); err != nil {
+		t.Fatal(err)
 	}
 	if got := ids(q.Jobs()); !slices.Equal(got, []int64{3, 5}) {
 		t.Fatalf("left queued %v, want [3 5]", got)
@@ -600,14 +605,14 @@ func TestNoAllocBlockedPass(t *testing.T) {
 		&tjob{id: 13, nodes: 2, estimate: 500, eligible: true}, // outlives shadow, exceeds extra
 	)
 	if n := testing.AllocsPerRun(100, func() {
-		if _, _, ok := c.Running.Reservation(10, m.free, 7); !ok {
-			t.Fatal("reservation unsatisfiable")
+		if shadow, _ := c.Running.Reservation(10, m.free, 7); shadow != 90 {
+			t.Fatalf("shadow %v, want 90", shadow)
 		}
 	}); n != 0 {
 		t.Errorf("Reservation allocates %v times per call", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := c.Pass(q, 10); err != nil || q.Len() != 4 {
+		if err := c.Pass(q, 10); err != nil || q.Len() != 4 {
 			t.Fatalf("blocked pass left %d of 4 jobs (err %v)", q.Len(), err)
 		}
 	}); n != 0 {

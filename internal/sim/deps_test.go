@@ -1,12 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -179,49 +179,24 @@ func TestValidateDependencyErrors(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative think time accepted")
 	}
-	// Duplicate IDs are tolerated without dependencies but rejected with.
+	// A repeated job ID is refused with dependencies and without. Two
+	// overlapping jobs numbered 7 used to pass Validate and then fail the run
+	// halfway, at the second allocation: the cluster state allocates,
+	// releases and kills by ID.
 	dup1 := computeJob(7, 0, 10, 1)
 	dup2 := computeJob(7, 1, 10, 1)
-	okTrace := workload.Trace{Name: "dup", MachineNodes: 8, Jobs: []workload.Job{dup1, dup2}}
-	if err := okTrace.Validate(); err != nil {
-		t.Errorf("duplicate IDs without deps rejected: %v", err)
+	bad = workload.Trace{Name: "dup", MachineNodes: 8, Jobs: []workload.Job{dup1, dup2}}
+	err := bad.Validate()
+	if err == nil || err.Error() != "workload: duplicate job ID 7" {
+		t.Errorf("duplicate IDs without deps: %v, want the ID named", err)
+	}
+	if _, runErr := RunContinuous(Config{Topology: topology.PaperExample(), Algorithm: core.Default}, bad); runErr == nil || runErr.Error() != fmt.Sprint(err) {
+		t.Errorf("RunContinuous of duplicate IDs: %v, want %v", runErr, err)
 	}
 	dep := computeJob(9, 2, 10, 1)
 	dep.DependsOn = 7
 	bad = workload.Trace{Name: "dup", MachineNodes: 8, Jobs: []workload.Job{dup1, dup2, dep}}
 	if err := bad.Validate(); err == nil {
 		t.Error("duplicate IDs with deps accepted")
-	}
-}
-
-// The "can never run" error names the head the pass blocked on: the first
-// eligible job left queued, not a dependant waiting ahead of it. With a
-// node down outside any fault trace, job 3 needs more nodes than the
-// machine can ever free, and job 2 sits ahead of it on an unfinished
-// dependency.
-func TestCanNeverRunNamesEligibleHead(t *testing.T) {
-	j2 := computeJob(2, 0, 10, 1)
-	j2.DependsOn = 1
-	trace := workload.Trace{Name: "never", MachineNodes: 8,
-		Jobs: []workload.Job{computeJob(1, 0, 100, 1), j2, computeJob(3, 0, 10, 8)}}
-	e := &engine{
-		trace:       trace,
-		st:          cluster.New(topology.PaperExample()),
-		idToIdx:     map[cluster.JobID]int{1: 0, 2: 1, 3: 2},
-		completedAt: []float64{-1, -1, -1},
-		queue:       sched.NewQueue(func(a, b int) bool { return a < b }),
-	}
-	e.core = sched.Core[int]{Free: e.st.FreeTotal, Job: e.job, Start: e.start, Backfill: true}
-	if _, err := e.st.Fail(0); err != nil {
-		t.Fatal(err)
-	}
-	e.queue.Add(2, 8)
-	e.queue.Add(1, 1)
-	if got := e.queue.Jobs(); got[0] != 1 {
-		t.Fatalf("queue %v, want the dependant first", got)
-	}
-	err := e.schedule(0)
-	if err == nil || err.Error() != "sim: job 3 (8 nodes) can never run" {
-		t.Fatalf("schedule: %v, want job 3 named", err)
 	}
 }

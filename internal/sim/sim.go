@@ -102,10 +102,10 @@ type event struct {
 	kind eventKind
 	job  int // index into the trace (evArrive/evComplete)
 	node int // node ID (evFail/evDrain/evRepair)
-	// inc is the job incarnation an evComplete was scheduled for: a kill
-	// bumps the job's incarnation, so the completion of a killed attempt
-	// arrives stale and is ignored.
-	inc int
+	// requeues is the job's Requeues when an evComplete was scheduled: a
+	// kill counts one more, so the completion of a killed attempt arrives
+	// stale and is ignored.
+	requeues int
 }
 
 // eventQueue is a binary min-heap of events in (time, seq) order. seq is
@@ -156,6 +156,16 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
+// jobState is where a job is in its run; the zero value is a job not
+// started yet, whether or not it has arrived.
+type jobState uint8
+
+const (
+	queued  jobState = iota // not started yet, or killed and queued again
+	running                 // holds its nodes; its result's Start is set
+	done                    // completed; its result's End is its completion
+)
+
 type engine struct {
 	cfg      Config
 	trace    workload.Trace
@@ -172,20 +182,17 @@ type engine struct {
 	// trace index.
 	core sched.Core[int]
 
+	// results[i] is job i's record: its requeue accounting from the first
+	// kill on, and its start, end and costs from each start. state[i] says
+	// which of them hold.
 	results []metrics.JobResult
-	started []bool
+	state   []jobState
 
-	// inc is the per-job incarnation counter bumped on every kill (stale
-	// completion events are detected against it). A kill's requeue
-	// accounting is written to the job's result, and each start keeps it.
-	inc []int
-
-	// Dependency support (SWF "preceding job"): idToIdx resolves job IDs,
-	// completedAt records completion times (-1 = not yet), and deps says
+	// index resolves job IDs to trace indexes (workload.Trace.Index), for
+	// dependencies (SWF "preceding job") and fault victims; deps says
 	// whether any job has a dependency.
-	idToIdx     map[cluster.JobID]int
-	completedAt []float64
-	deps        bool
+	index map[cluster.JobID]int
+	deps  bool
 }
 
 // RunContinuous replays the whole trace with its original submit times
@@ -194,7 +201,8 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("sim: nil topology")
 	}
-	if err := trace.Validate(); err != nil {
+	index, err := trace.Index()
+	if err != nil {
 		return nil, err
 	}
 	if trace.MachineNodes > cfg.Topology.NumNodes() {
@@ -210,26 +218,22 @@ func RunContinuous(cfg Config, trace workload.Trace) (*Result, error) {
 	}
 	policy, jobs := cfg.Policy, trace.Jobs
 	e := &engine{
-		cfg:         cfg,
-		trace:       trace,
-		st:          newState(cfg.Topology, cfg.Reference),
-		selector:    sel,
-		defSel:      ReferenceSelector(cfg.Algorithm),
-		events:      make(eventQueue, 0, len(trace.Jobs)+len(cfg.Faults)),
-		queue:       sched.NewQueue(func(a, b int) bool { return policy.less(jobs, a, b) }),
-		results:     make([]metrics.JobResult, len(trace.Jobs)),
-		started:     make([]bool, len(trace.Jobs)),
-		idToIdx:     make(map[cluster.JobID]int, len(trace.Jobs)),
-		completedAt: make([]float64, len(trace.Jobs)),
-		inc:         make([]int, len(trace.Jobs)),
+		cfg:      cfg,
+		trace:    trace,
+		st:       newState(cfg.Topology, cfg.Reference),
+		selector: sel,
+		defSel:   ReferenceSelector(cfg.Algorithm),
+		events:   make(eventQueue, 0, len(trace.Jobs)+len(cfg.Faults)),
+		queue:    sched.NewQueue(func(a, b int) bool { return policy.less(jobs, a, b) }),
+		results:  make([]metrics.JobResult, len(trace.Jobs)),
+		state:    make([]jobState, len(trace.Jobs)),
+		index:    index,
 	}
 	e.core = sched.Core[int]{
 		Free: e.st.FreeTotal, Job: e.job, Start: e.start,
 		Backfill: !cfg.DisableBackfill,
 	}
 	for i, j := range trace.Jobs {
-		e.idToIdx[j.ID] = i
-		e.completedAt[i] = -1
 		e.deps = e.deps || j.DependsOn != 0
 		e.push(event{time: j.Submit, kind: evArrive, job: i})
 	}
@@ -293,7 +297,7 @@ func (e *engine) loop() error {
 				e.push(event{time: at, kind: evWake})
 			}
 		case evComplete:
-			if ev.inc != e.inc[ev.job] {
+			if ev.requeues != e.results[ev.job].Requeues {
 				// Completion of a killed attempt: the job was requeued (and
 				// possibly restarted) after this event was scheduled.
 				continue
@@ -304,7 +308,7 @@ func (e *engine) loop() error {
 			if err := e.st.Release(e.trace.Jobs[ev.job].ID); err != nil {
 				return err
 			}
-			e.completedAt[ev.job] = now
+			e.state[ev.job] = done
 			e.wakeDependants(ev.job, now)
 		case evFail:
 			victim, err := e.st.Fail(ev.node)
@@ -312,7 +316,7 @@ func (e *engine) loop() error {
 				return err
 			}
 			if victim >= 0 {
-				if err := e.requeue(e.idToIdx[victim], now); err != nil {
+				if err := e.requeue(e.index[victim], now); err != nil {
 					return err
 				}
 			}
@@ -326,7 +330,11 @@ func (e *engine) loop() error {
 			}
 		case evWake:
 		}
-		if err := e.schedule(now); err != nil {
+		// The shared pass: the head first, then EASY backfilling behind its
+		// reservation. A head that down nodes keep from fitting holds an
+		// unreachable one until a repair; without faults no head is
+		// unsatisfiable, since no job needs more nodes than the machine has.
+		if err := e.core.Pass(&e.queue, now); err != nil {
 			return err
 		}
 	}
@@ -345,11 +353,11 @@ func (e *engine) eligibleAt(idx int) float64 {
 	if j.DependsOn == 0 {
 		return math.Inf(-1)
 	}
-	done := e.completedAt[e.idToIdx[j.DependsOn]]
-	if done < 0 {
+	dep := e.index[j.DependsOn]
+	if e.state[dep] != done {
 		return math.Inf(1)
 	}
-	return done + j.ThinkTime
+	return e.results[dep].End + j.ThinkTime
 }
 
 // wakeDependants runs a pass at the instant each queued dependant of job idx,
@@ -378,35 +386,14 @@ func (e *engine) requeue(idx int, now float64) error {
 	if err := e.st.Release(e.trace.Jobs[idx].ID); err != nil {
 		return err
 	}
-	// Invalidate the killed attempt's completion event and let the job be
-	// started again.
-	e.inc[idx]++
-	e.started[idx] = false
+	e.state[idx] = queued
 	r := &e.results[idx]
+	// Counting the kill invalidates the killed attempt's completion event.
 	r.Requeues++
 	r.RequeuedAt = now
 	r.LostSeconds += now - r.Start
 	e.queue.Add(idx, e.trace.Jobs[idx].Nodes)
 	return nil
-}
-
-// schedule hands the queue to the shared pass: the head first, then EASY
-// backfilling behind its reservation.
-func (e *engine) schedule(now float64) error {
-	starved, err := e.core.Pass(&e.queue, now)
-	if err == nil && starved && len(e.cfg.Faults) == 0 {
-		// Only under faults can the head be transiently unsatisfiable (enough
-		// nodes down that draining every running job would not free its
-		// request; a repair restores capacity). Without them it never runs.
-		// The head is the first eligible job the pass left queued.
-		for _, q := range e.queue.Jobs() {
-			if _, eligible := e.job(q); eligible {
-				head := e.trace.Jobs[q]
-				return fmt.Errorf("sim: job %d (%d nodes) can never run", head.ID, head.Nodes)
-			}
-		}
-	}
-	return err
 }
 
 // job describes a queued job to the pass: a job whose dependency has not
@@ -420,7 +407,7 @@ func (e *engine) job(idx int) (estimate float64, eligible bool) {
 // the allocation and schedules completion. Any failure aborts the run.
 func (e *engine) start(idx int, now float64) (sched.Outcome, error) {
 	j := e.trace.Jobs[idx]
-	if e.started[idx] {
+	if e.state[idx] != queued {
 		return 0, fmt.Errorf("sim: job %d started twice", j.ID)
 	}
 	pl, err := PlaceJob(&e.scratch, e.st, e.selector, e.defSel, j, e.cfg.CostMode, e.cfg.RankRemap)
@@ -453,8 +440,8 @@ func (e *engine) start(idx int, now float64) (sched.Outcome, error) {
 	if est := j.EstimatedRuntime(); now+est > estEnd {
 		estEnd = now + est
 	}
-	e.started[idx] = true
+	e.state[idx] = running
 	e.core.Running.Add(sched.Entry{End: estEnd, Key: int64(idx), Nodes: j.Nodes})
-	e.push(event{time: now + pl.Exec, kind: evComplete, job: idx, inc: e.inc[idx]})
+	e.push(event{time: now + pl.Exec, kind: evComplete, job: idx, requeues: r.Requeues})
 	return sched.Started, nil
 }

@@ -376,7 +376,10 @@ func (a *auditor) checkBackfillLegality() error {
 			}
 			// A drained node's capacity effect depends on whether a job
 			// occupied it at drain time — node-level placement the result
-			// does not record. Skip instants with any drain in effect.
+			// does not record. Skip instants with any drain in effect. A
+			// drain on a node past the machine is accepted and skips its
+			// span too: a caller hides instants it cannot rebuild that way
+			// (TestValidateSkipsDrainPastMachine).
 			if fv.drainActive {
 				continue
 			}

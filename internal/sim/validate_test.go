@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -218,5 +220,44 @@ func TestValidateResultConfigCatchesIllegalOrder(t *testing.T) {
 	}
 	if err := ValidateResultConfig(res2, legal, cfgOn); err != nil {
 		t.Errorf("legal backfill rejected: %v", err)
+	}
+}
+
+// A drain of a node past the machine is accepted and skips the instants it
+// is in effect, as any drain does. Job 3 backfills at 20 although its
+// estimate (200 s) overruns job 2's reservation at 100; a phantom drain
+// over 15–25 hides that start, one over 0–15 does not.
+func TestValidateSkipsDrainPastMachine(t *testing.T) {
+	trace := workload.Trace{
+		Name:         "phantom",
+		MachineNodes: 8,
+		Jobs: []workload.Job{
+			{ID: 1, Submit: 0, Runtime: 100, Nodes: 4},
+			{ID: 2, Submit: 10, Runtime: 100, Nodes: 8},
+			{ID: 3, Submit: 20, Runtime: 30, Nodes: 4, Estimate: 200},
+		},
+	}
+	topo := topology.PaperExample()
+	cfg := Config{Topology: topo, Algorithm: core.Default}
+	res, err := RunContinuous(cfg, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &Result{Algorithm: res.Algorithm, Jobs: slices.Clone(res.Jobs)}
+	bad.Jobs[2].Start = 20
+	bad.Jobs[2].End = bad.Jobs[2].Start + bad.Jobs[2].Exec
+	phantom := func(from, to float64) faults.Trace {
+		return faults.Trace{
+			{Time: from, Kind: faults.Drain, Node: topo.NumNodes()},
+			{Time: to, Kind: faults.Repair, Node: topo.NumNodes()},
+		}
+	}
+	cfg.Faults = phantom(0, 15)
+	if err := ValidateResultConfig(bad, trace, cfg); err == nil {
+		t.Error("illegal backfill outside the drain accepted")
+	}
+	cfg.Faults = phantom(15, 25)
+	if err := ValidateResultConfig(bad, trace, cfg); err != nil {
+		t.Errorf("illegal backfill under a drain past the machine rejected: %v", err)
 	}
 }

@@ -58,57 +58,52 @@ type Trace struct {
 	Jobs         []Job
 }
 
-// Validate checks trace consistency: ordered submits, sane sizes, and —
-// when dependencies are present — unique job IDs referencing earlier jobs.
+// Validate checks trace consistency: ordered submits, sane sizes, unique
+// job IDs, and dependencies on earlier jobs (Index).
 func (t Trace) Validate() error {
+	_, err := t.Index()
+	return err
+}
+
+// Index validates the trace and returns the position of each job by ID.
+// Job IDs must be unique: a job is allocated, released, killed and depended
+// on by its ID, so two jobs with one ID would be one job to the scheduler.
+func (t Trace) Index() (map[cluster.JobID]int, error) {
 	prev := math.Inf(-1)
-	hasDeps := false
-	for _, j := range t.Jobs {
-		if j.DependsOn != 0 {
-			hasDeps = true
-			break
-		}
-	}
 	ids := make(map[cluster.JobID]int, len(t.Jobs))
 	for i, j := range t.Jobs {
-		if _, dup := ids[j.ID]; dup && hasDeps {
-			return fmt.Errorf("workload: duplicate job ID %d with dependencies in use", j.ID)
+		if _, dup := ids[j.ID]; dup {
+			return nil, fmt.Errorf("workload: duplicate job ID %d", j.ID)
 		}
-		ids[j.ID] = i
-	}
-	for i, j := range t.Jobs {
 		if j.Nodes < 1 || j.Nodes > t.MachineNodes {
-			return fmt.Errorf("workload: job %d requests %d nodes of %d", j.ID, j.Nodes, t.MachineNodes)
+			return nil, fmt.Errorf("workload: job %d requests %d nodes of %d", j.ID, j.Nodes, t.MachineNodes)
 		}
 		if j.Runtime <= 0 {
-			return fmt.Errorf("workload: job %d has runtime %v", j.ID, j.Runtime)
+			return nil, fmt.Errorf("workload: job %d has runtime %v", j.ID, j.Runtime)
 		}
 		if j.Estimate < 0 {
-			return fmt.Errorf("workload: job %d has negative estimate %v", j.ID, j.Estimate)
+			return nil, fmt.Errorf("workload: job %d has negative estimate %v", j.ID, j.Estimate)
 		}
 		if j.Submit < prev {
-			return fmt.Errorf("workload: job %d submitted before its predecessor (index %d)", j.ID, i)
+			return nil, fmt.Errorf("workload: job %d submitted before its predecessor (index %d)", j.ID, i)
 		}
 		prev = j.Submit
 		if j.ThinkTime < 0 {
-			return fmt.Errorf("workload: job %d has negative think time", j.ID)
+			return nil, fmt.Errorf("workload: job %d has negative think time", j.ID)
 		}
-		if j.DependsOn != 0 {
-			di, ok := ids[j.DependsOn]
-			if !ok {
-				return fmt.Errorf("workload: job %d depends on unknown job %d", j.ID, j.DependsOn)
-			}
-			if di >= i {
-				return fmt.Errorf("workload: job %d depends on a later or same job %d", j.ID, j.DependsOn)
-			}
+		// Only earlier jobs are indexed yet: an unknown, later or same job
+		// is not found.
+		if _, ok := ids[j.DependsOn]; j.DependsOn != 0 && !ok {
+			return nil, fmt.Errorf("workload: job %d depends on job %d, which is not an earlier job", j.ID, j.DependsOn)
 		}
 		if j.Class == cluster.CommIntensive {
 			if err := j.Mix.Validate(); err != nil {
-				return err
+				return nil, err
 			}
 		}
+		ids[j.ID] = i
 	}
-	return nil
+	return ids, nil
 }
 
 // WithDependencies returns a copy of the trace in which approximately

@@ -282,8 +282,9 @@ func TestDiurnalArrivals(t *testing.T) {
 
 // TestValidateEdgeCases mutates a small valid trace one field at a time and
 // checks each rejection path of Trace.Validate, plus the accepted
-// borderline cases (duplicate IDs are legal while no job uses DependsOn;
-// ID 0 in DependsOn means "no dependency", never a reference to job 0).
+// borderline cases (ID 0 in DependsOn means "no dependency", never a
+// reference to job 0). A repeated job ID is refused whether or not any job
+// depends on it.
 func TestValidateEdgeCases(t *testing.T) {
 	base := func() Trace {
 		return Trace{
@@ -322,7 +323,7 @@ func TestValidateEdgeCases(t *testing.T) {
 		{"duplicate ID without dependencies", func(tr *Trace) {
 			tr.Jobs[2].DependsOn = 0
 			tr.Jobs[1].ID = 1
-		}, false},
+		}, true},
 		{"exact machine-size request", func(tr *Trace) { tr.Jobs[0].Nodes = 16 }, false},
 		{"equal submits", func(tr *Trace) { tr.Jobs[1].Submit = 0 }, false},
 		{"zero estimate means exact", func(tr *Trace) { tr.Jobs[0].Estimate = 0 }, false},
